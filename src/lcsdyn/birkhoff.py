@@ -23,7 +23,8 @@ from .core import (
     ConformalSystem,
     DEFAULT_MAX_ITERATIONS,
     ValidationError,
-    eval_factor,
+    eval_factor_like,
+    orbit_factors,
     step_points,
     table_factor,
 )
@@ -143,14 +144,7 @@ def birkhoff_table(sys: ConformalSystem, points=None, n_max: int = 100,
 
 
 def _float_table(sys, pts, n_max):
-    P = pts.shape[0]
-    H = np.empty((n_max, P))
-    cur = pts
-    for i in range(n_max):
-        H[i] = eval_factor(sys, cur)
-        if i + 1 < n_max:
-            cur = step_points(sys, cur)
-    S = np.cumsum(H, axis=0)
+    S = np.cumsum(orbit_factors(sys, pts, n_max), axis=0)
     A = S / np.arange(1, n_max + 1, dtype=float)[:, None]
     env_minus = np.minimum.accumulate(A[::-1], axis=0)[::-1]
     env_plus = np.maximum.accumulate(A[::-1], axis=0)[::-1]
@@ -165,17 +159,12 @@ def _float_table(sys, pts, n_max):
 
 
 def _exact_table(sys, pts, n_max):
-    tbl = sys.perm_table
-    hv = sys.factor_table
-    states = [int(p) for p in pts]
-    P = len(states)
+    P = len(pts)
     sums, averages = [], []
     acc = [Fraction(0)] * P
-    cur = list(states)
-    for n in range(1, n_max + 1):
-        acc = [acc[p] + hv[cur[p]] for p in range(P)]
-        cur = [tbl[c] for c in cur]
-        sums.append(list(acc))
+    for n, row in enumerate(orbit_factors(sys, pts, n_max), start=1):
+        acc = [a + v for a, v in zip(acc, row)]
+        sums.append(acc)
         averages.append([s / n for s in acc])
     env_minus = [row[:] for row in averages]
     env_plus = [row[:] for row in averages]
@@ -222,89 +211,60 @@ def transfer_potential(sys: ConformalSystem, n: int,
     return f_n
 
 
-def transfer_potential_values(sys: ConformalSystem, pts, n: int) -> np.ndarray:
-    """Vectorized f_n over an array of points (float path)."""
-    pts = np.asarray(pts)
+def transfer_potential_values(H, n: int):
+    """f_n at the start points of an orbit walk and at their images (float path).
+
+    ``H = orbit_factors(sys, pts, m)`` with m >= n rows.  Since
+    f_n(p) = (1/n) sum_{j=0}^{n-2} (n-1-j) h(psi^j p), f_n(p) reads rows
+    [0, n-1) and f_n(psi p) reads rows [1, n) of the same walk.
+    """
     if n == 1:
-        return np.zeros(pts.shape[0])
-    weights = np.arange(n - 1, 0, -1, dtype=float)
-    total = np.zeros(pts.shape[0])
-    cur = pts
-    for j in range(n - 1):
-        total += weights[j] * eval_factor(sys, cur)
-        if j + 1 < n - 1:
-            cur = step_points(sys, cur)
-    return total / n
+        return np.zeros(H.shape[1]), np.zeros(H.shape[1])
+    w = np.arange(n - 1, 0, -1, dtype=float)[:, None]
+    return (w * H[:n - 1]).sum(axis=0) / n, (w * H[1:n]).sum(axis=0) / n
 
 
 def coboundary_residual(sys: ConformalSystem, n: int, points=None):
     """max_x |A_n(h)(x) - (h(x) + f_n(psi x) - f_n(x))| over sampled points.
 
     Exactly zero (Fraction) on exact finite systems; float rounding otherwise.
+    Both sides read one orbit walk of n rows per point.
     """
     pts = sys.space.sample_points(points)
+    H = orbit_factors(sys, pts, n)
     if sys.exact:
-        f_n = transfer_potential(sys, n)
+        w = range(n - 1, 0, -1)
         worst = Fraction(0)
-        for p in pts:
-            x = int(p)
-            y = x
-            s = Fraction(0)
-            for _ in range(n):
-                s += sys.factor(y)
-                y = sys.forward(y)
-            lhs = s / n
-            rhs = sys.factor(x) + f_n(sys.forward(x)) - f_n(x)
-            worst = max(worst, abs(lhs - rhs))
+        for orbit in zip(*H):
+            f_here = sum((a * v for a, v in zip(w, orbit)), Fraction(0)) / n
+            f_next = sum((a * v for a, v in zip(w, orbit[1:])), Fraction(0)) / n
+            worst = max(worst, abs(sum(orbit) / n - (orbit[0] + f_next - f_here)))
         return worst
-    a_n = _average_values(sys, pts, n)
-    h = eval_factor(sys, pts)
-    f_here = transfer_potential_values(sys, pts, n)
-    f_next = transfer_potential_values(sys, step_points(sys, pts), n)
-    return float(np.max(np.abs(a_n - (h + f_next - f_here))))
+    f_here, f_next = transfer_potential_values(H, n)
+    return float(np.max(np.abs(H.sum(axis=0) / n - (H[0] + f_next - f_here))))
 
 
 def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> np.ndarray:
     """Residuals of the transfer identity for every n = 1..n_max (float path).
 
-    Uses one orbit table per base grid (the grid and its image), so the whole
-    curve costs a single length-(n_max+1) orbit sweep.
+    One orbit walk of n_max rows serves both the grid and its image; running
+    sums carry S_n and f_n = (S_1 + ... + S_{n-1}) / n at p and at psi p.
     """
-    pts = sys.space.sample_points(points)
-
-    def tables(base):
-        P = base.shape[0]
-        H = np.empty((n_max + 1, P))
-        cur = base
-        for i in range(n_max + 1):
-            H[i] = eval_factor(sys, cur)
-            if i < n_max:
-                cur = step_points(sys, cur)
-        S = np.cumsum(H, axis=0)  # S[j] = S_{j+1}
-        CS = np.cumsum(S, axis=0)  # CS[j] = S_1 + ... + S_{j+1}
-        return H, S, CS
-
-    H1, S1, CS1 = tables(pts)
-    H2, S2, CS2 = tables(step_points(sys, pts))
+    H = orbit_factors(sys, sys.space.sample_points(points), n_max)
+    h = H[0]
+    s_here = np.zeros(H.shape[1])  # S_n(p)
+    s_next = np.zeros_like(s_here)  # S_{n-1}(psi p), rows 1..n-1
+    cs_here = np.zeros_like(s_here)  # S_1(p) + ... + S_{n-1}(p)
+    cs_next = np.zeros_like(s_here)  # S_1(psi p) + ... + S_{n-1}(psi p)
     out = np.empty(n_max)
-    h = H1[0]
     for n in range(1, n_max + 1):
-        a_n = S1[n - 1] / n
-        # f_n = (1/n) sum_{i=1}^{n-1} S_i = CS[n-2]/n (CS[j] = S_1 + ... + S_{j+1})
-        f_here = CS1[n - 2] / n if n > 1 else 0.0
-        f_next = CS2[n - 2] / n if n > 1 else 0.0
-        out[n - 1] = np.max(np.abs(a_n - (h + f_next - f_here)))
+        if n > 1:
+            cs_here += s_here
+            s_next += H[n - 1]
+            cs_next += s_next
+        s_here += H[n - 1]
+        out[n - 1] = np.max(np.abs(s_here / n - (h + cs_next / n - cs_here / n)))
     return out
-
-
-def _average_values(sys, pts, n):
-    total = np.zeros(pts.shape[0])
-    cur = pts
-    for i in range(n):
-        total += eval_factor(sys, cur)
-        if i + 1 < n:
-            cur = step_points(sys, cur)
-    return total / n
 
 
 def gauge_shifted_system(sys: ConformalSystem, f0) -> ConformalSystem:
@@ -379,18 +339,6 @@ def limit_estimates(table: BirkhoffTable, stabilization_rtol: float = 1e-6,
         exact=False,
         stable=stable,
     )
-
-
-def eval_factor_like(fn, pts) -> np.ndarray:
-    """Evaluate a plain scalar/array function over points, as float64."""
-    pts = np.asarray(pts)
-    try:
-        v = np.asarray(fn(pts), dtype=float)
-        if v.shape == (pts.shape[0],):
-            return v
-    except Exception:
-        pass
-    return np.asarray([float(fn(p)) for p in pts])
 
 
 def admissible_set(estimate: LimitEstimate, tolerance: float | None = None) -> AdmissibleSet:

@@ -62,7 +62,10 @@ class RunConfig:
         return d
 
     def cache_key(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        """Hash of the canonical config and the package version, so results
+        cached by another version of the code are never served."""
+        keyed = {"config": self.canonical(), "version": __version__}
+        blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 

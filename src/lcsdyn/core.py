@@ -265,19 +265,58 @@ def step_points(sys: ConformalSystem, pts, inverse: bool = False):
     return np.asarray(out, dtype=float)
 
 
+def eval_factor_like(fn, pts) -> np.ndarray:
+    """Evaluate a scalar-or-array function over an array of points, as float64.
+
+    One array call is tried first.  A callable that only takes scalars raises
+    TypeError or ValueError on an array (or returns the wrong shape) and is
+    then called point by point: on Python numbers for 1-d samples, on rows
+    for torus points.  Any other exception propagates.
+    """
+    pts = np.asarray(pts)
+    try:
+        v = np.asarray(fn(pts), dtype=float)
+        if v.shape == (pts.shape[0],):
+            return v
+    except (TypeError, ValueError):
+        pass
+    return np.asarray([float(fn(p)) for p in (pts.tolist() if pts.ndim == 1 else pts)])
+
+
 def eval_factor(sys: ConformalSystem, pts):
     """Factor values on an array of points, as float64."""
-    pts = np.asarray(pts)
-    n = pts.shape[0]
-    try:
-        v = np.asarray(sys.factor(pts), dtype=float)
-        if v.shape == (n,):
-            return v
-    except Exception:
-        pass
-    if sys.space.kind == FINITE:
-        return np.asarray([float(sys.factor(int(p))) for p in pts])
-    return np.asarray([float(sys.factor(p)) for p in pts])
+    return eval_factor_like(sys.factor, pts)
+
+
+def orbit_factors(sys: ConformalSystem, pts, n: int, inverse: bool = False):
+    """The orbit engine: rows H[i] = h(psi^i p), i < n, for every point p.
+
+    ``inverse`` walks psi^{-1} instead.  Float systems give an (n, P) float64
+    array; exact finite systems give n lists of Fractions, walked on the
+    permutation and factor tables.  Every orbit quantity (S_n, A_n, f_n, the
+    g orbit tables) is a reduction of these rows.
+    """
+    if sys.exact:
+        tbl, hv = sys.perm_table, sys.factor_table
+        if inverse:
+            inv = [0] * len(tbl)
+            for i, j in enumerate(tbl):
+                inv[j] = i
+            tbl = inv
+        cur = [int(p) for p in pts]
+        rows = []
+        for i in range(n):
+            rows.append([hv[c] for c in cur])
+            if i + 1 < n:
+                cur = [tbl[c] for c in cur]
+        return rows
+    H = np.empty((n, np.shape(pts)[0]))
+    cur = pts
+    for i in range(n):
+        H[i] = eval_factor(sys, cur)
+        if i + 1 < n:
+            cur = step_points(sys, cur, inverse=inverse)
+    return H
 
 
 def reference_points(sys: ConformalSystem, cap: int = 1024):
@@ -526,6 +565,8 @@ def mirrored_system(sys: ConformalSystem) -> ConformalSystem:
         mk["matrix"], mk["inverse"] = mk["inverse"], mk["matrix"]
     elif kind == "permutation":
         mk["table"], mk["inverse"] = mk["inverse"], mk["table"]
+    # exact orbit walks read perm_table, so it must follow the swapped map
+    perm = mk["table"] if sys.perm_table is not None else None
 
     if sys.space.kind == FINITE and sys.factor_table is not None:
         inv = mk["table"]  # after the swap this is the original inverse table
@@ -552,5 +593,6 @@ def mirrored_system(sys: ConformalSystem) -> ConformalSystem:
         factor_table=ft,
         generating_f=None,
         map_kind=mk,
+        perm_table=perm,
         label=f"mirrored {sys.label}",
     )

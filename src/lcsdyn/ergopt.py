@@ -20,6 +20,7 @@ from .core import (
     ValidationError,
     eval_factor,
     negated_system,
+    orbit_factors,
     step_points,
 )
 
@@ -82,22 +83,25 @@ def cycle_mean_extrema(sys: ConformalSystem) -> CycleDecomposition:
     return CycleDecomposition(cycles, max(means), min(means))
 
 
+def _cycle_potential(dec: CycleDecomposition, hv, level) -> list:
+    """Potential f with h + f o psi - f = level along every non-closing edge
+    c_j -> c_{j+1} of each cycle, normalized to min f = 0."""
+    f = [None] * len(hv)
+    for cyc, _mean in dec.cycles:
+        f[cyc[0]] = hv[cyc[0]] * 0  # zero of the right arithmetic type
+        for j in range(len(cyc) - 1):
+            f[cyc[j + 1]] = f[cyc[j]] - (hv[cyc[j]] - level)
+    fmin = min(f)
+    return [v - fmin for v in f]
+
+
 def _exact_finite_minmax(sys: ConformalSystem) -> OptimizationResult:
     dec = cycle_mean_extrema(sys)
     tbl = sys.perm_table
     hv = sys.factor_table
-    m = len(tbl)
     M = dec.max_mean
-    f = [None] * m
-    for cyc, _mean in dec.cycles:
-        f[cyc[0]] = hv[cyc[0]] * 0  # zero of the right arithmetic type
-        for j in range(len(cyc) - 1):
-            # equality h + f o psi - f = M along every non-closing edge
-            f[cyc[j + 1]] = f[cyc[j]] - (hv[cyc[j]] - M)
-    fmin = min(f)
-    f = [v - fmin for v in f]  # potentials normalized to min f = 0
-    resid = max(hv[i] + f[tbl[i]] - f[i] for i in range(m))
-    table = list(f)
+    table = _cycle_potential(dec, hv, M)
+    resid = max(hv[i] + table[tbl[i]] - table[i] for i in range(len(tbl)))
     return OptimizationResult(
         value=M,
         potential=lambda x: table[int(x)],
@@ -110,11 +114,10 @@ def _exact_finite_minmax(sys: ConformalSystem) -> OptimizationResult:
 def _birkhoff_fn_minmax(sys: ConformalSystem, n: int, points) -> OptimizationResult:
     from . import birkhoff
 
-    pts = sys.space.sample_points(points)
     f_n = birkhoff.transfer_potential(sys, n)
-    f_here = birkhoff.transfer_potential_values(sys, pts, n)
-    f_next = birkhoff.transfer_potential_values(sys, step_points(sys, pts), n)
-    edge = eval_factor(sys, pts) + f_next - f_here
+    H = orbit_factors(sys, sys.space.sample_points(points), n)
+    f_here, f_next = birkhoff.transfer_potential_values(H, n)
+    edge = H[0] + f_next - f_here
     value = float(edge.max())
     return OptimizationResult(
         value=value,
@@ -248,13 +251,4 @@ def is_strict_finite(sys: ConformalSystem):
                 return False, None
         elif abs(float(mean)) > 1e-12:
             return False, None
-    m = len(sys.perm_table)
-    hv = sys.factor_table
-    tbl = sys.perm_table
-    f = [None] * m
-    for cyc, _mean in dec.cycles:
-        f[cyc[0]] = hv[cyc[0]] * 0
-        for j in range(len(cyc) - 1):
-            f[cyc[j + 1]] = f[cyc[j]] - hv[cyc[j]]
-    fmin = min(f)
-    return True, [v - fmin for v in f]
+    return True, _cycle_potential(dec, sys.factor_table, 0)

@@ -31,8 +31,10 @@ from .core import (
     DomainError,
     ValidationError,
     eval_factor,
+    eval_factor_like,
     factor_range,
     mirrored_system,
+    orbit_factors,
     reference_points,
     step_points,
 )
@@ -150,25 +152,22 @@ def band_interval(sys: ConformalSystem, k: float, points=None):
     return lo, hi
 
 
-def _cycle_residual_bound(sys: ConformalSystem):
-    """Per-cycle means plus the sup of |S_n - n mean| (periodic residual)."""
-    from . import ergopt
+def _cycle_residual_bound(dec, hv):
+    """sup of |S_n(x) - n mean| over the states x of each cycle and 0 < n < L.
 
-    dec = ergopt.cycle_mean_extrema(sys)
-    hv = [float(v) for v in sys.factor_table]
-    tbl = sys.perm_table
-    means, R = [], 0.0
+    Along a cycle c_0 .. c_{L-1} with prefix sums D_j = sum_{i<j} (h(c_i) -
+    mean), S_n(c_a) - n mean = D_{a+n} - D_a (indices mod L, D_L = D_0 = 0),
+    so the sup is the largest range max D - min D.  Computed in the factor
+    table's own arithmetic: exact for Fraction tables.
+    """
+    R = 0
     for cyc, mean in dec.cycles:
-        mean_f = float(mean)
-        means.append(mean_f)
-        for start in cyc:
-            s = 0.0
-            x = start
-            for n in range(1, len(cyc)):
-                s += hv[x]
-                x = tbl[x]
-                R = max(R, abs(s - n * mean_f))
-    return means, R
+        d = lo = hi = 0
+        for x in cyc[:-1]:
+            d += hv[x] - mean
+            lo, hi = min(lo, d), max(hi, d)
+        R = max(R, hi - lo)
+    return R
 
 
 def properness_probe(act: TorusAction, n_max: int = 1000, starts=None,
@@ -196,7 +195,11 @@ def properness_probe(act: TorusAction, n_max: int = 1000, starts=None,
 
     # --- certificates -----------------------------------------------------
     if sys.space.kind == FINITE and sys.perm_table is not None:
-        means, R = _cycle_residual_bound(sys)
+        from . import ergopt
+
+        dec = ergopt.cycle_mean_extrema(sys)
+        R = _cycle_residual_bound(dec, sys.factor_table)
+        means = [float(mean) for _cyc, mean in dec.cycles]
         gaps = [abs(k - m) for m in means]
         if min(gaps) > 1e-12:
             n0 = max(int(math.floor((width + R) / g)) + 1 for g in gaps)
@@ -204,9 +207,6 @@ def properness_probe(act: TorusAction, n_max: int = 1000, starts=None,
                                "cycle-exact", False, n_max, n_starts)
         # k is (numerically) a cycle mean: that cycle's band orbit is periodic
         idx = gaps.index(min(gaps))
-        from . import ergopt
-
-        dec = ergopt.cycle_mean_extrema(sys)
         cyc, _ = dec.cycles[idx]
         t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
         wit = Witness(int(cyc[0]), len(cyc), t0 + len(cyc) * (k - means[idx]))
@@ -214,8 +214,6 @@ def properness_probe(act: TorusAction, n_max: int = 1000, starts=None,
                            "cycle-exact", False, n_max, n_starts)
 
     if sys.generating_f is not None and k != 0.0:
-        from .birkhoff import eval_factor_like
-
         ref = reference_points(sys)
         fv = eval_factor_like(sys.generating_f, ref)
         V = float(fv.max() - fv.min())
@@ -348,6 +346,11 @@ def build_cutoff(bound: float, table_size: int = 32769) -> CutoffFunction:
 # --------------------------------------------------------------------------
 
 
+def _float_orbit(sys: ConformalSystem, pts, n: int, inverse: bool = False):
+    """orbit_factors as float64 (exact Fraction rows rounded as eval_factor does)."""
+    return np.asarray(orbit_factors(sys, pts, n, inverse), dtype=float)
+
+
 @dataclass
 class GConstruction:
     """g with g(psi x, t+1) = g(x, t) - h(x) and dt g + k one-signed.
@@ -418,18 +421,8 @@ class GConstruction:
         i2 = max(0, math.ceil(float(np.max(ts)))) + 1
         if i1 + i2 > self.max_terms:
             raise BudgetError("t window needs more terms than the budget allows")
-        fwd = np.empty((i1, len(pts)))
-        cur = pts
-        for i in range(i1):
-            fwd[i] = eval_factor(sys, cur)
-            if i + 1 < i1:
-                cur = step_points(sys, cur)
-        bwd = np.empty((i2, len(pts)))
-        cur = step_points(sys, pts, inverse=True)
-        for i in range(i2):
-            bwd[i] = eval_factor(sys, cur)
-            if i + 1 < i2:
-                cur = step_points(sys, cur, inverse=True)
+        fwd = _float_orbit(sys, pts, i1)
+        bwd = _float_orbit(sys, step_points(sys, pts, inverse=True), i2, inverse=True)
         return fwd, bwd
 
     def g_grid(self, pts, ts):
@@ -486,21 +479,8 @@ class GConstruction:
         if self.mirrored:
             return -self.inner.dt_attainable(pts, s_count, max_factor_values)
         pts = reference_points(self.system) if pts is None else pts
-        lo, hi = self.t_window
-        depth_f = max(0, math.ceil(-lo)) + 1
-        depth_b = max(0, math.ceil(hi)) + 1
-        vals = []
-        cur = pts
-        for i in range(depth_f):
-            vals.append(eval_factor(self.system, cur))
-            if i + 1 < depth_f:
-                cur = step_points(self.system, cur)
-        cur = step_points(self.system, pts, inverse=True)
-        for i in range(depth_b):
-            vals.append(eval_factor(self.system, cur))
-            if i + 1 < depth_b:
-                cur = step_points(self.system, cur, inverse=True)
-        hv = np.unique(np.concatenate(vals))
+        fwd, bwd = self._orbit_tables(pts, self.t_window)
+        hv = np.unique(np.concatenate([fwd.ravel(), bwd.ravel()]))
         if len(hv) > max_factor_values:
             idx = np.linspace(0, len(hv) - 1, max_factor_values).round().astype(int)
             hv = hv[idx]
@@ -568,14 +548,7 @@ def averaged_factor(sys: ConformalSystem, n: int):
 
     def a_n(x):
         if np.ndim(x):
-            pts = np.asarray(x)
-            total = np.zeros(pts.shape[0])
-            cur = pts
-            for i in range(n):
-                total += eval_factor(sys, cur)
-                if i + 1 < n:
-                    cur = step_points(sys, cur)
-            return total / n
+            return _float_orbit(sys, np.asarray(x), n).sum(axis=0) / n
         y = sys.space.normalize(x)
         total = 0.0
         for _ in range(n):
@@ -762,10 +735,10 @@ def conjugation_residual(mu: MuConstruction, c: float, pts=None, ts=None) -> flo
     ck = c * mu.k
     from .birkhoff import transfer_potential_values
 
-    fn_here = transfer_potential_values(sys, pts, mu.n_used)
+    H = _float_orbit(sys, pts, mu.n_used)
+    fn_here, fn_next = transfer_potential_values(H, mu.n_used)
     nxt = step_points(sys, pts)
-    fn_next = transfer_potential_values(sys, nxt, mu.n_used)
-    h = eval_factor(sys, pts)
+    h = H[0]
     lhs = g.g_grid(nxt, ts + 1.0) + (ts[:, None] + 1.0) * ck + fn_next[None, :]
     rhs = g.g_grid(pts, ts) + ts[:, None] * ck + fn_here[None, :] + ck - h[None, :]
     return float(np.max(np.abs(lhs - rhs)))

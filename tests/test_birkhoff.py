@@ -93,7 +93,11 @@ def test_coboundary_residual_rotation_grid(golden_cos):
     assert coboundary_residual(golden_cos, 1, 128) == 0
     assert coboundary_residual(golden_cos, 100, 128) <= 1e-9
     curve = coboundary_residual_curve(golden_cos, 60, 128)
+    assert curve.shape == (60,)
     assert curve.max() <= 1e-9
+    for n in (1, 2, 17, 60):
+        assert curve[n - 1] == pytest.approx(coboundary_residual(golden_cos, n, 128),
+                                             abs=1e-12)
 
 
 def test_envelope_sandwich_and_monotone(golden_cos):

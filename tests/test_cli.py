@@ -133,6 +133,20 @@ def test_cache_hit_and_miss(tmp_path):
     assert load_report(out)["provenance"]["cache_hit"] is False
 
 
+def test_cache_key_includes_version(tmp_path, monkeypatch):
+    # a result cached by one version of the code is not served to another
+    cfg = write_config(tmp_path, "v.json", command="admissible",
+                       system=FINITE_SYSTEM, n_max=6)
+    out = str(tmp_path / "run")
+    assert run_cli(["--config", cfg, "--out", out]) == 0
+    assert load_report(out)["provenance"]["cache_hit"] is False
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
+    assert run_cli(["--config", cfg, "--out", out]) == 0
+    assert load_report(out)["provenance"]["cache_hit"] is False
+    assert run_cli(["--config", cfg, "--out", out]) == 0
+    assert load_report(out)["provenance"]["cache_hit"] is True
+
+
 def test_cache_corrupt_entry(tmp_path):
     cfg = write_config(tmp_path, "c.json", command="rank",
                        params={"generators": ["1"]})

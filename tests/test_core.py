@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,14 @@ from lcsdyn import (
     iterate,
     rotation_system,
 )
-from lcsdyn.core import ModelSpace, eval_factor, mirrored_system, step_points
+from lcsdyn.core import (
+    ModelSpace,
+    eval_factor,
+    eval_factor_like,
+    mirrored_system,
+    orbit_factors,
+    step_points,
+)
 
 
 def test_iterate_cycle(cycle3):
@@ -155,3 +163,73 @@ def test_strict_rotation_stores_generating_f(golden_strict):
     f = golden_strict.generating_f
     expect = f(x) - f(golden_strict.forward(x))
     assert golden_strict.factor(x) == pytest.approx(expect)
+
+
+def _scalar_orbit_rows(sys, pts, n, sign=1):
+    """Independent oracle: h(psi^{sign i} p) by scalar iteration."""
+    return [[sys.factor(iterate(sys, p, sign * i)) for p in pts] for i in range(n)]
+
+
+def test_orbit_factors_rotation_matches_scalar_walk(golden_cos):
+    pts = golden_cos.space.sample_points(16)
+    H = orbit_factors(golden_cos, pts, 30)
+    assert H.shape == (30, 16)
+    np.testing.assert_allclose(H, _scalar_orbit_rows(golden_cos, pts, 30),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_orbit_factors_cat_map_matches_scalar_walk(inverse):
+    sys = cat_map_system({"type": "trig2", "terms": [[1, 0, 1.0, 0.0], [0, 1, 0.0, 0.5]]},
+                         grid_resolution=16)
+    pts = sys.space.sample_points()
+    assert pts.shape == (256, 2)
+    H = orbit_factors(sys, pts, 12, inverse=inverse)
+    expect = _scalar_orbit_rows(sys, pts, 12, sign=-1 if inverse else 1)
+    np.testing.assert_allclose(H, expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_orbit_factors_exact_permutation(inverse):
+    rng = np.random.default_rng(5)
+    table = rng.permutation(9).tolist()
+    vals = [Fraction(int(p), int(q)) for p, q in
+            zip(rng.integers(-5, 6, size=9), rng.integers(1, 7, size=9))]
+    sys = finite_permutation_system(table, vals)
+    assert sys.exact
+    pts = sys.space.sample_points()
+    rows = orbit_factors(sys, pts, 20, inverse=inverse)
+    assert rows == _scalar_orbit_rows(sys, pts, 20, sign=-1 if inverse else 1)
+    assert all(isinstance(v, Fraction) for row in rows for v in row)
+
+
+def test_mirrored_exact_system_walks_its_own_map(swap_pair):
+    mir = mirrored_system(swap_pair)
+    assert mir.exact
+    assert mir.perm_table == tuple(mir.forward(i) for i in range(3))
+    pts = mir.space.sample_points()
+    assert orbit_factors(mir, pts, 5) == _scalar_orbit_rows(mir, pts, 5)
+
+
+def test_eval_factor_scalar_only_callable(cycle3):
+    # math.cos and list indexing raise TypeError on arrays: the per-point
+    # fallback runs
+    sys = rotation_system(0.25, math.cos, grid_resolution=32)
+    pts = sys.space.sample_points(9)
+    assert list(eval_factor(sys, pts)) == [math.cos(float(p)) for p in pts]
+    fin = replace(cycle3, factor=lambda i: [Fraction(1, 2), 2, 3][i])
+    assert list(eval_factor(fin, fin.space.sample_points())) == [0.5, 2.0, 3.0]
+
+
+def test_eval_factor_array_error_propagates(golden_cos):
+    def factor(x):
+        if np.ndim(x):
+            raise RuntimeError("broken array path")
+        return math.cos(x)
+
+    sys = replace(golden_cos, factor=factor)
+    pts = sys.space.sample_points(8)
+    with pytest.raises(RuntimeError, match="broken array path"):
+        eval_factor(sys, pts)
+    with pytest.raises(RuntimeError, match="broken array path"):
+        eval_factor_like(factor, pts)

@@ -11,6 +11,7 @@ from lcsdyn import (
     build_cutoff,
     build_g,
     build_mu,
+    cycle_mean_extrema,
     finite_permutation_system,
     properness_probe,
     rotation_system,
@@ -24,6 +25,7 @@ from lcsdyn.torus import (
     VERDICT_RECURRENT,
     action_step_inverse,
     band_interval,
+    _cycle_residual_bound,
     conjugation_residual,
 )
 
@@ -147,6 +149,36 @@ def test_probe_finite_exact(swap_pair):
         assert rep.verdict == verdict, k
         assert rep.certificate == "cycle-exact"
         assert not rep.heuristic
+
+
+def _brute_cycle_residual(sys):
+    """Oracle: sup |S_n(x) - n mean| by walking every start and every 0 < n < L."""
+    hv, tbl = sys.factor_table, sys.perm_table
+    R = 0
+    for cyc, mean in cycle_mean_extrema(sys).cycles:
+        for start in cyc:
+            s, x = 0, start
+            for n in range(1, len(cyc)):
+                s += hv[x]
+                x = tbl[x]
+                R = max(R, abs(s - n * mean))
+    return R
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cycle_residual_bound_matches_double_loop(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 40))
+    table = rng.permutation(m).tolist()
+    q = rng.integers(1, 9, size=m)
+    fractions = [Fraction(int(p), int(d)) for p, d in zip(rng.integers(-20, 21, size=m), q)]
+    exact = finite_permutation_system(table, fractions)
+    assert exact.exact
+    R = _cycle_residual_bound(cycle_mean_extrema(exact), exact.factor_table)
+    assert R == _brute_cycle_residual(exact)
+    floats = finite_permutation_system(table, rng.uniform(-2.0, 2.0, size=m).tolist())
+    R = _cycle_residual_bound(cycle_mean_extrema(floats), floats.factor_table)
+    assert R == pytest.approx(_brute_cycle_residual(floats), rel=1e-12, abs=1e-12)
 
 
 def test_probe_cat_map_escape():
