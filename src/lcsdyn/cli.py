@@ -257,7 +257,10 @@ def _cmd_optimize(config, sys_, out_dir, warnings):
     n = config.params.get("n", min(config.n_max, 64))
     lo = ergopt.maxmin_coboundary(sys_, method=method, n=n, points=_points_spec(config))
     hi = ergopt.minmax_coboundary(sys_, method=method, n=n, points=_points_spec(config))
-    if method != "exact_finite":
+    if method == "grid_descent":
+        warnings.append("method 'grid_descent' is exact for the snapped grid map, "
+                        "which only approximates psi")
+    elif method != "exact_finite":
         warnings.append(f"method {method!r} yields sampled bounds, not exact optima")
     _write_potential_csv(sys_, hi, os.path.join(out_dir, "potential.csv"))
     return {
@@ -370,9 +373,8 @@ def cache_path(config: RunConfig) -> str:
     return os.path.join(base, config.cache_key() + ".json")
 
 
-def cache_lookup(config: RunConfig, warnings: list):
-    """Stored payload for this config hash, or None (corrupt entries warn)."""
-    path = cache_path(config)
+def cache_lookup(path: str, warnings: list):
+    """Stored payload at the config's cache path, or None (corrupt entries warn)."""
     if not os.path.exists(path):
         return None
     try:
@@ -384,8 +386,7 @@ def cache_lookup(config: RunConfig, warnings: list):
         return None
 
 
-def cache_store(config: RunConfig, payload, warnings):
-    path = cache_path(config)
+def cache_store(path: str, payload, warnings):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump({"payload": payload, "warnings": warnings}, fh, sort_keys=True)
@@ -403,7 +404,8 @@ def run(config: RunConfig):
         if config.command not in COMMANDS:
             raise ValidationError(f"unknown command {config.command!r}")
         os.makedirs(config.out, exist_ok=True)
-        cached = cache_lookup(config, warnings)
+        path = cache_path(config)
+        cached = cache_lookup(path, warnings)
         inconclusive = False
         if cached is not None:
             payload = cached["payload"]
@@ -422,7 +424,7 @@ def run(config: RunConfig):
             else:
                 payload = result
             payload = _jsonable(payload)
-            cache_store(config, payload, warnings)
+            cache_store(path, payload, warnings)
             cache_hit = False
     except (ValidationError, DomainError, KeyError, TypeError) as exc:
         _diag(type(exc).__name__, str(exc))

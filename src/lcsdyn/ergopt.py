@@ -1,10 +1,11 @@
 """Min-max and max-min coboundary optimization.
 
 The two quantities solved here are inf_f max_x (h + f o psi - f) and
-sup_f min_x (h + f o psi - f).  On a finite bijection both are cycle-mean
-extrema and are computed exactly; on grids the transfer potential gives a
-rigorous (sampled) upper bound and a snapped-dynamics relaxation gives a
-heuristic value.
+sup_f min_x (h + f o psi - f).  On a functional graph (every node has one
+successor) both are cycle-mean extrema, computed exactly by one routine: on a
+finite bijection this is the exact optimum; on grids it is the exact cycle
+mean of the snapped grid dynamics, whose snapping only approximates psi.  The
+transfer potential gives a rigorous (sampled) upper bound on grids.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from .core import (
 
 @dataclass
 class CycleDecomposition:
-    """Disjoint cycles of a finite bijection with their factor means."""
+    """Cycles of a functional graph x -> succ[x] with their factor means."""
 
     cycles: list  # (state tuple, mean)
     max_mean: object
     min_mean: object
+    tree: list  # the nodes off every cycle, each after its successor
 
 
 @dataclass
@@ -59,54 +61,73 @@ def _require_finite(sys: ConformalSystem):
         raise ValidationError("this operation needs a finite bijection")
 
 
+def _functional_cycles(succ, hv) -> CycleDecomposition:
+    """Cycles of x -> succ[x] with the mean of hv on each, in hv's arithmetic.
+
+    Each node is walked once: a walk stops at the first node already reached,
+    and when that node lies on the current walk the rest of the walk from it
+    is a new cycle.  Fraction values give exact means.
+    """
+    walk = [-1] * len(succ)  # the walk (its start node) that reached each node
+    cycles, tree = [], []
+    for start in range(len(succ)):
+        if walk[start] >= 0:
+            continue
+        path = []
+        x = start
+        while walk[x] < 0:
+            walk[x] = start
+            path.append(x)
+            x = succ[x]
+        cut = path.index(x) if walk[x] == start else len(path)
+        if cut < len(path):
+            cyc = path[cut:]
+            total = sum(hv[i] for i in cyc)
+            mean = total / len(cyc) if isinstance(total, Fraction) else total / float(len(cyc))
+            cycles.append((tuple(cyc), mean))
+        tree.extend(reversed(path[:cut]))
+    means = [c[1] for c in cycles]
+    return CycleDecomposition(cycles, max(means), min(means), tree)
+
+
 def cycle_mean_extrema(sys: ConformalSystem) -> CycleDecomposition:
     """Cycle decomposition of the permutation with exact means when possible."""
     _require_finite(sys)
-    tbl = sys.perm_table
-    hv = sys.factor_table
-    m = len(tbl)
-    seen = [False] * m
-    cycles = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        cyc = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x)
-            x = tbl[x]
-        total = sum(hv[i] for i in cyc)
-        mean = total / len(cyc) if isinstance(total, Fraction) else total / float(len(cyc))
-        cycles.append((tuple(cyc), mean))
-    means = [c[1] for c in cycles]
-    return CycleDecomposition(cycles, max(means), min(means))
+    return _functional_cycles(sys.perm_table, sys.factor_table)
 
 
-def _cycle_potential(dec: CycleDecomposition, hv, level) -> list:
-    """Potential f with h + f o psi - f = level along every non-closing edge
-    c_j -> c_{j+1} of each cycle, normalized to min f = 0."""
+def _cycle_potential(dec: CycleDecomposition, succ, hv, level) -> list:
+    """Potential f with h + f o succ - f = level along every non-closing edge
+    c_j -> c_{j+1} of each cycle and every tree edge, normalized to min f = 0."""
     f = [None] * len(hv)
     for cyc, _mean in dec.cycles:
         f[cyc[0]] = hv[cyc[0]] * 0  # zero of the right arithmetic type
         for j in range(len(cyc) - 1):
             f[cyc[j + 1]] = f[cyc[j]] - (hv[cyc[j]] - level)
+    for x in dec.tree:
+        f[x] = hv[x] + f[succ[x]] - level
     fmin = min(f)
     return [v - fmin for v in f]
 
 
-def _exact_finite_minmax(sys: ConformalSystem) -> OptimizationResult:
-    dec = cycle_mean_extrema(sys)
-    tbl = sys.perm_table
-    hv = sys.factor_table
+def _cycle_minmax(succ, hv):
+    """inf_f max_x (h + f o succ - f) on a functional graph is the largest
+    cycle mean M: the edges of a cycle sum to its length times its mean, and
+    the cycle potential at level M attains M.  Returns (M, f table, max edge - M)."""
+    dec = _functional_cycles(succ, hv)
     M = dec.max_mean
-    table = _cycle_potential(dec, hv, M)
-    resid = max(hv[i] + table[tbl[i]] - table[i] for i in range(len(tbl)))
+    table = _cycle_potential(dec, succ, hv, M)
+    resid = max(hv[i] + table[succ[i]] - table[i] for i in range(len(succ)))
+    return M, table, resid - M
+
+
+def _exact_finite_minmax(sys: ConformalSystem) -> OptimizationResult:
+    M, table, cert = _cycle_minmax(sys.perm_table, sys.factor_table)
     return OptimizationResult(
         value=M,
         potential=lambda x: table[int(x)],
         potential_table=table,
-        certificate=resid - M,
+        certificate=cert,
         method="exact_finite",
     )
 
@@ -139,52 +160,20 @@ def _snap_indices(sys: ConformalSystem, pts) -> np.ndarray:
     return ij[:, 0] * side + ij[:, 1]
 
 
-def _grid_descent_minmax(sys: ConformalSystem, points, lam_iters: int = 60,
-                         max_sweeps: int | None = None) -> OptimizationResult:
-    """Heuristic: local relaxation on the grid with snapped images.
-
-    Feasibility of a level lam (does some f give h + f o snap - f <= lam
-    everywhere?) is decided by sweeping f[x] <- max(f[x], f[snap x] + h - lam)
-    to a fixed point; the least feasible lam is located by bisection.
-    Snapping perturbs the dynamics, hence the heuristic label.
-    """
+def _grid_descent_minmax(sys: ConformalSystem, points) -> OptimizationResult:
+    """Exact optimum of the snapped problem: psi with each grid node's image
+    rounded to the nearest node.  Snapping approximates psi, so the value
+    approximates the optimum of the real dynamics."""
     pts = sys.space.sample_points(points)
-    h = eval_factor(sys, pts)
-    nxt = _snap_indices(sys, pts)
-    P = len(pts)
-    sweeps = max_sweeps or (P + 5)
-
-    def relax(lam):
-        f = np.zeros(P)
-        bound = float(np.abs(h - lam).sum()) + 1.0
-        for _ in range(sweeps):
-            cand = f[nxt] + h - lam
-            newf = np.maximum(f, cand)
-            if np.array_equal(newf, f):
-                return f
-            f = newf
-            if f.max() > bound:
-                return None
-        return None
-
-    lo, hi = float(h.min()), float(h.max())
-    f_best = relax(hi)
-    for _ in range(lam_iters):
-        mid = 0.5 * (lo + hi)
-        f = relax(mid)
-        if f is None:
-            lo = mid
-        else:
-            hi, f_best = mid, f
-    f = f_best - f_best.min()
-    edges = h + f[nxt] - f
-    value = hi
+    succ = _snap_indices(sys, pts).tolist()
+    hv = eval_factor(sys, pts).tolist()
+    value, table, cert = _cycle_minmax(succ, hv)
     return OptimizationResult(
         value=value,
         potential=None,
-        potential_table=f,
-        certificate=abs(float(edges.max() - value)),
-        method="grid_descent (snapped dynamics, heuristic)",
+        potential_table=np.asarray(table),
+        certificate=cert,
+        method="grid_descent (exact cycle mean of the snapped dynamics; snapping is heuristic)",
     )
 
 
@@ -251,4 +240,4 @@ def is_strict_finite(sys: ConformalSystem):
                 return False, None
         elif abs(float(mean)) > 1e-12:
             return False, None
-    return True, _cycle_potential(dec, sys.factor_table, 0)
+    return True, _cycle_potential(dec, sys.perm_table, sys.factor_table, 0)

@@ -26,6 +26,7 @@ from scipy.integrate import cumulative_simpson
 
 from .core import (
     FINITE,
+    TORUS2,
     BudgetError,
     ConformalSystem,
     DomainError,
@@ -545,9 +546,10 @@ def build_g(sys: ConformalSystem, k: float, t_window, cutoff: CutoffFunction = N
 
 def averaged_factor(sys: ConformalSystem, n: int):
     """The order-n averaged factor A_n(h) as an evaluable function."""
+    point_ndim = 1 if sys.space.kind == TORUS2 else 0  # a torus point is a 2-vector
 
     def a_n(x):
-        if np.ndim(x):
+        if np.ndim(x) > point_ndim:
             return _float_orbit(sys, np.asarray(x), n).sum(axis=0) / n
         y = sys.space.normalize(x)
         total = 0.0

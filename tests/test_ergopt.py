@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from lcsdyn import (
     birkhoff_table,
+    cat_map_system,
     cycle_mean_extrema,
     finite_permutation_system,
     is_strict_finite,
@@ -17,7 +19,7 @@ from lcsdyn import (
     strict_rotation_system,
 )
 from lcsdyn.birkhoff import gauge_shifted_system
-from lcsdyn.core import ValidationError
+from lcsdyn.core import GOLDEN_ANGLE, ValidationError
 
 from conftest import random_permutation_system
 
@@ -177,3 +179,71 @@ def test_grid_descent_heuristic(golden_strict):
     assert abs(res.value) < 0.1  # true optimum is 0; snapped value is close
     lo = maxmin_coboundary(golden_strict, method="grid_descent", points=128)
     assert lo.value <= res.value + 1e-9
+
+
+def _snapped_cycle_means(succ, h):
+    """Oracle: P steps from any node end on its cycle; average h around it."""
+    P = len(succ)
+    means = {}
+    for x in range(P):
+        y = x
+        for _ in range(P):
+            y = succ[y]
+        cyc = [y]
+        while succ[cyc[-1]] != y:
+            cyc.append(succ[cyc[-1]])
+        means[min(cyc)] = math.fsum(h[i] for i in cyc) / len(cyc)
+    return list(means.values())
+
+
+def _snapped_rotation(angle, P):
+    x = np.arange(P) / P
+    succ = (np.round(((x + angle) % 1.0) * P).astype(int) % P).tolist()
+    return succ, np.cos(2.0 * np.pi * x)
+
+
+def _snapped_cat(N):
+    i, j = np.divmod(np.arange(N * N), N)
+    succ = (((2 * i + j) % N) * N + (i + j) % N).tolist()
+    h = np.cos(2.0 * np.pi * i / N) + 0.5 * np.sin(2.0 * np.pi * j / N)
+    return succ, h
+
+
+@pytest.mark.parametrize("case", ["golden-cos-128", "cat-16x16"])
+def test_grid_descent_equals_snapped_cycle_means(case):
+    if case == "golden-cos-128":
+        sys = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]},
+                              grid_resolution=128)
+        points = 128
+        succ, h = _snapped_rotation(GOLDEN_ANGLE, 128)
+    else:
+        sys = cat_map_system({"type": "trig2", "terms": [[1, 0, 1.0, 0.0],
+                                                          [0, 1, 0.0, 0.5]]},
+                             grid_resolution=16)
+        points = 16
+        succ, h = _snapped_cat(16)
+    means = _snapped_cycle_means(succ, h)
+    hi = minmax_coboundary(sys, method="grid_descent", points=points)
+    lo = maxmin_coboundary(sys, method="grid_descent", points=points)
+    assert hi.value == pytest.approx(max(means), abs=1e-12)
+    assert lo.value == pytest.approx(min(means), abs=1e-12)
+
+
+def test_grid_descent_half_step_rotation_trees():
+    # rotation by half a grid step: nodes snap as 0->0, 1->2, 2->2, 3->4, ...
+    # (ties round to even), so odd nodes hang off the even fixed points
+    P = 64
+    sys = rotation_system(0.5 / P, {"type": "trig", "cos": [[1, 1.0]]}, grid_resolution=P)
+    succ, h = _snapped_rotation(0.5 / P, P)
+    assert succ[:4] == [0, 2, 2, 4]
+    hi = minmax_coboundary(sys, method="grid_descent", points=P)
+    lo = maxmin_coboundary(sys, method="grid_descent", points=P)
+    assert hi.value == 1.0 and lo.value == -1.0
+    assert max(_snapped_cycle_means(succ, h)) == 1.0
+    for res, sign in ((hi, 1.0), (lo, -1.0)):
+        f = res.potential_table
+        assert isinstance(f, np.ndarray) and res.potential is None
+        edges = sign * (h + f[succ] - f)  # max-min bounds edges below: negate them
+        assert np.all(edges <= sign * res.value + 1e-12)
+        tree = [x for x in range(P) if succ[x] != x]
+        assert np.allclose(edges[tree], sign * res.value, atol=1e-12)

@@ -324,6 +324,18 @@ def test_build_mu_strict(golden_strict):
     assert mu.report.residual_max <= 1e-7
 
 
+@pytest.mark.parametrize("k", [2.0, -2.0])
+def test_build_mu_cat_map(k):
+    # a single torus point is a 2-vector: A_n must treat it as one point, not
+    # as a batch of two circle points (the mirrored branch runs at k < 0)
+    from lcsdyn import cat_map_system
+
+    sys = cat_map_system({"type": "trig2", "terms": [[1, 0, 1.0, 0.0], [0, 1, 0.0, 0.5]]},
+                         grid_resolution=16)
+    mu = build_mu(sys, k, (-2, 2), samples=32, rng=0)
+    assert mu.report.residual_max <= 1e-7
+
+
 def test_build_mu_not_found(const_rotation):
     with pytest.raises(NotFoundError):
         build_mu(const_rotation, 0.2, (-5, 5))  # k equals every average
