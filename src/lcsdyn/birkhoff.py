@@ -212,16 +212,20 @@ def transfer_potential(sys: ConformalSystem, n: int,
 
 
 def transfer_potential_values(H, n: int):
-    """f_n at the start points of an orbit walk and at their images (float path).
+    """f_n at the start points of an orbit walk and at their images.
 
     ``H = orbit_factors(sys, pts, m)`` with m >= n rows.  Since
     f_n(p) = (1/n) sum_{j=0}^{n-2} (n-1-j) h(psi^j p), f_n(p) reads rows
-    [0, n-1) and f_n(psi p) reads rows [1, n) of the same walk.
+    [0, n-1) and f_n(psi p) reads rows [1, n) of the same walk.  Exact rows
+    give Fractions.  Rows are added in order (a cumulative sum), so a walk
+    from one point rounds like a walk from many.
     """
+    H = np.asarray(H)
     if n == 1:
         return np.zeros(H.shape[1]), np.zeros(H.shape[1])
-    w = np.arange(n - 1, 0, -1, dtype=float)[:, None]
-    return (w * H[:n - 1]).sum(axis=0) / n, (w * H[1:n]).sum(axis=0) / n
+    w = np.arange(n - 1, 0, -1)[:, None]
+    return (np.cumsum(w * H[:n - 1], axis=0)[-1] / n,
+            np.cumsum(w * H[1:n], axis=0)[-1] / n)
 
 
 def coboundary_residual(sys: ConformalSystem, n: int, points=None):

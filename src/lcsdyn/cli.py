@@ -55,40 +55,56 @@ class RunConfig:
     cache_dir: str | None = None
 
     def canonical(self) -> dict:
+        """The config without where and how it runs (out, cache_dir,
+        strict_verdict): what the cache key hashes and report.json echoes."""
         d = asdict(self)
         d.pop("out")
         d.pop("cache_dir")
         d.pop("strict_verdict")
         return d
 
-    def cache_key(self) -> str:
-        """Hash of the canonical config and the package version, so results
-        cached by another version of the code are never served."""
-        keyed = {"config": self.canonical(), "version": __version__}
-        blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+
+def cache_key(canonical: dict) -> str:
+    """Hash of the canonical config and the package version, so results
+    cached by another version of the code are never served."""
+    keyed = {"config": canonical, "version": __version__}
+    blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _field(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ValidationError(f"{what} misses {key!r}")
+    return obj[key]
+
+
+def _number(value, what: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
 
 
 def system_from_config(decl: dict, tolerances: dict | None = None):
     """Build a system from the JSON declaration {"space":, "map":, "factor":}."""
     if not isinstance(decl, dict):
         raise ValidationError("system declaration must be an object")
-    for key in ("space", "map", "factor"):
-        if key not in decl:
-            raise ValidationError(f"system declaration misses {key!r}")
-    space = decl["space"]
-    mp = decl["map"]
-    factor = decl["factor"]
+    space, mp, factor = (_field(decl, key, "system declaration")
+                         for key in ("space", "map", "factor"))
+    for key, part in (("space", space), ("map", mp)):
+        if not isinstance(part, dict):
+            raise ValidationError(f"system {key} must be an object, got {part!r}")
     kind = space.get("kind")
-    grid_resolution = int(space.get("grid_resolution", 256))
-    tol_inverse = float((tolerances or {}).get("tol_inverse", 1e-9))
+    grid_resolution = _number(space.get("grid_resolution", 256), "grid_resolution", int)
+    tol_inverse = _number((tolerances or {}).get("tol_inverse", 1e-9), "tol_inverse")
     mtype = mp.get("type")
     if kind == "circle":
         if mtype != "rotation":
             raise ValidationError(f"circle supports map type 'rotation', got {mtype!r}")
         angle = mp.get("angle", 0.0)
         if isinstance(factor, dict) and factor.get("type") == "coboundary":
-            return strict_rotation_system(angle, _factor_spec(factor["f"]),
+            f = _field(factor, "f", "coboundary factor")
+            return strict_rotation_system(angle, _factor_spec(f),
                                           grid_resolution=grid_resolution,
                                           tol_inverse=tol_inverse)
         return rotation_system(angle, _factor_spec(factor),
@@ -104,8 +120,14 @@ def system_from_config(decl: dict, tolerances: dict | None = None):
     if kind == "finite":
         if mtype != "permutation":
             raise ValidationError(f"finite supports map type 'permutation', got {mtype!r}")
-        values = factor["values"] if isinstance(factor, dict) else factor
-        return finite_permutation_system(mp["table"], values)
+        table = _field(mp, "table", "permutation map")
+        values = _field(factor, "values", "table factor") if isinstance(factor, dict) else factor
+        for what, seq in (("permutation table", table), ("factor values", values)):
+            if not isinstance(seq, list):
+                raise ValidationError(f"{what} must be a list, got {seq!r}")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in table):
+            raise ValidationError(f"permutation table entries must be integers, got {table!r}")
+        return finite_permutation_system(table, values)
     raise ValidationError(f"unknown space kind {kind!r}")
 
 
@@ -149,9 +171,11 @@ def _points_spec(config: RunConfig):
 def _k_values(config: RunConfig):
     ks = []
     if config.k is not None:
-        ks.append(float(config.k))
+        ks.append(_number(config.k, "k"))
     if config.k_range is not None:
-        a, b, step = (float(v) for v in config.k_range)
+        if not isinstance(config.k_range, (list, tuple)) or len(config.k_range) != 3:
+            raise ValidationError("k_range expects [a, b, step]")
+        a, b, step = (_number(v, "k_range entry") for v in config.k_range)
         if step <= 0:
             raise ValidationError("k-range step must be positive")
         ks.extend(np.arange(a, b + 0.5 * step, step).tolist())
@@ -224,6 +248,19 @@ def _cmd_probe(config, sys_, out_dir, warnings):
     return payload, inconclusive
 
 
+def _t_window(config):
+    window = config.params.get("t_window", (-10.0, 10.0))
+    if not isinstance(window, (list, tuple)) or len(window) != 2:
+        raise ValidationError(f"params.t_window must be a pair [lo, hi], got {window!r}")
+    for v in window:
+        _number(v, "params.t_window entry")
+    return tuple(window)
+
+
+def _n_scan(config):
+    return _number(config.params.get("n_scan", 64), "params.n_scan", int)
+
+
 def _write_probe_trace(sys_, report, config, out_dir):
     import csv as _csv
 
@@ -285,9 +322,7 @@ def _write_potential_csv(sys_, result, path):
 def _cmd_construct(config, sys_, out_dir, warnings):
     if config.k is None:
         raise ValidationError("construct needs --k")
-    t_window = tuple(config.params.get("t_window", (-10.0, 10.0)))
-    n_scan = int(config.params.get("n_scan", 64))
-    mu = torus.build_mu(sys_, config.k, t_window, n_scan=n_scan,
+    mu = torus.build_mu(sys_, _number(config.k, "k"), _t_window(config), n_scan=_n_scan(config),
                         points=_points_spec(config), rng=config.seed)
     g = mu.gcons
     warnings.append("construction residuals are sampled; smallness is evidence, "
@@ -315,10 +350,9 @@ def _cmd_elasticity(config, sys_, out_dir, warnings):
             raise ValidationError("elasticity needs a system or params.profile_csv")
         if config.k is None:
             raise ValidationError("elasticity from a system needs --k")
-        t_window = tuple(config.params.get("t_window", (-10.0, 10.0)))
         profile = elastic.mapping_torus_profile(
-            sys_, config.k, t_window,
-            n_scan=int(config.params.get("n_scan", 64)),
+            sys_, _number(config.k, "k"), _t_window(config),
+            n_scan=_n_scan(config),
             points=_points_spec(config),
             strict_mu=bool(config.params.get("strict_mu", False)),
             rng=config.seed,
@@ -340,8 +374,8 @@ def _cmd_elasticity(config, sys_, out_dir, warnings):
 
 def _cmd_rank(config, sys_, out_dir, warnings):
     gens = config.params.get("generators")
-    if gens is None:
-        raise ValidationError("rank needs params.generators")
+    if not isinstance(gens, (list, tuple)):
+        raise ValidationError("rank needs params.generators as a list")
     group = elastic.PeriodGroup.parse(gens)
     return {
         "rank": elastic.lcs_rank(group),
@@ -367,10 +401,10 @@ _NEEDS_SYSTEM = {"analyze", "admissible", "probe", "optimize", "construct"}
 # --------------------------------------------------------------------------
 
 
-def cache_path(config: RunConfig) -> str:
+def cache_path(config: RunConfig, canonical: dict) -> str:
     base = config.cache_dir or os.environ.get("CACHE_DIR") or os.path.join(
         config.out, ".cache")
-    return os.path.join(base, config.cache_key() + ".json")
+    return os.path.join(base, cache_key(canonical) + ".json")
 
 
 def cache_lookup(path: str, warnings: list):
@@ -404,7 +438,8 @@ def run(config: RunConfig):
         if config.command not in COMMANDS:
             raise ValidationError(f"unknown command {config.command!r}")
         os.makedirs(config.out, exist_ok=True)
-        path = cache_path(config)
+        canonical = config.canonical()
+        path = cache_path(config, canonical)
         cached = cache_lookup(path, warnings)
         inconclusive = False
         if cached is not None:
@@ -426,7 +461,7 @@ def run(config: RunConfig):
             payload = _jsonable(payload)
             cache_store(path, payload, warnings)
             cache_hit = False
-    except (ValidationError, DomainError, KeyError, TypeError) as exc:
+    except (ValidationError, DomainError) as exc:
         _diag(type(exc).__name__, str(exc))
         return {"error": str(exc)}, 2
     except (BudgetError, torus.NotFoundError, torus.InfeasibleError) as exc:
@@ -434,11 +469,12 @@ def run(config: RunConfig):
         return {"error": str(exc)}, 3
 
     report = {
-        "config": _jsonable(asdict(config)),
+        "config": _jsonable(canonical),
         "payload": payload,
         "provenance": {
             "version": __version__,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
+                timespec="microseconds"),
             "seed": config.seed,
             "cache_hit": cache_hit,
         },

@@ -478,22 +478,24 @@ def _factor_callable(space: ModelSpace, spec):
         return constant_factor(spec, space.kind)
     if isinstance(spec, dict):
         kind = spec.get("type", "constant")
-        if kind == "constant":
+        required = {"trig": CIRCLE, "trig2": TORUS2, "table": FINITE}
+        if kind not in required and kind != "constant":
+            raise ValidationError(f"unknown factor type {kind!r}")
+        if kind in required and space.kind != required[kind]:
+            raise ValidationError(f"{kind} factor requires a {required[kind]} space")
+        if kind == "table" and "values" not in spec:
+            raise ValidationError("table factor misses 'values'")
+        try:  # the builders only parse the spec's numbers here
+            if kind == "trig":
+                return trig_factor(spec.get("const", 0.0), spec.get("cos", ()),
+                                   spec.get("sin", ()))
+            if kind == "trig2":
+                return trig2_factor(spec.get("const", 0.0), spec.get("terms", ()))
+            if kind == "table":
+                return table_factor(spec["values"])
             return constant_factor(spec.get("value", 0.0), space.kind)
-        if kind == "trig":
-            if space.kind != CIRCLE:
-                raise ValidationError("trig factor requires the circle")
-            return trig_factor(spec.get("const", 0.0), spec.get("cos", ()),
-                               spec.get("sin", ()))
-        if kind == "trig2":
-            if space.kind != TORUS2:
-                raise ValidationError("trig2 factor requires the 2-torus")
-            return trig2_factor(spec.get("const", 0.0), spec.get("terms", ()))
-        if kind == "table":
-            if space.kind != FINITE:
-                raise ValidationError("table factor requires a finite space")
-            return table_factor(spec["values"])
-        raise ValidationError(f"unknown factor type {kind!r}")
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed {kind} factor {spec!r}: {exc}") from None
     if isinstance(spec, (list, tuple)) and space.kind == FINITE:
         return table_factor(spec)
     raise ValidationError(f"cannot interpret factor spec {spec!r}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -30,6 +29,7 @@ from .core import (
     BudgetError,
     ConformalSystem,
     DomainError,
+    ModelSpace,
     ValidationError,
     eval_factor,
     eval_factor_like,
@@ -38,6 +38,7 @@ from .core import (
     orbit_factors,
     reference_points,
     step_points,
+    wrap,
 )
 
 VERDICT_RECURRENT = "RecurrentEvidence"
@@ -352,6 +353,21 @@ def _float_orbit(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     return np.asarray(orbit_factors(sys, pts, n, inverse), dtype=float)
 
 
+def _point_batch(space: ModelSpace, x):
+    """(points, single): x as a normalized batch; a lone point is a batch of one."""
+    single = np.ndim(x) == (1 if space.kind == TORUS2 else 0)
+    raw = np.asarray([x] if single else x)
+    if space.kind == FINITE:
+        pts = raw.astype(np.int64)
+        if raw.ndim != 1 or np.any(pts != raw) or np.any((pts < 0) | (pts >= space.size)):
+            raise DomainError(f"not a batch of states in range(0, {space.size})")
+        return pts, single
+    shape_ok = raw.ndim == 2 and raw.shape[1] == 2 if space.kind == TORUS2 else raw.ndim == 1
+    if not shape_ok or not np.all(np.isfinite(raw)):
+        raise DomainError(f"not a batch of finite {space.kind} points")
+    return wrap(raw.astype(float)), single
+
+
 @dataclass
 class GConstruction:
     """g with g(psi x, t+1) = g(x, t) - h(x) and dt g + k one-signed.
@@ -378,59 +394,69 @@ class GConstruction:
     def slope_sign(self) -> int:
         return 1 if self.k > 0 else -1
 
-    # -- scalar evaluation --------------------------------------------------
+    # -- paired evaluation: g(x_j, t_j) over a whole sample ------------------
 
     def g(self, x, t):
+        """g at paired points x_j and times t_j; a scalar pair gives a float."""
         if self.mirrored:
-            return self.inner.g(x, -t)
-        return self._direct_scalar(x, float(t), derivative=False)
+            return self.inner.g(x, -np.asarray(t, dtype=float))
+        return self._paired(x, t, derivative=False)
 
     def dt(self, x, t):
+        """dt g at paired points and times; a scalar pair gives a float."""
         if self.mirrored:
-            return -self.inner.dt(x, -t)
-        return self._direct_scalar(x, float(t), derivative=True)
+            return -self.inner.dt(x, -np.asarray(t, dtype=float))
+        return self._paired(x, t, derivative=True)
 
-    def _direct_scalar(self, x, t, derivative):
-        sys = self.system
-        chi = self.cutoff
-        i1 = math.ceil(-t) - 1  # leading sum: indices with t + 1 + i < 1
-        i2 = math.ceil(t) - 1  # trailing sum: indices with t - i > 0
-        if (i1 + 1) + (i2 + 1) > self.max_terms:
-            raise BudgetError(f"t = {t} needs more than {self.max_terms} terms")
-        total = 0.0
-        y = sys.space.normalize(x)
-        for i in range(i1 + 1):
+    def _paired(self, x, t, derivative):
+        # each sample weighs the table rows by the cutoff coefficients of its
+        # own t; rows past its last term have coefficient exactly 0, and the
+        # terms are added row by row, so a sample's value does not depend on
+        # the rest of the batch
+        pts, single = _point_batch(self.system.space, x)
+        ts = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
+        fwd, bwd = self._orbit_tables(pts, ts, spare=0)
+        chi = self.cutoff.prime if derivative else self.cutoff
+        lead = chi(ts + 1.0 + np.arange(len(fwd))[:, None])
+        trail = chi(ts - np.arange(len(bwd))[:, None])
+        total = np.zeros(len(pts))
+        for c, row in zip(lead, fwd):
             if derivative:
-                total -= chi.prime(t + 1 + i) * float(sys.factor(y))
+                total -= c * row
             else:
-                total += (1.0 - chi(t + 1 + i)) * float(sys.factor(y))
-            y = sys.forward(y)
-        y = sys.backward(sys.space.normalize(x))
-        for i in range(i2 + 1):
-            if derivative:
-                total -= chi.prime(t - i) * float(sys.factor(y))
-            else:
-                total -= chi(t - i) * float(sys.factor(y))
-            y = sys.backward(y)
-        return total
+                total += (1.0 - c) * row
+        for c, row in zip(trail, bwd):
+            total -= c * row
+        return float(total[0]) if single else total
 
     # -- vectorized evaluation over a grid x a list of times -----------------
+    # (these read one spare row each way: it adds 0 to g, but the value set
+    # of dt_attainable contains it)
 
-    def _orbit_tables(self, pts, ts):
+    def _orbit_tables(self, pts, ts, spare: int):
+        """Forward rows h(psi^i p) and backward rows h(psi^{-i-1} p) for every
+        term a time in ts needs, plus ``spare`` rows each way.
+
+        The leading sum of g(p, t) has ceil(-t) terms and the trailing sum
+        ceil(t) (none when negative); a time needing more than max_terms
+        terms in all is refused.  Spare rows have cutoff coefficient 0.
+        """
+        ts = np.asarray(ts, dtype=float)
+        lead = np.maximum(np.ceil(-ts), 0.0)
+        trail = np.maximum(np.ceil(ts), 0.0)
+        if np.any(lead + trail > self.max_terms):
+            raise BudgetError(f"a time in the sample needs more than {self.max_terms} terms")
         sys = self.system
-        i1 = max(0, math.ceil(-float(np.min(ts)))) + 1
-        i2 = max(0, math.ceil(float(np.max(ts)))) + 1
-        if i1 + i2 > self.max_terms:
-            raise BudgetError("t window needs more terms than the budget allows")
-        fwd = _float_orbit(sys, pts, i1)
-        bwd = _float_orbit(sys, step_points(sys, pts, inverse=True), i2, inverse=True)
+        fwd = _float_orbit(sys, pts, int(lead.max(initial=0.0)) + spare)
+        bwd = _float_orbit(sys, step_points(sys, pts, inverse=True),
+                           int(trail.max(initial=0.0)) + spare, inverse=True)
         return fwd, bwd
 
     def g_grid(self, pts, ts):
         if self.mirrored:
             return self.inner.g_grid(pts, -np.asarray(ts, dtype=float))
         ts = np.asarray(ts, dtype=float)
-        fwd, bwd = self._orbit_tables(pts, ts)
+        fwd, bwd = self._orbit_tables(pts, ts, spare=1)
         i_lead = np.arange(fwd.shape[0])
         i_trail = np.arange(bwd.shape[0])
         out = np.empty((len(ts), len(pts)))
@@ -444,7 +470,7 @@ class GConstruction:
         if self.mirrored:
             return -self.inner.dt_grid(pts, -np.asarray(ts, dtype=float))
         ts = np.asarray(ts, dtype=float)
-        fwd, bwd = self._orbit_tables(pts, ts)
+        fwd, bwd = self._orbit_tables(pts, ts, spare=1)
         i_lead = np.arange(fwd.shape[0])
         i_trail = np.arange(bwd.shape[0])
         out = np.empty((len(ts), len(pts)))
@@ -480,7 +506,7 @@ class GConstruction:
         if self.mirrored:
             return -self.inner.dt_attainable(pts, s_count, max_factor_values)
         pts = reference_points(self.system) if pts is None else pts
-        fwd, bwd = self._orbit_tables(pts, self.t_window)
+        fwd, bwd = self._orbit_tables(pts, self.t_window, spare=1)
         hv = np.unique(np.concatenate([fwd.ravel(), bwd.ravel()]))
         if len(hv) > max_factor_values:
             idx = np.linspace(0, len(hv) - 1, max_factor_values).round().astype(int)
@@ -545,18 +571,17 @@ def build_g(sys: ConformalSystem, k: float, t_window, cutoff: CutoffFunction = N
 
 
 def averaged_factor(sys: ConformalSystem, n: int):
-    """The order-n averaged factor A_n(h) as an evaluable function."""
-    point_ndim = 1 if sys.space.kind == TORUS2 else 0  # a torus point is a 2-vector
+    """The order-n averaged factor A_n(h) as an evaluable function.
+
+    Takes a batch of points; a lone point is a batch of one.  The n orbit
+    rows are added in order (a cumulative sum), so every batch size rounds
+    alike.
+    """
 
     def a_n(x):
-        if np.ndim(x) > point_ndim:
-            return _float_orbit(sys, np.asarray(x), n).sum(axis=0) / n
-        y = sys.space.normalize(x)
-        total = 0.0
-        for _ in range(n):
-            total += float(sys.factor(y))
-            y = sys.forward(y)
-        return total / n
+        pts, single = _point_batch(sys.space, x)
+        v = np.cumsum(_float_orbit(sys, pts, n), axis=0)[-1] / n
+        return float(v[0]) if single else v
 
     return a_n
 
@@ -582,73 +607,99 @@ class MuConstruction:
     """sigma(x,t) = (x, g(x,t) + t k + f_n(x)) and mu = -k (t o sigma^{-1}).
 
     g is built for the averaged factor A_n(h); t |-> g + t k is strictly
-    monotone (slope sign = sign k), so sigma inverts by scalar root finding.
+    monotone (slope sign = sign k), so sigma inverts sample by sample.
+    f_n, sigma_t, invert_sigma_t and mu take paired arrays, points of shape
+    (S,) or (S, 2) with times or targets of shape (S,), and evaluate the
+    whole sample at once; a scalar call is a batch of one and returns a float.
     """
 
     sys: ConformalSystem
     k: float
     n_used: int
-    f_n: object
     gcons: GConstruction
     report: MuReport = None
     _invert_tol: float = 1e-12
 
-    def sigma_t(self, x, t) -> float:
-        return self.gcons.g(x, t) + float(t) * self.k + float(self.f_n(x))
+    def f_n(self, x):
+        """The transfer potential f_n at a batch of points, from one orbit walk
+        (exact rows stay exact until the result is rounded)."""
+        from .birkhoff import transfer_potential_values
 
-    def invert_sigma_t(self, x, s) -> float:
-        """Solve g(x, t) + t k + f_n(x) = s for t (bisection, then Newton)."""
-        target = float(s) - float(self.f_n(x))
-        sign = self.gcons.slope_sign()
+        pts, single = _point_batch(self.sys.space, x)
+        H = orbit_factors(self.sys, pts, self.n_used)
+        fn = np.asarray(transfer_potential_values(H, self.n_used)[0], dtype=float)
+        return float(fn[0]) if single else fn
 
-        def F(t):
-            return sign * (self.gcons.g(x, t) + t * self.k - target)
+    def sigma_t(self, x, t):
+        return self.gcons.g(x, t) + np.asarray(t, dtype=float) * self.k + self.f_n(x)
 
-        t0 = target / self.k
-        t_cap = 0.5 * self.gcons.max_terms
-        step = 1.0 + 0.5 * abs(t0)
-        lo, hi = t0 - step, t0 + step
-        while F(lo) > 0.0:
-            if abs(lo) > t_cap:
-                raise BudgetError("sigma inversion bracket exceeds the term budget")
-            lo -= step
-            step *= 2.0
-        step = 1.0 + 0.5 * abs(t0)
-        while F(hi) < 0.0:
-            if abs(hi) > t_cap:
-                raise BudgetError("sigma inversion bracket exceeds the term budget")
-            hi += step
-            step *= 2.0
-        while hi - lo > 1e-3:
-            mid = 0.5 * (lo + hi)
-            if F(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
+    def invert_sigma_t(self, x, s):
+        """Solve g(x, t) + t k + f_n(x) = s for t at every sample.
+
+        Per sample: expand a bracket around s / k (doubling steps, refused
+        past half the term budget), bisect it to width 1e-3, then run at most
+        60 safeguarded Newton steps.  The steps are masked array updates, so
+        a sample takes exactly the steps it would take alone.
+        """
+        pts, single = _point_batch(self.sys.space, x)
+        target = np.broadcast_to(np.asarray(s, dtype=float), (len(pts),)) - self.f_n(pts)
+        gcons, k, sign = self.gcons, self.k, self.gcons.slope_sign()
+
+        def F(idx, t):
+            return sign * (gcons.g(pts[idx], t) + t * k - target[idx])
+
+        t0 = target / k
+        t_cap = 0.5 * gcons.max_terms
+        lo, hi = t0 - (1.0 + 0.5 * np.abs(t0)), t0 + (1.0 + 0.5 * np.abs(t0))
+        for end, side in ((lo, -1.0), (hi, 1.0)):  # move each end out past the root
+            step = 1.0 + 0.5 * np.abs(t0)
+            act = np.arange(len(pts))
+            while act.size:
+                act = act[side * F(act, end[act]) < 0.0]
+                if np.any(np.abs(end[act]) > t_cap):
+                    raise BudgetError("sigma inversion bracket exceeds the term budget")
+                end[act] += side * step[act]
+                step[act] *= 2.0
+        act = np.flatnonzero(hi - lo > 1e-3)
+        while act.size:
+            mid = 0.5 * (lo[act] + hi[act])
+            below = F(act, mid) <= 0.0
+            lo[act[below]] = mid[below]
+            hi[act[~below]] = mid[~below]
+            act = act[hi[act] - lo[act] > 1e-3]
         t = 0.5 * (lo + hi)
-        tol = self._invert_tol * max(1.0, abs(self.k))
+        tol = self._invert_tol * max(1.0, abs(k))
+        act = np.arange(len(pts))
         for _ in range(60):
-            val = F(t)
-            if abs(val) <= tol:
+            if not act.size:
                 break
-            slope = sign * (self.gcons.dt(x, t) + self.k)
-            if slope <= 0:
+            val = F(act, t[act])
+            live = ~(np.abs(val) <= tol)
+            act, val = act[live], val[live]
+            if not act.size:
                 break
-            t_new = t - val / slope
-            if not lo <= t_new <= hi:
-                if val > 0.0:
-                    hi = t
-                else:
-                    lo = t
-                t_new = 0.5 * (lo + hi)
-            t = t_new
-        return t
+            slope = sign * (gcons.dt(pts[act], t[act]) + k)
+            live = ~(slope <= 0)
+            act, val, slope = act[live], val[live], slope[live]
+            t_new = t[act] - val / slope
+            out = ~((lo[act] <= t_new) & (t_new <= hi[act]))
+            o, above = act[out], val[out] > 0.0  # outside: shrink, then bisect
+            hi[o[above]] = t[o[above]]
+            lo[o[~above]] = t[o[~above]]
+            t_new[out] = 0.5 * (lo[o] + hi[o])
+            t[act] = t_new
+        return float(t[0]) if single else t
 
-    def mu(self, x, s) -> float:
+    def mu(self, x, s):
         return -self.k * self.invert_sigma_t(x, s)
 
     def mu_cocycle_residual(self, samples: int = 1000, rng=None, t_scale: float = None) -> float:
-        """max |mu(rho(x,t)) - mu(x,t) + k| over random samples."""
+        """max |mu(rho(x,t)) - mu(x,t) + k| over random samples.
+
+        The samples are drawn one (x, t) pair at a time, x first, so the draws
+        do not depend on the batching; mu then runs once on rho(x, t) and once
+        on (x, t) for the whole sample.
+        """
         rng = np.random.default_rng(rng)
         sys = self.sys
         lo, hi = self.gcons.t_window
@@ -656,15 +707,14 @@ class MuConstruction:
             lo, hi = 0.5 * lo, 0.5 * hi
         else:
             lo, hi = -t_scale, t_scale
-        worst = 0.0
-        act = TorusAction(sys, self.k)
-        for _ in range(samples):
-            x = _random_point(sys, rng)
-            t = rng.uniform(lo, hi)
-            y, t2 = action_step(act, x, t)
-            resid = abs(self.mu(y, t2) - self.mu(x, t) + self.k)
-            worst = max(worst, resid)
-        return worst
+        draws = [(_random_point(sys, rng), rng.uniform(lo, hi)) for _ in range(samples)]
+        if not draws:
+            return 0.0
+        xs = np.array([x for x, _ in draws])
+        ts = np.array([t for _, t in draws])
+        # rho(x, t) = (psi x, t + k - h(x))
+        ys, t2 = step_points(sys, xs), ts + self.k - eval_factor(sys, xs)
+        return float(np.max(np.abs(self.mu(ys, t2) - self.mu(xs, ts) + self.k)))
 
 
 def _random_point(sys: ConformalSystem, rng):
@@ -684,7 +734,7 @@ def build_mu(sys: ConformalSystem, k: float, t_window, n_scan: int = 64,
     order qualifies the size is reported NotFound (k may be non-admissible,
     or admissible on the side the ramp construction cannot reach).
     """
-    from .birkhoff import birkhoff_table, transfer_potential
+    from .birkhoff import birkhoff_table
 
     k = float(k)
     if k == 0.0:
@@ -705,11 +755,10 @@ def build_mu(sys: ConformalSystem, k: float, t_window, n_scan: int = 64,
     if n_used is None:
         raise NotFoundError(
             f"no n <= {n_scan} with the averaged factor on the usable side of k = {k}")
-    f_n = transfer_potential(sys, n_used)
     avg_sys = replace(sys, factor=averaged_factor(sys, n_used), factor_table=None,
                       generating_f=None, label=f"{sys.label} averaged(n={n_used})")
     gcons = build_g(avg_sys, k, t_window, points=points)
-    mu = MuConstruction(sys, k, n_used, f_n, gcons)
+    mu = MuConstruction(sys, k, n_used, gcons)
     margin = gcons.slope_margin()
     residual = mu.mu_cocycle_residual(samples=samples, rng=rng)
     mu.report = MuReport(n_used, residual, samples, margin)

@@ -276,3 +276,62 @@ def test_k_range_flag(tmp_path):
     assert run_cli(["--config", cfg, "--out", out, "--k-range", "-1:1:1"]) == 0
     rep = load_report(out)
     assert [c["k"] for c in rep["payload"]["classifications"]] == [-1.0, 0.0, 1.0]
+
+
+def test_report_does_not_depend_on_out_path(tmp_path, monkeypatch):
+    # the config echo leaves out --out and the cache location, and the
+    # timestamp always has microseconds, so report.json keeps its size
+    monkeypatch.delenv("CACHE_DIR", raising=False)
+    cfg = write_config(tmp_path, "c.json", command="admissible",
+                       system=FINITE_SYSTEM, n_max=6)
+    outs = [str(tmp_path / "r"), str(tmp_path / "a_longer_directory" / "r12345")]
+    raw = []
+    for out in outs:
+        assert run_cli(["--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "report.json"), "rb") as fh:
+            raw.append(fh.read())
+    assert len(raw[0]) == len(raw[1])
+    first, second = (json.loads(r) for r in raw)
+    for rep in (first, second):
+        rep["provenance"].pop("timestamp")
+    assert first == second
+    assert "out" not in first["config"] and "cache_dir" not in first["config"]
+
+
+@pytest.mark.parametrize("system", [
+    dict(FINITE_SYSTEM, map={"type": "permutation"}),
+    dict(FINITE_SYSTEM, factor={"type": "table"}),
+    dict(FINITE_SYSTEM, space="finite"),
+    dict(CONST_SYSTEM, map=["rotation"]),
+    dict(STRICT_SYSTEM, factor={"type": "coboundary"}),
+    dict(CONST_SYSTEM, factor={"type": "trig", "cos": 5}),
+])
+def test_malformed_system_is_a_validation_error(tmp_path, capsys, system):
+    cfg = write_config(tmp_path, "bad.json", command="admissible", system=system)
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("data", [
+    {"command": "construct", "system": CONST_SYSTEM, "k": 1.0, "params": {"t_window": 5}},
+    {"command": "construct", "system": CONST_SYSTEM, "k": 1.0, "params": {"n_scan": "many"}},
+    {"command": "admissible", "system": FINITE_SYSTEM, "k": "large"},
+    {"command": "rank", "params": {"generators": "1"}},
+])
+def test_malformed_params_are_validation_errors(tmp_path, capsys, data):
+    cfg = write_config(tmp_path, "bad.json", **data)
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["error"] == "ValidationError"
+
+
+def test_programming_error_propagates(tmp_path, monkeypatch):
+    def broken(config, sys_, out_dir, warnings):
+        raise KeyError("not a config problem")
+
+    monkeypatch.setitem(cli._HANDLERS, "rank", broken)
+    config = cli.RunConfig(command="rank", params={"generators": ["1"]},
+                           out=str(tmp_path / "r"))
+    with pytest.raises(KeyError):
+        cli.run(config)

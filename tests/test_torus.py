@@ -367,3 +367,127 @@ def test_mu_monotone_slope_sign(const_rotation):
     ts = np.linspace(-6, 6, 121)
     slopes = mu.gcons.dt_grid(pts, ts) + mu.k
     assert np.all(np.sign(slopes) == mu.gcons.slope_sign())
+
+
+# --------------------------------------------------------------------------
+# batched g, dt g and sigma^{-1} against independent references
+# --------------------------------------------------------------------------
+
+
+def _batch_system(name):
+    from lcsdyn import cat_map_system
+
+    if name == "rotation":
+        return rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]},
+                               grid_resolution=128)
+    if name == "cat":
+        return cat_map_system({"type": "trig2", "terms": [[1, 0, 1.0, 0.0], [0, 1, 0.0, 0.5]]},
+                              grid_resolution=16)
+    values = [0, Fraction(1, 2), Fraction(1, 4), Fraction(-1, 2), Fraction(1, 3)]
+    return finite_permutation_system([1, 2, 0, 4, 3], values)
+
+
+# (system, k): k above the factor range takes the direct branch, below it
+# the mirrored one
+BATCH_CASES = [("rotation", 1.5), ("rotation", -1.5), ("cat", 2.0), ("cat", -2.0),
+               ("perm", 1.0), ("perm", -1.0)]
+
+
+def _random_points(sys, rng, n):
+    kind = sys.space.kind
+    if kind == "finite":
+        return rng.integers(0, sys.space.size, size=n)
+    if kind == "circle":
+        return rng.uniform(0.0, 1.0, size=n)
+    return rng.uniform(0.0, 1.0, size=(n, 2))
+
+
+def _reference_series(gcons, x, t, derivative):
+    """g(x, t) (or dt g) summed term by term along orbits walked one point at
+    a time with sys.forward / sys.backward; the mirrored branch is
+    g(x, t) = inner g(x, -t)."""
+    if gcons.mirrored:
+        flip = -1.0 if derivative else 1.0
+        return flip * _reference_series(gcons.inner, x, -t, derivative)
+    sys, chi = gcons.system, gcons.cutoff
+    total = 0.0
+    y = sys.space.normalize(x)
+    for i in range(math.ceil(-t)):
+        if derivative:
+            total -= chi.prime(t + 1 + i) * float(sys.factor(y))
+        else:
+            total += (1.0 - chi(t + 1 + i)) * float(sys.factor(y))
+        y = sys.forward(y)
+    y = sys.backward(sys.space.normalize(x))
+    for i in range(math.ceil(t)):
+        total -= (chi.prime(t - i) if derivative else chi(t - i)) * float(sys.factor(y))
+        y = sys.backward(y)
+    return total
+
+
+@pytest.mark.parametrize("name,k", BATCH_CASES)
+def test_paired_g_and_dt_match_reference_series(name, k):
+    sys = _batch_system(name)
+    g = build_g(sys, k, (-4, 4))
+    assert g.mirrored == (k < 0)
+    rng = np.random.default_rng(11)
+    xs = _random_points(sys, rng, 40)
+    ts = rng.uniform(-4.5, 4.5, size=40)
+    ts[:3] = (-3.0, 0.0, 2.0)  # integer times, where a term switches on
+    for evaluate, derivative in ((g.g, False), (g.dt, True)):
+        batch = evaluate(xs, ts)
+        assert batch.shape == (40,)
+        ref = np.array([_reference_series(g, x, t, derivative) for x, t in zip(xs, ts)])
+        assert np.max(np.abs(batch - ref)) <= 1e-12
+        # a scalar pair is a batch of one and gives a float
+        one = evaluate(xs[5], ts[5])
+        assert isinstance(one, float) and one == batch[5]
+
+
+def test_paired_g_budget_is_per_sample(const_rotation):
+    g = build_g(const_rotation, 1.0, (-3, 3), max_terms=10)
+    # each time needs 8 terms although the batch spans 16
+    g.g(np.array([0.1, 0.7]), np.array([-7.5, 7.5]))
+    with pytest.raises(BudgetError):
+        g.g(np.array([0.1, 0.7]), np.array([0.5, 12.5]))
+    with pytest.raises(BudgetError):
+        g.dt(np.array([0.1, 0.7]), np.array([-12.5, 0.5]))
+
+
+@pytest.mark.parametrize("name,k", BATCH_CASES)
+def test_batched_inversion_matches_root_finder(name, k):
+    from scipy.optimize import brentq
+
+    sys = _batch_system(name)
+    mu = build_mu(sys, k, (-4, 4), samples=8, rng=0)
+    rng = np.random.default_rng(5)
+    xs = _random_points(sys, rng, 64)
+    s = mu.sigma_t(xs, rng.uniform(-3.0, 3.0, size=64))
+    got = mu.invert_sigma_t(xs, s)
+    for x, s_j, t_j in zip(xs, s, got):
+        # sigma_t(x, .) is strictly monotone; the bracket holds the root
+        root = brentq(lambda t: mu.sigma_t(x, t) - s_j, -8.0, 8.0, xtol=1e-13)
+        assert abs(t_j - root) <= 1e-9
+
+
+@pytest.mark.parametrize("name,k", BATCH_CASES)
+def test_mu_cocycle_residual_sample_stream(name, k):
+    # documented order: per sample x (an integer state, a circle coordinate,
+    # or two torus coordinates), then t uniform in half the t window
+    sys = _batch_system(name)
+    mu = build_mu(sys, k, (-4, 4), samples=8, rng=0)
+    rng = np.random.default_rng(0)
+    act = TorusAction(sys, k)
+    worst = 0.0
+    for _ in range(64):
+        if sys.space.kind == "finite":
+            x = int(rng.integers(0, sys.space.size))
+        elif sys.space.kind == "circle":
+            x = float(rng.uniform(0.0, 1.0))
+        else:
+            x = np.array([rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)])
+        t = rng.uniform(-2.0, 2.0)
+        y, t2 = action_step(act, x, t)
+        worst = max(worst, abs(mu.mu(y, t2) - mu.mu(x, t) + k))
+    assert mu.mu_cocycle_residual(samples=64, rng=0) == worst
+    assert worst <= 1e-7
