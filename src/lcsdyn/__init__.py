@@ -26,6 +26,7 @@ from .birkhoff import (
     BirkhoffTable,
     LimitEstimate,
     admissible_set,
+    birkhoff_extrema,
     birkhoff_table,
     coboundary_residual,
     limit_estimates,
@@ -49,6 +50,7 @@ from .torus import (
     build_cutoff,
     build_g,
     build_mu,
+    probe_sweep,
     properness_probe,
 )
 from .elastic import (

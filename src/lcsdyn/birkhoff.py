@@ -7,6 +7,10 @@ averaged factor is a conjugate of h up to a coboundary.  Truncated envelopes
 inf/sup_{n <= i <= n_max} A_i replace the (uncomputable) tail envelopes; being
 monotone in n they approach the limit extrema from the correct side as n_max
 grows.
+
+Minima commute, so the envelope extrema are suffix extrema of per-n extrema:
+``birkhoff_extrema`` streams them in O(P) memory, and only ``birkhoff_table``
+keeps the per-point (n_max, P) arrays, for the full CSV and its callers.
 """
 
 from __future__ import annotations
@@ -25,29 +29,37 @@ from .core import (
     ValidationError,
     eval_factor_like,
     orbit_factors,
+    orbit_rows,
     step_points,
     table_factor,
 )
 
 
 @dataclass
-class BirkhoffTable:
-    """Per-point sums, averages and truncated envelopes for n = 1..n_max.
-
-    Row n-1 of each table holds the values at order n; exact tables are
-    nested lists of Fractions, float tables are (n_max, P) arrays.
-    """
+class BirkhoffExtrema:
+    """The extrema curves min_avg, max_avg, inf_env_minus and sup_env_plus of
+    the sampled points for n = 1..n_max (entry n-1 is order n)."""
 
     sys_label: str
     system: ConformalSystem
     points: np.ndarray
     n_max: int
-    sums: object
-    averages: object
-    env_minus: object
-    env_plus: object
     extrema_per_n: dict
     exact: bool
+
+
+@dataclass
+class BirkhoffTable(BirkhoffExtrema):
+    """Per-point sums, averages and truncated envelopes, with their extrema.
+
+    Row n-1 of each (n_max, P) array holds the values at order n; exact
+    tables are object arrays of Fractions.
+    """
+
+    sums: object = None
+    averages: object = None
+    env_minus: object = None
+    env_plus: object = None
 
 
 @dataclass
@@ -127,8 +139,28 @@ def birkhoff_table(sys: ConformalSystem, points=None, n_max: int = 100,
                    max_iterations: int | None = None) -> BirkhoffTable:
     """Tabulate S_n, A_n and truncated envelopes for every sampled point.
 
-    A single forward orbit of length n_max is walked per point; nothing is
-    recomputed per n.
+    The running sums of one ``birkhoff_extrema`` pass are kept, so the table
+    costs n_max x P values per array; its extrema curves are that pass's.
+    """
+    rows = []
+    ext = birkhoff_extrema(sys, points, n_max, max_iterations,
+                           visit=lambda n, S: rows.append(S.copy()))
+    S = np.array(rows)
+    A = S / np.arange(1, n_max + 1, dtype=S.dtype)[:, None]
+    return BirkhoffTable(**vars(ext), sums=S, averages=A,
+                         env_minus=np.minimum.accumulate(A[::-1], axis=0)[::-1],
+                         env_plus=np.maximum.accumulate(A[::-1], axis=0)[::-1])
+
+
+def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
+                     max_iterations: int | None = None, visit=None) -> BirkhoffExtrema:
+    """The extrema curves of the sampled points from one streamed pass.
+
+    Keeps a running S_n and the per-n min/max of A_n = S_n / n over the
+    sample, then takes suffix extrema over the n_max orders, so memory is
+    O(P + n_max).  The running sum adds the orbit rows in order, as an
+    axis-0 cumulative sum does.  ``visit(n, S_n)``, if given, sees every
+    running sum (read only) as it is formed.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
@@ -138,50 +170,25 @@ def birkhoff_table(sys: ConformalSystem, points=None, n_max: int = 100,
     pts = sys.space.sample_points(points)
     if len(pts) == 0:
         raise ValidationError("empty sample")
-    if sys.exact:
-        return _exact_table(sys, pts, n_max)
-    return _float_table(sys, pts, n_max)
-
-
-def _float_table(sys, pts, n_max):
-    S = np.cumsum(orbit_factors(sys, pts, n_max), axis=0)
-    A = S / np.arange(1, n_max + 1, dtype=float)[:, None]
-    env_minus = np.minimum.accumulate(A[::-1], axis=0)[::-1]
-    env_plus = np.maximum.accumulate(A[::-1], axis=0)[::-1]
+    lows, highs = [], []
+    S = None
+    for n, row in enumerate(orbit_rows(sys, pts, n_max), start=1):
+        if S is None:
+            S = np.array(row, dtype=object if sys.exact else float)
+        else:
+            S += row
+        lows.append(S.min() / n)  # = min_p S_n(p) / n: rounding is monotone
+        highs.append(S.max() / n)
+        if visit is not None:
+            visit(n, S)
+    lows, highs = np.array(lows), np.array(highs)
     extrema = {
-        "min_avg": A.min(axis=1),
-        "max_avg": A.max(axis=1),
-        "inf_env_minus": env_minus.min(axis=1),
-        "sup_env_plus": env_plus.max(axis=1),
+        "min_avg": lows,
+        "max_avg": highs,
+        "inf_env_minus": np.minimum.accumulate(lows[::-1])[::-1],
+        "sup_env_plus": np.maximum.accumulate(highs[::-1])[::-1],
     }
-    return BirkhoffTable(sys.label, sys, pts, n_max, S, A, env_minus, env_plus,
-                         extrema, exact=False)
-
-
-def _exact_table(sys, pts, n_max):
-    P = len(pts)
-    sums, averages = [], []
-    acc = [Fraction(0)] * P
-    for n, row in enumerate(orbit_factors(sys, pts, n_max), start=1):
-        acc = [a + v for a, v in zip(acc, row)]
-        sums.append(acc)
-        averages.append([s / n for s in acc])
-    env_minus = [row[:] for row in averages]
-    env_plus = [row[:] for row in averages]
-    for n in range(n_max - 2, -1, -1):
-        for p in range(P):
-            if env_minus[n + 1][p] < env_minus[n][p]:
-                env_minus[n][p] = env_minus[n + 1][p]
-            if env_plus[n + 1][p] > env_plus[n][p]:
-                env_plus[n][p] = env_plus[n + 1][p]
-    extrema = {
-        "min_avg": [min(row) for row in averages],
-        "max_avg": [max(row) for row in averages],
-        "inf_env_minus": [min(row) for row in env_minus],
-        "sup_env_plus": [max(row) for row in env_plus],
-    }
-    return BirkhoffTable(sys.label, sys, pts, n_max, sums, averages,
-                         env_minus, env_plus, extrema, exact=True)
+    return BirkhoffExtrema(sys.label, sys, pts, n_max, extrema, sys.exact)
 
 
 def transfer_potential(sys: ConformalSystem, n: int,
@@ -222,7 +229,7 @@ def transfer_potential_values(H, n: int):
     """
     H = np.asarray(H)
     if n == 1:
-        return np.zeros(H.shape[1]), np.zeros(H.shape[1])
+        return np.zeros(H.shape[1], H.dtype), np.zeros(H.shape[1], H.dtype)
     w = np.arange(n - 1, 0, -1)[:, None]
     return (np.cumsum(w * H[:n - 1], axis=0)[-1] / n,
             np.cumsum(w * H[1:n], axis=0)[-1] / n)
@@ -234,39 +241,33 @@ def coboundary_residual(sys: ConformalSystem, n: int, points=None):
     Exactly zero (Fraction) on exact finite systems; float rounding otherwise.
     Both sides read one orbit walk of n rows per point.
     """
-    pts = sys.space.sample_points(points)
-    H = orbit_factors(sys, pts, n)
-    if sys.exact:
-        w = range(n - 1, 0, -1)
-        worst = Fraction(0)
-        for orbit in zip(*H):
-            f_here = sum((a * v for a, v in zip(w, orbit)), Fraction(0)) / n
-            f_next = sum((a * v for a, v in zip(w, orbit[1:])), Fraction(0)) / n
-            worst = max(worst, abs(sum(orbit) / n - (orbit[0] + f_next - f_here)))
-        return worst
+    H = np.asarray(orbit_factors(sys, sys.space.sample_points(points), n))
     f_here, f_next = transfer_potential_values(H, n)
-    return float(np.max(np.abs(H.sum(axis=0) / n - (H[0] + f_next - f_here))))
+    worst = np.max(np.abs(H.sum(axis=0) / n - (H[0] + f_next - f_here)))
+    return worst if sys.exact else float(worst)
 
 
 def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> np.ndarray:
     """Residuals of the transfer identity for every n = 1..n_max (float path).
 
-    One orbit walk of n_max rows serves both the grid and its image; running
-    sums carry S_n and f_n = (S_1 + ... + S_{n-1}) / n at p and at psi p.
+    One streamed orbit walk of n_max rows serves both the grid and its image;
+    running sums carry S_n and f_n = (S_1 + ... + S_{n-1}) / n at p and at
+    psi p, so memory is O(P) whatever n_max is.
     """
-    H = orbit_factors(sys, sys.space.sample_points(points), n_max)
-    h = H[0]
-    s_here = np.zeros(H.shape[1])  # S_n(p)
+    pts = sys.space.sample_points(points)
+    s_here = np.zeros(np.shape(pts)[0])  # S_n(p)
     s_next = np.zeros_like(s_here)  # S_{n-1}(psi p), rows 1..n-1
     cs_here = np.zeros_like(s_here)  # S_1(p) + ... + S_{n-1}(p)
     cs_next = np.zeros_like(s_here)  # S_1(psi p) + ... + S_{n-1}(psi p)
     out = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        if n > 1:
+    for n, row in enumerate(orbit_rows(sys, pts, n_max), start=1):
+        if n == 1:
+            h = row
+        else:
             cs_here += s_here
-            s_next += H[n - 1]
+            s_next += row
             cs_next += s_next
-        s_here += H[n - 1]
+        s_here += row
         out[n - 1] = np.max(np.abs(s_here / n - (h + cs_next / n - cs_here / n)))
     return out
 
@@ -293,9 +294,9 @@ def gauge_shifted_system(sys: ConformalSystem, f0) -> ConformalSystem:
     return replace(sys, factor=h, generating_f=None, label=f"{sys.label} + coboundary")
 
 
-def limit_estimates(table: BirkhoffTable, stabilization_rtol: float = 1e-6,
+def limit_estimates(table: BirkhoffExtrema, stabilization_rtol: float = 1e-6,
                     window_fraction: float = 0.1) -> LimitEstimate:
-    """Estimate the limiting envelope extrema from a completed table.
+    """Estimate the limiting envelope extrema from a table or its extrema.
 
     Finite bijections are resolved exactly through the cycle-mean oracle.  On
     continuous kinds the monotone truncated envelopes at n_max are reported;
@@ -394,7 +395,7 @@ def table_to_csv(table: BirkhoffTable, path):
                 ])
 
 
-def extrema_to_csv(table: BirkhoffTable, path):
+def extrema_to_csv(table: BirkhoffExtrema, path):
     """Dump the extrema curves (one row per n) for plotting."""
     import csv
 

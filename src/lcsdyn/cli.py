@@ -183,7 +183,10 @@ def _k_values(config: RunConfig):
 
 
 def _cmd_analyze(config, sys_, out_dir, warnings):
-    table = birkhoff.birkhoff_table(sys_, _points_spec(config), config.n_max)
+    # the full per-point table is built only when birkhoff.csv is written
+    n_rows = len(sys_.space.sample_points(_points_spec(config))) * config.n_max
+    reduce = birkhoff.birkhoff_table if n_rows <= MAX_TABLE_CSV_ROWS else birkhoff.birkhoff_extrema
+    table = reduce(sys_, _points_spec(config), config.n_max)
     est = birkhoff.limit_estimates(table)
     if not est.exact:
         warnings.append("limit estimate on a sampled grid is a lower/upper "
@@ -192,7 +195,6 @@ def _cmd_analyze(config, sys_, out_dir, warnings):
         warnings.append("no telescoping bound available: error_bound is heuristic")
     birkhoff.extrema_to_csv(table, os.path.join(out_dir, "envelopes.csv"))
     files = ["envelopes.csv"]
-    n_rows = len(table.points) * table.n_max
     if n_rows <= MAX_TABLE_CSV_ROWS:
         birkhoff.table_to_csv(table, os.path.join(out_dir, "birkhoff.csv"))
         files.append("birkhoff.csv")
@@ -210,7 +212,7 @@ def _cmd_analyze(config, sys_, out_dir, warnings):
 
 
 def _cmd_admissible(config, sys_, out_dir, warnings):
-    table = birkhoff.birkhoff_table(sys_, _points_spec(config), config.n_max)
+    table = birkhoff.birkhoff_extrema(sys_, _points_spec(config), config.n_max)
     est = birkhoff.limit_estimates(table)
     adm = birkhoff.admissible_set(est)
     if not est.exact:
@@ -229,12 +231,7 @@ def _cmd_probe(config, sys_, out_dir, warnings):
     ks = _k_values(config)
     if not ks:
         raise ValidationError("probe needs --k or --k-range")
-    starts = config.params.get("starts")
-    reports = []
-    for k in ks:
-        act = torus.TorusAction(sys_, k)
-        rep = torus.properness_probe(act, n_max=config.n_max, starts=starts)
-        reports.append(rep)
+    reports = torus.probe_sweep(sys_, ks, n_max=config.n_max, starts=config.params.get("starts"))
     if any(r.heuristic for r in reports):
         warnings.append("probe verdicts on continuous systems are evidence, not proof")
     if len(ks) == 1 and config.k is not None:

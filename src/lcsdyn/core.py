@@ -288,13 +288,13 @@ def eval_factor(sys: ConformalSystem, pts):
     return eval_factor_like(sys.factor, pts)
 
 
-def orbit_factors(sys: ConformalSystem, pts, n: int, inverse: bool = False):
-    """The orbit engine: rows H[i] = h(psi^i p), i < n, for every point p.
+def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
+    """The orbit engine, one row at a time: yields h(psi^i p) for i < n.
 
-    ``inverse`` walks psi^{-1} instead.  Float systems give an (n, P) float64
-    array; exact finite systems give n lists of Fractions, walked on the
+    ``inverse`` walks psi^{-1} instead.  Float systems yield float64 arrays of
+    shape (P,); exact finite systems yield lists of Fractions, walked on the
     permutation and factor tables.  Every orbit quantity (S_n, A_n, f_n, the
-    g orbit tables) is a reduction of these rows.
+    g orbit tables) is a reduction of these rows, in O(P) memory if streamed.
     """
     if sys.exact:
         tbl, hv = sys.perm_table, sys.factor_table
@@ -304,19 +304,23 @@ def orbit_factors(sys: ConformalSystem, pts, n: int, inverse: bool = False):
                 inv[j] = i
             tbl = inv
         cur = [int(p) for p in pts]
-        rows = []
         for i in range(n):
-            rows.append([hv[c] for c in cur])
+            yield [hv[c] for c in cur]
             if i + 1 < n:
                 cur = [tbl[c] for c in cur]
-        return rows
-    H = np.empty((n, np.shape(pts)[0]))
+        return
     cur = pts
     for i in range(n):
-        H[i] = eval_factor(sys, cur)
+        yield eval_factor(sys, cur)
         if i + 1 < n:
             cur = step_points(sys, cur, inverse=inverse)
-    return H
+
+
+def orbit_factors(sys: ConformalSystem, pts, n: int, inverse: bool = False):
+    """The rows of orbit_rows stacked: an (n, P) float64 array, or n lists of
+    Fractions on exact finite systems."""
+    rows = orbit_rows(sys, pts, n, inverse)
+    return list(rows) if sys.exact else np.fromiter(rows, (float, np.shape(pts)[0]), n)
 
 
 def reference_points(sys: ConformalSystem, cap: int = 1024):
@@ -359,6 +363,25 @@ def _validate(sys: ConformalSystem, tol_inverse: float):
     return sys
 
 
+def _rotation_angle(angle) -> float:
+    """"golden" or a finite real number; anything else is a ValidationError."""
+    if angle == "golden":
+        return GOLDEN_ANGLE
+    if isinstance(angle, numbers.Real) and not isinstance(angle, bool) and math.isfinite(angle):
+        return float(angle)
+    raise ValidationError(f"rotation angle must be 'golden' or a finite number, got {angle!r}")
+
+
+def _integer_matrix(matrix) -> list:
+    """A 2x2 matrix of integers as lists; floats (int() would truncate them),
+    other shapes and other entries are a ValidationError."""
+    a = np.array(matrix, dtype=object)
+    if a.shape != (2, 2) or not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                                    for v in a.flat):
+        raise ValidationError(f"matrix must be a 2x2 matrix of integers, got {matrix!r}")
+    return [[int(v) for v in row] for row in a]
+
+
 def rotation_system(angle, factor, grid_resolution: int = 256, label: str = "",
                     tol_inverse: float = DEFAULT_TOL_INVERSE) -> ConformalSystem:
     """Rigid rotation x -> x + angle mod 1 with the given factor.
@@ -366,7 +389,7 @@ def rotation_system(angle, factor, grid_resolution: int = 256, label: str = "",
     ``factor`` may be a callable, a number (constant factor) or a trig spec
     dict ``{"const":, "cos": [[j, a]...], "sin": [[j, b]...]}``.
     """
-    a = GOLDEN_ANGLE if angle == "golden" else float(angle)
+    a = _rotation_angle(angle)
     space = ModelSpace(CIRCLE, grid_resolution=grid_resolution)
     h = _factor_callable(space, factor)
     sys = ConformalSystem(
@@ -387,7 +410,7 @@ def strict_rotation_system(angle, f, grid_resolution: int = 256, label: str = ""
     The generating f is retained on the system so that exact telescoping
     bounds (|S_n| <= max f - min f) are available to consumers.
     """
-    a = GOLDEN_ANGLE if angle == "golden" else float(angle)
+    a = _rotation_angle(angle)
     space = ModelSpace(CIRCLE, grid_resolution=grid_resolution)
     fc = _factor_callable(space, f)
 
@@ -413,7 +436,7 @@ def cat_map_system(factor, matrix=((2, 1), (1, 1)), grid_resolution: int = 64,
     The backward map uses the exact integer inverse matrix, so inverses carry
     no rounding error beyond the mod-1 reduction.
     """
-    m = [[int(v) for v in row] for row in matrix]
+    m = _integer_matrix(matrix)
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if det not in (1, -1):
         raise ValidationError(f"matrix determinant must be +-1, got {det}")

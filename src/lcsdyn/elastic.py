@@ -76,7 +76,7 @@ def elasticity_from_profile(profile: LiouvilleProfile, gap_resolution: float = 1
     u = profile.samples
     zero_mask = np.abs(u) < tol_zero
     contains_zero = bool(zero_mask.any())
-    live = u[~zero_mask]
+    live = u[~zero_mask] if contains_zero else u  # profiles run to millions of samples
     if live.size == 0:
         return ElasticitySet([], contains_zero, profile.lambda_nonvanishing,
                              gap_resolution)

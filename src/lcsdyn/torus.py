@@ -147,11 +147,11 @@ class ProbeReport:
 
 def band_interval(sys: ConformalSystem, k: float, points=None):
     """t-extent of the compact band K for size k (from sampled factor bounds)."""
-    hmin, hmax = factor_range(sys, points)
-    k = float(k)
-    lo = -max(hmax, k - hmin)
-    hi = -min(hmin, k - hmax)
-    return lo, hi
+    return _band(*factor_range(sys, points), float(k))
+
+
+def _band(hmin, hmax, k):
+    return -max(hmax, k - hmin), -min(hmin, k - hmax)
 
 
 def _cycle_residual_bound(dec, hv):
@@ -183,84 +183,107 @@ def properness_probe(act: TorusAction, n_max: int = 1000, starts=None,
     the horizon count as recurrence evidence (early incidental returns alone
     are inconclusive, since even escaping orbits may brush the band first).
     """
+    return probe_sweep(act.sys, [act.k], n_max, starts, late_fraction)[0]
+
+
+def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None,
+                late_fraction: float = 0.5) -> list:
+    """``properness_probe`` for every size in ks, sharing what does not depend on k.
+
+    The sizes left without an exact certificate share one streamed orbit
+    pass: it yields the envelope curves and scans each row of running sums
+    for every such size, keeping the first in-band (n, p) in row-major order.
+    """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    sys = act.sys
-    k = float(act.k)
+    ks = [float(TorusAction(sys, k).k) for k in ks]
     if starts is None:
         starts = sys.space.size if sys.space.kind == FINITE else 64
     pts = sys.space.sample_points(starts)
-    lo, hi = band_interval(sys, k)
-    width = hi - lo
-    n_starts = len(pts)
-    heuristic = sys.space.kind != FINITE
+    hmin, hmax = factor_range(sys)
+    bands = [_band(hmin, hmax, k) for k in ks]
+
+    def report(i, verdict, witness, escape_bound, certificate, heur=sys.space.kind != FINITE):
+        return ProbeReport(ks[i], bands[i], verdict, witness, escape_bound, certificate,
+                           heur, n_max, len(pts))
 
     # --- certificates -----------------------------------------------------
+    reports = [None] * len(ks)
     if sys.space.kind == FINITE and sys.perm_table is not None:
         from . import ergopt
 
         dec = ergopt.cycle_mean_extrema(sys)
         R = _cycle_residual_bound(dec, sys.factor_table)
         means = [float(mean) for _cyc, mean in dec.cycles]
-        gaps = [abs(k - m) for m in means]
-        if min(gaps) > 1e-12:
-            n0 = max(int(math.floor((width + R) / g)) + 1 for g in gaps)
-            return ProbeReport(k, (lo, hi), VERDICT_ESCAPE, None, n0,
-                               "cycle-exact", False, n_max, n_starts)
-        # k is (numerically) a cycle mean: that cycle's band orbit is periodic
-        idx = gaps.index(min(gaps))
-        cyc, _ = dec.cycles[idx]
-        t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
-        wit = Witness(int(cyc[0]), len(cyc), t0 + len(cyc) * (k - means[idx]))
-        return ProbeReport(k, (lo, hi), VERDICT_RECURRENT, wit, None,
-                           "cycle-exact", False, n_max, n_starts)
-
-    if sys.generating_f is not None and k != 0.0:
-        ref = reference_points(sys)
-        fv = eval_factor_like(sys.generating_f, ref)
+        for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
+            gaps = [abs(k - m) for m in means]
+            if min(gaps) > 1e-12:
+                n0 = max(int(math.floor((hi - lo + R) / g)) + 1 for g in gaps)
+                reports[i] = report(i, VERDICT_ESCAPE, None, n0, "cycle-exact", False)
+            else:  # k is (numerically) a cycle mean: that cycle's band orbit is periodic
+                idx = gaps.index(min(gaps))
+                cyc, _ = dec.cycles[idx]
+                t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
+                wit = Witness(int(cyc[0]), len(cyc), t0 + len(cyc) * (k - means[idx]))
+                reports[i] = report(i, VERDICT_RECURRENT, wit, None, "cycle-exact", False)
+    elif sys.generating_f is not None and any(ks):
+        fv = eval_factor_like(sys.generating_f, reference_points(sys))
         V = float(fv.max() - fv.min())
-        n0 = int(math.floor((width + V) / abs(k))) + 1
-        return ProbeReport(k, (lo, hi), VERDICT_ESCAPE, None, n0,
-                           "telescoping-bound", heuristic, n_max, n_starts)
+        for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
+            if k != 0.0:
+                n0 = int(math.floor((hi - lo + V) / abs(k))) + 1
+                reports[i] = report(i, VERDICT_ESCAPE, None, n0, "telescoping-bound")
+    rest = [i for i, r in enumerate(reports) if r is None]
+    if not rest:
+        return reports
 
-    # envelope drift bound over the sampled starts
-    from .birkhoff import birkhoff_table
+    # --- one pass: envelope curves and the recurrence scan of every size left
+    from .birkhoff import birkhoff_extrema
 
-    table = birkhoff_table(sys, pts, n_max)
-    sup_env = np.asarray(table.extrema_per_n["sup_env_plus"], dtype=float)
-    inf_env = np.asarray(table.extrema_per_n["inf_env_minus"], dtype=float)
-    best = None
+    kv = np.array([ks[i] for i in rest])[:, None]
+    lo, hi = np.array([bands[i] for i in rest]).T[:, :, None]
+    t0 = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, 0.5 * (lo + hi))
+    tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    lo, hi = lo - tol, hi + tol
+    last = np.zeros(len(rest), dtype=int)  # latest n with an orbit in the band
+    first = {}  # j -> (n, p, t) of the first return in row-major order
+
+    def scan(n, S):
+        t_vals = t0 + kv * n - S
+        in_band = (t_vals >= lo) & (t_vals <= hi)
+        hit = in_band.any(axis=1)
+        last[hit] = n
+        for j in np.flatnonzero(hit):
+            if j not in first:
+                p = int(np.argmax(in_band[j]))
+                first[j] = (n, p, float(t_vals[j, p]))
+
+    ext = birkhoff_extrema(sys, pts, n_max, visit=scan).extrema_per_n
+    sup_env = np.asarray(ext["sup_env_plus"], dtype=float)
+    inf_env = np.asarray(ext["inf_env_minus"], dtype=float)
     ns = np.arange(1, n_max + 1)
-    margin = 1e-12 * max(1.0, abs(k))  # float noise must not fake a drift
-    up = sup_env < k - margin
-    if np.any(up):
-        cand = np.maximum(ns[up], np.floor(width / (k - sup_env[up])) + 1)
-        best = int(cand.min())
-    down = inf_env > k + margin
-    if np.any(down):
-        cand = np.maximum(ns[down], np.floor(width / (inf_env[down] - k)) + 1)
-        best = int(cand.min()) if best is None else min(best, int(cand.min()))
-    if best is not None:
-        return ProbeReport(k, (lo, hi), VERDICT_ESCAPE, None, best,
-                           "envelope", True, n_max, n_starts)
-
-    # --- recurrence scan ----------------------------------------------------
-    t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
-    sums = np.asarray(table.sums, dtype=float)  # (n_max, P)
-    t_vals = t0 + k * ns[:, None] - sums
-    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-    in_band = (t_vals >= lo - tol) & (t_vals <= hi + tol)
-    if np.any(in_band):
-        last = int(ns[np.any(in_band, axis=1)].max())
-        if last >= max(1, math.ceil(late_fraction * n_max)):
-            n_idx, p_idx = np.argwhere(in_band)[0]
-            start = pts[p_idx]
-            wit = Witness(start if np.ndim(start) else _scalar(start, sys),
-                          int(ns[n_idx]), float(t_vals[n_idx, p_idx]))
-            return ProbeReport(k, (lo, hi), VERDICT_RECURRENT, wit, None,
-                               "orbit-returns", heuristic, n_max, n_starts)
-    return ProbeReport(k, (lo, hi), VERDICT_INCONCLUSIVE, None, None, "none",
-                       heuristic, n_max, n_starts)
+    for j, i in enumerate(rest):
+        k, width = ks[i], bands[i][1] - bands[i][0]
+        best = None
+        margin = 1e-12 * max(1.0, abs(k))  # float noise must not fake a drift
+        up = sup_env < k - margin
+        if np.any(up):
+            cand = np.maximum(ns[up], np.floor(width / (k - sup_env[up])) + 1)
+            best = int(cand.min())
+        down = inf_env > k + margin
+        if np.any(down):
+            cand = np.maximum(ns[down], np.floor(width / (inf_env[down] - k)) + 1)
+            best = int(cand.min()) if best is None else min(best, int(cand.min()))
+        if best is not None:
+            reports[i] = report(i, VERDICT_ESCAPE, None, best, "envelope", True)
+        elif j in first and last[j] >= max(1, math.ceil(late_fraction * n_max)):
+            n, p, t = first[j]
+            start = pts[p]
+            wit = Witness(start if np.ndim(start) else _scalar(start, sys), n, t)
+            reports[i] = report(i, VERDICT_RECURRENT, wit, None, "orbit-returns")
+        else:
+            reports[i] = report(i, VERDICT_INCONCLUSIVE, None, None, "none")
+    return reports
 
 
 def _scalar(p, sys):
@@ -734,27 +757,20 @@ def build_mu(sys: ConformalSystem, k: float, t_window, n_scan: int = 64,
     order qualifies the size is reported NotFound (k may be non-admissible,
     or admissible on the side the ramp construction cannot reach).
     """
-    from .birkhoff import birkhoff_table
+    from .birkhoff import birkhoff_extrema
 
     k = float(k)
     if k == 0.0:
         raise NotFoundError("the cocycle -k t o sigma^{-1} degenerates at k = 0")
     pts = reference_points(sys) if points is None else sys.space.sample_points(points)
-    table = birkhoff_table(sys, pts, n_scan)
-    lo_arr = np.asarray(table.extrema_per_n["min_avg"], dtype=float)
-    hi_arr = np.asarray(table.extrema_per_n["max_avg"], dtype=float)
+    ext = birkhoff_extrema(sys, pts, n_scan).extrema_per_n
     margin = 1e-12 * max(1.0, abs(k))  # float noise must not fake a gap
-    n_used = None
-    for n in range(1, n_scan + 1):
-        if k > 0 and hi_arr[n - 1] < k - margin:
-            n_used = n
-            break
-        if k < 0 and lo_arr[n - 1] > k + margin:
-            n_used = n
-            break
-    if n_used is None:
+    usable = (np.asarray(ext["max_avg"], dtype=float) < k - margin if k > 0
+              else np.asarray(ext["min_avg"], dtype=float) > k + margin)
+    if not usable.any():
         raise NotFoundError(
             f"no n <= {n_scan} with the averaged factor on the usable side of k = {k}")
+    n_used = int(np.argmax(usable)) + 1
     avg_sys = replace(sys, factor=averaged_factor(sys, n_used), factor_table=None,
                       generating_f=None, label=f"{sys.label} averaged(n={n_used})")
     gcons = build_g(avg_sys, k, t_window, points=points)

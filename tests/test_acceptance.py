@@ -17,6 +17,7 @@ from lcsdyn import (
     action_power,
     action_step,
     admissible_set,
+    birkhoff_extrema,
     birkhoff_table,
     build_g,
     build_mu,
@@ -52,7 +53,7 @@ def strict4096():
 
 @pytest.fixture(scope="module")
 def strict_table(strict4096):
-    return birkhoff_table(strict4096, 4096, n_max=2000)
+    return birkhoff_extrema(strict4096, 4096, n_max=2000)
 
 
 def test_criterion_1_exact_finite_oracle():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lcsdyn import (
     action_power,
     admissible_set,
+    birkhoff_extrema,
     birkhoff_table,
     coboundary_residual,
     finite_permutation_system,
@@ -238,3 +239,106 @@ def test_csv_exports(tmp_path, swap_pair):
     extrema_to_csv(t, ext)
     rows = list(csv.reader(open(ext)))
     assert rows[0][0] == "n" and len(rows) == 5
+
+
+def _table_oracle(sys, points, n_max):
+    """The (n_max, P) float table reduced as a whole: cumulative sums, then
+    per-point suffix envelopes, then extrema over the points."""
+    from lcsdyn.core import orbit_factors
+
+    S = np.cumsum(orbit_factors(sys, sys.space.sample_points(points), n_max), axis=0)
+    A = S / np.arange(1, n_max + 1, dtype=float)[:, None]
+    env_minus = np.minimum.accumulate(A[::-1], axis=0)[::-1]
+    env_plus = np.maximum.accumulate(A[::-1], axis=0)[::-1]
+    return S, A, env_minus, env_plus, {
+        "min_avg": A.min(axis=1),
+        "max_avg": A.max(axis=1),
+        "inf_env_minus": env_minus.min(axis=1),
+        "sup_env_plus": env_plus.max(axis=1),
+    }
+
+
+def _cat16():
+    from lcsdyn import cat_map_system
+
+    return cat_map_system({"type": "trig2", "terms": [[1, 0, 1.0, 0.0], [0, 1, 0.0, 0.5]]},
+                          grid_resolution=16)
+
+
+@pytest.mark.parametrize("name", ["golden_cos", "golden_strict", "cat16"])
+def test_streamed_extrema_equal_the_table_bit_for_bit(name, request):
+    sys = _cat16() if name == "cat16" else request.getfixturevalue(name)
+    points, n_max = (16, 200) if name == "cat16" else (256, 600)
+    S, A, env_minus, env_plus, oracle = _table_oracle(sys, points, n_max)
+    streamed = birkhoff_extrema(sys, points, n_max)
+    table = birkhoff_table(sys, points, n_max)
+    for key, curve in oracle.items():
+        assert np.array_equal(streamed.extrema_per_n[key], curve), key
+        assert np.array_equal(table.extrema_per_n[key], curve), key
+    for mine, want in ((table.sums, S), (table.averages, A), (table.env_minus, env_minus),
+                       (table.env_plus, env_plus)):
+        assert np.array_equal(mine, want)
+    est, est_table = limit_estimates(streamed), limit_estimates(table)
+    assert est.to_json() == est_table.to_json()
+
+
+def test_streamed_extrema_exact_permutation():
+    # Fraction curves: the per-n extrema and their suffix extrema, exactly
+    sys = finite_permutation_system([2, 0, 1, 4, 3, 5], ["1/3", "-2", "5/7", "1/2", "0", "-1/4"])
+    n_max = 13
+    ext = birkhoff_extrema(sys, n_max=n_max).extrema_per_n
+    S = [[Fraction(0)] * 6]
+    for row in _scalar_rows(sys, range(6), n_max):
+        S.append([a + v for a, v in zip(S[-1], row)])
+    A = [[s / n for s in S[n]] for n in range(1, n_max + 1)]
+    assert list(ext["min_avg"]) == [min(r) for r in A]
+    assert list(ext["max_avg"]) == [max(r) for r in A]
+    assert list(ext["inf_env_minus"]) == [min(min(r) for r in A[n:]) for n in range(n_max)]
+    assert list(ext["sup_env_plus"]) == [max(max(r) for r in A[n:]) for n in range(n_max)]
+    assert all(isinstance(v, Fraction) for v in ext["inf_env_minus"])
+
+
+def _scalar_rows(sys, pts, n):
+    rows, cur = [], list(pts)
+    for _ in range(n):
+        rows.append([sys.factor(x) for x in cur])
+        cur = [sys.forward(x) for x in cur]
+    return rows
+
+
+def test_streamed_residual_curve_equals_the_table_loop(golden_strict):
+    # the loop over a materialized (n_max, P) orbit table, before streaming
+    from lcsdyn.core import orbit_factors
+
+    n_max, points = 500, 256
+    H = orbit_factors(golden_strict, golden_strict.space.sample_points(points), n_max)
+    h = H[0]
+    s_here, s_next, cs_here, cs_next = (np.zeros(H.shape[1]) for _ in range(4))
+    want = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            cs_here += s_here
+            s_next += H[n - 1]
+            cs_next += s_next
+        s_here += H[n - 1]
+        want[n - 1] = np.max(np.abs(s_here / n - (h + cs_next / n - cs_here / n)))
+    assert np.array_equal(coboundary_residual_curve(golden_strict, n_max, points), want)
+
+
+def test_streamed_extrema_memory_is_o_of_p():
+    # one (2000, 4096) float64 array is 65.5 MB; the stream keeps O(P) rows
+    import tracemalloc
+
+    from lcsdyn import strict_rotation_system
+
+    sys = strict_rotation_system("golden", {"type": "trig", "sin": [[1, 1.0]]},
+                                 grid_resolution=4096)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ext = birkhoff_extrema(sys, 4096, n_max=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ext.extrema_per_n["min_avg"].shape == (2000,)
+    assert peak < 4_000_000

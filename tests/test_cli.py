@@ -17,6 +17,12 @@ CONST_SYSTEM = {
     "factor": {"type": "constant", "value": 0.2},
 }
 
+TORUS_SYSTEM = {
+    "space": {"kind": "torus2", "grid_resolution": 8},
+    "map": {"type": "torus_linear", "matrix": [[2, 1], [1, 1]]},
+    "factor": {"type": "trig2", "terms": [[1, 0, 0.4, 0.0]]},
+}
+
 STRICT_SYSTEM = {
     "space": {"kind": "circle", "grid_resolution": 256},
     "map": {"type": "rotation", "angle": "golden"},
@@ -250,12 +256,7 @@ def test_flag_overrides(tmp_path):
 
 
 def test_torus2_system_config(tmp_path):
-    sys_decl = {
-        "space": {"kind": "torus2", "grid_resolution": 8},
-        "map": {"type": "torus_linear", "matrix": [[2, 1], [1, 1]]},
-        "factor": {"type": "trig2", "terms": [[1, 0, 0.4, 0.0]]},
-    }
-    cfg = write_config(tmp_path, "t.json", command="analyze", system=sys_decl,
+    cfg = write_config(tmp_path, "t.json", command="analyze", system=TORUS_SYSTEM,
                        n_max=20)
     out = str(tmp_path / "r")
     assert run_cli(["--config", cfg, "--out", out]) == 0
@@ -305,6 +306,10 @@ def test_report_does_not_depend_on_out_path(tmp_path, monkeypatch):
     dict(CONST_SYSTEM, map=["rotation"]),
     dict(STRICT_SYSTEM, factor={"type": "coboundary"}),
     dict(CONST_SYSTEM, factor={"type": "trig", "cos": 5}),
+    dict(CONST_SYSTEM, map={"type": "rotation", "angle": "abc"}),
+    dict(TORUS_SYSTEM, map={"type": "torus_linear", "matrix": [[2, 1]]}),
+    # int() would truncate 2.5 and run the cat map
+    dict(TORUS_SYSTEM, map={"type": "torus_linear", "matrix": [[2.5, 1], [1, 1]]}),
 ])
 def test_malformed_system_is_a_validation_error(tmp_path, capsys, system):
     cfg = write_config(tmp_path, "bad.json", command="admissible", system=system)

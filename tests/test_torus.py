@@ -191,6 +191,130 @@ def test_probe_cat_map_escape():
     assert rep.heuristic
 
 
+def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
+    """One size probed on its own, as before sweeps shared work: its own factor
+    range, cycle decomposition and whole (n_max, P) table of partial sums."""
+    from lcsdyn import ergopt
+    from lcsdyn.core import eval_factor_like, orbit_factors, reference_points
+    from lcsdyn.torus import ProbeReport, Witness
+
+    k = float(k)
+    if starts is None:
+        starts = sys.space.size if sys.space.kind == "finite" else 64
+    pts = sys.space.sample_points(starts)
+    lo, hi = band_interval(sys, k)
+    width = hi - lo
+    heuristic = sys.space.kind != "finite"
+
+    def report(verdict, witness, bound, certificate, heur):
+        return ProbeReport(k, (lo, hi), verdict, witness, bound, certificate, heur,
+                           n_max, len(pts))
+
+    t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
+    if sys.space.kind == "finite" and sys.perm_table is not None:
+        dec = ergopt.cycle_mean_extrema(sys)
+        R = _cycle_residual_bound(dec, sys.factor_table)
+        means = [float(mean) for _cyc, mean in dec.cycles]
+        gaps = [abs(k - m) for m in means]
+        if min(gaps) > 1e-12:
+            n0 = max(int(math.floor((width + R) / g)) + 1 for g in gaps)
+            return report(VERDICT_ESCAPE, None, n0, "cycle-exact", False)
+        idx = gaps.index(min(gaps))
+        cyc, _ = dec.cycles[idx]
+        wit = Witness(int(cyc[0]), len(cyc), t0 + len(cyc) * (k - means[idx]))
+        return report(VERDICT_RECURRENT, wit, None, "cycle-exact", False)
+    if sys.generating_f is not None and k != 0.0:
+        fv = eval_factor_like(sys.generating_f, reference_points(sys))
+        n0 = int(math.floor((width + float(fv.max() - fv.min())) / abs(k))) + 1
+        return report(VERDICT_ESCAPE, None, n0, "telescoping-bound", heuristic)
+    sums = np.cumsum(orbit_factors(sys, pts, n_max), axis=0)
+    A = sums / np.arange(1, n_max + 1, dtype=float)[:, None]
+    sup_env = np.maximum.accumulate(A[::-1], axis=0)[::-1].max(axis=1)
+    inf_env = np.minimum.accumulate(A[::-1], axis=0)[::-1].min(axis=1)
+    ns = np.arange(1, n_max + 1)
+    margin = 1e-12 * max(1.0, abs(k))
+    best = []
+    up = sup_env < k - margin
+    if np.any(up):
+        best.append(int(np.maximum(ns[up], np.floor(width / (k - sup_env[up])) + 1).min()))
+    down = inf_env > k + margin
+    if np.any(down):
+        best.append(int(np.maximum(ns[down], np.floor(width / (inf_env[down] - k)) + 1).min()))
+    if best:
+        return report(VERDICT_ESCAPE, None, min(best), "envelope", True)
+    t_vals = t0 + k * ns[:, None] - sums
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    in_band = (t_vals >= lo - tol) & (t_vals <= hi + tol)
+    if np.any(in_band) and ns[np.any(in_band, axis=1)].max() >= max(
+            1, math.ceil(late_fraction * n_max)):
+        n_idx, p_idx = np.argwhere(in_band)[0]
+        start = pts[p_idx] if pts.ndim > 1 else pts[p_idx].item()
+        wit = Witness(start, int(ns[n_idx]), float(t_vals[n_idx, p_idx]))
+        return report(VERDICT_RECURRENT, wit, None, "orbit-returns", heuristic)
+    return report(VERDICT_INCONCLUSIVE, None, None, "none", heuristic)
+
+
+def _sweep_case(name):
+    """(system, sizes, n_max, starts, certificates the sweep must show)."""
+    from lcsdyn import cat_map_system, strict_rotation_system
+
+    if name == "golden-cos":
+        sys = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]}, grid_resolution=128)
+        return sys, np.arange(-1.5, 1.75, 0.5), 300, None, {"envelope", "orbit-returns"}
+    if name == "cat16":
+        sys = cat_map_system({"type": "trig2", "terms": [[1, 0, 1.0, 0.0], [0, 1, 0.0, 0.5]]},
+                             grid_resolution=16)
+        # lattice starts in a shuffled order: the first return is not at p = 0
+        pts = sys.space.sample_points(16)
+        starts = pts[np.random.default_rng(0).permutation(len(pts))][:24].tolist()
+        return sys, np.arange(-2.0, 2.25, 0.25), 200, starts, {"envelope", "orbit-returns", "none"}
+    if name == "strict":
+        sys = strict_rotation_system("golden", {"type": "trig", "sin": [[1, 1.0]]},
+                                     grid_resolution=512)
+        return sys, [-1.0, -0.5, 0.0, 0.5, 1.0], 1000, None, {"telescoping-bound", "orbit-returns"}
+    if name == "identity":
+        sys = rotation_system(0.0, {"type": "trig", "cos": [[1, 1.0]]})
+        return sys, [-0.3, 0.0, 0.3], 50, [0.0, 0.3], {"none", "orbit-returns"}
+    # cycles (0 1 2), (3 4), (5) with means 1, 0 and 2
+    sys = finite_permutation_system([1, 2, 0, 4, 3, 5], ["1/2", "3/2", "1", "-1/3", "1/3", "2"])
+    return sys, [-1.0, 0.0, 0.5, 1.0, 2.0, 2.5], 50, None, {"cycle-exact"}
+
+
+@pytest.mark.parametrize("name", ["golden-cos", "cat16", "strict", "identity", "perm"])
+def test_probe_sweep_equals_per_size_probes(name):
+    from lcsdyn.torus import probe_sweep
+
+    sys, ks, n_max, starts, certificates = _sweep_case(name)
+    sweep = [r.to_json() for r in probe_sweep(sys, ks, n_max=n_max, starts=starts)]
+    assert sweep == [_probe_oracle(sys, k, n_max, starts).to_json() for k in ks]
+    assert sweep == [properness_probe(TorusAction(sys, k), n_max=n_max, starts=starts).to_json()
+                     for k in ks]
+    assert {r["certificate"] for r in sweep} == certificates
+    if name == "cat16":
+        assert any(r["witness"] and r["witness"]["start"] != starts[0] for r in sweep)
+
+
+def test_probe_sweep_shares_the_k_independent_work(monkeypatch):
+    from lcsdyn import ergopt, torus
+
+    calls = {"factor_range": 0, "cycles": 0, "residual": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(torus, "factor_range", counted("factor_range", torus.factor_range))
+    monkeypatch.setattr(ergopt, "cycle_mean_extrema",
+                        counted("cycles", ergopt.cycle_mean_extrema))
+    monkeypatch.setattr(torus, "_cycle_residual_bound",
+                        counted("residual", torus._cycle_residual_bound))
+    sys, ks, n_max, starts, _ = _sweep_case("perm")
+    assert len(torus.probe_sweep(sys, ks, n_max=n_max, starts=starts)) == len(ks)
+    assert calls == {"factor_range": 1, "cycles": 1, "residual": 1}
+
+
 def test_probe_inconclusive():
     # identity map: averages never move, no drift certificate; the two starts
     # brush the band early and then leave for the whole late window
