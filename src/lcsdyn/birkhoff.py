@@ -11,12 +11,19 @@ grows.
 Minima commute, so the envelope extrema are suffix extrema of per-n extrema:
 ``birkhoff_extrema`` streams them in O(P) memory, and only ``birkhoff_table``
 keeps the per-point (n_max, P) arrays, for the full CSV and its callers.
+
+Exact finite systems run the same code on integers scaled by the common
+denominator D of the factor table: every A_n at one n shares the
+denominator n * D, so the per-n extrema are integer comparisons.  Fractions
+are built only at the boundary (extrema curves, table values, residuals).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +38,7 @@ from .core import (
     orbit_factors,
     orbit_rows,
     step_points,
+    sum_dtype,
     table_factor,
 )
 
@@ -52,14 +60,34 @@ class BirkhoffExtrema:
 class BirkhoffTable(BirkhoffExtrema):
     """Per-point sums, averages and truncated envelopes, with their extrema.
 
-    Row n-1 of each (n_max, P) array holds the values at order n; exact
-    tables are object arrays of Fractions.
+    ``running_sums`` keeps the pass's S_n in the orbit rows' arithmetic (the
+    integers S_n * scale on exact systems).  The (n_max, P) arrays ``sums``,
+    ``averages``, ``env_minus`` and ``env_plus`` (row n-1 holds order n) are
+    built from it on first use; exact tables are object arrays of Fractions.
     """
 
-    sums: object = None
-    averages: object = None
-    env_minus: object = None
-    env_plus: object = None
+    running_sums: np.ndarray = None
+
+    def columns(self, make=None):
+        """(sums, averages, env_minus, env_plus).  Exact values are built by
+        ``make(numerator, denominator)`` elementwise (default: Fractions)."""
+        S, scale = self.running_sums, self.system.scale
+        A = _divide(S, np.arange(1, self.n_max + 1)[:, None], scale, make)
+        if scale is None:
+            return S, A, *(u.accumulate(A[::-1], axis=0)[::-1] for u in (np.minimum, np.maximum))
+        # an envelope value is the average at the suffix's extreme order
+        return (_divide(S, 1, scale, make), A,
+                *(np.take_along_axis(A, _suffix_rows(S, better), axis=0)
+                  for better in (np.less, np.greater)))
+
+    @cached_property
+    def _arrays(self):
+        return self.columns()
+
+    sums = property(lambda self: self._arrays[0])
+    averages = property(lambda self: self._arrays[1])
+    env_minus = property(lambda self: self._arrays[2])
+    env_plus = property(lambda self: self._arrays[3])
 
 
 @dataclass
@@ -135,21 +163,55 @@ def _num_json(v):
     return float(v)
 
 
+def _ratio_str(a, q):
+    """str(Fraction(a, q)) for ints a and q > 0, without building the Fraction."""
+    g = math.gcd(a, q)
+    a, q = a // g, q // g
+    return str(a) if q == 1 else f"{a}/{q}"
+
+
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
+_RATIO_STR = np.frompyfunc(_ratio_str, 2, 1)
+
+
+def _divide(sums, n, scale, make=None):
+    """sums / n in the sums' arithmetic: float64, or, for integer sums of
+    h * scale, the exact values sums / (n * scale) as an object array made
+    by ``make`` (default: Fractions)."""
+    if scale is None:
+        return sums / n
+    return (make or _FRACTION)(np.asarray(sums, dtype=object),
+                               np.asarray(n, dtype=object) * scale)
+
+
+def _suffix_rows(S, better) -> np.ndarray:
+    """Index m >= n of the order where S_m(p) / m is best (``better`` =
+    np.less: least) over the orders m >= n, for every (n, p) of the integer
+    sums S.  Compares S_m / m with S_b / b as S_m * b with S_b * m."""
+    n_max, P = S.shape
+    rows = np.empty(S.shape, dtype=np.int64)
+    best = np.full(P, n_max - 1)
+    cols = np.arange(P)
+    for i in range(n_max - 1, -1, -1):
+        best = np.where(better(S[i] * (best + 1), S[best, cols] * (i + 1)), i, best)
+        rows[i] = best
+    return rows
+
+
 def birkhoff_table(sys: ConformalSystem, points=None, n_max: int = 100,
                    max_iterations: int | None = None) -> BirkhoffTable:
     """Tabulate S_n, A_n and truncated envelopes for every sampled point.
 
-    The running sums of one ``birkhoff_extrema`` pass are kept, so the table
-    costs n_max x P values per array; its extrema curves are that pass's.
+    The running sums of one ``birkhoff_extrema`` pass are kept (n_max x P
+    values); its extrema curves are that pass's.  The per-point arrays are
+    derived from the sums on first use.
     """
     rows = []
     ext = birkhoff_extrema(sys, points, n_max, max_iterations,
                            visit=lambda n, S: rows.append(S.copy()))
-    S = np.array(rows)
-    A = S / np.arange(1, n_max + 1, dtype=S.dtype)[:, None]
-    return BirkhoffTable(**vars(ext), sums=S, averages=A,
-                         env_minus=np.minimum.accumulate(A[::-1], axis=0)[::-1],
-                         env_plus=np.maximum.accumulate(A[::-1], axis=0)[::-1])
+    # wide enough for the cross products of the envelope comparisons
+    return BirkhoffTable(**vars(ext),
+                         running_sums=np.array(rows, dtype=sum_dtype(sys, n_max * n_max)))
 
 
 def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
@@ -160,7 +222,8 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
     sample, then takes suffix extrema over the n_max orders, so memory is
     O(P + n_max).  The running sum adds the orbit rows in order, as an
     axis-0 cumulative sum does.  ``visit(n, S_n)``, if given, sees every
-    running sum (read only) as it is formed.
+    running sum (read only) as it is formed, in the orbit rows' arithmetic
+    (the integers S_n * scale on exact systems).
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
@@ -170,18 +233,20 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
     pts = sys.space.sample_points(points)
     if len(pts) == 0:
         raise ValidationError("empty sample")
+    dtype = sum_dtype(sys, n_max)
     lows, highs = [], []
     S = None
     for n, row in enumerate(orbit_rows(sys, pts, n_max), start=1):
         if S is None:
-            S = np.array(row, dtype=object if sys.exact else float)
+            S = np.array(row, dtype=dtype)
         else:
             S += row
-        lows.append(S.min() / n)  # = min_p S_n(p) / n: rounding is monotone
-        highs.append(S.max() / n)
+        lows.append(S.min())  # min_p S_n(p) / n = min_p A_n(p): rounding is monotone
+        highs.append(S.max())
         if visit is not None:
             visit(n, S)
-    lows, highs = np.array(lows), np.array(highs)
+    ns = np.arange(1, n_max + 1)
+    lows, highs = (_divide(np.array(c, dtype=dtype), ns, sys.scale) for c in (lows, highs))
     extrema = {
         "min_avg": lows,
         "max_avg": highs,
@@ -248,27 +313,35 @@ def coboundary_residual(sys: ConformalSystem, n: int, points=None):
 
 
 def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> np.ndarray:
-    """Residuals of the transfer identity for every n = 1..n_max (float path).
+    """Residuals of the transfer identity for every n = 1..n_max.
 
     One streamed orbit walk of n_max rows serves both the grid and its image;
     running sums carry S_n and f_n = (S_1 + ... + S_{n-1}) / n at p and at
-    psi p, so memory is O(P) whatever n_max is.
+    psi p, so memory is O(P) whatever n_max is.  Exact systems check the
+    identity times n * scale on the integer rows, so their curve is exact
+    (Fractions, all zero); float systems show float rounding.
     """
     pts = sys.space.sample_points(points)
-    s_here = np.zeros(np.shape(pts)[0])  # S_n(p)
+    scale = sys.scale
+    # (n_max + 1)^2 table values bound every partial sum and difference below
+    s_here = np.zeros(np.shape(pts)[0], dtype=sum_dtype(sys, (n_max + 1) ** 2))  # S_n(p)
     s_next = np.zeros_like(s_here)  # S_{n-1}(psi p), rows 1..n-1
     cs_here = np.zeros_like(s_here)  # S_1(p) + ... + S_{n-1}(p)
     cs_next = np.zeros_like(s_here)  # S_1(psi p) + ... + S_{n-1}(psi p)
-    out = np.empty(n_max)
+    out = np.empty(n_max, dtype=float if scale is None else object)
     for n, row in enumerate(orbit_rows(sys, pts, n_max), start=1):
         if n == 1:
-            h = row
+            h = row.astype(s_here.dtype)
         else:
             cs_here += s_here
             s_next += row
             cs_next += s_next
         s_here += row
-        out[n - 1] = np.max(np.abs(s_here / n - (h + cs_next / n - cs_here / n)))
+        if scale is None:
+            out[n - 1] = np.max(np.abs(s_here / n - (h + cs_next / n - cs_here / n)))
+        else:
+            worst = np.max(np.abs(s_here - (n * h + cs_next - cs_here)))
+            out[n - 1] = Fraction(int(worst), n * scale)
     return out
 
 
@@ -379,36 +452,31 @@ def table_to_csv(table: BirkhoffTable, path):
             return repr(float(p))
         return ":".join(repr(float(c)) for c in p)
 
+    n_max = table.n_max
+    labels = (label for label in map(fmt_point, table.points) for _ in range(n_max))
+    # columns in row order: point-major, n within each point
+    cols = [_csv_column(a.T.ravel()) for a in table.columns(_RATIO_STR)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["point", "n", "S_n", "A_n", "env_minus", "env_plus"])
-        for pi, p in enumerate(table.points):
-            label = fmt_point(p)
-            for n in range(1, table.n_max + 1):
-                w.writerow([
-                    label,
-                    n,
-                    _csv_num(table.sums[n - 1][pi]),
-                    _csv_num(table.averages[n - 1][pi]),
-                    _csv_num(table.env_minus[n - 1][pi]),
-                    _csv_num(table.env_plus[n - 1][pi]),
-                ])
+        w.writerows(zip(labels, itertools.cycle(range(1, n_max + 1)), *cols))
 
 
 def extrema_to_csv(table: BirkhoffExtrema, path):
     """Dump the extrema curves (one row per n) for plotting."""
     import csv
 
+    ex = table.extrema_per_n
+    cols = [_csv_column(ex[key]) for key in
+            ("min_avg", "max_avg", "inf_env_minus", "sup_env_plus")]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "min_avg", "max_avg", "inf_env_minus", "sup_env_plus"])
-        ex = table.extrema_per_n
-        for n in range(1, table.n_max + 1):
-            w.writerow([n] + [_csv_num(ex[key][n - 1]) for key in
-                              ("min_avg", "max_avg", "inf_env_minus", "sup_env_plus")])
+        w.writerows(zip(range(1, table.n_max + 1), *cols))
 
 
-def _csv_num(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return repr(float(v))
+def _csv_column(values):
+    """CSV cells of a value array: exact values (Fractions or their strings)
+    as "p/q", floats by repr."""
+    values = np.asarray(values)
+    return list(map(str if values.dtype == object else repr, values.tolist()))

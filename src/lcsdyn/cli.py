@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys as _sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -56,19 +56,20 @@ class RunConfig:
 
     def canonical(self) -> dict:
         """The config without where and how it runs (out, cache_dir,
-        strict_verdict): what the cache key hashes and report.json echoes."""
-        d = asdict(self)
-        d.pop("out")
-        d.pop("cache_dir")
-        d.pop("strict_verdict")
-        return d
+        strict_verdict): what the cache key hashes and report.json echoes.
+
+        A shallow dict: its values are the config's own objects, not copies,
+        and are serialised through ``_json_default``.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("out", "cache_dir", "strict_verdict")}
 
 
 def cache_key(canonical: dict) -> str:
     """Hash of the canonical config and the package version, so results
     cached by another version of the code are never served."""
     keyed = {"config": canonical, "version": __version__}
-    blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"), default=_json_default)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -137,22 +138,14 @@ def _factor_spec(spec):
     return spec
 
 
-def _jsonable(v):
+def _json_default(v):
+    """json's hook for the values it cannot encode itself: Fractions as
+    "p/q", NumPy arrays as lists and NumPy scalars as Python numbers."""
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    return v
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _diag(kind: str, message: str):
@@ -300,7 +293,7 @@ def _cmd_optimize(config, sys_, out_dir, warnings):
     return {
         "minmax": hi.to_json(),
         "maxmin": lo.to_json(),
-        "gap": [_jsonable(lo.value), _jsonable(hi.value)],
+        "gap": [lo.value, hi.value],
     }
 
 
@@ -309,11 +302,12 @@ def _write_potential_csv(sys_, result, path):
 
     if result.potential_table is None:
         return
+    # str of a Fraction is "p/q"; str of a Python float is its repr
+    cells = map(str, np.asarray(result.potential_table).tolist())
     with open(path, "w", newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(["index", "f"])
-        for i, v in enumerate(result.potential_table):
-            w.writerow([i, str(v) if isinstance(v, Fraction) else repr(float(v))])
+        w.writerows(enumerate(cells))
 
 
 def _cmd_construct(config, sys_, out_dir, warnings):
@@ -455,7 +449,7 @@ def run(config: RunConfig):
                 payload, inconclusive = result
             else:
                 payload = result
-            payload = _jsonable(payload)
+            payload = json.loads(json.dumps(payload, default=_json_default))
             cache_store(path, payload, warnings)
             cache_hit = False
     except (ValidationError, DomainError) as exc:
@@ -466,7 +460,7 @@ def run(config: RunConfig):
         return {"error": str(exc)}, 3
 
     report = {
-        "config": _jsonable(canonical),
+        "config": canonical,
         "payload": payload,
         "provenance": {
             "version": __version__,
@@ -478,7 +472,7 @@ def run(config: RunConfig):
         "warnings": warnings,
     }
     with open(os.path.join(config.out, "report.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
+        json.dump(report, fh, sort_keys=True, indent=1, default=_json_default)
     code = 4 if (inconclusive and config.strict_verdict) else 0
     return report, code
 

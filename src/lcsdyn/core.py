@@ -7,7 +7,8 @@ of the pair (psi, h) alone.
 
 Circle and torus coordinates live in [0, 1) and are reduced mod 1 after every
 map application, so long orbits cannot drift.  Finite systems whose factor
-table is rational are evaluated in exact rational arithmetic.
+table is rational are evaluated in exact arithmetic: on the integers h * D, D
+the common denominator of the table, with Fractions only at the boundary.
 """
 
 from __future__ import annotations
@@ -48,19 +49,44 @@ def wrap(x):
 
 
 def as_rational(v):
-    """Exact Fraction for ints, Fractions and 'p/q' strings; None otherwise."""
+    """Exact Fraction for ints, Fractions and 'p/q' strings; None otherwise.
+
+    A plain ASCII "[-]digits/digits" string is read as two ints; every
+    other string goes through Fraction(str).
+    """
+    if isinstance(v, str):
+        try:
+            num, slash, den = v.partition("/")
+            if slash and den.isdigit() and num.removeprefix("-").isdigit() and v.isascii():
+                return Fraction(int(num), int(den))
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            return None
     if isinstance(v, Fraction):
         return v
     if isinstance(v, bool):
         return None
     if isinstance(v, numbers.Integral):
         return Fraction(int(v))
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            return None
     return None
+
+
+def scaled_integers(values):
+    """(ints, D) with values[i] == ints[i] / D, D the least common multiple
+    of the denominators; None unless every value is a Fraction."""
+    if not all(isinstance(v, Fraction) for v in values):
+        return None
+    D = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (D // v.denominator) for v in values), D
+
+
+def sum_dtype(sys: ConformalSystem, terms: int):
+    """dtype of a running sum of ``terms`` orbit values of ``sys``: float64 on
+    float systems; on exact systems int64 when no such sum of the integers
+    h * scale can overflow it, else object (Python ints, which never do)."""
+    if not sys.exact:
+        return float
+    return np.int64 if max(map(abs, sys.scaled_table)) * terms < 2**63 else object
 
 
 @dataclass(frozen=True)
@@ -192,13 +218,22 @@ def trig2_factor(const=0.0, terms=()):
 
 
 def table_factor(values):
-    """Per-state factor on a finite space; Fractions are preserved on scalars."""
+    """Per-state factor on a finite space; Fractions are preserved on scalars.
+
+    The float64 values for array calls are built on the first such call; for
+    a Fraction table as ints[i] / D, which rounds as float(Fraction) does.
+    """
     values = tuple(values)
-    float_values = np.asarray([float(v) for v in values])
+    float_values = None
 
     def h(x):
+        nonlocal float_values
         if np.ndim(x) == 0:
             return values[int(x)]
+        if float_values is None:
+            scaled = scaled_integers(values)
+            float_values = np.asarray([a / scaled[1] for a in scaled[0]] if scaled
+                                      else [float(v) for v in values])
         return float_values[np.asarray(x, dtype=np.int64)]
 
     return h
@@ -210,6 +245,12 @@ class ConformalSystem:
 
     Immutable after construction; all operations on it are pure, so instances
     can be shared freely across workers.
+
+    ``scaled_table`` and ``scale`` are derived once at construction.  On an
+    exact system (finite, with a table of Fractions) they are the integers
+    h * scale and the common denominator scale, and exact consumers work on
+    those integers.  Otherwise ``scaled_table`` is the factor table itself
+    and ``scale`` is None.
     """
 
     space: ModelSpace
@@ -221,16 +262,22 @@ class ConformalSystem:
     perm_table: tuple | None = None
     factor_table: tuple | None = None
     generating_f: object | None = None
+    scaled_table: tuple | None = field(init=False, repr=False, compare=False)
+    scale: int | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scaled = None
+        if (self.space.kind == FINITE and self.perm_table is not None
+                and self.factor_table is not None):
+            scaled = scaled_integers(self.factor_table)
+        table, scale = scaled or (self.factor_table, None)
+        object.__setattr__(self, "scaled_table", table)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def exact(self) -> bool:
         """True when orbits and factor values are exact rationals."""
-        return (
-            self.space.kind == FINITE
-            and self.perm_table is not None
-            and self.factor_table is not None
-            and all(isinstance(v, Fraction) for v in self.factor_table)
-        )
+        return self.scale is not None
 
 
 def iterate(sys: ConformalSystem, x, n: int, max_iterations: int | None = None):
@@ -292,22 +339,15 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     """The orbit engine, one row at a time: yields h(psi^i p) for i < n.
 
     ``inverse`` walks psi^{-1} instead.  Float systems yield float64 arrays of
-    shape (P,); exact finite systems yield lists of Fractions, walked on the
-    permutation and factor tables.  Every orbit quantity (S_n, A_n, f_n, the
-    g orbit tables) is a reduction of these rows, in O(P) memory if streamed.
+    shape (P,); exact finite systems yield the integers h * sys.scale, walked
+    on the permutation and scaled tables (int64, or Python ints in an object
+    array where int64 could overflow).  Every orbit quantity (S_n, A_n, f_n,
+    the g orbit tables) is a reduction of these rows, in O(P) memory if
+    streamed.
     """
     if sys.exact:
-        tbl, hv = sys.perm_table, sys.factor_table
-        if inverse:
-            inv = [0] * len(tbl)
-            for i, j in enumerate(tbl):
-                inv[j] = i
-            tbl = inv
-        cur = [int(p) for p in pts]
-        for i in range(n):
-            yield [hv[c] for c in cur]
-            if i + 1 < n:
-                cur = [tbl[c] for c in cur]
+        yield from _table_rows(sys, pts, n, inverse,
+                               np.array(sys.scaled_table, dtype=sum_dtype(sys, 1)))
         return
     cur = pts
     for i in range(n):
@@ -316,11 +356,27 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
             cur = step_points(sys, cur, inverse=inverse)
 
 
+def _table_rows(sys: ConformalSystem, pts, n: int, inverse: bool, values):
+    """values[psi^{±i} p] for i < n, walked on the permutation table."""
+    tbl = np.asarray(sys.perm_table, dtype=np.int64)
+    if inverse:
+        inv = np.empty_like(tbl)
+        inv[tbl] = np.arange(len(tbl))
+        tbl = inv
+    cur = np.asarray(pts, dtype=np.int64)
+    for i in range(n):
+        yield values[cur]
+        if i + 1 < n:
+            cur = tbl[cur]
+
+
 def orbit_factors(sys: ConformalSystem, pts, n: int, inverse: bool = False):
-    """The rows of orbit_rows stacked: an (n, P) float64 array, or n lists of
-    Fractions on exact finite systems."""
-    rows = orbit_rows(sys, pts, n, inverse)
-    return list(rows) if sys.exact else np.fromiter(rows, (float, np.shape(pts)[0]), n)
+    """The orbit rows stacked: an (n, P) float64 array, or, on exact finite
+    systems, n lists of the factor table's Fractions."""
+    if sys.exact:
+        values = np.array(sys.factor_table, dtype=object)
+        return [row.tolist() for row in _table_rows(sys, pts, n, inverse, values)]
+    return np.fromiter(orbit_rows(sys, pts, n, inverse), (float, np.shape(pts)[0]), n)
 
 
 def reference_points(sys: ConformalSystem, cap: int = 1024):

@@ -6,6 +6,11 @@ successor) both are cycle-mean extrema, computed exactly by one routine: on a
 finite bijection this is the exact optimum; on grids it is the exact cycle
 mean of the snapped grid dynamics, whose snapping only approximates psi.  The
 transfer potential gives a rigorous (sampled) upper bound on grids.
+
+Exact finite systems run on integers scaled by the common denominator D of
+the factor table (``ConformalSystem.scaled_table``): cycle sums, potentials
+and certificates are Python ints, and Fractions are built only at the
+boundary (cycle means, returned values and potential tables).
 """
 
 from __future__ import annotations
@@ -61,12 +66,13 @@ def _require_finite(sys: ConformalSystem):
         raise ValidationError("this operation needs a finite bijection")
 
 
-def _functional_cycles(succ, hv) -> CycleDecomposition:
-    """Cycles of x -> succ[x] with the mean of hv on each, in hv's arithmetic.
+def _functional_cycles(succ, hv, scale=None) -> CycleDecomposition:
+    """Cycles of x -> succ[x] with the mean of hv on each.
 
     Each node is walked once: a walk stops at the first node already reached,
     and when that node lies on the current walk the rest of the walk from it
-    is a new cycle.  Fraction values give exact means.
+    is a new cycle.  With ``scale``, hv holds the integers h * scale and each
+    mean is the exact Fraction sum / (L * scale); otherwise means are floats.
     """
     walk = [-1] * len(succ)  # the walk (its start node) that reached each node
     cycles, tree = [], []
@@ -83,7 +89,7 @@ def _functional_cycles(succ, hv) -> CycleDecomposition:
         if cut < len(path):
             cyc = path[cut:]
             total = sum(hv[i] for i in cyc)
-            mean = total / len(cyc) if isinstance(total, Fraction) else total / float(len(cyc))
+            mean = total / float(len(cyc)) if scale is None else Fraction(total, len(cyc) * scale)
             cycles.append((tuple(cyc), mean))
         tree.extend(reversed(path[:cut]))
     means = [c[1] for c in cycles]
@@ -93,12 +99,13 @@ def _functional_cycles(succ, hv) -> CycleDecomposition:
 def cycle_mean_extrema(sys: ConformalSystem) -> CycleDecomposition:
     """Cycle decomposition of the permutation with exact means when possible."""
     _require_finite(sys)
-    return _functional_cycles(sys.perm_table, sys.factor_table)
+    return _functional_cycles(sys.perm_table, sys.scaled_table, sys.scale)
 
 
 def _cycle_potential(dec: CycleDecomposition, succ, hv, level) -> list:
     """Potential f with h + f o succ - f = level along every non-closing edge
-    c_j -> c_{j+1} of each cycle and every tree edge, normalized to min f = 0."""
+    c_j -> c_{j+1} of each cycle and every tree edge, normalized to min f = 0.
+    Computed in hv's arithmetic (ints stay ints)."""
     f = [None] * len(hv)
     for cyc, _mean in dec.cycles:
         f[cyc[0]] = hv[cyc[0]] * 0  # zero of the right arithmetic type
@@ -110,24 +117,46 @@ def _cycle_potential(dec: CycleDecomposition, succ, hv, level) -> list:
     return [v - fmin for v in f]
 
 
-def _cycle_minmax(succ, hv):
+def _cycle_minmax(succ, hv, scale=None):
     """inf_f max_x (h + f o succ - f) on a functional graph is the largest
     cycle mean M: the edges of a cycle sum to its length times its mean, and
-    the cycle potential at level M attains M.  Returns (M, f table, max edge - M)."""
-    dec = _functional_cycles(succ, hv)
+    the cycle potential at level M attains M.
+
+    Returns (M, F, excess, unit): the potential is f = F / unit and the
+    certificate max edge - M is excess / unit.  Float tables have unit 1.
+    With ``scale`` (hv = h * scale, integers) the potential is built on
+    h * scale * L at level L * scale * M, L the length of a cycle of mean M,
+    so F and excess are integers over unit = L * scale.
+    """
+    dec = _functional_cycles(succ, hv, scale)
     M = dec.max_mean
-    table = _cycle_potential(dec, succ, hv, M)
-    resid = max(hv[i] + table[succ[i]] - table[i] for i in range(len(succ)))
-    return M, table, resid - M
+    if scale is None:
+        unit, level = 1, M
+    else:
+        L = next(len(cyc) for cyc, mean in dec.cycles if mean == M)
+        unit = L * scale
+        hv, level = [v * L for v in hv], int(M * unit)
+    F = _cycle_potential(dec, succ, hv, level)
+    excess = max(hv[i] + F[succ[i]] - F[i] for i in range(len(succ))) - level
+    return M, F, excess, unit
 
 
-def _exact_finite_minmax(sys: ConformalSystem) -> OptimizationResult:
-    M, table, cert = _cycle_minmax(sys.perm_table, sys.factor_table)
+def _exact_finite(sys: ConformalSystem, sign: int) -> OptimizationResult:
+    """The min-max (sign 1) or the max-min (sign -1, the min-max of -h
+    negated) of a finite bijection, on the system's exact integers when it
+    has them."""
+    hv = sys.scaled_table if sign > 0 else [-v for v in sys.scaled_table]
+    M, F, excess, unit = _cycle_minmax(sys.perm_table, hv, sys.scale)
+    if sign < 0:  # -f, normalized to min 0
+        top = max(F)
+        F = [top - v for v in F]
+    if sys.exact:
+        F, excess = [Fraction(v, unit) for v in F], Fraction(excess, unit)
     return OptimizationResult(
-        value=M,
-        potential=lambda x: table[int(x)],
-        potential_table=table,
-        certificate=cert,
+        value=M if sign > 0 else -M,
+        potential=lambda x: F[int(x)],
+        potential_table=F,
+        certificate=excess,
         method="exact_finite",
     )
 
@@ -167,7 +196,7 @@ def _grid_descent_minmax(sys: ConformalSystem, points) -> OptimizationResult:
     pts = sys.space.sample_points(points)
     succ = _snap_indices(sys, pts).tolist()
     hv = eval_factor(sys, pts).tolist()
-    value, table, cert = _cycle_minmax(succ, hv)
+    value, table, cert, _unit = _cycle_minmax(succ, hv)
     return OptimizationResult(
         value=value,
         potential=None,
@@ -182,7 +211,7 @@ def minmax_coboundary(sys: ConformalSystem, method: str = "exact_finite",
     """inf over potentials f of max_x (h + f o psi - f), by the chosen method."""
     if method == "exact_finite":
         _require_finite(sys)
-        return _exact_finite_minmax(sys)
+        return _exact_finite(sys, 1)
     if method == "birkhoff_fn":
         if sys.space.kind == FINITE:
             raise ValidationError("birkhoff_fn expects a grid; use exact_finite")
@@ -197,27 +226,18 @@ def minmax_coboundary(sys: ConformalSystem, method: str = "exact_finite",
 def maxmin_coboundary(sys: ConformalSystem, method: str = "exact_finite",
                       n: int | None = None, points=None) -> OptimizationResult:
     """sup over potentials f of min_x (h + f o psi - f) = -minmax(-h)."""
+    if method == "exact_finite":
+        _require_finite(sys)
+        return _exact_finite(sys, -1)
     res = minmax_coboundary(negated_system(sys), method=method, n=n, points=points)
-    if res.potential_table is not None:
-        if isinstance(res.potential_table, np.ndarray):
-            table = -res.potential_table
-            table = table - table.min()
-        else:
-            table = [-v for v in res.potential_table]
-            tmin = min(table)
-            table = [v - tmin for v in table]
-    else:
-        table = None
-    if isinstance(table, list):
-        pot = lambda x: table[int(x)]  # noqa: E731
-    elif res.potential is not None:
-        inner = res.potential
-        pot = lambda x: -inner(x)  # noqa: E731
-    else:
-        pot = None
+    table = res.potential_table
+    if table is not None:
+        table = -table
+        table = table - table.min()
+    inner = res.potential
     return OptimizationResult(
         value=-res.value,
-        potential=pot,
+        potential=None if inner is None else lambda x: -inner(x),
         potential_table=table,
         certificate=res.certificate,
         method=res.method,
@@ -233,11 +253,8 @@ def is_strict_finite(sys: ConformalSystem):
     """
     _require_finite(sys)
     dec = cycle_mean_extrema(sys)
-    exact = sys.exact
-    for _cyc, mean in dec.cycles:
-        if exact:
-            if mean != 0:
-                return False, None
-        elif abs(float(mean)) > 1e-12:
-            return False, None
-    return True, _cycle_potential(dec, sys.perm_table, sys.factor_table, 0)
+    tol = 0 if sys.exact else 1e-12
+    if any(abs(mean) > tol for _cyc, mean in dec.cycles):
+        return False, None
+    F = _cycle_potential(dec, sys.perm_table, sys.scaled_table, 0)
+    return True, [Fraction(v, sys.scale) for v in F] if sys.exact else F

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -154,21 +155,25 @@ def _band(hmin, hmax, k):
     return -max(hmax, k - hmin), -min(hmin, k - hmax)
 
 
-def _cycle_residual_bound(dec, hv):
+def _cycle_residual_bound(dec, hv, scale=None):
     """sup of |S_n(x) - n mean| over the states x of each cycle and 0 < n < L.
 
     Along a cycle c_0 .. c_{L-1} with prefix sums D_j = sum_{i<j} (h(c_i) -
     mean), S_n(c_a) - n mean = D_{a+n} - D_a (indices mod L, D_L = D_0 = 0),
     so the sup is the largest range max D - min D.  Computed in the factor
-    table's own arithmetic: exact for Fraction tables.
+    table's own arithmetic; with ``scale``, hv holds the integers h * scale
+    and the prefix sums are kept times L * scale, as integers, so the bound
+    is an exact Fraction.
     """
     R = 0
     for cyc, mean in dec.cycles:
+        L = len(cyc)
+        w, level = (1, mean) if scale is None else (L, int(mean * L * scale))
         d = lo = hi = 0
         for x in cyc[:-1]:
-            d += hv[x] - mean
+            d += w * hv[x] - level
             lo, hi = min(lo, d), max(hi, d)
-        R = max(R, hi - lo)
+        R = max(R, hi - lo if scale is None else Fraction(hi - lo, L * scale))
     return R
 
 
@@ -213,7 +218,7 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None,
         from . import ergopt
 
         dec = ergopt.cycle_mean_extrema(sys)
-        R = _cycle_residual_bound(dec, sys.factor_table)
+        R = _cycle_residual_bound(dec, sys.scaled_table, sys.scale)
         means = [float(mean) for _cyc, mean in dec.cycles]
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
             gaps = [abs(k - m) for m in means]
