@@ -35,8 +35,8 @@ from .core import (
     DEFAULT_MAX_ITERATIONS,
     ValidationError,
     eval_factor_like,
-    orbit_factors,
     orbit_rows,
+    scaled_floats,
     step_points,
     sum_dtype,
     table_factor,
@@ -283,32 +283,35 @@ def transfer_potential(sys: ConformalSystem, n: int,
     return f_n
 
 
-def transfer_potential_values(H, n: int):
+def transfer_potential_values(H, n: int, scale: int | None = None):
     """f_n at the start points of an orbit walk and at their images.
 
     ``H = orbit_factors(sys, pts, m)`` with m >= n rows.  Since
     f_n(p) = (1/n) sum_{j=0}^{n-2} (n-1-j) h(psi^j p), f_n(p) reads rows
     [0, n-1) and f_n(psi p) reads rows [1, n) of the same walk.  Exact rows
-    give Fractions.  Rows are added in order (a cumulative sum), so a walk
-    from one point rounds like a walk from many.
+    give Fractions; the integer rows h * ``scale`` of an exact system
+    (``orbit_array`` with n * n terms) give float64 values, each rounded once
+    from its exact sum.  Rows are added in order (a cumulative sum), so a
+    walk from one point rounds like a walk from many.
     """
     H = np.asarray(H)
     if n == 1:
-        return np.zeros(H.shape[1], H.dtype), np.zeros(H.shape[1], H.dtype)
+        dtype = H.dtype if scale is None else float
+        return np.zeros(H.shape[1], dtype), np.zeros(H.shape[1], dtype)
     w = np.arange(n - 1, 0, -1)[:, None]
-    return (np.cumsum(w * H[:n - 1], axis=0)[-1] / n,
-            np.cumsum(w * H[1:n], axis=0)[-1] / n)
+    sums = (np.cumsum(w * H[:n - 1], axis=0)[-1], np.cumsum(w * H[1:n], axis=0)[-1])
+    if scale is None:
+        return sums[0] / n, sums[1] / n
+    return scaled_floats(sums[0], n * scale), scaled_floats(sums[1], n * scale)
 
 
 def coboundary_residual(sys: ConformalSystem, n: int, points=None):
-    """max_x |A_n(h)(x) - (h(x) + f_n(psi x) - f_n(x))| over sampled points.
+    """max_x |A_n(h)(x) - (h(x) + f_n(psi x) - f_n(x))| over sampled points:
+    the last entry of ``coboundary_residual_curve``.
 
     Exactly zero (Fraction) on exact finite systems; float rounding otherwise.
-    Both sides read one orbit walk of n rows per point.
     """
-    H = np.asarray(orbit_factors(sys, sys.space.sample_points(points), n))
-    f_here, f_next = transfer_potential_values(H, n)
-    worst = np.max(np.abs(H.sum(axis=0) / n - (H[0] + f_next - f_here)))
+    worst = coboundary_residual_curve(sys, n, points)[-1]
     return worst if sys.exact else float(worst)
 
 

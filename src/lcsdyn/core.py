@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -71,13 +72,10 @@ def as_rational(v):
     return None
 
 
-def scaled_integers(values):
-    """(ints, D) with values[i] == ints[i] / D, D the least common multiple
-    of the denominators; None unless every value is a Fraction."""
-    if not all(isinstance(v, Fraction) for v in values):
-        return None
-    D = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (D // v.denominator) for v in values), D
+#: size budget, in bits, of an exact table's integers h * D: m states times
+#: the bit length of D.  A table with many large coprime denominators makes D
+#: (and so every scaled entry) as long as all of them together.
+MAX_SCALED_BITS = 2**24
 
 
 def sum_dtype(sys: ConformalSystem, terms: int):
@@ -86,7 +84,18 @@ def sum_dtype(sys: ConformalSystem, terms: int):
     h * scale can overflow it, else object (Python ints, which never do)."""
     if not sys.exact:
         return float
-    return np.int64 if max(map(abs, sys.scaled_table)) * terms < 2**63 else object
+    return np.int64 if sys.scaled_bound * terms < 2**63 else object
+
+
+def scaled_floats(ints, denominator: int) -> np.ndarray:
+    """Integers over a positive denominator as float64, each rounded as
+    float(Fraction(i, denominator)) is: correctly.  int64 values and
+    denominators below 2^53 are exact floats, so one float division rounds
+    correctly; larger ones divide as Python ints."""
+    a = np.asarray(ints)
+    if a.dtype == np.int64 and denominator < 2**53 and (a.size == 0 or np.abs(a).max() < 2**53):
+        return a / denominator
+    return np.array([i / denominator for i in a.ravel().tolist()], dtype=float).reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -220,8 +229,7 @@ def trig2_factor(const=0.0, terms=()):
 def table_factor(values):
     """Per-state factor on a finite space; Fractions are preserved on scalars.
 
-    The float64 values for array calls are built on the first such call; for
-    a Fraction table as ints[i] / D, which rounds as float(Fraction) does.
+    The float64 values for array calls are built on the first such call.
     """
     values = tuple(values)
     float_values = None
@@ -231,9 +239,7 @@ def table_factor(values):
         if np.ndim(x) == 0:
             return values[int(x)]
         if float_values is None:
-            scaled = scaled_integers(values)
-            float_values = np.asarray([a / scaled[1] for a in scaled[0]] if scaled
-                                      else [float(v) for v in values])
+            float_values = np.asarray([float(v) for v in values])
         return float_values[np.asarray(x, dtype=np.int64)]
 
     return h
@@ -246,11 +252,12 @@ class ConformalSystem:
     Immutable after construction; all operations on it are pure, so instances
     can be shared freely across workers.
 
-    ``scaled_table`` and ``scale`` are derived once at construction.  On an
-    exact system (finite, with a table of Fractions) they are the integers
-    h * scale and the common denominator scale, and exact consumers work on
-    those integers.  Otherwise ``scaled_table`` is the factor table itself
-    and ``scale`` is None.
+    An exact system (finite, with a table of Fractions) also has the integers
+    ``scaled_table`` = h * ``scale``, ``scale`` the common denominator of the
+    table, which exact consumers work on.  They are derived on first use and
+    kept; a table whose integers would exceed ``MAX_SCALED_BITS`` is a
+    BudgetError there.  On other systems ``scaled_table`` is the factor table
+    itself and ``scale`` is None.
     """
 
     space: ModelSpace
@@ -262,22 +269,47 @@ class ConformalSystem:
     perm_table: tuple | None = None
     factor_table: tuple | None = None
     generating_f: object | None = None
-    scaled_table: tuple | None = field(init=False, repr=False, compare=False)
-    scale: int | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        scaled = None
-        if (self.space.kind == FINITE and self.perm_table is not None
-                and self.factor_table is not None):
-            scaled = scaled_integers(self.factor_table)
-        table, scale = scaled or (self.factor_table, None)
-        object.__setattr__(self, "scaled_table", table)
-        object.__setattr__(self, "scale", scale)
-
-    @property
+    @cached_property
     def exact(self) -> bool:
         """True when orbits and factor values are exact rationals."""
-        return self.scale is not None
+        return (self.space.kind == FINITE and self.perm_table is not None
+                and self.factor_table is not None
+                and all(isinstance(v, Fraction) for v in self.factor_table))
+
+    @cached_property
+    def scale(self) -> int | None:
+        """The least common multiple D of an exact table's denominators."""
+        if not self.exact:
+            return None
+        m, D = len(self.factor_table), 1
+        for q in {v.denominator for v in self.factor_table}:
+            D = math.lcm(D, q)
+            if m * D.bit_length() > MAX_SCALED_BITS:
+                raise BudgetError(
+                    f"exact factor table too large: {m} states over a common denominator "
+                    f"of more than {MAX_SCALED_BITS // m} bits (budget {MAX_SCALED_BITS} "
+                    "bits); use fewer distinct denominators or float values")
+        return D
+
+    @cached_property
+    def scaled_table(self) -> tuple | None:
+        """The integers h * scale on exact systems, else the factor table."""
+        D = self.scale
+        if D is None:
+            return self.factor_table
+        return tuple(v.numerator * (D // v.denominator) for v in self.factor_table)
+
+    @cached_property
+    def scaled_bound(self) -> int:
+        """max |h * scale| of an exact system."""
+        return max(map(abs, self.scaled_table))
+
+    @cached_property
+    def scaled_rows(self) -> np.ndarray:
+        """``scaled_table`` as the array orbit walks index: int64, or Python
+        ints where int64 cannot hold them."""
+        return np.array(self.scaled_table, dtype=sum_dtype(self, 1))
 
 
 def iterate(sys: ConformalSystem, x, n: int, max_iterations: int | None = None):
@@ -340,14 +372,21 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
 
     ``inverse`` walks psi^{-1} instead.  Float systems yield float64 arrays of
     shape (P,); exact finite systems yield the integers h * sys.scale, walked
-    on the permutation and scaled tables (int64, or Python ints in an object
-    array where int64 could overflow).  Every orbit quantity (S_n, A_n, f_n,
-    the g orbit tables) is a reduction of these rows, in O(P) memory if
-    streamed.
+    on the permutation table (``sys.scaled_rows``).  Every orbit quantity
+    (S_n, A_n, f_n, the g orbit tables) is a reduction of these rows, in O(P)
+    memory if streamed.
     """
     if sys.exact:
-        yield from _table_rows(sys, pts, n, inverse,
-                               np.array(sys.scaled_table, dtype=sum_dtype(sys, 1)))
+        tbl = np.asarray(sys.perm_table, dtype=np.int64)
+        if inverse:
+            inv = np.empty_like(tbl)
+            inv[tbl] = np.arange(len(tbl))
+            tbl = inv
+        cur = np.asarray(pts, dtype=np.int64)
+        for i in range(n):
+            yield sys.scaled_rows[cur]
+            if i + 1 < n:
+                cur = tbl[cur]
         return
     cur = pts
     for i in range(n):
@@ -356,27 +395,23 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
             cur = step_points(sys, cur, inverse=inverse)
 
 
-def _table_rows(sys: ConformalSystem, pts, n: int, inverse: bool, values):
-    """values[psi^{±i} p] for i < n, walked on the permutation table."""
-    tbl = np.asarray(sys.perm_table, dtype=np.int64)
-    if inverse:
-        inv = np.empty_like(tbl)
-        inv[tbl] = np.arange(len(tbl))
-        tbl = inv
-    cur = np.asarray(pts, dtype=np.int64)
-    for i in range(n):
-        yield values[cur]
-        if i + 1 < n:
-            cur = tbl[cur]
+def orbit_array(sys: ConformalSystem, pts, n: int, inverse: bool = False, terms: int = 1):
+    """The orbit rows stacked into an (n, P) array, in a dtype that holds
+    sums of ``terms`` values (``sum_dtype``): float64, or on exact systems
+    the integers h * sys.scale."""
+    out = np.empty((n, np.shape(pts)[0]), dtype=sum_dtype(sys, terms))
+    for i, row in enumerate(orbit_rows(sys, pts, n, inverse)):
+        out[i] = row
+    return out
 
 
 def orbit_factors(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     """The orbit rows stacked: an (n, P) float64 array, or, on exact finite
-    systems, n lists of the factor table's Fractions."""
+    systems, n lists of the factor values as Fractions."""
+    H = orbit_array(sys, pts, n, inverse)
     if sys.exact:
-        values = np.array(sys.factor_table, dtype=object)
-        return [row.tolist() for row in _table_rows(sys, pts, n, inverse, values)]
-    return np.fromiter(orbit_rows(sys, pts, n, inverse), (float, np.shape(pts)[0]), n)
+        return [[Fraction(v, sys.scale) for v in row] for row in H.tolist()]
+    return H
 
 
 def reference_points(sys: ConformalSystem, cap: int = 1024):

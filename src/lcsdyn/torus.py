@@ -36,8 +36,9 @@ from .core import (
     eval_factor_like,
     factor_range,
     mirrored_system,
-    orbit_factors,
+    orbit_array,
     reference_points,
+    scaled_floats,
     step_points,
     wrap,
 )
@@ -377,8 +378,10 @@ def build_cutoff(bound: float, table_size: int = 32769) -> CutoffFunction:
 
 
 def _float_orbit(sys: ConformalSystem, pts, n: int, inverse: bool = False):
-    """orbit_factors as float64 (exact Fraction rows rounded as eval_factor does)."""
-    return np.asarray(orbit_factors(sys, pts, n, inverse), dtype=float)
+    """The orbit rows as float64; exact rows h * scale are divided by scale,
+    which rounds as float(Fraction) and so eval_factor do."""
+    H = orbit_array(sys, pts, n, inverse)
+    return scaled_floats(H, sys.scale) if sys.exact else H
 
 
 def _point_batch(space: ModelSpace, x):
@@ -653,9 +656,10 @@ class MuConstruction:
         (exact rows stay exact until the result is rounded)."""
         from .birkhoff import transfer_potential_values
 
-        pts, single = _point_batch(self.sys.space, x)
-        H = orbit_factors(self.sys, pts, self.n_used)
-        fn = np.asarray(transfer_potential_values(H, self.n_used)[0], dtype=float)
+        sys, n = self.sys, self.n_used
+        pts, single = _point_batch(sys.space, x)
+        H = orbit_array(sys, pts, n, terms=n * n)
+        fn = transfer_potential_values(H, n, sys.scale)[0]
         return float(fn[0]) if single else fn
 
     def sigma_t(self, x, t):

@@ -7,7 +7,6 @@ formulas of the generic code) and shares no code with the library.
 """
 
 import csv
-import json
 import math
 import os
 from fractions import Fraction
@@ -23,14 +22,26 @@ from lcsdyn.birkhoff import (
     limit_estimates,
     table_to_csv,
 )
-from lcsdyn.core import as_rational, finite_permutation_system, sum_dtype
+from lcsdyn.core import (
+    MAX_SCALED_BITS,
+    BudgetError,
+    as_rational,
+    finite_permutation_system,
+    mirrored_system,
+    negated_system,
+    orbit_array,
+    orbit_factors,
+    scaled_floats,
+    sum_dtype,
+)
 from lcsdyn.ergopt import (
     cycle_mean_extrema,
     is_strict_finite,
     maxmin_coboundary,
     minmax_coboundary,
 )
-from lcsdyn.torus import _cycle_residual_bound
+from lcsdyn.birkhoff import coboundary_residual, transfer_potential_values
+from lcsdyn.torus import _cycle_residual_bound, _float_orbit
 
 # --------------------------------------------------------------------------
 # oracles
@@ -275,6 +286,66 @@ def _walk(table, i):
     for _ in range(i):
         cur = [table[c] for c in cur]
     return cur
+
+
+@pytest.mark.parametrize("kind,seed", CASES)
+def test_orbit_tables_round_the_exact_values(kind, seed):
+    sys = _case(kind, seed)
+    table, h = sys.perm_table, sys.factor_table
+    pts = sys.space.sample_points()
+    rows = [[h[x] for x in _walk(table, i)] for i in range(N_MAX)]
+    assert orbit_factors(sys, pts, N_MAX) == rows
+    assert _float_orbit(sys, pts, N_MAX).tolist() == [[float(v) for v in r] for r in rows]
+    assert coboundary_residual(sys, N_MAX) == 0
+    for n in (1, 2, N_MAX):
+        H = orbit_array(sys, pts, n, terms=n * n)
+        here, there = transfer_potential_values(H, n, sys.scale)
+        f_n = [sum((n - 1 - j) * rows[j][p] for j in range(n - 1)) / n for p in pts]
+        f_next = [sum((n - 1 - j) * rows[j + 1][p] for j in range(n - 1)) / n for p in pts]
+        assert here.dtype == there.dtype == float
+        assert here.tolist() == [float(v) for v in f_n]
+        assert there.tolist() == [float(v) for v in f_next]
+
+
+def test_scaled_floats_round_as_fractions_do():
+    rng = np.random.default_rng(7)
+    for bits in (20, 52, 53, 60, 62):
+        ints = rng.integers(-2**bits, 2**bits, size=200)
+        for D in (1, 3, 10**6 + 3, 2**53 - 1, 2**53 + 1, 3**40):
+            want = [float(Fraction(int(i), D)) for i in ints]
+            assert scaled_floats(ints, D).tolist() == want
+            assert scaled_floats(ints.astype(object) * 3**30, D).tolist() == \
+                [float(Fraction(int(i) * 3**30, D)) for i in ints]
+    assert scaled_floats(np.zeros((0, 4), np.int64), 7).shape == (0, 4)
+
+
+def test_table_over_the_scaled_size_budget_is_a_budget_error(tmp_path):
+    # 1/p for 2000 primes above 10^4: D has about 28000 bits, so the integers
+    # h * D would take 2000 times that where the Fractions take some 100 kB
+    primes = _primes(10**4, 30000)[:2000]
+    assert len(primes) == 2000
+    table = list(range(1, 2000)) + [0]
+    values = [f"1/{p}" for p in primes]
+    sys = finite_permutation_system(table, values)
+    assert sys.exact
+    assert 2000 * math.lcm(*primes).bit_length() > MAX_SCALED_BITS
+    # building, copying and float evaluation never scale the table
+    for s in (sys, negated_system(sys), mirrored_system(sys)):
+        assert s.factor(np.arange(2000)).shape == (2000,)
+    for consumer in (cycle_mean_extrema, lambda s: birkhoff_extrema(s, n_max=2),
+                     lambda s: orbit_factors(s, s.space.sample_points(), 2)):
+        with pytest.raises(BudgetError, match="exact factor table too large"):
+            consumer(sys)
+    config = cli.RunConfig(command="analyze", n_max=4, out=str(tmp_path / "out"),
+                           cache_dir=str(tmp_path / "cache"),
+                           system={"space": {"kind": "finite", "size": 2000},
+                                   "map": {"type": "permutation", "table": table},
+                                   "factor": {"type": "table", "values": values}})
+    report, code = cli.run(config)
+    assert code == 3 and "exact factor table too large" in report["error"]
+    # the same primes in one short cycle stay within budget
+    small = finite_permutation_system([1, 2, 0], [f"1/{p}" for p in primes[:3]])
+    assert cycle_mean_extrema(small).max_mean == sum(Fraction(1, p) for p in primes[:3]) / 3
 
 
 # --------------------------------------------------------------------------
