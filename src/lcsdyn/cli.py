@@ -15,6 +15,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import dataclass, field, fields
@@ -37,6 +38,7 @@ COMMANDS = ("analyze", "admissible", "probe", "optimize", "construct",
             "elasticity", "rank")
 
 MAX_TABLE_CSV_ROWS = 200_000
+MAX_K_VALUES = 10_000
 
 
 @dataclass
@@ -82,7 +84,7 @@ def _field(obj: dict, key: str, what: str):
 def _number(value, what: str, kind=float):
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
 
 
@@ -169,9 +171,17 @@ def _k_values(config: RunConfig):
         if not isinstance(config.k_range, (list, tuple)) or len(config.k_range) != 3:
             raise ValidationError("k_range expects [a, b, step]")
         a, b, step = (_number(v, "k_range entry") for v in config.k_range)
+        stop = b + 0.5 * step
+        if not all(map(math.isfinite, (a, b, step, stop))):
+            raise ValidationError("k_range [a, b, step] must be finite, b + step/2 "
+                                  f"included, got {list(config.k_range)!r}")
         if step <= 0:
             raise ValidationError("k-range step must be positive")
-        ks.extend(np.arange(a, b + 0.5 * step, step).tolist())
+        # the count floor((b - a)/step) + 1 is checked before arange allocates it
+        if (b - a) / step + 1 > MAX_K_VALUES:
+            raise BudgetError(f"k_range [{a}, {b}, {step}] spans more than "
+                              f"{MAX_K_VALUES} sizes")
+        ks.extend(np.arange(a, stop, step).tolist())
     return ks
 
 
@@ -516,11 +526,11 @@ def config_from_args(args) -> RunConfig:
     return RunConfig(
         command=command,
         system=data.get("system"),
-        n_max=args.n_max if args.n_max is not None else int(data.get("n_max", 200)),
+        n_max=args.n_max if args.n_max is not None else _number(data.get("n_max", 200), "n_max", int),
         grid=args.grid if args.grid is not None else data.get("grid"),
         k=args.k if args.k is not None else data.get("k"),
         k_range=tuple(k_range) if k_range else None,
-        seed=args.seed if args.seed is not None else int(data.get("seed", 0)),
+        seed=args.seed if args.seed is not None else _number(data.get("seed", 0), "seed", int),
         tolerances=data.get("tolerances", {}),
         params=data.get("params", {}),
         out=args.out or data.get("out", "out"),

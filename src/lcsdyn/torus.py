@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .core import (
     FINITE,
@@ -343,26 +342,58 @@ class CutoffFunction:
         return float(out) if out.ndim == 0 else out
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative integral of y over the strictly increasing grid x (at least
+    3 points), starting at 0, by the composite Simpson rule for unequal
+    intervals (Cartwright, J. Math. Sci. Math. Educ. 12(2), eqn (8)).
+
+    Each interval is integrated by the parabola through it and a neighbour:
+    even intervals from the forward panels, odd intervals and the last one
+    from the panels of the reversed arrays.  The operations and their order
+    are those of scipy.integrate.cumulative_simpson(y, x=x, initial=0.0), so
+    the result is bit-identical to it.
+    """
+    def panels(f, dx):
+        x21, x32 = dx[:-1], dx[1:]
+        a = x21 / (x21 + x32)
+        ab = a * (x21 / x32)
+        return x21 / 6 * ((3 - a) * f[:-2] + (3 + ab + a) * f[1:-1] + (-ab) * f[2:])
+
+    dx = np.diff(x)
+    forward = panels(y, dx)
+    backward = panels(y[::-1], dx[::-1])[::-1]
+    parts = np.empty(dx.size)
+    parts[:-1:2] = forward[::2]
+    parts[1::2] = backward[::2]
+    parts[-1] = backward[-1]
+    # + 0.0 turns -0.0 into 0.0, as SciPy's initial=0.0 does
+    return np.concatenate(([0.0], np.cumsum(parts) + 0.0))
+
+
 def build_cutoff(bound: float, table_size: int = 32769) -> CutoffFunction:
     """Cutoff with derivative sup strictly below ``bound``; needs bound > 1.
 
     Any smooth 0 -> 1 transition supported on [0, 1] has sup slope >= 1, so
     bound <= 1 is infeasible.  The mollifier width is d = min(0.2,
-    0.999 (1 - 1/bound) / 2), giving sup slope 1/(1-2d) < bound.
+    0.999 (1 - 1/bound) / 2), giving sup slope 1/(1-2d) < bound.  The
+    mollifier's cdf and first moment are tabulated on ``table_size`` (>= 3)
+    equally spaced points of [-d, d] by the composite Simpson rule.
     """
     bound = float(bound)
     if bound <= 1.0:
         raise InfeasibleError(
             "a 0->1 transition on [0,1] forces sup slope >= 1; bound must exceed 1")
+    if table_size < 3:
+        raise ValidationError(f"the cutoff table needs at least 3 points, got {table_size}")
     d = min(0.2, 0.999 * (1.0 - 1.0 / bound) / 2.0)
     u = np.linspace(-d, d, table_size)
     with np.errstate(divide="ignore", over="ignore"):
         arg = 1.0 - (u / d) ** 2
         phi = np.where(arg > 0, np.exp(-1.0 / np.maximum(arg, 1e-300)), 0.0)
-    cdf = cumulative_simpson(phi, x=u, initial=0.0)
+    cdf = _cumulative_simpson(phi, u)
     mass = cdf[-1]
     cdf = cdf / mass
-    moment = cumulative_simpson(u * phi, x=u, initial=0.0) / mass
+    moment = _cumulative_simpson(u * phi, u) / mass
     return CutoffFunction(
         mollifier_width=d,
         derivative_sup=1.0 / (1.0 - 2.0 * d),

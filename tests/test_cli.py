@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -323,12 +325,52 @@ def test_malformed_system_is_a_validation_error(tmp_path, capsys, system):
     {"command": "construct", "system": CONST_SYSTEM, "k": 1.0, "params": {"n_scan": "many"}},
     {"command": "admissible", "system": FINITE_SYSTEM, "k": "large"},
     {"command": "rank", "params": {"generators": "1"}},
+    {"command": "rank", "params": {"generators": ["1"]}, "n_max": "abc"},
+    {"command": "rank", "params": {"generators": ["1"]}, "seed": [1]},
+    {"command": "rank", "params": {"generators": ["1"]}, "seed": float("inf")},
+    {"command": "admissible", "system": FINITE_SYSTEM, "k_range": [0, 1, float("nan")]},
+    {"command": "admissible", "system": FINITE_SYSTEM, "k_range": [0, float("inf"), 1]},
+    {"command": "admissible", "system": FINITE_SYSTEM, "k_range": [1e308, 1.7e308, 1e308]},
 ])
 def test_malformed_params_are_validation_errors(tmp_path, capsys, data):
     cfg = write_config(tmp_path, "bad.json", **data)
     assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diag["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("k_range", [
+    [0, cli.MAX_K_VALUES, 1],  # one size over the budget
+    [0, 1, 1e-300],            # arange would refuse this length
+    [-1e308, 1e308, 1.0],      # b - a overflows
+])
+def test_oversized_k_range_is_a_budget_error(tmp_path, capsys, k_range):
+    # the count is checked before any array is built
+    cfg = write_config(tmp_path, "big.json", command="admissible",
+                       system=FINITE_SYSTEM, n_max=6, k_range=k_range)
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 3
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["error"] == "BudgetError"
+
+
+def test_k_range_at_budget_runs(tmp_path):
+    cfg = write_config(tmp_path, "c.json", command="admissible",
+                       system=FINITE_SYSTEM, n_max=6,
+                       k_range=[0, cli.MAX_K_VALUES - 1, 1])
+    out = str(tmp_path / "r")
+    assert run_cli(["--config", cfg, "--out", out]) == 0
+    assert len(load_report(out)["payload"]["classifications"]) == cli.MAX_K_VALUES
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it costs most of start-up
+    code = ("import sys, lcsdyn, lcsdyn.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_programming_error_propagates(tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from lcsdyn.torus import (
     VERDICT_ESCAPE,
     VERDICT_INCONCLUSIVE,
     VERDICT_RECURRENT,
+    _cumulative_simpson,
     action_step_inverse,
     band_interval,
     _cycle_residual_bound,
@@ -338,6 +339,61 @@ def test_cutoff_examples():
 def test_cutoff_bound_one_infeasible():
     with pytest.raises(InfeasibleError):
         build_cutoff(1.0)
+
+
+CUTOFF_BOUNDS = [1.0001, 1.01, 1.5, 2.0, 10.0, 1e6]
+
+
+def _mollifier(bound, table_size):
+    """build_cutoff's grid u and bump phi, restated as the SciPy oracle's input."""
+    d = min(0.2, 0.999 * (1.0 - 1.0 / bound) / 2.0)
+    u = np.linspace(-d, d, table_size)
+    with np.errstate(divide="ignore", over="ignore"):
+        arg = 1.0 - (u / d) ** 2
+        phi = np.where(arg > 0, np.exp(-1.0 / np.maximum(arg, 1e-300)), 0.0)
+    return u, phi
+
+
+@pytest.mark.parametrize("table_size", [3, 4, 5, 101, 32769])
+@pytest.mark.parametrize("bound", CUTOFF_BOUNDS)
+def test_cumulative_simpson_matches_scipy_on_cutoff_grids(bound, table_size):
+    integrate = pytest.importorskip("scipy.integrate")
+    u, phi = _mollifier(bound, table_size)
+    for y in (phi, u * phi):
+        want = integrate.cumulative_simpson(y, x=u, initial=0.0)
+        assert _cumulative_simpson(y, u).tobytes() == want.tobytes()
+
+
+def test_cumulative_simpson_matches_scipy_on_random_grids():
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(11)
+    for size in [3, 4, 5, 6, 7, 64, 1001]:
+        for _ in range(10):
+            x = np.cumsum(rng.uniform(1e-3, 2.0, size)) - rng.uniform(0.0, 5.0)
+            y = rng.normal(size=size)
+            want = integrate.cumulative_simpson(y, x=x, initial=0.0)
+            assert _cumulative_simpson(y, x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bound", CUTOFF_BOUNDS)
+def test_cutoff_tables_match_scipy(bound):
+    integrate = pytest.importorskip("scipy.integrate")
+    c = build_cutoff(bound)
+    u, phi = _mollifier(bound, c._grid.size)
+    cdf = integrate.cumulative_simpson(phi, x=u, initial=0.0)
+    mass = cdf[-1]
+    moment = integrate.cumulative_simpson(u * phi, x=u, initial=0.0) / mass
+    assert c._grid.tobytes() == u.tobytes()
+    assert c._cdf.tobytes() == (cdf / mass).tobytes()
+    assert c._moment.tobytes() == moment.tobytes()
+
+
+def test_cutoff_table_needs_three_points():
+    # Simpson panels need three points; fewer would silently be another rule
+    for size in (0, 1, 2):
+        with pytest.raises(ValidationError):
+            build_cutoff(2.0, table_size=size)
+    assert build_cutoff(2.0, table_size=3)._cdf.size == 3
 
 
 def test_cutoff_shape():
