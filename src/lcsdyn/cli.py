@@ -16,6 +16,7 @@ import datetime
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys as _sys
 from dataclasses import dataclass, field, fields
@@ -159,14 +160,36 @@ def _diag(kind: str, message: str):
 # --------------------------------------------------------------------------
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v > 0
+
+
 def _points_spec(config: RunConfig):
-    return config.grid
+    """The sample grid: None (the space's default), a positive int, a
+    non-empty list of points, or {"grid": int or None, "seeds": [points]}."""
+    grid = config.grid
+    if grid is None or _is_count(grid) or isinstance(grid, (list, tuple)) and grid:
+        return grid
+    if (isinstance(grid, dict) and set(grid) <= {"grid", "seeds"}
+            and (grid.get("grid") is None or _is_count(grid["grid"]))
+            and isinstance(grid.get("seeds", []), (list, tuple))):
+        return grid
+    raise ValidationError("grid must be a positive int, a non-empty list of points or "
+                          f'{{"grid": n, "seeds": [points]}}, got {grid!r}')
+
+
+def _size(value) -> float:
+    """A mapping-torus size k: a finite number."""
+    k = _number(value, "k")
+    if not math.isfinite(k):
+        raise ValidationError(f"k must be finite, got {value!r}")
+    return k
 
 
 def _k_values(config: RunConfig):
     ks = []
     if config.k is not None:
-        ks.append(_number(config.k, "k"))
+        ks.append(_size(config.k))
     if config.k_range is not None:
         if not isinstance(config.k_range, (list, tuple)) or len(config.k_range) != 3:
             raise ValidationError("k_range expects [a, b, step]")
@@ -177,11 +200,15 @@ def _k_values(config: RunConfig):
                                   f"included, got {list(config.k_range)!r}")
         if step <= 0:
             raise ValidationError("k-range step must be positive")
-        # the count floor((b - a)/step) + 1 is checked before arange allocates it
-        if (b - a) / step + 1 > MAX_K_VALUES:
+        # floor((b - a)/step) + 1 sizes, counted before arange allocates them;
+        # 1e-9 absorbs the rounding of the quotient (0.3/0.1 < 3), and the
+        # cap keeps arange's last value from passing b (0:0.7:1 gives [0.0])
+        span = (b - a) / step
+        if span + 1 > MAX_K_VALUES:
             raise BudgetError(f"k_range [{a}, {b}, {step}] spans more than "
                               f"{MAX_K_VALUES} sizes")
-        ks.extend(np.arange(a, stop, step).tolist())
+        count = max(math.floor(span + 1e-9) + 1, 0)
+        ks.extend(np.arange(a, stop, step)[:count].tolist())
     return ks
 
 
@@ -323,7 +350,7 @@ def _write_potential_csv(sys_, result, path):
 def _cmd_construct(config, sys_, out_dir, warnings):
     if config.k is None:
         raise ValidationError("construct needs --k")
-    mu = torus.build_mu(sys_, _number(config.k, "k"), _t_window(config), n_scan=_n_scan(config),
+    mu = torus.build_mu(sys_, _size(config.k), _t_window(config), n_scan=_n_scan(config),
                         points=_points_spec(config), rng=config.seed)
     g = mu.gcons
     warnings.append("construction residuals are sampled; smallness is evidence, "
@@ -352,7 +379,7 @@ def _cmd_elasticity(config, sys_, out_dir, warnings):
         if config.k is None:
             raise ValidationError("elasticity from a system needs --k")
         profile = elastic.mapping_torus_profile(
-            sys_, _number(config.k, "k"), _t_window(config),
+            sys_, _size(config.k), _t_window(config),
             n_scan=_n_scan(config),
             points=_points_spec(config),
             strict_mu=bool(config.params.get("strict_mu", False)),

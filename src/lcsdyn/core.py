@@ -668,47 +668,3 @@ def negated_system(sys: ConformalSystem) -> ConformalSystem:
         return -np.asarray(base(x)) if np.ndim(x) else -base(x)
 
     return replace(sys, factor=h, generating_f=None, label=f"negated {sys.label}")
-
-
-def mirrored_system(sys: ConformalSystem) -> ConformalSystem:
-    """The system (psi^{-1}, -h o psi^{-1}): orientation swapped, factor
-    negated and pulled back through the inverse map."""
-    mk = dict(sys.map_kind)
-    kind = mk.get("kind", "generic")
-    if kind == "rotation":
-        mk["angle"] = -mk["angle"]
-    elif kind == "linear2":
-        mk["matrix"], mk["inverse"] = mk["inverse"], mk["matrix"]
-    elif kind == "permutation":
-        mk["table"], mk["inverse"] = mk["inverse"], mk["table"]
-    # exact orbit walks read perm_table, so it must follow the swapped map
-    perm = mk["table"] if sys.perm_table is not None else None
-
-    if sys.space.kind == FINITE and sys.factor_table is not None:
-        inv = mk["table"]  # after the swap this is the original inverse table
-        vals = tuple(-sys.factor_table[inv[i]] for i in range(len(inv)))
-        factor = table_factor(vals)
-        ft = vals
-    else:
-        base = sys.factor
-        inv_map = sys.backward
-
-        def factor(x):
-            if np.ndim(x):
-                y = step_points(sys, np.asarray(x, dtype=float), inverse=True)
-                return -np.asarray(base(y))
-            return -base(inv_map(x))
-
-        ft = None
-
-    return replace(
-        sys,
-        forward=sys.backward,
-        backward=sys.forward,
-        factor=factor,
-        factor_table=ft,
-        generating_f=None,
-        map_kind=mk,
-        perm_table=perm,
-        label=f"mirrored {sys.label}",
-    )

@@ -63,6 +63,20 @@ class ElasticitySet:
         }
 
 
+_GAP_CHUNK = 1 << 16
+
+
+def _gaps_above(vals, gap):
+    """Indices i with vals[i+1] - vals[i] > gap, scanned in fixed chunks, so
+    no difference array as long as vals is built."""
+    last = len(vals) - 1
+    found = [np.empty(0, dtype=np.intp)]
+    for i in range(0, last, _GAP_CHUNK):
+        j = min(i + _GAP_CHUNK, last)
+        found.append(np.flatnonzero(vals[i + 1:j + 1] - vals[i:j] > gap) + i)
+    return np.concatenate(found)
+
+
 def elasticity_from_profile(profile: LiouvilleProfile, gap_resolution: float = 1e-3,
                             tol_zero: float = 1e-12) -> ElasticitySet:
     """Forbidden constants (1 + u)/u of the profile, merged into intervals.
@@ -80,8 +94,11 @@ def elasticity_from_profile(profile: LiouvilleProfile, gap_resolution: float = 1
     if live.size == 0:
         return ElasticitySet([], contains_zero, profile.lambda_nonvanishing,
                              gap_resolution)
-    vals = np.sort((1.0 + live) / live) + 0.0  # +0.0 folds -0.0 into 0.0
-    breaks = np.nonzero(np.diff(vals) > gap_resolution)[0]
+    vals = 1.0 + live  # the one value array, divided and sorted in place
+    vals /= live
+    vals.sort()
+    vals += 0.0  # folds -0.0 into 0.0
+    breaks = _gaps_above(vals, gap_resolution)
     starts = np.concatenate([[0], breaks + 1])
     ends = np.concatenate([breaks, [len(vals) - 1]])
     intervals = [(float(vals[a]), float(vals[b])) for a, b in zip(starts, ends)]
@@ -126,8 +143,9 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
                                 label=f"{sys.label} strict profile")
     mu = torus.build_mu(sys, k, t_window, n_scan=n_scan, points=points, rng=rng,
                         samples=128)
-    dt_vals = mu.gcons.dt_attainable(s_count=s_count)
-    u = -mu.k / (dt_vals + mu.k)
+    u = mu.gcons.dt_attainable(s_count=s_count)
+    u += mu.k
+    np.divide(-mu.k, u, out=u)
     return LiouvilleProfile(u, True, label=f"{sys.label} size {k} profile")
 
 

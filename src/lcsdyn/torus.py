@@ -9,16 +9,24 @@ function g on N x R with
 
 which conjugates the size-1 action to the size-k action through
 sigma(x, t) = (x, g(x, t) + t k + f_n(x)) and yields mu = -k (t o sigma^{-1})
-with mu o rho = mu - k.  The properness probe watches orbits of the compact
-band K whose t-extent is [-max(max h, k - min h), -min(min h, k - max h)]:
-the band is wide enough that a drifting orbit cannot step across it without
-landing inside.
+with mu o rho = mu - k.
+
+g and dt g are read off two float tables per point batch, A_n(h)(psi^i p)
+for i < F and A_n(h)(psi^{-j} p) for j = 1..B.  Each row is a window of n
+rows of one strip of base rows, h(psi^{-j} p) for j = 1..B and h(psi^i p)
+for i < F + n - 1.  When A_n(h) > k with k < 0 (the mirrored branch), g is
+the construction for (psi^{-1}, -A_n(h) o psi^{-1}, -k) at -t, which reads
+the same two tables swapped and negated.
+
+The properness probe watches orbits of the compact band K whose t-extent
+is [-max(max h, k - min h), -min(min h, k - max h)]: the band is wide
+enough that a drifting orbit cannot step across it without landing inside.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +42,6 @@ from .core import (
     eval_factor,
     eval_factor_like,
     factor_range,
-    mirrored_system,
     orbit_array,
     reference_points,
     scaled_floats,
@@ -415,6 +422,25 @@ def _float_orbit(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     return scaled_floats(H, sys.scale) if sys.exact else H
 
 
+def _averaged_tables(sys: ConformalSystem, n: int, pts, lead: int, trail: int):
+    """The rows A_n(h)(psi^i p), i < lead, and A_n(h)(psi^{-j} p), j = 1..trail,
+    as float64 arrays of shapes (lead, P) and (trail, P).
+
+    One strip of base rows is walked per point batch: h(psi^{-j} p) for
+    j = 1..trail and h(psi^i p) for i < lead + n - 1, so the two tables cost
+    lead + trail + n - 1 factor rows.  The row at psi^m p is the window of
+    the n strip rows from m, added in order (as a cumulative sum adds them)
+    and divided by n.
+    """
+    back = _float_orbit(sys, step_points(sys, pts, inverse=True), trail, inverse=True)
+    strip = np.concatenate([back[::-1], _float_orbit(sys, pts, lead + n - 1)])
+    win = strip[:lead + trail].copy()
+    for j in range(1, n):
+        win += strip[j:j + lead + trail]
+    win /= n
+    return win[trail:], win[:trail][::-1]
+
+
 def _point_batch(space: ModelSpace, x):
     """(points, single): x as a normalized batch; a lone point is a batch of one."""
     single = np.ndim(x) == (1 if space.kind == TORUS2 else 0)
@@ -432,16 +458,19 @@ def _point_batch(space: ModelSpace, x):
 
 @dataclass
 class GConstruction:
-    """g with g(psi x, t+1) = g(x, t) - h(x) and dt g + k one-signed.
+    """g with g(psi x, t+1) = g(x, t) - A(x) and dt g + k one-signed, for the
+    averaged factor A = A_n(h) of ``system`` at n = ``order`` (A = h at n = 1).
 
-    Direct branch (factor < k, k > 0):
+    Direct branch (A < k, k > 0):
 
-        g(x,t) = sum_i (1 - chi(t+1+i)) h(psi^i x) - sum_i chi(t-i) h(psi^{-i-1} x)
+        g(x,t) = sum_i (1 - chi(t+1+i)) A(psi^i x) - sum_i chi(t-i) A(psi^{-i-1} x)
 
     truncated to the finitely many indices whose cutoff coefficient is
-    nonzero.  For factor > k with k < 0 the mirrored branch delegates to the
-    direct one for (psi^{-1}, -h o psi^{-1}, -k) and flips t.  The slope
-    dt g + k carries the sign of k.
+    nonzero.  The two tables of A come from one strip of base rows per
+    point batch (``_averaged_tables``).  For A > k with k < 0 the mirrored
+    branch is the direct construction for (psi^{-1}, -A o psi^{-1}, -k) at
+    -t: it takes the same two tables swapped and negated, evaluates them at
+    -t and flips the sign of dt g.  The slope dt g + k carries the sign of k.
     """
 
     system: ConformalSystem
@@ -450,38 +479,37 @@ class GConstruction:
     cutoff: CutoffFunction
     t_window: tuple
     mirrored: bool
-    inner: "GConstruction | None"
     max_terms: int
+    order: int
 
     def slope_sign(self) -> int:
         return 1 if self.k > 0 else -1
 
-    # -- paired evaluation: g(x_j, t_j) over a whole sample ------------------
-
     def g(self, x, t):
-        """g at paired points x_j and times t_j; a scalar pair gives a float."""
-        if self.mirrored:
-            return self.inner.g(x, -np.asarray(t, dtype=float))
-        return self._paired(x, t, derivative=False)
+        """g at a batch of points x, shape (P,) or (P, 2), and times t, shape
+        (P,) for paired samples or (T, 1) for a (T, P) grid; a lone point is
+        a batch of one, and a scalar pair gives a float."""
+        return self._evaluate(x, t, derivative=False)
 
     def dt(self, x, t):
-        """dt g at paired points and times; a scalar pair gives a float."""
-        if self.mirrored:
-            return -self.inner.dt(x, -np.asarray(t, dtype=float))
-        return self._paired(x, t, derivative=True)
+        """dt g, broadcast as g is."""
+        return self._evaluate(x, t, derivative=True)
 
-    def _paired(self, x, t, derivative):
-        # each sample weighs the table rows by the cutoff coefficients of its
+    def _evaluate(self, x, t, derivative):
+        # each value weighs the table rows by the cutoff coefficients of its
         # own t; rows past its last term have coefficient exactly 0, and the
-        # terms are added row by row, so a sample's value does not depend on
-        # the rest of the batch
+        # terms are added row by row, so a value does not depend on the rest
+        # of the batch
         pts, single = _point_batch(self.system.space, x)
-        ts = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
-        fwd, bwd = self._orbit_tables(pts, ts, spare=0)
+        ts = np.asarray(t, dtype=float)
+        total = np.zeros(np.broadcast_shapes(ts.shape, (len(pts),)))
+        fwd, bwd = self._tables(pts, ts)
+        if self.mirrored:
+            ts, fwd, bwd = -ts, -bwd, -fwd
         chi = self.cutoff.prime if derivative else self.cutoff
-        lead = chi(ts + 1.0 + np.arange(len(fwd))[:, None])
-        trail = chi(ts - np.arange(len(bwd))[:, None])
-        total = np.zeros(len(pts))
+        rows = (-1,) + (1,) * ts.ndim
+        lead = chi(ts + 1.0 + np.arange(len(fwd)).reshape(rows))
+        trail = chi(ts - np.arange(len(bwd)).reshape(rows))
         for c, row in zip(lead, fwd):
             if derivative:
                 total -= c * row
@@ -489,73 +517,40 @@ class GConstruction:
                 total += (1.0 - c) * row
         for c, row in zip(trail, bwd):
             total -= c * row
-        return float(total[0]) if single else total
+        if derivative and self.mirrored:
+            np.negative(total, out=total)
+        return float(total[0]) if single and ts.ndim == 0 else total
 
-    # -- vectorized evaluation over a grid x a list of times -----------------
-    # (these read one spare row each way: it adds 0 to g, but the value set
-    # of dt_attainable contains it)
+    def _tables(self, pts, ts, spare: int = 0):
+        """The forward and backward tables of A at pts for every term a time
+        in ts needs, plus ``spare`` rows each way.
 
-    def _orbit_tables(self, pts, ts, spare: int):
-        """Forward rows h(psi^i p) and backward rows h(psi^{-i-1} p) for every
-        term a time in ts needs, plus ``spare`` rows each way.
-
-        The leading sum of g(p, t) has ceil(-t) terms and the trailing sum
-        ceil(t) (none when negative); a time needing more than max_terms
+        g(p, t) has ceil(-t) forward and ceil(t) backward terms (none when
+        negative), on either branch; a time needing more than max_terms
         terms in all is refused.  Spare rows have cutoff coefficient 0.
         """
-        ts = np.asarray(ts, dtype=float)
         lead = np.maximum(np.ceil(-ts), 0.0)
         trail = np.maximum(np.ceil(ts), 0.0)
         if np.any(lead + trail > self.max_terms):
             raise BudgetError(f"a time in the sample needs more than {self.max_terms} terms")
-        sys = self.system
-        fwd = _float_orbit(sys, pts, int(lead.max(initial=0.0)) + spare)
-        bwd = _float_orbit(sys, step_points(sys, pts, inverse=True),
-                           int(trail.max(initial=0.0)) + spare, inverse=True)
-        return fwd, bwd
-
-    def g_grid(self, pts, ts):
-        if self.mirrored:
-            return self.inner.g_grid(pts, -np.asarray(ts, dtype=float))
-        ts = np.asarray(ts, dtype=float)
-        fwd, bwd = self._orbit_tables(pts, ts, spare=1)
-        i_lead = np.arange(fwd.shape[0])
-        i_trail = np.arange(bwd.shape[0])
-        out = np.empty((len(ts), len(pts)))
-        for r, t in enumerate(ts):
-            lead = 1.0 - self.cutoff(t + 1.0 + i_lead)
-            trail = self.cutoff(t - i_trail)
-            out[r] = lead @ fwd - trail @ bwd
-        return out
-
-    def dt_grid(self, pts, ts):
-        if self.mirrored:
-            return -self.inner.dt_grid(pts, -np.asarray(ts, dtype=float))
-        ts = np.asarray(ts, dtype=float)
-        fwd, bwd = self._orbit_tables(pts, ts, spare=1)
-        i_lead = np.arange(fwd.shape[0])
-        i_trail = np.arange(bwd.shape[0])
-        out = np.empty((len(ts), len(pts)))
-        for r, t in enumerate(ts):
-            lead = self.cutoff.prime(t + 1.0 + i_lead)
-            trail = self.cutoff.prime(t - i_trail)
-            out[r] = -(lead @ fwd) - (trail @ bwd)
-        return out
+        return _averaged_tables(self.system, self.order, pts,
+                                int(lead.max(initial=0.0)) + spare,
+                                int(trail.max(initial=0.0)) + spare)
 
     # -- checks ---------------------------------------------------------------
 
     def functional_residual(self, pts=None, ts=None) -> float:
-        """max |g(psi x, t+1) - g(x, t) + h(x)| over the sample."""
+        """max |g(psi x, t+1) - g(x, t) + A(x)| over the sample."""
         pts, ts = self._default_sample(pts, ts)
-        here = self.g_grid(pts, ts)
-        there = self.g_grid(step_points(self.system, pts), ts + 1.0)
-        h = eval_factor(self.system, pts)
-        return float(np.max(np.abs(there - here + h[None, :])))
+        here = self.g(pts, ts)
+        there = self.g(step_points(self.system, pts), ts + 1.0)
+        a = _averaged_tables(self.system, self.order, pts, 1, 0)[0][0]
+        return float(np.max(np.abs(there - here + a)))
 
     def slope_margin(self, pts=None, ts=None) -> float:
         """min |dt g + k| over the sample."""
         pts, ts = self._default_sample(pts, ts)
-        return float(np.min(np.abs(self.dt_grid(pts, ts) + self.k)))
+        return float(np.min(np.abs(self.dt(pts, ts) + self.k)))
 
     def dt_attainable(self, pts=None, s_count: int = 4097, max_factor_values: int = 512):
         """Attainable values of dt g: products of -chi' with orbit factor values.
@@ -563,40 +558,62 @@ class GConstruction:
         At every t exactly one cutoff translate is active, so the value set
         of dt g over grid x window factors as (chi' values) x (factor orbit
         values); sampling the two factors densely is equivalent to a very
-        fine direct sweep.
+        fine direct sweep.  The tables read one spare row each way: it adds
+        0 to g, but its values are attained.  The mirrored branch's factor
+        values are the negated ones, and its dt g the negated product.
         """
-        if self.mirrored:
-            return -self.inner.dt_attainable(pts, s_count, max_factor_values)
         pts = reference_points(self.system) if pts is None else pts
-        fwd, bwd = self._orbit_tables(pts, self.t_window, spare=1)
-        hv = np.unique(np.concatenate([fwd.ravel(), bwd.ravel()]))
+        fwd, bwd = self._tables(pts, np.asarray(self.t_window, dtype=float), spare=1)
+        hv = np.concatenate([fwd.ravel(), bwd.ravel()])
+        hv = np.unique(-hv if self.mirrored else hv)
         if len(hv) > max_factor_values:
             idx = np.linspace(0, len(hv) - 1, max_factor_values).round().astype(int)
             hv = hv[idx]
-        s = np.linspace(0.0, 1.0, s_count)
-        chi_p = self.prime_values(s)
-        return (-np.outer(chi_p, hv)).ravel()
-
-    def prime_values(self, s):
-        return np.asarray(self.cutoff.prime(s), dtype=float)
+        chi_p = self.cutoff.prime(np.linspace(0.0, 1.0, s_count))
+        return np.multiply.outer(chi_p if self.mirrored else -chi_p, hv).ravel()
 
     def _default_sample(self, pts, ts):
+        """The points and a (T, 1) column of times: a (T, P) grid."""
         if pts is None:
             pts = reference_points(self.system, cap=256)
         if ts is None:
             lo, hi = self.t_window
             ts = np.linspace(lo, hi, 201)
-        return np.asarray(pts), np.asarray(ts, dtype=float)
+        return np.asarray(pts), np.asarray(ts, dtype=float)[:, None]
+
+
+def _ramp_side(k: float, values):
+    """max of the sampled factor values when they lie below k, None when
+    they lie above it.  k inside their range is a DomainError; a side that
+    the sign of k cannot serve with a one-signed slope is infeasible."""
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("factor is not finite at sampled points")
+    hmin, hmax = float(values.min()), float(values.max())
+    if hmin <= k <= hmax:
+        raise DomainError(
+            f"k = {k} lies in the sampled factor range [{hmin:.6g}, {hmax:.6g}]")
+    if hmax < k and k <= 0:
+        raise InfeasibleError(
+            "factor < k needs k > 0 for a one-signed slope; "
+            f"got k = {k} with factor range [{hmin:.6g}, {hmax:.6g}]")
+    if hmin > k and k >= 0:
+        raise InfeasibleError(
+            "factor > k needs k < 0 for a one-signed slope; "
+            f"got k = {k} with factor range [{hmin:.6g}, {hmax:.6g}]")
+    return hmax if hmax < k else None
 
 
 def build_g(sys: ConformalSystem, k: float, t_window, cutoff: CutoffFunction = None,
-            points=None, max_terms: int = 100_000) -> GConstruction:
-    """Assemble g for a factor avoiding k (factor < k or factor > k uniformly).
+            points=None, max_terms: int = 100_000, order: int = 1) -> GConstruction:
+    """Assemble g for the averaged factor A = A_order(h), which must avoid k
+    (A < k or A > k uniformly on the sampled points).
 
     The ramp construction needs the sign of k to agree with the side of the
-    gap: factor < k requires k > 0 and factor > k requires k < 0 (otherwise
-    a one-signed slope would force a cutoff with sup slope below 1, which no
-    0 -> 1 transition can deliver).
+    gap: A < k requires k > 0 and A > k requires k < 0 (otherwise a
+    one-signed slope would force a cutoff with sup slope below 1, which no
+    0 -> 1 transition can deliver).  A > k is the mirrored branch: the
+    direct construction for (psi^{-1}, -A o psi^{-1}, -k), whose factor is
+    sampled on psi^{-1} of the points.
     """
     k = float(k)
     lo, hi = float(t_window[0]), float(t_window[1])
@@ -604,48 +621,22 @@ def build_g(sys: ConformalSystem, k: float, t_window, cutoff: CutoffFunction = N
         raise ValidationError("t_window must be a nonempty interval")
     if max(abs(lo), abs(hi)) + 2 > max_terms:
         raise BudgetError("t_window exceeds the truncation budget")
-    hmin, hmax = factor_range(sys, points)
-    if hmin <= k <= hmax:
-        raise DomainError(
-            f"k = {k} lies in the sampled factor range [{hmin:.6g}, {hmax:.6g}]")
-    if hmax < k:
-        if k <= 0:
-            raise InfeasibleError(
-                "factor < k needs k > 0 for a one-signed slope; "
-                f"got k = {k} with factor range [{hmin:.6g}, {hmax:.6g}]")
-        eps = 0.5 * (k - hmax)
-        bound = 1.0 / (1.0 - eps / k)
-        if cutoff is None:
-            cutoff = build_cutoff(bound)
-        elif cutoff.derivative_sup >= bound:
-            raise InfeasibleError(
-                f"supplied cutoff slope {cutoff.derivative_sup:.6g} >= required bound {bound:.6g}")
-        return GConstruction(sys, k, eps, cutoff, (lo, hi), False, None, max_terms)
-    # factor > k: mirrored branch through (psi^{-1}, -h o psi^{-1}, -k)
-    if k >= 0:
+    if order < 1:
+        raise ValidationError(f"the averaging order must be >= 1, got {order}")
+    pts = reference_points(sys) if points is None else sys.space.sample_points(points)
+    top = _ramp_side(k, _averaged_tables(sys, order, pts, 1, 0)[0][0])
+    mirrored = top is None
+    if mirrored:
+        top = _ramp_side(-k, -_averaged_tables(sys, order, pts, 0, 1)[1][0])
+    k_direct = -k if mirrored else k
+    eps = 0.5 * (k_direct - top)
+    bound = 1.0 / (1.0 - eps / k_direct)
+    if cutoff is None:
+        cutoff = build_cutoff(bound)
+    elif cutoff.derivative_sup >= bound:
         raise InfeasibleError(
-            "factor > k needs k < 0 for a one-signed slope; "
-            f"got k = {k} with factor range [{hmin:.6g}, {hmax:.6g}]")
-    inner = build_g(mirrored_system(sys), -k, (-hi, -lo), cutoff=cutoff,
-                    points=points, max_terms=max_terms)
-    return GConstruction(sys, k, inner.eps, inner.cutoff, (lo, hi), True, inner,
-                         max_terms)
-
-
-def averaged_factor(sys: ConformalSystem, n: int):
-    """The order-n averaged factor A_n(h) as an evaluable function.
-
-    Takes a batch of points; a lone point is a batch of one.  The n orbit
-    rows are added in order (a cumulative sum), so every batch size rounds
-    alike.
-    """
-
-    def a_n(x):
-        pts, single = _point_batch(sys.space, x)
-        v = np.cumsum(_float_orbit(sys, pts, n), axis=0)[-1] / n
-        return float(v[0]) if single else v
-
-    return a_n
+            f"supplied cutoff slope {cutoff.derivative_sup:.6g} >= required bound {bound:.6g}")
+    return GConstruction(sys, k, eps, cutoff, (lo, hi), mirrored, max_terms, order)
 
 
 @dataclass
@@ -811,9 +802,7 @@ def build_mu(sys: ConformalSystem, k: float, t_window, n_scan: int = 64,
         raise NotFoundError(
             f"no n <= {n_scan} with the averaged factor on the usable side of k = {k}")
     n_used = int(np.argmax(usable)) + 1
-    avg_sys = replace(sys, factor=averaged_factor(sys, n_used), factor_table=None,
-                      generating_f=None, label=f"{sys.label} averaged(n={n_used})")
-    gcons = build_g(avg_sys, k, t_window, points=points)
+    gcons = build_g(sys, k, t_window, points=points, order=n_used)
     mu = MuConstruction(sys, k, n_used, gcons)
     margin = gcons.slope_margin()
     residual = mu.mu_cocycle_residual(samples=samples, rng=rng)
@@ -846,6 +835,6 @@ def conjugation_residual(mu: MuConstruction, c: float, pts=None, ts=None) -> flo
     fn_here, fn_next = transfer_potential_values(H, mu.n_used)
     nxt = step_points(sys, pts)
     h = H[0]
-    lhs = g.g_grid(nxt, ts + 1.0) + (ts[:, None] + 1.0) * ck + fn_next[None, :]
-    rhs = g.g_grid(pts, ts) + ts[:, None] * ck + fn_here[None, :] + ck - h[None, :]
+    lhs = g.g(nxt, (ts + 1.0)[:, None]) + (ts[:, None] + 1.0) * ck + fn_next[None, :]
+    rhs = g.g(pts, ts[:, None]) + ts[:, None] * ck + fn_here[None, :] + ck - h[None, :]
     return float(np.max(np.abs(lhs - rhs)))

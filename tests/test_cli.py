@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lcsdyn import cli
@@ -351,6 +352,59 @@ def test_oversized_k_range_is_a_budget_error(tmp_path, capsys, k_range):
     assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 3
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diag["error"] == "BudgetError"
+
+
+@pytest.mark.parametrize("command,system", [
+    ("admissible", FINITE_SYSTEM), ("probe", FINITE_SYSTEM),
+    ("construct", CONST_SYSTEM), ("elasticity", CONST_SYSTEM),
+])
+def test_non_finite_k_is_a_validation_error(tmp_path, capsys, command, system):
+    # NaN or Infinity in the payload would make report.json invalid JSON
+    cfg = write_config(tmp_path, "c.json", command=command, system=system, n_max=6)
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "a"), "--k", "nan"]) == 2
+    (tmp_path / "inf.json").write_text(
+        '{"command": "%s", "system": %s, "n_max": 6, "k": Infinity}'
+        % (command, json.dumps(system)))
+    assert run_cli(["--config", str(tmp_path / "inf.json"), "--out", str(tmp_path / "b")]) == 2
+    diags = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert [d["error"] for d in diags] == ["ValidationError"] * 2
+    assert all("k must be finite" in d["message"] for d in diags)
+    assert not os.path.exists(tmp_path / "a" / "report.json")
+
+
+@pytest.mark.parametrize("k_range,want", [
+    ([0, 0.7, 1], [0.0]),  # arange(0, 1.2, 1) would add 1.0 > b
+    ([0, 0.3, 0.1], [0.0, 0.1, 0.2, 0.30000000000000004]),  # 0.3 / 0.1 < 3
+    # the benchmark's sweeps keep their values
+    ([-1.5, 1.5, 0.5], [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]),
+    ([-2.0, 2.0, 0.5], [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]),
+    ([-1.0, 1.0, 0.5], [-1.0, -0.5, 0.0, 0.5, 1.0]),
+])
+def test_k_range_stops_at_b(k_range, want):
+    ks = cli._k_values(cli.RunConfig(command="admissible", k_range=tuple(k_range)))
+    assert ks == want
+    a, b, step = k_range
+    assert ks == np.arange(a, b + 0.5 * step, step).tolist()[:len(want)]
+
+
+@pytest.mark.parametrize("grid", ["abc", 2.5, 0, -3, True, [], {"grid": "abc"},
+                                  {"grid": 8, "seed": [0.1]}, {"seeds": 0.5}])
+def test_malformed_grid_is_a_validation_error(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, "g.json", command="analyze", system=CONST_SYSTEM,
+                       n_max=6, grid=grid)
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["error"] == "ValidationError" and "grid must be" in diag["message"]
+
+
+@pytest.mark.parametrize("grid,points", [(None, 128), (8, 8), ([0.1, 0.5], 2),
+                                         ({"grid": 4, "seeds": [0.3]}, 5), ({"seeds": []}, 128)])
+def test_grid_forms(tmp_path, grid, points):
+    cfg = write_config(tmp_path, "g.json", command="analyze", system=CONST_SYSTEM,
+                       n_max=6, grid=grid)
+    out = str(tmp_path / "r")
+    assert run_cli(["--config", cfg, "--out", out]) == 0
+    assert load_report(out)["payload"]["table_summary"]["points"] == points
 
 
 def test_k_range_at_budget_runs(tmp_path):

@@ -21,7 +21,6 @@ from lcsdyn.core import (
     ModelSpace,
     eval_factor,
     eval_factor_like,
-    mirrored_system,
     orbit_factors,
     step_points,
 )
@@ -147,16 +146,6 @@ def test_eval_factor_matches_scalar(golden_cos, cycle3):
     assert list(fin_vals) == [1.0, 2.0, 3.0]
 
 
-def test_mirrored_system_pullback(golden_cos, swap_pair):
-    mir = mirrored_system(golden_cos)
-    x = 0.37
-    assert mir.factor(x) == pytest.approx(-golden_cos.factor(golden_cos.backward(x)))
-    assert mir.forward(x) == pytest.approx(golden_cos.backward(x))
-    mfin = mirrored_system(swap_pair)
-    for i in range(3):
-        assert mfin.factor(i) == -swap_pair.factor(swap_pair.backward(i))
-
-
 def test_strict_rotation_stores_generating_f(golden_strict):
     assert golden_strict.generating_f is not None
     x = 0.21
@@ -201,14 +190,6 @@ def test_orbit_factors_exact_permutation(inverse):
     rows = orbit_factors(sys, pts, 20, inverse=inverse)
     assert rows == _scalar_orbit_rows(sys, pts, 20, sign=-1 if inverse else 1)
     assert all(isinstance(v, Fraction) for row in rows for v in row)
-
-
-def test_mirrored_exact_system_walks_its_own_map(swap_pair):
-    mir = mirrored_system(swap_pair)
-    assert mir.exact
-    assert mir.perm_table == tuple(mir.forward(i) for i in range(3))
-    pts = mir.space.sample_points()
-    assert orbit_factors(mir, pts, 5) == _scalar_orbit_rows(mir, pts, 5)
 
 
 def test_eval_factor_scalar_only_callable(cycle3):

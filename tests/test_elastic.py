@@ -152,3 +152,58 @@ def test_rank_monotone_and_bounded(gens, extra):
     grown = lcs_rank(PeriodGroup(tuple(gens) + (extra,)))
     assert base <= grown <= base + 1
     assert grown <= 2
+
+
+def _reference_forbidden(u, gap):
+    """The forbidden hulls from the full sorted value array and its np.diff."""
+    vals = np.sort((1.0 + u) / u) + 0.0
+    breaks = np.nonzero(np.diff(vals) > gap)[0]
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.concatenate([breaks, [len(vals) - 1]])
+    return [(float(vals[a]), float(vals[b])) for a, b in zip(starts, ends)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_chunked_gap_scan_matches_full_diff(monkeypatch, chunk):
+    import lcsdyn.elastic as el
+
+    monkeypatch.setattr(el, "_GAP_CHUNK", chunk)
+    rng = np.random.default_rng(2)
+    for size in (1, 2, 7, 8, 50, 1000):
+        u = -rng.choice([0.3, 0.5, 2.0, 5.0], size) * (1.0 + 0.01 * rng.random(size))
+        es = elasticity_from_profile(LiouvilleProfile(u), gap_resolution=0.01)
+        assert es.forbidden == _reference_forbidden(u, 0.01)
+
+
+def test_construction_profile_memory_peaks():
+    # golden cos at the benchmark's construction size: 4097 cutoff slopes
+    # times 512 factor values give a 16 MiB profile; u is built in place of
+    # the slope products, and the elasticity set sorts one value array
+    import tracemalloc
+
+    def cos(grid):
+        return rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]},
+                               grid_resolution=grid)
+
+    # first use imports and caches outside the measured window
+    mapping_torus_profile(cos(64), -1.5, (-2, 2), rng=1, s_count=65)
+    sys = cos(1024)
+    tracemalloc.start()
+    try:
+        profile = mapping_torus_profile(sys, -1.5, (-2, 2), rng=1)
+        profile_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        es = elasticity_from_profile(profile)
+        elasticity_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.samples.size == 4097 * 512
+    assert profile_peak <= 20 * 2**20
+    assert elasticity_peak <= 36 * 2**20
+    # the same numbers as the out-of-place arithmetic
+    from lcsdyn.torus import build_mu
+
+    mu = build_mu(sys, -1.5, (-2, 2), rng=1, samples=128)
+    dt = mu.gcons.dt_attainable()
+    assert np.array_equal(profile.samples, -mu.k / (dt + mu.k))
+    assert es.forbidden == _reference_forbidden(profile.samples, 1e-3)

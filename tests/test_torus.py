@@ -437,7 +437,7 @@ def test_build_g_mirrored(const_rotation):
     assert g.functional_residual() <= 1e-9
     ts = np.linspace(-4, 4, 81)
     pts = const_rotation.space.sample_points(32)
-    assert np.all(g.dt_grid(pts, ts) + (-1.0) < 0)
+    assert np.all(g.dt(pts, ts[:, None]) + (-1.0) < 0)
 
 
 def test_build_g_precondition_violations(const_rotation, golden_cos):
@@ -456,14 +456,17 @@ def test_grid_matches_scalar(const_rotation):
     g = build_g(const_rotation, 1.0, (-10, 10))
     pts = const_rotation.space.sample_points(7)
     ts = np.array([-3.3, -0.5, 0.0, 1.7])
-    grid = g.g_grid(pts, ts)
+    grid = g.g(pts, ts[:, None])
     for r, t in enumerate(ts):
         for c, x in enumerate(pts):
             assert grid[r, c] == pytest.approx(g.g(float(x), float(t)), abs=1e-12)
-    dgrid = g.dt_grid(pts, ts)
+    dgrid = g.dt(pts, ts[:, None])
     for r, t in enumerate(ts):
         for c, x in enumerate(pts):
             assert dgrid[r, c] == pytest.approx(g.dt(float(x), float(t)), abs=1e-12)
+    # a lone point is a batch of one against every time
+    assert np.array_equal(g.g(float(pts[2]), ts[:, None]), grid[:, 2:3])
+    assert np.array_equal(g.dt(float(pts[2]), ts), dgrid[:, 2])
 
 
 def test_cutoff_prime_is_the_derivative():
@@ -485,7 +488,7 @@ def test_dt_attainable_covers_direct_samples(const_rotation, golden_cos):
         vals = np.sort(g.dt_attainable(s_count=8193))
         pts = sys.space.sample_points(64)
         ts = np.linspace(-5.5, 5.5, 333)
-        direct = g.dt_grid(pts, ts).ravel()
+        direct = g.dt(pts, ts[:, None]).ravel()
         idx = np.searchsorted(vals, direct)
         idx = np.clip(idx, 1, len(vals) - 1)
         nearest = np.minimum(np.abs(vals[idx] - direct), np.abs(vals[idx - 1] - direct))
@@ -545,7 +548,7 @@ def test_mu_monotone_slope_sign(const_rotation):
     mu = build_mu(const_rotation, 1.0, (-8, 8), samples=16, rng=0)
     pts = const_rotation.space.sample_points(32)
     ts = np.linspace(-6, 6, 121)
-    slopes = mu.gcons.dt_grid(pts, ts) + mu.k
+    slopes = mu.gcons.dt(pts, ts[:, None]) + mu.k
     assert np.all(np.sign(slopes) == mu.gcons.slope_sign())
 
 
@@ -584,25 +587,31 @@ def _random_points(sys, rng, n):
 
 def _reference_series(gcons, x, t, derivative):
     """g(x, t) (or dt g) summed term by term along orbits walked one point at
-    a time with sys.forward / sys.backward; the mirrored branch is
-    g(x, t) = inner g(x, -t)."""
-    if gcons.mirrored:
-        flip = -1.0 if derivative else 1.0
-        return flip * _reference_series(gcons.inner, x, -t, derivative)
-    sys, chi = gcons.system, gcons.cutoff
-    total = 0.0
-    y = sys.space.normalize(x)
-    for i in range(math.ceil(-t)):
-        if derivative:
-            total -= chi.prime(t + 1 + i) * float(sys.factor(y))
-        else:
-            total += (1.0 - chi(t + 1 + i)) * float(sys.factor(y))
-        y = sys.forward(y)
-    y = sys.backward(sys.space.normalize(x))
-    for i in range(math.ceil(t)):
-        total -= (chi.prime(t - i) if derivative else chi(t - i)) * float(sys.factor(y))
-        y = sys.backward(y)
-    return total
+    a time with sys.forward / sys.backward, with a = h(psi^i x) for
+    i < ceil(-t) and b = h(psi^{-i-1} x) for i < ceil(t).
+
+    Direct branch:    g = sum (1 - chi(t+1+i)) a_i - sum chi(t-i) b_i
+    Mirrored branch (the direct one for (psi^{-1}, -h o psi^{-1}, -k) at -t):
+                      g = sum chi(-t-i) a_i - sum (1 - chi(1-t+i)) b_i
+    and dt g is the t-derivative of each.
+    """
+    sys, chi, prime = gcons.system, gcons.cutoff, gcons.cutoff.prime
+
+    def walk(y, step, count):
+        for _ in range(count):
+            yield float(sys.factor(y))
+            y = step(y)
+
+    x0 = sys.space.normalize(x)
+    a = list(enumerate(walk(x0, sys.forward, math.ceil(-t))))
+    b = list(enumerate(walk(sys.backward(x0), sys.backward, math.ceil(t))))
+    if not gcons.mirrored and not derivative:
+        return sum((1.0 - chi(t + 1 + i)) * h for i, h in a) - sum(chi(t - i) * h for i, h in b)
+    if not gcons.mirrored:
+        return -sum(prime(t + 1 + i) * h for i, h in a) - sum(prime(t - i) * h for i, h in b)
+    if not derivative:
+        return sum(chi(-t - i) * h for i, h in a) - sum((1.0 - chi(1 - t + i)) * h for i, h in b)
+    return -sum(prime(-t - i) * h for i, h in a) - sum(prime(1 - t + i) * h for i, h in b)
 
 
 @pytest.mark.parametrize("name,k", BATCH_CASES)
