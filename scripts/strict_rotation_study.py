@@ -12,11 +12,10 @@ import json
 import os
 
 from lcsdyn import (
-    TorusAction,
-    birkhoff_table,
+    birkhoff_extrema,
     build_mu,
     limit_estimates,
-    properness_probe,
+    probe_sweep,
     strict_rotation_system,
 )
 from lcsdyn.birkhoff import extrema_to_csv
@@ -35,23 +34,25 @@ def main():
 
     sys_ = strict_rotation_system("golden", {"type": "trig", "sin": [[1, 1.0]]},
                                   grid_resolution=args.grid)
-    table = birkhoff_table(sys_, args.grid, n_max=args.n_max)
-    extrema_to_csv(table, os.path.join(args.out, "envelopes.csv"))
-    est = limit_estimates(table)
+    ext = birkhoff_extrema(sys_, args.grid, n_max=args.n_max)
+    extrema_to_csv(ext, os.path.join(args.out, "envelopes.csv"))
+    est = limit_estimates(ext)
     print(f"envelope gap at n={args.n_max}: [{est.L_minus:+.2e}, {est.L_plus:+.2e}]"
           f" (bound {est.error_bound:.2e})")
 
+    ks = []
+    k = -args.k_max
+    while k <= args.k_max + 1e-12:
+        ks.append(k)
+        k += args.k_step
     with open(os.path.join(args.out, "phase.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "verdict", "escape_bound", "witness_n"])
-        k = -args.k_max
-        while k <= args.k_max + 1e-12:
-            rep = properness_probe(TorusAction(sys_, k), n_max=5000, starts=64)
+        for k, rep in zip(ks, probe_sweep(sys_, ks, n_max=5000, starts=64)):
             w.writerow([f"{k:.4f}", rep.verdict,
                         rep.escape_bound if rep.escape_bound is not None else "",
                         rep.witness.n if rep.witness else ""])
             print(f"k={k:+.2f}: {rep.verdict}")
-            k += args.k_step
 
     mu = build_mu(sys_, 1.0, (-10, 10), samples=500, rng=args.seed)
     summary = {

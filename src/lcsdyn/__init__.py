@@ -14,7 +14,6 @@ from .core import (
     GOLDEN_ANGLE,
     ModelSpace,
     ValidationError,
-    builtin_system,
     cat_map_system,
     finite_permutation_system,
     iterate,

@@ -286,12 +286,12 @@ def transfer_potential(sys: ConformalSystem, n: int,
 def transfer_potential_values(H, n: int, scale: int | None = None):
     """f_n at the start points of an orbit walk and at their images.
 
-    ``H = orbit_factors(sys, pts, m)`` with m >= n rows.  Since
+    ``H = orbit_array(sys, pts, m)`` with m >= n rows.  Since
     f_n(p) = (1/n) sum_{j=0}^{n-2} (n-1-j) h(psi^j p), f_n(p) reads rows
-    [0, n-1) and f_n(psi p) reads rows [1, n) of the same walk.  Exact rows
-    give Fractions; the integer rows h * ``scale`` of an exact system
-    (``orbit_array`` with n * n terms) give float64 values, each rounded once
-    from its exact sum.  Rows are added in order (a cumulative sum), so a
+    [0, n-1) and f_n(psi p) reads rows [1, n) of the same walk.  Float rows
+    give float64 values; the integer rows h * ``scale`` of an exact system
+    (``orbit_array`` with n * n terms) give float64 values too, each rounded
+    once from its exact sum.  Rows are added in order (a cumulative sum), so a
     walk from one point rounds like a walk from many.
     """
     H = np.asarray(H)

@@ -164,18 +164,25 @@ def _is_count(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v > 0
 
 
-def _points_spec(config: RunConfig):
-    """The sample grid: None (the space's default), a positive int, a
-    non-empty list of points, or {"grid": int or None, "seeds": [points]}."""
-    grid = config.grid
-    if grid is None or _is_count(grid) or isinstance(grid, (list, tuple)) and grid:
-        return grid
-    if (isinstance(grid, dict) and set(grid) <= {"grid", "seeds"}
-            and (grid.get("grid") is None or _is_count(grid["grid"]))
-            and isinstance(grid.get("seeds", []), (list, tuple))):
-        return grid
-    raise ValidationError("grid must be a positive int, a non-empty list of points or "
-                          f'{{"grid": n, "seeds": [points]}}, got {grid!r}')
+def _count(value, what: str) -> int:
+    """A positive int config value; anything else is a ValidationError."""
+    if not _is_count(value):
+        raise ValidationError(f"{what} must be a positive int, got {value!r}")
+    return int(value)
+
+
+def _points_spec(value, what: str):
+    """A sample grid given as config field ``what``: None (the space's
+    default), a positive int, a non-empty list of points, or
+    {"grid": int or None, "seeds": [points]}."""
+    if value is None or _is_count(value) or isinstance(value, (list, tuple)) and value:
+        return value
+    if (isinstance(value, dict) and set(value) <= {"grid", "seeds"}
+            and (value.get("grid") is None or _is_count(value["grid"]))
+            and isinstance(value.get("seeds", []), (list, tuple))):
+        return value
+    raise ValidationError(f"{what} must be a positive int, a non-empty list of points or "
+                          f'{{"grid": n, "seeds": [points]}}, got {value!r}')
 
 
 def _size(value) -> float:
@@ -214,9 +221,10 @@ def _k_values(config: RunConfig):
 
 def _cmd_analyze(config, sys_, out_dir, warnings):
     # the full per-point table is built only when birkhoff.csv is written
-    n_rows = len(sys_.space.sample_points(_points_spec(config))) * config.n_max
+    points = _points_spec(config.grid, "grid")
+    n_rows = len(sys_.space.sample_points(points)) * config.n_max
     reduce = birkhoff.birkhoff_table if n_rows <= MAX_TABLE_CSV_ROWS else birkhoff.birkhoff_extrema
-    table = reduce(sys_, _points_spec(config), config.n_max)
+    table = reduce(sys_, points, config.n_max)
     est = birkhoff.limit_estimates(table)
     if not est.exact:
         warnings.append("limit estimate on a sampled grid is a lower/upper "
@@ -242,7 +250,7 @@ def _cmd_analyze(config, sys_, out_dir, warnings):
 
 
 def _cmd_admissible(config, sys_, out_dir, warnings):
-    table = birkhoff.birkhoff_extrema(sys_, _points_spec(config), config.n_max)
+    table = birkhoff.birkhoff_extrema(sys_, _points_spec(config.grid, "grid"), config.n_max)
     est = birkhoff.limit_estimates(table)
     adm = birkhoff.admissible_set(est)
     if not est.exact:
@@ -261,7 +269,8 @@ def _cmd_probe(config, sys_, out_dir, warnings):
     ks = _k_values(config)
     if not ks:
         raise ValidationError("probe needs --k or --k-range")
-    reports = torus.probe_sweep(sys_, ks, n_max=config.n_max, starts=config.params.get("starts"))
+    starts = _points_spec(config.params.get("starts"), "params.starts")
+    reports = torus.probe_sweep(sys_, ks, n_max=config.n_max, starts=starts)
     if any(r.heuristic for r in reports):
         warnings.append("probe verdicts on continuous systems are evidence, not proof")
     if len(ks) == 1 and config.k is not None:
@@ -285,7 +294,7 @@ def _t_window(config):
 
 
 def _n_scan(config):
-    return _number(config.params.get("n_scan", 64), "params.n_scan", int)
+    return _count(config.params.get("n_scan", 64), "params.n_scan")
 
 
 def _write_probe_trace(sys_, report, config, out_dir):
@@ -318,9 +327,11 @@ def _cmd_optimize(config, sys_, out_dir, warnings):
     method = config.params.get("method")
     if method is None:
         method = "exact_finite" if sys_.space.kind == "finite" else "birkhoff_fn"
-    n = config.params.get("n", min(config.n_max, 64))
-    lo = ergopt.maxmin_coboundary(sys_, method=method, n=n, points=_points_spec(config))
-    hi = ergopt.minmax_coboundary(sys_, method=method, n=n, points=_points_spec(config))
+    n = config.params.get("n")
+    n = min(config.n_max, 64) if n is None else _count(n, "params.n")
+    points = _points_spec(config.grid, "grid")
+    lo = ergopt.maxmin_coboundary(sys_, method=method, n=n, points=points)
+    hi = ergopt.minmax_coboundary(sys_, method=method, n=n, points=points)
     if method == "grid_descent":
         warnings.append("method 'grid_descent' is exact for the snapped grid map, "
                         "which only approximates psi")
@@ -351,7 +362,7 @@ def _cmd_construct(config, sys_, out_dir, warnings):
     if config.k is None:
         raise ValidationError("construct needs --k")
     mu = torus.build_mu(sys_, _size(config.k), _t_window(config), n_scan=_n_scan(config),
-                        points=_points_spec(config), rng=config.seed)
+                        points=_points_spec(config.grid, "grid"), rng=config.seed)
     g = mu.gcons
     warnings.append("construction residuals are sampled; smallness is evidence, "
                     "not a certified bound")
@@ -369,7 +380,11 @@ def _cmd_construct(config, sys_, out_dir, warnings):
 
 
 def _cmd_elasticity(config, sys_, out_dir, warnings):
-    gap_resolution = float(config.tolerances.get("gap_resolution", 1e-3))
+    value = config.tolerances.get("gap_resolution", 1e-3)
+    gap_resolution = _number(value, "tolerances.gap_resolution")
+    if not (math.isfinite(gap_resolution) and gap_resolution > 0):
+        raise ValidationError("tolerances.gap_resolution must be a positive finite number, "
+                              f"got {value!r}")
     profile_csv = config.params.get("profile_csv")
     if profile_csv:
         profile = elastic.profile_from_csv(profile_csv)
@@ -381,7 +396,7 @@ def _cmd_elasticity(config, sys_, out_dir, warnings):
         profile = elastic.mapping_torus_profile(
             sys_, _size(config.k), _t_window(config),
             n_scan=_n_scan(config),
-            points=_points_spec(config),
+            points=_points_spec(config.grid, "grid"),
             strict_mu=bool(config.params.get("strict_mu", False)),
             rng=config.seed,
         )

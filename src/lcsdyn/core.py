@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -405,15 +405,6 @@ def orbit_array(sys: ConformalSystem, pts, n: int, inverse: bool = False, terms:
     return out
 
 
-def orbit_factors(sys: ConformalSystem, pts, n: int, inverse: bool = False):
-    """The orbit rows stacked: an (n, P) float64 array, or, on exact finite
-    systems, n lists of the factor values as Fractions."""
-    H = orbit_array(sys, pts, n, inverse)
-    if sys.exact:
-        return [[Fraction(v, sys.scale) for v in row] for row in H.tolist()]
-    return H
-
-
 def reference_points(sys: ConformalSystem, cap: int = 1024):
     """Default sampling grid used for range estimates (capped for the torus)."""
     space = sys.space
@@ -613,58 +604,3 @@ def _factor_callable(space: ModelSpace, spec):
     if isinstance(spec, (list, tuple)) and space.kind == FINITE:
         return table_factor(spec)
     raise ValidationError(f"cannot interpret factor spec {spec!r}")
-
-
-BUILTIN_NAMES = ("rotation", "cat_map", "finite_permutation", "strict_rotation")
-
-
-def builtin_system(name: str, params: dict) -> ConformalSystem:
-    """Construct one of the named preset systems from a parameter record."""
-    params = dict(params)
-    if name == "rotation":
-        return rotation_system(
-            params.get("angle", 0.0),
-            params.get("factor", 0.0),
-            grid_resolution=params.get("grid_resolution", 256),
-            label=params.get("label", ""),
-        )
-    if name == "strict_rotation":
-        if "f" not in params:
-            raise ValidationError("strict_rotation needs the generating function 'f'")
-        return strict_rotation_system(
-            params.get("angle", 0.0),
-            params["f"],
-            grid_resolution=params.get("grid_resolution", 256),
-            label=params.get("label", ""),
-        )
-    if name == "cat_map":
-        return cat_map_system(
-            params.get("factor", 0.0),
-            matrix=params.get("matrix", ((2, 1), (1, 1))),
-            grid_resolution=params.get("grid_resolution", 64),
-            label=params.get("label", ""),
-        )
-    if name == "finite_permutation":
-        if "table" not in params:
-            raise ValidationError("finite_permutation needs a 'table'")
-        return finite_permutation_system(
-            params["table"],
-            params.get("factor", params.get("h", [0] * len(params["table"]))),
-            label=params.get("label", ""),
-        )
-    raise ValidationError(f"unknown builtin system {name!r}; pick one of {BUILTIN_NAMES}")
-
-
-def negated_system(sys: ConformalSystem) -> ConformalSystem:
-    """Same dynamics with factor -h (used by the max-min / min-max duality)."""
-    if sys.factor_table is not None:
-        vals = tuple(-v for v in sys.factor_table)
-        return replace(sys, factor=table_factor(vals), factor_table=vals,
-                       generating_f=None, label=f"negated {sys.label}")
-
-    base = sys.factor
-
-    def h(x):
-        return -np.asarray(base(x)) if np.ndim(x) else -base(x)
-
-    return replace(sys, factor=h, generating_f=None, label=f"negated {sys.label}")

@@ -150,10 +150,17 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
 
 
 def profile_from_csv(path, column: str = "u") -> LiouvilleProfile:
-    """Load a profile from CSV (a 'u' column, or one value per row)."""
+    """Load a profile from CSV (a 'u' column, or one value per row).
+
+    A file that cannot be read, a row without the column and a cell that is
+    not a number are ValidationErrors naming the file.
+    """
     values = []
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read profile {path}: {exc}") from None
     if not rows:
         raise ValidationError(f"no data in {path}")
     start = 0
@@ -163,9 +170,13 @@ def profile_from_csv(path, column: str = "u") -> LiouvilleProfile:
         if column in header:
             col = header.index(column)
         start = 1
-    for row in rows[start:]:
+    for line, row in enumerate(rows[start:], start=start + 1):
         if row:
-            values.append(float(row[col]))
+            try:
+                values.append(float(row[col]))
+            except (IndexError, ValueError):
+                raise ValidationError(f"{path} line {line}: no number in column "
+                                      f"{col + 1}: {row!r}") from None
     return LiouvilleProfile(np.asarray(values), label=str(path))
 
 

@@ -1,11 +1,14 @@
 """Min-max and max-min coboundary optimization.
 
 The two quantities solved here are inf_f max_x (h + f o psi - f) and
-sup_f min_x (h + f o psi - f).  On a functional graph (every node has one
-successor) both are cycle-mean extrema, computed exactly by one routine: on a
-finite bijection this is the exact optimum; on grids it is the exact cycle
-mean of the snapped grid dynamics, whose snapping only approximates psi.  The
-transfer potential gives a rigorous (sampled) upper bound on grids.
+sup_f min_x (h + f o psi - f).  The max-min is the min-max of -h negated, so
+every method solves the min-max only: a sign negates its value rows once and
+flips its potential table once.  On a functional graph (every node has one
+successor) the min-max is the largest cycle mean, computed exactly by one
+routine: on a finite bijection this is the exact optimum; on grids it is the
+exact cycle mean of the snapped grid dynamics, whose snapping only
+approximates psi.  The transfer potential gives a rigorous (sampled) upper
+bound on grids.
 
 Exact finite systems run on integers scaled by the common denominator D of
 the factor table (``ConformalSystem.scaled_table``): cycle sums, potentials
@@ -25,8 +28,7 @@ from .core import (
     ConformalSystem,
     ValidationError,
     eval_factor,
-    negated_system,
-    orbit_factors,
+    orbit_array,
     step_points,
 )
 
@@ -117,62 +119,64 @@ def _cycle_potential(dec: CycleDecomposition, succ, hv, level) -> list:
     return [v - fmin for v in f]
 
 
-def _cycle_minmax(succ, hv, scale=None):
-    """inf_f max_x (h + f o succ - f) on a functional graph is the largest
-    cycle mean M: the edges of a cycle sum to its length times its mean, and
-    the cycle potential at level M attains M.
+def _cycle_optimum(succ, hv, scale, sign: int, method: str) -> OptimizationResult:
+    """The min-max (sign 1) or the max-min (sign -1) of the functional graph
+    x -> succ[x] with factor values hv: floats, or the integers h * scale of
+    an exact system.  The max-min is the min-max of -h negated: hv is negated
+    once, and the potential F of -h is flipped once to max F - F.
 
-    Returns (M, F, excess, unit): the potential is f = F / unit and the
-    certificate max edge - M is excess / unit.  Float tables have unit 1.
-    With ``scale`` (hv = h * scale, integers) the potential is built on
-    h * scale * L at level L * scale * M, L the length of a cycle of mean M,
-    so F and excess are integers over unit = L * scale.
+    inf_f max_x (h + f o succ - f) is the largest cycle mean M: the edges of
+    a cycle sum to its length times its mean, and the cycle potential at
+    level M attains M; the certificate is max edge - M.  With ``scale`` the
+    potential is built on h * scale * L at level L * scale * M, L the length
+    of a cycle of mean M, so it and the certificate are integers over
+    L * scale until the Fractions of the result.
+
+    "exact_finite" keeps the potential per state, as a list with its
+    evaluable; "grid_descent" keeps it per grid node, as an array only.
     """
+    if sign < 0:
+        hv = [-v for v in hv]
     dec = _functional_cycles(succ, hv, scale)
     M = dec.max_mean
     if scale is None:
-        unit, level = 1, M
+        level = M
     else:
         L = next(len(cyc) for cyc, mean in dec.cycles if mean == M)
-        unit = L * scale
-        hv, level = [v * L for v in hv], int(M * unit)
+        hv, level = [v * L for v in hv], int(M * L * scale)
     F = _cycle_potential(dec, succ, hv, level)
     excess = max(hv[i] + F[succ[i]] - F[i] for i in range(len(succ))) - level
-    return M, F, excess, unit
-
-
-def _exact_finite(sys: ConformalSystem, sign: int) -> OptimizationResult:
-    """The min-max (sign 1) or the max-min (sign -1, the min-max of -h
-    negated) of a finite bijection, on the system's exact integers when it
-    has them."""
-    hv = sys.scaled_table if sign > 0 else [-v for v in sys.scaled_table]
-    M, F, excess, unit = _cycle_minmax(sys.perm_table, hv, sys.scale)
-    if sign < 0:  # -f, normalized to min 0
+    if sign < 0:
         top = max(F)
         F = [top - v for v in F]
-    if sys.exact:
-        F, excess = [Fraction(v, unit) for v in F], Fraction(excess, unit)
+    if scale is not None:
+        F, excess = [Fraction(v, L * scale) for v in F], Fraction(excess, L * scale)
+    if method == "exact_finite":
+        return OptimizationResult(sign * M, lambda x: F[int(x)], F, excess, method)
     return OptimizationResult(
-        value=M if sign > 0 else -M,
-        potential=lambda x: F[int(x)],
-        potential_table=F,
-        certificate=excess,
-        method="exact_finite",
-    )
+        sign * M, None, np.asarray(F), excess,
+        "grid_descent (exact cycle mean of the snapped dynamics; snapping is heuristic)")
 
 
-def _birkhoff_fn_minmax(sys: ConformalSystem, n: int, points) -> OptimizationResult:
+def _birkhoff_fn(sys: ConformalSystem, sign: int, n: int, points) -> OptimizationResult:
+    """The averaged potential f_n at n on sampled points: A_n(h) = h + f_n o psi
+    - f_n bounds the min-max from above (sign 1) and the max-min from below
+    (sign -1, on the negated rows).  -f_n(-h) = f_n(h), so ``potential`` is
+    f_n for both signs."""
     from . import birkhoff
 
     f_n = birkhoff.transfer_potential(sys, n)
-    H = orbit_factors(sys, sys.space.sample_points(points), n)
+    H = orbit_array(sys, sys.space.sample_points(points), n)
+    if sign < 0:
+        np.negative(H, out=H)
     f_here, f_next = birkhoff.transfer_potential_values(H, n)
     edge = H[0] + f_next - f_here
     value = float(edge.max())
+    F = f_here - f_here.min()
     return OptimizationResult(
-        value=value,
+        value=sign * value,
         potential=f_n,
-        potential_table=f_here - f_here.min(),
+        potential_table=F if sign > 0 else F.max() - F,
         certificate=float(edge.max() - value),
         method=f"birkhoff_fn(n={n})",
     )
@@ -189,59 +193,37 @@ def _snap_indices(sys: ConformalSystem, pts) -> np.ndarray:
     return ij[:, 0] * side + ij[:, 1]
 
 
-def _grid_descent_minmax(sys: ConformalSystem, points) -> OptimizationResult:
-    """Exact optimum of the snapped problem: psi with each grid node's image
-    rounded to the nearest node.  Snapping approximates psi, so the value
-    approximates the optimum of the real dynamics."""
+def _optimize(sys: ConformalSystem, sign: int, method: str, n, points) -> OptimizationResult:
+    """The min-max (sign 1) or the max-min (sign -1) by the chosen method.
+
+    "grid_descent" is the exact optimum of the snapped problem: psi with each
+    grid node's image rounded to the nearest node.  Snapping approximates
+    psi, so its value approximates the optimum of the real dynamics.
+    """
+    if method == "exact_finite":
+        _require_finite(sys)
+        return _cycle_optimum(sys.perm_table, sys.scaled_table, sys.scale, sign, method)
+    if method not in ("birkhoff_fn", "grid_descent"):
+        raise ValidationError(f"unknown method {method!r}")
+    if sys.space.kind == FINITE:
+        raise ValidationError(f"{method} expects a grid; use exact_finite")
+    if method == "birkhoff_fn":
+        return _birkhoff_fn(sys, sign, 64 if n is None else n, points)
     pts = sys.space.sample_points(points)
     succ = _snap_indices(sys, pts).tolist()
-    hv = eval_factor(sys, pts).tolist()
-    value, table, cert, _unit = _cycle_minmax(succ, hv)
-    return OptimizationResult(
-        value=value,
-        potential=None,
-        potential_table=np.asarray(table),
-        certificate=cert,
-        method="grid_descent (exact cycle mean of the snapped dynamics; snapping is heuristic)",
-    )
+    return _cycle_optimum(succ, eval_factor(sys, pts).tolist(), None, sign, method)
 
 
 def minmax_coboundary(sys: ConformalSystem, method: str = "exact_finite",
                       n: int | None = None, points=None) -> OptimizationResult:
     """inf over potentials f of max_x (h + f o psi - f), by the chosen method."""
-    if method == "exact_finite":
-        _require_finite(sys)
-        return _exact_finite(sys, 1)
-    if method == "birkhoff_fn":
-        if sys.space.kind == FINITE:
-            raise ValidationError("birkhoff_fn expects a grid; use exact_finite")
-        return _birkhoff_fn_minmax(sys, n or 64, points)
-    if method == "grid_descent":
-        if sys.space.kind == FINITE:
-            raise ValidationError("grid_descent expects a grid; use exact_finite")
-        return _grid_descent_minmax(sys, points)
-    raise ValidationError(f"unknown method {method!r}")
+    return _optimize(sys, 1, method, n, points)
 
 
 def maxmin_coboundary(sys: ConformalSystem, method: str = "exact_finite",
                       n: int | None = None, points=None) -> OptimizationResult:
     """sup over potentials f of min_x (h + f o psi - f) = -minmax(-h)."""
-    if method == "exact_finite":
-        _require_finite(sys)
-        return _exact_finite(sys, -1)
-    res = minmax_coboundary(negated_system(sys), method=method, n=n, points=points)
-    table = res.potential_table
-    if table is not None:
-        table = -table
-        table = table - table.min()
-    inner = res.potential
-    return OptimizationResult(
-        value=-res.value,
-        potential=None if inner is None else lambda x: -inner(x),
-        potential_table=table,
-        certificate=res.certificate,
-        method=res.method,
-    )
+    return _optimize(sys, -1, method, n, points)
 
 
 def is_strict_finite(sys: ConformalSystem):

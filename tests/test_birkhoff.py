@@ -244,9 +244,9 @@ def test_csv_exports(tmp_path, swap_pair):
 def _table_oracle(sys, points, n_max):
     """The (n_max, P) float table reduced as a whole: cumulative sums, then
     per-point suffix envelopes, then extrema over the points."""
-    from lcsdyn.core import orbit_factors
+    from lcsdyn.core import orbit_array
 
-    S = np.cumsum(orbit_factors(sys, sys.space.sample_points(points), n_max), axis=0)
+    S = np.cumsum(orbit_array(sys, sys.space.sample_points(points), n_max), axis=0)
     A = S / np.arange(1, n_max + 1, dtype=float)[:, None]
     env_minus = np.minimum.accumulate(A[::-1], axis=0)[::-1]
     env_plus = np.maximum.accumulate(A[::-1], axis=0)[::-1]
@@ -308,10 +308,10 @@ def _scalar_rows(sys, pts, n):
 
 def test_streamed_residual_curve_equals_the_table_loop(golden_strict):
     # the loop over a materialized (n_max, P) orbit table, before streaming
-    from lcsdyn.core import orbit_factors
+    from lcsdyn.core import orbit_array
 
     n_max, points = 500, 256
-    H = orbit_factors(golden_strict, golden_strict.space.sample_points(points), n_max)
+    H = orbit_array(golden_strict, golden_strict.space.sample_points(points), n_max)
     h = H[0]
     s_here, s_next, cs_here, cs_next = (np.zeros(H.shape[1]) for _ in range(4))
     want = np.empty(n_max)

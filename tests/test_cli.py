@@ -340,6 +340,58 @@ def test_malformed_params_are_validation_errors(tmp_path, capsys, data):
     assert diag["error"] == "ValidationError"
 
 
+def _diag_of(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("command,params,field", [
+    ("optimize", {"n": "abc"}, "params.n"),  # was a TypeError
+    ("optimize", {"n": 2.5}, "params.n"),  # was a TypeError
+    ("optimize", {"n": 0}, "params.n"),  # silently ran at n = 64
+    ("probe", {"starts": 2.5}, "params.starts"),  # was a TypeError
+    ("construct", {"n_scan": 0}, "params.n_scan"),  # was reported as n_max
+])
+def test_malformed_command_params_name_their_field(tmp_path, capsys, command, params, field):
+    cfg = write_config(tmp_path, "p.json", command=command, system=CONST_SYSTEM, n_max=6,
+                       k=0.5, params=params)
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError"
+    assert diag["message"].startswith(f"{field} must be a positive int")
+
+
+@pytest.mark.parametrize("value", [
+    "abc",  # was a ValueError
+    -1,  # ran, with one forbidden interval per profile sample
+    0,
+])
+def test_malformed_gap_resolution_is_a_validation_error(tmp_path, capsys, value):
+    prof = tmp_path / "prof.csv"
+    prof.write_text("u\n-1.0\n-0.5\n")
+    cfg = write_config(tmp_path, "e.json", command="elasticity",
+                       tolerances={"gap_resolution": value}, params={"profile_csv": str(prof)})
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError"
+    assert diag["message"].startswith("tolerances.gap_resolution must be")
+
+
+@pytest.mark.parametrize("text", [
+    None,  # no such file: was a FileNotFoundError
+    "u\n-1.0\nabc\n",  # a cell that is not a number: was a ValueError
+    "x,u\n0.0,-1.0\n0.5\n",  # a row without the u column: was an IndexError
+])
+def test_malformed_profile_csv_is_a_validation_error(tmp_path, capsys, text):
+    prof = tmp_path / "prof.csv"
+    if text is not None:
+        prof.write_text(text)
+    cfg = write_config(tmp_path, "e.json", command="elasticity",
+                       params={"profile_csv": str(prof)})
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError" and str(prof) in diag["message"]
+
+
 @pytest.mark.parametrize("k_range", [
     [0, cli.MAX_K_VALUES, 1],  # one size over the budget
     [0, 1, 1e-300],            # arange would refuse this length

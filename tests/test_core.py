@@ -11,7 +11,6 @@ from lcsdyn import (
     BudgetError,
     DomainError,
     ValidationError,
-    builtin_system,
     cat_map_system,
     finite_permutation_system,
     iterate,
@@ -21,9 +20,10 @@ from lcsdyn.core import (
     ModelSpace,
     eval_factor,
     eval_factor_like,
-    orbit_factors,
+    orbit_array,
     step_points,
 )
+from lcsdyn.cli import system_from_config
 
 
 def test_iterate_cycle(cycle3):
@@ -59,26 +59,32 @@ def test_domain_errors(cycle3):
         iterate(sys, (0.1, 0.2, 0.3), 1)
 
 
+def _permutation_decl(table, values):
+    return {"space": {"kind": "finite"}, "map": {"type": "permutation", "table": table},
+            "factor": {"type": "table", "values": values}}
+
+
 def test_builtin_rotation():
-    sys = builtin_system("rotation", {"angle": 0.5, "factor": 0.2})
+    sys = system_from_config({"space": {"kind": "circle"},
+                              "map": {"type": "rotation", "angle": 0.5}, "factor": 0.2})
     assert sys.factor(0.3) == pytest.approx(0.2)
     assert sys.forward(0.25) == pytest.approx(0.75)
 
 
 def test_builtin_permutation_valid():
-    sys = builtin_system("finite_permutation", {"table": [1, 2, 0], "factor": [1, 2, 3]})
+    sys = system_from_config(_permutation_decl([1, 2, 0], [1, 2, 3]))
     assert sys.exact
     assert sys.factor(2) == Fraction(3)
 
 
 def test_builtin_permutation_not_bijective():
-    with pytest.raises(ValidationError):
-        builtin_system("finite_permutation", {"table": [0, 0, 1], "factor": [1, 1, 1]})
+    with pytest.raises(ValidationError, match="not a bijection"):
+        system_from_config(_permutation_decl([0, 0, 1], [1, 1, 1]))
 
 
 def test_builtin_unknown_name():
-    with pytest.raises(ValidationError):
-        builtin_system("horseshoe", {})
+    with pytest.raises(ValidationError, match="unknown space kind"):
+        system_from_config({"space": {"kind": "horseshoe"}, "map": {}, "factor": 0.0})
 
 
 def test_space_validation():
@@ -159,27 +165,28 @@ def _scalar_orbit_rows(sys, pts, n, sign=1):
     return [[sys.factor(iterate(sys, p, sign * i)) for p in pts] for i in range(n)]
 
 
-def test_orbit_factors_rotation_matches_scalar_walk(golden_cos):
+def test_orbit_array_rotation_matches_scalar_walk(golden_cos):
     pts = golden_cos.space.sample_points(16)
-    H = orbit_factors(golden_cos, pts, 30)
-    assert H.shape == (30, 16)
+    H = orbit_array(golden_cos, pts, 30)
+    assert H.shape == (30, 16) and H.dtype == float
     np.testing.assert_allclose(H, _scalar_orbit_rows(golden_cos, pts, 30),
                                rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
-def test_orbit_factors_cat_map_matches_scalar_walk(inverse):
+def test_orbit_array_cat_map_matches_scalar_walk(inverse):
     sys = cat_map_system({"type": "trig2", "terms": [[1, 0, 1.0, 0.0], [0, 1, 0.0, 0.5]]},
                          grid_resolution=16)
     pts = sys.space.sample_points()
     assert pts.shape == (256, 2)
-    H = orbit_factors(sys, pts, 12, inverse=inverse)
+    H = orbit_array(sys, pts, 12, inverse=inverse)
     expect = _scalar_orbit_rows(sys, pts, 12, sign=-1 if inverse else 1)
     np.testing.assert_allclose(H, expect, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
-def test_orbit_factors_exact_permutation(inverse):
+def test_orbit_array_exact_permutation(inverse):
+    # exact rows are the integers h * scale of the scalar walk's Fractions
     rng = np.random.default_rng(5)
     table = rng.permutation(9).tolist()
     vals = [Fraction(int(p), int(q)) for p, q in
@@ -187,9 +194,11 @@ def test_orbit_factors_exact_permutation(inverse):
     sys = finite_permutation_system(table, vals)
     assert sys.exact
     pts = sys.space.sample_points()
-    rows = orbit_factors(sys, pts, 20, inverse=inverse)
-    assert rows == _scalar_orbit_rows(sys, pts, 20, sign=-1 if inverse else 1)
-    assert all(isinstance(v, Fraction) for row in rows for v in row)
+    H = orbit_array(sys, pts, 20, inverse=inverse)
+    assert H.dtype == np.int64
+    want = _scalar_orbit_rows(sys, pts, 20, sign=-1 if inverse else 1)
+    assert all(isinstance(v, Fraction) for row in want for v in row)
+    assert H.tolist() == [[v * sys.scale for v in row] for row in want]
 
 
 def test_eval_factor_scalar_only_callable(cycle3):

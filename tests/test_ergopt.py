@@ -94,6 +94,13 @@ def test_method_space_mismatch(swap_pair, golden_cos):
         minmax_coboundary(swap_pair, method="birkhoff_fn")
 
 
+def test_birkhoff_fn_refuses_order_zero(golden_cos):
+    # n = 0 used to run as the default n = 64
+    for solve in (minmax_coboundary, maxmin_coboundary):
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            solve(golden_cos, method="birkhoff_fn", n=0)
+
+
 @given(st.integers(0, 2**20))
 @settings(max_examples=30, deadline=None)
 def test_duality_and_exact_agreement(seed):
@@ -109,6 +116,66 @@ def test_duality_and_exact_agreement(seed):
     assert lo.value == dec.min_mean
     est = limit_estimates(birkhoff_table(sys, n_max=4))
     assert est.L_plus == hi.value and est.L_minus == lo.value
+
+
+def _declared_pair(case):
+    """(h, -h) as two systems declared with negated coefficients: the
+    library negates nothing.  Each partial sum of -h's factor is the
+    negation of h's, so the two agree bit for bit up to sign."""
+    if case == "trig":
+        def make(s):
+            return rotation_system("golden", {"type": "trig", "const": s * 0.25,
+                                              "cos": [[1, s * 1.0]], "sin": [[3, s * 0.4]]},
+                                   grid_resolution=128)
+    elif case == "trig2":
+        def make(s):
+            return cat_map_system({"type": "trig2", "const": s * -0.1,
+                                   "terms": [[1, 0, s * 1.0, 0.0], [1, 2, s * 0.3, s * 0.7]]},
+                                  grid_resolution=16)
+    else:
+        rng = np.random.default_rng(11)
+        table = rng.permutation(30).tolist()
+        num, den = rng.integers(-9, 10, size=30), rng.integers(1, 8, size=30)
+        floats = rng.normal(size=30)
+
+        def make(s):
+            if case == "table":
+                return finite_permutation_system(
+                    table, [f"{s * int(p)}/{int(q)}" for p, q in zip(num, den)])
+            return finite_permutation_system(table, [s * float(v) for v in floats])
+    return make(1), make(-1)
+
+
+def _bits(v):
+    """A value's exact identity: a Fraction, or a float's bits (so -0.0 != 0.0)."""
+    return v if isinstance(v, Fraction) else float(v).hex()
+
+
+@pytest.mark.parametrize("case,method", [
+    ("table", "exact_finite"), ("float-table", "exact_finite"),
+    ("trig", "grid_descent"), ("trig2", "grid_descent"),
+    ("trig", "birkhoff_fn"), ("trig2", "birkhoff_fn")])
+def test_maxmin_is_minus_minmax_of_the_declared_negation(case, method):
+    sys, neg = _declared_pair(case)
+    if method == "exact_finite":
+        assert sys.exact == (case == "table")
+    lo = maxmin_coboundary(sys, method=method, n=9)
+    hi = minmax_coboundary(neg, method=method, n=9)
+    assert _bits(lo.value) == _bits(-hi.value)
+    assert _bits(lo.certificate) == _bits(hi.certificate)
+    assert lo.method == hi.method
+    # the max-min's potential is that of -h flipped, normalized to min 0
+    f, g = list(lo.potential_table), list(hi.potential_table)
+    assert list(map(_bits, f)) == [_bits(max(g) - v) for v in g]
+    assert min(f) == 0
+    if method == "exact_finite":  # the evaluable reads the table
+        assert [lo.potential(i) for i in range(len(f))] == f
+    elif method == "birkhoff_fn":  # f_n(h) = -f_n(-h)
+        pts = sys.space.sample_points(5)
+        assert [lo.potential(x) for x in pts] == [-hi.potential(x) for x in pts]
+    # and the converse, minmax(h) = -maxmin(-h)
+    assert _bits(minmax_coboundary(sys, method=method, n=9).value) == \
+        _bits(-maxmin_coboundary(neg, method=method, n=9).value)
 
 
 @given(st.integers(0, 2**20))

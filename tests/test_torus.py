@@ -196,7 +196,7 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
     """One size probed on its own, as before sweeps shared work: its own factor
     range, cycle decomposition and whole (n_max, P) table of partial sums."""
     from lcsdyn import ergopt
-    from lcsdyn.core import eval_factor_like, orbit_factors, reference_points
+    from lcsdyn.core import eval_factor_like, orbit_array, reference_points
     from lcsdyn.torus import ProbeReport, Witness
 
     k = float(k)
@@ -228,7 +228,7 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
         fv = eval_factor_like(sys.generating_f, reference_points(sys))
         n0 = int(math.floor((width + float(fv.max() - fv.min())) / abs(k))) + 1
         return report(VERDICT_ESCAPE, None, n0, "telescoping-bound", heuristic)
-    sums = np.cumsum(orbit_factors(sys, pts, n_max), axis=0)
+    sums = np.cumsum(orbit_array(sys, pts, n_max), axis=0)
     A = sums / np.arange(1, n_max + 1, dtype=float)[:, None]
     sup_env = np.maximum.accumulate(A[::-1], axis=0)[::-1].max(axis=1)
     inf_env = np.minimum.accumulate(A[::-1], axis=0)[::-1].min(axis=1)
