@@ -30,8 +30,10 @@ from .core import (
     DomainError,
     ValidationError,
     cat_map_system,
+    eval_factor,
     finite_permutation_system,
     rotation_system,
+    step_points,
     strict_rotation_system,
 )
 
@@ -297,19 +299,34 @@ def _n_scan(config):
     return _count(config.params.get("n_scan", 64), "params.n_scan")
 
 
+def _strict_mu(config):
+    value = config.params.get("strict_mu", False)
+    if not isinstance(value, bool):
+        raise ValidationError(f"params.strict_mu must be true or false, got {value!r}")
+    return value
+
+
 def _write_probe_trace(sys_, report, config, out_dir):
     import csv as _csv
 
-    act = torus.TorusAction(sys_, report.k)
+    # the action (x, t) -> (psi x, t + k - h(x)) from the witness start: the
+    # orbit stepped as a batch of one, h evaluated once over its rows
     start = report.witness.start if report.witness else sys_.space.sample_points(1)[0]
-    x, t = start, 0.0
+    steps = min(config.n_max, 2000)
+    xs = [sys_.space.sample_points([start])]
+    for _ in range(steps):
+        xs.append(step_points(sys_, xs[-1]))
+    xs = np.concatenate(xs)
+    hs = eval_factor(sys_, xs[:steps]).tolist()
+    t = 0.0
     with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(["n", "x", "t"])
-        for n in range(min(config.n_max, 2000) + 1):
-            xs = ":".join(repr(float(c)) for c in np.atleast_1d(np.asarray(x, dtype=float)))
-            w.writerow([n, xs, repr(float(t))])
-            x, t = torus.action_step(act, x, t)
+        for n in range(steps + 1):
+            x = ":".join(repr(float(c)) for c in np.atleast_1d(xs[n]))
+            w.writerow([n, x, repr(float(t))])
+            if n < steps:
+                t = t + report.k - hs[n]
 
 
 def _write_phase_table(reports, path):
@@ -397,7 +414,7 @@ def _cmd_elasticity(config, sys_, out_dir, warnings):
             sys_, _size(config.k), _t_window(config),
             n_scan=_n_scan(config),
             points=_points_spec(config.grid, "grid"),
-            strict_mu=bool(config.params.get("strict_mu", False)),
+            strict_mu=_strict_mu(config),
             rng=config.seed,
         )
     es = elastic.elasticity_from_profile(profile, gap_resolution=gap_resolution)
@@ -480,6 +497,9 @@ def run(config: RunConfig):
     try:
         if config.command not in COMMANDS:
             raise ValidationError(f"unknown command {config.command!r}")
+        for name in ("params", "tolerances"):
+            if not isinstance(getattr(config, name), dict):
+                raise ValidationError(f"{name} must be an object, got {getattr(config, name)!r}")
         os.makedirs(config.out, exist_ok=True)
         canonical = config.canonical()
         path = cache_path(config, canonical)

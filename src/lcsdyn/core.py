@@ -49,6 +49,13 @@ def wrap(x):
     return x - np.floor(x)
 
 
+def rotate(x, angle: float):
+    """x + angle mod 1 (scalar or array): the one rotation step that
+    ``step_points`` and a strict rotation's factor both take, so that a
+    stored coboundary's rows telescope bit for bit."""
+    return wrap(np.asarray(x, dtype=float) + angle)
+
+
 def as_rational(v):
     """Exact Fraction for ints, Fractions and 'p/q' strings; None otherwise.
 
@@ -167,6 +174,14 @@ class ModelSpace:
             g = np.arange(n, dtype=float) / n
             xs, ys = np.meshgrid(g, g, indexing="ij")
             return np.column_stack([xs.ravel(), ys.ravel()])
+        if isinstance(spec, np.ndarray) and spec.dtype.kind == "f" and self.kind != FINITE:
+            # an already-sampled float batch: one vectorized wrap; a batch of
+            # the wrong shape or with a non-finite entry goes point by point,
+            # which raises normalize's DomainError
+            shape_ok = spec.ndim == 1 if self.kind == CIRCLE else (
+                spec.ndim == 2 and spec.shape[1] == 2)
+            if shape_ok and np.isfinite(spec).all():
+                return wrap(np.asarray(spec, dtype=float))
         pts = [self.normalize(p) for p in spec]
         if self.kind == FINITE:
             return np.asarray(pts, dtype=np.int64)
@@ -330,7 +345,7 @@ def step_points(sys: ConformalSystem, pts, inverse: bool = False):
     kind = mk.get("kind", "generic")
     if kind == "rotation":
         a = mk["angle"]
-        return wrap(pts - a) if inverse else wrap(pts + a)
+        return rotate(pts, -a if inverse else a)
     if kind == "linear2":
         m = np.asarray(mk["inverse"] if inverse else mk["matrix"], dtype=float)
         return wrap(pts @ m.T)
@@ -375,6 +390,13 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     on the permutation table (``sys.scaled_rows``).  Every orbit quantity
     (S_n, A_n, f_n, the g orbit tables) is a reduction of these rows, in O(P)
     memory if streamed.
+
+    A forward float walk of a system with a stored coboundary h = f - f o psi
+    (``sys.generating_f``) evaluates F_i = f(psi^i p) once per cell and yields
+    F_i - F_{i+1}, which is h(psi^i p) bit for bit: h steps its argument with
+    the same ``rotate`` that ``step_points`` calls for the next row's points.
+    An inverse walk evaluates h, because psi(psi^{-j} p) need not be
+    psi^{-j+1} p to the last bit.
     """
     if sys.exact:
         tbl = np.asarray(sys.perm_table, dtype=np.int64)
@@ -389,6 +411,14 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
                 cur = tbl[cur]
         return
     cur = pts
+    if sys.generating_f is not None and not inverse and n > 0:
+        F = eval_factor_like(sys.generating_f, cur)
+        for _ in range(n):
+            cur = step_points(sys, cur)
+            nxt = eval_factor_like(sys.generating_f, cur)
+            yield F - nxt
+            F = nxt
+        return
     for i in range(n):
         yield eval_factor(sys, cur)
         if i + 1 < n:
@@ -497,7 +527,7 @@ def strict_rotation_system(angle, f, grid_resolution: int = 256, label: str = ""
     fc = _factor_callable(space, f)
 
     def h(x):
-        return fc(x) - fc(wrap(np.asarray(x, dtype=float) + a))
+        return fc(x) - fc(rotate(x, a))
 
     sys = ConformalSystem(
         space=space,

@@ -488,3 +488,69 @@ def test_programming_error_propagates(tmp_path, monkeypatch):
                            out=str(tmp_path / "r"))
     with pytest.raises(KeyError):
         cli.run(config)
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("optimize", "params", [1]),  # was an AttributeError from params.get
+    ("elasticity", "tolerances", 5),  # was an AttributeError from tolerances.get
+])
+def test_non_object_params_and_tolerances_exit_2(tmp_path, capsys, command, field, value):
+    data = {"command": command, "system": CONST_SYSTEM, "k": 1.0, field: value}
+    report, code = cli.run(cli.RunConfig(**data, out=str(tmp_path / "run")))
+    assert code == 2 and report["error"].startswith(f"{field} must be an object")
+    cfg = write_config(tmp_path, "bad.json", **data)
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "main")]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError" and diag["message"].startswith(field)
+
+
+def _strict_elasticity(tmp_path, name, **extra):
+    params = {"t_window": [-2, 2], **extra}
+    return cli.run(cli.RunConfig(command="elasticity", system=STRICT_SYSTEM, k=1.0,
+                                 params=params, out=str(tmp_path / name)))
+
+
+@pytest.mark.parametrize("value", ["no", 1, []])
+def test_strict_mu_must_be_a_boolean(tmp_path, capsys, value):
+    # bool("no") is True: the string used to switch the strict profile on
+    report, code = _strict_elasticity(tmp_path, "r", strict_mu=value)
+    assert code == 2 and report["error"].startswith("params.strict_mu must be true or false")
+    assert _diag_of(capsys)["error"] == "ValidationError"
+
+
+def test_strict_mu_booleans_keep_their_payloads(tmp_path):
+    from lcsdyn import elastic
+
+    sys_ = cli.system_from_config(STRICT_SYSTEM)
+    for flag in (True, False):
+        report, code = _strict_elasticity(tmp_path, str(flag), strict_mu=flag)
+        assert code == 0
+        profile = elastic.mapping_torus_profile(sys_, 1.0, (-2, 2), n_scan=64, strict_mu=flag,
+                                                rng=0)
+        es = elastic.elasticity_from_profile(profile, gap_resolution=1e-3)
+        assert report["payload"]["elasticity"] == json.loads(json.dumps(es.to_json()))
+    default, code = _strict_elasticity(tmp_path, "default")
+    assert code == 0 and default["payload"] == report["payload"]
+
+
+@pytest.mark.parametrize("system,k", [(STRICT_SYSTEM, 0.5), (TORUS_SYSTEM, 0.1),
+                                      (FINITE_SYSTEM, 1.5)])
+def test_probe_trace_matches_scalar_action_walk(tmp_path, system, k):
+    # oracle: the scalar action (x, t) -> (psi x, t + k - h(x)) from the
+    # trace's own start, formatted as trace.csv formats it
+    from lcsdyn import torus
+
+    out = str(tmp_path / "r")
+    report, code = cli.run(cli.RunConfig(command="probe", system=system, n_max=40, k=k,
+                                         out=out))
+    assert code == 0
+    with open(os.path.join(out, "trace.csv")) as fh:
+        rows = fh.read().splitlines()
+    assert len(rows) == 42 and rows[0] == "n,x,t"
+    act = torus.TorusAction(cli.system_from_config(system), k)
+    x = [float(c) for c in rows[1].split(",")[1].split(":")]
+    x, t = (x[0] if len(x) == 1 else np.array(x)), 0.0
+    for n, row in enumerate(rows[1:]):
+        xs = ":".join(repr(float(c)) for c in np.atleast_1d(np.asarray(x, dtype=float)))
+        assert row == f"{n},{xs},{t!r}"
+        x, t = torus.action_step(act, x, t)

@@ -15,12 +15,14 @@ from lcsdyn import (
     finite_permutation_system,
     iterate,
     rotation_system,
+    strict_rotation_system,
 )
 from lcsdyn.core import (
     ModelSpace,
     eval_factor,
     eval_factor_like,
     orbit_array,
+    orbit_rows,
     step_points,
 )
 from lcsdyn.cli import system_from_config
@@ -223,3 +225,79 @@ def test_eval_factor_array_error_propagates(golden_cos):
         eval_factor(sys, pts)
     with pytest.raises(RuntimeError, match="broken array path"):
         eval_factor_like(factor, pts)
+
+
+def _stepwise_rows(sys, pts, n, inverse=False):
+    """Oracle: the walk that evaluates h on every row, as orbit_rows did
+    before stored coboundaries telescoped."""
+    rows, cur = np.empty((n, len(pts))), pts
+    for i in range(n):
+        rows[i] = eval_factor(sys, cur)
+        if i + 1 < n:
+            cur = step_points(sys, cur, inverse=inverse)
+    return rows
+
+
+def _scalar_sin(x):
+    # math.sin raises TypeError on an array: eval_factor_like's per-point path
+    return math.sin(2 * math.pi * x) + 0.25 * math.cos(6 * math.pi * x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+@pytest.mark.parametrize("angle,f", [
+    ("golden", {"type": "trig", "sin": [[1, 1.0]]}),
+    (0.375, {"type": "trig", "const": 0.5, "cos": [[2, 0.7]], "sin": [[1, 1.0], [3, -0.2]]}),
+    (0.3, _scalar_sin),
+])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_coboundary_rows_equal_stepwise_walk(angle, f, n, inverse):
+    sys = strict_rotation_system(angle, f, grid_resolution=64)
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([sys.space.sample_points(), rng.random(9), [0.0, 1 - 2.0**-53]])
+    assert np.array_equal(orbit_array(sys, pts, n, inverse=inverse),
+                          _stepwise_rows(sys, pts, n, inverse=inverse))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50])
+def test_coboundary_walk_evaluates_f_once_per_cell(n):
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return np.sin(2 * np.pi * np.asarray(x, dtype=float))
+
+    sys = strict_rotation_system("golden", f, grid_resolution=32)
+    pts = sys.space.sample_points()
+    calls.clear()
+    rows = list(orbit_rows(sys, pts, n))
+    assert len(rows) == n
+    assert calls == [pts.shape] * (n + 1 if n else 0)  # was 2n: f(x) and f(psi x) per row
+    calls.clear()
+    list(orbit_rows(sys, pts, n, inverse=True))
+    assert len(calls) == 2 * n
+
+
+def test_sample_points_float_batch_matches_normalize():
+    edge = [-0.0, 0.0, -0.25, -1.0, 1.0, 1.5, 1 - 2.0**-53, -(2.0**-60), 2.0**-1074, 7e16, -3.3]
+    circle, torus = ModelSpace("circle"), ModelSpace("torus2")
+    batches = [(circle, np.array(edge)),
+               (circle, np.array(edge, dtype=np.float32)),
+               (torus, np.array([edge, edge[::-1]]).T)]
+    for space, x in batches:
+        got = space.sample_points(x)
+        want = np.asarray([space.normalize(p) for p in x], dtype=float)
+        assert got.dtype == float and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    for space, bad in [(circle, np.array([0.1, np.nan])), (circle, np.array([np.inf])),
+                       (circle, np.zeros((3, 2))), (torus, np.array([[0.1, -np.inf]])),
+                       (torus, np.array([[np.nan, 0.2]])), (torus, np.zeros(3)),
+                       (torus, np.zeros((2, 3)))]:
+        with pytest.raises(DomainError):
+            space.sample_points(bad)
+    # lists and finite spaces go point by point, as before
+    assert circle.sample_points([-0.25, 1.5]).tolist() == [0.75, 0.5]
+    finite = ModelSpace("finite", size=4)
+    got = finite.sample_points(np.array([0.0, 3.0]))
+    assert got.dtype == np.int64 and got.tolist() == [0, 3]
+    with pytest.raises(DomainError):
+        finite.sample_points(np.array([1.5]))
