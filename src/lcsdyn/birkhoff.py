@@ -15,12 +15,13 @@ keeps the per-point (n_max, P) arrays, for the full CSV and its callers.
 Exact finite systems run the same code on integers scaled by the common
 denominator D of the factor table: every A_n at one n shares the
 denominator n * D, so the per-n extrema are integer comparisons.  Fractions
-are built only at the boundary (extrema curves, table values, residuals).
+are built only at the boundary (extrema curves, table values, residuals);
+``table_to_csv`` formats its exact cells from the integer sums
+(``core.ratio_strings``) and builds none.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -35,7 +36,9 @@ from .core import (
     DEFAULT_MAX_ITERATIONS,
     ValidationError,
     eval_factor_like,
+    integer_array,
     orbit_rows,
+    ratio_strings,
     scaled_floats,
     step_points,
     sum_dtype,
@@ -68,15 +71,14 @@ class BirkhoffTable(BirkhoffExtrema):
 
     running_sums: np.ndarray = None
 
-    def columns(self, make=None):
-        """(sums, averages, env_minus, env_plus).  Exact values are built by
-        ``make(numerator, denominator)`` elementwise (default: Fractions)."""
+    def columns(self):
+        """(sums, averages, env_minus, env_plus); exact values are Fractions."""
         S, scale = self.running_sums, self.system.scale
-        A = _divide(S, np.arange(1, self.n_max + 1)[:, None], scale, make)
+        A = _divide(S, np.arange(1, self.n_max + 1)[:, None], scale)
         if scale is None:
             return S, A, *(u.accumulate(A[::-1], axis=0)[::-1] for u in (np.minimum, np.maximum))
         # an envelope value is the average at the suffix's extreme order
-        return (_divide(S, 1, scale, make), A,
+        return (_divide(S, 1, scale), A,
                 *(np.take_along_axis(A, _suffix_rows(S, better), axis=0)
                   for better in (np.less, np.greater)))
 
@@ -163,25 +165,16 @@ def _num_json(v):
     return float(v)
 
 
-def _ratio_str(a, q):
-    """str(Fraction(a, q)) for ints a and q > 0, without building the Fraction."""
-    g = math.gcd(a, q)
-    a, q = a // g, q // g
-    return str(a) if q == 1 else f"{a}/{q}"
-
-
 _FRACTION = np.frompyfunc(Fraction, 2, 1)
-_RATIO_STR = np.frompyfunc(_ratio_str, 2, 1)
 
 
-def _divide(sums, n, scale, make=None):
+def _divide(sums, n, scale):
     """sums / n in the sums' arithmetic: float64, or, for integer sums of
-    h * scale, the exact values sums / (n * scale) as an object array made
-    by ``make`` (default: Fractions)."""
+    h * scale, the exact values sums / (n * scale) as an object array of
+    Fractions."""
     if scale is None:
         return sums / n
-    return (make or _FRACTION)(np.asarray(sums, dtype=object),
-                               np.asarray(n, dtype=object) * scale)
+    return _FRACTION(np.asarray(sums, dtype=object), np.asarray(n, dtype=object) * scale)
 
 
 def _suffix_rows(S, better) -> np.ndarray:
@@ -444,25 +437,54 @@ def admissible_set(estimate: LimitEstimate, tolerance: float | None = None) -> A
     )
 
 
+#: rows of birkhoff.csv formatted and written at a time, which bounds the
+#: memory its cells take
+CSV_CHUNK_ROWS = 8192
+
+
 def table_to_csv(table: BirkhoffTable, path):
-    """Dump the full table as CSV: point, n, S_n, A_n, env-, env+."""
-    import csv
+    """Dump the full table as CSV: point, n, S_n, A_n, env-, env+.
+
+    Exact cells are formatted from the integer sums S_n * scale, as the
+    str of their Fractions: only the S_n and A_n cells, since an envelope
+    cell is the A_n cell at its suffix's extreme order.  Float cells are
+    reprs.  Rows are point-major, n within each point, and are written a
+    block of points at a time.
+    """
+    sys, n_max = table.system, table.n_max
 
     def fmt_point(p):
-        if table.system.space.kind == FINITE:
+        if sys.space.kind == FINITE:
             return str(int(p))
         if np.ndim(p) == 0:
             return repr(float(p))
         return ":".join(repr(float(c)) for c in p)
 
-    n_max = table.n_max
-    labels = (label for label in map(fmt_point, table.points) for _ in range(n_max))
-    # columns in row order: point-major, n within each point
-    cols = [_csv_column(a.T.ravel()) for a in table.columns(_RATIO_STR)]
+    if sys.exact:
+        orders = integer_array([n * sys.scale for n in range(1, n_max + 1)])[:, None]
+
+        def cells(block):  # the four columns of a block of points, point-major
+            S = table.running_sums[:, block]
+            averages = np.array(ratio_strings(S, orders), dtype=object).reshape(S.shape)
+            return [ratio_strings(S.T, sys.scale), averages.T.ravel().tolist(),
+                    *(np.take_along_axis(averages, _suffix_rows(S, better), axis=0)
+                      .T.ravel().tolist() for better in (np.less, np.greater))]
+    else:
+        arrays = table.columns()
+
+        def cells(block):
+            return [list(map(repr, a[:, block].T.ravel().tolist())) for a in arrays]
+
+    labels = list(map(fmt_point, table.points))
+    ns = [f",{n}," for n in range(1, n_max + 1)]
+    step = max(1, CSV_CHUNK_ROWS // n_max)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["point", "n", "S_n", "A_n", "env_minus", "env_plus"])
-        w.writerows(zip(labels, itertools.cycle(range(1, n_max + 1)), *cols))
+        fh.write("point,n,S_n,A_n,env_minus,env_plus\r\n")
+        for lo in range(0, len(labels), step):
+            block = slice(lo, lo + step)
+            cols = cells(block)
+            heads = [label + n for label in labels[block] for n in ns]
+            fh.write("".join([f"{h}{s},{a},{e},{E}\r\n" for h, s, a, e, E in zip(heads, *cols)]))
 
 
 def extrema_to_csv(table: BirkhoffExtrema, path):

@@ -28,6 +28,7 @@ from . import __version__, birkhoff, elastic, ergopt, torus
 from .core import (
     BudgetError,
     DomainError,
+    RationalTable,
     ValidationError,
     cat_map_system,
     eval_factor,
@@ -131,7 +132,8 @@ def system_from_config(decl: dict, tolerances: dict | None = None):
         for what, seq in (("permutation table", table), ("factor values", values)):
             if not isinstance(seq, list):
                 raise ValidationError(f"{what} must be a list, got {seq!r}")
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in table):
+        types = set(map(type, table))
+        if bool in types or not all(issubclass(t, int) for t in types):
             raise ValidationError(f"permutation table entries must be integers, got {table!r}")
         return finite_permutation_system(table, values)
     raise ValidationError(f"unknown space kind {kind!r}")
@@ -363,16 +365,16 @@ def _cmd_optimize(config, sys_, out_dir, warnings):
 
 
 def _write_potential_csv(sys_, result, path):
-    import csv as _csv
-
-    if result.potential_table is None:
+    table = result.potential_table
+    if table is None:
         return
-    # str of a Fraction is "p/q"; str of a Python float is its repr
-    cells = map(str, np.asarray(result.potential_table).tolist())
+    # exact cells come from the integers, as the str of their Fractions; str
+    # of a Python float is its repr
+    cells = (table.strings() if isinstance(table, RationalTable)
+             else map(str, np.asarray(table).tolist()))
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["index", "f"])
-        w.writerows(enumerate(cells))
+        fh.write("index,f\r\n")
+        fh.write("".join([f"{i},{c}\r\n" for i, c in enumerate(cells)]))
 
 
 def _cmd_construct(config, sys_, out_dir, warnings):

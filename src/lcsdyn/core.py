@@ -9,12 +9,18 @@ Circle and torus coordinates live in [0, 1) and are reduced mod 1 after every
 map application, so long orbits cannot drift.  Finite systems whose factor
 table is rational are evaluated in exact arithmetic: on the integers h * D, D
 the common denominator of the table, with Fractions only at the boundary.
+A table of "p/q" strings is parsed straight into integer numerators and
+denominators (a ``RationalTable``), whose Fractions are built only when a
+caller reads them, and exact CSV cells are formatted from integers
+(``ratio_strings``).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -94,15 +100,102 @@ def sum_dtype(sys: ConformalSystem, terms: int):
     return np.int64 if sys.scaled_bound * terms < 2**63 else object
 
 
-def scaled_floats(ints, denominator: int) -> np.ndarray:
-    """Integers over a positive denominator as float64, each rounded as
-    float(Fraction(i, denominator)) is: correctly.  int64 values and
-    denominators below 2^53 are exact floats, so one float division rounds
-    correctly; larger ones divide as Python ints."""
-    a = np.asarray(ints)
-    if a.dtype == np.int64 and denominator < 2**53 and (a.size == 0 or np.abs(a).max() < 2**53):
-        return a / denominator
-    return np.array([i / denominator for i in a.ravel().tolist()], dtype=float).reshape(a.shape)
+def integer_array(values) -> np.ndarray:
+    """Integers as an int64 array, or as an object array of Python ints where
+    int64 cannot hold them."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+
+
+def _int64_bound(a: np.ndarray) -> int:
+    """max |a| of an integer array, as a Python int (no int64 overflow)."""
+    return max(-int(a.min()), int(a.max())) if a.size else 0
+
+
+_GCD = np.frompyfunc(math.gcd, 2, 1)
+
+
+def _lowest_terms(numerators, denominators):
+    """(a / g, q / g), g = gcd(a, q), for integers a and q > 0 broadcast
+    together: np.gcd where int64 holds both, Python ints where it does not."""
+    a, q = np.broadcast_arrays(integer_array(numerators), integer_array(denominators))
+    if a.dtype == q.dtype == np.int64 and _int64_bound(a) < 2**63:
+        g = np.gcd(a, q)
+    else:
+        a, q = a.astype(object), q.astype(object)
+        g = _GCD(a, q)
+    return a // g, q // g
+
+
+def ratio_strings(numerators, denominators) -> list:
+    """str(Fraction(a, q)) for integers a and q > 0 broadcast together, in C
+    order, without building the Fractions: "a/q" in lowest terms, "a" when
+    the reduced q is 1."""
+    a, q = _lowest_terms(numerators, denominators)
+    return [str(x) if d == 1 else f"{x}/{d}" for x, d in zip(a.ravel().tolist(),
+                                                            q.ravel().tolist())]
+
+
+def scaled_floats(ints, denominators) -> np.ndarray:
+    """Integers over positive denominators (broadcast together) as float64,
+    each rounded as float(Fraction(i, d)) is: correctly.  Integers below 2^53
+    are exact floats, so one float division rounds correctly; larger ones
+    divide as Python ints."""
+    a, q = np.asarray(ints), integer_array(denominators)
+    if (a.dtype == q.dtype == np.int64
+            and max(_int64_bound(a), _int64_bound(q)) < 2**53):
+        return a / q
+    a, q = np.broadcast_arrays(a, q)
+    return np.array([i / d for i, d in zip(a.ravel().tolist(), q.ravel().tolist())],
+                    dtype=float).reshape(a.shape)
+
+
+class RationalTable(Sequence):
+    """Exact values held as integer arrays, numerators over positive
+    denominators in lowest terms (int64, or Python ints where int64 cannot
+    hold them), read as a tuple of Fractions that is built on first access
+    and kept.  ``strings`` and ``floats`` read the integers only."""
+
+    def __init__(self, numerators, denominators):
+        self.numerators, self.denominators = _lowest_terms(numerators, denominators)
+        self._fractions = None
+
+    @property
+    def fractions(self) -> tuple:
+        if self._fractions is None:
+            self._fractions = tuple(map(Fraction, self.numerators.tolist(),
+                                        self.denominators.tolist()))
+        return self._fractions
+
+    def __len__(self):
+        return len(self.numerators)
+
+    def __getitem__(self, i):
+        return self.fractions[i]
+
+    def __iter__(self):
+        return iter(self.fractions)
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return self.fractions == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.fractions)
+
+    def __repr__(self):
+        return f"RationalTable({list(self.fractions)!r})"
+
+    def strings(self) -> list:
+        """str of every value, as ``ratio_strings`` gives it."""
+        return ratio_strings(self.numerators, self.denominators)
+
+    def floats(self) -> np.ndarray:
+        """Every value as float64, rounded as float(Fraction) rounds."""
+        return scaled_floats(self.numerators, self.denominators)
 
 
 @dataclass(frozen=True)
@@ -244,9 +337,11 @@ def trig2_factor(const=0.0, terms=()):
 def table_factor(values):
     """Per-state factor on a finite space; Fractions are preserved on scalars.
 
-    The float64 values for array calls are built on the first such call.
+    The float64 values for array calls are built on the first such call (a
+    ``RationalTable``'s from its integers, without its Fractions).
     """
-    values = tuple(values)
+    if not isinstance(values, RationalTable):
+        values = tuple(values)
     float_values = None
 
     def h(x):
@@ -254,7 +349,8 @@ def table_factor(values):
         if np.ndim(x) == 0:
             return values[int(x)]
         if float_values is None:
-            float_values = np.asarray([float(v) for v in values])
+            float_values = (values.floats() if isinstance(values, RationalTable)
+                            else np.asarray([float(v) for v in values]))
         return float_values[np.asarray(x, dtype=np.int64)]
 
     return h
@@ -267,7 +363,8 @@ class ConformalSystem:
     Immutable after construction; all operations on it are pure, so instances
     can be shared freely across workers.
 
-    An exact system (finite, with a table of Fractions) also has the integers
+    An exact system (finite, with a rational factor table: a
+    ``RationalTable`` or a tuple of Fractions) also has the integers
     ``scaled_table`` = h * ``scale``, ``scale`` the common denominator of the
     table, which exact consumers work on.  They are derived on first use and
     kept; a table whose integers would exceed ``MAX_SCALED_BITS`` is a
@@ -282,15 +379,25 @@ class ConformalSystem:
     label: str = ""
     map_kind: dict = field(default_factory=lambda: {"kind": "generic"})
     perm_table: tuple | None = None
-    factor_table: tuple | None = None
+    factor_table: Sequence | None = None
     generating_f: object | None = None
+
+    @cached_property
+    def _rationals(self) -> RationalTable | None:
+        """The factor table's integers on exact systems, else None."""
+        t = self.factor_table
+        if self.space.kind != FINITE or self.perm_table is None or t is None:
+            return None
+        if isinstance(t, RationalTable):
+            return t
+        if all(isinstance(v, Fraction) for v in t):
+            return RationalTable([v.numerator for v in t], [v.denominator for v in t])
+        return None
 
     @cached_property
     def exact(self) -> bool:
         """True when orbits and factor values are exact rationals."""
-        return (self.space.kind == FINITE and self.perm_table is not None
-                and self.factor_table is not None
-                and all(isinstance(v, Fraction) for v in self.factor_table))
+        return self._rationals is not None
 
     @cached_property
     def scale(self) -> int | None:
@@ -298,7 +405,7 @@ class ConformalSystem:
         if not self.exact:
             return None
         m, D = len(self.factor_table), 1
-        for q in {v.denominator for v in self.factor_table}:
+        for q in np.unique(self._rationals.denominators).tolist():
             D = math.lcm(D, q)
             if m * D.bit_length() > MAX_SCALED_BITS:
                 raise BudgetError(
@@ -308,23 +415,33 @@ class ConformalSystem:
         return D
 
     @cached_property
+    def _scaled(self) -> np.ndarray:
+        """h * scale of an exact system: int64, or Python ints where int64
+        cannot hold them."""
+        D, num, den = self.scale, self._rationals.numerators, self._rationals.denominators
+        if num.dtype == np.int64 and D < 2**63:
+            mult = D // den
+            if _int64_bound(num) * _int64_bound(mult) < 2**63:
+                return num * mult
+        return integer_array(num.astype(object) * (D // den.astype(object)))
+
+    @cached_property
     def scaled_table(self) -> tuple | None:
         """The integers h * scale on exact systems, else the factor table."""
-        D = self.scale
-        if D is None:
+        if not self.exact:
             return self.factor_table
-        return tuple(v.numerator * (D // v.denominator) for v in self.factor_table)
+        return tuple(self._scaled.tolist())
 
     @cached_property
     def scaled_bound(self) -> int:
         """max |h * scale| of an exact system."""
-        return max(map(abs, self.scaled_table))
+        return _int64_bound(self._scaled)
 
     @cached_property
     def scaled_rows(self) -> np.ndarray:
-        """``scaled_table`` as the array orbit walks index: int64, or Python
-        ints where int64 cannot hold them."""
-        return np.array(self.scaled_table, dtype=sum_dtype(self, 1))
+        """An exact system's ``scaled_table`` as the array orbit walks index:
+        int64, or Python ints where int64 cannot hold them."""
+        return self._scaled.astype(sum_dtype(self, 1))
 
 
 def iterate(sys: ConformalSystem, x, n: int, max_iterations: int | None = None):
@@ -573,25 +690,22 @@ def finite_permutation_system(table, factor_values, label: str = "") -> Conforma
     """Permutation of m states with a per-state factor table.
 
     Integer, Fraction and "p/q" factor entries give exact rational arithmetic
-    throughout; floats fall back to float arithmetic.
+    throughout; a table with a float entry falls back to float arithmetic.
     """
-    tbl = tuple(int(v) for v in table)
+    tbl = tuple(map(int, table))
     m = len(tbl)
     if m < 1:
         raise ValidationError("permutation table is empty")
-    if sorted(tbl) != list(range(m)):
+    inv = np.full(m, -1)
+    if 0 <= min(tbl) and max(tbl) < m:
+        inv[np.array(tbl)] = np.arange(m)
+    if inv.min() < 0:
         raise ValidationError(f"table {list(tbl)} is not a bijection on {m} states")
-    if len(tuple(factor_values)) != m:
+    inv = tuple(inv.tolist())
+    values = list(factor_values)
+    if len(values) != m:
         raise ValidationError("factor table length does not match state count")
-    rationals = [as_rational(v) for v in factor_values]
-    if all(r is not None for r in rationals):
-        vals = tuple(rationals)
-    else:
-        vals = tuple(float(v) for v in factor_values)
-    inv = [0] * m
-    for i, j in enumerate(tbl):
-        inv[j] = i
-    inv = tuple(inv)
+    vals = _factor_table(values)
     space = ModelSpace(FINITE, size=m)
     sys = ConformalSystem(
         space=space,
@@ -604,6 +718,64 @@ def finite_permutation_system(table, factor_values, label: str = "") -> Conforma
         factor_table=vals,
     )
     return sys
+
+
+#: a comma whose entry is not "[-]digits/digits" with at most 18 digits a side
+#: (which int64 holds); a lookahead, not a repeated group, so that the check
+#: keeps no state per entry
+_NOT_INT64_RATIO = re.compile(r",(?!-?[0-9]{1,18}/[0-9]{1,18}(?:,|\Z))")
+
+
+def _factor_table(values: list):
+    """A finite factor table: a ``RationalTable`` or a tuple of Fractions when
+    every entry is rational (see ``as_rational``), else a tuple of floats.
+
+    A table of "p/q" strings that int64 holds is parsed in one pass: one
+    regex check over the joined strings and one integer parse.  Any other
+    table goes entry by entry through ``as_rational``.  An entry that is
+    neither rational nor a real number (a boolean counts as neither), a
+    string in a table with a float entry, and a non-finite float are each a
+    ValidationError that names the entry's index.
+    """
+    if set(map(type, values)) == {str}:
+        joined = "," + ",".join(values)
+        if joined.count(",") == len(values) and not _NOT_INT64_RATIO.search(joined):
+            ints = np.fromstring(joined[1:].replace("/", ","), dtype=np.int64, sep=",")
+            num, den = ints[0::2], ints[1::2]
+            zero = np.flatnonzero(den == 0)
+            if zero.size:
+                raise _entry_error(values, int(zero[0]))
+            return RationalTable(num, den)
+    rationals = [as_rational(v) for v in values]
+    if all(r is not None for r in rationals):
+        return tuple(rationals)
+    for i, (v, r) in enumerate(zip(values, rationals)):
+        if r is None and not _is_real(v):
+            raise _entry_error(values, i)
+    floats = rationals.index(None)  # the first float entry
+    for i, v in enumerate(values):
+        if not _is_real(v):
+            raise ValidationError(
+                f"factor values[{i}] = {v!r} is a string, but values[{floats}] = "
+                f"{values[floats]!r} makes the table float, which takes numbers only")
+    out = []
+    for i, v in enumerate(values):
+        try:
+            out.append(float(v))
+        except OverflowError:
+            out.append(math.inf)
+        if not math.isfinite(out[-1]):
+            raise ValidationError(f"factor values[{i}] = {v!r} is not a finite number")
+    return tuple(out)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _entry_error(values, i) -> ValidationError:
+    return ValidationError(f"factor values[{i}] = {values[i]!r} is neither a number "
+                           "nor a rational such as 3, '-3/4' or '1.5'")
 
 
 def _factor_callable(space: ModelSpace, spec):

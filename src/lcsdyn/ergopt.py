@@ -13,7 +13,10 @@ bound on grids.
 Exact finite systems run on integers scaled by the common denominator D of
 the factor table (``ConformalSystem.scaled_table``): cycle sums, potentials
 and certificates are Python ints, and Fractions are built only at the
-boundary (cycle means, returned values and potential tables).
+boundary (cycle means, returned values and certificates).  An exact
+potential table stays integers over L * D (a ``core.RationalTable``) whose
+Fractions are built on first access, so ``potential.csv`` is formatted from
+the integers.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from .core import (
     FINITE,
     ConformalSystem,
+    RationalTable,
     ValidationError,
     eval_factor,
     orbit_array,
@@ -47,7 +51,7 @@ class CycleDecomposition:
 class OptimizationResult:
     value: object
     potential: object  # evaluable
-    potential_table: object  # per-state / per-node values, or None
+    potential_table: object  # per-state / per-node values (a RationalTable if exact), or None
     certificate: object  # max_x(h + f o psi - f) - value over the sample
     method: str
 
@@ -130,10 +134,10 @@ def _cycle_optimum(succ, hv, scale, sign: int, method: str) -> OptimizationResul
     level M attains M; the certificate is max edge - M.  With ``scale`` the
     potential is built on h * scale * L at level L * scale * M, L the length
     of a cycle of mean M, so it and the certificate are integers over
-    L * scale until the Fractions of the result.
+    L * scale; the potential table stays so (a ``RationalTable``).
 
-    "exact_finite" keeps the potential per state, as a list with its
-    evaluable; "grid_descent" keeps it per grid node, as an array only.
+    "exact_finite" keeps the potential per state, as a list (a
+    ``RationalTable`` when exact) with its evaluable; "grid_descent" keeps it per grid node, as an array only.
     """
     if sign < 0:
         hv = [-v for v in hv]
@@ -150,7 +154,7 @@ def _cycle_optimum(succ, hv, scale, sign: int, method: str) -> OptimizationResul
         top = max(F)
         F = [top - v for v in F]
     if scale is not None:
-        F, excess = [Fraction(v, L * scale) for v in F], Fraction(excess, L * scale)
+        F, excess = RationalTable(F, L * scale), Fraction(excess, L * scale)
     if method == "exact_finite":
         return OptimizationResult(sign * M, lambda x: F[int(x)], F, excess, method)
     return OptimizationResult(
