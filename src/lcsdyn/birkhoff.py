@@ -96,9 +96,11 @@ class BirkhoffTable(BirkhoffExtrema):
 class LimitEstimate:
     """Estimates of the limiting extrema of the truncated envelopes.
 
-    ``exact`` is True on finite bijections, where both limits are cycle-mean
-    extrema.  ``error_bound`` is a number only when the factor is a stored
-    coboundary (telescoping bound); otherwise the string "heuristic".
+    On finite bijections both limits are cycle-mean extrema: ``exact`` is
+    True when the factor table is exact, and a float table's
+    ``error_bound`` bounds the rounding of its float cycle means.  Elsewhere
+    ``error_bound`` is a number only when the factor is a stored coboundary
+    (telescoping bound); otherwise the string "heuristic".
     """
 
     L_minus: object
@@ -363,11 +365,27 @@ def gauge_shifted_system(sys: ConformalSystem, f0) -> ConformalSystem:
     return replace(sys, factor=h, generating_f=None, label=f"{sys.label} + coboundary")
 
 
+def _cycle_mean_rounding(sys: ConformalSystem, dec) -> float:
+    """A bound on the rounding error of a float table's cycle means.
+
+    A mean of L values summed in order and divided by L is within
+    gamma_L * mean|h| of the exact mean, gamma_L = L u / (1 - L u) with
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
+    (L + 1) * 2^-52 is about twice gamma_L (for L below 2^26), which leaves
+    room for the rounding of the bound itself.
+    """
+    h = sys.factor_table
+    eps = np.finfo(float).eps
+    return max(eps * (len(cyc) + 1) * math.fsum(abs(h[i]) for i in cyc) / len(cyc)
+               for cyc, _mean in dec.cycles)
+
+
 def limit_estimates(table: BirkhoffExtrema, stabilization_rtol: float = 1e-6,
                     window_fraction: float = 0.1) -> LimitEstimate:
     """Estimate the limiting envelope extrema from a table or its extrema.
 
-    Finite bijections are resolved exactly through the cycle-mean oracle.  On
+    Finite bijections are resolved through the cycle-mean oracle, exactly on
+    an exact table and up to a rounding bound on a float one.  On
     continuous kinds the monotone truncated envelopes at n_max are reported;
     the estimate is flagged unstable when the extrema still move (relatively)
     more than ``stabilization_rtol`` across the last ``window_fraction`` of
@@ -384,8 +402,8 @@ def limit_estimates(table: BirkhoffExtrema, stabilization_rtol: float = 1e-6,
             L_minus=dec.min_mean,
             L_plus=dec.max_mean,
             n_used=table.n_max,
-            error_bound=Fraction(0) if sys.exact else 0.0,
-            exact=True,
+            error_bound=Fraction(0) if sys.exact else _cycle_mean_rounding(sys, dec),
+            exact=sys.exact,
             stable=True,
         )
 

@@ -223,6 +223,9 @@ def _k_values(config: RunConfig):
     return ks
 
 
+_ROUNDED = "float factor table: the cycle means carry a rounding error of at most error_bound"
+
+
 def _cmd_analyze(config, sys_, out_dir, warnings):
     # the full per-point table is built only when birkhoff.csv is written
     points = _points_spec(config.grid, "grid")
@@ -231,7 +234,8 @@ def _cmd_analyze(config, sys_, out_dir, warnings):
     table = reduce(sys_, points, config.n_max)
     est = birkhoff.limit_estimates(table)
     if not est.exact:
-        warnings.append("limit estimate on a sampled grid is a lower/upper "
+        warnings.append(_ROUNDED if sys_.perm_table is not None else
+                        "limit estimate on a sampled grid is a lower/upper "
                         "approximation, not a certified bound")
     if est.error_bound == "heuristic":
         warnings.append("no telescoping bound available: error_bound is heuristic")
@@ -258,7 +262,8 @@ def _cmd_admissible(config, sys_, out_dir, warnings):
     est = birkhoff.limit_estimates(table)
     adm = birkhoff.admissible_set(est)
     if not est.exact:
-        warnings.append("gap endpoints are grid estimates; classifications near "
+        warnings.append(_ROUNDED if sys_.perm_table is not None else
+                        "gap endpoints are grid estimates; classifications near "
                         "the boundary are not certified")
     classifications = [{"k": k, "verdict": adm.classify(k)} for k in _k_values(config)]
     birkhoff.extrema_to_csv(table, os.path.join(out_dir, "envelopes.csv"))
@@ -423,12 +428,13 @@ def _cmd_elasticity(config, sys_, out_dir, warnings):
     if not es.equality:
         warnings.append("form may vanish: reported complement is a superset of "
                         "the true elasticity set")
+    min_u, max_u = profile.bounds
     return {
         "elasticity": es.to_json(),
         "profile_summary": {
-            "samples": int(profile.samples.size),
-            "min_u": float(profile.samples.min()),
-            "max_u": float(profile.samples.max()),
+            "samples": profile.size,
+            "min_u": min_u,
+            "max_u": max_u,
             "first_kind": elastic.first_kind_test(profile),
         },
     }

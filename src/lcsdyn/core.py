@@ -445,15 +445,16 @@ class ConformalSystem:
 
 
 def iterate(sys: ConformalSystem, x, n: int, max_iterations: int | None = None):
-    """n-th image of x under the system map (backward map for n < 0)."""
+    """n-th image of x under the system map (backward map for n < 0), stepped
+    as a batch of one point by ``step_points``."""
     budget = DEFAULT_MAX_ITERATIONS if max_iterations is None else max_iterations
     if abs(n) > budget:
         raise BudgetError(f"|n| = {abs(n)} exceeds iteration budget {budget}")
-    y = sys.space.normalize(x)
-    step = sys.forward if n >= 0 else sys.backward
+    pts = np.asarray(sys.space.normalize(x))[None]  # a batch of one point
     for _ in range(abs(n)):
-        y = step(y)
-    return y
+        pts = step_points(sys, pts, inverse=n < 0)
+    kind = sys.space.kind
+    return int(pts[0]) if kind == FINITE else float(pts[0]) if kind == CIRCLE else pts[0]
 
 
 def step_points(sys: ConformalSystem, pts, inverse: bool = False):

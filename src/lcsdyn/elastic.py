@@ -5,32 +5,92 @@ c for which the twisted structure degenerates are exactly the values
 (1 + u)/u attained with u != 0; the elasticity set is the complement of the
 closure of that image.  Samples with u = 0 contribute no forbidden value.
 The first-kind case is u identically -1, equivalently elasticity = R \\ {0}.
+
+Every reduction of a profile reads it one block of samples at a time
+(``LiouvilleProfile.blocks``), so a mapping torus's profile, the product of
+its cutoff slopes and its orbit factor values, is never held whole.
 """
 
 from __future__ import annotations
 
 import csv
 import re
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .core import ConformalSystem, ValidationError, as_rational
 
+#: samples per block of a profile reduction (a factored profile rounds it to
+#: whole rows of slopes); it bounds the memory every reduction takes
+_BLOCK = 1 << 16
 
-@dataclass
+
 class LiouvilleProfile:
-    samples: np.ndarray
-    lambda_nonvanishing: bool = True
-    label: str = ""
+    """A finite sample of u, as an array or kept factored.
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float).ravel()
-        if self.samples.size == 0:
+    ``factors=(slopes, values, k)`` is the profile of a size-k mapping
+    torus, u = -k / (s v + k) for every cutoff slope s and orbit factor
+    value v, slope-major.  Its blocks are built a few rows of slopes at a
+    time and checked finite as they are built; ``samples``, the whole array,
+    is materialised on first access.
+    """
+
+    def __init__(self, samples=None, lambda_nonvanishing: bool = True, label: str = "",
+                 factors=None):
+        self.lambda_nonvanishing = lambda_nonvanishing
+        self.label = label
+        if factors is not None:
+            slopes, values, self._k = factors
+            self._slopes = np.asarray(slopes, dtype=float).ravel()
+            self._values = np.asarray(values, dtype=float).ravel()
+            self._samples = None
+            self.size = self._slopes.size * self._values.size
+        else:
+            self._samples = np.asarray(samples, dtype=float).ravel()
+            self.size = self._samples.size
+            if not np.all(np.isfinite(self._samples)):
+                raise ValidationError("profile samples must be finite")
+        if self.size == 0:
             raise ValidationError("profile needs at least one sample")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValidationError("profile samples must be finite")
+
+    def blocks(self):
+        """The samples in order, one block at a time: a fresh array, or a
+        view of ``samples`` that the caller must not write to."""
+        if self._samples is not None:
+            for i in range(0, self.size, _BLOCK):
+                yield self._samples[i:i + _BLOCK]
+            return
+        rows = max(1, _BLOCK // self._values.size)
+        for i in range(0, self._slopes.size, rows):
+            u = np.multiply.outer(self._slopes[i:i + rows], self._values).ravel()
+            u += self._k
+            np.divide(-self._k, u, out=u)
+            if not np.all(np.isfinite(u)):
+                raise ValidationError("profile samples must be finite")
+            yield u
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Every sample as one array (a factored profile is built once, here)."""
+        if self._samples is None:
+            out = np.empty(self.size)
+            i = 0
+            for u in self.blocks():
+                out[i:i + u.size] = u
+                i += u.size
+            self._samples = out
+        return self._samples
+
+    @cached_property
+    def bounds(self) -> tuple:
+        """(min u, max u) over the samples."""
+        lo, hi = zip(*((u.min(), u.max()) for u in self.blocks()))
+        return float(min(lo)), float(max(hi))
 
 
 @dataclass
@@ -63,20 +123,6 @@ class ElasticitySet:
         }
 
 
-_GAP_CHUNK = 1 << 16
-
-
-def _gaps_above(vals, gap):
-    """Indices i with vals[i+1] - vals[i] > gap, scanned in fixed chunks, so
-    no difference array as long as vals is built."""
-    last = len(vals) - 1
-    found = [np.empty(0, dtype=np.intp)]
-    for i in range(0, last, _GAP_CHUNK):
-        j = min(i + _GAP_CHUNK, last)
-        found.append(np.flatnonzero(vals[i + 1:j + 1] - vals[i:j] > gap) + i)
-    return np.concatenate(found)
-
-
 def elasticity_from_profile(profile: LiouvilleProfile, gap_resolution: float = 1e-3,
                             tol_zero: float = 1e-12) -> ElasticitySet:
     """Forbidden constants (1 + u)/u of the profile, merged into intervals.
@@ -86,39 +132,56 @@ def elasticity_from_profile(profile: LiouvilleProfile, gap_resolution: float = 1
     value (1 + u)/u.  Sorted values with gaps below ``gap_resolution`` fuse
     into one closed interval, since the image of a continuous u over a
     connected domain is an interval that finite sampling punctures.
+
+    Each block's sorted values split into hulls at its own gaps; the hulls,
+    sorted by start, then merge unless a start exceeds the running max of
+    the ends by more than ``gap_resolution``.  Float subtraction is monotone,
+    so no block's hull spans a gap of the whole sorted value set, and the
+    intervals are those of that one sorted array, bit for bit.
     """
-    u = profile.samples
-    zero_mask = np.abs(u) < tol_zero
-    contains_zero = bool(zero_mask.any())
-    live = u[~zero_mask] if contains_zero else u  # profiles run to millions of samples
-    if live.size == 0:
+    starts, ends = [], []
+    contains_zero = False
+    for u in profile.blocks():
+        zero_mask = np.abs(u) < tol_zero
+        if zero_mask.any():
+            contains_zero = True
+            u = u[~zero_mask]
+        if u.size == 0:
+            continue
+        vals = 1.0 + u  # the block's one value array, divided and sorted in place
+        vals /= u
+        vals.sort()
+        vals += 0.0  # folds -0.0 into 0.0
+        breaks = np.flatnonzero(np.diff(vals) > gap_resolution)
+        starts.append(vals[np.r_[0, breaks + 1]])
+        ends.append(vals[np.r_[breaks, -1]])
+    if not starts:
         return ElasticitySet([], contains_zero, profile.lambda_nonvanishing,
                              gap_resolution)
-    vals = 1.0 + live  # the one value array, divided and sorted in place
-    vals /= live
-    vals.sort()
-    vals += 0.0  # folds -0.0 into 0.0
-    breaks = _gaps_above(vals, gap_resolution)
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [len(vals) - 1]])
-    intervals = [(float(vals[a]), float(vals[b])) for a, b in zip(starts, ends)]
+    starts = np.concatenate(starts)
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    reach = np.maximum.accumulate(np.concatenate(ends)[order])
+    cuts = np.flatnonzero(starts[1:] - reach[:-1] > gap_resolution)
+    intervals = list(zip(starts[np.r_[0, cuts + 1]].tolist(), reach[np.r_[cuts, -1]].tolist()))
     return ElasticitySet(intervals, contains_zero, profile.lambda_nonvanishing,
                          gap_resolution)
 
 
 def degeneracy_criterion(profile: LiouvilleProfile, c: float) -> float:
     """min over samples of |1 + (1 - c) u|; zero iff c is attained."""
-    u = profile.samples
-    return float(np.min(np.abs(1.0 + (1.0 - c) * u)))
+    return min(float(np.min(np.abs(1.0 + (1.0 - c) * u))) for u in profile.blocks())
 
 
 def first_kind_test(profile: LiouvilleProfile, tol_profile: float = 1e-9) -> bool:
     """True iff the profile is identically -1 (within tolerance).
 
     Equivalent to the elasticity set being the whole punctured line: the only
-    forbidden constant of u = -1 is (1 - 1)/(-1) = 0.
+    forbidden constant of u = -1 is (1 - 1)/(-1) = 0.  u + 1 rounds
+    monotonically in u, so |u + 1| is largest at the extreme samples.
     """
-    return bool(np.all(np.abs(profile.samples + 1.0) <= tol_profile))
+    lo, hi = profile.bounds
+    return abs(lo + 1.0) <= tol_profile and abs(hi + 1.0) <= tol_profile
 
 
 def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
@@ -128,7 +191,9 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
 
     The constructed pairing satisfies (1 + u)/u = dt g / (-k), equivalently
     u = -k / (dt g + k); the slope never meets -k, so u is finite and never
-    zero, and the underlying form never vanishes (equality holds).
+    zero, and the underlying form never vanishes (equality holds).  dt g is
+    a cutoff slope times an orbit factor value (``dt_attainable``), so the
+    profile is kept as those two factors.
 
     With ``strict_mu`` (requires a stored generating f) the first-kind
     potential f o p1 - t is used instead, whose t-derivative is exactly -1.
@@ -143,41 +208,41 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
                                 label=f"{sys.label} strict profile")
     mu = torus.build_mu(sys, k, t_window, n_scan=n_scan, points=points, rng=rng,
                         samples=128)
-    u = mu.gcons.dt_attainable(s_count=s_count)
-    u += mu.k
-    np.divide(-mu.k, u, out=u)
-    return LiouvilleProfile(u, True, label=f"{sys.label} size {k} profile")
+    slopes, values = mu.gcons.dt_attainable(s_count=s_count)
+    return LiouvilleProfile(label=f"{sys.label} size {k} profile",
+                            factors=(slopes, values, mu.k))
 
 
 def profile_from_csv(path, column: str = "u") -> LiouvilleProfile:
     """Load a profile from CSV (a 'u' column, or one value per row).
 
-    A file that cannot be read, a row without the column and a cell that is
-    not a number are ValidationErrors naming the file.
+    Rows are converted as they are read, into one array of doubles.  A file
+    that cannot be read, a row without the column and a cell that is not a
+    number are ValidationErrors naming the file.
     """
-    values = []
+    values = array("d")
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"no data in {path}")
+            col = 0
+            rows = enumerate(reader, start=2)
+            if all(_is_number(tok) for tok in header):
+                rows = chain([(1, header)], rows)
+            elif column in header:
+                col = header.index(column)
+            for line, row in rows:
+                if row:
+                    try:
+                        values.append(float(row[col]))
+                    except (IndexError, ValueError):
+                        raise ValidationError(f"{path} line {line}: no number in column "
+                                              f"{col + 1}: {row!r}") from None
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read profile {path}: {exc}") from None
-    if not rows:
-        raise ValidationError(f"no data in {path}")
-    start = 0
-    col = 0
-    header = rows[0]
-    if any(not _is_number(tok) for tok in header):
-        if column in header:
-            col = header.index(column)
-        start = 1
-    for line, row in enumerate(rows[start:], start=start + 1):
-        if row:
-            try:
-                values.append(float(row[col]))
-            except (IndexError, ValueError):
-                raise ValidationError(f"{path} line {line}: no number in column "
-                                      f"{col + 1}: {row!r}") from None
-    return LiouvilleProfile(np.asarray(values), label=str(path))
+    return LiouvilleProfile(np.frombuffer(values, dtype=float), label=str(path))
 
 
 def _is_number(tok):

@@ -553,14 +553,17 @@ class GConstruction:
         return float(np.min(np.abs(self.dt(pts, ts) + self.k)))
 
     def dt_attainable(self, pts=None, s_count: int = 4097, max_factor_values: int = 512):
-        """Attainable values of dt g: products of -chi' with orbit factor values.
+        """Attainable values of dt g as two factors (slopes, values): every
+        product of a signed cutoff slope with an orbit factor value.
 
         At every t exactly one cutoff translate is active, so the value set
         of dt g over grid x window factors as (chi' values) x (factor orbit
         values); sampling the two factors densely is equivalent to a very
         fine direct sweep.  The tables read one spare row each way: it adds
-        0 to g, but its values are attained.  The mirrored branch's factor
-        values are the negated ones, and its dt g the negated product.
+        0 to g, but its values are attained.  The slopes are -chi'; the
+        mirrored branch's factor values are the negated ones, and its dt g
+        the negated product, so its slopes are chi'.  The products,
+        ``np.multiply.outer(slopes, values)``, are left to the caller.
         """
         pts = reference_points(self.system) if pts is None else pts
         fwd, bwd = self._tables(pts, np.asarray(self.t_window, dtype=float), spare=1)
@@ -570,7 +573,7 @@ class GConstruction:
             idx = np.linspace(0, len(hv) - 1, max_factor_values).round().astype(int)
             hv = hv[idx]
         chi_p = self.cutoff.prime(np.linspace(0.0, 1.0, s_count))
-        return np.multiply.outer(chi_p if self.mirrored else -chi_p, hv).ravel()
+        return (chi_p if self.mirrored else -chi_p), hv
 
     def _default_sample(self, pts, ts):
         """The points and a (T, 1) column of times: a (T, P) grid."""

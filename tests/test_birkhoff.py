@@ -166,6 +166,56 @@ def test_limit_estimates_finite_exact(swap_pair):
     assert est.L_minus == 1 and est.L_plus == 2
 
 
+def _fraction_cycle_means(table, values):
+    """Exact means of the float values over every cycle, as Fractions."""
+    seen, means = set(), []
+    for start in range(len(table)):
+        cyc, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cyc.append(x)
+            x = table[x]
+        if cyc:
+            means.append(sum(Fraction(values[i]) for i in cyc) / len(cyc))
+    return min(means), max(means)
+
+
+def test_limit_estimates_float_table_is_not_exact():
+    # a float table's cycle means are floats: exact is False, and the error
+    # bound covers their distance to the exact means of the float values
+    rng = np.random.default_rng(5)
+    cases = [([1, 2, 0], [0.1, 0.2, 0.4])]
+    for m in (7, 300, 2000):
+        values = (rng.random(m) * 10.0 ** rng.integers(-3, 4, m)).tolist()
+        cases.append((rng.permutation(m).tolist(), values))
+    for table, values in cases:
+        sys = finite_permutation_system(table, values)
+        assert not sys.exact
+        est = limit_estimates(birkhoff_extrema(sys, n_max=4))
+        assert est.exact is False
+        assert isinstance(est.error_bound, float) and est.error_bound > 0.0
+        lo, hi = _fraction_cycle_means(table, values)
+        assert abs(Fraction(est.L_minus) - lo) <= est.error_bound
+        assert abs(Fraction(est.L_plus) - hi) <= est.error_bound
+        assert est.error_bound < 1e-9 * max(abs(v) for v in values)
+
+
+def test_analyze_float_table_exact_flags_agree(tmp_path):
+    from lcsdyn import cli
+
+    system = {"space": {"kind": "finite"}, "map": {"type": "permutation", "table": [1, 2, 0]},
+              "factor": {"type": "table", "values": [0.1, 0.2, 0.4]}}
+    report, code = cli.run(cli.RunConfig(command="analyze", system=system, n_max=5,
+                                         out=str(tmp_path / "r"),
+                                         cache_dir=str(tmp_path / "c")))
+    assert code == 0
+    est = report["payload"]["limit_estimate"]
+    assert est["exact"] is report["payload"]["table_summary"]["exact"] is False
+    assert 0.0 < est["error_bound"] < 1e-15
+    exact_mean = (Fraction(0.1) + Fraction(0.2) + Fraction(0.4)) / 3
+    assert abs(Fraction(est["L_plus"]) - exact_mean) <= est["error_bound"]
+
+
 def test_limit_estimates_constant(const_rotation):
     t = birkhoff_table(const_rotation, 64, n_max=25)
     est = limit_estimates(t)

@@ -16,7 +16,7 @@ from lcsdyn import (
     rotation_system,
 )
 from lcsdyn.core import ValidationError
-from lcsdyn.elastic import degeneracy_criterion, profile_from_csv
+from lcsdyn.elastic import _BLOCK, degeneracy_criterion, profile_from_csv
 
 
 def in_intervals(intervals, c, slack=1e-12):
@@ -96,6 +96,48 @@ def test_profile_csv_roundtrip(tmp_path):
     bare = tmp_path / "bare.csv"
     bare.write_text("0.5\n1.5\n")
     assert profile_from_csv(bare).samples.tolist() == [0.5, 1.5]
+    named = tmp_path / "named.csv"
+    named.write_text("x,u\n0.0,-1.0\n\n1.0,0.25\n")
+    assert profile_from_csv(named).samples.tolist() == [-1.0, 0.25]
+    other = tmp_path / "other.csv"
+    other.write_text("a,b\n2.0,9\n3.0\n")  # no u column: the first one is read
+    assert profile_from_csv(other).samples.tolist() == [2.0, 3.0]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("u\n-1.0\nabc\n", "line 3: no number in column 1: ['abc']"),
+    ("x,u\n0.0,-1.0\n\n0.5\n", "line 4: no number in column 2: ['0.5']"),
+    ("0.5\n1.5,x\n-\n", "line 3: no number in column 1: ['-']"),
+    ("", "no data in"),
+    (b"u\n\xff\n", "cannot read profile"),
+])
+def test_profile_csv_errors_name_file_and_line(tmp_path, text, message):
+    path = tmp_path / "profile.csv"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        profile_from_csv(path)
+    assert str(path) in str(err.value) and message in str(err.value)
+
+
+def test_profile_csv_streams_its_rows(tmp_path):
+    # rows become doubles as they are read: 100k rows take about 0.8 MiB,
+    # where a list of every row's strings took 18 MiB
+    import tracemalloc
+
+    path = tmp_path / "profile.csv"
+    values = [-1.0 - i * 1e-6 for i in range(100_000)]
+    path.write_text("u\n" + "".join(f"{v!r}\n" for v in values))
+    tracemalloc.start()
+    try:
+        profile = profile_from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+    assert profile.samples.tolist() == values
 
 
 def test_mapping_torus_profile_constant(const_rotation):
@@ -163,22 +205,82 @@ def _reference_forbidden(u, gap):
     return [(float(vals[a]), float(vals[b])) for a, b in zip(starts, ends)]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
-def test_chunked_gap_scan_matches_full_diff(monkeypatch, chunk):
+def _live_reference(u, gap):
+    """The reference hulls of the samples that are not zero."""
+    live = u[np.abs(u) >= 1e-12]
+    return _reference_forbidden(live, gap) if live.size else []
+
+
+def _random_profiles(rng, block):
+    """Profiles with zeros, -0.0, duplicates (u = -1 gives the value -0.0)
+    and clusters of values in random order, so that clusters straddle the
+    block boundaries."""
+    for size in (1, 2, 7, 8, 50, 1000):
+        yield -rng.choice([0.3, 0.5, 2.0, 5.0], size) * (1.0 + 0.01 * rng.random(size))
+    # values (1 + u)/u of these are dyadic, several exactly 0.5 apart
+    atoms = [0.0, -0.0, 1e-13, -1.0, 1.0, 0.5, -0.5, -2.0, 2.0, 4.0, -4.0, 0.25]
+    for size in (1, block - 1, block, block + 1, 3 * block + 2, 400):
+        yield rng.choice(atoms, max(size, 1))
+    # value ramps whose steps sit just below or just above the gap, in order
+    # and shuffled
+    steps = 0.01 * np.where(rng.random(300) < 0.7, 0.999, 1.001)
+    u = 1.0 / (np.cumsum(steps) + 2.0 - 1.0)  # (1 + u)/u = 1 + 1/u runs along the ramp
+    yield u
+    yield rng.permutation(u)
+    yield np.concatenate([u, -u, np.zeros(5), np.full(5, -0.0), u[::7]])
+
+
+@pytest.mark.parametrize("block", [1, 7, _BLOCK])
+def test_chunked_gap_scan_matches_full_diff(monkeypatch, block):
+    # the hulls of the blocks, swept by start, are the hulls of the one
+    # sorted value array, bit for bit, at any block size
     import lcsdyn.elastic as el
 
-    monkeypatch.setattr(el, "_GAP_CHUNK", chunk)
+    monkeypatch.setattr(el, "_BLOCK", block)
     rng = np.random.default_rng(2)
-    for size in (1, 2, 7, 8, 50, 1000):
-        u = -rng.choice([0.3, 0.5, 2.0, 5.0], size) * (1.0 + 0.01 * rng.random(size))
-        es = elasticity_from_profile(LiouvilleProfile(u), gap_resolution=0.01)
-        assert es.forbidden == _reference_forbidden(u, 0.01)
+    for u in _random_profiles(rng, block):
+        for gap in (0.01, 0.5):
+            es = elasticity_from_profile(LiouvilleProfile(u), gap_resolution=gap)
+            assert repr(es.forbidden) == repr(_live_reference(u, gap))  # -0.0 is folded
+        assert es.contains_zero_u == bool(np.any(np.abs(u) < 1e-12))
+
+
+@pytest.mark.parametrize("block", [1, 7, _BLOCK])
+def test_factored_profile_matches_its_array(monkeypatch, block):
+    # a factored profile, never materialised, reduces to the numbers of the
+    # out-of-place products u = -k / (s v + k) over the whole array
+    import lcsdyn.elastic as el
+
+    monkeypatch.setattr(el, "_BLOCK", block)
+    rng = np.random.default_rng(3)
+    for rows, cols, k in ((1, 1, 1.0), (9, 4, -1.5), (33, 7, 0.75), (200, 13, 2.0)):
+        slopes = -rng.random(rows) * rng.choice([0.5, 1.0])
+        values = np.round(rng.uniform(-1.0, 0.4, cols), 2)  # repeated products
+        u = -k / (np.multiply.outer(slopes, values).ravel() + k)
+        for gap in (1e-3, 0.05):
+            fresh = LiouvilleProfile(factors=(slopes, values, k))
+            assert repr(elasticity_from_profile(fresh, gap).forbidden) == repr(
+                _live_reference(u, gap))
+        fresh = LiouvilleProfile(factors=(slopes, values, k))
+        assert fresh.size == u.size
+        assert fresh.bounds == (float(u.min()), float(u.max()))
+        assert first_kind_test(fresh) == bool(np.all(np.abs(u + 1.0) <= 1e-9))
+        for c in (0.0, 0.5, 3.0):
+            assert degeneracy_criterion(fresh, c) == float(np.min(np.abs(1.0 + (1.0 - c) * u)))
+        assert np.array_equal(fresh.samples, u)
+
+
+def test_factored_profile_refuses_an_infinite_sample():
+    # s v + k = 0 is a pole of u: it is refused when its block is built
+    profile = LiouvilleProfile(factors=(np.array([1.0, 2.0]), np.array([-0.5, 0.25]), 1.0))
+    with pytest.raises(ValidationError, match="finite"), np.errstate(divide="ignore"):
+        elasticity_from_profile(profile)
 
 
 def test_construction_profile_memory_peaks():
     # golden cos at the benchmark's construction size: 4097 cutoff slopes
-    # times 512 factor values give a 16 MiB profile; u is built in place of
-    # the slope products, and the elasticity set sorts one value array
+    # times 512 factor values give a 16 MiB profile, which is kept as its
+    # two factors; every reduction builds it one block at a time
     import tracemalloc
 
     def cos(grid):
@@ -195,15 +297,21 @@ def test_construction_profile_memory_peaks():
         tracemalloc.reset_peak()
         es = elasticity_from_profile(profile)
         elasticity_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        bounds, first_kind = profile.bounds, first_kind_test(profile)
+        summary_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert profile.samples.size == 4097 * 512
-    assert profile_peak <= 20 * 2**20
-    assert elasticity_peak <= 36 * 2**20
-    # the same numbers as the out-of-place arithmetic
+    assert profile.size == 4097 * 512
+    assert profile_peak <= 6 * 2**20
+    assert elasticity_peak <= 4 * 2**20
+    assert summary_peak <= 4 * 2**20
+    # the same numbers as the out-of-place arithmetic on the whole array
     from lcsdyn.torus import build_mu
 
     mu = build_mu(sys, -1.5, (-2, 2), rng=1, samples=128)
-    dt = mu.gcons.dt_attainable()
+    dt = np.multiply.outer(*mu.gcons.dt_attainable()).ravel()
     assert np.array_equal(profile.samples, -mu.k / (dt + mu.k))
     assert es.forbidden == _reference_forbidden(profile.samples, 1e-3)
+    assert bounds == (float(profile.samples.min()), float(profile.samples.max()))
+    assert not first_kind

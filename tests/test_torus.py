@@ -485,7 +485,7 @@ def test_dt_attainable_covers_direct_samples(const_rotation, golden_cos):
     # every directly evaluated slope value
     for sys, k in ((const_rotation, 1.0), (golden_cos, 1.6)):
         g = build_g(sys, k, (-6, 6))
-        vals = np.sort(g.dt_attainable(s_count=8193))
+        vals = np.sort(np.multiply.outer(*g.dt_attainable(s_count=8193)).ravel())
         pts = sys.space.sample_points(64)
         ts = np.linspace(-5.5, 5.5, 333)
         direct = g.dt(pts, ts[:, None]).ravel()
