@@ -37,7 +37,9 @@ from .core import (
     ValidationError,
     eval_factor_like,
     integer_array,
+    orbit_array,
     orbit_rows,
+    point_batch,
     ratio_strings,
     scaled_floats,
     step_points,
@@ -266,14 +268,11 @@ def transfer_potential(sys: ConformalSystem, n: int,
     if n == 1:
         return lambda x: 0.0
 
-    def f_n(x):
-        # f_n(x) = (1/n) sum_{j=0}^{n-2} (n-1-j) h(psi^j x)
-        y = sys.space.normalize(x)
-        total = 0
-        for j in range(n - 1):
-            total = total + (n - 1 - j) * sys.factor(y)
-            y = sys.forward(y)
-        return total / n
+    def f_n(x):  # the walk from x as a batch of one
+        H = orbit_array(sys, np.asarray(sys.space.normalize(x))[None], n, terms=n * n)
+        if sys.exact:
+            return Fraction(int(_potential_sums(H, n)[0][0]), n * sys.scale)
+        return float(transfer_potential_values(H, n)[0][0])
 
     return f_n
 
@@ -293,11 +292,17 @@ def transfer_potential_values(H, n: int, scale: int | None = None):
     if n == 1:
         dtype = H.dtype if scale is None else float
         return np.zeros(H.shape[1], dtype), np.zeros(H.shape[1], dtype)
-    w = np.arange(n - 1, 0, -1)[:, None]
-    sums = (np.cumsum(w * H[:n - 1], axis=0)[-1], np.cumsum(w * H[1:n], axis=0)[-1])
+    sums = _potential_sums(H, n)
     if scale is None:
         return sums[0] / n, sums[1] / n
     return scaled_floats(sums[0], n * scale), scaled_floats(sums[1], n * scale)
+
+
+def _potential_sums(H, n: int):
+    """n f_n at the walk's start points and at their images, in the rows'
+    arithmetic: the weighted sums of rows [0, n-1) and [1, n), n >= 2."""
+    w = np.arange(n - 1, 0, -1)[:, None]
+    return np.cumsum(w * H[:n - 1], axis=0)[-1], np.cumsum(w * H[1:n], axis=0)[-1]
 
 
 def coboundary_residual(sys: ConformalSystem, n: int, points=None):
@@ -356,11 +361,10 @@ def gauge_shifted_system(sys: ConformalSystem, f0) -> ConformalSystem:
     base = sys.factor
 
     def h(x):
-        if np.ndim(x):
-            pts = np.asarray(x, dtype=float)
-            nxt = step_points(sys, pts)
-            return np.asarray(base(pts)) + np.asarray(f0(nxt)) - np.asarray(f0(pts))
-        return base(x) + f0(sys.forward(x)) - f0(x)
+        pts, single = point_batch(sys.space, x)
+        v = (eval_factor_like(base, pts) + eval_factor_like(f0, step_points(sys, pts))
+             - eval_factor_like(f0, pts))
+        return float(v[0]) if single else v
 
     return replace(sys, factor=h, generating_f=None, label=f"{sys.label} + coboundary")
 
@@ -394,7 +398,7 @@ def limit_estimates(table: BirkhoffExtrema, stabilization_rtol: float = 1e-6,
     "heuristic".
     """
     sys = table.system
-    if sys.space.kind == FINITE and sys.perm_table is not None:
+    if sys.space.kind == FINITE:
         from . import ergopt
 
         dec = ergopt.cycle_mean_extrema(sys)

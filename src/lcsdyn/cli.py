@@ -85,11 +85,36 @@ def _field(obj: dict, key: str, what: str):
     return obj[key]
 
 
-def _number(value, what: str, kind=float):
+def _number(value, what: str):
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
+
+
+def _positive(value, what: str) -> float:
+    """A positive finite number; anything else is a ValidationError."""
+    v = _number(value, what)
+    if not (math.isfinite(v) and v > 0):
+        raise ValidationError(f"{what} must be a positive finite number, got {value!r}")
+    return v
+
+
+def _integer(value, what: str, minimum=None) -> int:
+    """An int config value (not a bool, not a float) of at least ``minimum``;
+    anything else is a ValidationError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{what} must be an integer{at_least}, got {value!r}")
+    return int(value)
+
+
+def _boolean(value, what: str) -> bool:
+    """A JSON boolean; anything else is a ValidationError."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def system_from_config(decl: dict, tolerances: dict | None = None):
@@ -102,8 +127,8 @@ def system_from_config(decl: dict, tolerances: dict | None = None):
         if not isinstance(part, dict):
             raise ValidationError(f"system {key} must be an object, got {part!r}")
     kind = space.get("kind")
-    grid_resolution = _number(space.get("grid_resolution", 256), "grid_resolution", int)
-    tol_inverse = _number((tolerances or {}).get("tol_inverse", 1e-9), "tol_inverse")
+    grid_resolution = _integer(space.get("grid_resolution", 256), "space.grid_resolution")
+    tol_inverse = _positive((tolerances or {}).get("tol_inverse", 1e-9), "tolerances.tol_inverse")
     mtype = mp.get("type")
     if kind == "circle":
         if mtype != "rotation":
@@ -234,7 +259,7 @@ def _cmd_analyze(config, sys_, out_dir, warnings):
     table = reduce(sys_, points, config.n_max)
     est = birkhoff.limit_estimates(table)
     if not est.exact:
-        warnings.append(_ROUNDED if sys_.perm_table is not None else
+        warnings.append(_ROUNDED if sys_.space.kind == "finite" else
                         "limit estimate on a sampled grid is a lower/upper "
                         "approximation, not a certified bound")
     if est.error_bound == "heuristic":
@@ -262,7 +287,7 @@ def _cmd_admissible(config, sys_, out_dir, warnings):
     est = birkhoff.limit_estimates(table)
     adm = birkhoff.admissible_set(est)
     if not est.exact:
-        warnings.append(_ROUNDED if sys_.perm_table is not None else
+        warnings.append(_ROUNDED if sys_.space.kind == "finite" else
                         "gap endpoints are grid estimates; classifications near "
                         "the boundary are not certified")
     classifications = [{"k": k, "verdict": adm.classify(k)} for k in _k_values(config)]
@@ -307,10 +332,7 @@ def _n_scan(config):
 
 
 def _strict_mu(config):
-    value = config.params.get("strict_mu", False)
-    if not isinstance(value, bool):
-        raise ValidationError(f"params.strict_mu must be true or false, got {value!r}")
-    return value
+    return _boolean(config.params.get("strict_mu", False), "params.strict_mu")
 
 
 def _write_probe_trace(sys_, report, config, out_dir):
@@ -404,11 +426,8 @@ def _cmd_construct(config, sys_, out_dir, warnings):
 
 
 def _cmd_elasticity(config, sys_, out_dir, warnings):
-    value = config.tolerances.get("gap_resolution", 1e-3)
-    gap_resolution = _number(value, "tolerances.gap_resolution")
-    if not (math.isfinite(gap_resolution) and gap_resolution > 0):
-        raise ValidationError("tolerances.gap_resolution must be a positive finite number, "
-                              f"got {value!r}")
+    gap_resolution = _positive(config.tolerances.get("gap_resolution", 1e-3),
+                               "tolerances.gap_resolution")
     profile_csv = config.params.get("profile_csv")
     if profile_csv:
         profile = elastic.profile_from_csv(profile_csv)
@@ -551,8 +570,9 @@ def run(config: RunConfig):
         },
         "warnings": warnings,
     }
+    # one json.dumps: json.dump would run the pure-Python encoder
     with open(os.path.join(config.out, "report.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1, default=_json_default)
+        fh.write(json.dumps(report, sort_keys=True, default=_json_default))
     code = 4 if (inconclusive and config.strict_verdict) else 0
     return report, code
 
@@ -596,15 +616,16 @@ def config_from_args(args) -> RunConfig:
     return RunConfig(
         command=command,
         system=data.get("system"),
-        n_max=args.n_max if args.n_max is not None else _number(data.get("n_max", 200), "n_max", int),
+        n_max=_integer(args.n_max if args.n_max is not None else data.get("n_max", 200), "n_max"),
         grid=args.grid if args.grid is not None else data.get("grid"),
         k=args.k if args.k is not None else data.get("k"),
         k_range=tuple(k_range) if k_range else None,
-        seed=args.seed if args.seed is not None else _number(data.get("seed", 0), "seed", int),
+        seed=_integer(args.seed if args.seed is not None else data.get("seed", 0), "seed", 0),
         tolerances=data.get("tolerances", {}),
         params=data.get("params", {}),
         out=args.out or data.get("out", "out"),
-        strict_verdict=bool(args.strict_verdict or data.get("strict_verdict", False)),
+        strict_verdict=_boolean(data.get("strict_verdict", False), "strict_verdict")
+        or args.strict_verdict,
         cache_dir=data.get("cache_dir"),
     )
 

@@ -1,9 +1,10 @@
 """Model spaces and conformal discrete-time dynamical systems.
 
 A ConformalSystem packages an invertible map psi on a model space (unit
-circle, unit 2-torus, or a finite state set) together with psi's inverse and
-a real factor h.  Everything computed elsewhere in this package is a function
-of the pair (psi, h) alone.
+circle, unit 2-torus, or a finite state set) together with a real factor h.
+Everything computed elsewhere in this package is a function of the pair
+(psi, h) alone.  psi is data, the ``map_kind`` record, which ``step_points``
+alone applies (a lone point as a batch of one): no per-point map closures.
 
 Circle and torus coordinates live in [0, 1) and are reduced mod 1 after every
 map application, so long orbits cannot drift.  Finite systems whose factor
@@ -21,7 +22,7 @@ import math
 import numbers
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -281,6 +282,21 @@ class ModelSpace:
         return np.asarray(pts, dtype=float)
 
 
+def point_batch(space: ModelSpace, x):
+    """(points, single): x as a normalized batch; a lone point is a batch of one."""
+    single = np.ndim(x) == (1 if space.kind == TORUS2 else 0)
+    raw = np.asarray([x] if single else x)
+    if space.kind == FINITE:
+        pts = raw.astype(np.int64)
+        if raw.ndim != 1 or np.any(pts != raw) or np.any((pts < 0) | (pts >= space.size)):
+            raise DomainError(f"not a batch of states in range(0, {space.size})")
+        return pts, single
+    shape_ok = raw.ndim == 2 and raw.shape[1] == 2 if space.kind == TORUS2 else raw.ndim == 1
+    if not shape_ok or not np.all(np.isfinite(raw)):
+        raise DomainError(f"not a batch of finite {space.kind} points")
+    return wrap(raw.astype(float)), single
+
+
 def constant_factor(value, space_kind: str = CIRCLE):
     """Constant factor; a single torus point (a length-2 array) is scalar."""
     v = float(value)
@@ -358,7 +374,12 @@ def table_factor(values):
 
 @dataclass(frozen=True)
 class ConformalSystem:
-    """Invertible map with its inverse and a real factor on a model space.
+    """Invertible map psi with a real factor h on a model space.
+
+    psi is the ``map_kind`` record alone, which ``step_points`` reads: a
+    rotation angle, an integer 2x2 matrix and its inverse, or (on every
+    finite space) a permutation table and its inverse as read-only int64
+    arrays.  There are no per-point map closures.
 
     Immutable after construction; all operations on it are pure, so instances
     can be shared freely across workers.
@@ -373,20 +394,22 @@ class ConformalSystem:
     """
 
     space: ModelSpace
-    forward: object
-    backward: object
     factor: object
+    map_kind: dict
     label: str = ""
-    map_kind: dict = field(default_factory=lambda: {"kind": "generic"})
-    perm_table: tuple | None = None
     factor_table: Sequence | None = None
     generating_f: object | None = None
+
+    @property
+    def perm_table(self) -> np.ndarray | None:
+        """A permutation's table psi(i) (a read-only int64 array), else None."""
+        return self.map_kind["table"] if self.map_kind["kind"] == "permutation" else None
 
     @cached_property
     def _rationals(self) -> RationalTable | None:
         """The factor table's integers on exact systems, else None."""
         t = self.factor_table
-        if self.space.kind != FINITE or self.perm_table is None or t is None:
+        if self.space.kind != FINITE or t is None:
             return None
         if isinstance(t, RationalTable):
             return t
@@ -445,7 +468,7 @@ class ConformalSystem:
 
 
 def iterate(sys: ConformalSystem, x, n: int, max_iterations: int | None = None):
-    """n-th image of x under the system map (backward map for n < 0), stepped
+    """n-th image of x under the system map (inverse map for n < 0), stepped
     as a batch of one point by ``step_points``."""
     budget = DEFAULT_MAX_ITERATIONS if max_iterations is None else max_iterations
     if abs(n) > budget:
@@ -458,23 +481,16 @@ def iterate(sys: ConformalSystem, x, n: int, max_iterations: int | None = None):
 
 
 def step_points(sys: ConformalSystem, pts, inverse: bool = False):
-    """One map application on an array of points (vectorized where possible)."""
+    """One map application on an array of points, as ``sys.map_kind`` gives
+    psi (psi^{-1} with ``inverse``)."""
     mk = sys.map_kind
-    kind = mk.get("kind", "generic")
-    if kind == "rotation":
+    if mk["kind"] == "rotation":
         a = mk["angle"]
         return rotate(pts, -a if inverse else a)
-    if kind == "linear2":
+    if mk["kind"] == "linear2":
         m = np.asarray(mk["inverse"] if inverse else mk["matrix"], dtype=float)
         return wrap(pts @ m.T)
-    if kind == "permutation":
-        tbl = np.asarray(mk["inverse"] if inverse else mk["table"], dtype=np.int64)
-        return tbl[np.asarray(pts, dtype=np.int64)]
-    fn = sys.backward if inverse else sys.forward
-    out = [fn(p) for p in pts]
-    if sys.space.kind == FINITE:
-        return np.asarray(out, dtype=np.int64)
-    return np.asarray(out, dtype=float)
+    return (mk["inverse"] if inverse else mk["table"])[np.asarray(pts, dtype=np.int64)]
 
 
 def eval_factor_like(fn, pts) -> np.ndarray:
@@ -504,10 +520,10 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     """The orbit engine, one row at a time: yields h(psi^i p) for i < n.
 
     ``inverse`` walks psi^{-1} instead.  Float systems yield float64 arrays of
-    shape (P,); exact finite systems yield the integers h * sys.scale, walked
-    on the permutation table (``sys.scaled_rows``).  Every orbit quantity
-    (S_n, A_n, f_n, the g orbit tables) is a reduction of these rows, in O(P)
-    memory if streamed.
+    shape (P,); exact finite systems yield the integers h * sys.scale
+    (``sys.scaled_rows``).  Both are stepped by ``step_points``.  Every orbit
+    quantity (S_n, A_n, f_n, the g orbit tables) is a reduction of these
+    rows, in O(P) memory if streamed.
 
     A forward float walk of a system with a stored coboundary h = f - f o psi
     (``sys.generating_f``) evaluates F_i = f(psi^i p) once per cell and yields
@@ -516,19 +532,7 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     An inverse walk evaluates h, because psi(psi^{-j} p) need not be
     psi^{-j+1} p to the last bit.
     """
-    if sys.exact:
-        tbl = np.asarray(sys.perm_table, dtype=np.int64)
-        if inverse:
-            inv = np.empty_like(tbl)
-            inv[tbl] = np.arange(len(tbl))
-            tbl = inv
-        cur = np.asarray(pts, dtype=np.int64)
-        for i in range(n):
-            yield sys.scaled_rows[cur]
-            if i + 1 < n:
-                cur = tbl[cur]
-        return
-    cur = pts
+    cur = np.asarray(pts, dtype=np.int64) if sys.exact else pts
     if sys.generating_f is not None and not inverse and n > 0:
         F = eval_factor_like(sys.generating_f, cur)
         for _ in range(n):
@@ -538,7 +542,7 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
             F = nxt
         return
     for i in range(n):
-        yield eval_factor(sys, cur)
+        yield sys.scaled_rows[cur] if sys.exact else eval_factor(sys, cur)
         if i + 1 < n:
             cur = step_points(sys, cur, inverse=inverse)
 
@@ -574,19 +578,15 @@ def factor_range(sys: ConformalSystem, points=None):
 
 
 def _validate(sys: ConformalSystem, tol_inverse: float):
-    space = sys.space
+    """Check a continuous system's inverse map and factor on the reference grid."""
     pts = reference_points(sys, cap=256)
     back = step_points(sys, step_points(sys, pts), inverse=True)
-    if space.kind == FINITE:
-        if not np.array_equal(back, pts):
-            raise ValidationError("backward is not the inverse of forward")
-    else:
-        err = np.abs(back - pts)
-        err = np.minimum(err, 1.0 - err)  # circle distance
-        if err.max() > tol_inverse:
-            raise ValidationError(
-                f"inverse check failed: max error {err.max():.3e} > {tol_inverse:.1e}"
-            )
+    err = np.abs(back - pts)
+    err = np.minimum(err, 1.0 - err)  # circle distance
+    if err.max() > tol_inverse:
+        raise ValidationError(
+            f"inverse check failed: max error {err.max():.3e} > {tol_inverse:.1e}"
+        )
     vals = eval_factor(sys, pts)
     if not np.all(np.isfinite(vals)):
         raise ValidationError("factor is not finite on the sample grid")
@@ -624,8 +624,6 @@ def rotation_system(angle, factor, grid_resolution: int = 256, label: str = "",
     h = _factor_callable(space, factor)
     sys = ConformalSystem(
         space=space,
-        forward=lambda x: float(wrap(x + a)),
-        backward=lambda x: float(wrap(x - a)),
         factor=h,
         label=label or f"rotation(angle={a:.6g})",
         map_kind={"kind": "rotation", "angle": a},
@@ -649,8 +647,6 @@ def strict_rotation_system(angle, f, grid_resolution: int = 256, label: str = ""
 
     sys = ConformalSystem(
         space=space,
-        forward=lambda x: float(wrap(x + a)),
-        backward=lambda x: float(wrap(x - a)),
         factor=h,
         label=label or f"strict rotation(angle={a:.6g})",
         map_kind={"kind": "rotation", "angle": a},
@@ -663,7 +659,7 @@ def cat_map_system(factor, matrix=((2, 1), (1, 1)), grid_resolution: int = 64,
                    label: str = "", tol_inverse: float = DEFAULT_TOL_INVERSE) -> ConformalSystem:
     """Linear toral automorphism given by an integer matrix of determinant +-1.
 
-    The backward map uses the exact integer inverse matrix, so inverses carry
+    The inverse map uses the exact integer inverse matrix, so inverses carry
     no rounding error beyond the mod-1 reduction.
     """
     m = _integer_matrix(matrix)
@@ -673,12 +669,8 @@ def cat_map_system(factor, matrix=((2, 1), (1, 1)), grid_resolution: int = 64,
     inv = [[det * m[1][1], -det * m[0][1]], [-det * m[1][0], det * m[0][0]]]
     space = ModelSpace(TORUS2, grid_resolution=grid_resolution)
     h = _factor_callable(space, factor)
-    ma = np.asarray(m, dtype=float)
-    ia = np.asarray(inv, dtype=float)
     sys = ConformalSystem(
         space=space,
-        forward=lambda p: wrap(ma @ np.asarray(p, dtype=float)),
-        backward=lambda p: wrap(ia @ np.asarray(p, dtype=float)),
         factor=h,
         label=label or "toral automorphism",
         map_kind={"kind": "linear2", "matrix": tuple(map(tuple, m)),
@@ -697,28 +689,24 @@ def finite_permutation_system(table, factor_values, label: str = "") -> Conforma
     m = len(tbl)
     if m < 1:
         raise ValidationError("permutation table is empty")
-    inv = np.full(m, -1)
+    inv = np.full(m, -1, dtype=np.int64)
     if 0 <= min(tbl) and max(tbl) < m:
-        inv[np.array(tbl)] = np.arange(m)
+        fwd = np.array(tbl, dtype=np.int64)
+        inv[fwd] = np.arange(m)
     if inv.min() < 0:
         raise ValidationError(f"table {list(tbl)} is not a bijection on {m} states")
-    inv = tuple(inv.tolist())
+    fwd.flags.writeable = inv.flags.writeable = False
     values = list(factor_values)
     if len(values) != m:
         raise ValidationError("factor table length does not match state count")
     vals = _factor_table(values)
-    space = ModelSpace(FINITE, size=m)
-    sys = ConformalSystem(
-        space=space,
-        forward=lambda x: tbl[int(x)],
-        backward=lambda x: inv[int(x)],
+    return ConformalSystem(
+        space=ModelSpace(FINITE, size=m),
         factor=table_factor(vals),
         label=label or f"permutation on {m} states",
-        map_kind={"kind": "permutation", "table": tbl, "inverse": inv},
-        perm_table=tbl,
+        map_kind={"kind": "permutation", "table": fwd, "inverse": inv},
         factor_table=vals,
     )
-    return sys
 
 
 #: a comma whose entry is not "[-]digits/digits" with at most 18 digits a side
@@ -780,6 +768,7 @@ def _entry_error(values, i) -> ValidationError:
 
 
 def _factor_callable(space: ModelSpace, spec):
+    """The factor of a circle or torus system from its spec."""
     if callable(spec):
         return spec
     if isinstance(spec, numbers.Number):
@@ -791,19 +780,13 @@ def _factor_callable(space: ModelSpace, spec):
             raise ValidationError(f"unknown factor type {kind!r}")
         if kind in required and space.kind != required[kind]:
             raise ValidationError(f"{kind} factor requires a {required[kind]} space")
-        if kind == "table" and "values" not in spec:
-            raise ValidationError("table factor misses 'values'")
         try:  # the builders only parse the spec's numbers here
             if kind == "trig":
                 return trig_factor(spec.get("const", 0.0), spec.get("cos", ()),
                                    spec.get("sin", ()))
             if kind == "trig2":
                 return trig2_factor(spec.get("const", 0.0), spec.get("terms", ()))
-            if kind == "table":
-                return table_factor(spec["values"])
             return constant_factor(spec.get("value", 0.0), space.kind)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed {kind} factor {spec!r}: {exc}") from None
-    if isinstance(spec, (list, tuple)) and space.kind == FINITE:
-        return table_factor(spec)
     raise ValidationError(f"cannot interpret factor spec {spec!r}")

@@ -68,7 +68,7 @@ def _num(v):
 
 
 def _require_finite(sys: ConformalSystem):
-    if sys.space.kind != FINITE or sys.perm_table is None:
+    if sys.space.kind != FINITE:
         raise ValidationError("this operation needs a finite bijection")
 
 
@@ -105,7 +105,7 @@ def _functional_cycles(succ, hv, scale=None) -> CycleDecomposition:
 def cycle_mean_extrema(sys: ConformalSystem) -> CycleDecomposition:
     """Cycle decomposition of the permutation with exact means when possible."""
     _require_finite(sys)
-    return _functional_cycles(sys.perm_table, sys.scaled_table, sys.scale)
+    return _functional_cycles(sys.perm_table.tolist(), sys.scaled_table, sys.scale)
 
 
 def _cycle_potential(dec: CycleDecomposition, succ, hv, level) -> list:
@@ -206,7 +206,7 @@ def _optimize(sys: ConformalSystem, sign: int, method: str, n, points) -> Optimi
     """
     if method == "exact_finite":
         _require_finite(sys)
-        return _cycle_optimum(sys.perm_table, sys.scaled_table, sys.scale, sign, method)
+        return _cycle_optimum(sys.perm_table.tolist(), sys.scaled_table, sys.scale, sign, method)
     if method not in ("birkhoff_fn", "grid_descent"):
         raise ValidationError(f"unknown method {method!r}")
     if sys.space.kind == FINITE:
@@ -242,5 +242,5 @@ def is_strict_finite(sys: ConformalSystem):
     tol = 0 if sys.exact else 1e-12
     if any(abs(mean) > tol for _cyc, mean in dec.cycles):
         return False, None
-    F = _cycle_potential(dec, sys.perm_table, sys.scaled_table, 0)
+    F = _cycle_potential(dec, sys.perm_table.tolist(), sys.scaled_table, 0)
     return True, [Fraction(v, sys.scale) for v in F] if sys.exact else F

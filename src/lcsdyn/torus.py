@@ -33,20 +33,20 @@ import numpy as np
 
 from .core import (
     FINITE,
-    TORUS2,
     BudgetError,
     ConformalSystem,
     DomainError,
-    ModelSpace,
     ValidationError,
     eval_factor,
     eval_factor_like,
     factor_range,
+    iterate,
     orbit_array,
+    orbit_rows,
+    point_batch,
     reference_points,
     scaled_floats,
     step_points,
-    wrap,
 )
 
 VERDICT_RECURRENT = "RecurrentEvidence"
@@ -76,15 +76,13 @@ class TorusAction:
 
 def action_step(act: TorusAction, x, t):
     """One forward application of the action generator."""
-    y = act.sys.space.normalize(x)
-    return act.sys.forward(y), t + act.k - act.sys.factor(y)
+    return action_power(act, x, t, 1)
 
 
 def action_step_inverse(act: TorusAction, x, t):
     """One application of the inverse generator (via psi^{-1})."""
-    y = act.sys.space.normalize(x)
-    prev = act.sys.backward(y)
-    return prev, t - act.k + act.sys.factor(prev)
+    prev = iterate(act.sys, x, -1)
+    return prev, t - act.k + _orbit_sum(act.sys, prev, 1)
 
 
 def action_power(act: TorusAction, x, t, n: int, max_iterations: int = 1_000_000):
@@ -93,12 +91,16 @@ def action_power(act: TorusAction, x, t, n: int, max_iterations: int = 1_000_000
         raise ValidationError("action_power expects n >= 0")
     if n > max_iterations:
         raise BudgetError(f"n = {n} exceeds budget {max_iterations}")
-    y = act.sys.space.normalize(x)
-    s = 0
-    for _ in range(n):
-        s = s + act.sys.factor(y)
-        y = act.sys.forward(y)
-    return y, t + n * act.k - s
+    return iterate(act.sys, x, n, max_iterations), t + n * act.k - _orbit_sum(act.sys, x, n)
+
+
+def _orbit_sum(sys: ConformalSystem, x, n: int):
+    """S_n(h)(x): the orbit rows of x, stepped as a batch of one, added in
+    order; a Fraction on exact systems, else a float."""
+    total = 0
+    for row in orbit_rows(sys, np.asarray(sys.space.normalize(x))[None], n):
+        total += int(row[0]) if sys.exact else float(row[0])
+    return Fraction(total, sys.scale) if sys.exact else total
 
 
 @dataclass
@@ -221,7 +223,7 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None,
 
     # --- certificates -----------------------------------------------------
     reports = [None] * len(ks)
-    if sys.space.kind == FINITE and sys.perm_table is not None:
+    if sys.space.kind == FINITE:
         from . import ergopt
 
         dec = ergopt.cycle_mean_extrema(sys)
@@ -441,21 +443,6 @@ def _averaged_tables(sys: ConformalSystem, n: int, pts, lead: int, trail: int):
     return win[trail:], win[:trail][::-1]
 
 
-def _point_batch(space: ModelSpace, x):
-    """(points, single): x as a normalized batch; a lone point is a batch of one."""
-    single = np.ndim(x) == (1 if space.kind == TORUS2 else 0)
-    raw = np.asarray([x] if single else x)
-    if space.kind == FINITE:
-        pts = raw.astype(np.int64)
-        if raw.ndim != 1 or np.any(pts != raw) or np.any((pts < 0) | (pts >= space.size)):
-            raise DomainError(f"not a batch of states in range(0, {space.size})")
-        return pts, single
-    shape_ok = raw.ndim == 2 and raw.shape[1] == 2 if space.kind == TORUS2 else raw.ndim == 1
-    if not shape_ok or not np.all(np.isfinite(raw)):
-        raise DomainError(f"not a batch of finite {space.kind} points")
-    return wrap(raw.astype(float)), single
-
-
 @dataclass
 class GConstruction:
     """g with g(psi x, t+1) = g(x, t) - A(x) and dt g + k one-signed, for the
@@ -500,7 +487,7 @@ class GConstruction:
         # own t; rows past its last term have coefficient exactly 0, and the
         # terms are added row by row, so a value does not depend on the rest
         # of the batch
-        pts, single = _point_batch(self.system.space, x)
+        pts, single = point_batch(self.system.space, x)
         ts = np.asarray(t, dtype=float)
         total = np.zeros(np.broadcast_shapes(ts.shape, (len(pts),)))
         fwd, bwd = self._tables(pts, ts)
@@ -682,7 +669,7 @@ class MuConstruction:
         from .birkhoff import transfer_potential_values
 
         sys, n = self.sys, self.n_used
-        pts, single = _point_batch(sys.space, x)
+        pts, single = point_batch(sys.space, x)
         H = orbit_array(sys, pts, n, terms=n * n)
         fn = transfer_potential_values(H, n, sys.scale)[0]
         return float(fn[0]) if single else fn
@@ -698,7 +685,7 @@ class MuConstruction:
         60 safeguarded Newton steps.  The steps are masked array updates, so
         a sample takes exactly the steps it would take alone.
         """
-        pts, single = _point_batch(self.sys.space, x)
+        pts, single = point_batch(self.sys.space, x)
         target = np.broadcast_to(np.asarray(s, dtype=float), (len(pts),)) - self.f_n(pts)
         gcons, k, sign = self.gcons, self.k, self.gcons.slope_sign()
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,30 @@ def random_permutation_system(rng, max_states=64, h_low=-10, h_high=10):
     table = rng.permutation(m).tolist()
     h = [int(v) for v in rng.integers(h_low, h_high + 1, size=m)]
     return finite_permutation_system(table, h)
+
+
+def scalar_map(sys, inverse=False):
+    """psi of ``sys`` (psi^{-1} with ``inverse``) on one point, read from
+    ``sys.map_kind`` with plain Python arithmetic: the tests' oracle for
+    orbit walks, independent of ``core.step_points``."""
+    mk = sys.map_kind
+    if mk["kind"] == "rotation":
+        a = -mk["angle"] if inverse else mk["angle"]
+
+        def rotate(x):
+            y = float(x) + a
+            return y - math.floor(y)
+
+        return rotate
+    if mk["kind"] == "linear2":
+        (a, b), (c, d) = mk["inverse" if inverse else "matrix"]
+
+        def linear(p):
+            u, v = float(p[0]), float(p[1])
+            x, y = a * u + b * v, c * u + d * v
+            return np.array([x - math.floor(x), y - math.floor(y)])
+
+        return linear
+    assert mk["kind"] == "permutation"
+    table = [int(v) for v in mk["inverse" if inverse else "table"]]
+    return lambda i: table[int(i)]

@@ -38,7 +38,7 @@ from lcsdyn.core import GOLDEN_ANGLE
 from lcsdyn.elastic import LiouvilleProfile
 from lcsdyn.torus import VERDICT_ESCAPE, VERDICT_RECURRENT
 
-from conftest import random_permutation_system
+from conftest import random_permutation_system, scalar_map
 
 
 def _ok(n, msg):
@@ -111,13 +111,14 @@ def test_criterion_3_iteration_formula():
     # rotations: <= 1e-9 for all n <= 200, 100 random starts
     rot = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]})
     actr = TorusAction(rot, 0.7)
+    psi = scalar_map(rot)
     for start in rng.uniform(0, 1, 100):
         x, t = float(start), 0.0
         y, s_sum = float(start), 0.0
         for n in range(1, 201):
             x, t = action_step(actr, x, t)
             s_sum += rot.factor(y)
-            y = rot.forward(y)
+            y = psi(y)
             closed = 0.0 + n * 0.7 - s_sum
             assert abs(t - closed) <= 1e-9
         xp, tp = action_power(actr, float(start), 0.0, 200)

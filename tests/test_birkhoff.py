@@ -23,11 +23,12 @@ from lcsdyn.birkhoff import (
     extrema_to_csv,
     gauge_shifted_system,
     table_to_csv,
+    transfer_potential_values,
 )
-from lcsdyn.core import GOLDEN_ANGLE
+from lcsdyn.core import GOLDEN_ANGLE, cat_map_system, orbit_array
 from lcsdyn.torus import TorusAction
 
-from conftest import random_permutation_system
+from conftest import random_permutation_system, scalar_map
 
 # A_10 of cos(2 pi x) at x = 0 under the golden rotation, frozen from a
 # 50-digit direct resummation.
@@ -71,11 +72,29 @@ def test_transfer_potential_trivial(cycle3):
 def test_transfer_potential_n2_identity(golden_cos):
     # f_2 = h/2, so h + f_2 o psi - f_2 = (h + h o psi)/2 = A_2(h)
     f2 = transfer_potential(golden_cos, 2)
+    psi = scalar_map(golden_cos)
     for x in (0.0, 0.31, 0.77):
         assert f2(x) == pytest.approx(golden_cos.factor(x) / 2)
-        lhs = golden_cos.factor(x) + f2(golden_cos.forward(x)) - f2(x)
-        a2 = (golden_cos.factor(x) + golden_cos.factor(golden_cos.forward(x))) / 2
+        lhs = golden_cos.factor(x) + f2(psi(x)) - f2(x)
+        a2 = (golden_cos.factor(x) + golden_cos.factor(psi(x))) / 2
         assert lhs == pytest.approx(a2, abs=1e-14)
+
+
+def _cat16():
+    return cat_map_system({"type": "trig2", "terms": [[1, 0, 0.4, 0.0], [0, 1, 0.0, 0.3]]},
+                          grid_resolution=16)
+
+
+@pytest.mark.parametrize("n", [2, 5, 17])
+def test_transfer_potential_is_a_walk_of_one_point(golden_cos, n):
+    # the scalar f_n is the batch f_n of a batch of one, bit for bit
+    for sys in (golden_cos, _cat16()):
+        pts = sys.space.sample_points(16)[::7]
+        want = transfer_potential_values(orbit_array(sys, pts, n), n)[0]
+        f_n = transfer_potential(sys, n)
+        got = [f_n(p) for p in pts]
+        assert all(isinstance(v, float) for v in got)
+        assert got == want.tolist()
 
 
 def test_transfer_potential_cycle_exact(cycle3):
@@ -143,6 +162,18 @@ def test_gauge_covariance_exact(swap_pair):
                 y = tbl[y]
             expect = t.averages[n - 1][p] + Fraction(f0(y) - f0(x), n)
             assert ts.averages[n - 1][p] == expect
+
+
+def test_gauge_shifted_scalar_call_is_a_batch_of_one(golden_cos):
+    f0 = lambda x: 0.25 * np.sin(2 * np.pi * np.asarray(x))
+    shifted = gauge_shifted_system(golden_cos, f0)
+    pts = golden_cos.space.sample_points(32)
+    assert [shifted.factor(float(p)) for p in pts] == shifted.factor(pts).tolist()
+    cat = _cat16()
+    g0 = lambda p: 0.1 * np.cos(2 * np.pi * np.asarray(p)[..., 0])
+    shifted = gauge_shifted_system(cat, g0)
+    pts = cat.space.sample_points(8)
+    assert [shifted.factor(p) for p in pts] == shifted.factor(pts).tolist()
 
 
 def test_gauge_covariance_grid(golden_cos):
@@ -349,10 +380,10 @@ def test_streamed_extrema_exact_permutation():
 
 
 def _scalar_rows(sys, pts, n):
-    rows, cur = [], list(pts)
+    rows, cur, psi = [], list(pts), scalar_map(sys)
     for _ in range(n):
         rows.append([sys.factor(x) for x in cur])
-        cur = [sys.forward(x) for x in cur]
+        cur = [psi(x) for x in cur]
     return rows
 
 

@@ -213,6 +213,23 @@ def test_strict_verdict_exit_code(tmp_path):
     assert run_cli(["--config", cfg, "--out", out]) == 0
     out2 = str(tmp_path / "r2")
     assert run_cli(["--config", cfg, "--out", out2, "--strict-verdict"]) == 4
+    for value, code in ((True, 4), (False, 0)):
+        cfg = write_config(tmp_path, "inc.json", command="probe", system=identity_sys,
+                           n_max=50, k=0.3, params={"starts": [0.0, 0.3]},
+                           strict_verdict=value)
+        assert run_cli(["--config", cfg, "--out", str(tmp_path / f"r{value}")]) == code
+
+
+@pytest.mark.parametrize("value", ["no", 1, None, []])
+def test_strict_verdict_must_be_a_boolean(tmp_path, capsys, value):
+    # bool("no") is True: the string used to turn an inconclusive probe into exit 4
+    cfg = write_config(tmp_path, "inc.json", command="probe", system=CONST_SYSTEM,
+                       n_max=6, k=0.3, strict_verdict=value)
+    for flags in ([], ["--strict-verdict"]):
+        assert run_cli(["--config", cfg, "--out", str(tmp_path / "r"), *flags]) == 2
+        diag = _diag_of(capsys)
+        assert diag["error"] == "ValidationError"
+        assert diag["message"].startswith("strict_verdict must be true or false")
 
 
 def test_construct_command(tmp_path):
@@ -374,6 +391,47 @@ def test_malformed_gap_resolution_is_a_validation_error(tmp_path, capsys, value)
     diag = _diag_of(capsys)
     assert diag["error"] == "ValidationError"
     assert diag["message"].startswith("tolerances.gap_resolution must be")
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"),  # switched the inverse check off: err.max() > nan is False
+    float("inf"),  # switched the inverse check off
+    0,  # every system failed its inverse check
+    -1e-9,
+    "abc",
+])
+def test_tol_inverse_must_be_positive_and_finite(tmp_path, capsys, value):
+    for system in (CONST_SYSTEM, FINITE_SYSTEM):
+        cfg = write_config(tmp_path, "t.json", command="admissible", system=system, n_max=6,
+                           tolerances={"tol_inverse": value})
+        assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        diag = _diag_of(capsys)
+        assert diag["error"] == "ValidationError"
+        assert diag["message"].startswith("tolerances.tol_inverse must be")
+
+
+_CONSTRUCT = {"command": "construct", "system": CONST_SYSTEM, "k": 1.0,
+              "params": {"t_window": [-2, 2]}}
+
+
+@pytest.mark.parametrize("data,flags,field", [
+    ({"n_max": 20.7}, [], "n_max"),  # ran with n_max 20
+    ({"n_max": True}, [], "n_max"),  # ran with n_max 1
+    ({"n_max": "20"}, [], "n_max"),
+    ({"seed": 1.5}, [], "seed"),  # seeded 1
+    ({"seed": -1}, [], "seed"),  # a ValueError from np.random.default_rng
+    ({}, ["--seed=-1"], "seed"),
+    ({"system": dict(CONST_SYSTEM, space={"kind": "circle", "grid_resolution": 64.5})}, [],
+     "space.grid_resolution"),  # ran on a 64-point grid
+    ({"system": dict(CONST_SYSTEM, space={"kind": "circle", "grid_resolution": True})}, [],
+     "space.grid_resolution"),
+])
+def test_integer_config_fields_take_integers_only(tmp_path, capsys, data, flags, field):
+    cfg = write_config(tmp_path, "c.json", **{**_CONSTRUCT, **data})
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r"), *flags]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError"
+    assert diag["message"].startswith(f"{field} must be an integer")
 
 
 @pytest.mark.parametrize("text", [

@@ -27,6 +27,8 @@ from lcsdyn.core import (
 )
 from lcsdyn.cli import system_from_config
 
+from conftest import scalar_map
+
 
 def test_iterate_cycle(cycle3):
     assert iterate(cycle3, 0, 2) == 2
@@ -70,13 +72,27 @@ def test_builtin_rotation():
     sys = system_from_config({"space": {"kind": "circle"},
                               "map": {"type": "rotation", "angle": 0.5}, "factor": 0.2})
     assert sys.factor(0.3) == pytest.approx(0.2)
-    assert sys.forward(0.25) == pytest.approx(0.75)
+    assert scalar_map(sys)(0.25) == pytest.approx(0.75)
+    assert step_points(sys, np.array([0.25])).tolist() == [0.75]
 
 
 def test_builtin_permutation_valid():
     sys = system_from_config(_permutation_decl([1, 2, 0], [1, 2, 3]))
     assert sys.exact
     assert sys.factor(2) == Fraction(3)
+
+
+def test_permutation_is_two_read_only_int64_tables(cycle3):
+    # map_kind is the only record of psi; perm_table reads it
+    mk = cycle3.map_kind
+    assert mk["kind"] == "permutation" and cycle3.perm_table is mk["table"]
+    assert mk["table"].tolist() == [1, 2, 0] and mk["inverse"].tolist() == [2, 0, 1]
+    for tbl in (mk["table"], mk["inverse"]):
+        assert tbl.dtype == np.int64
+        with pytest.raises(ValueError):
+            tbl[0] = 0
+    assert step_points(cycle3, np.array([0, 1, 2]), inverse=True).tolist() == [2, 0, 1]
+    assert not hasattr(cycle3, "forward") and not hasattr(cycle3, "backward")
 
 
 def test_builtin_permutation_not_bijective():
@@ -143,7 +159,7 @@ def test_step_points_matches_scalar(golden_cos):
     pts = golden_cos.space.sample_points(17)
     stepped = step_points(golden_cos, pts)
     for p, q in zip(pts, stepped):
-        assert golden_cos.forward(float(p)) == pytest.approx(float(q))
+        assert scalar_map(golden_cos)(float(p)) == float(q)
 
 
 def test_eval_factor_matches_scalar(golden_cos, cycle3):
@@ -158,7 +174,7 @@ def test_strict_rotation_stores_generating_f(golden_strict):
     assert golden_strict.generating_f is not None
     x = 0.21
     f = golden_strict.generating_f
-    expect = f(x) - f(golden_strict.forward(x))
+    expect = f(x) - f(scalar_map(golden_strict)(x))
     assert golden_strict.factor(x) == pytest.approx(expect)
 
 

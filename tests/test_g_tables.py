@@ -15,8 +15,11 @@ import pytest
 
 from lcsdyn import build_cutoff, build_g, build_mu, cat_map_system, core
 from lcsdyn import finite_permutation_system, rotation_system
-from lcsdyn.core import FINITE, eval_factor, factor_range, step_points, table_factor
-from lcsdyn.torus import MuConstruction, _averaged_tables, _float_orbit, _point_batch
+from lcsdyn.core import (FINITE, eval_factor, factor_range, point_batch, step_points,
+                         table_factor)
+from lcsdyn.torus import MuConstruction, _averaged_tables, _float_orbit
+
+from conftest import scalar_map
 
 # --------------------------------------------------------------------------
 # reference construction
@@ -26,7 +29,7 @@ from lcsdyn.torus import MuConstruction, _averaged_tables, _float_orbit, _point_
 def ref_averaged_factor(sys, n):
     """A_n(h) as a factor: every point walks its own n forward steps."""
     def a_n(x):
-        pts, single = _point_batch(sys.space, x)
+        pts, single = point_batch(sys.space, x)
         v = np.cumsum(_float_orbit(sys, pts, n), axis=0)[-1] / n
         return float(v[0]) if single else v
 
@@ -36,19 +39,18 @@ def ref_averaged_factor(sys, n):
 def ref_mirrored_system(sys):
     """(psi^{-1}, -h o psi^{-1}) as a system of its own."""
     mk = dict(sys.map_kind)
-    kind = mk.get("kind", "generic")
+    kind = mk["kind"]
     if kind == "rotation":
         mk["angle"] = -mk["angle"]
     elif kind in ("linear2", "permutation"):
         key = "matrix" if kind == "linear2" else "table"
         mk[key], mk["inverse"] = mk["inverse"], mk[key]
-    perm = mk["table"] if sys.perm_table is not None else None
     if sys.space.kind == FINITE and sys.factor_table is not None:
         inv = mk["table"]
         ft = tuple(-sys.factor_table[inv[i]] for i in range(len(inv)))
         factor = table_factor(ft)
     else:
-        base, inv_map, ft = sys.factor, sys.backward, None
+        base, inv_map, ft = sys.factor, scalar_map(sys, inverse=True), None
 
         def factor(x):
             if np.ndim(x):
@@ -56,8 +58,7 @@ def ref_mirrored_system(sys):
                                                     inverse=True)))
             return -base(inv_map(x))
 
-    return replace(sys, forward=sys.backward, backward=sys.forward, factor=factor,
-                   factor_table=ft, generating_f=None, map_kind=mk, perm_table=perm)
+    return replace(sys, factor=factor, factor_table=ft, generating_f=None, map_kind=mk)
 
 
 @dataclass
@@ -91,7 +92,7 @@ class RefG:
                 _float_orbit(sys, step_points(sys, pts, inverse=True), trail, inverse=True))
 
     def _paired(self, x, t, derivative):
-        pts, single = _point_batch(self.system.space, x)
+        pts, single = point_batch(self.system.space, x)
         ts = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
         fwd, bwd = self.tables(pts, ts)
         chi = self.cutoff.prime if derivative else self.cutoff
@@ -162,7 +163,7 @@ def test_tables_g_dt_and_inverse_match_the_system_construction(name, k, n):
     xs = _samples(sys, rng, 48)
     ts = rng.uniform(-4.5, 4.5, size=48)
     ts[:3] = (-3.0, 0.0, 2.0)
-    pts = _point_batch(sys.space, xs)[0]
+    pts = point_batch(sys.space, xs)[0]
     fwd, bwd = gcons._tables(pts, ts)
     if ref.mirrored:  # the reference's own tables are those of the mirrored system
         lead, trail = ref.inner.tables(pts, -ts)
@@ -185,16 +186,17 @@ def test_tables_g_dt_and_inverse_match_the_system_construction(name, k, n):
 @pytest.mark.parametrize("name", ["cos", "perm"])
 def test_mirrored_tables_pull_back_through_the_inverse(name):
     # the mirrored branch's factor is -h o psi^{-1} on the map psi^{-1}: its
-    # i-th forward row is -h(psi^{-(i+1)} x), walked with sys.backward
+    # i-th forward row is -h(psi^{-(i+1)} x), walked with the scalar psi^{-1}
     sys = _system(name)
     gcons = build_g(sys, -SIZES[name], (-4, 4))
     assert gcons.mirrored
     pts = sys.space.sample_points(8)
+    psi_inv = scalar_map(sys, inverse=True)
     _fwd, bwd = gcons._tables(pts, np.array([3.0]))
     for p, col in zip(pts.tolist(), (-bwd).T):
         y, want = p, []
         for _ in range(3):
-            y = sys.backward(y)
+            y = psi_inv(y)
             want.append(-float(sys.factor(y)))
         np.testing.assert_allclose(col, want, rtol=0, atol=1e-15 if name == "cos" else 0)
 
@@ -228,6 +230,7 @@ def test_table_rows_are_exact_windows_on_a_permutation():
     # window equals the cumulative sum of the scalar orbit values
     sys = _system("perm")
     pts = sys.space.sample_points()
+    psi = scalar_map(sys)
     for n in (1, 3, 8):
         fwd, bwd = _averaged_tables(sys, n, pts, 4, 3)
         for m, row in [(i, fwd[i]) for i in range(4)] + [(-j, bwd[j - 1]) for j in (1, 2, 3)]:
@@ -236,6 +239,6 @@ def test_table_rows_are_exact_windows_on_a_permutation():
                 vals = []
                 for _ in range(n):
                     vals.append(float(sys.factor(y)))
-                    y = sys.forward(y)
+                    y = psi(y)
                 assert v == np.cumsum(vals)[-1] / n
     assert eval_factor(sys, pts).tolist() == _averaged_tables(sys, 1, pts, 1, 0)[0][0].tolist()

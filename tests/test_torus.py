@@ -30,6 +30,8 @@ from lcsdyn.torus import (
     conjugation_residual,
 )
 
+from conftest import scalar_map
+
 
 def test_action_step_rotation(const_rotation):
     act = TorusAction(const_rotation, 1.0)
@@ -66,6 +68,52 @@ def test_action_step_inverse_roundtrip(const_rotation, cycle3):
         x2, t2 = action_step_inverse(act, x, t)
         assert float(x2) == pytest.approx(float(x0))
         assert float(t2) == pytest.approx(0.25)
+
+
+def _scalar_action(sys, k, x, t, n, inverse=False):
+    """n steps of (x, t) -> (psi x, t + k - h(x)) (of its inverse with
+    ``inverse``), one point at a time on the test-local scalar map."""
+    psi = scalar_map(sys, inverse)
+    for _ in range(n):
+        if inverse:
+            x = psi(x)
+            t = t - k + float(sys.factor(x))
+        else:
+            t = t + k - float(sys.factor(x))
+            x = psi(x)
+    return x, t
+
+
+def _float_systems():
+    from lcsdyn import cat_map_system
+
+    rng = np.random.default_rng(7)
+    cat = cat_map_system({"type": "trig2", "terms": [[1, 0, 0.4, 0.0], [0, 1, 0.0, 0.3]]},
+                         grid_resolution=16)
+    table = finite_permutation_system(rng.permutation(12).tolist(),
+                                      rng.normal(size=12).tolist())
+    assert not table.exact
+    return [(cat, list(cat.space.sample_points(16)[::37]) + [np.array([0.123, 0.877])]),
+            (table, list(range(12)))]
+
+
+def test_action_walks_match_a_scalar_walk():
+    # the cat map and a float table, stepped as a batch of one, against the
+    # scalar map read off map_kind
+    for sys, starts in _float_systems():
+        act = TorusAction(sys, 0.35)
+        for x0 in starts:
+            for inverse, step in ((False, action_step), (True, action_step_inverse)):
+                x, t = step(act, x0, 0.5)
+                want_x, want_t = _scalar_action(sys, 0.35, x0, 0.5, 1, inverse)
+                np.testing.assert_array_equal(x, want_x)
+                assert t == pytest.approx(want_t, abs=1e-15)
+            for n in (0, 1, 7, 20):
+                x, t = action_power(act, x0, 0.5, n)
+                want_x, want_t = _scalar_action(sys, 0.35, x0, 0.5, n)
+                np.testing.assert_array_equal(x, want_x)
+                assert t == pytest.approx(want_t, abs=1e-12)
+                assert type(t) is float and np.shape(x) == np.shape(x0)
 
 
 def test_action_power_trivial(const_rotation):
@@ -587,7 +635,7 @@ def _random_points(sys, rng, n):
 
 def _reference_series(gcons, x, t, derivative):
     """g(x, t) (or dt g) summed term by term along orbits walked one point at
-    a time with sys.forward / sys.backward, with a = h(psi^i x) for
+    a time with the scalar maps psi and psi^{-1}, with a = h(psi^i x) for
     i < ceil(-t) and b = h(psi^{-i-1} x) for i < ceil(t).
 
     Direct branch:    g = sum (1 - chi(t+1+i)) a_i - sum chi(t-i) b_i
@@ -603,8 +651,9 @@ def _reference_series(gcons, x, t, derivative):
             y = step(y)
 
     x0 = sys.space.normalize(x)
-    a = list(enumerate(walk(x0, sys.forward, math.ceil(-t))))
-    b = list(enumerate(walk(sys.backward(x0), sys.backward, math.ceil(t))))
+    psi, psi_inv = scalar_map(sys), scalar_map(sys, inverse=True)
+    a = list(enumerate(walk(x0, psi, math.ceil(-t))))
+    b = list(enumerate(walk(psi_inv(x0), psi_inv, math.ceil(t))))
     if not gcons.mirrored and not derivative:
         return sum((1.0 - chi(t + 1 + i)) * h for i, h in a) - sum(chi(t - i) * h for i, h in b)
     if not gcons.mirrored:
