@@ -15,6 +15,7 @@ from .core import (
     ModelSpace,
     ValidationError,
     cat_map_system,
+    coboundary_system,
     finite_permutation_system,
     iterate,
     rotation_system,

@@ -23,7 +23,7 @@ are built only at the boundary (extrema curves, table values, residuals);
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -35,16 +35,14 @@ from .core import (
     ConformalSystem,
     DEFAULT_MAX_ITERATIONS,
     ValidationError,
-    eval_factor_like,
+    generating_span,
     integer_array,
     orbit_array,
     orbit_rows,
-    point_batch,
     ratio_strings,
     scaled_floats,
-    step_points,
+    step_points,  # unused here; perfbench/test_smoke.py checks its tracing rebinds it
     sum_dtype,
-    table_factor,
 )
 
 
@@ -348,27 +346,6 @@ def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> 
     return out
 
 
-def gauge_shifted_system(sys: ConformalSystem, f0) -> ConformalSystem:
-    """The system with factor h + f0 o psi - f0 (same dynamics)."""
-    if sys.space.kind == FINITE and sys.factor_table is not None:
-        m = sys.space.size
-        f_vals = [f0(i) for i in range(m)]
-        vals = tuple(sys.factor_table[i] + f_vals[sys.perm_table[i]] - f_vals[i]
-                     for i in range(m))
-        return replace(sys, factor=table_factor(vals), factor_table=vals,
-                       generating_f=None, label=f"{sys.label} + coboundary")
-
-    base = sys.factor
-
-    def h(x):
-        pts, single = point_batch(sys.space, x)
-        v = (eval_factor_like(base, pts) + eval_factor_like(f0, step_points(sys, pts))
-             - eval_factor_like(f0, pts))
-        return float(v[0]) if single else v
-
-    return replace(sys, factor=h, generating_f=None, label=f"{sys.label} + coboundary")
-
-
 def _cycle_mean_rounding(sys: ConformalSystem, dec) -> float:
     """A bound on the rounding error of a float table's cycle means.
 
@@ -422,11 +399,8 @@ def limit_estimates(table: BirkhoffExtrema, stabilization_rtol: float = 1e-6,
         scale = max(1.0, float(np.max(np.abs(win))))
         if span / scale > stabilization_rtol:
             stable = False
-    if sys.generating_f is not None:
-        f_vals = eval_factor_like(sys.generating_f, table.points)
-        bound = 2.0 * float(f_vals.max() - f_vals.min()) / n_used
-    else:
-        bound = "heuristic"
+    span = generating_span(sys, table.points)
+    bound = "heuristic" if span is None else 2.0 * span / n_used
     return LimitEstimate(
         L_minus=float(lo_curve[-1]),
         L_plus=float(hi_curve[-1]),

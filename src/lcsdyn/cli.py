@@ -35,7 +35,6 @@ from .core import (
     finite_permutation_system,
     rotation_system,
     step_points,
-    strict_rotation_system,
 )
 
 COMMANDS = ("analyze", "admissible", "probe", "optimize", "construct",
@@ -86,10 +85,13 @@ def _field(obj: dict, key: str, what: str):
 
 
 def _number(value, what: str):
+    """A real number, not a bool or a string, as a float; else a ValidationError."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValidationError(f"{what} must be a number, got {value!r}")
 
 
 def _positive(value, what: str) -> float:
@@ -127,28 +129,19 @@ def system_from_config(decl: dict, tolerances: dict | None = None):
         if not isinstance(part, dict):
             raise ValidationError(f"system {key} must be an object, got {part!r}")
     kind = space.get("kind")
-    grid_resolution = _integer(space.get("grid_resolution", 256), "space.grid_resolution")
-    tol_inverse = _positive((tolerances or {}).get("tol_inverse", 1e-9), "tolerances.tol_inverse")
+    opts = {"grid_resolution": _integer(space.get("grid_resolution", 256),
+                                        "space.grid_resolution"),
+            "tol_inverse": _positive((tolerances or {}).get("tol_inverse", 1e-9),
+                                     "tolerances.tol_inverse")}
     mtype = mp.get("type")
     if kind == "circle":
         if mtype != "rotation":
             raise ValidationError(f"circle supports map type 'rotation', got {mtype!r}")
-        angle = mp.get("angle", 0.0)
-        if isinstance(factor, dict) and factor.get("type") == "coboundary":
-            f = _field(factor, "f", "coboundary factor")
-            return strict_rotation_system(angle, _factor_spec(f),
-                                          grid_resolution=grid_resolution,
-                                          tol_inverse=tol_inverse)
-        return rotation_system(angle, _factor_spec(factor),
-                               grid_resolution=grid_resolution,
-                               tol_inverse=tol_inverse)
+        return rotation_system(mp.get("angle", 0.0), factor, **opts)
     if kind == "torus2":
         if mtype not in ("torus_linear", "cat"):
             raise ValidationError(f"torus2 supports map type 'torus_linear', got {mtype!r}")
-        return cat_map_system(_factor_spec(factor),
-                              matrix=mp.get("matrix", ((2, 1), (1, 1))),
-                              grid_resolution=grid_resolution,
-                              tol_inverse=tol_inverse)
+        return cat_map_system(factor, matrix=mp.get("matrix", ((2, 1), (1, 1))), **opts)
     if kind == "finite":
         if mtype != "permutation":
             raise ValidationError(f"finite supports map type 'permutation', got {mtype!r}")
@@ -162,12 +155,6 @@ def system_from_config(decl: dict, tolerances: dict | None = None):
             raise ValidationError(f"permutation table entries must be integers, got {table!r}")
         return finite_permutation_system(table, values)
     raise ValidationError(f"unknown space kind {kind!r}")
-
-
-def _factor_spec(spec):
-    if isinstance(spec, dict) and spec.get("type") == "coboundary":
-        raise ValidationError("nested coboundary factors are not supported")
-    return spec
 
 
 def _json_default(v):
@@ -601,6 +588,9 @@ def config_from_args(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValidationError(f"config file {args.config} must hold a JSON object, "
+                                  f"got {type(data).__name__}")
     command = args.command or data.get("command")
     if not command:
         raise ValidationError("no command given (flag --command or config)")

@@ -5,6 +5,8 @@ circle, unit 2-torus, or a finite state set) together with a real factor h.
 Everything computed elsewhere in this package is a function of the pair
 (psi, h) alone.  psi is data, the ``map_kind`` record, which ``step_points``
 alone applies (a lone point as a batch of one): no per-point map closures.
+h is the factor record, which ``eval_factor`` alone evaluates; an opaque
+callable is evaluated point by point only if it rejects arrays.
 
 Circle and torus coordinates live in [0, 1) and are reduced mod 1 after every
 map application, so long orbits cannot drift.  Finite systems whose factor
@@ -22,7 +24,7 @@ import math
 import numbers
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 
@@ -54,13 +56,6 @@ class ValidationError(ValueError):
 def wrap(x):
     """Reduce a coordinate (scalar or array) to [0, 1)."""
     return x - np.floor(x)
-
-
-def rotate(x, angle: float):
-    """x + angle mod 1 (scalar or array): the one rotation step that
-    ``step_points`` and a strict rotation's factor both take, so that a
-    stored coboundary's rows telescope bit for bit."""
-    return wrap(np.asarray(x, dtype=float) + angle)
 
 
 def as_rational(v):
@@ -297,81 +292,6 @@ def point_batch(space: ModelSpace, x):
     return wrap(raw.astype(float)), single
 
 
-def constant_factor(value, space_kind: str = CIRCLE):
-    """Constant factor; a single torus point (a length-2 array) is scalar."""
-    v = float(value)
-    point_ndim = 1 if space_kind == TORUS2 else 0
-
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim <= point_ndim:
-            return v
-        return np.full(x.shape[0], v)
-
-    return h
-
-
-def trig_factor(const=0.0, cos=(), sin=()):
-    """Trigonometric polynomial on the circle: const + sum a cos(2 pi j x) + b sin."""
-    cos = tuple((int(j), float(a)) for j, a in cos)
-    sin = tuple((int(j), float(b)) for j, b in sin)
-    c0 = float(const)
-
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        v = np.full(x.shape, c0)
-        for j, a in cos:
-            v = v + a * np.cos(2.0 * np.pi * j * x)
-        for j, b in sin:
-            v = v + b * np.sin(2.0 * np.pi * j * x)
-        return float(v) if x.ndim == 0 else v
-
-    return h
-
-
-def trig2_factor(const=0.0, terms=()):
-    """Trig polynomial on the 2-torus; terms are (m, n, cos_coef, sin_coef)."""
-    terms = tuple((int(m), int(n), float(a), float(b)) for m, n, a, b in terms)
-    c0 = float(const)
-
-    def h(p):
-        p = np.asarray(p, dtype=float)
-        single = p.ndim == 1
-        q = p[None, :] if single else p
-        v = np.full(q.shape[0], c0)
-        for m, n, a, b in terms:
-            phase = 2.0 * np.pi * (m * q[:, 0] + n * q[:, 1])
-            if a:
-                v = v + a * np.cos(phase)
-            if b:
-                v = v + b * np.sin(phase)
-        return float(v[0]) if single else v
-
-    return h
-
-
-def table_factor(values):
-    """Per-state factor on a finite space; Fractions are preserved on scalars.
-
-    The float64 values for array calls are built on the first such call (a
-    ``RationalTable``'s from its integers, without its Fractions).
-    """
-    if not isinstance(values, RationalTable):
-        values = tuple(values)
-    float_values = None
-
-    def h(x):
-        nonlocal float_values
-        if np.ndim(x) == 0:
-            return values[int(x)]
-        if float_values is None:
-            float_values = (values.floats() if isinstance(values, RationalTable)
-                            else np.asarray([float(v) for v in values]))
-        return float_values[np.asarray(x, dtype=np.int64)]
-
-    return h
-
-
 @dataclass(frozen=True)
 class ConformalSystem:
     """Invertible map psi with a real factor h on a model space.
@@ -380,6 +300,11 @@ class ConformalSystem:
     rotation angle, an integer 2x2 matrix and its inverse, or (on every
     finite space) a permutation table and its inverse as read-only int64
     arrays.  There are no per-point map closures.
+
+    h is the factor record: ``trig`` (circle), ``trig2`` (torus), ``table``
+    (finite) or ``coboundary`` (base + f - f o psi of a record f; base 0 when
+    absent); a constant is a trig record with no terms.  An opaque callable
+    is evaluated point by point only if it rejects arrays.
 
     Immutable after construction; all operations on it are pure, so instances
     can be shared freely across workers.
@@ -397,13 +322,29 @@ class ConformalSystem:
     factor: object
     map_kind: dict
     label: str = ""
-    factor_table: Sequence | None = None
-    generating_f: object | None = None
 
     @property
     def perm_table(self) -> np.ndarray | None:
         """A permutation's table psi(i) (a read-only int64 array), else None."""
         return self.map_kind["table"] if self.map_kind["kind"] == "permutation" else None
+
+    @property
+    def factor_table(self) -> Sequence | None:
+        """A table record's values (a ``RationalTable`` or a tuple), else None."""
+        return self.factor["values"] if _record_type(self.factor) == "table" else None
+
+    @property
+    def generating_f(self):
+        """f of a stored coboundary h = f - f o psi (a coboundary record with
+        no base), whose walks telescope, else None."""
+        h = self.factor
+        return h["f"] if _record_type(h) == "coboundary" and h.get("base") is None else None
+
+    @cached_property
+    def _table_floats(self) -> np.ndarray:
+        """The factor table as float64 (a ``RationalTable``'s from its integers)."""
+        t = self.factor_table
+        return t.floats() if isinstance(t, RationalTable) else np.asarray([float(v) for v in t])
 
     @cached_property
     def _rationals(self) -> RationalTable | None:
@@ -486,7 +427,7 @@ def step_points(sys: ConformalSystem, pts, inverse: bool = False):
     mk = sys.map_kind
     if mk["kind"] == "rotation":
         a = mk["angle"]
-        return rotate(pts, -a if inverse else a)
+        return wrap(np.asarray(pts, dtype=float) + (-a if inverse else a))
     if mk["kind"] == "linear2":
         m = np.asarray(mk["inverse"] if inverse else mk["matrix"], dtype=float)
         return wrap(pts @ m.T)
@@ -513,7 +454,50 @@ def eval_factor_like(fn, pts) -> np.ndarray:
 
 def eval_factor(sys: ConformalSystem, pts):
     """Factor values on an array of points, as float64."""
-    return eval_factor_like(sys.factor, pts)
+    return _evaluate(sys, sys.factor, pts)
+
+
+def _record_type(h):
+    """The type of a factor record; None for an opaque callable."""
+    return h["type"] if isinstance(h, dict) else None
+
+
+def _evaluate(sys: ConformalSystem, h, pts) -> np.ndarray:
+    """The factor record h (or an opaque callable) of ``sys`` on an array of
+    points, as float64.  A table record is the system's own factor."""
+    kind = _record_type(h)
+    if kind is None:
+        return eval_factor_like(h, pts)
+    if kind == "table":
+        return sys._table_floats[np.asarray(pts, dtype=np.int64)]
+    if kind == "coboundary":
+        v = _evaluate(sys, h["f"], pts) - _evaluate(sys, h["f"], step_points(sys, pts))
+        return v if h.get("base") is None else _evaluate(sys, h["base"], pts) + v
+    x = np.asarray(pts, dtype=float)
+    v = np.full(x.shape[0], h["const"])
+    if kind == "trig":
+        for j, a in h["cos"]:
+            v = v + a * np.cos(2.0 * np.pi * j * x)
+        for j, b in h["sin"]:
+            v = v + b * np.sin(2.0 * np.pi * j * x)
+        return v
+    for m, n, a, b in h["terms"]:
+        phase = 2.0 * np.pi * (m * x[:, 0] + n * x[:, 1])
+        if a:
+            v = v + a * np.cos(phase)
+        if b:
+            v = v + b * np.sin(phase)
+    return v
+
+
+def generating_span(sys: ConformalSystem, pts) -> float | None:
+    """max f - min f over the points for a stored coboundary h = f - f o psi
+    (``sys.generating_f``), which bounds every |S_n| there, else None."""
+    f = sys.generating_f
+    if f is None:
+        return None
+    v = _evaluate(sys, f, pts)
+    return float(v.max() - v.min())
 
 
 def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
@@ -528,16 +512,17 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     A forward float walk of a system with a stored coboundary h = f - f o psi
     (``sys.generating_f``) evaluates F_i = f(psi^i p) once per cell and yields
     F_i - F_{i+1}, which is h(psi^i p) bit for bit: h steps its argument with
-    the same ``rotate`` that ``step_points`` calls for the next row's points.
-    An inverse walk evaluates h, because psi(psi^{-j} p) need not be
-    psi^{-j+1} p to the last bit.
+    the same ``step_points`` that gives the next row's points.  An inverse
+    walk evaluates h, because psi(psi^{-j} p) need not be psi^{-j+1} p to the
+    last bit.
     """
     cur = np.asarray(pts, dtype=np.int64) if sys.exact else pts
-    if sys.generating_f is not None and not inverse and n > 0:
-        F = eval_factor_like(sys.generating_f, cur)
+    f = sys.generating_f
+    if f is not None and not inverse and n > 0:
+        F = _evaluate(sys, f, cur)
         for _ in range(n):
             cur = step_points(sys, cur)
-            nxt = eval_factor_like(sys.generating_f, cur)
+            nxt = _evaluate(sys, f, cur)
             yield F - nxt
             F = nxt
         return
@@ -597,7 +582,7 @@ def _rotation_angle(angle) -> float:
     """"golden" or a finite real number; anything else is a ValidationError."""
     if angle == "golden":
         return GOLDEN_ANGLE
-    if isinstance(angle, numbers.Real) and not isinstance(angle, bool) and math.isfinite(angle):
+    if _is_real(angle) and math.isfinite(angle):
         return float(angle)
     raise ValidationError(f"rotation angle must be 'golden' or a finite number, got {angle!r}")
 
@@ -606,8 +591,7 @@ def _integer_matrix(matrix) -> list:
     """A 2x2 matrix of integers as lists; floats (int() would truncate them),
     other shapes and other entries are a ValidationError."""
     a = np.array(matrix, dtype=object)
-    if a.shape != (2, 2) or not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                                    for v in a.flat):
+    if a.shape != (2, 2) or not all(map(_is_integer, a.flat)):
         raise ValidationError(f"matrix must be a 2x2 matrix of integers, got {matrix!r}")
     return [[int(v) for v in row] for row in a]
 
@@ -616,15 +600,15 @@ def rotation_system(angle, factor, grid_resolution: int = 256, label: str = "",
                     tol_inverse: float = DEFAULT_TOL_INVERSE) -> ConformalSystem:
     """Rigid rotation x -> x + angle mod 1 with the given factor.
 
-    ``factor`` may be a callable, a number (constant factor) or a trig spec
-    dict ``{"const":, "cos": [[j, a]...], "sin": [[j, b]...]}``.
+    ``factor`` may be a callable, a number (constant factor), a trig spec
+    dict ``{"const":, "cos": [[j, a]...], "sin": [[j, b]...]}`` or a
+    coboundary spec ``{"type": "coboundary", "f": spec}``.
     """
     a = _rotation_angle(angle)
     space = ModelSpace(CIRCLE, grid_resolution=grid_resolution)
-    h = _factor_callable(space, factor)
     sys = ConformalSystem(
         space=space,
-        factor=h,
+        factor=_factor_record(space, factor),
         label=label or f"rotation(angle={a:.6g})",
         map_kind={"kind": "rotation", "angle": a},
     )
@@ -633,26 +617,10 @@ def rotation_system(angle, factor, grid_resolution: int = 256, label: str = "",
 
 def strict_rotation_system(angle, f, grid_resolution: int = 256, label: str = "",
                            tol_inverse: float = DEFAULT_TOL_INVERSE) -> ConformalSystem:
-    """Rotation whose factor is the coboundary h = f - f o psi of a supplied f.
-
-    The generating f is retained on the system so that exact telescoping
-    bounds (|S_n| <= max f - min f) are available to consumers.
-    """
-    a = _rotation_angle(angle)
-    space = ModelSpace(CIRCLE, grid_resolution=grid_resolution)
-    fc = _factor_callable(space, f)
-
-    def h(x):
-        return fc(x) - fc(rotate(x, a))
-
-    sys = ConformalSystem(
-        space=space,
-        factor=h,
-        label=label or f"strict rotation(angle={a:.6g})",
-        map_kind={"kind": "rotation", "angle": a},
-        generating_f=fc,
-    )
-    return _validate(sys, tol_inverse)
+    """Rotation whose factor is the stored coboundary h = f - f o psi of a
+    supplied f (``generating_f``), with telescoping bounds |S_n| <= max f - min f."""
+    return rotation_system(angle, {"type": "coboundary", "f": f}, grid_resolution, label,
+                           tol_inverse)
 
 
 def cat_map_system(factor, matrix=((2, 1), (1, 1)), grid_resolution: int = 64,
@@ -668,10 +636,9 @@ def cat_map_system(factor, matrix=((2, 1), (1, 1)), grid_resolution: int = 64,
         raise ValidationError(f"matrix determinant must be +-1, got {det}")
     inv = [[det * m[1][1], -det * m[0][1]], [-det * m[1][0], det * m[0][0]]]
     space = ModelSpace(TORUS2, grid_resolution=grid_resolution)
-    h = _factor_callable(space, factor)
     sys = ConformalSystem(
         space=space,
-        factor=h,
+        factor=_factor_record(space, factor),
         label=label or "toral automorphism",
         map_kind={"kind": "linear2", "matrix": tuple(map(tuple, m)),
                   "inverse": tuple(map(tuple, inv))},
@@ -702,11 +669,25 @@ def finite_permutation_system(table, factor_values, label: str = "") -> Conforma
     vals = _factor_table(values)
     return ConformalSystem(
         space=ModelSpace(FINITE, size=m),
-        factor=table_factor(vals),
+        factor={"type": "table", "values": vals},
         label=label or f"permutation on {m} states",
         map_kind={"kind": "permutation", "table": fwd, "inverse": inv},
-        factor_table=vals,
     )
+
+
+def coboundary_system(sys: ConformalSystem, f) -> ConformalSystem:
+    """The system with factor h + f - f o psi (same dynamics), the shifts
+    that give every conformal factor of one contactomorphism.  A finite table
+    gives a table (exact where h and every f(i) are); elsewhere f is a factor
+    spec, and the record a coboundary of f with base h."""
+    label = f"{sys.label} + coboundary"
+    h = sys.factor_table
+    if h is not None:
+        fv, tbl = [f(i) for i in range(len(h))], sys.perm_table.tolist()
+        vals = [h[i] + fv[i] - fv[tbl[i]] for i in range(len(h))]
+        return replace(sys, factor={"type": "table", "values": _factor_table(vals)}, label=label)
+    return replace(sys, label=label, factor={"type": "coboundary", "base": sys.factor,
+                                             "f": _factor_record(sys.space, f)})
 
 
 #: a comma whose entry is not "[-]digits/digits" with at most 18 digits a side
@@ -762,31 +743,53 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _entry_error(values, i) -> ValidationError:
     return ValidationError(f"factor values[{i}] = {values[i]!r} is neither a number "
                            "nor a rational such as 3, '-3/4' or '1.5'")
 
 
-def _factor_callable(space: ModelSpace, spec):
-    """The factor of a circle or torus system from its spec."""
+def _factor_record(space: ModelSpace, spec):
+    """The factor record of a system on ``space`` from its spec: a callable
+    as it is; a real number or a ``constant`` spec {"value":} as a ``trig``
+    (circle) or ``trig2`` (torus) record with no terms; a ``coboundary`` spec
+    {"f":} with the record of its f.  Frequencies are integers, and
+    coefficients, ``const`` and ``value`` real numbers, neither booleans nor
+    strings; anything else is a ValidationError that names the spec."""
     if callable(spec):
         return spec
-    if isinstance(spec, numbers.Number):
-        return constant_factor(spec, space.kind)
-    if isinstance(spec, dict):
-        kind = spec.get("type", "constant")
-        required = {"trig": CIRCLE, "trig2": TORUS2, "table": FINITE}
-        if kind not in required and kind != "constant":
-            raise ValidationError(f"unknown factor type {kind!r}")
-        if kind in required and space.kind != required[kind]:
-            raise ValidationError(f"{kind} factor requires a {required[kind]} space")
-        try:  # the builders only parse the spec's numbers here
-            if kind == "trig":
-                return trig_factor(spec.get("const", 0.0), spec.get("cos", ()),
-                                   spec.get("sin", ()))
-            if kind == "trig2":
-                return trig2_factor(spec.get("const", 0.0), spec.get("terms", ()))
-            return constant_factor(spec.get("value", 0.0), space.kind)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed {kind} factor {spec!r}: {exc}") from None
-    raise ValidationError(f"cannot interpret factor spec {spec!r}")
+    if _is_real(spec):
+        spec = {"value": spec}
+    if not isinstance(spec, dict) or space.kind == FINITE:
+        raise ValidationError(f"cannot interpret factor spec {spec!r} on a {space.kind} space")
+    kind = spec.get("type", "constant")
+    if kind == "coboundary":
+        if "f" not in spec:
+            raise ValidationError(f"coboundary factor {spec!r} misses 'f'")
+        return {"type": "coboundary", "f": _factor_record(space, spec["f"])}
+    trig = "trig" if space.kind == CIRCLE else "trig2"
+    if kind not in ("constant", trig):
+        raise ValidationError(f"factor type {kind!r} is none of 'constant', {trig!r} and "
+                              f"'coboundary', the factor types of a {space.kind} space")
+    const = spec.get("value" if kind == "constant" else "const", 0.0)
+    if not _is_real(const):
+        raise ValidationError(f"malformed {kind} factor {spec!r}: the constant term "
+                              f"{const!r} is not a real number")
+
+    def terms(key, ints):  # rows of ``ints`` integer frequencies, as many coefficients
+        rows = () if kind == "constant" else spec.get(key, ())
+        if not (isinstance(rows, (list, tuple)) and all(
+                isinstance(r, (list, tuple)) and len(r) == 2 * ints
+                and all(map(_is_integer, r[:ints])) and all(map(_is_real, r[ints:]))
+                for r in rows)):
+            raise ValidationError(f"malformed {kind} factor {spec!r}: {key} must be rows of "
+                                  f"{ints} integer frequencies and {ints} real coefficients")
+        return tuple((*map(int, r[:ints]), *map(float, r[ints:])) for r in rows)
+
+    if trig == "trig":
+        return {"type": trig, "const": float(const), "cos": terms("cos", 1),
+                "sin": terms("sin", 1)}
+    return {"type": trig, "const": float(const), "terms": terms("terms", 2)}

@@ -38,8 +38,8 @@ from .core import (
     DomainError,
     ValidationError,
     eval_factor,
-    eval_factor_like,
     factor_range,
+    generating_span,
     iterate,
     orbit_array,
     orbit_rows,
@@ -241,8 +241,7 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None,
                 wit = Witness(int(cyc[0]), len(cyc), t0 + len(cyc) * (k - means[idx]))
                 reports[i] = report(i, VERDICT_RECURRENT, wit, None, "cycle-exact", False)
     elif sys.generating_f is not None and any(ks):
-        fv = eval_factor_like(sys.generating_f, reference_points(sys))
-        V = float(fv.max() - fv.min())
+        V = generating_span(sys, reference_points(sys))
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
             if k != 0.0:
                 n0 = int(math.floor((hi - lo + V) / abs(k))) + 1

@@ -8,6 +8,7 @@ from lcsdyn import (
     rotation_system,
     strict_rotation_system,
 )
+from lcsdyn.core import eval_factor
 
 
 @pytest.fixture
@@ -71,3 +72,11 @@ def scalar_map(sys, inverse=False):
     assert mk["kind"] == "permutation"
     table = [int(v) for v in mk["inverse" if inverse else "table"]]
     return lambda i: table[int(i)]
+
+
+def scalar_factor(sys):
+    """h of ``sys`` on one point: a finite table's entry (exact where the
+    table is), else ``eval_factor`` on a batch of one point."""
+    if sys.factor_table is not None:
+        return lambda i: sys.factor_table[int(i)]
+    return lambda x: float(eval_factor(sys, np.asarray([x]))[0])

@@ -21,6 +21,7 @@ from lcsdyn import (
     birkhoff_table,
     build_g,
     build_mu,
+    coboundary_system,
     cycle_mean_extrema,
     elasticity_from_profile,
     finite_permutation_system,
@@ -33,12 +34,12 @@ from lcsdyn import (
     strict_rotation_system,
 )
 from lcsdyn import cli
-from lcsdyn.birkhoff import coboundary_residual_curve, gauge_shifted_system
+from lcsdyn.birkhoff import coboundary_residual_curve
 from lcsdyn.core import GOLDEN_ANGLE
 from lcsdyn.elastic import LiouvilleProfile
 from lcsdyn.torus import VERDICT_ESCAPE, VERDICT_RECURRENT
 
-from conftest import random_permutation_system, scalar_map
+from conftest import random_permutation_system, scalar_factor, scalar_map
 
 
 def _ok(n, msg):
@@ -111,13 +112,13 @@ def test_criterion_3_iteration_formula():
     # rotations: <= 1e-9 for all n <= 200, 100 random starts
     rot = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]})
     actr = TorusAction(rot, 0.7)
-    psi = scalar_map(rot)
+    psi, h = scalar_map(rot), scalar_factor(rot)
     for start in rng.uniform(0, 1, 100):
         x, t = float(start), 0.0
         y, s_sum = float(start), 0.0
         for n in range(1, 201):
             x, t = action_step(actr, x, t)
-            s_sum += rot.factor(y)
+            s_sum += h(y)
             y = psi(y)
             closed = 0.0 + n * 0.7 - s_sum
             assert abs(t - closed) <= 1e-9
@@ -288,7 +289,7 @@ def test_criterion_11_gauge_invariance():
         sys = random_permutation_system(rng, max_states=16)
         m = len(sys.perm_table)
         f0_vals = [int(v) for v in rng.integers(-6, 7, size=m)]
-        shifted = gauge_shifted_system(sys, lambda i: f0_vals[int(i)])
+        shifted = coboundary_system(sys, lambda i: -f0_vals[int(i)])
         est = limit_estimates(birkhoff_table(sys, n_max=4))
         est2 = limit_estimates(birkhoff_table(shifted, n_max=4))
         assert est.L_minus == est2.L_minus and est.L_plus == est2.L_plus
@@ -298,7 +299,7 @@ def test_criterion_11_gauge_invariance():
                           grid_resolution=512)
     f0 = lambda x: 0.3 * np.sin(2 * np.pi * np.asarray(x)) + 0.1 * np.cos(
         2 * np.pi * np.asarray(x))
-    shifted = gauge_shifted_system(rot, f0)
+    shifted = coboundary_system(rot, lambda x: -f0(x))
     est = limit_estimates(birkhoff_table(rot, 512, n_max=n_max))
     est2 = limit_estimates(birkhoff_table(shifted, 512, n_max=n_max))
     pts = rot.space.sample_points(512)

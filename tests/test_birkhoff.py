@@ -13,6 +13,7 @@ from lcsdyn import (
     birkhoff_extrema,
     birkhoff_table,
     coboundary_residual,
+    coboundary_system,
     finite_permutation_system,
     limit_estimates,
     rotation_system,
@@ -21,14 +22,13 @@ from lcsdyn import (
 from lcsdyn.birkhoff import (
     coboundary_residual_curve,
     extrema_to_csv,
-    gauge_shifted_system,
     table_to_csv,
     transfer_potential_values,
 )
-from lcsdyn.core import GOLDEN_ANGLE, cat_map_system, orbit_array
+from lcsdyn.core import GOLDEN_ANGLE, cat_map_system, eval_factor, orbit_array
 from lcsdyn.torus import TorusAction
 
-from conftest import random_permutation_system, scalar_map
+from conftest import random_permutation_system, scalar_factor, scalar_map
 
 # A_10 of cos(2 pi x) at x = 0 under the golden rotation, frozen from a
 # 50-digit direct resummation.
@@ -45,7 +45,7 @@ def test_first_average_is_factor(cycle3, golden_cos):
     t = birkhoff_table(cycle3, n_max=1)
     assert [t.averages[0][p] for p in range(3)] == [1, 2, 3]
     tg = birkhoff_table(golden_cos, 32, n_max=1)
-    h = [golden_cos.factor(float(p)) for p in tg.points]
+    h = [scalar_factor(golden_cos)(float(p)) for p in tg.points]
     assert tg.averages[0] == pytest.approx(h)
 
 
@@ -72,11 +72,11 @@ def test_transfer_potential_trivial(cycle3):
 def test_transfer_potential_n2_identity(golden_cos):
     # f_2 = h/2, so h + f_2 o psi - f_2 = (h + h o psi)/2 = A_2(h)
     f2 = transfer_potential(golden_cos, 2)
-    psi = scalar_map(golden_cos)
+    psi, h = scalar_map(golden_cos), scalar_factor(golden_cos)
     for x in (0.0, 0.31, 0.77):
-        assert f2(x) == pytest.approx(golden_cos.factor(x) / 2)
-        lhs = golden_cos.factor(x) + f2(psi(x)) - f2(x)
-        a2 = (golden_cos.factor(x) + golden_cos.factor(psi(x))) / 2
+        assert f2(x) == pytest.approx(h(x) / 2)
+        lhs = h(x) + f2(psi(x)) - f2(x)
+        a2 = (h(x) + h(psi(x))) / 2
         assert lhs == pytest.approx(a2, abs=1e-14)
 
 
@@ -150,7 +150,7 @@ def test_envelope_properties_random_finite(seed):
 def test_gauge_covariance_exact(swap_pair):
     # A_n(h + f o psi - f) = A_n(h) + (f(psi^n x) - f(x)) / n, exactly
     f0 = lambda i: [3, -1, 7][int(i)]
-    shifted = gauge_shifted_system(swap_pair, f0)
+    shifted = coboundary_system(swap_pair, lambda i: -f0(i))
     t = birkhoff_table(swap_pair, n_max=15)
     ts = birkhoff_table(shifted, n_max=15)
     tbl = swap_pair.perm_table
@@ -166,19 +166,21 @@ def test_gauge_covariance_exact(swap_pair):
 
 def test_gauge_shifted_scalar_call_is_a_batch_of_one(golden_cos):
     f0 = lambda x: 0.25 * np.sin(2 * np.pi * np.asarray(x))
-    shifted = gauge_shifted_system(golden_cos, f0)
+    shifted = coboundary_system(golden_cos, lambda x: -f0(x))
     pts = golden_cos.space.sample_points(32)
-    assert [shifted.factor(float(p)) for p in pts] == shifted.factor(pts).tolist()
+    h = scalar_factor(shifted)
+    assert [h(float(p)) for p in pts] == eval_factor(shifted, pts).tolist()
     cat = _cat16()
     g0 = lambda p: 0.1 * np.cos(2 * np.pi * np.asarray(p)[..., 0])
-    shifted = gauge_shifted_system(cat, g0)
+    shifted = coboundary_system(cat, lambda p: -g0(p))
     pts = cat.space.sample_points(8)
-    assert [shifted.factor(p) for p in pts] == shifted.factor(pts).tolist()
+    h = scalar_factor(shifted)
+    assert [h(p) for p in pts] == eval_factor(shifted, pts).tolist()
 
 
 def test_gauge_covariance_grid(golden_cos):
     f0 = lambda x: np.sin(2 * np.pi * np.asarray(x)) * 0.25
-    shifted = gauge_shifted_system(golden_cos, f0)
+    shifted = coboundary_system(golden_cos, lambda x: -f0(x))
     t = birkhoff_table(golden_cos, 64, n_max=30)
     ts = birkhoff_table(shifted, 64, n_max=30)
     pts = t.points
@@ -380,9 +382,9 @@ def test_streamed_extrema_exact_permutation():
 
 
 def _scalar_rows(sys, pts, n):
-    rows, cur, psi = [], list(pts), scalar_map(sys)
+    rows, cur, psi, h = [], list(pts), scalar_map(sys), scalar_factor(sys)
     for _ in range(n):
-        rows.append([sys.factor(x) for x in cur])
+        rows.append([h(x) for x in cur])
         cur = [psi(x) for x in cur]
     return rows
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from lcsdyn import cli
+from lcsdyn.torus import VERDICT_ESCAPE
 
 FINITE_SYSTEM = {
     "space": {"kind": "finite", "size": 3},
@@ -612,3 +614,106 @@ def test_probe_trace_matches_scalar_action_walk(tmp_path, system, k):
         xs = ":".join(repr(float(c)) for c in np.atleast_1d(np.asarray(x, dtype=float)))
         assert row == f"{n},{xs},{t!r}"
         x, t = torus.action_step(act, x, t)
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", '"analyze"', "3"])
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    # a list used to end in AttributeError: 'list' object has no attribute 'get'
+    cfg = tmp_path / "list.json"
+    cfg.write_text(text)
+    assert run_cli(["--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError"
+    assert "must hold a JSON object" in diag["message"]
+
+
+@pytest.mark.parametrize("data,field", [
+    # each ran: float() read true as 1.0 and parsed numeric strings
+    ({"command": "admissible", "system": FINITE_SYSTEM, "k": True}, "k"),
+    ({"command": "admissible", "system": FINITE_SYSTEM, "k": "1e-3"}, "k"),
+    ({"command": "admissible", "system": FINITE_SYSTEM, "k_range": [0, "1", 0.5]},
+     "k_range entry"),
+    ({"command": "admissible", "system": FINITE_SYSTEM, "k_range": [False, 1, 0.5]},
+     "k_range entry"),
+    ({"command": "construct", "system": CONST_SYSTEM, "k": 1.0,
+      "params": {"t_window": [True, "2"]}}, "params.t_window entry"),
+    ({"command": "admissible", "system": CONST_SYSTEM, "k": 1.0,
+      "tolerances": {"tol_inverse": True}}, "tolerances.tol_inverse"),
+    ({"command": "admissible", "system": CONST_SYSTEM, "k": 1.0,
+      "tolerances": {"tol_inverse": "1e-9"}}, "tolerances.tol_inverse"),
+    ({"command": "elasticity", "params": {"profile_csv": "PROFILE"},
+      "tolerances": {"gap_resolution": True}}, "tolerances.gap_resolution"),
+    ({"command": "elasticity", "params": {"profile_csv": "PROFILE"},
+      "tolerances": {"gap_resolution": "0.001"}}, "tolerances.gap_resolution"),
+])
+def test_booleans_and_strings_are_not_numbers(tmp_path, capsys, data, field):
+    prof = tmp_path / "prof.csv"
+    prof.write_text("u\n-1.0\n-0.5\n")
+    if "profile_csv" in data.get("params", {}):
+        data = dict(data, params={"profile_csv": str(prof)})
+    cfg = write_config(tmp_path, "n.json", n_max=20, **data)
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError"
+    assert diag["message"].startswith(f"{field} must be a")
+
+
+@pytest.mark.parametrize("system,spec,named", [
+    # ran as 1 + 0.5 cos 2 pi x: int() truncated 1.9, float() read true and "0.5"
+    (CONST_SYSTEM, {"type": "trig", "const": True, "cos": [[1.9, "0.5"]]}, None),
+    (CONST_SYSTEM, {"type": "trig", "cos": [[1, "0.5"]]}, None),
+    (CONST_SYSTEM, {"type": "trig", "cos": [[1.9, 0.5]]}, None),
+    (CONST_SYSTEM, {"type": "trig", "sin": [[True, 0.5]]}, None),
+    (CONST_SYSTEM, {"type": "trig", "sin": [[1, 0.5, 2]]}, None),
+    (CONST_SYSTEM, {"type": "constant", "value": "0.2"}, None),
+    (CONST_SYSTEM, {"type": "constant", "value": False}, None),
+    (CONST_SYSTEM, True, None),  # ran as the constant 1.0
+    # a frequency of 0.5 became 0, a constant term
+    (TORUS_SYSTEM, {"type": "trig2", "terms": [[0.5, 0, 1.0, 0.0]]}, None),
+    (TORUS_SYSTEM, {"type": "trig2", "terms": [[1, 0, 1.0, True]]}, None),
+    (TORUS_SYSTEM, True, None),
+    (STRICT_SYSTEM, {"type": "coboundary", "f": {"type": "trig", "sin": [[1, "1.0"]]}},
+     {"type": "trig", "sin": [[1, "1.0"]]}),
+])
+def test_factor_specs_neither_truncate_nor_coerce(tmp_path, capsys, system, spec, named):
+    cfg = write_config(tmp_path, "f.json", command="analyze", n_max=5,
+                       system=dict(system, factor=spec))
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError"
+    assert repr(spec if named is None else named) in diag["message"]
+
+
+TORUS_COBOUNDARY = dict(TORUS_SYSTEM, factor={
+    "type": "coboundary", "f": {"type": "trig2", "terms": [[1, 0, 1.0, 0.0]]}})
+
+
+def test_torus_coboundary_is_a_stored_coboundary(tmp_path):
+    # exited 2 with "nested coboundary factors are not supported"
+    bounds = []
+    for name, system in (("cob", TORUS_COBOUNDARY), ("trig2", TORUS_SYSTEM)):
+        cfg = write_config(tmp_path, f"{name}.json", command="analyze", system=system,
+                           n_max=40)
+        out = str(tmp_path / f"analyze-{name}")
+        assert run_cli(["--config", cfg, "--out", out]) == 0
+        bounds.append(load_report(out)["payload"]["limit_estimate"]["error_bound"])
+    # |S_n| <= max f - min f: the sampled telescoping bound 2 (max f - min f) / n
+    assert bounds[0] == pytest.approx(2 * 2.0 / 40) and bounds[1] == "heuristic"
+    cfg = write_config(tmp_path, "probe.json", command="probe", system=TORUS_COBOUNDARY,
+                       n_max=40, k=1.0)
+    out = str(tmp_path / "probe")
+    assert run_cli(["--config", cfg, "--out", out]) == 0
+    (rep,) = load_report(out)["payload"]["reports"]
+    assert rep["certificate"] == "telescoping-bound" and rep["verdict"] == VERDICT_ESCAPE
+
+
+def test_readme_config_examples_build_their_systems():
+    # README's config examples follow the parser: every fenced json block
+    # with a "system" builds that system
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        blocks = re.findall(r"^```json\n(.*?)^```", fh.read(), re.S | re.M)
+    configs = [c for c in map(json.loads, blocks) if "system" in c]
+    assert len(configs) >= 2
+    for config in configs:
+        sys_ = cli.system_from_config(config["system"], config.get("tolerances"))
+        assert sys_.space.kind == config["system"]["space"]["kind"]

@@ -12,6 +12,7 @@ from lcsdyn import (
     DomainError,
     ValidationError,
     cat_map_system,
+    coboundary_system,
     finite_permutation_system,
     iterate,
     rotation_system,
@@ -27,7 +28,7 @@ from lcsdyn.core import (
 )
 from lcsdyn.cli import system_from_config
 
-from conftest import scalar_map
+from conftest import scalar_factor, scalar_map
 
 
 def test_iterate_cycle(cycle3):
@@ -71,7 +72,7 @@ def _permutation_decl(table, values):
 def test_builtin_rotation():
     sys = system_from_config({"space": {"kind": "circle"},
                               "map": {"type": "rotation", "angle": 0.5}, "factor": 0.2})
-    assert sys.factor(0.3) == pytest.approx(0.2)
+    assert scalar_factor(sys)(0.3) == pytest.approx(0.2)
     assert scalar_map(sys)(0.25) == pytest.approx(0.75)
     assert step_points(sys, np.array([0.25])).tolist() == [0.75]
 
@@ -79,7 +80,7 @@ def test_builtin_rotation():
 def test_builtin_permutation_valid():
     sys = system_from_config(_permutation_decl([1, 2, 0], [1, 2, 3]))
     assert sys.exact
-    assert sys.factor(2) == Fraction(3)
+    assert sys.factor_table[2] == Fraction(3)
 
 
 def test_permutation_is_two_read_only_int64_tables(cycle3):
@@ -165,22 +166,47 @@ def test_step_points_matches_scalar(golden_cos):
 def test_eval_factor_matches_scalar(golden_cos, cycle3):
     pts = golden_cos.space.sample_points(11)
     vals = eval_factor(golden_cos, pts)
-    assert vals == pytest.approx([golden_cos.factor(float(p)) for p in pts])
+    assert vals == pytest.approx([scalar_factor(golden_cos)(float(p)) for p in pts])
     fin_vals = eval_factor(cycle3, cycle3.space.sample_points())
     assert list(fin_vals) == [1.0, 2.0, 3.0]
+
+
+def test_coboundary_system_on_a_table_is_an_exact_table(cycle3):
+    # h = [1, 2, 3] on 0 -> 1 -> 2 -> 0: h + f - f o psi with f = [1/2, -1, 1/3]
+    f = [Fraction(1, 2), Fraction(-1), Fraction(1, 3)]
+    shifted = coboundary_system(cycle3, lambda i: f[i])
+    want = [Fraction(h) + f[i] - f[(i + 1) % 3] for i, h in enumerate([1, 2, 3])]
+    assert list(shifted.factor_table) == want == [Fraction(5, 2), Fraction(2, 3), Fraction(17, 6)]
+    assert shifted.exact and all(type(v) is Fraction for v in shifted.factor_table)
+    assert shifted.map_kind is cycle3.map_kind and shifted.generating_f is None
+
+
+def test_coboundary_system_has_four_fields_and_record_factors(golden_cos):
+    from dataclasses import fields
+
+    assert [f.name for f in fields(golden_cos)] == ["space", "factor", "map_kind", "label"]
+    shifted = coboundary_system(golden_cos, {"type": "trig", "sin": [[1, 0.25]]})
+    assert shifted.factor == {"type": "coboundary", "base": golden_cos.factor,
+                              "f": {"type": "trig", "const": 0.0, "cos": (),
+                                    "sin": ((1, 0.25),)}}
+    assert shifted.generating_f is None  # h + f - f o psi, not a stored coboundary
+    assert rotation_system(0.5, 0.2).factor == {"type": "trig", "const": 0.2, "cos": (),
+                                                "sin": ()}
+    assert cat_map_system(0.3).factor == {"type": "trig2", "const": 0.3, "terms": ()}
 
 
 def test_strict_rotation_stores_generating_f(golden_strict):
     assert golden_strict.generating_f is not None
     x = 0.21
-    f = golden_strict.generating_f
+    f = scalar_factor(replace(golden_strict, factor=golden_strict.generating_f))
     expect = f(x) - f(scalar_map(golden_strict)(x))
-    assert golden_strict.factor(x) == pytest.approx(expect)
+    assert scalar_factor(golden_strict)(x) == pytest.approx(expect)
 
 
 def _scalar_orbit_rows(sys, pts, n, sign=1):
     """Independent oracle: h(psi^{sign i} p) by scalar iteration."""
-    return [[sys.factor(iterate(sys, p, sign * i)) for p in pts] for i in range(n)]
+    h = scalar_factor(sys)
+    return [[h(iterate(sys, p, sign * i)) for p in pts] for i in range(n)]
 
 
 def test_orbit_array_rotation_matches_scalar_walk(golden_cos):
@@ -264,12 +290,16 @@ def _scalar_sin(x):
     ("golden", {"type": "trig", "sin": [[1, 1.0]]}),
     (0.375, {"type": "trig", "const": 0.5, "cos": [[2, 0.7]], "sin": [[1, 1.0], [3, -0.2]]}),
     (0.3, _scalar_sin),
+    ("cat", {"type": "trig2", "terms": [[1, 0, 1.0, 0.0]]}),  # a stored coboundary on the torus
 ])
 @pytest.mark.parametrize("inverse", [False, True])
 def test_coboundary_rows_equal_stepwise_walk(angle, f, n, inverse):
-    sys = strict_rotation_system(angle, f, grid_resolution=64)
+    cat = angle == "cat"
+    sys = (cat_map_system({"type": "coboundary", "f": f}, grid_resolution=8) if cat
+           else strict_rotation_system(angle, f, grid_resolution=64))
     rng = np.random.default_rng(3)
-    pts = np.concatenate([sys.space.sample_points(), rng.random(9), [0.0, 1 - 2.0**-53]])
+    edge = [[0.0, 1 - 2.0**-53]] if cat else [0.0, 1 - 2.0**-53]
+    pts = np.concatenate([sys.space.sample_points(), rng.random((9, 2) if cat else 9), edge])
     assert np.array_equal(orbit_array(sys, pts, n, inverse=inverse),
                           _stepwise_rows(sys, pts, n, inverse=inverse))
 

@@ -23,12 +23,15 @@ from lcsdyn.core import (
     RationalTable,
     ValidationError,
     as_rational,
+    eval_factor,
     finite_permutation_system,
     ratio_strings,
     strict_rotation_system,
     sum_dtype,
 )
 from lcsdyn.ergopt import minmax_coboundary
+
+from conftest import scalar_factor
 
 # --------------------------------------------------------------------------
 # oracles: the Fraction-based ingest and writers
@@ -182,8 +185,8 @@ def test_ingest_matches_the_fraction_path(values):
     old = _old_table(values)
     assert tuple(sys.factor_table) == old and sys.factor_table == old
     assert [type(v) for v in sys.factor_table] == [type(v) for v in old]
-    assert sys.factor(np.arange(m)).tolist() == [float(v) for v in old]
-    assert [sys.factor(i) for i in range(m)] == list(old)
+    assert eval_factor(sys, np.arange(m)).tolist() == [float(v) for v in old]
+    assert [scalar_factor(sys)(i) for i in range(m)] == list(old)
 
 
 def test_p_q_tables_parse_in_one_pass_and_keep_their_fractions_lazy():
@@ -195,7 +198,7 @@ def test_p_q_tables_parse_in_one_pass_and_keep_their_fractions_lazy():
     table = sys.factor_table
     assert isinstance(table, RationalTable)
     exact, scale, scaled = _old_exact(values)
-    sys.factor(np.arange(500))  # array evaluation reads the integers only
+    eval_factor(sys, np.arange(500))  # array evaluation reads the integers only
     assert (sys.exact, sys.scale, sys.scaled_table) == (exact, scale, scaled)
     assert table._fractions is None  # no Fraction built yet
     assert list(table) == list(_old_table(values))

@@ -15,11 +15,10 @@ import pytest
 
 from lcsdyn import build_cutoff, build_g, build_mu, cat_map_system, core
 from lcsdyn import finite_permutation_system, rotation_system
-from lcsdyn.core import (FINITE, eval_factor, factor_range, point_batch, step_points,
-                         table_factor)
+from lcsdyn.core import FINITE, eval_factor, factor_range, point_batch, step_points
 from lcsdyn.torus import MuConstruction, _averaged_tables, _float_orbit
 
-from conftest import scalar_map
+from conftest import scalar_factor, scalar_map
 
 # --------------------------------------------------------------------------
 # reference construction
@@ -47,18 +46,13 @@ def ref_mirrored_system(sys):
         mk[key], mk["inverse"] = mk["inverse"], mk[key]
     if sys.space.kind == FINITE and sys.factor_table is not None:
         inv = mk["table"]
-        ft = tuple(-sys.factor_table[inv[i]] for i in range(len(inv)))
-        factor = table_factor(ft)
+        factor = {"type": "table",
+                  "values": tuple(-sys.factor_table[inv[i]] for i in range(len(inv)))}
     else:
-        base, inv_map, ft = sys.factor, scalar_map(sys, inverse=True), None
-
         def factor(x):
-            if np.ndim(x):
-                return -np.asarray(base(step_points(sys, np.asarray(x, dtype=float),
-                                                    inverse=True)))
-            return -base(inv_map(x))
+            return -eval_factor(sys, step_points(sys, np.asarray(x, dtype=float), inverse=True))
 
-    return replace(sys, factor=factor, factor_table=ft, generating_f=None, map_kind=mk)
+    return replace(sys, factor=factor, map_kind=mk)
 
 
 @dataclass
@@ -116,8 +110,7 @@ def ref_build_g(sys, k):
 
 
 def ref_build_averaged_g(sys, k, n):
-    return ref_build_g(replace(sys, factor=ref_averaged_factor(sys, n), factor_table=None,
-                               generating_f=None), k)
+    return ref_build_g(replace(sys, factor=ref_averaged_factor(sys, n)), k)
 
 
 # --------------------------------------------------------------------------
@@ -191,13 +184,13 @@ def test_mirrored_tables_pull_back_through_the_inverse(name):
     gcons = build_g(sys, -SIZES[name], (-4, 4))
     assert gcons.mirrored
     pts = sys.space.sample_points(8)
-    psi_inv = scalar_map(sys, inverse=True)
+    psi_inv, h = scalar_map(sys, inverse=True), scalar_factor(sys)
     _fwd, bwd = gcons._tables(pts, np.array([3.0]))
     for p, col in zip(pts.tolist(), (-bwd).T):
         y, want = p, []
         for _ in range(3):
             y = psi_inv(y)
-            want.append(-float(sys.factor(y)))
+            want.append(-float(h(y)))
         np.testing.assert_allclose(col, want, rtol=0, atol=1e-15 if name == "cos" else 0)
 
 
@@ -230,7 +223,7 @@ def test_table_rows_are_exact_windows_on_a_permutation():
     # window equals the cumulative sum of the scalar orbit values
     sys = _system("perm")
     pts = sys.space.sample_points()
-    psi = scalar_map(sys)
+    psi, h = scalar_map(sys), scalar_factor(sys)
     for n in (1, 3, 8):
         fwd, bwd = _averaged_tables(sys, n, pts, 4, 3)
         for m, row in [(i, fwd[i]) for i in range(4)] + [(-j, bwd[j - 1]) for j in (1, 2, 3)]:
@@ -238,7 +231,7 @@ def test_table_rows_are_exact_windows_on_a_permutation():
                 y = core.iterate(sys, p, m)
                 vals = []
                 for _ in range(n):
-                    vals.append(float(sys.factor(y)))
+                    vals.append(float(h(y)))
                     y = psi(y)
                 assert v == np.cumsum(vals)[-1] / n
     assert eval_factor(sys, pts).tolist() == _averaged_tables(sys, 1, pts, 1, 0)[0][0].tolist()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from lcsdyn.torus import (
     conjugation_residual,
 )
 
-from conftest import scalar_map
+from conftest import scalar_factor, scalar_map
 
 
 def test_action_step_rotation(const_rotation):
@@ -73,13 +74,13 @@ def test_action_step_inverse_roundtrip(const_rotation, cycle3):
 def _scalar_action(sys, k, x, t, n, inverse=False):
     """n steps of (x, t) -> (psi x, t + k - h(x)) (of its inverse with
     ``inverse``), one point at a time on the test-local scalar map."""
-    psi = scalar_map(sys, inverse)
+    psi, h = scalar_map(sys, inverse), scalar_factor(sys)
     for _ in range(n):
         if inverse:
             x = psi(x)
-            t = t - k + float(sys.factor(x))
+            t = t - k + float(h(x))
         else:
-            t = t + k - float(sys.factor(x))
+            t = t + k - float(h(x))
             x = psi(x)
     return x, t
 
@@ -244,7 +245,7 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
     """One size probed on its own, as before sweeps shared work: its own factor
     range, cycle decomposition and whole (n_max, P) table of partial sums."""
     from lcsdyn import ergopt
-    from lcsdyn.core import eval_factor_like, orbit_array, reference_points
+    from lcsdyn.core import eval_factor, orbit_array, reference_points
     from lcsdyn.torus import ProbeReport, Witness
 
     k = float(k)
@@ -273,7 +274,7 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
         wit = Witness(int(cyc[0]), len(cyc), t0 + len(cyc) * (k - means[idx]))
         return report(VERDICT_RECURRENT, wit, None, "cycle-exact", False)
     if sys.generating_f is not None and k != 0.0:
-        fv = eval_factor_like(sys.generating_f, reference_points(sys))
+        fv = eval_factor(replace(sys, factor=sys.generating_f), reference_points(sys))
         n0 = int(math.floor((width + float(fv.max() - fv.min())) / abs(k))) + 1
         return report(VERDICT_ESCAPE, None, n0, "telescoping-bound", heuristic)
     sums = np.cumsum(orbit_array(sys, pts, n_max), axis=0)
@@ -645,9 +646,9 @@ def _reference_series(gcons, x, t, derivative):
     """
     sys, chi, prime = gcons.system, gcons.cutoff, gcons.cutoff.prime
 
-    def walk(y, step, count):
+    def walk(y, step, count, h=scalar_factor(sys)):
         for _ in range(count):
-            yield float(sys.factor(y))
+            yield float(h(y))
             y = step(y)
 
     x0 = sys.space.normalize(x)
