@@ -70,10 +70,14 @@ class RunConfig:
                 if f.name not in ("out", "cache_dir", "strict_verdict")}
 
 
-def cache_key(canonical: dict) -> str:
+def cache_key(canonical: dict, profile_sha256: str | None = None) -> str:
     """Hash of the canonical config and the package version, so results
-    cached by another version of the code are never served."""
+    cached by another version of the code are never served; with
+    ``profile_sha256``, also of the profile file's bytes, so a rewritten
+    profile is a miss."""
     keyed = {"config": canonical, "version": __version__}
+    if profile_sha256 is not None:
+        keyed["profile_sha256"] = profile_sha256
     blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"), default=_json_default)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -318,6 +322,19 @@ def _n_scan(config):
     return _count(config.params.get("n_scan", 64), "params.n_scan")
 
 
+def _profile_csv(config):
+    """params.profile_csv of an elasticity run, or None when it is absent.
+
+    Only a non-empty string is a path: open() takes an int or a bool as a
+    file descriptor, and would read (and close) the process's own stdout.
+    """
+    path = config.params.get("profile_csv")
+    if path is not None and not (isinstance(path, str) and path):
+        raise ValidationError(f"params.profile_csv must be a non-empty path string, "
+                              f"got {path!r}")
+    return path
+
+
 def _strict_mu(config):
     return _boolean(config.params.get("strict_mu", False), "params.strict_mu")
 
@@ -415,8 +432,8 @@ def _cmd_construct(config, sys_, out_dir, warnings):
 def _cmd_elasticity(config, sys_, out_dir, warnings):
     gap_resolution = _positive(config.tolerances.get("gap_resolution", 1e-3),
                                "tolerances.gap_resolution")
-    profile_csv = config.params.get("profile_csv")
-    if profile_csv:
+    profile_csv = _profile_csv(config)
+    if profile_csv is not None:
         profile = elastic.profile_from_csv(profile_csv)
     else:
         if sys_ is None:
@@ -478,7 +495,20 @@ _NEEDS_SYSTEM = {"analyze", "admissible", "probe", "optimize", "construct"}
 def cache_path(config: RunConfig, canonical: dict) -> str:
     base = config.cache_dir or os.environ.get("CACHE_DIR") or os.path.join(
         config.out, ".cache")
-    return os.path.join(base, cache_key(canonical) + ".json")
+    profile = _profile_csv(config) if config.command == "elasticity" else None
+    digest = None if profile is None else _file_sha256(profile)
+    return os.path.join(base, cache_key(canonical, digest) + ".json")
+
+
+def _file_sha256(path: str) -> str:
+    h = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise ValidationError(f"cannot read profile {path}: {exc}") from None
+    return h.hexdigest()
 
 
 def cache_lookup(path: str, warnings: list):

@@ -88,7 +88,22 @@ class LiouvilleProfile:
 
     @cached_property
     def bounds(self) -> tuple:
-        """(min u, max u) over the samples."""
+        """(min u, max u) over the samples.
+
+        A factored profile reads them off its four corners {min s, max s} x
+        {min v, max v} when s v + k has one sign there and u is finite and
+        nonzero there: fl(s v), + k and -k / x each round monotonically, so
+        the extremes over the grid sit at its corners.  Otherwise (a NaN
+        factor, a pole, a sign change) the samples are reduced block by
+        block, which raises on a sample that is not finite.
+        """
+        if self._samples is None:
+            s, v = self._slopes, self._values
+            x = np.multiply.outer([s.min(), s.max()], [v.min(), v.max()]).ravel()
+            x += self._k
+            u = np.divide(-self._k, x)
+            if (np.all(x > 0) or np.all(x < 0)) and np.all(np.isfinite(u) & (u != 0)):
+                return float(u.min()), float(u.max())
         lo, hi = zip(*((u.min(), u.max()) for u in self.blocks()))
         return float(min(lo)), float(max(hi))
 

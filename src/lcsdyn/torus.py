@@ -16,7 +16,12 @@ for i < F and A_n(h)(psi^{-j} p) for j = 1..B.  Each row is a window of n
 rows of one strip of base rows, h(psi^{-j} p) for j = 1..B and h(psi^i p)
 for i < F + n - 1.  When A_n(h) > k with k < 0 (the mirrored branch), g is
 the construction for (psi^{-1}, -A_n(h) o psi^{-1}, -k) at -t, which reads
-the same two tables swapped and negated.
+the same two tables swapped and negated.  ``GConstruction.batch`` walks them
+once per point batch; a sigma inversion builds them once, for all samples,
+at the rows its final brackets need, and bisects and runs Newton on them.
+The cutoff reads its quadrature tables only off its plateaus s <= 0 and
+s >= 1, so at any t only the one translate per sample inside (0, 1) costs
+a lookup.
 
 The properness probe watches orbits of the compact band K whose t-extent
 is [-max(max h, k - min h), -min(min h, k - max h)]: the band is wide
@@ -314,7 +319,9 @@ class CutoffFunction:
 
     Built by convolving the ramp rising on [d, 1-d] with a bump of width d,
     so the transition is smooth, the derivative is supported in [0, 1] and
-    its sup can be pushed arbitrarily close to 1 by shrinking d.
+    its sup can be pushed arbitrarily close to 1 by shrinking d.  The
+    quadrature tables are read only off the plateaus (NaN included); s <= 0
+    and s >= 1 give 0 and 1, and a slope of 0, directly.
     """
 
     mollifier_width: float
@@ -326,28 +333,36 @@ class CutoffFunction:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
+        out = np.array(s >= 1.0, dtype=float)
+        ramp = _off_plateau(s)
+        s = s[ramp]
         d = self.mollifier_width
-        a = np.clip(s - 1.0 + d, -d, d)
-        b = np.clip(s - d, -d, d)
-        cdf_a = np.interp(a, self._grid, self._cdf)
-        cdf_b = np.interp(b, self._grid, self._cdf)
+        a, b, cdf_a, cdf_b = self._cdfs(s)
         m_a = np.interp(a, self._grid, self._moment)
         m_b = np.interp(b, self._grid, self._moment)
         mid = cdf_a + ((s - d) * (cdf_b - cdf_a) - (m_b - m_a)) / (1.0 - 2.0 * d)
-        mid = np.clip(mid, 0.0, 1.0)  # quadrature noise at the plateau edges
-        out = np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, mid))
+        out[ramp] = np.clip(mid, 0.0, 1.0)  # quadrature noise at the plateau edges
         return float(out) if out.ndim == 0 else out
 
     def prime(self, s):
         s = np.asarray(s, dtype=float)
+        out = np.zeros(s.shape)
+        ramp = _off_plateau(s)
+        _a, _b, cdf_a, cdf_b = self._cdfs(s[ramp])
+        out[ramp] = np.maximum(cdf_b - cdf_a, 0.0) / (1.0 - 2.0 * self.mollifier_width)
+        return float(out) if out.ndim == 0 else out
+
+    def _cdfs(self, s):
+        """The clipped ramp ends a, b at s and the mollifier cdf at both."""
         d = self.mollifier_width
         a = np.clip(s - 1.0 + d, -d, d)
         b = np.clip(s - d, -d, d)
-        cdf_a = np.interp(a, self._grid, self._cdf)
-        cdf_b = np.interp(b, self._grid, self._cdf)
-        out = np.maximum(cdf_b - cdf_a, 0.0) / (1.0 - 2.0 * d)
-        out = np.where((s <= 0.0) | (s >= 1.0), 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        return a, b, np.interp(a, self._grid, self._cdf), np.interp(b, self._grid, self._cdf)
+
+
+def _off_plateau(s):
+    """Where the cutoff is neither 0 (s <= 0) nor 1 (s >= 1); NaN stays in."""
+    return ~((s <= 0.0) | (s >= 1.0))
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -453,10 +468,12 @@ class GConstruction:
 
     truncated to the finitely many indices whose cutoff coefficient is
     nonzero.  The two tables of A come from one strip of base rows per
-    point batch (``_averaged_tables``).  For A > k with k < 0 the mirrored
-    branch is the direct construction for (psi^{-1}, -A o psi^{-1}, -k) at
-    -t: it takes the same two tables swapped and negated, evaluates them at
-    -t and flips the sign of dt g.  The slope dt g + k carries the sign of k.
+    point batch (``_averaged_tables``), walked by ``batch``; ``g`` and
+    ``dt`` are that evaluator on a fresh batch.  For A > k with k < 0 the
+    mirrored branch is the direct construction for (psi^{-1}, -A o psi^{-1},
+    -k) at -t: it takes the same two tables swapped and negated, evaluates
+    them at -t and flips the sign of dt g.  The slope dt g + k carries the
+    sign of k.
     """
 
     system: ConformalSystem
@@ -475,37 +492,26 @@ class GConstruction:
         """g at a batch of points x, shape (P,) or (P, 2), and times t, shape
         (P,) for paired samples or (T, 1) for a (T, P) grid; a lone point is
         a batch of one, and a scalar pair gives a float."""
-        return self._evaluate(x, t, derivative=False)
+        return self._fresh(x, t, derivative=False)
 
     def dt(self, x, t):
         """dt g, broadcast as g is."""
-        return self._evaluate(x, t, derivative=True)
+        return self._fresh(x, t, derivative=True)
 
-    def _evaluate(self, x, t, derivative):
-        # each value weighs the table rows by the cutoff coefficients of its
-        # own t; rows past its last term have coefficient exactly 0, and the
-        # terms are added row by row, so a value does not depend on the rest
-        # of the batch
-        pts, single = point_batch(self.system.space, x)
+    def _fresh(self, x, t, derivative):
         ts = np.asarray(t, dtype=float)
-        total = np.zeros(np.broadcast_shapes(ts.shape, (len(pts),)))
-        fwd, bwd = self._tables(pts, ts)
+        tab = self.batch(x, ts)
+        out = (tab.dt if derivative else tab.g)(slice(None), ts)
+        return float(out[0]) if tab.single and ts.ndim == 0 else out
+
+    def batch(self, x, ts) -> "GTables":
+        """The tables of A at the batch x, normalised once, with the rows
+        that every time in ts needs (see ``GTables``)."""
+        pts, single = point_batch(self.system.space, x)
+        fwd, bwd = self._tables(pts, np.asarray(ts, dtype=float))
         if self.mirrored:
-            ts, fwd, bwd = -ts, -bwd, -fwd
-        chi = self.cutoff.prime if derivative else self.cutoff
-        rows = (-1,) + (1,) * ts.ndim
-        lead = chi(ts + 1.0 + np.arange(len(fwd)).reshape(rows))
-        trail = chi(ts - np.arange(len(bwd)).reshape(rows))
-        for c, row in zip(lead, fwd):
-            if derivative:
-                total -= c * row
-            else:
-                total += (1.0 - c) * row
-        for c, row in zip(trail, bwd):
-            total -= c * row
-        if derivative and self.mirrored:
-            np.negative(total, out=total)
-        return float(total[0]) if single and ts.ndim == 0 else total
+            fwd, bwd = -bwd, -fwd
+        return GTables(self, single, fwd, bwd)
 
     def _tables(self, pts, ts, spare: int = 0):
         """The forward and backward tables of A at pts for every term a time
@@ -569,6 +575,61 @@ class GConstruction:
             lo, hi = self.t_window
             ts = np.linspace(lo, hi, 201)
         return np.asarray(pts), np.asarray(ts, dtype=float)[:, None]
+
+
+@dataclass
+class GTables:
+    """g and dt g at one point batch, read off its two tables of A.
+
+    ``GConstruction.batch`` walks the tables once, for the times it is
+    given.  ``g(idx, t)`` and ``dt(idx, t)`` weigh the columns idx (an index
+    array or a slice) by the cutoff coefficients of times t inside the
+    span of those times, shaped as for ``GConstruction.g``.  A call reads
+    only the rows its own times need, adding them in order, so it computes
+    exactly what a fresh batch of those columns would.  On the mirrored
+    branch the tables are stored swapped and negated, and read at -t.
+    ``single`` is True when the batch was given as a lone point.
+    """
+
+    gcons: GConstruction
+    single: bool
+    fwd: np.ndarray
+    bwd: np.ndarray
+
+    def g(self, idx, t):
+        return self._weigh(idx, t, derivative=False)
+
+    def dt(self, idx, t):
+        return self._weigh(idx, t, derivative=True)
+
+    def _weigh(self, idx, t, derivative):
+        # g(p, t) has ceil(-t) forward and ceil(t) backward terms; rows past
+        # a value's last term have coefficient exactly 0, and total starts at
+        # +0.0, so a value does not depend on the rest of the call
+        gcons = self.gcons
+        ts = np.asarray(t, dtype=float)
+        if gcons.mirrored:
+            ts = -ts
+        lead = math.ceil(-ts.min(initial=0.0))
+        trail = math.ceil(ts.max(initial=0.0))
+        if lead > len(self.fwd) or trail > len(self.bwd):
+            raise ValueError("a time needs rows beyond the batch's tables")
+        fwd, bwd = self.fwd[:lead, idx], self.bwd[:trail, idx]
+        total = np.zeros(np.broadcast_shapes(ts.shape, fwd.shape[1:]))
+        chi = gcons.cutoff.prime if derivative else gcons.cutoff
+        rows = (-1,) + (1,) * ts.ndim
+        c_lead = chi(ts + 1.0 + np.arange(lead).reshape(rows))
+        c_trail = chi(ts - np.arange(trail).reshape(rows))
+        for c, row in zip(c_lead, fwd):
+            if derivative:
+                total -= c * row
+            else:
+                total += (1.0 - c) * row
+        for c, row in zip(c_trail, bwd):
+            total -= c * row
+        if derivative and gcons.mirrored:
+            np.negative(total, out=total)
+        return total
 
 
 def _ramp_side(k: float, values):
@@ -682,14 +743,19 @@ class MuConstruction:
         Per sample: expand a bracket around s / k (doubling steps, refused
         past half the term budget), bisect it to width 1e-3, then run at most
         60 safeguarded Newton steps.  The steps are masked array updates, so
-        a sample takes exactly the steps it would take alone.
+        a sample takes exactly the steps it would take alone.  Bisection and
+        Newton only ask for times inside the final brackets, so the tables of
+        A are walked once, for the whole sample, at the rows those need.
         """
         pts, single = point_batch(self.sys.space, x)
         target = np.broadcast_to(np.asarray(s, dtype=float), (len(pts),)) - self.f_n(pts)
         gcons, k, sign = self.gcons, self.k, self.gcons.slope_sign()
 
-        def F(idx, t):
-            return sign * (gcons.g(pts[idx], t) + t * k - target[idx])
+        def F(g, idx, t):
+            return sign * (g(idx, t) + t * k - target[idx])
+
+        def fresh(idx, t):
+            return gcons.g(pts[idx], t)
 
         t0 = target / k
         t_cap = 0.5 * gcons.max_terms
@@ -698,15 +764,16 @@ class MuConstruction:
             step = 1.0 + 0.5 * np.abs(t0)
             act = np.arange(len(pts))
             while act.size:
-                act = act[side * F(act, end[act]) < 0.0]
+                act = act[side * F(fresh, act, end[act]) < 0.0]
                 if np.any(np.abs(end[act]) > t_cap):
                     raise BudgetError("sigma inversion bracket exceeds the term budget")
                 end[act] += side * step[act]
                 step[act] *= 2.0
+        tab = gcons.batch(pts, np.concatenate([lo, hi]))
         act = np.flatnonzero(hi - lo > 1e-3)
         while act.size:
             mid = 0.5 * (lo[act] + hi[act])
-            below = F(act, mid) <= 0.0
+            below = F(tab.g, act, mid) <= 0.0
             lo[act[below]] = mid[below]
             hi[act[~below]] = mid[~below]
             act = act[hi[act] - lo[act] > 1e-3]
@@ -716,12 +783,12 @@ class MuConstruction:
         for _ in range(60):
             if not act.size:
                 break
-            val = F(act, t[act])
+            val = F(tab.g, act, t[act])
             live = ~(np.abs(val) <= tol)
             act, val = act[live], val[live]
             if not act.size:
                 break
-            slope = sign * (gcons.dt(pts[act], t[act]) + k)
+            slope = sign * (tab.dt(act, t[act]) + k)
             live = ~(slope <= 0)
             act, val, slope = act[live], val[live], slope[live]
             t_new = t[act] - val / slope

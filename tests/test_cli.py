@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -450,6 +451,59 @@ def test_malformed_profile_csv_is_a_validation_error(tmp_path, capsys, text):
     assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
     diag = _diag_of(capsys)
     assert diag["error"] == "ValidationError" and str(prof) in diag["message"]
+
+
+def _fd_open(fd):
+    try:
+        os.fstat(fd)
+        return True
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("value", [True, 7, 0, "", ["prof.csv"]])
+def test_profile_csv_that_is_not_a_path_exits_2_and_keeps_the_fds(tmp_path, capsys, value):
+    # open() took true as file descriptor 1: it read and then closed stdout
+    before = _fd_open(7)
+    cfg = write_config(tmp_path, "e.json", command="elasticity",
+                       params={"profile_csv": value})
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert _fd_open(1) and _fd_open(7) == before
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError"
+    assert diag["message"].startswith("params.profile_csv must be")
+
+
+def test_rewritten_profile_csv_is_a_cache_miss(tmp_path):
+    # the key hashed only the path, so the second run served the first set
+    prof = tmp_path / "prof.csv"
+    cfg = write_config(tmp_path, "e.json", command="elasticity",
+                       params={"profile_csv": str(prof)}, cache_dir=str(tmp_path / "cache"))
+    runs = []
+    for text in ("u\n-1\n-1\n", "u\n-0.5\n-2.0\n", "u\n-0.5\n-2.0\n"):
+        prof.write_text(text)
+        out = str(tmp_path / f"r{len(runs)}")
+        assert run_cli(["--config", cfg, "--out", out]) == 0
+        runs.append(load_report(out))
+    first, second, third = runs
+    assert first["payload"]["elasticity"]["forbidden"] == [[0.0, 0.0]]
+    assert first["payload"]["profile_summary"]["first_kind"] is True
+    assert second["provenance"]["cache_hit"] is False
+    assert second["payload"]["elasticity"]["forbidden"] == [[-1.0, -1.0], [0.5, 0.5]]
+    assert second["payload"]["profile_summary"]["first_kind"] is False
+    assert third["provenance"]["cache_hit"] is True
+    assert payload_bytes(third) == payload_bytes(second)
+
+
+def test_cache_key_of_a_config_without_a_profile_is_unchanged():
+    # the key hashes {"config", "version"} alone unless a profile file is read
+    canonical = cli.RunConfig(command="rank", params={"generators": ["1"]}).canonical()
+    blob = json.dumps({"config": canonical, "version": cli.__version__}, sort_keys=True,
+                      separators=(",", ":"), default=cli._json_default)
+    assert cli.cache_key(canonical) == hashlib.sha256(blob.encode()).hexdigest()
+    config = cli.RunConfig(command="rank", params={"generators": ["1"]}, cache_dir="c")
+    assert cli.cache_path(config, canonical) == os.path.join("c", cli.cache_key(canonical)
+                                                             + ".json")
 
 
 @pytest.mark.parametrize("k_range", [

@@ -277,6 +277,58 @@ def test_factored_profile_refuses_an_infinite_sample():
         elasticity_from_profile(profile)
 
 
+def _pass_bounds(profile):
+    """(min u, max u) reduced over every block, as the pass computes them."""
+    lo, hi = zip(*((u.min(), u.max()) for u in profile.blocks()))
+    return float(min(lo)), float(max(hi))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_factored_bounds_from_four_corners_equal_the_pass(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    slopes = rng.normal(size=rng.integers(1, 40)) * rng.choice([1e-3, 1.0, 50.0])
+    values = rng.normal(size=rng.integers(1, 40))
+    if seed % 4 == 1:  # zero slopes, as chi' reads on its plateaus
+        slopes[: slopes.size // 2 + 1] = 0.0
+    if seed % 4 == 2:  # repeated values, one sign of v
+        values = np.abs(np.repeat(values[:3], 5))
+    if seed % 4 == 3:
+        slopes, values = -np.abs(slopes), -np.abs(values)
+    k = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 5.0)
+    want = _pass_bounds(LiouvilleProfile(factors=(slopes, values, k)))
+    built = []
+    real = LiouvilleProfile.blocks
+    monkeypatch.setattr(LiouvilleProfile, "blocks", lambda self: built.append(1) or real(self))
+    got = LiouvilleProfile(factors=(slopes, values, k)).bounds
+    assert got == want and all(type(v) is float for v in got)
+    x = np.multiply.outer([slopes.min(), slopes.max()], [values.min(), values.max()]) + k
+    assert built == ([] if np.all(x > 0) or np.all(x < 0) else [1])
+
+
+def test_bounds_of_a_pole_profile_raise_alone():
+    profile = LiouvilleProfile(factors=(np.array([1.0, 2.0]), np.array([-0.5, 0.25]), 1.0))
+    with pytest.raises(ValidationError, match="finite"), np.errstate(divide="ignore"):
+        profile.bounds
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bounds_with_a_nan_or_infinite_slope_run_the_pass(bad, monkeypatch):
+    slopes = np.array([0.0, 0.5, bad])
+    profile = LiouvilleProfile(factors=(slopes, np.array([0.25, 1.0]), 2.0))
+    built = []
+    real = LiouvilleProfile.blocks
+    monkeypatch.setattr(LiouvilleProfile, "blocks",
+                        lambda self: built.append(1) or real(self))
+    if bad != bad:  # NaN: the pass meets the NaN sample and refuses it
+        with pytest.raises(ValidationError, match="finite"):
+            profile.bounds
+        assert built == [1]
+    else:  # inf * v + k = inf gives u = -0.0 at a corner: the pass decides
+        got = profile.bounds
+        assert built == [1]
+        assert got == _pass_bounds(profile)
+
+
 def test_construction_profile_memory_peaks():
     # golden cos at the benchmark's construction size: 4097 cutoff slopes
     # times 512 factor values give a 16 MiB profile, which is kept as its

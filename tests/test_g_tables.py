@@ -9,6 +9,7 @@ tables off one strip of base rows; the two must agree to float rounding.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ class RefG:
         if self.mirrored:
             return -self.inner.dt(x, -np.asarray(t, dtype=float))
         return self._paired(x, t, True)
+
+    def batch(self, x, ts):
+        """The batch evaluator's interface on this reference's own g and dt:
+        g(idx, t) and dt(idx, t) at the columns idx of the batch x."""
+        pts = point_batch(self.system.space, x)[0]
+        return SimpleNamespace(g=lambda idx, t: self.g(pts[idx], t),
+                               dt=lambda idx, t: self.dt(pts[idx], t))
 
     def tables(self, pts, ts):
         ts = np.asarray(ts, dtype=float)

@@ -529,6 +529,49 @@ def test_cutoff_prime_is_the_derivative():
     assert np.max(np.abs(fd - c.prime(s))) < 1e-4
 
 
+def _unmasked_cutoff(c, s, derivative):
+    """chi (or chi') with the quadrature read at every entry, plateaus included."""
+    s = np.asarray(s, dtype=float)
+    d = c.mollifier_width
+    a = np.clip(s - 1.0 + d, -d, d)
+    b = np.clip(s - d, -d, d)
+    cdf_a = np.interp(a, c._grid, c._cdf)
+    cdf_b = np.interp(b, c._grid, c._cdf)
+    if derivative:
+        out = np.maximum(cdf_b - cdf_a, 0.0) / (1.0 - 2.0 * d)
+        return np.where((s <= 0.0) | (s >= 1.0), 0.0, out)
+    m_a = np.interp(a, c._grid, c._moment)
+    m_b = np.interp(b, c._grid, c._moment)
+    with np.errstate(invalid="ignore"):  # inf * 0 at s = +-inf
+        mid = cdf_a + ((s - d) * (cdf_b - cdf_a) - (m_b - m_a)) / (1.0 - 2.0 * d)
+    mid = np.clip(mid, 0.0, 1.0)
+    return np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, mid))
+
+
+@pytest.mark.parametrize("bound", [1.01, 1.7, 3.0])
+def test_cutoff_reads_its_tables_only_off_the_plateaus(bound):
+    # the masked cutoff is the unmasked formula bit for bit, at the plateau
+    # edges and the ramp corners, one ulp either side, at +-inf and NaN
+    c = build_cutoff(bound)
+    d = c.mollifier_width
+    edges = np.array([0.0, 1.0, d, 1.0 - d])
+    special = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                              [-0.0, np.inf, -np.inf, np.nan]])
+    rng = np.random.default_rng(9)
+    for s in special:  # a scalar gives a float
+        for got, want in ((c(s), _unmasked_cutoff(c, s, False)),
+                          (c.prime(s), _unmasked_cutoff(c, s, True))):
+            assert type(got) is float
+            assert np.array_equal(got, want, equal_nan=True)
+    grid = rng.uniform(-1.5, 2.5, size=(7, 30))
+    grid.flat[:special.size] = special
+    rows = grid[None] + np.arange(-3.0, 3.0).reshape(-1, 1, 1)  # (rows, T, P)
+    for s in (grid, rows):
+        assert np.array_equal(c(s), _unmasked_cutoff(c, s, False), equal_nan=True)
+        assert np.array_equal(c.prime(s), _unmasked_cutoff(c, s, True), equal_nan=True)
+        assert c(s).shape == c.prime(s).shape == s.shape
+
+
 def test_dt_attainable_covers_direct_samples(const_rotation, golden_cos):
     # the product sampling (chi' values x orbit factor values) must cover
     # every directly evaluated slope value
@@ -707,6 +750,45 @@ def test_batched_inversion_matches_root_finder(name, k):
         # sigma_t(x, .) is strictly monotone; the bracket holds the root
         root = brentq(lambda t: mu.sigma_t(x, t) - s_j, -8.0, 8.0, xtol=1e-13)
         assert abs(t_j - root) <= 1e-9
+
+
+# k just past the factor's range: a small eps, a slope dt g + k close to 0,
+# and times spread over the window, so brackets differ widely in rows
+NEAR_CASES = [("rotation", 1.05), ("rotation", -1.05), ("cat", 1.55), ("cat", -1.55),
+              ("perm", 0.52), ("perm", -0.52)]
+
+
+@pytest.mark.parametrize("name,k", BATCH_CASES + NEAR_CASES)
+def test_batched_inversion_is_the_batch_of_one(name, k):
+    sys = _batch_system(name)
+    mu = build_mu(sys, k, (-8, 8), samples=4, rng=0)
+    rng = np.random.default_rng(17)
+    xs = _random_points(sys, rng, 24)
+    ts = rng.uniform(-6.0, 6.0, size=24)
+    s = mu.sigma_t(xs, ts)
+    got = mu.invert_sigma_t(xs, s)
+    alone = np.array([mu.invert_sigma_t(x, s_j) for x, s_j in zip(xs, s)])
+    assert np.array_equal(got, alone)
+    assert np.max(np.abs(got - ts)) <= 1e-9
+
+
+@pytest.mark.parametrize("name,k", BATCH_CASES)
+def test_batch_tables_read_columns_as_a_fresh_batch(name, k):
+    # any column subset at any times inside the batch's span gives the bits
+    # of g and dt on a fresh batch of those columns
+    sys = _batch_system(name)
+    gcons = build_g(sys, k, (-4, 4))
+    rng = np.random.default_rng(23)
+    xs = _random_points(sys, rng, 30)
+    tab = gcons.batch(xs, np.array([-4.5, 3.5]))
+    for size in (1, 7, 30):
+        idx = rng.choice(30, size=size, replace=False)
+        t = rng.uniform(-4.5, 3.5, size=size)
+        assert np.array_equal(tab.g(idx, t), gcons.g(xs[idx], t))
+        assert np.array_equal(tab.dt(idx, t), gcons.dt(xs[idx], t))
+    for late in (4.25, -5.25):  # one row more than the span's 4 back and 5 ahead
+        with pytest.raises(ValueError, match="beyond the batch"):
+            tab.g(np.arange(2), np.array([0.0, late]))
 
 
 @pytest.mark.parametrize("name,k", BATCH_CASES)
