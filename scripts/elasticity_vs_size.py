@@ -26,7 +26,6 @@ def main():
     ap.add_argument("--factor", type=float, default=0.2)
     ap.add_argument("--angle", type=float, default=0.5)
     ap.add_argument("--k-values", default="0.4,0.6,0.8,1.0,1.5,2.0,3.0")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
@@ -34,7 +33,7 @@ def main():
     rows = []
     for k in (float(v) for v in args.k_values.split(",")):
         try:
-            prof = mapping_torus_profile(sys_, k, (-10, 10), rng=args.seed)
+            prof = mapping_torus_profile(sys_, k, (-10, 10))
         except NotFoundError as exc:
             print(f"k={k}: skipped ({exc})")
             continue

@@ -445,7 +445,6 @@ def _cmd_elasticity(config, sys_, out_dir, warnings):
             n_scan=_n_scan(config),
             points=_points_spec(config.grid, "grid"),
             strict_mu=_strict_mu(config),
-            rng=config.seed,
         )
     es = elastic.elasticity_from_profile(profile, gap_resolution=gap_resolution)
     if not es.equality:

@@ -6,9 +6,11 @@ c for which the twisted structure degenerates are exactly the values
 closure of that image.  Samples with u = 0 contribute no forbidden value.
 The first-kind case is u identically -1, equivalently elasticity = R \\ {0}.
 
-Every reduction of a profile reads it one block of samples at a time
-(``LiouvilleProfile.blocks``), so a mapping torus's profile, the product of
-its cutoff slopes and its orbit factor values, is never held whole.
+Every reduction of a profile is a function of the set of its samples, and
+reads it one block at a time (``LiouvilleProfile.blocks``).  A mapping
+torus's profile is the product of its cutoff slopes and its orbit factor
+values; its reductions read the distinct slopes times the distinct values,
+and it is never held whole.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ class LiouvilleProfile:
 
     ``factors=(slopes, values, k)`` is the profile of a size-k mapping
     torus, u = -k / (s v + k) for every cutoff slope s and orbit factor
-    value v, slope-major.  Its blocks are built a few rows of slopes at a
-    time and checked finite as they are built; ``samples``, the whole array,
-    is materialised on first access.
+    value v, slope-major; a factor or k that is not finite is refused.
+    ``size`` counts every product and ``samples``, the whole slope-major
+    array, is materialised on first access; the reductions read ``blocks``.
     """
 
     def __init__(self, samples=None, lambda_nonvanishing: bool = True, label: str = "",
@@ -50,6 +52,9 @@ class LiouvilleProfile:
             self._values = np.asarray(values, dtype=float).ravel()
             self._samples = None
             self.size = self._slopes.size * self._values.size
+            if not (np.all(np.isfinite(self._slopes)) and np.all(np.isfinite(self._values))
+                    and np.isfinite(self._k)):
+                raise ValidationError("profile samples must be finite")
         else:
             self._samples = np.asarray(samples, dtype=float).ravel()
             self.size = self._samples.size
@@ -59,31 +64,41 @@ class LiouvilleProfile:
             raise ValidationError("profile needs at least one sample")
 
     def blocks(self):
-        """The samples in order, one block at a time: a fresh array, or a
-        view of ``samples`` that the caller must not write to."""
+        """The set of samples, one block at a time: a fresh array, or a view
+        of ``samples`` that the caller must not write to.
+
+        An array profile yields its samples in order.  A factored profile
+        yields the grid of its distinct slopes times its distinct values, a
+        few rows of slopes at a time, each block checked finite as it is
+        built: a repeated slope or value repeats its samples bit for bit
+        (+0.0 and -0.0 give s v + k = k alike), so every sample value is on
+        that grid, and a reduction that depends only on the set of values
+        (a min, a max, the hulls of the sorted values) reads the same there.
+        """
         if self._samples is not None:
             for i in range(0, self.size, _BLOCK):
                 yield self._samples[i:i + _BLOCK]
             return
-        rows = max(1, _BLOCK // self._values.size)
-        for i in range(0, self._slopes.size, rows):
-            u = np.multiply.outer(self._slopes[i:i + rows], self._values).ravel()
-            u += self._k
-            np.divide(-self._k, u, out=u)
-            if not np.all(np.isfinite(u)):
-                raise ValidationError("profile samples must be finite")
-            yield u
+        slopes, values = np.unique(self._slopes), np.unique(self._values)
+        rows = max(1, _BLOCK // values.size)
+        for i in range(0, slopes.size, rows):
+            yield self._products(slopes[i:i + rows], values)
+
+    def _products(self, slopes, values):
+        """-k / (s v + k) over slopes x values, slope-major, in one array;
+        a pole (s v + k = 0) is refused."""
+        u = np.multiply.outer(slopes, values).ravel()
+        u += self._k
+        np.divide(-self._k, u, out=u)
+        if not np.all(np.isfinite(u)):
+            raise ValidationError("profile samples must be finite")
+        return u
 
     @property
     def samples(self) -> np.ndarray:
         """Every sample as one array (a factored profile is built once, here)."""
         if self._samples is None:
-            out = np.empty(self.size)
-            i = 0
-            for u in self.blocks():
-                out[i:i + u.size] = u
-                i += u.size
-            self._samples = out
+            self._samples = self._products(self._slopes, self._values)
         return self._samples
 
     @cached_property
@@ -93,9 +108,9 @@ class LiouvilleProfile:
         A factored profile reads them off its four corners {min s, max s} x
         {min v, max v} when s v + k has one sign there and u is finite and
         nonzero there: fl(s v), + k and -k / x each round monotonically, so
-        the extremes over the grid sit at its corners.  Otherwise (a NaN
-        factor, a pole, a sign change) the samples are reduced block by
-        block, which raises on a sample that is not finite.
+        the extremes over the grid sit at its corners.  Otherwise (a pole, a
+        sign change, a u that rounds to 0) the blocks are reduced, which
+        raises on a sample that is not finite.
         """
         if self._samples is None:
             s, v = self._slopes, self._values
@@ -152,8 +167,12 @@ def elasticity_from_profile(profile: LiouvilleProfile, gap_resolution: float = 1
     sorted by start, then merge unless a start exceeds the running max of
     the ends by more than ``gap_resolution``.  Float subtraction is monotone,
     so no block's hull spans a gap of the whole sorted value set, and the
-    intervals are those of that one sorted array, bit for bit.
+    intervals are those of that one sorted array, bit for bit.  A repeated
+    sample adds a gap of 0, which splits nothing as ``gap_resolution`` is not
+    negative, so the intervals depend only on the set of samples.
     """
+    if not gap_resolution >= 0:
+        raise ValidationError(f"gap_resolution must be >= 0, got {gap_resolution}")
     starts, ends = [], []
     contains_zero = False
     for u in profile.blocks():
@@ -201,14 +220,15 @@ def first_kind_test(profile: LiouvilleProfile, tol_profile: float = 1e-9) -> boo
 
 def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
                           n_scan: int = 64, points=None, s_count: int = 4097,
-                          strict_mu: bool = False, rng=None) -> LiouvilleProfile:
+                          strict_mu: bool = False) -> LiouvilleProfile:
     """Liouville profile of the size-k mapping torus built from (psi, h).
 
     The constructed pairing satisfies (1 + u)/u = dt g / (-k), equivalently
     u = -k / (dt g + k); the slope never meets -k, so u is finite and never
     zero, and the underlying form never vanishes (equality holds).  dt g is
     a cutoff slope times an orbit factor value (``dt_attainable``), so the
-    profile is kept as those two factors.
+    profile is kept as those two factors.  Only g is built, at the first
+    usable order (``torus.usable_order``): the profile needs no mu.
 
     With ``strict_mu`` (requires a stored generating f) the first-kind
     potential f o p1 - t is used instead, whose t-derivative is exactly -1.
@@ -221,11 +241,11 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
         count = len(sys.space.sample_points(points)) if points is not None else 256
         return LiouvilleProfile(np.full(count, -1.0), True,
                                 label=f"{sys.label} strict profile")
-    mu = torus.build_mu(sys, k, t_window, n_scan=n_scan, points=points, rng=rng,
-                        samples=128)
-    slopes, values = mu.gcons.dt_attainable(s_count=s_count)
+    order = torus.usable_order(sys, k, n_scan, points)
+    gcons = torus.build_g(sys, k, t_window, points=points, order=order)
+    slopes, values = gcons.dt_attainable(s_count=s_count)
     return LiouvilleProfile(label=f"{sys.label} size {k} profile",
-                            factors=(slopes, values, mu.k))
+                            factors=(slopes, values, gcons.k))
 
 
 def profile_from_csv(path, column: str = "u") -> LiouvilleProfile:

@@ -836,9 +836,8 @@ def _random_point(sys: ConformalSystem, rng):
     return np.array([rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)])
 
 
-def build_mu(sys: ConformalSystem, k: float, t_window, n_scan: int = 64,
-             points=None, samples: int = 512, rng=None) -> MuConstruction:
-    """Find n with A_n(h) avoiding k on the correct side, build g and mu.
+def usable_order(sys: ConformalSystem, k: float, n_scan: int = 64, points=None) -> int:
+    """The first n <= n_scan with A_n(h) on the usable side of k.
 
     Scans n = 1..n_scan for max A_n < k (k > 0) or min A_n > k (k < 0); if no
     order qualifies the size is reported NotFound (k may be non-admissible,
@@ -857,7 +856,15 @@ def build_mu(sys: ConformalSystem, k: float, t_window, n_scan: int = 64,
     if not usable.any():
         raise NotFoundError(
             f"no n <= {n_scan} with the averaged factor on the usable side of k = {k}")
-    n_used = int(np.argmax(usable)) + 1
+    return int(np.argmax(usable)) + 1
+
+
+def build_mu(sys: ConformalSystem, k: float, t_window, n_scan: int = 64,
+             points=None, samples: int = 512, rng=None) -> MuConstruction:
+    """Build g and mu at the first usable order (``usable_order``), and
+    report the slope margin and a sampled cocycle residual."""
+    k = float(k)
+    n_used = usable_order(sys, k, n_scan, points)
     gcons = build_g(sys, k, t_window, points=points, order=n_used)
     mu = MuConstruction(sys, k, n_used, gcons)
     margin = gcons.slope_margin()

@@ -260,7 +260,7 @@ def test_criterion_9_cross_module_link(strict4096):
         for k in (0.5, 1.0, 2.0):
             if not adm.contains(k):
                 continue
-            prof = mapping_torus_profile(sys, k, (-10.0, 10.0), rng=3)
+            prof = mapping_torus_profile(sys, k, (-10.0, 10.0))
             es = elasticity_from_profile(prof, gap_resolution=5e-3)
             for c in np.arange(-10.0, 10.0, 0.01):
                 if any(a - tol <= c <= b + tol for a, b in es.forbidden):

@@ -639,12 +639,45 @@ def test_strict_mu_booleans_keep_their_payloads(tmp_path):
     for flag in (True, False):
         report, code = _strict_elasticity(tmp_path, str(flag), strict_mu=flag)
         assert code == 0
-        profile = elastic.mapping_torus_profile(sys_, 1.0, (-2, 2), n_scan=64, strict_mu=flag,
-                                                rng=0)
+        profile = elastic.mapping_torus_profile(sys_, 1.0, (-2, 2), n_scan=64, strict_mu=flag)
         es = elastic.elasticity_from_profile(profile, gap_resolution=1e-3)
         assert report["payload"]["elasticity"] == json.loads(json.dumps(es.to_json()))
     default, code = _strict_elasticity(tmp_path, "default")
     assert code == 0 and default["payload"] == report["payload"]
+
+
+def _golden_circle(factor):
+    return {"space": {"kind": "circle", "grid_resolution": 1024},
+            "map": {"type": "rotation", "angle": "golden"}, "factor": factor}
+
+
+@pytest.mark.parametrize("system,k", [
+    (_golden_circle({"type": "coboundary", "f": {"type": "trig", "sin": [[1, 1.0]]}}), 1.0),
+    (_golden_circle({"type": "trig", "cos": [[1, 1.0]]}), -1.5),
+])
+def test_factored_elasticity_payload_is_that_of_its_array(tmp_path, monkeypatch, system, k):
+    # the construction benchmark's elasticity configs at full size (4097 x
+    # 512 samples): the factored profile, reduced over its distinct slopes
+    # and values, gives the payload of the array of all its samples; the
+    # seed reaches no part of the profile
+    from lcsdyn import elastic
+
+    def run(name, seed):
+        return cli.run(cli.RunConfig(command="elasticity", system=system, k=k, seed=seed,
+                                     params={"t_window": [-2, 2]}, out=str(tmp_path / name),
+                                     cache_dir=str(tmp_path / name / "cache")))
+
+    factored = [run(f"seed{seed}", seed) for seed in (1, 2)]
+    real = elastic.mapping_torus_profile
+
+    def array_profile(*args, **kwargs):
+        return elastic.LiouvilleProfile(real(*args, **kwargs).samples)
+
+    monkeypatch.setattr(elastic, "mapping_torus_profile", array_profile)
+    array = run("array", 1)
+    assert [code for _, code in factored] == [0, 0] and array[1] == 0
+    assert array[0]["payload"]["profile_summary"]["samples"] == 4097 * 512
+    assert factored[0][0]["payload"] == factored[1][0]["payload"] == array[0]["payload"]
 
 
 @pytest.mark.parametrize("system,k", [(STRICT_SYSTEM, 0.5), (TORUS_SYSTEM, 0.1),

@@ -141,7 +141,7 @@ def test_profile_csv_streams_its_rows(tmp_path):
 
 
 def test_mapping_torus_profile_constant(const_rotation):
-    prof = mapping_torus_profile(const_rotation, 1.0, (-10, 10), rng=0)
+    prof = mapping_torus_profile(const_rotation, 1.0, (-10, 10))
     es = elasticity_from_profile(prof, gap_resolution=5e-3)
     # slopes stay in [-a, 0] with a < 1, so the forbidden set sits in [0, a]
     lo = min(a for a, _ in es.forbidden)
@@ -161,7 +161,7 @@ def test_mapping_torus_profile_strict_mu(golden_strict):
 
 def test_mapping_torus_profile_links_to_gap(const_rotation):
     # sizes ck with c in the computed elasticity avoid the average gap {0.2}
-    prof = mapping_torus_profile(const_rotation, 1.0, (-10, 10), rng=0)
+    prof = mapping_torus_profile(const_rotation, 1.0, (-10, 10))
     es = elasticity_from_profile(prof, gap_resolution=5e-3)
     for c in np.arange(-3, 3, 0.01):
         if es.allows(c) and not in_intervals(es.forbidden, c, slack=1e-3):
@@ -312,21 +312,92 @@ def test_bounds_of_a_pole_profile_raise_alone():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_bounds_with_a_nan_or_infinite_slope_run_the_pass(bad, monkeypatch):
-    slopes = np.array([0.0, 0.5, bad])
-    profile = LiouvilleProfile(factors=(slopes, np.array([0.25, 1.0]), 2.0))
-    built = []
-    real = LiouvilleProfile.blocks
-    monkeypatch.setattr(LiouvilleProfile, "blocks",
-                        lambda self: built.append(1) or real(self))
-    if bad != bad:  # NaN: the pass meets the NaN sample and refuses it
-        with pytest.raises(ValidationError, match="finite"):
-            profile.bounds
-        assert built == [1]
-    else:  # inf * v + k = inf gives u = -0.0 at a corner: the pass decides
-        got = profile.bounds
-        assert built == [1]
-        assert got == _pass_bounds(profile)
+def test_a_nan_or_infinite_factor_is_refused_at_construction(bad):
+    # inf * v + k = inf gave u = -0.0, a finite sample counted as a zero u
+    # (bounds (-1.0, -0.0), a forbidden [0.0, 0.0]); an array profile with an
+    # inf is refused, and so is a factored one, slope, value or k alike
+    for factors in (([0, 0.5, bad], [0.25, 1], 2.0), ([0, 0.5, -bad], [0.25, 1], 2.0),
+                    ([0, 0.5], [0.25, bad], 2.0), ([0, 0.5], [0.25, 1], bad)):
+        with pytest.raises(ValidationError, match="^profile samples must be finite$"):
+            LiouvilleProfile(factors=factors)
+
+
+def _repeating_factors(rng):
+    """Slopes as chi' reads them, each plateau value repeated hundreds of
+    times and +0.0 mixed with -0.0, and values that repeat, in random order."""
+    ramp = -0.9 * rng.random(12)
+    slopes = np.concatenate([np.zeros(150), np.full(150, -0.0), np.repeat(ramp[:3], 100),
+                             ramp, np.full(120, -0.9)])
+    values = np.concatenate([np.repeat(rng.uniform(-1.0, 0.4, 4), 5), [0.0, -0.0, 0.4]])
+    return rng.permutation(slopes), rng.permutation(values)
+
+
+@pytest.mark.parametrize("block", [1, 7, _BLOCK])
+def test_distinct_reductions_equal_the_full_array(monkeypatch, block):
+    # a factored profile reduces its distinct slopes times its distinct
+    # values; every reduction is a function of the set of samples, so it
+    # equals the reduction of the whole slope-major array, bit for bit
+    import lcsdyn.elastic as el
+
+    slopes, values = _repeating_factors(np.random.default_rng(5))
+    distinct = np.unique(slopes).size * np.unique(values).size
+    assert distinct < slopes.size * values.size // 20
+    gaps, cs = (1e-3, 0.05), (0.0, 0.5, 3.0, -2.0)
+    # k = -0.3 and -1e-13 change the sign of s v + k (bounds run the pass);
+    # |k| = 1e-13 gives |u| < 1e-12, a zero u
+    cases = []
+    for k in (1.0, -1.5, -0.3, 1e-13, -1e-13):
+        u = -k / (np.multiply.outer(slopes, values).ravel() + k)
+        array = LiouvilleProfile(u)  # reduced at the default block size
+        cases.append((k, u, [elasticity_from_profile(array, gap) for gap in gaps],
+                      array.bounds, [degeneracy_criterion(array, c) for c in cs]))
+    monkeypatch.setattr(el, "_BLOCK", block)
+    for k, u, array_es, array_bounds, array_degeneracy in cases:
+        def factored():
+            return LiouvilleProfile(factors=(slopes, values, k))
+
+        assert sum(b.size for b in factored().blocks()) == distinct
+        for gap, want in zip(gaps, array_es):
+            es = elasticity_from_profile(factored(), gap)
+            assert repr(es.forbidden) == repr(_live_reference(u, gap)) == repr(want.forbidden)
+            assert es.contains_zero_u == bool(np.any(np.abs(u) < 1e-12)) == want.contains_zero_u
+        assert factored().bounds == (float(u.min()), float(u.max())) == array_bounds
+        for c, want in zip(cs, array_degeneracy):
+            assert degeneracy_criterion(factored(), c) == float(
+                np.min(np.abs(1.0 + (1.0 - c) * u))) == want
+        profile = factored()
+        assert profile.size == slopes.size * values.size
+        assert np.array_equal(profile.samples, u)
+    assert any(es.contains_zero_u for case in cases for es in case[2])
+
+
+def test_a_negative_gap_resolution_is_refused():
+    # a negative gap would split repeated samples, and the set reduction of
+    # a factored profile would no longer be that of its array
+    with pytest.raises(ValidationError, match="gap_resolution"):
+        elasticity_from_profile(LiouvilleProfile([0.5, 0.5]), gap_resolution=-1.0)
+    with pytest.raises(ValidationError, match="gap_resolution"):
+        elasticity_from_profile(LiouvilleProfile([0.5]), gap_resolution=np.nan)
+
+
+def test_the_profile_draws_no_cocycle_samples(monkeypatch, const_rotation, golden_cos):
+    # the profile is g's dt_attainable at the first usable order; it builds
+    # no mu, so mu's sampled residual is never drawn
+    from lcsdyn import torus
+
+    cases = [(const_rotation, 1.0, (-10, 10)), (golden_cos, -1.5, (-2, 2))]
+    want = [torus.build_mu(sys, k, window).gcons.dt_attainable(s_count=65)
+            for sys, k, window in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the profile drew cocycle samples")
+
+    monkeypatch.setattr(torus.MuConstruction, "mu_cocycle_residual", refuse)
+    for (sys, k, window), (slopes, values) in zip(cases, want):
+        profile = mapping_torus_profile(sys, k, window, s_count=65)
+        assert np.array_equal(profile._slopes, slopes)
+        assert np.array_equal(profile._values, values)
+        assert profile._k == k
 
 
 def test_construction_profile_memory_peaks():
@@ -340,11 +411,11 @@ def test_construction_profile_memory_peaks():
                                grid_resolution=grid)
 
     # first use imports and caches outside the measured window
-    mapping_torus_profile(cos(64), -1.5, (-2, 2), rng=1, s_count=65)
+    mapping_torus_profile(cos(64), -1.5, (-2, 2), s_count=65)
     sys = cos(1024)
     tracemalloc.start()
     try:
-        profile = mapping_torus_profile(sys, -1.5, (-2, 2), rng=1)
+        profile = mapping_torus_profile(sys, -1.5, (-2, 2))
         profile_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         es = elasticity_from_profile(profile)
