@@ -355,10 +355,10 @@ def _cycle_mean_rounding(sys: ConformalSystem, dec) -> float:
     (L + 1) * 2^-52 is about twice gamma_L (for L below 2^26), which leaves
     room for the rounding of the bound itself.
     """
-    h = sys.factor_table
+    habs = np.abs(np.asarray(sys.factor_table, dtype=float))
     eps = np.finfo(float).eps
-    return max(eps * (len(cyc) + 1) * math.fsum(abs(h[i]) for i in cyc) / len(cyc)
-               for cyc, _mean in dec.cycles)
+    return max(eps * (len(cyc) + 1) * math.fsum(habs[cyc].tolist()) / len(cyc)
+               for cyc in dec.slices())
 
 
 def limit_estimates(table: BirkhoffExtrema, stabilization_rtol: float = 1e-6,
@@ -379,36 +379,20 @@ def limit_estimates(table: BirkhoffExtrema, stabilization_rtol: float = 1e-6,
         from . import ergopt
 
         dec = ergopt.cycle_mean_extrema(sys)
-        return LimitEstimate(
-            L_minus=dec.min_mean,
-            L_plus=dec.max_mean,
-            n_used=table.n_max,
-            error_bound=Fraction(0) if sys.exact else _cycle_mean_rounding(sys, dec),
-            exact=sys.exact,
-            stable=True,
-        )
+        return LimitEstimate(dec.min_mean, dec.max_mean, table.n_max,
+                             Fraction(0) if sys.exact else _cycle_mean_rounding(sys, dec),
+                             exact=sys.exact, stable=True)
 
     lo_curve = np.asarray(table.extrema_per_n["inf_env_minus"], dtype=float)
     hi_curve = np.asarray(table.extrema_per_n["sup_env_plus"], dtype=float)
     n_used = table.n_max
     start = max(0, n_used - max(1, math.ceil(window_fraction * n_used)))
-    stable = True
-    for curve in (lo_curve, hi_curve):
-        win = curve[start:]
-        span = float(win.max() - win.min())
-        scale = max(1.0, float(np.max(np.abs(win))))
-        if span / scale > stabilization_rtol:
-            stable = False
+    stable = not any(float(w.max() - w.min()) / max(1.0, float(np.max(np.abs(w))))
+                     > stabilization_rtol for w in (lo_curve[start:], hi_curve[start:]))
     span = generating_span(sys, table.points)
     bound = "heuristic" if span is None else 2.0 * span / n_used
-    return LimitEstimate(
-        L_minus=float(lo_curve[-1]),
-        L_plus=float(hi_curve[-1]),
-        n_used=n_used,
-        error_bound=bound,
-        exact=False,
-        stable=stable,
-    )
+    return LimitEstimate(float(lo_curve[-1]), float(hi_curve[-1]), n_used, bound,
+                         exact=False, stable=stable)
 
 
 def admissible_set(estimate: LimitEstimate, tolerance: float | None = None) -> AdmissibleSet:
@@ -419,12 +403,8 @@ def admissible_set(estimate: LimitEstimate, tolerance: float | None = None) -> A
     an open subset of the punctured line.
     """
     if tolerance is None:
-        if estimate.exact:
-            tolerance = 0.0
-        elif isinstance(estimate.error_bound, (int, float)):
-            tolerance = float(estimate.error_bound)
-        else:
-            tolerance = 0.0
+        bound = estimate.error_bound
+        tolerance = 0.0 if estimate.exact or not isinstance(bound, (int, float)) else bound
     return AdmissibleSet(
         gap_low=estimate.L_minus,
         gap_high=estimate.L_plus,

@@ -12,6 +12,7 @@ inconclusive verdict under --strict-verdict.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import hashlib
 import json
@@ -340,8 +341,6 @@ def _strict_mu(config):
 
 
 def _write_probe_trace(sys_, report, config, out_dir):
-    import csv as _csv
-
     # the action (x, t) -> (psi x, t + k - h(x)) from the witness start: the
     # orbit stepped as a batch of one, h evaluated once over its rows
     start = report.witness.start if report.witness else sys_.space.sample_points(1)[0]
@@ -353,7 +352,7 @@ def _write_probe_trace(sys_, report, config, out_dir):
     hs = eval_factor(sys_, xs[:steps]).tolist()
     t = 0.0
     with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["n", "x", "t"])
         for n in range(steps + 1):
             x = ":".join(repr(float(c)) for c in np.atleast_1d(xs[n]))
@@ -363,10 +362,8 @@ def _write_probe_trace(sys_, report, config, out_dir):
 
 
 def _write_phase_table(reports, path):
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["k", "verdict", "escape_bound"])
         for r in reports:
             w.writerow([repr(float(r.k)), r.verdict,
@@ -560,10 +557,7 @@ def run(config: RunConfig):
                 if config.command in _NEEDS_SYSTEM \
                 or (config.command == "elasticity" and config.system) else None
             result = _HANDLERS[config.command](config, sys_, config.out, warnings)
-            if isinstance(result, tuple):
-                payload, inconclusive = result
-            else:
-                payload = result
+            payload, inconclusive = result if isinstance(result, tuple) else (result, False)
             payload = json.loads(json.dumps(payload, default=_json_default))
             cache_store(path, payload, warnings)
             cache_hit = False
@@ -649,28 +643,19 @@ def config_from_args(args) -> RunConfig:
     )
 
 
-def _normalize_argv(argv):
+def _normalize_argv(argv) -> list:
     """Glue values onto --k-range/--k so negative numbers survive argparse."""
-    if argv is None:
-        return None
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in ("--k-range", "--k") and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] in ("--k-range", "--k") and tok.startswith("-"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
 
 
 def main(argv=None) -> int:
-    import sys as _s
-
-    argv = _normalize_argv(argv if argv is not None else _s.argv[1:])
+    argv = _normalize_argv(argv if argv is not None else _sys.argv[1:])
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)

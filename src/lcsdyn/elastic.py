@@ -232,9 +232,11 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
 
     With ``strict_mu`` (requires a stored generating f) the first-kind
     potential f o p1 - t is used instead, whose t-derivative is exactly -1.
+    Both refuse k = 0 (``torus.nonzero_size``).
     """
     from . import torus
 
+    k = torus.nonzero_size(k)
     if strict_mu:
         if sys.generating_f is None:
             raise ValidationError("strict_mu needs a system with a stored generating f")

@@ -10,9 +10,13 @@ exact cycle mean of the snapped grid dynamics, whose snapping only
 approximates psi.  The transfer potential gives a rigorous (sampled) upper
 bound on grids.
 
+One walk over the states (``_functional_cycles``) records the cycles as
+index arrays (a ``CycleDecomposition``); every cycle quantity is then a
+cumsum along each cycle, which adds in the walk's order.
+
 Exact finite systems run on integers scaled by the common denominator D of
 the factor table (``ConformalSystem.scaled_table``): cycle sums, potentials
-and certificates are Python ints, and Fractions are built only at the
+and certificates are integers, and Fractions are built only at the
 boundary (cycle means, returned values and certificates).  An exact
 potential table stays integers over L * D (a ``core.RationalTable``) whose
 Fractions are built on first access, so ``potential.csv`` is formatted from
@@ -31,7 +35,10 @@ from .core import (
     ConformalSystem,
     RationalTable,
     ValidationError,
+    _int64_bound,
+    _is_integer,
     eval_factor,
+    integer_array,
     orbit_array,
     step_points,
 )
@@ -39,12 +46,42 @@ from .core import (
 
 @dataclass
 class CycleDecomposition:
-    """Cycles of a functional graph x -> succ[x] with their factor means."""
+    """Cycles of a functional graph x -> succ[x] with their factor means.
 
-    cycles: list  # (state tuple, mean)
-    max_mean: object
-    min_mean: object
-    tree: list  # the nodes off every cycle, each after its successor
+    Cycle i is ``order[bounds[i]:bounds[i + 1]]``, listed from the state
+    where the walk entered it, with mean ``means[i]`` (a Fraction on exact
+    tables, else a float); ``tree`` lists the nodes off every cycle, each
+    after its successor.  order, bounds and tree are int64 arrays.
+    """
+
+    order: np.ndarray
+    bounds: np.ndarray
+    tree: np.ndarray
+    means: list = None
+    max_mean = property(lambda self: max(self.means))
+    min_mean = property(lambda self: min(self.means))
+
+    def slices(self) -> list:
+        return np.split(self.order, self.bounds[1:-1])
+
+    def values(self, hv, scale=None) -> np.ndarray:
+        """hv as an array; an exact table's integers (``scale``) stay int64
+        while 8 max|hv| L^2 < 2^63 (L the longest cycle) bounds every weighted
+        sum, potential and edge of a walk, else they are Python ints."""
+        if scale is None:
+            return np.asarray(hv)
+        vals, longest = integer_array(hv), int(np.diff(self.bounds).max())
+        fits = vals.dtype == np.int64 and 8 * _int64_bound(vals) * longest**2 < 2**63
+        return vals if fits else vals.astype(object)
+
+
+def mean_level(mean, length: int, scale=None):
+    """(weight, level, denominator) of a walk at a cycle mean: (1, mean, None)
+    on floats; an exact walk weighs h * scale by the length, so that its level
+    and results are integers over length * scale."""
+    if scale is None:
+        return 1, mean, None
+    return length, int(mean * length * scale), length * scale
 
 
 @dataclass
@@ -56,11 +93,8 @@ class OptimizationResult:
     method: str
 
     def to_json(self):
-        return {
-            "value": _num(self.value),
-            "certificate": _num(self.certificate),
-            "method": self.method,
-        }
+        return {"value": _num(self.value), "certificate": _num(self.certificate),
+                "method": self.method}
 
 
 def _num(v):
@@ -75,13 +109,13 @@ def _require_finite(sys: ConformalSystem):
 def _functional_cycles(succ, hv, scale=None) -> CycleDecomposition:
     """Cycles of x -> succ[x] with the mean of hv on each.
 
-    Each node is walked once: a walk stops at the first node already reached,
-    and when that node lies on the current walk the rest of the walk from it
-    is a new cycle.  With ``scale``, hv holds the integers h * scale and each
-    mean is the exact Fraction sum / (L * scale); otherwise means are floats.
-    """
+    Each node is walked once, in the one loop over states: a walk stops at
+    the first node already reached, and when that node lies on the current
+    walk the rest of the walk from it is a new cycle.  With ``scale``, hv
+    holds the integers h * scale and each mean is the exact Fraction
+    sum / (L * scale); otherwise means are floats."""
     walk = [-1] * len(succ)  # the walk (its start node) that reached each node
-    cycles, tree = [], []
+    order, bounds, tree = [], [0], []
     for start in range(len(succ)):
         if walk[start] >= 0:
             continue
@@ -93,13 +127,16 @@ def _functional_cycles(succ, hv, scale=None) -> CycleDecomposition:
             x = succ[x]
         cut = path.index(x) if walk[x] == start else len(path)
         if cut < len(path):
-            cyc = path[cut:]
-            total = sum(hv[i] for i in cyc)
-            mean = total / float(len(cyc)) if scale is None else Fraction(total, len(cyc) * scale)
-            cycles.append((tuple(cyc), mean))
+            order.extend(path[cut:])
+            bounds.append(len(order))
         tree.extend(reversed(path[:cut]))
-    means = [c[1] for c in cycles]
-    return CycleDecomposition(cycles, max(means), min(means), tree)
+    dec = CycleDecomposition(*(np.array(a, dtype=np.int64) for a in (order, bounds, tree)))
+    vals, dec.means = dec.values(hv, scale), []
+    for cyc in dec.slices():
+        total = np.cumsum(vals[cyc])[-1]  # a float sum from +0.0, as sum() adds
+        dec.means.append((float(total) + 0.0) / len(cyc) if scale is None
+                         else Fraction(int(total), len(cyc) * scale))
+    return dec
 
 
 def cycle_mean_extrema(sys: ConformalSystem) -> CycleDecomposition:
@@ -108,19 +145,22 @@ def cycle_mean_extrema(sys: ConformalSystem) -> CycleDecomposition:
     return _functional_cycles(sys.perm_table.tolist(), sys.scaled_table, sys.scale)
 
 
-def _cycle_potential(dec: CycleDecomposition, succ, hv, level) -> list:
+def _cycle_potential(dec: CycleDecomposition, succ, hv, level) -> np.ndarray:
     """Potential f with h + f o succ - f = level along every non-closing edge
-    c_j -> c_{j+1} of each cycle and every tree edge, normalized to min f = 0.
-    Computed in hv's arithmetic (ints stay ints)."""
-    f = [None] * len(hv)
-    for cyc, _mean in dec.cycles:
-        f[cyc[0]] = hv[cyc[0]] * 0  # zero of the right arithmetic type
-        for j in range(len(cyc) - 1):
-            f[cyc[j + 1]] = f[cyc[j]] - (hv[cyc[j]] - level)
-    for x in dec.tree:
-        f[x] = hv[x] + f[succ[x]] - level
-    fmin = min(f)
-    return [v - fmin for v in f]
+    c_j -> c_{j+1} of each cycle and every tree edge, normalized to min f = 0,
+    in the arithmetic of the array hv: a cumsum from f(c_0) = 0 (-0.0 where
+    h(c_0) < 0) along each cycle, then one round per level of the trees."""
+    F = np.empty_like(hv)
+    for cyc in dec.slices():
+        F[cyc] = np.cumsum(np.concatenate((hv[cyc[:1]] * 0, -(hv[cyc[:-1]] - level))))
+    succ, done, pending = np.asarray(succ), np.zeros(len(hv), dtype=bool), dec.tree
+    done[dec.order] = True
+    while pending.size:
+        ready = done[succ[pending]]
+        x = pending[ready]
+        F[x] = hv[x] + F[succ[x]] - level
+        done[x], pending = True, pending[~ready]
+    return F - F[np.argmin(F)]  # the first least value, as min() takes it
 
 
 def _cycle_optimum(succ, hv, scale, sign: int, method: str) -> OptimizationResult:
@@ -131,34 +171,29 @@ def _cycle_optimum(succ, hv, scale, sign: int, method: str) -> OptimizationResul
 
     inf_f max_x (h + f o succ - f) is the largest cycle mean M: the edges of
     a cycle sum to its length times its mean, and the cycle potential at
-    level M attains M; the certificate is max edge - M.  With ``scale`` the
-    potential is built on h * scale * L at level L * scale * M, L the length
-    of a cycle of mean M, so it and the certificate are integers over
-    L * scale; the potential table stays so (a ``RationalTable``).
-
-    "exact_finite" keeps the potential per state, as a list (a
-    ``RationalTable`` when exact) with its evaluable; "grid_descent" keeps it per grid node, as an array only.
+    level M (``mean_level`` of the first cycle of mean M) attains M; the
+    certificate is max edge - M.  "exact_finite" keeps the potential per
+    state, as a list (a ``RationalTable`` when exact) with its evaluable;
+    "grid_descent" keeps it per grid node, as an array only.
     """
     if sign < 0:
-        hv = [-v for v in hv]
+        hv = -np.array(hv, dtype=float if scale is None else object)
     dec = _functional_cycles(succ, hv, scale)
     M = dec.max_mean
-    if scale is None:
-        level = M
-    else:
-        L = next(len(cyc) for cyc, mean in dec.cycles if mean == M)
-        hv, level = [v * L for v in hv], int(M * L * scale)
+    i = dec.means.index(M)
+    w, level, den = mean_level(M, int(dec.bounds[i + 1] - dec.bounds[i]), scale)
+    hv, succ = w * dec.values(hv, scale), np.asarray(succ)
     F = _cycle_potential(dec, succ, hv, level)
-    excess = max(hv[i] + F[succ[i]] - F[i] for i in range(len(succ))) - level
+    edge = hv + F[succ] - F
+    excess = edge[np.argmax(edge)] - level  # the first largest edge, as max() takes it
     if sign < 0:
-        top = max(F)
-        F = [top - v for v in F]
-    if scale is not None:
-        F, excess = RationalTable(F, L * scale), Fraction(excess, L * scale)
+        F = F[np.argmax(F)] - F
+    excess = float(excess) if den is None else Fraction(int(excess), den)
     if method == "exact_finite":
+        F = F.tolist() if den is None else RationalTable(F, den)
         return OptimizationResult(sign * M, lambda x: F[int(x)], F, excess, method)
     return OptimizationResult(
-        sign * M, None, np.asarray(F), excess,
+        sign * M, None, F, excess,
         "grid_descent (exact cycle mean of the snapped dynamics; snapping is heuristic)")
 
 
@@ -211,6 +246,9 @@ def _optimize(sys: ConformalSystem, sign: int, method: str, n, points) -> Optimi
         raise ValidationError(f"unknown method {method!r}")
     if sys.space.kind == FINITE:
         raise ValidationError(f"{method} expects a grid; use exact_finite")
+    if method == "grid_descent" and not (points is None or _is_integer(points)):
+        raise ValidationError(f"grid_descent snaps to the regular grid i / r: grid must be "
+                              f"an int or omitted, got {points!r}")
     if method == "birkhoff_fn":
         return _birkhoff_fn(sys, sign, 64 if n is None else n, points)
     pts = sys.space.sample_points(points)
@@ -237,10 +275,9 @@ def is_strict_finite(sys: ConformalSystem):
     accumulating h backwards along each cycle (f o psi = f - h), fixed up to
     one additive constant per cycle and then normalized to min f = 0.
     """
-    _require_finite(sys)
     dec = cycle_mean_extrema(sys)
     tol = 0 if sys.exact else 1e-12
-    if any(abs(mean) > tol for _cyc, mean in dec.cycles):
+    if any(abs(mean) > tol for mean in dec.means):
         return False, None
-    F = _cycle_potential(dec, sys.perm_table.tolist(), sys.scaled_table, 0)
-    return True, [Fraction(v, sys.scale) for v in F] if sys.exact else F
+    F = _cycle_potential(dec, sys.perm_table, dec.values(sys.scaled_table, sys.scale), 0)
+    return True, [Fraction(v, sys.scale) for v in F.tolist()] if sys.exact else F.tolist()

@@ -116,12 +116,8 @@ class Witness:
 
     def to_json(self):
         start = self.start
-        if isinstance(start, np.ndarray):
-            start = [float(v) for v in start]
-        elif isinstance(start, (np.integer, int)):
-            start = int(start)
-        else:
-            start = float(start)
+        start = (start.astype(float).tolist() if isinstance(start, np.ndarray)
+                 else int(start) if isinstance(start, (np.integer, int)) else float(start))
         return {"start": start, "n": int(self.n), "t": float(self.t)}
 
 
@@ -174,20 +170,19 @@ def _cycle_residual_bound(dec, hv, scale=None):
 
     Along a cycle c_0 .. c_{L-1} with prefix sums D_j = sum_{i<j} (h(c_i) -
     mean), S_n(c_a) - n mean = D_{a+n} - D_a (indices mod L, D_L = D_0 = 0),
-    so the sup is the largest range max D - min D.  Computed in the factor
-    table's own arithmetic; with ``scale``, hv holds the integers h * scale
-    and the prefix sums are kept times L * scale, as integers, so the bound
-    is an exact Fraction.
+    so the sup is the largest range of the cumsum D and 0.  With ``scale``,
+    hv holds the integers h * scale and D is kept at ``ergopt.mean_level``,
+    as integers, so the bound is an exact Fraction.
     """
-    R = 0
-    for cyc, mean in dec.cycles:
-        L = len(cyc)
-        w, level = (1, mean) if scale is None else (L, int(mean * L * scale))
-        d = lo = hi = 0
-        for x in cyc[:-1]:
-            d += w * hv[x] - level
-            lo, hi = min(lo, d), max(hi, d)
-        R = max(R, hi - lo if scale is None else Fraction(hi - lo, L * scale))
+    from .ergopt import mean_level
+
+    vals, R = dec.values(hv, scale), 0
+    for cyc, mean in zip(dec.slices(), dec.means):
+        w, level, den = mean_level(mean, len(cyc), scale)
+        d = np.cumsum(w * vals[cyc[:-1]] - level).tolist()
+        if d:
+            span = max(0, max(d)) - min(0, min(d))
+            R = max(R, span if den is None else Fraction(span, den))
     return R
 
 
@@ -233,7 +228,7 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None,
 
         dec = ergopt.cycle_mean_extrema(sys)
         R = _cycle_residual_bound(dec, sys.scaled_table, sys.scale)
-        means = [float(mean) for _cyc, mean in dec.cycles]
+        means = [float(mean) for mean in dec.means]
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
             gaps = [abs(k - m) for m in means]
             if min(gaps) > 1e-12:
@@ -241,9 +236,9 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None,
                 reports[i] = report(i, VERDICT_ESCAPE, None, n0, "cycle-exact", False)
             else:  # k is (numerically) a cycle mean: that cycle's band orbit is periodic
                 idx = gaps.index(min(gaps))
-                cyc, _ = dec.cycles[idx]
+                a, b = dec.bounds[idx:idx + 2].tolist()
                 t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
-                wit = Witness(int(cyc[0]), len(cyc), t0 + len(cyc) * (k - means[idx]))
+                wit = Witness(int(dec.order[a]), b - a, t0 + (b - a) * (k - means[idx]))
                 reports[i] = report(i, VERDICT_RECURRENT, wit, None, "cycle-exact", False)
     elif sys.generating_f is not None and any(ks):
         V = generating_span(sys, reference_points(sys))
@@ -642,15 +637,12 @@ def _ramp_side(k: float, values):
     if hmin <= k <= hmax:
         raise DomainError(
             f"k = {k} lies in the sampled factor range [{hmin:.6g}, {hmax:.6g}]")
-    if hmax < k and k <= 0:
-        raise InfeasibleError(
-            "factor < k needs k > 0 for a one-signed slope; "
-            f"got k = {k} with factor range [{hmin:.6g}, {hmax:.6g}]")
-    if hmin > k and k >= 0:
-        raise InfeasibleError(
-            "factor > k needs k < 0 for a one-signed slope; "
-            f"got k = {k} with factor range [{hmin:.6g}, {hmax:.6g}]")
-    return hmax if hmax < k else None
+    below = hmax < k  # else hmin > k
+    if k == 0 or (k < 0) == below:
+        side, need = ("<", ">") if below else (">", "<")
+        raise InfeasibleError(f"factor {side} k needs k {need} 0 for a one-signed slope; "
+                              f"got k = {k} with factor range [{hmin:.6g}, {hmax:.6g}]")
+    return hmax if below else None
 
 
 def build_g(sys: ConformalSystem, k: float, t_window, cutoff: CutoffFunction = None,
@@ -813,10 +805,7 @@ class MuConstruction:
         rng = np.random.default_rng(rng)
         sys = self.sys
         lo, hi = self.gcons.t_window
-        if t_scale is None:
-            lo, hi = 0.5 * lo, 0.5 * hi
-        else:
-            lo, hi = -t_scale, t_scale
+        lo, hi = (0.5 * lo, 0.5 * hi) if t_scale is None else (-t_scale, t_scale)
         draws = [(_random_point(sys, rng), rng.uniform(lo, hi)) for _ in range(samples)]
         if not draws:
             return 0.0
@@ -836,6 +825,13 @@ def _random_point(sys: ConformalSystem, rng):
     return np.array([rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)])
 
 
+def nonzero_size(k) -> float:
+    """k as a float, refused at k = 0, where the cocycle degenerates."""
+    if float(k) == 0.0:
+        raise NotFoundError("the cocycle -k t o sigma^{-1} degenerates at k = 0")
+    return float(k)
+
+
 def usable_order(sys: ConformalSystem, k: float, n_scan: int = 64, points=None) -> int:
     """The first n <= n_scan with A_n(h) on the usable side of k.
 
@@ -845,9 +841,7 @@ def usable_order(sys: ConformalSystem, k: float, n_scan: int = 64, points=None) 
     """
     from .birkhoff import birkhoff_extrema
 
-    k = float(k)
-    if k == 0.0:
-        raise NotFoundError("the cocycle -k t o sigma^{-1} degenerates at k = 0")
+    k = nonzero_size(k)
     pts = reference_points(sys) if points is None else sys.space.sample_points(points)
     ext = birkhoff_extrema(sys, pts, n_scan).extrema_per_n
     margin = 1e-12 * max(1.0, abs(k))  # float noise must not fake a gap

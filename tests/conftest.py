@@ -47,6 +47,12 @@ def random_permutation_system(rng, max_states=64, h_low=-10, h_high=10):
     return finite_permutation_system(table, h)
 
 
+def cycle_pairs(dec):
+    """A ``CycleDecomposition``'s cycles as (state tuple, mean) pairs, in
+    walk order."""
+    return [(tuple(cyc.tolist()), mean) for cyc, mean in zip(dec.slices(), dec.means)]
+
+
 def scalar_map(sys, inverse=False):
     """psi of ``sys`` (psi^{-1} with ``inverse``) on one point, read from
     ``sys.map_kind`` with plain Python arithmetic: the tests' oracle for

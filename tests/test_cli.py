@@ -804,3 +804,38 @@ def test_readme_config_examples_build_their_systems():
     for config in configs:
         sys_ = cli.system_from_config(config["system"], config.get("tolerances"))
         assert sys_.space.kind == config["system"]["space"]["kind"]
+
+
+GOLDEN_COS = {
+    "space": {"kind": "circle", "grid_resolution": 64},
+    "map": {"type": "rotation", "angle": "golden"},
+    "factor": {"type": "trig", "cos": [[1, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("grid", [
+    [0.0, 0.5, 0.25, 0.1],  # exited 0 with minmax = maxmin = cos(2 pi 0.1): node 3 a fixed point
+    {"grid": 8, "seeds": [0.3, 0.77]},  # exited 0 with a wrong value
+])
+def test_grid_descent_refuses_a_sample_that_is_not_a_regular_grid(tmp_path, capsys, grid):
+    report, code = cli.run(cli.RunConfig(command="optimize", system=GOLDEN_COS, grid=grid,
+                                         params={"method": "grid_descent"},
+                                         out=str(tmp_path / "run")))
+    assert code == 2 and "grid must be an int" in report["error"]
+    assert _diag_of(capsys)["error"] == "ValidationError"
+    report, code = cli.run(cli.RunConfig(command="optimize", system=GOLDEN_COS, grid=8,
+                                         params={"method": "grid_descent"},
+                                         out=str(tmp_path / "int")))
+    # the snapped rotation by 5 of 8 nodes is one 8-cycle, of mean 0
+    assert code == 0 and abs(report["payload"]["minmax"]["value"]) < 1e-12
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_elasticity_refuses_k_zero_on_both_branches(tmp_path, capsys, flag):
+    # the strict profile never read k: it exited 0 with forbidden [[0.0, 0.0]]
+    report, code = cli.run(cli.RunConfig(command="elasticity", system=STRICT_SYSTEM, k=0.0,
+                                         params={"t_window": [-2, 2], "strict_mu": flag},
+                                         out=str(tmp_path / "run")))
+    assert code == 3
+    assert report["error"] == "the cocycle -k t o sigma^{-1} degenerates at k = 0"
+    assert _diag_of(capsys)["error"] == "NotFoundError"

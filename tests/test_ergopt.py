@@ -21,12 +21,12 @@ from lcsdyn import (
 )
 from lcsdyn.core import GOLDEN_ANGLE, ValidationError
 
-from conftest import random_permutation_system
+from conftest import cycle_pairs, random_permutation_system
 
 
 def test_cycle_decomposition(swap_pair):
     dec = cycle_mean_extrema(swap_pair)
-    by_states = {c: m for c, m in dec.cycles}
+    by_states = dict(cycle_pairs(dec))
     assert by_states[(0, 1)] == 2
     assert by_states[(2,)] == 1
     assert dec.max_mean == 2 and dec.min_mean == 1
@@ -35,13 +35,13 @@ def test_cycle_decomposition(swap_pair):
 def test_cycle_identity_permutation():
     sys = finite_permutation_system([0, 1, 2, 3], [5, -2, 7, 0])
     dec = cycle_mean_extrema(sys)
-    assert len(dec.cycles) == 4
+    assert len(cycle_pairs(dec)) == 4
     assert dec.max_mean == 7 and dec.min_mean == -2
 
 
 def test_cycle_single_full_cycle(cycle3):
     dec = cycle_mean_extrema(cycle3)
-    assert len(dec.cycles) == 1
+    assert len(cycle_pairs(dec)) == 1
     assert dec.max_mean == dec.min_mean == Fraction(2)
 
 

@@ -42,6 +42,8 @@ from lcsdyn.ergopt import (
 from lcsdyn.birkhoff import coboundary_residual, transfer_potential_values
 from lcsdyn.torus import _cycle_residual_bound, _float_orbit
 
+from conftest import cycle_pairs
+
 # --------------------------------------------------------------------------
 # oracles
 # --------------------------------------------------------------------------
@@ -172,7 +174,7 @@ def test_cycle_optima_match_the_fraction_oracle(kind, seed):
     table, h = sys.perm_table, sys.factor_table
     dec = cycle_mean_extrema(sys)
     want = {tuple(c): sum(h[x] for x in c) / len(c) for c in _cycles(table)}
-    assert dict(dec.cycles) == want
+    assert dict(cycle_pairs(dec)) == want
     assert dec.max_mean == max(want.values()) and dec.min_mean == min(want.values())
     for res, (value, f, cert) in ((minmax_coboundary(sys), _oracle_minmax(table, h)),
                                   (maxmin_coboundary(sys), _oracle_maxmin(table, h))):
@@ -254,12 +256,12 @@ def test_float_table_keeps_the_float_path():
     sys = finite_permutation_system(table, h)
     assert not sys.exact and sys.scale is None and sys.scaled_table == tuple(h)
     dec = cycle_mean_extrema(sys)
-    assert dict(dec.cycles) == {tuple(c): sum(h[x] for x in c) / float(len(c))
+    assert dict(cycle_pairs(dec)) == {tuple(c): sum(h[x] for x in c) / float(len(c))
                                 for c in _cycles(table)}
     for res, (value, f, cert) in ((minmax_coboundary(sys), _oracle_minmax(table, h)),
                                   (maxmin_coboundary(sys), _oracle_maxmin(table, h))):
         assert (res.value, res.potential_table, res.certificate) == (value, f, cert)
-    dec_mean = {c: mean for c, mean in dec.cycles}
+    dec_mean = dict(cycle_pairs(dec))
     R = 0
     for cyc in _cycles(table):
         d = lo = hi = 0

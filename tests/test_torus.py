@@ -31,7 +31,7 @@ from lcsdyn.torus import (
     conjugation_residual,
 )
 
-from conftest import scalar_factor, scalar_map
+from conftest import cycle_pairs, scalar_factor, scalar_map
 
 
 def test_action_step_rotation(const_rotation):
@@ -205,7 +205,7 @@ def _brute_cycle_residual(sys):
     """Oracle: sup |S_n(x) - n mean| by walking every start and every 0 < n < L."""
     hv, tbl = sys.factor_table, sys.perm_table
     R = 0
-    for cyc, mean in cycle_mean_extrema(sys).cycles:
+    for cyc, mean in cycle_pairs(cycle_mean_extrema(sys)):
         for start in cyc:
             s, x = 0, start
             for n in range(1, len(cyc)):
@@ -264,13 +264,13 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
     if sys.space.kind == "finite" and sys.perm_table is not None:
         dec = ergopt.cycle_mean_extrema(sys)
         R = _cycle_residual_bound(dec, sys.factor_table)
-        means = [float(mean) for _cyc, mean in dec.cycles]
+        means = [float(mean) for _cyc, mean in cycle_pairs(dec)]
         gaps = [abs(k - m) for m in means]
         if min(gaps) > 1e-12:
             n0 = max(int(math.floor((width + R) / g)) + 1 for g in gaps)
             return report(VERDICT_ESCAPE, None, n0, "cycle-exact", False)
         idx = gaps.index(min(gaps))
-        cyc, _ = dec.cycles[idx]
+        cyc, _ = cycle_pairs(dec)[idx]
         wit = Witness(int(cyc[0]), len(cyc), t0 + len(cyc) * (k - means[idx]))
         return report(VERDICT_RECURRENT, wit, None, "cycle-exact", False)
     if sys.generating_f is not None and k != 0.0:
