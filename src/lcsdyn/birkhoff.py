@@ -438,13 +438,15 @@ def table_to_csv(table: BirkhoffTable, path):
 
     if sys.exact:
         orders = integer_array([n * sys.scale for n in range(1, n_max + 1)])[:, None]
+        # one envelope pass over the whole table; each block takes its columns
+        suffix = [_suffix_rows(table.running_sums, better) for better in (np.less, np.greater)]
 
         def cells(block):  # the four columns of a block of points, point-major
             S = table.running_sums[:, block]
             averages = np.array(ratio_strings(S, orders), dtype=object).reshape(S.shape)
             return [ratio_strings(S.T, sys.scale), averages.T.ravel().tolist(),
-                    *(np.take_along_axis(averages, _suffix_rows(S, better), axis=0)
-                      .T.ravel().tolist() for better in (np.less, np.greater))]
+                    *(np.take_along_axis(averages, rows[:, block], axis=0).T.ravel().tolist()
+                      for rows in suffix)]
     else:
         arrays = table.columns()
 

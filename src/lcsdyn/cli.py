@@ -15,6 +15,7 @@ import argparse
 import csv
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -71,15 +72,31 @@ class RunConfig:
                 if f.name not in ("out", "cache_dir", "strict_verdict")}
 
 
-def cache_key(canonical: dict, profile_sha256: str | None = None) -> str:
-    """Hash of the canonical config and the package version, so results
-    cached by another version of the code are never served; with
-    ``profile_sha256``, also of the profile file's bytes, so a rewritten
-    profile is a miss."""
-    keyed = {"config": canonical, "version": __version__}
+def _compact(obj) -> str:
+    """obj as compact JSON with sorted keys: the encoding of the cache key
+    and of report.json."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default)
+
+
+def _config_first(config_text: str, rest: dict) -> str:
+    """``_compact({"config": config, **rest})`` from the config's own text:
+    every key of the non-empty ``rest`` sorts after "config"."""
+    return '{"config":' + config_text + "," + _compact(rest)[1:]
+
+
+def cache_key(canonical: dict | str, profile_sha256: str | None = None) -> str:
+    """Hash of the canonical config (a dict, or its ``_compact`` text) and
+    the package version, so results cached by another version of the code are
+    never served; with ``profile_sha256``, also of the profile file's bytes,
+    so a rewritten profile is a miss.
+
+    The blob is the ``_compact`` encoding of {"config", ["profile_sha256",]
+    "version"}, with the config's text spliced in."""
+    text = canonical if isinstance(canonical, str) else _compact(canonical)
+    rest = {"version": __version__}
     if profile_sha256 is not None:
-        keyed["profile_sha256"] = profile_sha256
-    blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"), default=_json_default)
+        rest["profile_sha256"] = profile_sha256
+    blob = _config_first(text, rest)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -350,15 +367,12 @@ def _write_probe_trace(sys_, report, config, out_dir):
         xs.append(step_points(sys_, xs[-1]))
     xs = np.concatenate(xs)
     hs = eval_factor(sys_, xs[:steps]).tolist()
-    t = 0.0
+    ts = itertools.accumulate(hs, lambda t, h: t + report.k - h, initial=0.0)
+    # every coordinate a float (finite states too), as repr writes it
+    coords = np.asarray(xs, dtype=float).reshape(steps + 1, -1).tolist()
     with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "x", "t"])
-        for n in range(steps + 1):
-            x = ":".join(repr(float(c)) for c in np.atleast_1d(xs[n]))
-            w.writerow([n, x, repr(float(t))])
-            if n < steps:
-                t = t + report.k - hs[n]
+        fh.write("n,x,t\r\n" + "".join([f"{n},{':'.join(map(repr, x))},{t!r}\r\n"
+                                        for n, (x, t) in enumerate(zip(coords, ts))]))
 
 
 def _write_phase_table(reports, path):
@@ -377,8 +391,7 @@ def _cmd_optimize(config, sys_, out_dir, warnings):
     n = config.params.get("n")
     n = min(config.n_max, 64) if n is None else _count(n, "params.n")
     points = _points_spec(config.grid, "grid")
-    lo = ergopt.maxmin_coboundary(sys_, method=method, n=n, points=points)
-    hi = ergopt.minmax_coboundary(sys_, method=method, n=n, points=points)
+    lo, hi = ergopt.coboundary_optima(sys_, method=method, n=n, points=points)
     if method == "grid_descent":
         warnings.append("method 'grid_descent' is exact for the snapped grid map, "
                         "which only approximates psi")
@@ -488,7 +501,7 @@ _NEEDS_SYSTEM = {"analyze", "admissible", "probe", "optimize", "construct"}
 # --------------------------------------------------------------------------
 
 
-def cache_path(config: RunConfig, canonical: dict) -> str:
+def cache_path(config: RunConfig, canonical: dict | str) -> str:
     base = config.cache_dir or os.environ.get("CACHE_DIR") or os.path.join(
         config.out, ".cache")
     profile = _profile_csv(config) if config.command == "elasticity" else None
@@ -522,8 +535,9 @@ def cache_lookup(path: str, warnings: list):
 
 def cache_store(path: str, payload, warnings):
     os.makedirs(os.path.dirname(path), exist_ok=True)
+    # one json.dumps: json.dump would run the pure-Python encoder
     with open(path, "w") as fh:
-        json.dump({"payload": payload, "warnings": warnings}, fh, sort_keys=True)
+        fh.write(json.dumps({"payload": payload, "warnings": warnings}, sort_keys=True))
 
 
 # --------------------------------------------------------------------------
@@ -542,7 +556,8 @@ def run(config: RunConfig):
                 raise ValidationError(f"{name} must be an object, got {getattr(config, name)!r}")
         os.makedirs(config.out, exist_ok=True)
         canonical = config.canonical()
-        path = cache_path(config, canonical)
+        config_text = _compact(canonical)  # encoded once: for the key and the echo
+        path = cache_path(config, config_text)
         cached = cache_lookup(path, warnings)
         inconclusive = False
         if cached is not None:
@@ -568,8 +583,7 @@ def run(config: RunConfig):
         _diag(type(exc).__name__, str(exc))
         return {"error": str(exc)}, 3
 
-    report = {
-        "config": canonical,
+    rest = {
         "payload": payload,
         "provenance": {
             "version": __version__,
@@ -580,9 +594,9 @@ def run(config: RunConfig):
         },
         "warnings": warnings,
     }
-    # one json.dumps: json.dump would run the pure-Python encoder
     with open(os.path.join(config.out, "report.json"), "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, default=_json_default))
+        fh.write(_config_first(config_text, rest))
+    report = {"config": canonical, **rest}
     code = 4 if (inconclusive and config.strict_verdict) else 0
     return report, code
 

@@ -312,9 +312,9 @@ class ConformalSystem:
     An exact system (finite, with a rational factor table: a
     ``RationalTable`` or a tuple of Fractions) also has the integers
     ``scaled_table`` = h * ``scale``, ``scale`` the common denominator of the
-    table, which exact consumers work on.  They are derived on first use and
-    kept; a table whose integers would exceed ``MAX_SCALED_BITS`` is a
-    BudgetError there.  On other systems ``scaled_table`` is the factor table
+    table, which exact consumers work on (as the array ``_scaled``).  They
+    are derived on first use and kept; a table whose integers would exceed
+    ``MAX_SCALED_BITS`` is a BudgetError there.  On other systems ``scaled_table`` is the factor table
     itself and ``scale`` is None.
     """
 
@@ -391,7 +391,11 @@ class ConformalSystem:
 
     @cached_property
     def scaled_table(self) -> tuple | None:
-        """The integers h * scale on exact systems, else the factor table."""
+        """The integers h * scale on exact systems, else the factor table.
+
+        A tuple of Python ints built from the array ``_scaled``, which the
+        library's own exact consumers (cycle means, optima, the probe's drift
+        bound) read instead."""
         if not self.exact:
             return self.factor_table
         return tuple(self._scaled.tolist())

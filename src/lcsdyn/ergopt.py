@@ -12,11 +12,14 @@ bound on grids.
 
 One walk over the states (``_functional_cycles``) records the cycles as
 index arrays (a ``CycleDecomposition``); every cycle quantity is then a
-cumsum along each cycle, which adds in the walk's order.
+cumsum along each cycle, which adds in the walk's order.  The cycles do not
+depend on the sign of h, so the two optima share one walk
+(``coboundary_optima``): the max-min reads the same record with the means
+and rows of -h.
 
 Exact finite systems run on integers scaled by the common denominator D of
-the factor table (``ConformalSystem.scaled_table``): cycle sums, potentials
-and certificates are integers, and Fractions are built only at the
+the factor table (the array ``ConformalSystem._scaled``): cycle sums,
+potentials and certificates are integers, and Fractions are built only at the
 boundary (cycle means, returned values and certificates).  An exact
 potential table stays integers over L * D (a ``core.RationalTable``) whose
 Fractions are built on first access, so ``potential.csv`` is formatted from
@@ -25,7 +28,7 @@ the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -131,18 +134,31 @@ def _functional_cycles(succ, hv, scale=None) -> CycleDecomposition:
             bounds.append(len(order))
         tree.extend(reversed(path[:cut]))
     dec = CycleDecomposition(*(np.array(a, dtype=np.int64) for a in (order, bounds, tree)))
-    vals, dec.means = dec.values(hv, scale), []
+    dec.means = _cycle_means(dec, dec.values(hv, scale), scale)
+    return dec
+
+
+def _cycle_means(dec: CycleDecomposition, vals, scale=None) -> list:
+    """The mean of the value array vals (``CycleDecomposition.values``) on
+    each cycle of dec: floats, or exact Fractions of the integers h * scale."""
+    means = []
     for cyc in dec.slices():
         total = np.cumsum(vals[cyc])[-1]  # a float sum from +0.0, as sum() adds
-        dec.means.append((float(total) + 0.0) / len(cyc) if scale is None
-                         else Fraction(int(total), len(cyc) * scale))
-    return dec
+        means.append((float(total) + 0.0) / len(cyc) if scale is None
+                     else Fraction(int(total), len(cyc) * scale))
+    return means
+
+
+def _table_values(sys: ConformalSystem) -> np.ndarray:
+    """A finite factor table as the cycle consumers read it: the array of
+    integers h * scale on exact systems, else float64."""
+    return sys._scaled if sys.exact else sys._table_floats
 
 
 def cycle_mean_extrema(sys: ConformalSystem) -> CycleDecomposition:
     """Cycle decomposition of the permutation with exact means when possible."""
     _require_finite(sys)
-    return _functional_cycles(sys.perm_table.tolist(), sys.scaled_table, sys.scale)
+    return _functional_cycles(sys.perm_table.tolist(), _table_values(sys), sys.scale)
 
 
 def _cycle_potential(dec: CycleDecomposition, succ, hv, level) -> np.ndarray:
@@ -163,11 +179,22 @@ def _cycle_potential(dec: CycleDecomposition, succ, hv, level) -> np.ndarray:
     return F - F[np.argmin(F)]  # the first least value, as min() takes it
 
 
-def _cycle_optimum(succ, hv, scale, sign: int, method: str) -> OptimizationResult:
-    """The min-max (sign 1) or the max-min (sign -1) of the functional graph
-    x -> succ[x] with factor values hv: floats, or the integers h * scale of
-    an exact system.  The max-min is the min-max of -h negated: hv is negated
-    once, and the potential F of -h is flipped once to max F - F.
+def _cycle_optima(succ, hv, scale, method: str, signs) -> list:
+    """The max-min (sign -1) and the min-max (sign 1), for each of ``signs``,
+    of the functional graph x -> succ[x] with factor values hv: floats, or
+    the integers h * scale of an exact system.  One walk serves every sign:
+    the cycles do not depend on it."""
+    dec = _functional_cycles(succ, hv, scale)
+    vals, succ = dec.values(hv, scale), np.asarray(succ)
+    return [_cycle_optimum(dec, succ, vals, scale, sign, method) for sign in signs]
+
+
+def _cycle_optimum(dec, succ, vals, scale, sign: int, method: str) -> OptimizationResult:
+    """The min-max (sign 1) or the max-min (sign -1) from the walk dec of
+    x -> succ[x] and its value array vals (``CycleDecomposition.values``).
+    The max-min is the min-max of -h negated: vals is negated once, the means
+    of -h are summed on that cycle by cycle, and the potential F of -h is
+    flipped once to max F - F.
 
     inf_f max_x (h + f o succ - f) is the largest cycle mean M: the edges of
     a cycle sum to its length times its mean, and the cycle potential at
@@ -177,12 +204,13 @@ def _cycle_optimum(succ, hv, scale, sign: int, method: str) -> OptimizationResul
     "grid_descent" keeps it per grid node, as an array only.
     """
     if sign < 0:
-        hv = -np.array(hv, dtype=float if scale is None else object)
-    dec = _functional_cycles(succ, hv, scale)
+        # float zeros do not negate (-a + a is +0.0), so -h's means are summed
+        vals = -vals
+        dec = replace(dec, means=_cycle_means(dec, vals, scale))
     M = dec.max_mean
     i = dec.means.index(M)
     w, level, den = mean_level(M, int(dec.bounds[i + 1] - dec.bounds[i]), scale)
-    hv, succ = w * dec.values(hv, scale), np.asarray(succ)
+    hv = w * vals
     F = _cycle_potential(dec, succ, hv, level)
     edge = hv + F[succ] - F
     excess = edge[np.argmax(edge)] - level  # the first largest edge, as max() takes it
@@ -232,8 +260,9 @@ def _snap_indices(sys: ConformalSystem, pts) -> np.ndarray:
     return ij[:, 0] * side + ij[:, 1]
 
 
-def _optimize(sys: ConformalSystem, sign: int, method: str, n, points) -> OptimizationResult:
-    """The min-max (sign 1) or the max-min (sign -1) by the chosen method.
+def _optimize(sys: ConformalSystem, signs, method: str, n, points) -> list:
+    """The max-min (sign -1) and the min-max (sign 1), for each of ``signs``,
+    by the chosen method.
 
     "grid_descent" is the exact optimum of the snapped problem: psi with each
     grid node's image rounded to the nearest node.  Snapping approximates
@@ -241,7 +270,8 @@ def _optimize(sys: ConformalSystem, sign: int, method: str, n, points) -> Optimi
     """
     if method == "exact_finite":
         _require_finite(sys)
-        return _cycle_optimum(sys.perm_table.tolist(), sys.scaled_table, sys.scale, sign, method)
+        return _cycle_optima(sys.perm_table.tolist(), _table_values(sys), sys.scale,
+                             method, signs)
     if method not in ("birkhoff_fn", "grid_descent"):
         raise ValidationError(f"unknown method {method!r}")
     if sys.space.kind == FINITE:
@@ -250,22 +280,29 @@ def _optimize(sys: ConformalSystem, sign: int, method: str, n, points) -> Optimi
         raise ValidationError(f"grid_descent snaps to the regular grid i / r: grid must be "
                               f"an int or omitted, got {points!r}")
     if method == "birkhoff_fn":
-        return _birkhoff_fn(sys, sign, 64 if n is None else n, points)
+        return [_birkhoff_fn(sys, sign, 64 if n is None else n, points) for sign in signs]
     pts = sys.space.sample_points(points)
     succ = _snap_indices(sys, pts).tolist()
-    return _cycle_optimum(succ, eval_factor(sys, pts).tolist(), None, sign, method)
+    return _cycle_optima(succ, eval_factor(sys, pts), None, method, signs)
 
 
 def minmax_coboundary(sys: ConformalSystem, method: str = "exact_finite",
                       n: int | None = None, points=None) -> OptimizationResult:
     """inf over potentials f of max_x (h + f o psi - f), by the chosen method."""
-    return _optimize(sys, 1, method, n, points)
+    return _optimize(sys, (1,), method, n, points)[0]
 
 
 def maxmin_coboundary(sys: ConformalSystem, method: str = "exact_finite",
                       n: int | None = None, points=None) -> OptimizationResult:
     """sup over potentials f of min_x (h + f o psi - f) = -minmax(-h)."""
-    return _optimize(sys, -1, method, n, points)
+    return _optimize(sys, (-1,), method, n, points)[0]
+
+
+def coboundary_optima(sys: ConformalSystem, method: str = "exact_finite",
+                      n: int | None = None, points=None) -> tuple:
+    """(maxmin_coboundary, minmax_coboundary) of sys; "exact_finite" and
+    "grid_descent" walk the states once for both."""
+    return tuple(_optimize(sys, (-1, 1), method, n, points))
 
 
 def is_strict_finite(sys: ConformalSystem):
@@ -279,5 +316,5 @@ def is_strict_finite(sys: ConformalSystem):
     tol = 0 if sys.exact else 1e-12
     if any(abs(mean) > tol for mean in dec.means):
         return False, None
-    F = _cycle_potential(dec, sys.perm_table, dec.values(sys.scaled_table, sys.scale), 0)
+    F = _cycle_potential(dec, sys.perm_table, dec.values(_table_values(sys), sys.scale), 0)
     return True, [Fraction(v, sys.scale) for v in F.tolist()] if sys.exact else F.tolist()

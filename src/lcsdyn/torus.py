@@ -227,7 +227,7 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None,
         from . import ergopt
 
         dec = ergopt.cycle_mean_extrema(sys)
-        R = _cycle_residual_bound(dec, sys.scaled_table, sys.scale)
+        R = _cycle_residual_bound(dec, ergopt._table_values(sys), sys.scale)
         means = [float(mean) for mean in dec.means]
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
             gaps = [abs(k - m) for m in means]

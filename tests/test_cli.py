@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -504,6 +505,70 @@ def test_cache_key_of_a_config_without_a_profile_is_unchanged():
     config = cli.RunConfig(command="rank", params={"generators": ["1"]}, cache_dir="c")
     assert cli.cache_path(config, canonical) == os.path.join("c", cli.cache_key(canonical)
                                                              + ".json")
+
+
+def _old_cache_key(canonical, profile_sha256=None):
+    """The key as it was computed before the config text was spliced in: one
+    json.dumps of the whole keyed object."""
+    keyed = {"config": canonical, "version": cli.__version__}
+    if profile_sha256 is not None:
+        keyed["profile_sha256"] = profile_sha256
+    blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"), default=cli._json_default)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+ODD_PARAMS = {"generators": ["1", "s"], "n": np.int64(3), "w": np.float64(0.1),
+              "arr": np.arange(3), "q": [Fraction(-2, 6)],
+              "text": "a, b: c", "nested": {"z": 1, "a": [None, True]}}
+
+
+@pytest.mark.parametrize("profile", [None, "0" * 64, hashlib.sha256(b"u\n-1\n").hexdigest()])
+@pytest.mark.parametrize("config", [
+    cli.RunConfig(command="rank", params={"generators": ["1"]}),
+    cli.RunConfig(command="rank", params=ODD_PARAMS, k_range=(0.0, 1.0, 0.5)),
+    cli.RunConfig(command="analyze", system=FINITE_SYSTEM, n_max=7, grid=3, k=-0.25),
+])
+def test_cache_key_blob_is_the_old_formula(config, profile):
+    # the key of a dict and of its compact text hash the same blob as before
+    canonical = config.canonical()
+    want = _old_cache_key(canonical, profile)
+    assert cli.cache_key(canonical, profile) == want
+    assert cli.cache_key(cli._compact(canonical), profile) == want
+
+
+def test_cache_path_of_a_profile_config_is_the_old_key(tmp_path):
+    prof = tmp_path / "prof.csv"
+    prof.write_bytes(b"u\n-0.5\n-2.0\n")
+    config = cli.RunConfig(command="elasticity", params={"profile_csv": str(prof)},
+                           cache_dir=str(tmp_path / "c"), out=str(tmp_path / "r"))
+    key = _old_cache_key(config.canonical(), hashlib.sha256(prof.read_bytes()).hexdigest())
+    report, code = cli.run(config)
+    assert code == 0 and os.listdir(tmp_path / "c") == [key + ".json"]
+
+
+@pytest.mark.parametrize("config", [
+    dict(command="analyze", system=FINITE_SYSTEM, n_max=7),
+    dict(command="admissible", system=dict(FINITE_SYSTEM, factor=["1/3", "-2/7", 0]),
+         n_max=5, k_range=(-1.0, 1.0, 0.5)),
+    dict(command="probe", system=CONST_SYSTEM, n_max=20, k=0.5),
+    dict(command="rank", params=ODD_PARAMS),
+])
+def test_report_json_is_the_old_object(tmp_path, config):
+    # the old writer dumped the report dict whole (with ", " and ": "); the
+    # file now splices in the config's compact text, so only whitespace moves
+    config = cli.RunConfig(**config, out=str(tmp_path / "r"), cache_dir=str(tmp_path / "c"))
+    for hit in (False, True):
+        report, code = cli.run(config)
+        assert code == 0 and report["provenance"]["cache_hit"] is hit
+        old = json.loads(json.dumps(report, sort_keys=True, default=cli._json_default))
+        raw = (tmp_path / "r" / "report.json").read_text()
+        assert raw == json.dumps(old, sort_keys=True, separators=(",", ":"))
+        mine = json.loads(raw)
+        for obj in (old, mine):
+            obj["provenance"].pop("timestamp")
+        assert mine == old
+        # the echo is the text the cache key hashes
+        assert os.listdir(tmp_path / "c") == [_old_cache_key(mine["config"]) + ".json"]
 
 
 @pytest.mark.parametrize("k_range", [

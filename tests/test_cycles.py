@@ -3,9 +3,10 @@
 The reference below is the cycle code before it read one record of index
 arrays: a walk that returns (state tuple, mean) pairs, and a potential,
 optimum, drift bound and rounding bound that each loop over the states of
-every cycle.  The library must agree with it exactly: the same cycles in the
-same order, the same Fractions, and floats equal bit for bit (signed zeros
-included, compared through repr).
+every cycle.  The reference optimum walks once per sign; the library's two
+optima share one walk.  The library must agree with it exactly: the same
+cycles in the same order, the same Fractions, and floats equal bit for bit
+(signed zeros included, compared through repr).
 """
 
 import json
@@ -21,7 +22,7 @@ import pytest
 from lcsdyn import birkhoff, cli, ergopt, finite_permutation_system, torus
 from lcsdyn.core import RationalTable, sum_dtype
 from lcsdyn.ergopt import (
-    _cycle_optimum,
+    _cycle_optima,
     _cycle_potential,
     _functional_cycles,
     cycle_mean_extrema,
@@ -116,6 +117,15 @@ def ref_cycle_optimum(succ, hv, scale, sign, method):
     return ergopt.OptimizationResult(
         sign * M, None, np.asarray(F), excess,
         "grid_descent (exact cycle mean of the snapped dynamics; snapping is heuristic)")
+
+
+def ref_cycle_optima(succ, hv, scale, method, signs):
+    return [ref_cycle_optimum(succ, hv, scale, sign, method) for sign in signs]
+
+
+def _one_sign(succ, hv, scale, sign, method):
+    """The library's optimum of one sign, from its own walk."""
+    return _cycle_optima(succ, hv, scale, method, (sign,))[0]
 
 
 def ref_cycle_residual_bound(dec, hv, scale=None):
@@ -217,9 +227,9 @@ def test_cycles_potentials_and_bounds_equal_the_per_state_loops(name):
         assert len(dec.means) == 2000
     if name == "cycle-2000":
         assert dec.bounds.tolist() == [0, 2000]
-    for sign in (1, -1):
-        _same_result(_cycle_optimum(succ, hv, scale, sign, "exact_finite"),
-                     ref_cycle_optimum(succ, hv, scale, sign, "exact_finite"))
+    for mine, ref_opt in zip(_cycle_optima(succ, hv, scale, "exact_finite", (-1, 1)),
+                             ref_cycle_optima(succ, hv, scale, "exact_finite", (-1, 1))):
+        _same_result(mine, ref_opt)
     R = torus._cycle_residual_bound(dec, hv, scale)
     assert repr(R) == repr(ref_cycle_residual_bound(ref, hv, scale))
     R = torus._cycle_residual_bound(dec, sys_.factor_table)
@@ -258,11 +268,11 @@ def test_functional_graphs_with_trees_equal_the_reference(graph, sign):
     assert cycle_pairs(dec) == ref.cycles and dec.tree.tolist() == ref.tree
     if graph == "tree":
         assert cycle_pairs(dec)[0][0] == (3, 4, 2)
-    _same_result(_cycle_optimum(succ, hv, None, sign, "grid_descent"),
+    _same_result(_one_sign(succ, hv, None, sign, "grid_descent"),
                  ref_cycle_optimum(succ, hv, None, sign, "grid_descent"))
     # the same graph on exact integers (a scale of 4 makes h * 4 integral)
     ints = [int(v * 4) for v in hv]
-    _same_result(_cycle_optimum(succ, ints, 4, sign, "exact_finite"),
+    _same_result(_one_sign(succ, ints, 4, sign, "exact_finite"),
                  ref_cycle_optimum(succ, ints, 4, sign, "exact_finite"))
     R = torus._cycle_residual_bound(_functional_cycles(succ, ints, 4), ints, 4)
     assert R == ref_cycle_residual_bound(ref_functional_cycles(succ, ints, 4), ints, 4)
@@ -277,9 +287,9 @@ def test_signed_zeros_fall_as_in_the_reference(seed):
     m = int(rng.integers(17, 60))
     succ = [np.arange(m), rng.permutation(m), rng.integers(0, m, size=m)][seed % 3].tolist()
     hv = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=m).tolist()
-    for sign in (1, -1):
-        _same_result(_cycle_optimum(succ, hv, None, sign, "exact_finite"),
-                     ref_cycle_optimum(succ, hv, None, sign, "exact_finite"))
+    for mine, ref in zip(_cycle_optima(succ, hv, None, "exact_finite", (-1, 1)),
+                         ref_cycle_optima(succ, hv, None, "exact_finite", (-1, 1))):
+        _same_result(mine, ref)
 
 
 @pytest.mark.parametrize("succ,hv", [
@@ -288,9 +298,41 @@ def test_signed_zeros_fall_as_in_the_reference(seed):
 ])
 def test_a_zero_certificate_is_the_first_largest_edge(succ, hv):
     # edges of 0.0 and -0.0 tie for the largest: np.max may return either
-    for sign in (1, -1):
-        _same_result(_cycle_optimum(succ, hv, None, sign, "exact_finite"),
-                     ref_cycle_optimum(succ, hv, None, sign, "exact_finite"))
+    for mine, ref in zip(_cycle_optima(succ, hv, None, "exact_finite", (-1, 1)),
+                         ref_cycle_optima(succ, hv, None, "exact_finite", (-1, 1))):
+        _same_result(mine, ref)
+
+
+@pytest.mark.parametrize("system,method,grid", [
+    ({"space": {"kind": "finite"}, "map": {"type": "permutation", "table": [1, 2, 0, 4, 3, 5]},
+      "factor": ["1/3", "-2/5", "0", "7/2", "-1", "1/9"]}, "exact_finite", None),
+    ({"space": {"kind": "finite"}, "map": {"type": "permutation", "table": [1, 0, 2]},
+      "factor": [0.5, -0.25, 2.0]}, "exact_finite", None),
+    ({"space": {"kind": "circle", "grid_resolution": 64},
+      "map": {"type": "rotation", "angle": "golden"},
+      "factor": {"type": "trig", "cos": [[1, 1.0]]}}, "grid_descent", 16),
+    ({"space": {"kind": "torus2", "grid_resolution": 8},
+      "map": {"type": "torus_linear", "matrix": [[2, 1], [1, 1]]},
+      "factor": {"type": "trig2", "terms": [[1, 0, 0.4, 0.0]]}}, "grid_descent", 16),
+])
+def test_optimize_walks_the_states_once(tmp_path, monkeypatch, system, method, grid):
+    # the max-min and the min-max read one cycle record, and equal the
+    # one-sign functions, which walk once each
+    sys_ = cli.system_from_config(system)
+    lo, hi = (solve(sys_, method=method, points=grid)
+              for solve in (ergopt.maxmin_coboundary, ergopt.minmax_coboundary))
+    calls, walk = [], ergopt._functional_cycles
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(ergopt, "_functional_cycles", counted)
+    report, code = cli.run(cli.RunConfig(command="optimize", system=system, grid=grid,
+                                         params={"method": method}, out=str(tmp_path / "r")))
+    assert code == 0 and len(calls) == 1
+    assert report["payload"]["minmax"] == json.loads(json.dumps(hi.to_json()))
+    assert report["payload"]["maxmin"] == json.loads(json.dumps(lo.to_json()))
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +374,7 @@ def test_cycles_workload_is_byte_identical_to_the_reference(tmp_path, monkeypatc
     mine = _run_all(steps, tmp_path / "mine")
     for module, name, fn in ((ergopt, "_functional_cycles", ref_functional_cycles),
                              (ergopt, "_cycle_potential", ref_cycle_potential),
-                             (ergopt, "_cycle_optimum", ref_cycle_optimum),
+                             (ergopt, "_cycle_optima", ref_cycle_optima),
                              (torus, "_cycle_residual_bound", ref_cycle_residual_bound),
                              (birkhoff, "_cycle_mean_rounding", ref_cycle_mean_rounding)):
         monkeypatch.setattr(module, name, fn)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcsdyn import cli
+from lcsdyn import birkhoff, cli
 from lcsdyn.birkhoff import (
     birkhoff_extrema,
     birkhoff_table,
@@ -29,7 +29,9 @@ from lcsdyn.core import (
     as_rational,
     eval_factor,
     finite_permutation_system,
+    integer_array,
     orbit_array,
+    ratio_strings,
     scaled_floats,
     sum_dtype,
 )
@@ -233,6 +235,58 @@ def test_birkhoff_extrema_and_table_match_the_fraction_oracle(kind, seed, tmp_pa
     rows = list(csv.reader(open(path)))[1:]
     assert rows == [[str(p), str(n + 1), str(sums[n][p]), str(A[n][p]), str(env_minus[n][p]),
                      str(env_plus[n][p])] for p in range(len(A[0])) for n in range(N_MAX)]
+
+
+def _per_block_csv(table, path):
+    """birkhoff.csv of an exact table as written before one envelope pass
+    covered the whole table: ``_suffix_rows`` ran on each block's own sums."""
+    sys, n_max = table.system, table.n_max
+    orders = integer_array([n * sys.scale for n in range(1, n_max + 1)])[:, None]
+    labels = [str(int(p)) for p in table.points]
+    ns = [f",{n}," for n in range(1, n_max + 1)]
+    step = max(1, birkhoff.CSV_CHUNK_ROWS // n_max)
+    with open(path, "w", newline="") as fh:
+        fh.write("point,n,S_n,A_n,env_minus,env_plus\r\n")
+        for lo in range(0, len(labels), step):
+            block = slice(lo, lo + step)
+            S = table.running_sums[:, block]
+            averages = np.array(ratio_strings(S, orders), dtype=object).reshape(S.shape)
+            cols = [ratio_strings(S.T, sys.scale), averages.T.ravel().tolist(),
+                    *(np.take_along_axis(averages, birkhoff._suffix_rows(S, better), axis=0)
+                      .T.ravel().tolist() for better in (np.less, np.greater))]
+            heads = [label + n for label in labels[block] for n in ns]
+            fh.write("".join([f"{h}{s},{a},{e},{E}\r\n"
+                              for h, s, a, e, E in zip(heads, *cols)]))
+
+
+def _fraction_system(m, seed):
+    rng = np.random.default_rng(seed)
+    return finite_permutation_system(
+        rng.permutation(m).tolist(),
+        [Fraction(int(a), int(q)) for a, q in zip(rng.integers(-30, 31, size=m),
+                                                 rng.integers(1, 9, size=m))])
+
+
+@pytest.mark.parametrize("chunk", [None, 40])
+@pytest.mark.parametrize("case", ["41x200", "200x200", "41x1", "200x1", "object-sums-0",
+                                  "object-sums-1"])
+def test_table_csv_equals_the_per_block_writer(case, chunk, tmp_path, monkeypatch):
+    # 41 and 200 points are not multiples of the 40-point blocks at n_max = 200;
+    # a chunk of 40 rows puts the object-sums table's 3 points in 3 blocks
+    if chunk is not None:
+        monkeypatch.setattr(birkhoff, "CSV_CHUNK_ROWS", chunk)
+    if case.startswith("object-sums"):
+        sys, n_max = _case("object-sums", int(case[-1])), N_MAX
+    else:
+        m, n_max = map(int, case.split("x"))
+        sys = _fraction_system(m, m + n_max)
+    table = birkhoff_table(sys, n_max=n_max)
+    assert table.exact
+    if case.startswith("object-sums"):
+        assert table.running_sums.dtype == object
+    table_to_csv(table, tmp_path / "mine.csv")
+    _per_block_csv(table, tmp_path / "ref.csv")
+    assert (tmp_path / "mine.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("kind,seed", CASES)
