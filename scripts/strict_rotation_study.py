@@ -9,6 +9,7 @@ phase.csv and summary.json to the output directory.
 import argparse
 import csv
 import json
+import math
 import os
 
 from lcsdyn import (
@@ -40,11 +41,10 @@ def main():
     print(f"envelope gap at n={args.n_max}: [{est.L_minus:+.2e}, {est.L_plus:+.2e}]"
           f" (bound {est.error_bound:.2e})")
 
-    ks = []
-    k = -args.k_max
-    while k <= args.k_max + 1e-12:
-        ks.append(k)
-        k += args.k_step
+    # -k_max + i k_step, not a running sum, whose rounding turns k = 0 into
+    # -2.8e-17 (0.1 steps); 1e-9 absorbs the rounding of the quotient
+    count = math.floor(2 * args.k_max / args.k_step + 1e-9) + 1
+    ks = [-args.k_max + i * args.k_step for i in range(count)]
     with open(os.path.join(args.out, "phase.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "verdict", "escape_bound", "witness_n"])

@@ -263,11 +263,12 @@ def transfer_potential(sys: ConformalSystem, n: int,
     budget = DEFAULT_MAX_ITERATIONS if max_iterations is None else max_iterations
     if n > budget:
         raise BudgetError(f"n = {n} exceeds iteration budget {budget}")
-    if n == 1:
-        return lambda x: 0.0
 
     def f_n(x):  # the walk from x as a batch of one
-        H = orbit_array(sys, np.asarray(sys.space.normalize(x))[None], n, terms=n * n)
+        pts = np.asarray(sys.space.normalize(x))[None]
+        if n == 1:
+            return Fraction(0) if sys.exact else 0.0
+        H = orbit_array(sys, pts, n, terms=n * n)
         if sys.exact:
             return Fraction(int(_potential_sums(H, n)[0][0]), n * sys.scale)
         return float(transfer_potential_values(H, n)[0][0])
@@ -346,16 +347,17 @@ def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> 
     return out
 
 
-def _cycle_mean_rounding(sys: ConformalSystem, dec) -> float:
+def _cycle_mean_rounding(dec) -> float:
     """A bound on the rounding error of a float table's cycle means.
 
     A mean of L values summed in order and divided by L is within
     gamma_L * mean|h| of the exact mean, gamma_L = L u / (1 - L u) with
     u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
     (L + 1) * 2^-52 is about twice gamma_L (for L below 2^26), which leaves
-    room for the rounding of the bound itself.
+    room for the rounding of the bound itself.  dec is the cycle record of a
+    float table, whose values it reads.
     """
-    habs = np.abs(np.asarray(sys.factor_table, dtype=float))
+    habs = np.abs(dec.vals)
     eps = np.finfo(float).eps
     return max(eps * (len(cyc) + 1) * math.fsum(habs[cyc].tolist()) / len(cyc)
                for cyc in dec.slices())
@@ -380,7 +382,7 @@ def limit_estimates(table: BirkhoffExtrema, stabilization_rtol: float = 1e-6,
 
         dec = ergopt.cycle_mean_extrema(sys)
         return LimitEstimate(dec.min_mean, dec.max_mean, table.n_max,
-                             Fraction(0) if sys.exact else _cycle_mean_rounding(sys, dec),
+                             Fraction(0) if sys.exact else _cycle_mean_rounding(dec),
                              exact=sys.exact, stable=True)
 
     lo_curve = np.asarray(table.extrema_per_n["inf_env_minus"], dtype=float)

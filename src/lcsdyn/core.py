@@ -12,10 +12,11 @@ Circle and torus coordinates live in [0, 1) and are reduced mod 1 after every
 map application, so long orbits cannot drift.  Finite systems whose factor
 table is rational are evaluated in exact arithmetic: on the integers h * D, D
 the common denominator of the table, with Fractions only at the boundary.
-A table of "p/q" strings is parsed straight into integer numerators and
-denominators (a ``RationalTable``), whose Fractions are built only when a
-caller reads them, and exact CSV cells are formatted from integers
-(``ratio_strings``).
+Every rational table is held as integer numerators and denominators (a
+``RationalTable``; a table of "p/q" strings is parsed straight into them),
+whose Fractions are built only when a caller reads them, and exact CSV cells
+are formatted from integers (``ratio_strings``).  ``int_dtype`` alone decides
+whether such integers are int64 or Python ints.
 """
 
 from __future__ import annotations
@@ -87,13 +88,17 @@ def as_rational(v):
 MAX_SCALED_BITS = 2**24
 
 
+def int_dtype(bound: int, terms: int):
+    """dtype of integers of magnitude at most bound * terms (a sum of ``terms``
+    values each at most ``bound``): int64 when that is below 2^63, else
+    object (Python ints, which never overflow)."""
+    return np.int64 if bound * terms < 2**63 else object
+
+
 def sum_dtype(sys: ConformalSystem, terms: int):
     """dtype of a running sum of ``terms`` orbit values of ``sys``: float64 on
-    float systems; on exact systems int64 when no such sum of the integers
-    h * scale can overflow it, else object (Python ints, which never do)."""
-    if not sys.exact:
-        return float
-    return np.int64 if sys.scaled_bound * terms < 2**63 else object
+    float systems; on exact systems ``int_dtype`` of the integers h * scale."""
+    return int_dtype(sys.scaled_bound, terms) if sys.exact else float
 
 
 def integer_array(values) -> np.ndarray:
@@ -152,7 +157,9 @@ class RationalTable(Sequence):
     """Exact values held as integer arrays, numerators over positive
     denominators in lowest terms (int64, or Python ints where int64 cannot
     hold them), read as a tuple of Fractions that is built on first access
-    and kept.  ``strings`` and ``floats`` read the integers only."""
+    and kept.  ``strings`` and ``floats`` read the integers only.  It is the
+    one form of an exact factor table: a finite system is exact when its
+    table is a RationalTable."""
 
     def __init__(self, numerators, denominators):
         self.numerators, self.denominators = _lowest_terms(numerators, denominators)
@@ -309,13 +316,12 @@ class ConformalSystem:
     Immutable after construction; all operations on it are pure, so instances
     can be shared freely across workers.
 
-    An exact system (finite, with a rational factor table: a
-    ``RationalTable`` or a tuple of Fractions) also has the integers
-    ``scaled_table`` = h * ``scale``, ``scale`` the common denominator of the
-    table, which exact consumers work on (as the array ``_scaled``).  They
-    are derived on first use and kept; a table whose integers would exceed
-    ``MAX_SCALED_BITS`` is a BudgetError there.  On other systems ``scaled_table`` is the factor table
-    itself and ``scale`` is None.
+    An exact system (finite, with a ``RationalTable`` as its factor table)
+    also has the integers ``scaled_table`` = h * ``scale``, ``scale`` the
+    common denominator of the table: the array every exact consumer reads.
+    They are derived on first use and kept; a table whose integers would
+    exceed ``MAX_SCALED_BITS`` is a BudgetError there.  On a float table
+    ``scaled_table`` is its float64 values and ``scale`` is None.
     """
 
     space: ModelSpace
@@ -330,7 +336,8 @@ class ConformalSystem:
 
     @property
     def factor_table(self) -> Sequence | None:
-        """A table record's values (a ``RationalTable`` or a tuple), else None."""
+        """A table record's values (a ``RationalTable`` when exact, else a
+        tuple of floats), else None."""
         return self.factor["values"] if _record_type(self.factor) == "table" else None
 
     @property
@@ -344,24 +351,13 @@ class ConformalSystem:
     def _table_floats(self) -> np.ndarray:
         """The factor table as float64 (a ``RationalTable``'s from its integers)."""
         t = self.factor_table
-        return t.floats() if isinstance(t, RationalTable) else np.asarray([float(v) for v in t])
-
-    @cached_property
-    def _rationals(self) -> RationalTable | None:
-        """The factor table's integers on exact systems, else None."""
-        t = self.factor_table
-        if self.space.kind != FINITE or t is None:
-            return None
-        if isinstance(t, RationalTable):
-            return t
-        if all(isinstance(v, Fraction) for v in t):
-            return RationalTable([v.numerator for v in t], [v.denominator for v in t])
-        return None
+        return t.floats() if isinstance(t, RationalTable) else np.asarray(t, dtype=float)
 
     @cached_property
     def exact(self) -> bool:
-        """True when orbits and factor values are exact rationals."""
-        return self._rationals is not None
+        """True when orbits and factor values are exact rationals: a finite
+        system whose factor table is a ``RationalTable``."""
+        return self.space.kind == FINITE and isinstance(self.factor_table, RationalTable)
 
     @cached_property
     def scale(self) -> int | None:
@@ -369,7 +365,7 @@ class ConformalSystem:
         if not self.exact:
             return None
         m, D = len(self.factor_table), 1
-        for q in np.unique(self._rationals.denominators).tolist():
+        for q in np.unique(self.factor_table.denominators).tolist():
             D = math.lcm(D, q)
             if m * D.bit_length() > MAX_SCALED_BITS:
                 raise BudgetError(
@@ -379,37 +375,25 @@ class ConformalSystem:
         return D
 
     @cached_property
-    def _scaled(self) -> np.ndarray:
-        """h * scale of an exact system: int64, or Python ints where int64
-        cannot hold them."""
-        D, num, den = self.scale, self._rationals.numerators, self._rationals.denominators
+    def scaled_table(self) -> np.ndarray | None:
+        """The table's values as the array that orbit walks and cycle
+        consumers index: on exact systems the integers h * scale (int64, or
+        Python ints where ``int_dtype`` says int64 cannot hold them), on a
+        float table its float64 values, else None."""
+        if not self.exact:
+            return None if self.factor_table is None else self._table_floats
+        D, num, den = self.scale, self.factor_table.numerators, self.factor_table.denominators
         if num.dtype == np.int64 and D < 2**63:
             mult = D // den
-            if _int64_bound(num) * _int64_bound(mult) < 2**63:
+            if int_dtype(_int64_bound(num), _int64_bound(mult)) is np.int64:
                 return num * mult
-        return integer_array(num.astype(object) * (D // den.astype(object)))
-
-    @cached_property
-    def scaled_table(self) -> tuple | None:
-        """The integers h * scale on exact systems, else the factor table.
-
-        A tuple of Python ints built from the array ``_scaled``, which the
-        library's own exact consumers (cycle means, optima, the probe's drift
-        bound) read instead."""
-        if not self.exact:
-            return self.factor_table
-        return tuple(self._scaled.tolist())
+        ints = num.astype(object) * (D // den.astype(object))
+        return ints.astype(int_dtype(_int64_bound(ints), 1))
 
     @cached_property
     def scaled_bound(self) -> int:
         """max |h * scale| of an exact system."""
-        return _int64_bound(self._scaled)
-
-    @cached_property
-    def scaled_rows(self) -> np.ndarray:
-        """An exact system's ``scaled_table`` as the array orbit walks index:
-        int64, or Python ints where int64 cannot hold them."""
-        return self._scaled.astype(sum_dtype(self, 1))
+        return _int64_bound(self.scaled_table)
 
 
 def iterate(sys: ConformalSystem, x, n: int, max_iterations: int | None = None):
@@ -509,7 +493,7 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
 
     ``inverse`` walks psi^{-1} instead.  Float systems yield float64 arrays of
     shape (P,); exact finite systems yield the integers h * sys.scale
-    (``sys.scaled_rows``).  Both are stepped by ``step_points``.  Every orbit
+    (``sys.scaled_table``).  Both are stepped by ``step_points``.  Every orbit
     quantity (S_n, A_n, f_n, the g orbit tables) is a reduction of these
     rows, in O(P) memory if streamed.
 
@@ -531,7 +515,7 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
             F = nxt
         return
     for i in range(n):
-        yield sys.scaled_rows[cur] if sys.exact else eval_factor(sys, cur)
+        yield sys.scaled_table[cur] if sys.exact else eval_factor(sys, cur)
         if i + 1 < n:
             cur = step_points(sys, cur, inverse=inverse)
 
@@ -701,8 +685,8 @@ _NOT_INT64_RATIO = re.compile(r",(?!-?[0-9]{1,18}/[0-9]{1,18}(?:,|\Z))")
 
 
 def _factor_table(values: list):
-    """A finite factor table: a ``RationalTable`` or a tuple of Fractions when
-    every entry is rational (see ``as_rational``), else a tuple of floats.
+    """A finite factor table: a ``RationalTable`` when every entry is
+    rational (see ``as_rational``), else a tuple of floats.
 
     A table of "p/q" strings that int64 holds is parsed in one pass: one
     regex check over the joined strings and one integer parse.  Any other
@@ -722,7 +706,8 @@ def _factor_table(values: list):
             return RationalTable(num, den)
     rationals = [as_rational(v) for v in values]
     if all(r is not None for r in rationals):
-        return tuple(rationals)
+        return RationalTable([r.numerator for r in rationals],
+                             [r.denominator for r in rationals])
     for i, (v, r) in enumerate(zip(values, rationals)):
         if r is None and not _is_real(v):
             raise _entry_error(values, i)

@@ -16,7 +16,6 @@ and it is never held whole.
 from __future__ import annotations
 
 import csv
-import re
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -294,9 +293,6 @@ def _is_number(tok):
 # rank of period subgroups
 # --------------------------------------------------------------------------
 
-_GEN_RE = re.compile(r"^([+-]?\d+(?:/\d+)?|[+-])?\*?(s)?$")
-
-
 @dataclass(frozen=True)
 class PeriodGroup:
     """Generators of a subgroup of (R, +), written a + b s with a, b rational.
@@ -316,30 +312,24 @@ class PeriodGroup:
 
 
 def _parse_generator(item):
-    if isinstance(item, tuple) and len(item) == 2:
+    """(a, b) of a generator a + b s: a pair (a tuple or a two-element list,
+    as JSON gives it) of coefficients, a coefficient a, or a string "b s",
+    "b*s", "s" or "-s".  A coefficient is anything ``as_rational`` reads
+    exactly: an int, a Fraction, or a string such as "3", "-3/4" or "1.5"."""
+    if isinstance(item, (tuple, list)) and len(item) == 2:
         a, b = (as_rational(v) for v in item)
         if a is None or b is None:
             raise ValidationError(f"generator {item!r} is not exactly rational")
         return (a, b)
-    r = as_rational(item)
-    if r is not None and not isinstance(item, str):
+    tok = item.replace(" ", "") if isinstance(item, str) else item
+    r = as_rational(tok)
+    if r is not None:
         return (r, Fraction(0))
-    if isinstance(item, str):
-        tok = item.strip().replace(" ", "")
-        m = _GEN_RE.match(tok)
-        if m and (m.group(1) or m.group(2)):
-            raw = m.group(1)
-            if raw in (None, "+"):
-                coef = Fraction(1)
-            elif raw == "-":
-                coef = Fraction(-1)
-            else:
-                coef = Fraction(raw)
-            if m.group(2):
-                return (Fraction(0), coef)
-            if raw in ("+", "-"):
-                raise ValidationError(f"cannot parse generator {item!r}")
-            return (coef, Fraction(0))
+    if isinstance(tok, str) and tok.endswith("s"):
+        raw = tok[:-1].removesuffix("*")
+        coef = Fraction(-1 if raw == "-" else 1) if raw in ("", "+", "-") else as_rational(raw)
+        if coef is not None:
+            return (Fraction(0), coef)
     raise ValidationError(f"cannot parse generator {item!r}")
 
 

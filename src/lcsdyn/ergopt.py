@@ -11,14 +11,15 @@ approximates psi.  The transfer potential gives a rigorous (sampled) upper
 bound on grids.
 
 One walk over the states (``_functional_cycles``) records the cycles as
-index arrays (a ``CycleDecomposition``); every cycle quantity is then a
+index arrays, with the factor values they are summed on (a
+``CycleDecomposition``); every cycle quantity reads that record alone, as a
 cumsum along each cycle, which adds in the walk's order.  The cycles do not
 depend on the sign of h, so the two optima share one walk
 (``coboundary_optima``): the max-min reads the same record with the means
 and rows of -h.
 
 Exact finite systems run on integers scaled by the common denominator D of
-the factor table (the array ``ConformalSystem._scaled``): cycle sums,
+the factor table (the array ``ConformalSystem.scaled_table``): cycle sums,
 potentials and certificates are integers, and Fractions are built only at the
 boundary (cycle means, returned values and certificates).  An exact
 potential table stays integers over L * D (a ``core.RationalTable``) whose
@@ -41,6 +42,7 @@ from .core import (
     _int64_bound,
     _is_integer,
     eval_factor,
+    int_dtype,
     integer_array,
     orbit_array,
     step_points,
@@ -49,33 +51,30 @@ from .core import (
 
 @dataclass
 class CycleDecomposition:
-    """Cycles of a functional graph x -> succ[x] with their factor means.
+    """Cycles of a functional graph x -> succ[x] with the factor values on
+    its states and their means.
 
     Cycle i is ``order[bounds[i]:bounds[i + 1]]``, listed from the state
     where the walk entered it, with mean ``means[i]`` (a Fraction on exact
     tables, else a float); ``tree`` lists the nodes off every cycle, each
-    after its successor.  order, bounds and tree are int64 arrays.
+    after its successor.  order, bounds, tree and succ are int64 arrays.
+    ``vals`` holds the factor values: float64, or with ``scale`` the integers
+    h * scale, int64 while 8 max|h * scale| L^2 < 2^63 (L the longest cycle)
+    bounds every weighted sum, potential and edge of a walk, else Python ints.
     """
 
     order: np.ndarray
     bounds: np.ndarray
     tree: np.ndarray
+    succ: np.ndarray
+    vals: np.ndarray
+    scale: int | None = None
     means: list = None
     max_mean = property(lambda self: max(self.means))
     min_mean = property(lambda self: min(self.means))
 
     def slices(self) -> list:
         return np.split(self.order, self.bounds[1:-1])
-
-    def values(self, hv, scale=None) -> np.ndarray:
-        """hv as an array; an exact table's integers (``scale``) stay int64
-        while 8 max|hv| L^2 < 2^63 (L the longest cycle) bounds every weighted
-        sum, potential and edge of a walk, else they are Python ints."""
-        if scale is None:
-            return np.asarray(hv)
-        vals, longest = integer_array(hv), int(np.diff(self.bounds).max())
-        fits = vals.dtype == np.int64 and 8 * _int64_bound(vals) * longest**2 < 2**63
-        return vals if fits else vals.astype(object)
 
 
 def mean_level(mean, length: int, scale=None):
@@ -117,9 +116,11 @@ def _functional_cycles(succ, hv, scale=None) -> CycleDecomposition:
     walk the rest of the walk from it is a new cycle.  With ``scale``, hv
     holds the integers h * scale and each mean is the exact Fraction
     sum / (L * scale); otherwise means are floats."""
-    walk = [-1] * len(succ)  # the walk (its start node) that reached each node
+    succ = np.asarray(succ, dtype=np.int64)
+    nxt = succ.tolist()
+    walk = [-1] * len(nxt)  # the walk (its start node) that reached each node
     order, bounds, tree = [], [0], []
-    for start in range(len(succ)):
+    for start in range(len(nxt)):
         if walk[start] >= 0:
             continue
         path = []
@@ -127,49 +128,52 @@ def _functional_cycles(succ, hv, scale=None) -> CycleDecomposition:
         while walk[x] < 0:
             walk[x] = start
             path.append(x)
-            x = succ[x]
+            x = nxt[x]
         cut = path.index(x) if walk[x] == start else len(path)
         if cut < len(path):
             order.extend(path[cut:])
             bounds.append(len(order))
         tree.extend(reversed(path[:cut]))
-    dec = CycleDecomposition(*(np.array(a, dtype=np.int64) for a in (order, bounds, tree)))
-    dec.means = _cycle_means(dec, dec.values(hv, scale), scale)
+    order, bounds, tree = (np.array(a, dtype=np.int64) for a in (order, bounds, tree))
+    if scale is None:
+        vals = np.asarray(hv)
+    else:
+        vals = integer_array(hv)
+        longest = int(np.diff(bounds).max())
+        vals = vals.astype(int_dtype(_int64_bound(vals), 8 * longest**2), copy=False)
+    dec = CycleDecomposition(order, bounds, tree, succ, vals, scale)
+    dec.means = _cycle_means(dec)
     return dec
 
 
-def _cycle_means(dec: CycleDecomposition, vals, scale=None) -> list:
-    """The mean of the value array vals (``CycleDecomposition.values``) on
-    each cycle of dec: floats, or exact Fractions of the integers h * scale."""
+def _cycle_means(dec: CycleDecomposition) -> list:
+    """The mean of dec.vals on each cycle of dec: floats, or exact Fractions
+    of the integers h * scale."""
     means = []
     for cyc in dec.slices():
-        total = np.cumsum(vals[cyc])[-1]  # a float sum from +0.0, as sum() adds
-        means.append((float(total) + 0.0) / len(cyc) if scale is None
-                     else Fraction(int(total), len(cyc) * scale))
+        total = np.cumsum(dec.vals[cyc])[-1]  # a float sum from +0.0, as sum() adds
+        means.append((float(total) + 0.0) / len(cyc) if dec.scale is None
+                     else Fraction(int(total), len(cyc) * dec.scale))
     return means
-
-
-def _table_values(sys: ConformalSystem) -> np.ndarray:
-    """A finite factor table as the cycle consumers read it: the array of
-    integers h * scale on exact systems, else float64."""
-    return sys._scaled if sys.exact else sys._table_floats
 
 
 def cycle_mean_extrema(sys: ConformalSystem) -> CycleDecomposition:
     """Cycle decomposition of the permutation with exact means when possible."""
     _require_finite(sys)
-    return _functional_cycles(sys.perm_table.tolist(), _table_values(sys), sys.scale)
+    return _functional_cycles(sys.perm_table, sys.scaled_table, sys.scale)
 
 
-def _cycle_potential(dec: CycleDecomposition, succ, hv, level) -> np.ndarray:
-    """Potential f with h + f o succ - f = level along every non-closing edge
-    c_j -> c_{j+1} of each cycle and every tree edge, normalized to min f = 0,
-    in the arithmetic of the array hv: a cumsum from f(c_0) = 0 (-0.0 where
-    h(c_0) < 0) along each cycle, then one round per level of the trees."""
+def _cycle_potential(dec: CycleDecomposition, level, weight=1) -> np.ndarray:
+    """Potential f with weight * h + f o succ - f = level along every
+    non-closing edge c_j -> c_{j+1} of each cycle and every tree edge,
+    normalized to min f = 0, in the arithmetic of dec.vals: a cumsum from
+    f(c_0) = 0 (-0.0 where h(c_0) < 0) along each cycle, then one round per
+    level of the trees."""
+    hv, succ = weight * dec.vals, dec.succ
     F = np.empty_like(hv)
     for cyc in dec.slices():
         F[cyc] = np.cumsum(np.concatenate((hv[cyc[:1]] * 0, -(hv[cyc[:-1]] - level))))
-    succ, done, pending = np.asarray(succ), np.zeros(len(hv), dtype=bool), dec.tree
+    done, pending = np.zeros(len(hv), dtype=bool), dec.tree
     done[dec.order] = True
     while pending.size:
         ready = done[succ[pending]]
@@ -179,22 +183,12 @@ def _cycle_potential(dec: CycleDecomposition, succ, hv, level) -> np.ndarray:
     return F - F[np.argmin(F)]  # the first least value, as min() takes it
 
 
-def _cycle_optima(succ, hv, scale, method: str, signs) -> list:
-    """The max-min (sign -1) and the min-max (sign 1), for each of ``signs``,
-    of the functional graph x -> succ[x] with factor values hv: floats, or
-    the integers h * scale of an exact system.  One walk serves every sign:
-    the cycles do not depend on it."""
-    dec = _functional_cycles(succ, hv, scale)
-    vals, succ = dec.values(hv, scale), np.asarray(succ)
-    return [_cycle_optimum(dec, succ, vals, scale, sign, method) for sign in signs]
-
-
-def _cycle_optimum(dec, succ, vals, scale, sign: int, method: str) -> OptimizationResult:
-    """The min-max (sign 1) or the max-min (sign -1) from the walk dec of
-    x -> succ[x] and its value array vals (``CycleDecomposition.values``).
-    The max-min is the min-max of -h negated: vals is negated once, the means
-    of -h are summed on that cycle by cycle, and the potential F of -h is
-    flipped once to max F - F.
+def _cycle_optimum(dec: CycleDecomposition, sign: int, method: str) -> OptimizationResult:
+    """The min-max (sign 1) or the max-min (sign -1) from the walk dec.
+    The max-min is the min-max of -h negated: the record's values are negated
+    once, the means of -h are summed on that cycle by cycle, and the
+    potential F of -h is flipped once to max F - F.  The cycles do not depend
+    on the sign, so one walk serves both.
 
     inf_f max_x (h + f o succ - f) is the largest cycle mean M: the edges of
     a cycle sum to its length times its mean, and the cycle potential at
@@ -205,14 +199,13 @@ def _cycle_optimum(dec, succ, vals, scale, sign: int, method: str) -> Optimizati
     """
     if sign < 0:
         # float zeros do not negate (-a + a is +0.0), so -h's means are summed
-        vals = -vals
-        dec = replace(dec, means=_cycle_means(dec, vals, scale))
+        dec = replace(dec, vals=-dec.vals)
+        dec.means = _cycle_means(dec)
     M = dec.max_mean
     i = dec.means.index(M)
-    w, level, den = mean_level(M, int(dec.bounds[i + 1] - dec.bounds[i]), scale)
-    hv = w * vals
-    F = _cycle_potential(dec, succ, hv, level)
-    edge = hv + F[succ] - F
+    w, level, den = mean_level(M, int(dec.bounds[i + 1] - dec.bounds[i]), dec.scale)
+    F = _cycle_potential(dec, level, w)
+    edge = w * dec.vals + F[dec.succ] - F
     excess = edge[np.argmax(edge)] - level  # the first largest edge, as max() takes it
     if sign < 0:
         F = F[np.argmax(F)] - F
@@ -269,21 +262,20 @@ def _optimize(sys: ConformalSystem, signs, method: str, n, points) -> list:
     psi, so its value approximates the optimum of the real dynamics.
     """
     if method == "exact_finite":
-        _require_finite(sys)
-        return _cycle_optima(sys.perm_table.tolist(), _table_values(sys), sys.scale,
-                             method, signs)
-    if method not in ("birkhoff_fn", "grid_descent"):
+        dec = cycle_mean_extrema(sys)
+    elif method not in ("birkhoff_fn", "grid_descent"):
         raise ValidationError(f"unknown method {method!r}")
-    if sys.space.kind == FINITE:
+    elif sys.space.kind == FINITE:
         raise ValidationError(f"{method} expects a grid; use exact_finite")
-    if method == "grid_descent" and not (points is None or _is_integer(points)):
+    elif method == "grid_descent" and not (points is None or _is_integer(points)):
         raise ValidationError(f"grid_descent snaps to the regular grid i / r: grid must be "
                               f"an int or omitted, got {points!r}")
-    if method == "birkhoff_fn":
+    elif method == "birkhoff_fn":
         return [_birkhoff_fn(sys, sign, 64 if n is None else n, points) for sign in signs]
-    pts = sys.space.sample_points(points)
-    succ = _snap_indices(sys, pts).tolist()
-    return _cycle_optima(succ, eval_factor(sys, pts), None, method, signs)
+    else:
+        pts = sys.space.sample_points(points)
+        dec = _functional_cycles(_snap_indices(sys, pts), eval_factor(sys, pts))
+    return [_cycle_optimum(dec, sign, method) for sign in signs]
 
 
 def minmax_coboundary(sys: ConformalSystem, method: str = "exact_finite",
@@ -316,5 +308,5 @@ def is_strict_finite(sys: ConformalSystem):
     tol = 0 if sys.exact else 1e-12
     if any(abs(mean) > tol for mean in dec.means):
         return False, None
-    F = _cycle_potential(dec, sys.perm_table, dec.values(_table_values(sys), sys.scale), 0)
+    F = _cycle_potential(dec, 0)
     return True, [Fraction(v, sys.scale) for v in F.tolist()] if sys.exact else F.tolist()

@@ -165,21 +165,22 @@ def _band(hmin, hmax, k):
     return -max(hmax, k - hmin), -min(hmin, k - hmax)
 
 
-def _cycle_residual_bound(dec, hv, scale=None):
-    """sup of |S_n(x) - n mean| over the states x of each cycle and 0 < n < L.
+def _cycle_residual_bound(dec):
+    """sup of |S_n(x) - n mean| over the states x of each cycle of the record
+    dec and 0 < n < L.
 
     Along a cycle c_0 .. c_{L-1} with prefix sums D_j = sum_{i<j} (h(c_i) -
     mean), S_n(c_a) - n mean = D_{a+n} - D_a (indices mod L, D_L = D_0 = 0),
-    so the sup is the largest range of the cumsum D and 0.  With ``scale``,
-    hv holds the integers h * scale and D is kept at ``ergopt.mean_level``,
-    as integers, so the bound is an exact Fraction.
+    so the sup is the largest range of the cumsum D and 0.  On an exact
+    record (the integers h * scale) D is kept at ``ergopt.mean_level``, as
+    integers, so the bound is an exact Fraction.
     """
     from .ergopt import mean_level
 
-    vals, R = dec.values(hv, scale), 0
+    R = 0
     for cyc, mean in zip(dec.slices(), dec.means):
-        w, level, den = mean_level(mean, len(cyc), scale)
-        d = np.cumsum(w * vals[cyc[:-1]] - level).tolist()
+        w, level, den = mean_level(mean, len(cyc), dec.scale)
+        d = np.cumsum(w * dec.vals[cyc[:-1]] - level).tolist()
         if d:
             span = max(0, max(d)) - min(0, min(d))
             R = max(R, span if den is None else Fraction(span, den))
@@ -227,7 +228,7 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None,
         from . import ergopt
 
         dec = ergopt.cycle_mean_extrema(sys)
-        R = _cycle_residual_bound(dec, ergopt._table_values(sys), sys.scale)
+        R = _cycle_residual_bound(dec)
         means = [float(mean) for mean in dec.means]
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
             gaps = [abs(k - m) for m in means]

@@ -25,7 +25,7 @@ from lcsdyn.birkhoff import (
     table_to_csv,
     transfer_potential_values,
 )
-from lcsdyn.core import GOLDEN_ANGLE, cat_map_system, eval_factor, orbit_array
+from lcsdyn.core import GOLDEN_ANGLE, DomainError, cat_map_system, eval_factor, orbit_array
 from lcsdyn.torus import TorusAction
 
 from conftest import random_permutation_system, scalar_factor, scalar_map
@@ -67,6 +67,23 @@ def test_golden_rotation_a10_oracle():
 def test_transfer_potential_trivial(cycle3):
     f1 = transfer_potential(cycle3, 1)
     assert f1(0) == 0 and f1(2) == 0
+
+
+def test_f_1_checks_its_point_and_is_exact_where_f_n_is(cycle3, golden_cos):
+    # f_1 = 0 is a Fraction on exact systems, as every f_n there, and refuses
+    # a point off the space as f_2 does
+    f1, f2 = transfer_potential(cycle3, 1), transfer_potential(cycle3, 2)
+    assert [type(f(x)) for f in (f1, f2) for x in (0, np.int64(2))] == [Fraction] * 4
+    for f in (f1, f2):
+        for bad in (99, -1, 0.5, "x"):
+            with pytest.raises(DomainError):
+                f(bad)
+    floats = finite_permutation_system([1, 2, 0], [0.5, -0.25, 1.0])
+    g1 = transfer_potential(golden_cos, 1)
+    for f, x in ((transfer_potential(floats, 1), 1), (g1, 0.3)):
+        assert f(x) == 0.0 and type(f(x)) is float
+    with pytest.raises(DomainError):
+        g1(float("nan"))
 
 
 def test_transfer_potential_n2_identity(golden_cos):

@@ -104,6 +104,25 @@ def test_rank_command(tmp_path):
     assert load_report(out)["payload"]["rank"] == 2
 
 
+def test_rank_reads_json_pairs_and_its_own_echo(tmp_path):
+    # JSON has no tuples: a pair is a two-element list, and its coefficients
+    # are whatever as_rational reads ("1.5" included)
+    def rank(generators, name):
+        cfg = write_config(tmp_path, f"{name}.json", command="rank",
+                           params={"generators": generators})
+        out = str(tmp_path / name)
+        assert run_cli(["--config", cfg, "--out", out]) == 0
+        payload = load_report(out)["payload"]
+        return payload["rank"], payload["generators"]
+
+    assert rank([["1", "1"], ["2", "2"]], "pairs") == (1, [["1", "1"], ["2", "2"]])
+    assert rank(["1.5", "3/2", "0.5s"], "decimals") == (2, [["3/2", "0"], ["3/2", "0"],
+                                                           ["0", "1/2"]])
+    first = rank(["1/2", ["1.5", "-2/4"], "2*s", 3, "-s"], "first")
+    assert first == (2, [["1/2", "0"], ["3/2", "-1/2"], ["0", "2"], ["3", "0"], ["0", "-1"]])
+    assert rank(first[1], "echo") == first
+
+
 def test_probe_files_and_phase(tmp_path):
     cfg = write_config(tmp_path, "p.json", command="probe", system=STRICT_SYSTEM,
                        n_max=500, k=0.5)

@@ -3,17 +3,19 @@
 The reference below is the cycle code before it read one record of index
 arrays: a walk that returns (state tuple, mean) pairs, and a potential,
 optimum, drift bound and rounding bound that each loop over the states of
-every cycle.  The reference optimum walks once per sign; the library's two
-optima share one walk.  The library must agree with it exactly: the same
-cycles in the same order, the same Fractions, and floats equal bit for bit
-(signed zeros included, compared through repr).
+every cycle.  Like the library's, the reference record carries the values
+it was walked with, and every consumer reads the record alone.  The
+reference optimum walks once per sign; the library's two optima share one
+walk.  The library must agree with it exactly: the same cycles in the same
+order, the same Fractions, and floats equal bit for bit (signed zeros
+included, compared through repr).
 """
 
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,7 @@ import pytest
 from lcsdyn import birkhoff, cli, ergopt, finite_permutation_system, torus
 from lcsdyn.core import RationalTable, sum_dtype
 from lcsdyn.ergopt import (
-    _cycle_optima,
+    _cycle_optimum,
     _cycle_potential,
     _functional_cycles,
     cycle_mean_extrema,
@@ -45,6 +47,9 @@ class RefDecomposition:
     max_mean: object
     min_mean: object
     tree: list
+    succ: list
+    vals: list  # the values walked: floats, or the integers h * scale
+    scale: object = None
 
     # what the library's callers (probe_sweep, is_strict_finite) read
     @property
@@ -60,7 +65,13 @@ class RefDecomposition:
         return np.cumsum([0] + [len(c) for c, _m in self.cycles])
 
 
+def _plain(a):
+    """Python numbers from a list or an array."""
+    return a.tolist() if isinstance(a, np.ndarray) else list(a)
+
+
 def ref_functional_cycles(succ, hv, scale=None):
+    succ, hv = _plain(succ), _plain(hv)
     walk = [-1] * len(succ)
     cycles, tree = [], []
     for start in range(len(succ)):
@@ -80,10 +91,11 @@ def ref_functional_cycles(succ, hv, scale=None):
             cycles.append((tuple(cyc), mean))
         tree.extend(reversed(path[:cut]))
     means = [c[1] for c in cycles]
-    return RefDecomposition(cycles, max(means), min(means), tree)
+    return RefDecomposition(cycles, max(means), min(means), tree, succ, hv, scale)
 
 
-def ref_cycle_potential(dec, succ, hv, level):
+def ref_cycle_potential(dec, level, weight=1):
+    hv, succ = [v * weight for v in dec.vals], dec.succ
     f = [None] * len(hv)
     for cyc, _mean in dec.cycles:
         f[cyc[0]] = hv[cyc[0]] * 0
@@ -95,17 +107,18 @@ def ref_cycle_potential(dec, succ, hv, level):
     return [v - fmin for v in f]
 
 
-def ref_cycle_optimum(succ, hv, scale, sign, method):
+def ref_cycle_optimum(dec, sign, method):
+    succ, scale = dec.succ, dec.scale
     if sign < 0:
-        hv = [-v for v in hv]
-    dec = ref_functional_cycles(succ, hv, scale)
+        dec = ref_functional_cycles(succ, [-v for v in dec.vals], scale)
     M = dec.max_mean
     if scale is None:
-        level = M
+        L, level = 1, M
     else:
         L = next(len(cyc) for cyc, mean in dec.cycles if mean == M)
-        hv, level = [v * L for v in hv], int(M * L * scale)
-    F = ref_cycle_potential(dec, succ, hv, level)
+        level = int(M * L * scale)
+    F = ref_cycle_potential(dec, level, L)
+    hv = [v * L for v in dec.vals]
     excess = max(hv[i] + F[succ[i]] - F[i] for i in range(len(succ))) - level
     if sign < 0:
         top = max(F)
@@ -120,29 +133,36 @@ def ref_cycle_optimum(succ, hv, scale, sign, method):
 
 
 def ref_cycle_optima(succ, hv, scale, method, signs):
-    return [ref_cycle_optimum(succ, hv, scale, sign, method) for sign in signs]
+    return [ref_cycle_optimum(ref_functional_cycles(succ, hv, scale), sign, method)
+            for sign in signs]
+
+
+def _optima(succ, hv, scale, method, signs):
+    """The library's optimum of each sign, from one walk."""
+    dec = _functional_cycles(succ, hv, scale)
+    return [_cycle_optimum(dec, sign, method) for sign in signs]
 
 
 def _one_sign(succ, hv, scale, sign, method):
     """The library's optimum of one sign, from its own walk."""
-    return _cycle_optima(succ, hv, scale, method, (sign,))[0]
+    return _optima(succ, hv, scale, method, (sign,))[0]
 
 
-def ref_cycle_residual_bound(dec, hv, scale=None):
-    R = 0
+def ref_cycle_residual_bound(dec):
+    R, scale = 0, dec.scale
     for cyc, mean in dec.cycles:
         L = len(cyc)
         w, level = (1, mean) if scale is None else (L, int(mean * L * scale))
         d = lo = hi = 0
         for x in cyc[:-1]:
-            d += w * hv[x] - level
+            d += w * dec.vals[x] - level
             lo, hi = min(lo, d), max(hi, d)
         R = max(R, hi - lo if scale is None else Fraction(hi - lo, L * scale))
     return R
 
 
-def ref_cycle_mean_rounding(sys_, dec):
-    h = sys_.factor_table
+def ref_cycle_mean_rounding(dec):
+    h = dec.vals
     eps = np.finfo(float).eps
     return max(eps * (len(cyc) + 1) * math.fsum(abs(h[i]) for i in cyc) / len(cyc)
                for cyc, _mean in dec.cycles)
@@ -205,8 +225,10 @@ def test_the_cases_cover_each_integer_path():
     assert sum_dtype(SYSTEMS["object-sums-0"], 1) is np.int64
     assert sum_dtype(SYSTEMS["object-sums-0"], 16) is object
     assert sum_dtype(SYSTEMS["object-rows-0"], 1) is object
-    dec = cycle_mean_extrema(SYSTEMS["object-sums-0"])
-    assert dec.values(SYSTEMS["object-sums-0"].scaled_table, 1).dtype == object
+    # the record's values: int64 while 8 max|h * scale| L^2 < 2^63
+    for name, dtype in (("int64-0", np.int64), ("object-sums-0", object),
+                        ("object-rows-0", object)):
+        assert cycle_mean_extrema(SYSTEMS[name]).vals.dtype == dtype
 
 
 # --------------------------------------------------------------------------
@@ -217,7 +239,7 @@ def test_the_cases_cover_each_integer_path():
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_cycles_potentials_and_bounds_equal_the_per_state_loops(name):
     sys_ = SYSTEMS[name]
-    succ, hv, scale = sys_.perm_table.tolist(), sys_.scaled_table, sys_.scale
+    succ, hv, scale = sys_.perm_table.tolist(), sys_.scaled_table.tolist(), sys_.scale
     dec, ref = cycle_mean_extrema(sys_), ref_functional_cycles(succ, hv, scale)
     assert cycle_pairs(dec) == ref.cycles
     assert [repr(m) for m in dec.means] == [repr(m) for _c, m in ref.cycles]
@@ -227,19 +249,18 @@ def test_cycles_potentials_and_bounds_equal_the_per_state_loops(name):
         assert len(dec.means) == 2000
     if name == "cycle-2000":
         assert dec.bounds.tolist() == [0, 2000]
-    for mine, ref_opt in zip(_cycle_optima(succ, hv, scale, "exact_finite", (-1, 1)),
+    for mine, ref_opt in zip(_optima(succ, hv, scale, "exact_finite", (-1, 1)),
                              ref_cycle_optima(succ, hv, scale, "exact_finite", (-1, 1))):
         _same_result(mine, ref_opt)
-    R = torus._cycle_residual_bound(dec, hv, scale)
-    assert repr(R) == repr(ref_cycle_residual_bound(ref, hv, scale))
-    R = torus._cycle_residual_bound(dec, sys_.factor_table)
-    assert R == ref_cycle_residual_bound(ref, sys_.factor_table)
+    R = torus._cycle_residual_bound(dec)
+    assert repr(R) == repr(ref_cycle_residual_bound(ref))
+    # the same bound from the table's own values (Fractions when exact)
+    assert R == ref_cycle_residual_bound(replace(ref, vals=list(sys_.factor_table), scale=None))
     level = dec.means[len(dec.means) // 2]
     if scale is None:
-        F = _cycle_potential(dec, succ, dec.values(hv), level)
-        assert _strings(F) == _strings(ref_cycle_potential(ref, succ, hv, level))
-        assert repr(birkhoff._cycle_mean_rounding(sys_, dec)) == \
-            repr(ref_cycle_mean_rounding(sys_, ref))
+        F = _cycle_potential(dec, level)
+        assert _strings(F) == _strings(ref_cycle_potential(ref, level))
+        assert repr(birkhoff._cycle_mean_rounding(dec)) == repr(ref_cycle_mean_rounding(ref))
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -253,7 +274,7 @@ def test_is_strict_finite_rebuilds_the_reference_potential(name):
     if any(abs(m) > (0 if cob.exact else 1e-12) for m in ref.means):
         assert is_strict_finite(cob) == (False, None)  # float cancellation left a mean
         return
-    want = ref_cycle_potential(ref, table, cob.scaled_table, 0)
+    want = ref_cycle_potential(ref, 0)
     if cob.exact:
         want = [Fraction(v, cob.scale) for v in want]
     flag, g = is_strict_finite(cob)
@@ -269,13 +290,13 @@ def test_functional_graphs_with_trees_equal_the_reference(graph, sign):
     if graph == "tree":
         assert cycle_pairs(dec)[0][0] == (3, 4, 2)
     _same_result(_one_sign(succ, hv, None, sign, "grid_descent"),
-                 ref_cycle_optimum(succ, hv, None, sign, "grid_descent"))
+                 ref_cycle_optimum(ref, sign, "grid_descent"))
     # the same graph on exact integers (a scale of 4 makes h * 4 integral)
     ints = [int(v * 4) for v in hv]
     _same_result(_one_sign(succ, ints, 4, sign, "exact_finite"),
-                 ref_cycle_optimum(succ, ints, 4, sign, "exact_finite"))
-    R = torus._cycle_residual_bound(_functional_cycles(succ, ints, 4), ints, 4)
-    assert R == ref_cycle_residual_bound(ref_functional_cycles(succ, ints, 4), ints, 4)
+                 ref_cycle_optimum(ref_functional_cycles(succ, ints, 4), sign, "exact_finite"))
+    R = torus._cycle_residual_bound(_functional_cycles(succ, ints, 4))
+    assert R == ref_cycle_residual_bound(ref_functional_cycles(succ, ints, 4))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -287,7 +308,7 @@ def test_signed_zeros_fall_as_in_the_reference(seed):
     m = int(rng.integers(17, 60))
     succ = [np.arange(m), rng.permutation(m), rng.integers(0, m, size=m)][seed % 3].tolist()
     hv = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=m).tolist()
-    for mine, ref in zip(_cycle_optima(succ, hv, None, "exact_finite", (-1, 1)),
+    for mine, ref in zip(_optima(succ, hv, None, "exact_finite", (-1, 1)),
                          ref_cycle_optima(succ, hv, None, "exact_finite", (-1, 1))):
         _same_result(mine, ref)
 
@@ -298,7 +319,7 @@ def test_signed_zeros_fall_as_in_the_reference(seed):
 ])
 def test_a_zero_certificate_is_the_first_largest_edge(succ, hv):
     # edges of 0.0 and -0.0 tie for the largest: np.max may return either
-    for mine, ref in zip(_cycle_optima(succ, hv, None, "exact_finite", (-1, 1)),
+    for mine, ref in zip(_optima(succ, hv, None, "exact_finite", (-1, 1)),
                          ref_cycle_optima(succ, hv, None, "exact_finite", (-1, 1))):
         _same_result(mine, ref)
 
@@ -374,7 +395,7 @@ def test_cycles_workload_is_byte_identical_to_the_reference(tmp_path, monkeypatc
     mine = _run_all(steps, tmp_path / "mine")
     for module, name, fn in ((ergopt, "_functional_cycles", ref_functional_cycles),
                              (ergopt, "_cycle_potential", ref_cycle_potential),
-                             (ergopt, "_cycle_optima", ref_cycle_optima),
+                             (ergopt, "_cycle_optimum", ref_cycle_optimum),
                              (torus, "_cycle_residual_bound", ref_cycle_residual_bound),
                              (birkhoff, "_cycle_mean_rounding", ref_cycle_mean_rounding)):
         monkeypatch.setattr(module, name, fn)

@@ -177,6 +177,10 @@ def test_rank_examples():
     assert lcs_rank(PeriodGroup.parse(["2s", "-s"])) == 1
     assert lcs_rank(PeriodGroup.parse(["1/2", "-3", "2*s"])) == 2
     assert lcs_rank(PeriodGroup.parse([(Fraction(1), Fraction(2))])) == 1
+    assert lcs_rank(PeriodGroup.parse([["1", "1"], ["2", "2"]])) == 1
+    assert lcs_rank(PeriodGroup.parse([["1/2", "0"], [3, "1.5"]])) == 2
+    assert PeriodGroup.parse(["1.5", " 3 / 4 ", "1.5 s", [Fraction(1, 3), 2]]).generators == (
+        (Fraction(3, 2), 0), (Fraction(3, 4), 0), (0, Fraction(3, 2)), (Fraction(1, 3), 2))
 
 
 def test_rank_parse_errors():
@@ -184,6 +188,9 @@ def test_rank_parse_errors():
         PeriodGroup.parse(["sqrt2"])
     with pytest.raises(ValidationError):
         PeriodGroup.parse([1.5])  # floats are not exact
+    for bad in (["1", "s"], [1.5, 0], ["1", "2", "3"], [["1"]], "3/0", "3/0s", "ss", "+"):
+        with pytest.raises(ValidationError):
+            PeriodGroup.parse([bad])
 
 
 @given(st.lists(st.tuples(st.fractions(), st.fractions()), max_size=6),

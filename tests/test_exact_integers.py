@@ -29,6 +29,7 @@ from lcsdyn.core import (
     as_rational,
     eval_factor,
     finite_permutation_system,
+    int_dtype,
     integer_array,
     orbit_array,
     ratio_strings,
@@ -155,10 +156,31 @@ def test_cases_cover_each_integer_path():
     assert all(sum_dtype(_case("int64", s), N_MAX) is np.int64 for s in range(4))
     for s in range(4):
         sys = _case("object-sums", s)
-        big = max(abs(v) for v in sys.scaled_table)
+        big = max(abs(v) for v in sys.scaled_table.tolist())
         assert big < 2**63 <= big * N_MAX  # D * max|h| * n_max exceeds 2^63
         assert sum_dtype(sys, 1) is np.int64 and sum_dtype(sys, N_MAX) is object
     assert all(sum_dtype(_case("object-rows", s), 1) is object for s in range(4))
+    # the record of the cycle walk keeps each path: its values are int64 while
+    # 8 max|h * scale| L^2 < 2^63
+    for kind, dtype in (("int64", np.int64), ("object-sums", object), ("object-rows", object)):
+        assert all(cycle_mean_extrema(_case(kind, s)).vals.dtype == dtype for s in range(4))
+    assert all(_case("object-rows", s).scaled_table.dtype == object for s in range(4))
+
+
+def test_the_width_rule_flips_at_two_to_the_63():
+    for bound, terms in ((2**63 - 1, 1), (2**62 - 1, 2), (2**60, 7), (1, 2**63 - 1)):
+        assert int_dtype(bound, terms) is np.int64
+    for bound, terms in ((2**63, 1), (2**62, 2), (2**60, 8), (1, 2**63)):
+        assert int_dtype(bound, terms) is object
+    # sums of a system's integers, and the cycle walk's 8 L^2 terms
+    sys = finite_permutation_system([1, 0], [Fraction(2**61), Fraction(-1)])
+    assert sys.scaled_bound == 2**61
+    assert sum_dtype(sys, 3) is np.int64 and sum_dtype(sys, 4) is object
+    for h, dtype in ((2**58 - 1, np.int64), (2**58, object)):  # L = 2: 32 terms
+        swap = finite_permutation_system([1, 0], [h, -h])
+        dec = cycle_mean_extrema(swap)
+        assert dec.vals.dtype == dtype and dec.vals.tolist() == [h, -h] and dec.means == [0]
+        assert minmax_coboundary(swap).potential_table == [h, 0]
 
 
 @pytest.mark.parametrize("kind,seed", CASES)
@@ -166,8 +188,8 @@ def test_scaled_table_is_h_times_the_common_denominator(kind, seed):
     sys = _case(kind, seed)
     assert sys.exact
     assert sys.scale == math.lcm(*(v.denominator for v in sys.factor_table))
-    assert list(sys.scaled_table) == [v * sys.scale for v in sys.factor_table]
-    assert all(type(v) is int for v in sys.scaled_table)
+    assert sys.scaled_table.tolist() == [v * sys.scale for v in sys.factor_table]
+    assert all(type(v) is int for v in sys.scaled_table.tolist())
 
 
 @pytest.mark.parametrize("kind,seed", CASES)
@@ -193,8 +215,8 @@ def test_cycle_residual_bound_matches_the_fraction_oracle(kind, seed):
     sys = _case(kind, seed)
     dec = cycle_mean_extrema(sys)
     want = _oracle_residual_bound(sys.perm_table, sys.factor_table)
-    assert _cycle_residual_bound(dec, sys.scaled_table, sys.scale) == want
-    assert _cycle_residual_bound(dec, sys.factor_table) == want
+    assert _cycle_residual_bound(dec) == want
+    assert isinstance(_cycle_residual_bound(dec), Fraction)
 
 
 @pytest.mark.parametrize("kind,seed", CASES)
@@ -308,7 +330,7 @@ def test_float_table_keeps_the_float_path():
     table = rng.permutation(m).tolist()
     h = rng.uniform(-2.0, 2.0, size=m).tolist()
     sys = finite_permutation_system(table, h)
-    assert not sys.exact and sys.scale is None and sys.scaled_table == tuple(h)
+    assert not sys.exact and sys.scale is None and sys.scaled_table.tolist() == h
     dec = cycle_mean_extrema(sys)
     assert dict(cycle_pairs(dec)) == {tuple(c): sum(h[x] for x in c) / float(len(c))
                                 for c in _cycles(table)}
@@ -323,7 +345,7 @@ def test_float_table_keeps_the_float_path():
             d += h[x] - dec_mean[tuple(cyc)]
             lo, hi = min(lo, d), max(hi, d)
         R = max(R, hi - lo)
-    assert _cycle_residual_bound(dec, sys.scaled_table, sys.scale) == R
+    assert _cycle_residual_bound(dec) == R
     n_max = 30
     H = np.array([[h[x] for x in _walk(table, i)] for i in range(n_max)])
     S = np.cumsum(H, axis=0)

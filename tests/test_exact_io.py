@@ -180,13 +180,31 @@ def test_ingest_matches_the_fraction_path(values):
     sys = finite_permutation_system(list(range(1, m)) + [0], values)
     exact, scale, scaled = _old_exact(values)
     assert sys.exact == exact and sys.scale == scale
-    assert sys.scaled_table == scaled and all(type(v) is type(w) for v, w in zip(sys.scaled_table,
-                                                                               scaled))
+    assert isinstance(sys.factor_table, RationalTable) == exact
+    mine = sys.scaled_table.tolist()
+    assert mine == list(scaled) and all(type(v) is type(w) for v, w in zip(mine, scaled))
     old = _old_table(values)
     assert tuple(sys.factor_table) == old and sys.factor_table == old
     assert [type(v) for v in sys.factor_table] == [type(v) for v in old]
     assert eval_factor(sys, np.arange(m)).tolist() == [float(v) for v in old]
     assert [scalar_factor(sys)(i) for i in range(m)] == list(old)
+
+
+@pytest.mark.parametrize("values", [
+    ["3/2", "-1/4", "2/1", "0/7"],  # the one-pass "p/q" parse
+    ["1.5", "-0.25", "2", "0"],
+    [Fraction(3, 2), Fraction(-1, 4), 2, 0],
+    [Fraction(6, 4), "-1/4", np.int64(2), "0.0"],
+])
+def test_every_spelling_of_a_rational_table_gives_one_rational_table(values):
+    sys = finite_permutation_system([1, 2, 3, 0], values)
+    table = sys.factor_table
+    assert isinstance(table, RationalTable) and sys.exact
+    assert table == RationalTable([3, -1, 2, 0], [2, 4, 1, 1])
+    assert (table.numerators.tolist(), table.denominators.tolist()) == ([3, -1, 2, 0],
+                                                                        [2, 4, 1, 1])
+    assert sys.scale == 4 and sys.scaled_table.dtype == np.int64
+    assert sys.scaled_table.tolist() == [6, -1, 8, 0]
 
 
 def test_p_q_tables_parse_in_one_pass_and_keep_their_fractions_lazy():
@@ -199,7 +217,7 @@ def test_p_q_tables_parse_in_one_pass_and_keep_their_fractions_lazy():
     assert isinstance(table, RationalTable)
     exact, scale, scaled = _old_exact(values)
     eval_factor(sys, np.arange(500))  # array evaluation reads the integers only
-    assert (sys.exact, sys.scale, sys.scaled_table) == (exact, scale, scaled)
+    assert (sys.exact, sys.scale, tuple(sys.scaled_table.tolist())) == (exact, scale, scaled)
     assert table._fractions is None  # no Fraction built yet
     assert list(table) == list(_old_table(values))
     assert table.strings() == [str(v) for v in _old_table(values)]

@@ -47,13 +47,18 @@ def ref_mirrored_system(sys):
         mk[key], mk["inverse"] = mk["inverse"], mk[key]
     if sys.space.kind == FINITE and sys.factor_table is not None:
         inv = mk["table"]
-        factor = {"type": "table",
-                  "values": tuple(-sys.factor_table[inv[i]] for i in range(len(inv)))}
+        neg = [-sys.factor_table[inv[i]] for i in range(len(inv))]
+        # an exact table is a RationalTable: a tuple of Fractions is a float table
+        values = (core.RationalTable([v.numerator for v in neg], [v.denominator for v in neg])
+                  if sys.exact else tuple(neg))
+        factor = {"type": "table", "values": values}
     else:
         def factor(x):
             return -eval_factor(sys, step_points(sys, np.asarray(x, dtype=float), inverse=True))
 
-    return replace(sys, factor=factor, map_kind=mk)
+    mirrored = replace(sys, factor=factor, map_kind=mk)
+    assert mirrored.exact == sys.exact
+    return mirrored
 
 
 @dataclass
@@ -200,6 +205,23 @@ def test_mirrored_tables_pull_back_through_the_inverse(name):
             y = psi_inv(y)
             want.append(-float(h(y)))
         np.testing.assert_allclose(col, want, rtol=0, atol=1e-15 if name == "cos" else 0)
+
+
+def test_the_mirror_of_an_exact_table_is_exact():
+    # the reference mirrors a table as a table; at order 1 (A_1(h) = h) its g
+    # is the direct construction on that exact system, walked on its integers
+    sys = _system("perm")
+    mirror = ref_mirrored_system(sys)
+    assert sys.exact and mirror.exact
+    assert list(mirror.factor_table) == [-sys.factor_table[i] for i in mirror.perm_table.tolist()]
+    k = -SIZES["perm"]
+    ref, gcons = ref_build_g(sys, k), build_g(sys, k, (-4, 4), order=1)
+    assert ref.mirrored and gcons.mirrored
+    assert gcons.cutoff.mollifier_width == ref.cutoff.mollifier_width
+    rng = np.random.default_rng(5)
+    xs, ts = _samples(sys, rng, 32), rng.uniform(-4.5, 4.5, size=32)
+    for got, want in ((gcons.g, ref.g), (gcons.dt, ref.dt)):
+        assert np.max(np.abs(got(xs, ts) - want(xs, ts))) <= TOL
 
 
 def test_one_strip_per_side_of_rows(monkeypatch):

@@ -29,6 +29,14 @@ def test_strict_rotation_study(tmp_path):
     proc = run_script("strict_rotation_study.py", "--out", str(out), "--grid", "16",
                       "--n-max", "20", "--k-max", "0.5", "--k-step", "0.5")
     assert proc.returncode == 0, proc.stderr
+    # 0.1 steps: the middle size is 0 exactly, which the probe finds recurrent
+    fine = tmp_path / "fine"
+    proc = run_script("strict_rotation_study.py", "--out", str(fine), "--grid", "16",
+                      "--n-max", "20", "--k-max", "0.5", "--k-step", "0.1")
+    assert proc.returncode == 0, proc.stderr
+    rows = read_csv(fine / "phase.csv")[1:]
+    assert [row[0] for row in rows] == [f"{i / 10:.4f}" for i in range(-5, 6)]
+    assert rows[5][0] == "0.0000" and rows[5][1] != "EscapeCertified"
     assert sorted(os.listdir(out)) == ["envelopes.csv", "phase.csv", "summary.json"]
     envelopes = read_csv(out / "envelopes.csv")
     assert envelopes[0] == ["n", "min_avg", "max_avg", "inf_env_minus", "sup_env_plus"]

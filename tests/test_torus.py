@@ -224,10 +224,10 @@ def test_cycle_residual_bound_matches_double_loop(seed):
     fractions = [Fraction(int(p), int(d)) for p, d in zip(rng.integers(-20, 21, size=m), q)]
     exact = finite_permutation_system(table, fractions)
     assert exact.exact
-    R = _cycle_residual_bound(cycle_mean_extrema(exact), exact.factor_table)
+    R = _cycle_residual_bound(cycle_mean_extrema(exact))
     assert R == _brute_cycle_residual(exact)
     floats = finite_permutation_system(table, rng.uniform(-2.0, 2.0, size=m).tolist())
-    R = _cycle_residual_bound(cycle_mean_extrema(floats), floats.factor_table)
+    R = _cycle_residual_bound(cycle_mean_extrema(floats))
     assert R == pytest.approx(_brute_cycle_residual(floats), rel=1e-12, abs=1e-12)
 
 
@@ -263,7 +263,7 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
     t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
     if sys.space.kind == "finite" and sys.perm_table is not None:
         dec = ergopt.cycle_mean_extrema(sys)
-        R = _cycle_residual_bound(dec, sys.factor_table)
+        R = _cycle_residual_bound(dec)
         means = [float(mean) for _cyc, mean in cycle_pairs(dec)]
         gaps = [abs(k - m) for m in means]
         if min(gaps) > 1e-12:
