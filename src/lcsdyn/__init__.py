@@ -28,17 +28,16 @@ from .birkhoff import (
     admissible_set,
     birkhoff_extrema,
     birkhoff_table,
-    coboundary_residual,
+    coboundary_residual_curve,
     limit_estimates,
     transfer_potential,
 )
 from .ergopt import (
     CycleDecomposition,
     OptimizationResult,
+    coboundary_optima,
     cycle_mean_extrema,
     is_strict_finite,
-    maxmin_coboundary,
-    minmax_coboundary,
 )
 from .torus import (
     CutoffFunction,
@@ -51,7 +50,6 @@ from .torus import (
     build_g,
     build_mu,
     probe_sweep,
-    properness_probe,
 )
 from .elastic import (
     ElasticitySet,

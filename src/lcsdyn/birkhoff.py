@@ -137,14 +137,16 @@ class AdmissibleSet:
     def contains(self, k) -> bool:
         if k == 0:
             return False
-        return k < self.gap_low - self.tolerance or k > self.gap_high + self.tolerance
+        tol = self.tolerance or 0  # a Fraction minus 0.0 would be a float
+        return k < self.gap_low - tol or k > self.gap_high + tol
 
     def classify(self, k) -> str:
         if k == 0:
             return "excluded_zero"
         if self.contains(k):
             return "admissible"
-        if self.gap_low + self.tolerance <= k <= self.gap_high - self.tolerance:
+        tol = self.tolerance or 0
+        if self.gap_low + tol <= k <= self.gap_high - tol:
             return "not_admissible"
         # within `tolerance` of a gap endpoint; decisive only for tolerance 0
         return "not_admissible" if self.tolerance == 0 else "boundary"
@@ -193,8 +195,7 @@ def _suffix_rows(S, better) -> np.ndarray:
     return rows
 
 
-def birkhoff_table(sys: ConformalSystem, points=None, n_max: int = 100,
-                   max_iterations: int | None = None) -> BirkhoffTable:
+def birkhoff_table(sys: ConformalSystem, points=None, n_max: int = 100) -> BirkhoffTable:
     """Tabulate S_n, A_n and truncated envelopes for every sampled point.
 
     The running sums of one ``birkhoff_extrema`` pass are kept (n_max x P
@@ -202,15 +203,14 @@ def birkhoff_table(sys: ConformalSystem, points=None, n_max: int = 100,
     derived from the sums on first use.
     """
     rows = []
-    ext = birkhoff_extrema(sys, points, n_max, max_iterations,
-                           visit=lambda n, S: rows.append(S.copy()))
+    ext = birkhoff_extrema(sys, points, n_max, visit=lambda n, S: rows.append(S.copy()))
     # wide enough for the cross products of the envelope comparisons
     return BirkhoffTable(**vars(ext),
                          running_sums=np.array(rows, dtype=sum_dtype(sys, n_max * n_max)))
 
 
 def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
-                     max_iterations: int | None = None, visit=None) -> BirkhoffExtrema:
+                     visit=None) -> BirkhoffExtrema:
     """The extrema curves of the sampled points from one streamed pass.
 
     Keeps a running S_n and the per-n min/max of A_n = S_n / n over the
@@ -222,9 +222,8 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    budget = DEFAULT_MAX_ITERATIONS if max_iterations is None else max_iterations
-    if n_max > budget:
-        raise BudgetError(f"n_max = {n_max} exceeds iteration budget {budget}")
+    if n_max > DEFAULT_MAX_ITERATIONS:
+        raise BudgetError(f"n_max = {n_max} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
     pts = sys.space.sample_points(points)
     if len(pts) == 0:
         raise ValidationError("empty sample")
@@ -251,8 +250,7 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
     return BirkhoffExtrema(sys.label, sys, pts, n_max, extrema, sys.exact)
 
 
-def transfer_potential(sys: ConformalSystem, n: int,
-                       max_iterations: int | None = None):
+def transfer_potential(sys: ConformalSystem, n: int):
     """The potential f_n = (1/n) sum_{i=1}^{n-1} S_i, as an evaluable function.
 
     Satisfies A_n(h) = h + f_n o psi - f_n; f_1 is identically 0.  On exact
@@ -260,9 +258,8 @@ def transfer_potential(sys: ConformalSystem, n: int,
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    budget = DEFAULT_MAX_ITERATIONS if max_iterations is None else max_iterations
-    if n > budget:
-        raise BudgetError(f"n = {n} exceeds iteration budget {budget}")
+    if n > DEFAULT_MAX_ITERATIONS:
+        raise BudgetError(f"n = {n} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
 
     def f_n(x):  # the walk from x as a batch of one
         pts = np.asarray(sys.space.normalize(x))[None]
@@ -304,18 +301,9 @@ def _potential_sums(H, n: int):
     return np.cumsum(w * H[:n - 1], axis=0)[-1], np.cumsum(w * H[1:n], axis=0)[-1]
 
 
-def coboundary_residual(sys: ConformalSystem, n: int, points=None):
-    """max_x |A_n(h)(x) - (h(x) + f_n(psi x) - f_n(x))| over sampled points:
-    the last entry of ``coboundary_residual_curve``.
-
-    Exactly zero (Fraction) on exact finite systems; float rounding otherwise.
-    """
-    worst = coboundary_residual_curve(sys, n, points)[-1]
-    return worst if sys.exact else float(worst)
-
-
 def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> np.ndarray:
-    """Residuals of the transfer identity for every n = 1..n_max.
+    """Residuals max_x |A_n(h)(x) - (h(x) + f_n(psi x) - f_n(x))| of the
+    transfer identity over sampled points, for every n = 1..n_max.
 
     One streamed orbit walk of n_max rows serves both the grid and its image;
     running sums carry S_n and f_n = (S_1 + ... + S_{n-1}) / n at p and at
@@ -363,18 +351,16 @@ def _cycle_mean_rounding(dec) -> float:
                for cyc in dec.slices())
 
 
-def limit_estimates(table: BirkhoffExtrema, stabilization_rtol: float = 1e-6,
-                    window_fraction: float = 0.1) -> LimitEstimate:
+def limit_estimates(table: BirkhoffExtrema) -> LimitEstimate:
     """Estimate the limiting envelope extrema from a table or its extrema.
 
     Finite bijections are resolved through the cycle-mean oracle, exactly on
     an exact table and up to a rounding bound on a float one.  On
     continuous kinds the monotone truncated envelopes at n_max are reported;
     the estimate is flagged unstable when the extrema still move (relatively)
-    more than ``stabilization_rtol`` across the last ``window_fraction`` of
-    orders.  Systems carrying a stored generating function get the
-    telescoping error bound 2 (max f - min f) / n; everything else is marked
-    "heuristic".
+    more than 1e-6 across the last tenth of the orders.  Systems carrying a
+    stored generating function get the telescoping error bound
+    2 (max f - min f) / n; everything else is marked "heuristic".
     """
     sys = table.system
     if sys.space.kind == FINITE:
@@ -388,9 +374,9 @@ def limit_estimates(table: BirkhoffExtrema, stabilization_rtol: float = 1e-6,
     lo_curve = np.asarray(table.extrema_per_n["inf_env_minus"], dtype=float)
     hi_curve = np.asarray(table.extrema_per_n["sup_env_plus"], dtype=float)
     n_used = table.n_max
-    start = max(0, n_used - max(1, math.ceil(window_fraction * n_used)))
+    start = max(0, n_used - max(1, math.ceil(0.1 * n_used)))
     stable = not any(float(w.max() - w.min()) / max(1.0, float(np.max(np.abs(w))))
-                     > stabilization_rtol for w in (lo_curve[start:], hi_curve[start:]))
+                     > 1e-6 for w in (lo_curve[start:], hi_curve[start:]))
     span = generating_span(sys, table.points)
     bound = "heuristic" if span is None else 2.0 * span / n_used
     return LimitEstimate(float(lo_curve[-1]), float(hi_curve[-1]), n_used, bound,

@@ -245,15 +245,16 @@ def _k_values(config: RunConfig):
                                   f"included, got {list(config.k_range)!r}")
         if step <= 0:
             raise ValidationError("k-range step must be positive")
-        # floor((b - a)/step) + 1 sizes, counted before arange allocates them;
-        # 1e-9 absorbs the rounding of the quotient (0.3/0.1 < 3), and the
-        # cap keeps arange's last value from passing b (0:0.7:1 gives [0.0])
+        # floor((b - a)/step) + 1 sizes a + i * step (-0.5:0.5:0.1 meets 0.0
+        # and 0.5), counted before any is built; 1e-9 absorbs the rounding of
+        # the quotient (0.3/0.1 < 3), and the count keeps the last size from
+        # passing b (0:0.7:1 gives [0.0])
         span = (b - a) / step
         if span + 1 > MAX_K_VALUES:
             raise BudgetError(f"k_range [{a}, {b}, {step}] spans more than "
                               f"{MAX_K_VALUES} sizes")
         count = max(math.floor(span + 1e-9) + 1, 0)
-        ks.extend(np.arange(a, stop, step)[:count].tolist())
+        ks.extend(a + i * step for i in range(count))
     return ks
 
 

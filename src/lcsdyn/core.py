@@ -396,12 +396,12 @@ class ConformalSystem:
         return _int64_bound(self.scaled_table)
 
 
-def iterate(sys: ConformalSystem, x, n: int, max_iterations: int | None = None):
+def iterate(sys: ConformalSystem, x, n: int):
     """n-th image of x under the system map (inverse map for n < 0), stepped
-    as a batch of one point by ``step_points``."""
-    budget = DEFAULT_MAX_ITERATIONS if max_iterations is None else max_iterations
-    if abs(n) > budget:
-        raise BudgetError(f"|n| = {abs(n)} exceeds iteration budget {budget}")
+    as a batch of one point by ``step_points``; |n| is at most
+    ``DEFAULT_MAX_ITERATIONS``."""
+    if abs(n) > DEFAULT_MAX_ITERATIONS:
+        raise BudgetError(f"|n| = {abs(n)} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
     pts = np.asarray(sys.space.normalize(x))[None]  # a batch of one point
     for _ in range(abs(n)):
         pts = step_points(sys, pts, inverse=n < 0)

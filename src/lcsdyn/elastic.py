@@ -137,12 +137,6 @@ class ElasticitySet:
     equality: bool
     gap_resolution: float
 
-    def is_forbidden(self, c) -> bool:
-        return any(a <= c <= b for a, b in self.forbidden)
-
-    def allows(self, c) -> bool:
-        return not self.is_forbidden(c)
-
     def to_json(self):
         return {
             "forbidden": [[float(a), float(b)] for a, b in self.forbidden],
@@ -152,15 +146,17 @@ class ElasticitySet:
         }
 
 
-def elasticity_from_profile(profile: LiouvilleProfile, gap_resolution: float = 1e-3,
-                            tol_zero: float = 1e-12) -> ElasticitySet:
+def elasticity_from_profile(profile: LiouvilleProfile,
+                            gap_resolution: float = 1e-3) -> ElasticitySet:
     """Forbidden constants (1 + u)/u of the profile, merged into intervals.
 
-    c is forbidden exactly when min over samples of |1 + (1 - c) u| vanishes;
-    on a finite sample that reads: c is within resolution of some attained
-    value (1 + u)/u.  Sorted values with gaps below ``gap_resolution`` fuse
-    into one closed interval, since the image of a continuous u over a
-    connected domain is an interval that finite sampling punctures.
+    c is forbidden exactly when min over samples of |1 + (1 - c) u| (the
+    degeneracy criterion) vanishes; on a finite sample that reads: c is
+    within resolution of some attained value (1 + u)/u.  Samples with
+    |u| < 1e-12 count as u = 0.  Sorted values with gaps below
+    ``gap_resolution`` fuse into one closed interval, since the image of a
+    continuous u over a connected domain is an interval that finite
+    sampling punctures.
 
     Each block's sorted values split into hulls at its own gaps; the hulls,
     sorted by start, then merge unless a start exceeds the running max of
@@ -175,7 +171,7 @@ def elasticity_from_profile(profile: LiouvilleProfile, gap_resolution: float = 1
     starts, ends = [], []
     contains_zero = False
     for u in profile.blocks():
-        zero_mask = np.abs(u) < tol_zero
+        zero_mask = np.abs(u) < 1e-12
         if zero_mask.any():
             contains_zero = True
             u = u[~zero_mask]
@@ -201,20 +197,15 @@ def elasticity_from_profile(profile: LiouvilleProfile, gap_resolution: float = 1
                          gap_resolution)
 
 
-def degeneracy_criterion(profile: LiouvilleProfile, c: float) -> float:
-    """min over samples of |1 + (1 - c) u|; zero iff c is attained."""
-    return min(float(np.min(np.abs(1.0 + (1.0 - c) * u))) for u in profile.blocks())
-
-
-def first_kind_test(profile: LiouvilleProfile, tol_profile: float = 1e-9) -> bool:
-    """True iff the profile is identically -1 (within tolerance).
+def first_kind_test(profile: LiouvilleProfile) -> bool:
+    """True iff the profile is identically -1 (within 1e-9).
 
     Equivalent to the elasticity set being the whole punctured line: the only
     forbidden constant of u = -1 is (1 - 1)/(-1) = 0.  u + 1 rounds
     monotonically in u, so |u + 1| is largest at the extreme samples.
     """
     lo, hi = profile.bounds
-    return abs(lo + 1.0) <= tol_profile and abs(hi + 1.0) <= tol_profile
+    return abs(lo + 1.0) <= 1e-9 and abs(hi + 1.0) <= 1e-9
 
 
 def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
@@ -249,7 +240,7 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
                             factors=(slopes, values, gcons.k))
 
 
-def profile_from_csv(path, column: str = "u") -> LiouvilleProfile:
+def profile_from_csv(path) -> LiouvilleProfile:
     """Load a profile from CSV (a 'u' column, or one value per row).
 
     Rows are converted as they are read, into one array of doubles.  A file
@@ -267,8 +258,8 @@ def profile_from_csv(path, column: str = "u") -> LiouvilleProfile:
             rows = enumerate(reader, start=2)
             if all(_is_number(tok) for tok in header):
                 rows = chain([(1, header)], rows)
-            elif column in header:
-                col = header.index(column)
+            elif "u" in header:
+                col = header.index("u")
             for line, row in rows:
                 if row:
                     try:

@@ -253,9 +253,12 @@ def _snap_indices(sys: ConformalSystem, pts) -> np.ndarray:
     return ij[:, 0] * side + ij[:, 1]
 
 
-def _optimize(sys: ConformalSystem, signs, method: str, n, points) -> list:
-    """The max-min (sign -1) and the min-max (sign 1), for each of ``signs``,
-    by the chosen method.
+def coboundary_optima(sys: ConformalSystem, method: str = "exact_finite",
+                      n: int | None = None, points=None) -> tuple:
+    """(max-min, min-max) of sys by the chosen method: sup_f min_x and
+    inf_f max_x of h + f o psi - f.  "exact_finite" and "grid_descent" walk
+    the states once for both; "birkhoff_fn" bounds both at the order n (64
+    when None).
 
     "grid_descent" is the exact optimum of the snapped problem: psi with each
     grid node's image rounded to the nearest node.  Snapping approximates
@@ -271,30 +274,11 @@ def _optimize(sys: ConformalSystem, signs, method: str, n, points) -> list:
         raise ValidationError(f"grid_descent snaps to the regular grid i / r: grid must be "
                               f"an int or omitted, got {points!r}")
     elif method == "birkhoff_fn":
-        return [_birkhoff_fn(sys, sign, 64 if n is None else n, points) for sign in signs]
+        return tuple(_birkhoff_fn(sys, sign, 64 if n is None else n, points) for sign in (-1, 1))
     else:
         pts = sys.space.sample_points(points)
         dec = _functional_cycles(_snap_indices(sys, pts), eval_factor(sys, pts))
-    return [_cycle_optimum(dec, sign, method) for sign in signs]
-
-
-def minmax_coboundary(sys: ConformalSystem, method: str = "exact_finite",
-                      n: int | None = None, points=None) -> OptimizationResult:
-    """inf over potentials f of max_x (h + f o psi - f), by the chosen method."""
-    return _optimize(sys, (1,), method, n, points)[0]
-
-
-def maxmin_coboundary(sys: ConformalSystem, method: str = "exact_finite",
-                      n: int | None = None, points=None) -> OptimizationResult:
-    """sup over potentials f of min_x (h + f o psi - f) = -minmax(-h)."""
-    return _optimize(sys, (-1,), method, n, points)[0]
-
-
-def coboundary_optima(sys: ConformalSystem, method: str = "exact_finite",
-                      n: int | None = None, points=None) -> tuple:
-    """(maxmin_coboundary, minmax_coboundary) of sys; "exact_finite" and
-    "grid_descent" walk the states once for both."""
-    return tuple(_optimize(sys, (-1, 1), method, n, points))
+    return tuple(_cycle_optimum(dec, sign, method) for sign in (-1, 1))
 
 
 def is_strict_finite(sys: ConformalSystem):

@@ -90,13 +90,11 @@ def action_step_inverse(act: TorusAction, x, t):
     return prev, t - act.k + _orbit_sum(act.sys, prev, 1)
 
 
-def action_power(act: TorusAction, x, t, n: int, max_iterations: int = 1_000_000):
+def action_power(act: TorusAction, x, t, n: int):
     """n-th power by the closed formula (psi^n x, t + n k - S_n(h)(x)), n >= 0."""
     if n < 0:
         raise ValidationError("action_power expects n >= 0")
-    if n > max_iterations:
-        raise BudgetError(f"n = {n} exceeds budget {max_iterations}")
-    return iterate(act.sys, x, n, max_iterations), t + n * act.k - _orbit_sum(act.sys, x, n)
+    return iterate(act.sys, x, n), t + n * act.k - _orbit_sum(act.sys, x, n)
 
 
 def _orbit_sum(sys: ConformalSystem, x, n: int):
@@ -156,12 +154,8 @@ class ProbeReport:
         }
 
 
-def band_interval(sys: ConformalSystem, k: float, points=None):
-    """t-extent of the compact band K for size k (from sampled factor bounds)."""
-    return _band(*factor_range(sys, points), float(k))
-
-
 def _band(hmin, hmax, k):
+    """t-extent of the compact band K for size k, from factor bounds."""
     return -max(hmax, k - hmin), -min(hmin, k - hmax)
 
 
@@ -187,27 +181,23 @@ def _cycle_residual_bound(dec):
     return R
 
 
-def properness_probe(act: TorusAction, n_max: int = 1000, starts=None,
-                     late_fraction: float = 0.5) -> ProbeReport:
-    """Probe whether the size-k orbit of the band K escapes or keeps returning.
+def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> list:
+    """Probe, for every size k in ks, whether the size-k orbit of the band K
+    escapes or keeps returning; one ``ProbeReport`` per size.
 
     Certificates are tried first: exact cycle drift on finite systems, the
     telescoping bound when the factor is a stored coboundary, then the
     truncated-envelope drift bound.  Without a certificate, orbits launched
-    in K are scanned; returns that persist into the last ``late_fraction`` of
-    the horizon count as recurrence evidence (early incidental returns alone
+    in K are scanned; returns that persist into the last half of the
+    horizon count as recurrence evidence (early incidental returns alone
     are inconclusive, since even escaping orbits may brush the band first).
-    """
-    return probe_sweep(act.sys, [act.k], n_max, starts, late_fraction)[0]
+    On an exact finite system k is a cycle mean only when it equals one; a
+    float table takes k within 1e-12 of a mean as that mean.
 
-
-def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None,
-                late_fraction: float = 0.5) -> list:
-    """``properness_probe`` for every size in ks, sharing what does not depend on k.
-
-    The sizes left without an exact certificate share one streamed orbit
-    pass: it yields the envelope curves and scans each row of running sums
-    for every such size, keeping the first in-band (n, p) in row-major order.
+    What does not depend on k is computed once.  The sizes left without an
+    exact certificate share one streamed orbit pass: it yields the envelope
+    curves and scans each row of running sums for every such size, keeping
+    the first in-band (n, p) in row-major order.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
@@ -232,10 +222,13 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None,
         means = [float(mean) for mean in dec.means]
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
             gaps = [abs(k - m) for m in means]
-            if min(gaps) > 1e-12:
-                n0 = max(int(math.floor((hi - lo + R) / g)) + 1 for g in gaps)
+            if sys.exact:  # a gap that rounds below 1e-12 is measured exactly
+                gaps = [g if g > 1e-12 else abs(Fraction(k) - m) for g, m in zip(gaps, dec.means)]
+            if min(gaps) > (0 if sys.exact else 1e-12):
+                width = (hi - lo + R, Fraction(hi) - Fraction(lo) + R)  # float gap, exact gap
+                n0 = max(int(math.floor(width[isinstance(g, Fraction)] / g)) + 1 for g in gaps)
                 reports[i] = report(i, VERDICT_ESCAPE, None, n0, "cycle-exact", False)
-            else:  # k is (numerically) a cycle mean: that cycle's band orbit is periodic
+            else:  # k is a cycle mean: that cycle's band orbit is periodic
                 idx = gaps.index(min(gaps))
                 a, b = dec.bounds[idx:idx + 2].tolist()
                 t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
@@ -290,7 +283,7 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None,
             best = int(cand.min()) if best is None else min(best, int(cand.min()))
         if best is not None:
             reports[i] = report(i, VERDICT_ESCAPE, None, best, "envelope", True)
-        elif j in first and last[j] >= max(1, math.ceil(late_fraction * n_max)):
+        elif j in first and last[j] >= max(1, math.ceil(0.5 * n_max)):
             n, p, t = first[j]
             start = pts[p]
             wit = Witness(start if np.ndim(start) else _scalar(start, sys), n, t)
@@ -322,7 +315,6 @@ class CutoffFunction:
 
     mollifier_width: float
     derivative_sup: float
-    kind: str = "mollified-ramp"
     _grid: np.ndarray = None
     _cdf: np.ndarray = None
     _moment: np.ndarray = None
@@ -474,7 +466,6 @@ class GConstruction:
 
     system: ConformalSystem
     k: float
-    eps: float
     cutoff: CutoffFunction
     t_window: tuple
     mirrored: bool
@@ -540,9 +531,10 @@ class GConstruction:
         pts, ts = self._default_sample(pts, ts)
         return float(np.min(np.abs(self.dt(pts, ts) + self.k)))
 
-    def dt_attainable(self, pts=None, s_count: int = 4097, max_factor_values: int = 512):
+    def dt_attainable(self, pts=None, s_count: int = 4097):
         """Attainable values of dt g as two factors (slopes, values): every
-        product of a signed cutoff slope with an orbit factor value.
+        product of a signed cutoff slope with one of at most 512 orbit factor
+        values, evenly spread over the sorted distinct ones.
 
         At every t exactly one cutoff translate is active, so the value set
         of dt g over grid x window factors as (chi' values) x (factor orbit
@@ -557,8 +549,8 @@ class GConstruction:
         fwd, bwd = self._tables(pts, np.asarray(self.t_window, dtype=float), spare=1)
         hv = np.concatenate([fwd.ravel(), bwd.ravel()])
         hv = np.unique(-hv if self.mirrored else hv)
-        if len(hv) > max_factor_values:
-            idx = np.linspace(0, len(hv) - 1, max_factor_values).round().astype(int)
+        if len(hv) > 512:
+            idx = np.linspace(0, len(hv) - 1, 512).round().astype(int)
             hv = hv[idx]
         chi_p = self.cutoff.prime(np.linspace(0.0, 1.0, s_count))
         return (chi_p if self.mirrored else -chi_p), hv
@@ -646,8 +638,8 @@ def _ramp_side(k: float, values):
     return hmax if below else None
 
 
-def build_g(sys: ConformalSystem, k: float, t_window, cutoff: CutoffFunction = None,
-            points=None, max_terms: int = 100_000, order: int = 1) -> GConstruction:
+def build_g(sys: ConformalSystem, k: float, t_window, points=None,
+            max_terms: int = 100_000, order: int = 1) -> GConstruction:
     """Assemble g for the averaged factor A = A_order(h), which must avoid k
     (A < k or A > k uniformly on the sampled points).
 
@@ -656,7 +648,8 @@ def build_g(sys: ConformalSystem, k: float, t_window, cutoff: CutoffFunction = N
     one-signed slope would force a cutoff with sup slope below 1, which no
     0 -> 1 transition can deliver).  A > k is the mirrored branch: the
     direct construction for (psi^{-1}, -A o psi^{-1}, -k), whose factor is
-    sampled on psi^{-1} of the points.
+    sampled on psi^{-1} of the points.  The cutoff's sup slope stays below
+    1 / (1 - eps / k), eps half the gap between k and the sampled A.
     """
     k = float(k)
     lo, hi = float(t_window[0]), float(t_window[1])
@@ -672,14 +665,8 @@ def build_g(sys: ConformalSystem, k: float, t_window, cutoff: CutoffFunction = N
     if mirrored:
         top = _ramp_side(-k, -_averaged_tables(sys, order, pts, 0, 1)[1][0])
     k_direct = -k if mirrored else k
-    eps = 0.5 * (k_direct - top)
-    bound = 1.0 / (1.0 - eps / k_direct)
-    if cutoff is None:
-        cutoff = build_cutoff(bound)
-    elif cutoff.derivative_sup >= bound:
-        raise InfeasibleError(
-            f"supplied cutoff slope {cutoff.derivative_sup:.6g} >= required bound {bound:.6g}")
-    return GConstruction(sys, k, eps, cutoff, (lo, hi), mirrored, max_terms, order)
+    cutoff = build_cutoff(1.0 / (1.0 - 0.5 * (k_direct - top) / k_direct))
+    return GConstruction(sys, k, cutoff, (lo, hi), mirrored, max_terms, order)
 
 
 @dataclass
@@ -688,14 +675,6 @@ class MuReport:
     residual_max: float
     n_samples: int
     slope_margin: float
-
-    def to_json(self):
-        return {
-            "n_used": self.n_used,
-            "residual_max": self.residual_max,
-            "n_samples": self.n_samples,
-            "slope_margin": self.slope_margin,
-        }
 
 
 @dataclass
@@ -714,7 +693,6 @@ class MuConstruction:
     n_used: int
     gcons: GConstruction
     report: MuReport = None
-    _invert_tol: float = 1e-12
 
     def f_n(self, x):
         """The transfer potential f_n at a batch of points, from one orbit walk
@@ -735,10 +713,11 @@ class MuConstruction:
 
         Per sample: expand a bracket around s / k (doubling steps, refused
         past half the term budget), bisect it to width 1e-3, then run at most
-        60 safeguarded Newton steps.  The steps are masked array updates, so
-        a sample takes exactly the steps it would take alone.  Bisection and
-        Newton only ask for times inside the final brackets, so the tables of
-        A are walked once, for the whole sample, at the rows those need.
+        60 safeguarded Newton steps, to a residual of 1e-12 max(1, |k|).  The
+        steps are masked array updates, so a sample takes exactly the steps it
+        would take alone.  Bisection and Newton only ask for times inside the
+        final brackets, so the tables of A are walked once, for the whole
+        sample, at the rows those need.
         """
         pts, single = point_batch(self.sys.space, x)
         target = np.broadcast_to(np.asarray(s, dtype=float), (len(pts),)) - self.f_n(pts)
@@ -771,7 +750,7 @@ class MuConstruction:
             hi[act[~below]] = mid[~below]
             act = act[hi[act] - lo[act] > 1e-3]
         t = 0.5 * (lo + hi)
-        tol = self._invert_tol * max(1.0, abs(k))
+        tol = 1e-12 * max(1.0, abs(k))
         act = np.arange(len(pts))
         for _ in range(60):
             if not act.size:
@@ -796,8 +775,9 @@ class MuConstruction:
     def mu(self, x, s):
         return -self.k * self.invert_sigma_t(x, s)
 
-    def mu_cocycle_residual(self, samples: int = 1000, rng=None, t_scale: float = None) -> float:
-        """max |mu(rho(x,t)) - mu(x,t) + k| over random samples.
+    def mu_cocycle_residual(self, samples: int = 1000, rng=None) -> float:
+        """max |mu(rho(x,t)) - mu(x,t) + k| over random samples, with t drawn
+        from the middle half of the t-window.
 
         The samples are drawn one (x, t) pair at a time, x first, so the draws
         do not depend on the batching; mu then runs once on rho(x, t) and once
@@ -805,8 +785,7 @@ class MuConstruction:
         """
         rng = np.random.default_rng(rng)
         sys = self.sys
-        lo, hi = self.gcons.t_window
-        lo, hi = (0.5 * lo, 0.5 * hi) if t_scale is None else (-t_scale, t_scale)
+        lo, hi = (0.5 * t for t in self.gcons.t_window)
         draws = [(_random_point(sys, rng), rng.uniform(lo, hi)) for _ in range(samples)]
         if not draws:
             return 0.0

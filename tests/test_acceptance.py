@@ -21,6 +21,8 @@ from lcsdyn import (
     birkhoff_table,
     build_g,
     build_mu,
+    coboundary_optima,
+    coboundary_residual_curve,
     coboundary_system,
     cycle_mean_extrema,
     elasticity_from_profile,
@@ -28,13 +30,11 @@ from lcsdyn import (
     first_kind_test,
     limit_estimates,
     mapping_torus_profile,
-    minmax_coboundary,
-    properness_probe,
+    probe_sweep,
     rotation_system,
     strict_rotation_system,
 )
 from lcsdyn import cli
-from lcsdyn.birkhoff import coboundary_residual_curve
 from lcsdyn.core import GOLDEN_ANGLE
 from lcsdyn.elastic import LiouvilleProfile
 from lcsdyn.torus import VERDICT_ESCAPE, VERDICT_RECURRENT
@@ -63,7 +63,7 @@ def test_criterion_1_exact_finite_oracle():
     for _ in range(50):
         sys = random_permutation_system(rng, max_states=64, h_low=-10, h_high=10)
         dec = cycle_mean_extrema(sys)
-        opt = minmax_coboundary(sys, method="exact_finite")
+        opt = coboundary_optima(sys, method="exact_finite")[1]
         est = limit_estimates(birkhoff_table(sys, n_max=4))
         assert isinstance(opt.value, Fraction)
         assert opt.value == dec.max_mean == est.L_plus  # tolerance 0
@@ -80,11 +80,9 @@ def test_criterion_2_transfer_identity():
         finite_permutation_system([1, 0, 2], [0, 4, 1]),
         random_permutation_system(rng, max_states=12),
     ]
-    from lcsdyn import coboundary_residual
-
     for sys in finites:
         for n in range(1, 51):
-            assert coboundary_residual(sys, n) == 0
+            assert coboundary_residual_curve(sys, n)[-1] == 0
     rot = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]},
                           grid_resolution=1024)
     curve = coboundary_residual_curve(rot, 500, 1024)
@@ -167,20 +165,19 @@ def test_criterion_4_strict_case(strict4096, strict_table, tmp_path):
 
 
 def test_criterion_5_properness_probe(strict4096):
-    rep0 = properness_probe(TorusAction(strict4096, 0.0), n_max=10_000, starts=64)
+    rep0, rep5 = probe_sweep(strict4096, [0.0, 0.5], n_max=10_000, starts=64)
     assert rep0.verdict == VERDICT_RECURRENT
     assert rep0.witness is not None and 1 <= rep0.witness.n <= 10_000
     lo, hi = rep0.band
     assert lo - 1e-9 <= rep0.witness.t <= hi + 1e-9
 
-    rep5 = properness_probe(TorusAction(strict4096, 0.5), n_max=10_000, starts=64)
     assert rep5.verdict == VERDICT_ESCAPE
     V = 2.0
     w = rep5.band[1] - rep5.band[0]
     assert rep5.escape_bound <= math.ceil(2 * V / 0.5) + math.ceil(w / 0.5)
 
     const = rotation_system(0.5, 0.2, grid_resolution=256)
-    repc = properness_probe(TorusAction(const, 0.2), n_max=1000)
+    repc, = probe_sweep(const, [0.2], n_max=1000)
     assert repc.verdict == VERDICT_RECURRENT and repc.witness.n == 1
     _ok(5, f"k=0 recurrent (witness n={rep0.witness.n}), k=0.5 escape "
            f"(N0={rep5.escape_bound}), constant recurrent at n=1")

@@ -12,7 +12,7 @@ from lcsdyn import (
     admissible_set,
     birkhoff_extrema,
     birkhoff_table,
-    coboundary_residual,
+    coboundary_residual_curve,
     coboundary_system,
     finite_permutation_system,
     limit_estimates,
@@ -20,7 +20,6 @@ from lcsdyn import (
     transfer_potential,
 )
 from lcsdyn.birkhoff import (
-    coboundary_residual_curve,
     extrema_to_csv,
     table_to_csv,
     transfer_potential_values,
@@ -117,23 +116,24 @@ def test_transfer_potential_is_a_walk_of_one_point(golden_cos, n):
 def test_transfer_potential_cycle_exact(cycle3):
     f3 = transfer_potential(cycle3, 3)
     assert [f3(i) for i in range(3)] == [Fraction(4, 3), Fraction(7, 3), Fraction(7, 3)]
-    assert coboundary_residual(cycle3, 3) == 0
+    assert coboundary_residual_curve(cycle3, 3)[-1] == 0
 
 
 def test_coboundary_residual_finite_exact(cycle3, swap_pair):
     for sys in (cycle3, swap_pair):
         for n in (1, 2, 5, 17, 50):
-            assert coboundary_residual(sys, n) == 0
+            worst = coboundary_residual_curve(sys, n)[-1]
+            assert isinstance(worst, Fraction) and worst == 0
 
 
 def test_coboundary_residual_rotation_grid(golden_cos):
-    assert coboundary_residual(golden_cos, 1, 128) == 0
-    assert coboundary_residual(golden_cos, 100, 128) <= 1e-9
+    assert coboundary_residual_curve(golden_cos, 1, 128)[-1] == 0
+    assert coboundary_residual_curve(golden_cos, 100, 128)[-1] <= 1e-9
     curve = coboundary_residual_curve(golden_cos, 60, 128)
     assert curve.shape == (60,)
     assert curve.max() <= 1e-9
-    for n in (1, 2, 17, 60):
-        assert curve[n - 1] == pytest.approx(coboundary_residual(golden_cos, n, 128),
+    for n in (1, 2, 17, 60):  # entry n - 1 does not depend on the curve's length
+        assert curve[n - 1] == pytest.approx(coboundary_residual_curve(golden_cos, n, 128)[-1],
                                              abs=1e-12)
 
 
@@ -305,6 +305,22 @@ def test_admissible_set_classification(swap_pair):
     assert adm.classify(2) == "not_admissible"  # closed gap endpoint
 
 
+@pytest.mark.parametrize("mean", ["1/3", "1/4", "-2/7"])
+def test_exact_gap_is_compared_exactly(mean):
+    # the floats around an exact gap endpoint, against a Fraction oracle: a
+    # Fraction minus a float tolerance 0.0 was a float, so float(1/3) < 1/3
+    # was classified inside the gap
+    sys = finite_permutation_system([0], [mean])
+    adm = admissible_set(limit_estimates(birkhoff_extrema(sys, n_max=2)))
+    assert adm.exact and adm.tolerance == 0.0 and adm.to_json()["tolerance"] == 0.0
+    m = Fraction(mean)
+    near = float(m)
+    for k in (math.nextafter(near, -math.inf), near, math.nextafter(near, math.inf)):
+        inside = Fraction(k) == m
+        assert adm.contains(k) == (not inside)
+        assert adm.classify(k) == ("not_admissible" if inside else "admissible")
+
+
 def test_action_power_matches_average_displacement(swap_pair):
     # n (k - A_n(h)(x)) is the t-displacement of the n-th action power
     t = birkhoff_table(swap_pair, n_max=12)
@@ -324,20 +340,22 @@ def test_torus2_table_and_residual():
     t = birkhoff_table(sys, 16, n_max=25)
     assert np.all(t.env_minus <= t.averages + 1e-15)
     assert np.all(t.averages <= t.env_plus + 1e-15)
-    assert coboundary_residual(sys, 20, 8) <= 1e-9
+    assert coboundary_residual_curve(sys, 20, 8)[-1] <= 1e-9
 
 
 def test_csv_exports(tmp_path, swap_pair):
     t = birkhoff_table(swap_pair, n_max=4)
     full = tmp_path / "table.csv"
     table_to_csv(t, full)
-    rows = list(csv.reader(open(full)))
+    with open(full, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["point", "n", "S_n", "A_n", "env_minus", "env_plus"]
     assert len(rows) == 1 + 3 * 4
     assert rows[1][2] == "0"  # S_1(0) = h(0) = 0, exact
     ext = tmp_path / "ext.csv"
     extrema_to_csv(t, ext)
-    rows = list(csv.reader(open(ext)))
+    with open(ext, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][0] == "n" and len(rows) == 5
 
 

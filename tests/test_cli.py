@@ -637,6 +637,36 @@ def test_k_range_stops_at_b(k_range, want):
     assert ks == np.arange(a, b + 0.5 * step, step).tolist()[:len(want)]
 
 
+def test_k_range_sizes_are_a_plus_i_step(tmp_path):
+    # arange stepped by (a + step) - a: its middle size was -1.1e-16, which the
+    # strict golden rotation's probe certified as escaping, and its last size
+    # 0.4999999999999998
+    report, code = cli.run(cli.RunConfig(
+        command="probe", system={**STRICT_SYSTEM, "space": {"kind": "circle",
+                                                             "grid_resolution": 16}},
+        n_max=200, k_range=(-0.5, 0.5, 0.1), out=str(tmp_path / "r")))
+    assert code == 0
+    reports = report["payload"]["reports"]
+    assert [r["k"] for r in reports] == [-0.5 + i * 0.1 for i in range(11)]
+    assert reports[5]["k"] == 0.0 and reports[5]["verdict"] != VERDICT_ESCAPE
+    assert reports[-1]["k"] == 0.5
+
+
+def test_a_float_near_an_exact_gap_is_classified_exactly(tmp_path):
+    # float(1/3) lies below 1/3, so it is admissible, and its probe escapes
+    system = {"space": {"kind": "finite", "size": 1},
+              "map": {"type": "permutation", "table": [0]}, "factor": ["1/3"]}
+    k = float(Fraction(1, 3))
+    adm, code = cli.run(cli.RunConfig(command="admissible", system=system, n_max=4, k=k,
+                                      out=str(tmp_path / "a")))
+    assert code == 0 and adm["payload"]["admissible_set"]["exact"] is True
+    assert adm["payload"]["admissible_set"]["tolerance"] == 0.0
+    assert adm["payload"]["classifications"] == [{"k": k, "verdict": "admissible"}]
+    probe, code = cli.run(cli.RunConfig(command="probe", system=system, n_max=4, k=k,
+                                        out=str(tmp_path / "p")))
+    assert code == 0 and probe["payload"]["reports"][0]["verdict"] == VERDICT_ESCAPE
+
+
 @pytest.mark.parametrize("grid", ["abc", 2.5, 0, -3, True, [], {"grid": "abc"},
                                   {"grid": 8, "seed": [0.1]}, {"seeds": 0.5}])
 def test_malformed_grid_is_a_validation_error(tmp_path, capsys, grid):

@@ -19,6 +19,7 @@ from lcsdyn import (
     strict_rotation_system,
 )
 from lcsdyn.core import (
+    DEFAULT_MAX_ITERATIONS,
     ModelSpace,
     eval_factor,
     eval_factor_like,
@@ -51,7 +52,7 @@ def test_iterate_identity_case(cycle3, const_rotation):
 def test_iterate_budget():
     sys = rotation_system(0.1, 0.0)
     with pytest.raises(BudgetError):
-        iterate(sys, 0.0, 11, max_iterations=10)
+        iterate(sys, 0.0, DEFAULT_MAX_ITERATIONS + 1)
 
 
 def test_domain_errors(cycle3):

@@ -338,10 +338,9 @@ def test_a_zero_certificate_is_the_first_largest_edge(succ, hv):
 ])
 def test_optimize_walks_the_states_once(tmp_path, monkeypatch, system, method, grid):
     # the max-min and the min-max read one cycle record, and equal the
-    # one-sign functions, which walk once each
+    # optima of separate walks
     sys_ = cli.system_from_config(system)
-    lo, hi = (solve(sys_, method=method, points=grid)
-              for solve in (ergopt.maxmin_coboundary, ergopt.minmax_coboundary))
+    lo, hi = (ergopt.coboundary_optima(sys_, method=method, points=grid)[i] for i in (0, 1))
     calls, walk = [], ergopt._functional_cycles
 
     def counted(*args, **kwargs):

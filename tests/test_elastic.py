@@ -16,18 +16,23 @@ from lcsdyn import (
     rotation_system,
 )
 from lcsdyn.core import ValidationError
-from lcsdyn.elastic import _BLOCK, degeneracy_criterion, profile_from_csv
+from lcsdyn.elastic import _BLOCK, profile_from_csv
 
 
 def in_intervals(intervals, c, slack=1e-12):
     return any(a - slack <= c <= b + slack for a, b in intervals)
 
 
+def forbids(es, c):
+    """c lies in a closed forbidden interval of es."""
+    return in_intervals(es.forbidden, c, slack=0)
+
+
 def test_first_kind_profile():
     p = LiouvilleProfile(np.full(16, -1.0))
     es = elasticity_from_profile(p)
     assert es.forbidden == [(0.0, 0.0)]
-    assert es.allows(1.0) and es.allows(-2.5) and not es.allows(0.0)
+    assert not forbids(es, 1.0) and not forbids(es, -2.5) and forbids(es, 0.0)
     assert first_kind_test(p)
 
 
@@ -60,7 +65,7 @@ def test_first_kind_near_miss():
     p = LiouvilleProfile(np.concatenate([np.full(9, -1.0), [-0.5]]))
     assert not first_kind_test(p)
     es = elasticity_from_profile(p)
-    assert not es.allows(0.0) and not es.allows(-1.0)  # (1-0.5)/(-0.5) = -1
+    assert forbids(es, 0.0) and forbids(es, -1.0)  # (1-0.5)/(-0.5) = -1
 
 
 def test_zero_samples_contribute_nothing():
@@ -77,8 +82,8 @@ def test_elasticity_open_complement():
     p = LiouvilleProfile(np.array([0.5, 0.51, 0.52, 3.0]))
     es = elasticity_from_profile(p, gap_resolution=0.05)
     for a, b in es.forbidden:
-        assert not es.allows(a) and not es.allows(b)
-    assert es.allows(a - 1e-9) or in_intervals(es.forbidden, a - 1e-9)
+        assert forbids(es, a) and forbids(es, b)
+    assert not forbids(es, a - 1e-9) or in_intervals(es.forbidden, a - 1e-9)
 
 
 def test_profile_validation():
@@ -148,7 +153,7 @@ def test_mapping_torus_profile_constant(const_rotation):
     hi = max(b for _, b in es.forbidden)
     assert lo >= -1e-12
     assert hi < 1.0
-    assert es.allows(1.0)
+    assert not forbids(es, 1.0)
     assert es.equality and not es.contains_zero_u
 
 
@@ -164,7 +169,7 @@ def test_mapping_torus_profile_links_to_gap(const_rotation):
     prof = mapping_torus_profile(const_rotation, 1.0, (-10, 10))
     es = elasticity_from_profile(prof, gap_resolution=5e-3)
     for c in np.arange(-3, 3, 0.01):
-        if es.allows(c) and not in_intervals(es.forbidden, c, slack=1e-3):
+        if not forbids(es, c) and not in_intervals(es.forbidden, c, slack=1e-3):
             assert not (0.2 - 1e-3 <= c * 1.0 <= 0.2 + 1e-3)
 
 
@@ -272,8 +277,6 @@ def test_factored_profile_matches_its_array(monkeypatch, block):
         assert fresh.size == u.size
         assert fresh.bounds == (float(u.min()), float(u.max()))
         assert first_kind_test(fresh) == bool(np.all(np.abs(u + 1.0) <= 1e-9))
-        for c in (0.0, 0.5, 3.0):
-            assert degeneracy_criterion(fresh, c) == float(np.min(np.abs(1.0 + (1.0 - c) * u)))
         assert np.array_equal(fresh.samples, u)
 
 
@@ -349,7 +352,7 @@ def test_distinct_reductions_equal_the_full_array(monkeypatch, block):
     slopes, values = _repeating_factors(np.random.default_rng(5))
     distinct = np.unique(slopes).size * np.unique(values).size
     assert distinct < slopes.size * values.size // 20
-    gaps, cs = (1e-3, 0.05), (0.0, 0.5, 3.0, -2.0)
+    gaps = (1e-3, 0.05)
     # k = -0.3 and -1e-13 change the sign of s v + k (bounds run the pass);
     # |k| = 1e-13 gives |u| < 1e-12, a zero u
     cases = []
@@ -357,9 +360,9 @@ def test_distinct_reductions_equal_the_full_array(monkeypatch, block):
         u = -k / (np.multiply.outer(slopes, values).ravel() + k)
         array = LiouvilleProfile(u)  # reduced at the default block size
         cases.append((k, u, [elasticity_from_profile(array, gap) for gap in gaps],
-                      array.bounds, [degeneracy_criterion(array, c) for c in cs]))
+                      array.bounds))
     monkeypatch.setattr(el, "_BLOCK", block)
-    for k, u, array_es, array_bounds, array_degeneracy in cases:
+    for k, u, array_es, array_bounds in cases:
         def factored():
             return LiouvilleProfile(factors=(slopes, values, k))
 
@@ -369,9 +372,6 @@ def test_distinct_reductions_equal_the_full_array(monkeypatch, block):
             assert repr(es.forbidden) == repr(_live_reference(u, gap)) == repr(want.forbidden)
             assert es.contains_zero_u == bool(np.any(np.abs(u) < 1e-12)) == want.contains_zero_u
         assert factored().bounds == (float(u.min()), float(u.max())) == array_bounds
-        for c, want in zip(cs, array_degeneracy):
-            assert degeneracy_criterion(factored(), c) == float(
-                np.min(np.abs(1.0 + (1.0 - c) * u))) == want
         profile = factored()
         assert profile.size == slopes.size * values.size
         assert np.array_equal(profile.samples, u)

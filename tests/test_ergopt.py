@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from lcsdyn import (
     birkhoff_table,
     cat_map_system,
+    coboundary_optima,
     coboundary_system,
     cycle_mean_extrema,
     finite_permutation_system,
     is_strict_finite,
     limit_estimates,
-    maxmin_coboundary,
-    minmax_coboundary,
     rotation_system,
     strict_rotation_system,
 )
@@ -46,7 +45,7 @@ def test_cycle_single_full_cycle(cycle3):
 
 
 def test_minmax_exact(swap_pair):
-    res = minmax_coboundary(swap_pair)
+    res = coboundary_optima(swap_pair)[1]
     assert res.value == 2
     assert res.certificate == 0
     # the potential witnesses the optimum: max over states equals the value
@@ -59,22 +58,22 @@ def test_minmax_exact(swap_pair):
 
 def test_minmax_strict_coboundary_case():
     sys = finite_permutation_system([1, 0], [3, -3])
-    res = minmax_coboundary(sys)
+    res = coboundary_optima(sys)[1]
     assert res.value == 0 and res.certificate == 0
 
 
 def test_minmax_constant():
     sys = finite_permutation_system([1, 2, 0], [Fraction(1, 3)] * 3)
-    res = minmax_coboundary(sys)
+    res = coboundary_optima(sys)[1]
     assert res.value == Fraction(1, 3)
 
 
 def test_maxmin_examples(swap_pair):
-    assert maxmin_coboundary(swap_pair).value == 1
+    assert coboundary_optima(swap_pair)[0].value == 1
     sys = finite_permutation_system([1, 0], [3, -3])
-    assert maxmin_coboundary(sys).value == 0
+    assert coboundary_optima(sys)[0].value == 0
     const = finite_permutation_system([2, 0, 1], [Fraction(5, 2)] * 3)
-    assert maxmin_coboundary(const).value == Fraction(5, 2)
+    assert coboundary_optima(const)[0].value == Fraction(5, 2)
 
 
 def test_bound_consistency_on_grids(golden_strict):
@@ -82,23 +81,22 @@ def test_bound_consistency_on_grids(golden_strict):
     # the telescoping tolerance of the true optimum 0
     n_max = 500
     est = limit_estimates(birkhoff_table(golden_strict, 512, n_max=n_max))
-    res = minmax_coboundary(golden_strict, method="birkhoff_fn", n=n_max, points=512)
+    res = coboundary_optima(golden_strict, method="birkhoff_fn", n=n_max, points=512)[1]
     combined = 2.0 * est.error_bound
     assert abs(res.value - est.L_plus) <= combined
 
 
 def test_method_space_mismatch(swap_pair, golden_cos):
     with pytest.raises(ValidationError):
-        minmax_coboundary(golden_cos, method="exact_finite")
+        coboundary_optima(golden_cos, method="exact_finite")
     with pytest.raises(ValidationError):
-        minmax_coboundary(swap_pair, method="birkhoff_fn")
+        coboundary_optima(swap_pair, method="birkhoff_fn")
 
 
 def test_birkhoff_fn_refuses_order_zero(golden_cos):
     # n = 0 used to run as the default n = 64
-    for solve in (minmax_coboundary, maxmin_coboundary):
-        with pytest.raises(ValidationError, match="n must be >= 1"):
-            solve(golden_cos, method="birkhoff_fn", n=0)
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        coboundary_optima(golden_cos, method="birkhoff_fn", n=0)
 
 
 @given(st.integers(0, 2**20))
@@ -107,11 +105,10 @@ def test_duality_and_exact_agreement(seed):
     rng = np.random.default_rng(seed)
     sys = random_permutation_system(rng, max_states=12)
     dec = cycle_mean_extrema(sys)
-    hi = minmax_coboundary(sys)
-    lo = maxmin_coboundary(sys)
+    lo, hi = coboundary_optima(sys)
     # duality against the negated problem, and agreement with the cycle oracle
     neg = finite_permutation_system(sys.perm_table, [-v for v in sys.factor_table])
-    assert lo.value == -minmax_coboundary(neg).value
+    assert lo.value == -coboundary_optima(neg)[1].value
     assert hi.value == dec.max_mean
     assert lo.value == dec.min_mean
     est = limit_estimates(birkhoff_table(sys, n_max=4))
@@ -159,8 +156,8 @@ def test_maxmin_is_minus_minmax_of_the_declared_negation(case, method):
     sys, neg = _declared_pair(case)
     if method == "exact_finite":
         assert sys.exact == (case == "table")
-    lo = maxmin_coboundary(sys, method=method, n=9)
-    hi = minmax_coboundary(neg, method=method, n=9)
+    lo, hi_sys = coboundary_optima(sys, method=method, n=9)
+    lo_neg, hi = coboundary_optima(neg, method=method, n=9)
     assert _bits(lo.value) == _bits(-hi.value)
     assert _bits(lo.certificate) == _bits(hi.certificate)
     assert lo.method == hi.method
@@ -174,8 +171,7 @@ def test_maxmin_is_minus_minmax_of_the_declared_negation(case, method):
         pts = sys.space.sample_points(5)
         assert [lo.potential(x) for x in pts] == [-hi.potential(x) for x in pts]
     # and the converse, minmax(h) = -maxmin(-h)
-    assert _bits(minmax_coboundary(sys, method=method, n=9).value) == \
-        _bits(-maxmin_coboundary(neg, method=method, n=9).value)
+    assert _bits(hi_sys.value) == _bits(-lo_neg.value)
 
 
 @given(st.integers(0, 2**20))
@@ -183,8 +179,7 @@ def test_maxmin_is_minus_minmax_of_the_declared_negation(case, method):
 def test_sandwich_every_order(seed):
     rng = np.random.default_rng(seed)
     sys = random_permutation_system(rng, max_states=10)
-    hi = minmax_coboundary(sys).value
-    lo = maxmin_coboundary(sys).value
+    lo, hi = (res.value for res in coboundary_optima(sys))
     t = birkhoff_table(sys, n_max=20)
     for n in range(20):
         assert min(t.averages[n]) <= lo <= hi <= max(t.averages[n])
@@ -198,8 +193,8 @@ def test_gauge_invariance_of_optimum(seed):
     m = len(sys.perm_table)
     f0_vals = [int(v) for v in rng.integers(-5, 6, size=m)]
     shifted = coboundary_system(sys, lambda i: -f0_vals[int(i)])
-    assert minmax_coboundary(shifted).value == minmax_coboundary(sys).value
-    assert maxmin_coboundary(shifted).value == maxmin_coboundary(sys).value
+    for mine, base in zip(coboundary_optima(shifted), coboundary_optima(sys)):
+        assert mine.value == base.value
 
 
 def test_is_strict_examples():
@@ -226,25 +221,23 @@ def test_strictness_consistency(seed):
     ok, f = is_strict_finite(sys)
     assert ok
     assert all(f[i] - f[table[i]] == h[i] for i in range(m))
-    assert minmax_coboundary(sys).value == 0
-    assert maxmin_coboundary(sys).value == 0
+    assert [res.value for res in coboundary_optima(sys)] == [0, 0]
 
 
 def test_birkhoff_fn_upper_bound(golden_strict):
-    res = minmax_coboundary(golden_strict, method="birkhoff_fn", n=50, points=256)
+    res = coboundary_optima(golden_strict, method="birkhoff_fn", n=50, points=256)[1]
     # exact optimum is 0; the sampled bound sits above it and shrinks with n
     assert res.value >= -1e-12
     assert res.value <= 4.0 / 50
     assert res.certificate <= 1e-12
-    coarse = minmax_coboundary(golden_strict, method="birkhoff_fn", n=5, points=256)
+    coarse = coboundary_optima(golden_strict, method="birkhoff_fn", n=5, points=256)[1]
     assert res.value <= coarse.value + 1e-12
 
 
 def test_grid_descent_heuristic(golden_strict):
-    res = minmax_coboundary(golden_strict, method="grid_descent", points=128)
+    lo, res = coboundary_optima(golden_strict, method="grid_descent", points=128)
     assert "heuristic" in res.method
     assert abs(res.value) < 0.1  # true optimum is 0; snapped value is close
-    lo = maxmin_coboundary(golden_strict, method="grid_descent", points=128)
     assert lo.value <= res.value + 1e-9
 
 
@@ -290,8 +283,7 @@ def test_grid_descent_equals_snapped_cycle_means(case):
         points = 16
         succ, h = _snapped_cat(16)
     means = _snapped_cycle_means(succ, h)
-    hi = minmax_coboundary(sys, method="grid_descent", points=points)
-    lo = maxmin_coboundary(sys, method="grid_descent", points=points)
+    lo, hi = coboundary_optima(sys, method="grid_descent", points=points)
     assert hi.value == pytest.approx(max(means), abs=1e-12)
     assert lo.value == pytest.approx(min(means), abs=1e-12)
 
@@ -303,8 +295,7 @@ def test_grid_descent_half_step_rotation_trees():
     sys = rotation_system(0.5 / P, {"type": "trig", "cos": [[1, 1.0]]}, grid_resolution=P)
     succ, h = _snapped_rotation(0.5 / P, P)
     assert succ[:4] == [0, 2, 2, 4]
-    hi = minmax_coboundary(sys, method="grid_descent", points=P)
-    lo = maxmin_coboundary(sys, method="grid_descent", points=P)
+    lo, hi = coboundary_optima(sys, method="grid_descent", points=P)
     assert hi.value == 1.0 and lo.value == -1.0
     assert max(_snapped_cycle_means(succ, h)) == 1.0
     for res, sign in ((hi, 1.0), (lo, -1.0)):

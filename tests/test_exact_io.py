@@ -29,7 +29,7 @@ from lcsdyn.core import (
     strict_rotation_system,
     sum_dtype,
 )
-from lcsdyn.ergopt import minmax_coboundary
+from lcsdyn.ergopt import coboundary_optima
 
 from conftest import scalar_factor
 
@@ -342,7 +342,7 @@ def test_artifacts_are_byte_identical_to_the_fraction_writers(tmp_path, make, n_
         assert (tmp_path / f"new-{name}").read_bytes() == (tmp_path / f"old-{name}").read_bytes()
     if sys.space.kind != "finite":
         return
-    result = minmax_coboundary(sys)
+    result = coboundary_optima(sys)[1]
     if sys.exact:
         assert isinstance(result.potential_table, RationalTable)
         if make is _object_perm:

@@ -14,7 +14,7 @@ from lcsdyn import (
     build_mu,
     cycle_mean_extrema,
     finite_permutation_system,
-    properness_probe,
+    probe_sweep,
     rotation_system,
 )
 from lcsdyn.core import BudgetError, DomainError, ValidationError
@@ -26,7 +26,6 @@ from lcsdyn.torus import (
     VERDICT_RECURRENT,
     _cumulative_simpson,
     action_step_inverse,
-    band_interval,
     _cycle_residual_bound,
     conjugation_residual,
 )
@@ -160,30 +159,29 @@ def test_power_matches_steps_rotation(golden_cos):
 
 
 def test_band_interval(swap_pair):
-    lo, hi = band_interval(swap_pair, 3.0)
+    lo, hi = probe_sweep(swap_pair, [3.0], n_max=1)[0].band
     assert lo == pytest.approx(-4.0)
     assert hi == pytest.approx(1.0)
 
 
 def test_band_contains_zero_when_k_between_bounds(golden_cos):
     # factor range is [-1, 1]; any size inside it keeps 0 in the band
-    for k in (-0.9, -0.2, 0.0, 0.4, 1.0):
-        lo, hi = band_interval(golden_cos, k)
+    for rep in probe_sweep(golden_cos, [-0.9, -0.2, 0.0, 0.4, 1.0], n_max=1):
+        lo, hi = rep.band
         assert lo <= 0.0 <= hi
         assert lo < hi
 
 
 def test_probe_constant_recurrent(const_rotation):
-    rep = properness_probe(TorusAction(const_rotation, 0.2), n_max=200)
+    rep, = probe_sweep(const_rotation, [0.2], n_max=200)
     assert rep.verdict == VERDICT_RECURRENT
     assert rep.witness.n == 1
 
 
 def test_probe_strict_cases(golden_strict):
-    rep0 = properness_probe(TorusAction(golden_strict, 0.0), n_max=2000)
+    rep0, rep5 = probe_sweep(golden_strict, [0.0, 0.5], n_max=2000)
     assert rep0.verdict == VERDICT_RECURRENT
     assert rep0.witness.n <= 3 * golden_strict.space.grid_resolution
-    rep5 = properness_probe(TorusAction(golden_strict, 0.5), n_max=2000)
     assert rep5.verdict == VERDICT_ESCAPE
     assert rep5.certificate == "telescoping-bound"
     lo, hi = rep5.band
@@ -193,9 +191,9 @@ def test_probe_strict_cases(golden_strict):
 
 def test_probe_finite_exact(swap_pair):
     # cycle means are 2 and 1: sizes off the means escape, means recur
-    for k, verdict in ((3.0, VERDICT_ESCAPE), (1.5, VERDICT_ESCAPE),
-                       (2.0, VERDICT_RECURRENT), (1.0, VERDICT_RECURRENT)):
-        rep = properness_probe(TorusAction(swap_pair, k), n_max=50)
+    cases = ((3.0, VERDICT_ESCAPE), (1.5, VERDICT_ESCAPE),
+             (2.0, VERDICT_RECURRENT), (1.0, VERDICT_RECURRENT))
+    for (k, verdict), rep in zip(cases, probe_sweep(swap_pair, [k for k, _ in cases], n_max=50)):
         assert rep.verdict == verdict, k
         assert rep.certificate == "cycle-exact"
         assert not rep.heuristic
@@ -236,23 +234,25 @@ def test_probe_cat_map_escape():
 
     sys = cat_map_system({"type": "trig2", "terms": [[1, 0, 0.3, 0.0]]},
                          grid_resolution=16)
-    rep = properness_probe(TorusAction(sys, 2.0), n_max=300, starts=16)
+    rep, = probe_sweep(sys, [2.0], n_max=300, starts=16)
     assert rep.verdict == VERDICT_ESCAPE
     assert rep.heuristic
 
 
 def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
     """One size probed on its own, as before sweeps shared work: its own factor
-    range, cycle decomposition and whole (n_max, P) table of partial sums."""
+    range, cycle decomposition and whole (n_max, P) table of partial sums.
+    On an exact table k is a cycle mean only when Fraction(k) is one."""
     from lcsdyn import ergopt
-    from lcsdyn.core import eval_factor, orbit_array, reference_points
+    from lcsdyn.core import eval_factor, factor_range, orbit_array, reference_points
     from lcsdyn.torus import ProbeReport, Witness
 
     k = float(k)
     if starts is None:
         starts = sys.space.size if sys.space.kind == "finite" else 64
     pts = sys.space.sample_points(starts)
-    lo, hi = band_interval(sys, k)
+    hmin, hmax = factor_range(sys)
+    lo, hi = -max(hmax, k - hmin), -min(hmin, k - hmax)
     width = hi - lo
     heuristic = sys.space.kind != "finite"
 
@@ -266,8 +266,15 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
         R = _cycle_residual_bound(dec)
         means = [float(mean) for _cyc, mean in cycle_pairs(dec)]
         gaps = [abs(k - m) for m in means]
-        if min(gaps) > 1e-12:
-            n0 = max(int(math.floor((width + R) / g)) + 1 for g in gaps)
+        if sys.exact:
+            exact_gaps = [abs(Fraction(k) - mean) for _cyc, mean in cycle_pairs(dec)]
+            on_mean = 0 in exact_gaps
+        else:
+            on_mean = min(gaps) <= 1e-12
+        if not on_mean:
+            n0 = max(math.floor((width + R) / g) + 1 if g > 1e-12 else
+                     math.floor((Fraction(hi) - Fraction(lo) + R) / e) + 1
+                     for g, e in zip(gaps, exact_gaps if sys.exact else gaps))
             return report(VERDICT_ESCAPE, None, n0, "cycle-exact", False)
         idx = gaps.index(min(gaps))
         cyc, _ = cycle_pairs(dec)[idx]
@@ -337,7 +344,7 @@ def test_probe_sweep_equals_per_size_probes(name):
     sys, ks, n_max, starts, certificates = _sweep_case(name)
     sweep = [r.to_json() for r in probe_sweep(sys, ks, n_max=n_max, starts=starts)]
     assert sweep == [_probe_oracle(sys, k, n_max, starts).to_json() for k in ks]
-    assert sweep == [properness_probe(TorusAction(sys, k), n_max=n_max, starts=starts).to_json()
+    assert sweep == [probe_sweep(sys, [k], n_max=n_max, starts=starts)[0].to_json()
                      for k in ks]
     assert {r["certificate"] for r in sweep} == certificates
     if name == "cat16":
@@ -365,11 +372,34 @@ def test_probe_sweep_shares_the_k_independent_work(monkeypatch):
     assert calls == {"factor_range": 1, "cycles": 1, "residual": 1}
 
 
+def test_probe_decides_an_exact_cycle_mean_exactly():
+    # no float is 1/3: a float k near it drifts by the exact gap |k - 1/3|
+    # per step, so it escapes (the Fraction oracle: Fraction(k) is no cycle
+    # mean); a float within 1e-12 of it was taken for the mean
+    third = float(Fraction(1, 3))
+    ks = [math.nextafter(third, 0.0), third, math.nextafter(third, 1.0), 0.25, 0.375]
+    for values in (["1/3"], ["0", "2/3"], ["1/4", "1/2"]):
+        sys = finite_permutation_system(list(range(1, len(values))) + [0], values)
+        mean = sum(map(Fraction, values)) / len(values)  # the one cycle's mean
+        R = _brute_cycle_residual(sys)
+        for k, rep in zip(ks, probe_sweep(sys, ks, n_max=50)):
+            assert rep.certificate == "cycle-exact" and not rep.heuristic
+            if Fraction(k) == mean:
+                assert rep.verdict == VERDICT_RECURRENT and rep.witness.t == 0.0
+                continue
+            assert rep.verdict == VERDICT_ESCAPE, (values, k)
+            gap = abs(Fraction(k) - mean)
+            width = Fraction(rep.band[1]) - Fraction(rep.band[0]) + R
+            if gap <= 1e-12:  # the drift passes the band and the residual after the bound
+                assert rep.escape_bound == math.floor(width / gap) + 1
+                assert rep.escape_bound * gap > width
+
+
 def test_probe_inconclusive():
     # identity map: averages never move, no drift certificate; the two starts
     # brush the band early and then leave for the whole late window
     sys = rotation_system(0.0, {"type": "trig", "cos": [[1, 1.0]]})
-    rep = properness_probe(TorusAction(sys, 0.3), n_max=50, starts=[0.0, 0.3])
+    rep, = probe_sweep(sys, [0.3], n_max=50, starts=[0.0, 0.3])
     assert rep.verdict == VERDICT_INCONCLUSIVE
 
 
