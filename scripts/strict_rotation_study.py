@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+from dataclasses import asdict
 
 from lcsdyn import (
     birkhoff_extrema,
@@ -56,7 +57,7 @@ def main():
 
     mu = build_mu(sys_, 1.0, (-10, 10), samples=500, rng=args.seed)
     summary = {
-        "limit_estimate": est.to_json(),
+        "limit_estimate": asdict(est),
         "construction_k1": {
             "n_used": mu.n_used,
             "mu_residual": mu.report.residual_max,

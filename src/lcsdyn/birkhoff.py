@@ -110,16 +110,6 @@ class LimitEstimate:
     exact: bool
     stable: bool = True
 
-    def to_json(self):
-        return {
-            "L_minus": _num_json(self.L_minus),
-            "L_plus": _num_json(self.L_plus),
-            "n_used": self.n_used,
-            "error_bound": _num_json(self.error_bound),
-            "exact": self.exact,
-            "stable": self.stable,
-        }
-
 
 @dataclass
 class AdmissibleSet:
@@ -150,23 +140,6 @@ class AdmissibleSet:
             return "not_admissible"
         # within `tolerance` of a gap endpoint; decisive only for tolerance 0
         return "not_admissible" if self.tolerance == 0 else "boundary"
-
-    def to_json(self):
-        return {
-            "gap": [_num_json(self.gap_low), _num_json(self.gap_high)],
-            "rays": [["-inf", _num_json(self.gap_low)], [_num_json(self.gap_high), "+inf"]],
-            "excludes_zero": True,
-            "exact": self.exact,
-            "tolerance": self.tolerance,
-        }
-
-
-def _num_json(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, str):
-        return v
-    return float(v)
 
 
 _FRACTION = np.frompyfunc(Fraction, 2, 1)

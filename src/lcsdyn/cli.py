@@ -5,6 +5,12 @@ output directory as report.json and CSV files.  Identical config + seed give
 byte-identical report payloads, and finished payloads are cached under a hash
 of the canonicalized config.
 
+A handler returns its payload with the library's records in it as they are;
+one JSON hook (``_json_default``) encodes them, and the run keeps the
+normalised payload.  The warnings and the exit code are read off that
+payload (``_warnings``, ``_exit_code``), on a miss and on a cache hit alike,
+so a cache entry holds only the payload.
+
 Exit codes: 0 success, 2 validation error, 3 budget/NotFound, 4 an
 inconclusive verdict under --strict-verdict.
 """
@@ -21,7 +27,7 @@ import math
 import numbers
 import os
 import sys as _sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -172,16 +178,16 @@ def system_from_config(decl: dict, tolerances: dict | None = None):
         for what, seq in (("permutation table", table), ("factor values", values)):
             if not isinstance(seq, list):
                 raise ValidationError(f"{what} must be a list, got {seq!r}")
-        types = set(map(type, table))
-        if bool in types or not all(issubclass(t, int) for t in types):
-            raise ValidationError(f"permutation table entries must be integers, got {table!r}")
         return finite_permutation_system(table, values)
     raise ValidationError(f"unknown space kind {kind!r}")
 
 
 def _json_default(v):
-    """json's hook for the values it cannot encode itself: Fractions as
-    "p/q", NumPy arrays as lists and NumPy scalars as Python numbers."""
+    """json's hook for the values it cannot encode itself: a record (a
+    dataclass instance) as the object of its fields, Fractions as "p/q",
+    NumPy arrays as lists and NumPy scalars as Python numbers."""
+    if is_dataclass(v):
+        return {f.name: getattr(v, f.name) for f in fields(v)}
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, (np.ndarray, np.generic)):
@@ -258,31 +264,20 @@ def _k_values(config: RunConfig):
     return ks
 
 
-_ROUNDED = "float factor table: the cycle means carry a rounding error of at most error_bound"
-
-
-def _cmd_analyze(config, sys_, out_dir, warnings):
+def _cmd_analyze(config, sys_, out_dir):
     # the full per-point table is built only when birkhoff.csv is written
     points = _points_spec(config.grid, "grid")
     n_rows = len(sys_.space.sample_points(points)) * config.n_max
     reduce = birkhoff.birkhoff_table if n_rows <= MAX_TABLE_CSV_ROWS else birkhoff.birkhoff_extrema
     table = reduce(sys_, points, config.n_max)
     est = birkhoff.limit_estimates(table)
-    if not est.exact:
-        warnings.append(_ROUNDED if sys_.space.kind == "finite" else
-                        "limit estimate on a sampled grid is a lower/upper "
-                        "approximation, not a certified bound")
-    if est.error_bound == "heuristic":
-        warnings.append("no telescoping bound available: error_bound is heuristic")
     birkhoff.extrema_to_csv(table, os.path.join(out_dir, "envelopes.csv"))
     files = ["envelopes.csv"]
     if n_rows <= MAX_TABLE_CSV_ROWS:
         birkhoff.table_to_csv(table, os.path.join(out_dir, "birkhoff.csv"))
         files.append("birkhoff.csv")
-    else:
-        warnings.append(f"full table CSV skipped ({n_rows} rows); envelopes.csv kept")
     return {
-        "limit_estimate": est.to_json(),
+        "limit_estimate": est,
         "table_summary": {
             "points": len(table.points),
             "n_max": table.n_max,
@@ -292,40 +287,38 @@ def _cmd_analyze(config, sys_, out_dir, warnings):
     }
 
 
-def _cmd_admissible(config, sys_, out_dir, warnings):
+def _cmd_admissible(config, sys_, out_dir):
     table = birkhoff.birkhoff_extrema(sys_, _points_spec(config.grid, "grid"), config.n_max)
     est = birkhoff.limit_estimates(table)
     adm = birkhoff.admissible_set(est)
-    if not est.exact:
-        warnings.append(_ROUNDED if sys_.space.kind == "finite" else
-                        "gap endpoints are grid estimates; classifications near "
-                        "the boundary are not certified")
     classifications = [{"k": k, "verdict": adm.classify(k)} for k in _k_values(config)]
     birkhoff.extrema_to_csv(table, os.path.join(out_dir, "envelopes.csv"))
     return {
-        "admissible_set": adm.to_json(),
-        "limit_estimate": est.to_json(),
+        "admissible_set": {
+            "gap": [adm.gap_low, adm.gap_high],
+            "rays": [["-inf", adm.gap_low], [adm.gap_high, "+inf"]],
+            "excludes_zero": True,
+            "exact": adm.exact,
+            "tolerance": adm.tolerance,
+        },
+        "limit_estimate": est,
         "classifications": classifications,
     }
 
 
-def _cmd_probe(config, sys_, out_dir, warnings):
+def _cmd_probe(config, sys_, out_dir):
     ks = _k_values(config)
     if not ks:
         raise ValidationError("probe needs --k or --k-range")
     starts = _points_spec(config.params.get("starts"), "params.starts")
     reports = torus.probe_sweep(sys_, ks, n_max=config.n_max, starts=starts)
-    if any(r.heuristic for r in reports):
-        warnings.append("probe verdicts on continuous systems are evidence, not proof")
     if len(ks) == 1 and config.k is not None:
         _write_probe_trace(sys_, reports[0], config, out_dir)
     _write_phase_table(reports, os.path.join(out_dir, "phase.csv"))
-    payload = {
-        "reports": [r.to_json() for r in reports],
+    return {
+        "reports": reports,
         "phase_table": [[r.k, r.verdict] for r in reports],
     }
-    inconclusive = any(r.verdict == torus.VERDICT_INCONCLUSIVE for r in reports)
-    return payload, inconclusive
 
 
 def _t_window(config):
@@ -385,7 +378,7 @@ def _write_phase_table(reports, path):
                         "" if r.escape_bound is None else r.escape_bound])
 
 
-def _cmd_optimize(config, sys_, out_dir, warnings):
+def _cmd_optimize(config, sys_, out_dir):
     method = config.params.get("method")
     if method is None:
         method = "exact_finite" if sys_.space.kind == "finite" else "birkhoff_fn"
@@ -393,17 +386,12 @@ def _cmd_optimize(config, sys_, out_dir, warnings):
     n = min(config.n_max, 64) if n is None else _count(n, "params.n")
     points = _points_spec(config.grid, "grid")
     lo, hi = ergopt.coboundary_optima(sys_, method=method, n=n, points=points)
-    if method == "grid_descent":
-        warnings.append("method 'grid_descent' is exact for the snapped grid map, "
-                        "which only approximates psi")
-    elif method != "exact_finite":
-        warnings.append(f"method {method!r} yields sampled bounds, not exact optima")
     _write_potential_csv(sys_, hi, os.path.join(out_dir, "potential.csv"))
-    return {
-        "minmax": hi.to_json(),
-        "maxmin": lo.to_json(),
-        "gap": [lo.value, hi.value],
-    }
+
+    def optimum(r):  # the record without its potentials
+        return {"value": r.value, "certificate": r.certificate, "method": r.method}
+
+    return {"minmax": optimum(hi), "maxmin": optimum(lo), "gap": [lo.value, hi.value]}
 
 
 def _write_potential_csv(sys_, result, path):
@@ -419,14 +407,12 @@ def _write_potential_csv(sys_, result, path):
         fh.write("".join([f"{i},{c}\r\n" for i, c in enumerate(cells)]))
 
 
-def _cmd_construct(config, sys_, out_dir, warnings):
+def _cmd_construct(config, sys_, out_dir):
     if config.k is None:
         raise ValidationError("construct needs --k")
     mu = torus.build_mu(sys_, _size(config.k), _t_window(config), n_scan=_n_scan(config),
                         points=_points_spec(config.grid, "grid"), rng=config.seed)
     g = mu.gcons
-    warnings.append("construction residuals are sampled; smallness is evidence, "
-                    "not a certified bound")
     return {
         "n_used": mu.n_used,
         "cutoff": {
@@ -440,7 +426,7 @@ def _cmd_construct(config, sys_, out_dir, warnings):
     }
 
 
-def _cmd_elasticity(config, sys_, out_dir, warnings):
+def _cmd_elasticity(config, sys_, out_dir):
     gap_resolution = _positive(config.tolerances.get("gap_resolution", 1e-3),
                                "tolerances.gap_resolution")
     profile_csv = _profile_csv(config)
@@ -458,12 +444,9 @@ def _cmd_elasticity(config, sys_, out_dir, warnings):
             strict_mu=_strict_mu(config),
         )
     es = elastic.elasticity_from_profile(profile, gap_resolution=gap_resolution)
-    if not es.equality:
-        warnings.append("form may vanish: reported complement is a superset of "
-                        "the true elasticity set")
     min_u, max_u = profile.bounds
     return {
-        "elasticity": es.to_json(),
+        "elasticity": es,
         "profile_summary": {
             "samples": profile.size,
             "min_u": min_u,
@@ -473,7 +456,7 @@ def _cmd_elasticity(config, sys_, out_dir, warnings):
     }
 
 
-def _cmd_rank(config, sys_, out_dir, warnings):
+def _cmd_rank(config, sys_, out_dir):
     gens = config.params.get("generators")
     if not isinstance(gens, (list, tuple)):
         raise ValidationError("rank needs params.generators as a list")
@@ -495,6 +478,54 @@ _HANDLERS = {
 }
 
 _NEEDS_SYSTEM = {"analyze", "admissible", "probe", "optimize", "construct"}
+
+
+_ROUNDED = "float factor table: the cycle means carry a rounding error of at most error_bound"
+_SAMPLED = {
+    "analyze": "limit estimate on a sampled grid is a lower/upper approximation, "
+               "not a certified bound",
+    "admissible": "gap endpoints are grid estimates; classifications near the "
+                  "boundary are not certified",
+}
+
+
+def _warnings(config: RunConfig, payload: dict) -> list:
+    """Every warning of a run, read off its config and its normalised
+    payload, so that a cache hit reports what the miss did."""
+    command, warnings = config.command, []
+    if command in _SAMPLED and not payload["limit_estimate"]["exact"]:
+        finite = config.system["space"]["kind"] == "finite"
+        warnings.append(_ROUNDED if finite else _SAMPLED[command])
+    if command == "analyze":
+        if payload["limit_estimate"]["error_bound"] == "heuristic":
+            warnings.append("no telescoping bound available: error_bound is heuristic")
+        if "birkhoff.csv" not in payload["csv_files"]:
+            summary = payload["table_summary"]
+            warnings.append(f"full table CSV skipped ({summary['points'] * summary['n_max']} "
+                            "rows); envelopes.csv kept")
+    elif command == "probe" and any(r["heuristic"] for r in payload["reports"]):
+        warnings.append("probe verdicts on continuous systems are evidence, not proof")
+    elif command == "optimize":
+        method = payload["minmax"]["method"]
+        if method.startswith("grid_descent"):
+            warnings.append("method 'grid_descent' is exact for the snapped grid map, "
+                            "which only approximates psi")
+        elif method.startswith("birkhoff_fn"):
+            warnings.append("method 'birkhoff_fn' yields sampled bounds, not exact optima")
+    elif command == "construct":
+        warnings.append("construction residuals are sampled; smallness is evidence, "
+                        "not a certified bound")
+    elif command == "elasticity" and not payload["elasticity"]["equality"]:
+        warnings.append("form may vanish: reported complement is a superset of "
+                        "the true elasticity set")
+    return warnings
+
+
+def _exit_code(config: RunConfig, payload: dict) -> int:
+    """4 when a probe verdict is Inconclusive under strict_verdict, else 0."""
+    inconclusive = config.command == "probe" and any(
+        r["verdict"] == torus.VERDICT_INCONCLUSIVE for r in payload["reports"])
+    return 4 if inconclusive and config.strict_verdict else 0
 
 
 # --------------------------------------------------------------------------
@@ -522,23 +553,32 @@ def _file_sha256(path: str) -> str:
 
 
 def cache_lookup(path: str, warnings: list):
-    """Stored payload at the config's cache path, or None (corrupt entries warn)."""
+    """The payload stored at the config's cache path, or None.
+
+    An entry is the object {"payload": payload object}; any other key (the
+    warnings that older entries kept) is ignored.  An entry that is not such
+    an object is corrupt: it adds a warning and reads as a miss.
+    """
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             stored = json.load(fh)
-        return {"payload": stored["payload"], "warnings": stored["warnings"]}
-    except (json.JSONDecodeError, KeyError, OSError) as exc:
-        warnings.append(f"ignoring corrupt cache entry {os.path.basename(path)}: {exc}")
-        return None
+    except (ValueError, OSError) as exc:  # ValueError: bad JSON or bad UTF-8
+        reason = exc
+    else:
+        if isinstance(stored, dict) and isinstance(stored.get("payload"), dict):
+            return stored["payload"]
+        reason = "not an object with a payload object"
+    warnings.append(f"ignoring corrupt cache entry {os.path.basename(path)}: {reason}")
+    return None
 
 
-def cache_store(path: str, payload, warnings):
+def cache_store(path: str, payload):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     # one json.dumps: json.dump would run the pure-Python encoder
     with open(path, "w") as fh:
-        fh.write(json.dumps({"payload": payload, "warnings": warnings}, sort_keys=True))
+        fh.write(json.dumps({"payload": payload}, sort_keys=True))
 
 
 # --------------------------------------------------------------------------
@@ -547,7 +587,11 @@ def cache_store(path: str, payload, warnings):
 
 
 def run(config: RunConfig):
-    """Execute one command; returns (report dict, exit code)."""
+    """Execute one command; returns (report dict, exit code).
+
+    The warnings and the exit code are read off the normalised payload, the
+    one a miss computes or a hit reads from the cache.
+    """
     warnings: list = []
     try:
         if config.command not in COMMANDS:
@@ -559,24 +603,15 @@ def run(config: RunConfig):
         canonical = config.canonical()
         config_text = _compact(canonical)  # encoded once: for the key and the echo
         path = cache_path(config, config_text)
-        cached = cache_lookup(path, warnings)
-        inconclusive = False
-        if cached is not None:
-            payload = cached["payload"]
-            warnings = cached["warnings"] + [w for w in warnings if w not in cached["warnings"]]
-            cache_hit = True
-            if config.command == "probe":
-                inconclusive = any(r["verdict"] == torus.VERDICT_INCONCLUSIVE
-                                   for r in payload.get("reports", []))
-        else:
+        payload = cache_lookup(path, warnings)
+        cache_hit = payload is not None
+        if not cache_hit:
             sys_ = system_from_config(config.system, config.tolerances) \
                 if config.command in _NEEDS_SYSTEM \
                 or (config.command == "elasticity" and config.system) else None
-            result = _HANDLERS[config.command](config, sys_, config.out, warnings)
-            payload, inconclusive = result if isinstance(result, tuple) else (result, False)
+            payload = _HANDLERS[config.command](config, sys_, config.out)
             payload = json.loads(json.dumps(payload, default=_json_default))
-            cache_store(path, payload, warnings)
-            cache_hit = False
+            cache_store(path, payload)
     except (ValidationError, DomainError) as exc:
         _diag(type(exc).__name__, str(exc))
         return {"error": str(exc)}, 2
@@ -584,6 +619,7 @@ def run(config: RunConfig):
         _diag(type(exc).__name__, str(exc))
         return {"error": str(exc)}, 3
 
+    warnings += _warnings(config, payload)
     rest = {
         "payload": payload,
         "provenance": {
@@ -597,9 +633,7 @@ def run(config: RunConfig):
     }
     with open(os.path.join(config.out, "report.json"), "w") as fh:
         fh.write(_config_first(config_text, rest))
-    report = {"config": canonical, **rest}
-    code = 4 if (inconclusive and config.strict_verdict) else 0
-    return report, code
+    return {"config": canonical, **rest}, _exit_code(config, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:

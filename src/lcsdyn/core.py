@@ -213,10 +213,12 @@ class ModelSpace:
         if self.kind not in (CIRCLE, TORUS2, FINITE):
             raise ValidationError(f"unknown space kind {self.kind!r}")
         if self.kind == FINITE:
-            if self.size < 1:
-                raise ValidationError("finite space needs size >= 1")
-        elif self.grid_resolution < 2:
-            raise ValidationError("grid_resolution must be >= 2 for continuous kinds")
+            if not _is_integer(self.size) or self.size < 1:
+                raise ValidationError("finite space size must be an integer >= 1, "
+                                      f"got {self.size!r}")
+        elif not _is_integer(self.grid_resolution) or self.grid_resolution < 2:
+            raise ValidationError("grid_resolution must be an integer >= 2 for continuous "
+                                  f"kinds, got {self.grid_resolution!r}")
 
     def normalize(self, x):
         """Validate membership and return the canonical representative."""
@@ -639,8 +641,14 @@ def finite_permutation_system(table, factor_values, label: str = "") -> Conforma
 
     Integer, Fraction and "p/q" factor entries give exact rational arithmetic
     throughout; a table with a float entry falls back to float arithmetic.
+    Table entries must be integers: a float or a bool is refused, not
+    truncated.
     """
-    tbl = tuple(map(int, table))
+    tbl = tuple(table)
+    # _is_integer once per entry type, not per entry: tables run to 10^5 states
+    if not all(map(_is_integer_type, set(map(type, tbl)))):
+        raise ValidationError(f"permutation table entries must be integers, got {list(tbl)!r}")
+    tbl = tuple(map(int, tbl))
     m = len(tbl)
     if m < 1:
         raise ValidationError("permutation table is empty")
@@ -733,7 +741,11 @@ def _is_real(v) -> bool:
 
 
 def _is_integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return _is_integer_type(type(v))
+
+
+def _is_integer_type(t) -> bool:
+    return issubclass(t, numbers.Integral) and not issubclass(t, bool)
 
 
 def _entry_error(values, i) -> ValidationError:

@@ -5,6 +5,9 @@ c for which the twisted structure degenerates are exactly the values
 (1 + u)/u attained with u != 0; the elasticity set is the complement of the
 closure of that image.  Samples with u = 0 contribute no forbidden value.
 The first-kind case is u identically -1, equivalently elasticity = R \\ {0}.
+The complement is the whole elasticity set only when the form is known
+never to vanish: a mapping torus's profile asserts it, a profile read from
+a CSV file does not (``ElasticitySet.equality``).
 
 Every reduction of a profile is a function of the set of its samples, and
 reads it one block at a time (``LiouvilleProfile.blocks``).  A mapping
@@ -39,9 +42,11 @@ class LiouvilleProfile:
     value v, slope-major; a factor or k that is not finite is refused.
     ``size`` counts every product and ``samples``, the whole slope-major
     array, is materialised on first access; the reductions read ``blocks``.
+    ``lambda_nonvanishing`` states whether the form behind the samples is
+    known never to vanish; it has no default, so every caller states it.
     """
 
-    def __init__(self, samples=None, lambda_nonvanishing: bool = True, label: str = "",
+    def __init__(self, samples=None, *, lambda_nonvanishing: bool, label: str = "",
                  factors=None):
         self.lambda_nonvanishing = lambda_nonvanishing
         self.label = label
@@ -137,14 +142,6 @@ class ElasticitySet:
     equality: bool
     gap_resolution: float
 
-    def to_json(self):
-        return {
-            "forbidden": [[float(a), float(b)] for a, b in self.forbidden],
-            "equality": self.equality,
-            "contains_zero_u": self.contains_zero_u,
-            "gap_resolution": self.gap_resolution,
-        }
-
 
 def elasticity_from_profile(profile: LiouvilleProfile,
                             gap_resolution: float = 1e-3) -> ElasticitySet:
@@ -231,12 +228,12 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
         if sys.generating_f is None:
             raise ValidationError("strict_mu needs a system with a stored generating f")
         count = len(sys.space.sample_points(points)) if points is not None else 256
-        return LiouvilleProfile(np.full(count, -1.0), True,
+        return LiouvilleProfile(np.full(count, -1.0), lambda_nonvanishing=True,
                                 label=f"{sys.label} strict profile")
     order = torus.usable_order(sys, k, n_scan, points)
     gcons = torus.build_g(sys, k, t_window, points=points, order=order)
     slopes, values = gcons.dt_attainable(s_count=s_count)
-    return LiouvilleProfile(label=f"{sys.label} size {k} profile",
+    return LiouvilleProfile(lambda_nonvanishing=True, label=f"{sys.label} size {k} profile",
                             factors=(slopes, values, gcons.k))
 
 
@@ -245,7 +242,9 @@ def profile_from_csv(path) -> LiouvilleProfile:
 
     Rows are converted as they are read, into one array of doubles.  A file
     that cannot be read, a row without the column and a cell that is not a
-    number are ValidationErrors naming the file.
+    number are ValidationErrors naming the file.  Samples alone do not show
+    that the form never vanishes, so the profile does not assert it: its
+    elasticity complement is only a superset (``equality`` is False).
     """
     values = array("d")
     try:
@@ -269,7 +268,8 @@ def profile_from_csv(path) -> LiouvilleProfile:
                                               f"{col + 1}: {row!r}") from None
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read profile {path}: {exc}") from None
-    return LiouvilleProfile(np.frombuffer(values, dtype=float), label=str(path))
+    return LiouvilleProfile(np.frombuffer(values, dtype=float), lambda_nonvanishing=False,
+                            label=str(path))
 
 
 def _is_number(tok):

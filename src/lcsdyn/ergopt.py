@@ -94,14 +94,6 @@ class OptimizationResult:
     certificate: object  # max_x(h + f o psi - f) - value over the sample
     method: str
 
-    def to_json(self):
-        return {"value": _num(self.value), "certificate": _num(self.certificate),
-                "method": self.method}
-
-
-def _num(v):
-    return str(v) if isinstance(v, Fraction) else float(v)
-
 
 def _require_finite(sys: ConformalSystem):
     if sys.space.kind != FINITE:

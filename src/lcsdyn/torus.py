@@ -112,12 +112,6 @@ class Witness:
     n: int
     t: float
 
-    def to_json(self):
-        start = self.start
-        start = (start.astype(float).tolist() if isinstance(start, np.ndarray)
-                 else int(start) if isinstance(start, (np.integer, int)) else float(start))
-        return {"start": start, "n": int(self.n), "t": float(self.t)}
-
 
 @dataclass
 class ProbeReport:
@@ -139,19 +133,6 @@ class ProbeReport:
     heuristic: bool
     n_max: int
     n_starts: int
-
-    def to_json(self):
-        return {
-            "k": float(self.k),
-            "band": [float(self.band[0]), float(self.band[1])],
-            "verdict": self.verdict,
-            "witness": self.witness.to_json() if self.witness else None,
-            "escape_bound": self.escape_bound,
-            "certificate": self.certificate,
-            "heuristic": self.heuristic,
-            "n_max": self.n_max,
-            "n_starts": self.n_starts,
-        }
 
 
 def _band(hmin, hmax, k):
@@ -191,8 +172,9 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
     in K are scanned; returns that persist into the last half of the
     horizon count as recurrence evidence (early incidental returns alone
     are inconclusive, since even escaping orbits may brush the band first).
-    On an exact finite system k is a cycle mean only when it equals one; a
-    float table takes k within 1e-12 of a mean as that mean.
+    On an exact finite system k is a cycle mean only when it equals one, and
+    the cycle gaps, the band width and so the escape bound are exact; a float
+    table takes k within 1e-12 of a mean as that mean.
 
     What does not depend on k is computed once.  The sizes left without an
     exact certificate share one streamed orbit pass: it yields the envelope
@@ -221,12 +203,15 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
         R = _cycle_residual_bound(dec)
         means = [float(mean) for mean in dec.means]
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
-            gaps = [abs(k - m) for m in means]
-            if sys.exact:  # a gap that rounds below 1e-12 is measured exactly
-                gaps = [g if g > 1e-12 else abs(Fraction(k) - m) for g, m in zip(gaps, dec.means)]
+            if sys.exact:  # every gap and the width exact, so the bound is exact too
+                exact_k = Fraction(k)
+                gaps = [abs(exact_k - m) for m in dec.means]
+                width = Fraction(hi) - Fraction(lo) + R
+            else:
+                gaps = [abs(k - m) for m in means]
+                width = hi - lo + R
             if min(gaps) > (0 if sys.exact else 1e-12):
-                width = (hi - lo + R, Fraction(hi) - Fraction(lo) + R)  # float gap, exact gap
-                n0 = max(int(math.floor(width[isinstance(g, Fraction)] / g)) + 1 for g in gaps)
+                n0 = max(math.floor(width / g) + 1 for g in gaps)
                 reports[i] = report(i, VERDICT_ESCAPE, None, n0, "cycle-exact", False)
             else:  # k is a cycle mean: that cycle's band orbit is periodic
                 idx = gaps.index(min(gaps))

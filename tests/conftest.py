@@ -1,14 +1,22 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from lcsdyn import (
+    cli,
     finite_permutation_system,
     rotation_system,
     strict_rotation_system,
 )
 from lcsdyn.core import eval_factor
+
+
+def encoded(record):
+    """A record (or any payload value) as a payload holds it: encoded through
+    the CLI's JSON hook and read back."""
+    return json.loads(json.dumps(record, default=cli._json_default))
 
 
 @pytest.fixture

@@ -205,7 +205,7 @@ def test_criterion_7_mu_cocycle(strict4096):
 
 
 def test_criterion_8_elasticity_oracle():
-    first = LiouvilleProfile(np.full(32, -1.0))
+    first = LiouvilleProfile(np.full(32, -1.0), lambda_nonvanishing=True)
     es1 = elasticity_from_profile(first)
     assert es1.forbidden == [(0.0, 0.0)]  # exactly R \ {0}
     rng = np.random.default_rng(99)
@@ -219,7 +219,7 @@ def test_criterion_8_elasticity_oracle():
         u = u[np.abs(u) > 1e-6]
         if u.size == 0:
             u = np.array([1.0])
-        profiles.append(LiouvilleProfile(u))
+        profiles.append(LiouvilleProfile(u, lambda_nonvanishing=True))
     for prof in profiles:
         es = elasticity_from_profile(prof, gap_resolution=step)
         u = prof.samples[np.abs(prof.samples) > 1e-12]

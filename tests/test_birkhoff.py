@@ -27,7 +27,7 @@ from lcsdyn.birkhoff import (
 from lcsdyn.core import GOLDEN_ANGLE, DomainError, cat_map_system, eval_factor, orbit_array
 from lcsdyn.torus import TorusAction
 
-from conftest import random_permutation_system, scalar_factor, scalar_map
+from conftest import encoded, random_permutation_system, scalar_factor, scalar_map
 
 # A_10 of cos(2 pi x) at x = 0 under the golden rotation, frozen from a
 # 50-digit direct resummation.
@@ -312,7 +312,7 @@ def test_exact_gap_is_compared_exactly(mean):
     # was classified inside the gap
     sys = finite_permutation_system([0], [mean])
     adm = admissible_set(limit_estimates(birkhoff_extrema(sys, n_max=2)))
-    assert adm.exact and adm.tolerance == 0.0 and adm.to_json()["tolerance"] == 0.0
+    assert adm.exact and adm.tolerance == 0.0 and encoded(adm)["tolerance"] == 0.0
     m = Fraction(mean)
     near = float(m)
     for k in (math.nextafter(near, -math.inf), near, math.nextafter(near, math.inf)):
@@ -397,7 +397,7 @@ def test_streamed_extrema_equal_the_table_bit_for_bit(name, request):
                        (table.env_plus, env_plus)):
         assert np.array_equal(mine, want)
     est, est_table = limit_estimates(streamed), limit_estimates(table)
-    assert est.to_json() == est_table.to_json()
+    assert encoded(est) == encoded(est_table)
 
 
 def test_streamed_extrema_exact_permutation():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import encoded
 from lcsdyn import cli
 from lcsdyn.torus import VERDICT_ESCAPE
 
@@ -195,6 +196,89 @@ def test_cache_corrupt_entry(tmp_path):
     assert rep["payload"]["rank"] == 1
 
 
+FLOAT_TABLE_SYSTEM = {
+    "space": {"kind": "finite"},
+    "map": {"type": "permutation", "table": [1, 2, 0, 3]},
+    "factor": [0.1, 0.2, 0.35, -0.4],
+}
+
+
+def _only_entry(cache_dir):
+    (name,) = os.listdir(cache_dir)
+    return os.path.join(cache_dir, name)
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", '"x"', '{"payload": 1, "warnings": 3}',
+                                  '{"warnings": []}', "\udcff"])
+def test_malformed_cache_entry_is_corrupt(tmp_path, text):
+    # valid JSON that is not an object with a payload object used to raise a
+    # TypeError from run; now it warns and is recomputed, like bad JSON
+    config = cli.RunConfig(command="analyze", system=FLOAT_TABLE_SYSTEM, n_max=6,
+                           out=str(tmp_path / "r"), cache_dir=str(tmp_path / "c"))
+    first, code = cli.run(config)
+    entry = _only_entry(tmp_path / "c")
+    with open(entry, "w", errors="surrogateescape") as fh:
+        fh.write(text)
+    report, code = cli.run(config)
+    assert code == 0 and report["provenance"]["cache_hit"] is False
+    assert report["payload"] == first["payload"]
+    corrupt = f"ignoring corrupt cache entry {os.path.basename(entry)}: "
+    assert report["warnings"][0].startswith(corrupt)
+    assert report["warnings"][1:] == first["warnings"] == [cli._ROUNDED]
+    again, code = cli.run(config)  # the recomputed entry is served, and warns no more
+    assert again["provenance"]["cache_hit"] is True and again["warnings"] == first["warnings"]
+
+
+def test_cache_entry_with_stored_warnings_is_a_hit(tmp_path):
+    # entries once kept the warnings beside the payload: such an entry is
+    # still a hit, and its warnings are derived from the payload, not replayed
+    config = cli.RunConfig(command="analyze", system=FLOAT_TABLE_SYSTEM, n_max=6,
+                           out=str(tmp_path / "r"), cache_dir=str(tmp_path / "c"))
+    first, _ = cli.run(config)
+    entry = _only_entry(tmp_path / "c")
+    with open(entry, "w") as fh:
+        json.dump({"payload": first["payload"], "warnings": ["stale"]}, fh)
+    report, code = cli.run(config)
+    assert code == 0 and report["provenance"]["cache_hit"] is True
+    assert report["payload"] == first["payload"]
+    assert report["warnings"] == first["warnings"] == [cli._ROUNDED]
+
+
+@pytest.mark.parametrize("config", [
+    # past the table CSV cap: 1100 points x 200 orders
+    dict(command="analyze", system=CONST_SYSTEM, grid=1100, n_max=200),
+    dict(command="analyze", system=FLOAT_TABLE_SYSTEM, n_max=10),
+    dict(command="admissible", system=FLOAT_TABLE_SYSTEM, n_max=10, k_range=(-1.0, 1.0, 0.5)),
+    dict(command="optimize", system=FLOAT_TABLE_SYSTEM),
+    dict(command="probe", system=FLOAT_TABLE_SYSTEM, n_max=20, k_range=(-1.0, 1.0, 0.5)),
+    dict(command="optimize", system=STRICT_SYSTEM, n_max=16, params={"method": "birkhoff_fn"}),
+    dict(command="optimize", system=STRICT_SYSTEM, grid=64, params={"method": "grid_descent"}),
+    dict(command="probe", system={**CONST_SYSTEM, "map": {"type": "rotation", "angle": 0.0},
+                                  "factor": {"type": "trig", "cos": [[1, 1.0]]}},
+         n_max=50, k=0.3, params={"starts": [0.0, 0.3]}, strict_verdict=True),
+    dict(command="elasticity", params={"profile_csv": "prof.csv"}),
+    dict(command="elasticity", system=STRICT_SYSTEM, k=1.0, params={"strict_mu": True}),
+    dict(command="construct", system=CONST_SYSTEM, k=1.0, params={"t_window": [-8, 8]}),
+    dict(command="rank", params={"generators": ["1", "s"]}),
+], ids=["analyze-cap", "analyze-table", "admissible-table", "optimize-table", "probe-table",
+        "birkhoff_fn", "grid_descent", "inconclusive", "elasticity-csv", "strict_mu",
+        "construct", "rank"])
+def test_cache_hit_reports_what_the_miss_did(tmp_path, config):
+    if "profile_csv" in config.get("params", {}):
+        prof = tmp_path / "prof.csv"
+        prof.write_text("u\n-0.5\n0\n2\n")
+        config = dict(config, params={"profile_csv": str(prof)})
+    runs = [cli.run(cli.RunConfig(**config, out=str(tmp_path / out),
+                                  cache_dir=str(tmp_path / "cache")))
+            for out in ("miss", "hit")]
+    (miss, miss_code), (hit, hit_code) = runs
+    assert [r["provenance"]["cache_hit"] for r, _ in runs] == [False, True]
+    assert hit["payload"] == miss["payload"]
+    assert hit["warnings"] == miss["warnings"]
+    assert hit_code == miss_code
+    assert miss_code == (4 if config.get("strict_verdict") else 0)
+
+
 def test_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("CACHE_DIR", str(tmp_path / "shared_cache"))
     cfg = write_config(tmp_path, "c.json", command="rank",
@@ -288,6 +372,20 @@ def test_elasticity_command_from_csv(tmp_path):
     assert pay["profile_summary"]["first_kind"] is True
 
 
+def test_csv_profile_asserts_no_nonvanishing_form(tmp_path):
+    # samples alone do not show that the form never vanishes, and this one
+    # has u = 0: the complement is only a superset of the elasticity set
+    prof = tmp_path / "prof.csv"
+    prof.write_text("u\n-0.5\n0\n2\n")
+    report, code = cli.run(cli.RunConfig(command="elasticity", out=str(tmp_path / "r"),
+                                         params={"profile_csv": str(prof)}))
+    assert code == 0
+    es = report["payload"]["elasticity"]
+    assert es["equality"] is False and es["contains_zero_u"] is True
+    assert report["warnings"] == ["form may vanish: reported complement is a superset of "
+                                  "the true elasticity set"]
+
+
 def test_flag_overrides(tmp_path):
     cfg = write_config(tmp_path, "c.json", command="admissible",
                        system=FINITE_SYSTEM, n_max=6, k=5.0)
@@ -353,6 +451,9 @@ def test_report_does_not_depend_on_out_path(tmp_path, monkeypatch):
     dict(TORUS_SYSTEM, map={"type": "torus_linear", "matrix": [[2, 1]]}),
     # int() would truncate 2.5 and run the cat map
     dict(TORUS_SYSTEM, map={"type": "torus_linear", "matrix": [[2.5, 1], [1, 1]]}),
+    # refused by the system builder itself, not truncated to [1, 0, 2]
+    dict(FINITE_SYSTEM, map={"type": "permutation", "table": [1.5, 0, 2]}),
+    dict(FINITE_SYSTEM, map={"type": "permutation", "table": [True, False, 2]}),
 ])
 def test_malformed_system_is_a_validation_error(tmp_path, capsys, system):
     cfg = write_config(tmp_path, "bad.json", command="admissible", system=system)
@@ -708,7 +809,7 @@ def test_import_loads_no_scipy():
 
 
 def test_programming_error_propagates(tmp_path, monkeypatch):
-    def broken(config, sys_, out_dir, warnings):
+    def broken(config, sys_, out_dir):
         raise KeyError("not a config problem")
 
     monkeypatch.setitem(cli._HANDLERS, "rank", broken)
@@ -755,7 +856,7 @@ def test_strict_mu_booleans_keep_their_payloads(tmp_path):
         assert code == 0
         profile = elastic.mapping_torus_profile(sys_, 1.0, (-2, 2), n_scan=64, strict_mu=flag)
         es = elastic.elasticity_from_profile(profile, gap_resolution=1e-3)
-        assert report["payload"]["elasticity"] == json.loads(json.dumps(es.to_json()))
+        assert report["payload"]["elasticity"] == encoded(es)
     default, code = _strict_elasticity(tmp_path, "default")
     assert code == 0 and default["payload"] == report["payload"]
 
@@ -785,7 +886,8 @@ def test_factored_elasticity_payload_is_that_of_its_array(tmp_path, monkeypatch,
     real = elastic.mapping_torus_profile
 
     def array_profile(*args, **kwargs):
-        return elastic.LiouvilleProfile(real(*args, **kwargs).samples)
+        return elastic.LiouvilleProfile(real(*args, **kwargs).samples,
+                                        lambda_nonvanishing=True)
 
     monkeypatch.setattr(elastic, "mapping_torus_profile", array_profile)
     array = run("array", 1)

@@ -116,6 +116,27 @@ def test_space_validation():
         ModelSpace("pretzel")
 
 
+@pytest.mark.parametrize("table", [[1.9, 0.2], [True, False], [1.0, 0.0]])
+def test_permutation_table_entries_must_be_integers(table):
+    # int() used to truncate [1.9, 0.2] to the bijection [1, 0]
+    with pytest.raises(ValidationError, match="entries must be integers"):
+        finite_permutation_system(table, [0, 1])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ModelSpace("circle", grid_resolution=64.5),
+    lambda: ModelSpace("torus2", grid_resolution=True),
+    lambda: rotation_system(0.1, 1.0, grid_resolution=64.5),
+    lambda: cat_map_system(0.0, grid_resolution=8.0),
+    lambda: ModelSpace("finite", size=2.5),
+    lambda: ModelSpace("finite", size=True),
+])
+def test_space_sizes_must_be_integers(build):
+    # 64.5 used to pass the check and fail later as a TypeError in sample_points
+    with pytest.raises(ValidationError, match="must be an integer"):
+        build()
+
+
 def test_cat_map_exact_inverse():
     sys = cat_map_system(0.0)
     p = np.array([0.3, 0.7])

@@ -31,7 +31,7 @@ from lcsdyn.ergopt import (
     is_strict_finite,
 )
 
-from conftest import cycle_pairs
+from conftest import cycle_pairs, encoded
 from test_exact_integers import CASES, _case
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -351,8 +351,9 @@ def test_optimize_walks_the_states_once(tmp_path, monkeypatch, system, method, g
     report, code = cli.run(cli.RunConfig(command="optimize", system=system, grid=grid,
                                          params={"method": method}, out=str(tmp_path / "r")))
     assert code == 0 and len(calls) == 1
-    assert report["payload"]["minmax"] == json.loads(json.dumps(hi.to_json()))
-    assert report["payload"]["maxmin"] == json.loads(json.dumps(lo.to_json()))
+    for key, r in (("minmax", hi), ("maxmin", lo)):
+        assert report["payload"][key] == encoded(
+            {"value": r.value, "certificate": r.certificate, "method": r.method})
 
 
 # --------------------------------------------------------------------------

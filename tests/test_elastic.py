@@ -19,6 +19,11 @@ from lcsdyn.core import ValidationError
 from lcsdyn.elastic import _BLOCK, profile_from_csv
 
 
+def _profile(samples=None, **kwargs):
+    """A profile of a form asserted never to vanish (so equality holds)."""
+    return LiouvilleProfile(samples, lambda_nonvanishing=True, **kwargs)
+
+
 def in_intervals(intervals, c, slack=1e-12):
     return any(a - slack <= c <= b + slack for a, b in intervals)
 
@@ -29,7 +34,7 @@ def forbids(es, c):
 
 
 def test_first_kind_profile():
-    p = LiouvilleProfile(np.full(16, -1.0))
+    p = _profile(np.full(16, -1.0))
     es = elasticity_from_profile(p)
     assert es.forbidden == [(0.0, 0.0)]
     assert not forbids(es, 1.0) and not forbids(es, -2.5) and forbids(es, 0.0)
@@ -37,14 +42,14 @@ def test_first_kind_profile():
 
 
 def test_unit_profile():
-    p = LiouvilleProfile(np.full(8, 1.0))
+    p = _profile(np.full(8, 1.0))
     es = elasticity_from_profile(p)
     assert es.forbidden == [(2.0, 2.0)]
     assert not first_kind_test(p)
 
 
 def test_dense_interval_profile_against_scan():
-    p = LiouvilleProfile(np.linspace(1.0, 2.0, 4001))
+    p = _profile(np.linspace(1.0, 2.0, 4001))
     es = elasticity_from_profile(p)
     assert len(es.forbidden) == 1
     a, b = es.forbidden[0]
@@ -62,24 +67,24 @@ def test_dense_interval_profile_against_scan():
 
 
 def test_first_kind_near_miss():
-    p = LiouvilleProfile(np.concatenate([np.full(9, -1.0), [-0.5]]))
+    p = _profile(np.concatenate([np.full(9, -1.0), [-0.5]]))
     assert not first_kind_test(p)
     es = elasticity_from_profile(p)
     assert forbids(es, 0.0) and forbids(es, -1.0)  # (1-0.5)/(-0.5) = -1
 
 
 def test_zero_samples_contribute_nothing():
-    p = LiouvilleProfile(np.array([0.0, 1.0, 0.0]))
+    p = _profile(np.array([0.0, 1.0, 0.0]))
     es = elasticity_from_profile(p)
     assert es.contains_zero_u
     assert es.forbidden == [(2.0, 2.0)]
-    all_zero = elasticity_from_profile(LiouvilleProfile(np.zeros(4)))
+    all_zero = elasticity_from_profile(_profile(np.zeros(4)))
     assert all_zero.forbidden == []
 
 
 def test_elasticity_open_complement():
     # reported forbidden sets are closed, so the complement is open
-    p = LiouvilleProfile(np.array([0.5, 0.51, 0.52, 3.0]))
+    p = _profile(np.array([0.5, 0.51, 0.52, 3.0]))
     es = elasticity_from_profile(p, gap_resolution=0.05)
     for a, b in es.forbidden:
         assert forbids(es, a) and forbids(es, b)
@@ -88,9 +93,9 @@ def test_elasticity_open_complement():
 
 def test_profile_validation():
     with pytest.raises(ValidationError):
-        LiouvilleProfile(np.array([]))
+        _profile(np.array([]))
     with pytest.raises(ValidationError):
-        LiouvilleProfile(np.array([1.0, np.inf]))
+        _profile(np.array([1.0, np.inf]))
 
 
 def test_profile_csv_roundtrip(tmp_path):
@@ -252,7 +257,7 @@ def test_chunked_gap_scan_matches_full_diff(monkeypatch, block):
     rng = np.random.default_rng(2)
     for u in _random_profiles(rng, block):
         for gap in (0.01, 0.5):
-            es = elasticity_from_profile(LiouvilleProfile(u), gap_resolution=gap)
+            es = elasticity_from_profile(_profile(u), gap_resolution=gap)
             assert repr(es.forbidden) == repr(_live_reference(u, gap))  # -0.0 is folded
         assert es.contains_zero_u == bool(np.any(np.abs(u) < 1e-12))
 
@@ -270,10 +275,10 @@ def test_factored_profile_matches_its_array(monkeypatch, block):
         values = np.round(rng.uniform(-1.0, 0.4, cols), 2)  # repeated products
         u = -k / (np.multiply.outer(slopes, values).ravel() + k)
         for gap in (1e-3, 0.05):
-            fresh = LiouvilleProfile(factors=(slopes, values, k))
+            fresh = _profile(factors=(slopes, values, k))
             assert repr(elasticity_from_profile(fresh, gap).forbidden) == repr(
                 _live_reference(u, gap))
-        fresh = LiouvilleProfile(factors=(slopes, values, k))
+        fresh = _profile(factors=(slopes, values, k))
         assert fresh.size == u.size
         assert fresh.bounds == (float(u.min()), float(u.max()))
         assert first_kind_test(fresh) == bool(np.all(np.abs(u + 1.0) <= 1e-9))
@@ -282,7 +287,7 @@ def test_factored_profile_matches_its_array(monkeypatch, block):
 
 def test_factored_profile_refuses_an_infinite_sample():
     # s v + k = 0 is a pole of u: it is refused when its block is built
-    profile = LiouvilleProfile(factors=(np.array([1.0, 2.0]), np.array([-0.5, 0.25]), 1.0))
+    profile = _profile(factors=(np.array([1.0, 2.0]), np.array([-0.5, 0.25]), 1.0))
     with pytest.raises(ValidationError, match="finite"), np.errstate(divide="ignore"):
         elasticity_from_profile(profile)
 
@@ -305,18 +310,18 @@ def test_factored_bounds_from_four_corners_equal_the_pass(seed, monkeypatch):
     if seed % 4 == 3:
         slopes, values = -np.abs(slopes), -np.abs(values)
     k = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 5.0)
-    want = _pass_bounds(LiouvilleProfile(factors=(slopes, values, k)))
+    want = _pass_bounds(_profile(factors=(slopes, values, k)))
     built = []
     real = LiouvilleProfile.blocks
     monkeypatch.setattr(LiouvilleProfile, "blocks", lambda self: built.append(1) or real(self))
-    got = LiouvilleProfile(factors=(slopes, values, k)).bounds
+    got = _profile(factors=(slopes, values, k)).bounds
     assert got == want and all(type(v) is float for v in got)
     x = np.multiply.outer([slopes.min(), slopes.max()], [values.min(), values.max()]) + k
     assert built == ([] if np.all(x > 0) or np.all(x < 0) else [1])
 
 
 def test_bounds_of_a_pole_profile_raise_alone():
-    profile = LiouvilleProfile(factors=(np.array([1.0, 2.0]), np.array([-0.5, 0.25]), 1.0))
+    profile = _profile(factors=(np.array([1.0, 2.0]), np.array([-0.5, 0.25]), 1.0))
     with pytest.raises(ValidationError, match="finite"), np.errstate(divide="ignore"):
         profile.bounds
 
@@ -329,7 +334,7 @@ def test_a_nan_or_infinite_factor_is_refused_at_construction(bad):
     for factors in (([0, 0.5, bad], [0.25, 1], 2.0), ([0, 0.5, -bad], [0.25, 1], 2.0),
                     ([0, 0.5], [0.25, bad], 2.0), ([0, 0.5], [0.25, 1], bad)):
         with pytest.raises(ValidationError, match="^profile samples must be finite$"):
-            LiouvilleProfile(factors=factors)
+            _profile(factors=factors)
 
 
 def _repeating_factors(rng):
@@ -358,13 +363,13 @@ def test_distinct_reductions_equal_the_full_array(monkeypatch, block):
     cases = []
     for k in (1.0, -1.5, -0.3, 1e-13, -1e-13):
         u = -k / (np.multiply.outer(slopes, values).ravel() + k)
-        array = LiouvilleProfile(u)  # reduced at the default block size
+        array = _profile(u)  # reduced at the default block size
         cases.append((k, u, [elasticity_from_profile(array, gap) for gap in gaps],
                       array.bounds))
     monkeypatch.setattr(el, "_BLOCK", block)
     for k, u, array_es, array_bounds in cases:
         def factored():
-            return LiouvilleProfile(factors=(slopes, values, k))
+            return _profile(factors=(slopes, values, k))
 
         assert sum(b.size for b in factored().blocks()) == distinct
         for gap, want in zip(gaps, array_es):
@@ -382,9 +387,9 @@ def test_a_negative_gap_resolution_is_refused():
     # a negative gap would split repeated samples, and the set reduction of
     # a factored profile would no longer be that of its array
     with pytest.raises(ValidationError, match="gap_resolution"):
-        elasticity_from_profile(LiouvilleProfile([0.5, 0.5]), gap_resolution=-1.0)
+        elasticity_from_profile(_profile([0.5, 0.5]), gap_resolution=-1.0)
     with pytest.raises(ValidationError, match="gap_resolution"):
-        elasticity_from_profile(LiouvilleProfile([0.5]), gap_resolution=np.nan)
+        elasticity_from_profile(_profile([0.5]), gap_resolution=np.nan)
 
 
 def test_the_profile_draws_no_cocycle_samples(monkeypatch, const_rotation, golden_cos):

@@ -30,7 +30,7 @@ from lcsdyn.torus import (
     conjugation_residual,
 )
 
-from conftest import cycle_pairs, scalar_factor, scalar_map
+from conftest import cycle_pairs, encoded, scalar_factor, scalar_map
 
 
 def test_action_step_rotation(const_rotation):
@@ -271,10 +271,9 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
             on_mean = 0 in exact_gaps
         else:
             on_mean = min(gaps) <= 1e-12
-        if not on_mean:
-            n0 = max(math.floor((width + R) / g) + 1 if g > 1e-12 else
-                     math.floor((Fraction(hi) - Fraction(lo) + R) / e) + 1
-                     for g, e in zip(gaps, exact_gaps if sys.exact else gaps))
+        if not on_mean:  # an exact table's gaps and width are exact
+            n0 = (max(math.floor((Fraction(hi) - Fraction(lo) + R) / e) + 1 for e in exact_gaps)
+                  if sys.exact else max(math.floor((width + R) / g) + 1 for g in gaps))
             return report(VERDICT_ESCAPE, None, n0, "cycle-exact", False)
         idx = gaps.index(min(gaps))
         cyc, _ = cycle_pairs(dec)[idx]
@@ -342,10 +341,10 @@ def test_probe_sweep_equals_per_size_probes(name):
     from lcsdyn.torus import probe_sweep
 
     sys, ks, n_max, starts, certificates = _sweep_case(name)
-    sweep = [r.to_json() for r in probe_sweep(sys, ks, n_max=n_max, starts=starts)]
-    assert sweep == [_probe_oracle(sys, k, n_max, starts).to_json() for k in ks]
-    assert sweep == [probe_sweep(sys, [k], n_max=n_max, starts=starts)[0].to_json()
-                     for k in ks]
+    sweep = encoded(probe_sweep(sys, ks, n_max=n_max, starts=starts))
+    assert sweep == encoded([_probe_oracle(sys, k, n_max, starts) for k in ks])
+    assert sweep == encoded([probe_sweep(sys, [k], n_max=n_max, starts=starts)[0]
+                             for k in ks])
     assert {r["certificate"] for r in sweep} == certificates
     if name == "cat16":
         assert any(r["witness"] and r["witness"]["start"] != starts[0] for r in sweep)
@@ -393,6 +392,23 @@ def test_probe_decides_an_exact_cycle_mean_exactly():
             if gap <= 1e-12:  # the drift passes the band and the residual after the bound
                 assert rep.escape_bound == math.floor(width / gap) + 1
                 assert rep.escape_bound * gap > width
+
+
+@pytest.mark.parametrize("values", [["1/3"], ["0", "2/3"]])
+@pytest.mark.parametrize("offset", [2e-12, 1e-11, 1e-9])
+def test_escape_bound_of_a_tiny_exact_gap_is_exact(values, offset):
+    # the Fraction oracle: the drift of n exact gaps |k - 1/3| first passes
+    # the band and the cycle residual at n = escape_bound; a float gap above
+    # 1e-12 carried its rounding into the bound (166665727696 instead of
+    # 166667269669 for ["1/3"] at +2e-12)
+    sys = finite_permutation_system(list(range(1, len(values))) + [0], values)
+    k = float(Fraction(1, 3)) + offset
+    rep = probe_sweep(sys, [k], n_max=10)[0]
+    assert rep.verdict == VERDICT_ESCAPE and rep.certificate == "cycle-exact"
+    gap = abs(Fraction(k) - Fraction(1, 3))
+    width = Fraction(rep.band[1]) - Fraction(rep.band[0]) + _brute_cycle_residual(sys)
+    assert rep.escape_bound * gap > width
+    assert (rep.escape_bound - 1) * gap <= width
 
 
 def test_probe_inconclusive():
