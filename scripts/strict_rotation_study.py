@@ -55,20 +55,21 @@ def main():
                         rep.witness.n if rep.witness else ""])
             print(f"k={k:+.2f}: {rep.verdict}")
 
-    mu = build_mu(sys_, 1.0, (-10, 10), samples=500, rng=args.seed)
+    mu = build_mu(sys_, 1.0, (-10, 10))
     summary = {
         "limit_estimate": asdict(est),
         "construction_k1": {
-            "n_used": mu.n_used,
-            "mu_residual": mu.report.residual_max,
+            "n_used": mu.gcons.order,
+            "mu_residual": mu.mu_cocycle_residual(samples=500, rng=args.seed),
             "g_residual": mu.gcons.functional_residual(),
-            "slope_margin": mu.report.slope_margin,
+            "slope_margin": mu.gcons.slope_margin(),
         },
     }
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    print(f"size-1 construction: n={mu.n_used}, "
-          f"mu residual {mu.report.residual_max:.2e}")
+    construction = summary["construction_k1"]
+    print(f"size-1 construction: n={construction['n_used']}, "
+          f"mu residual {construction['mu_residual']:.2e}")
 
 
 if __name__ == "__main__":

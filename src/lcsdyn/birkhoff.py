@@ -235,7 +235,7 @@ def transfer_potential(sys: ConformalSystem, n: int):
         raise BudgetError(f"n = {n} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
 
     def f_n(x):  # the walk from x as a batch of one
-        pts = np.asarray(sys.space.normalize(x))[None]
+        pts = sys.space.sample_points([x])
         if n == 1:
             return Fraction(0) if sys.exact else 0.0
         H = orbit_array(sys, pts, n, terms=n * n)

@@ -51,6 +51,11 @@ COMMANDS = ("analyze", "admissible", "probe", "optimize", "construct",
 MAX_TABLE_CSV_ROWS = 200_000
 MAX_K_VALUES = 10_000
 
+#: the params and tolerances keys that some command reads (one file serves all)
+PARAMS_KEYS = ("starts", "method", "n", "t_window", "n_scan", "profile_csv", "strict_mu",
+               "generators")
+TOLERANCES_KEYS = ("tol_inverse", "gap_resolution")
+
 
 @dataclass
 class RunConfig:
@@ -145,6 +150,13 @@ def _boolean(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(f"{what} must be true or false, got {value!r}")
     return value
+
+
+def _known_keys(obj: dict, known, what: str):
+    """A ValidationError naming the first key of obj that is not in known."""
+    for key in obj:
+        if key not in known:
+            raise ValidationError(f"unknown {what} {key!r}; expected one of {', '.join(known)}")
 
 
 def system_from_config(decl: dict, tolerances: dict | None = None):
@@ -411,17 +423,20 @@ def _cmd_construct(config, sys_, out_dir):
     if config.k is None:
         raise ValidationError("construct needs --k")
     mu = torus.build_mu(sys_, _size(config.k), _t_window(config), n_scan=_n_scan(config),
-                        points=_points_spec(config.grid, "grid"), rng=config.seed)
+                        points=_points_spec(config.grid, "grid"))
     g = mu.gcons
+    # the margin and the mu residual first: a failing check raises as before
+    slope_margin = g.slope_margin()
+    mu_residual = mu.mu_cocycle_residual(rng=config.seed)
     return {
-        "n_used": mu.n_used,
+        "n_used": g.order,
         "cutoff": {
             "mollifier_width": g.cutoff.mollifier_width,
             "derivative_sup": g.cutoff.derivative_sup,
         },
         "g_residual": g.functional_residual(),
-        "slope_margin": mu.report.slope_margin,
-        "mu_residual": mu.report.residual_max,
+        "slope_margin": slope_margin,
+        "mu_residual": mu_residual,
         "mirrored": g.mirrored,
     }
 
@@ -589,16 +604,22 @@ def cache_store(path: str, payload):
 def run(config: RunConfig):
     """Execute one command; returns (report dict, exit code).
 
-    The warnings and the exit code are read off the normalised payload, the
-    one a miss computes or a hit reads from the cache.
+    The fields the handlers trust (the params and tolerances keys, n_max,
+    seed, strict_verdict) are checked before the cache lookup.  The
+    warnings and the exit code are read off the normalised payload, the one
+    a miss computes or a hit reads from the cache.
     """
     warnings: list = []
     try:
         if config.command not in COMMANDS:
             raise ValidationError(f"unknown command {config.command!r}")
-        for name in ("params", "tolerances"):
+        for name, known in (("params", PARAMS_KEYS), ("tolerances", TOLERANCES_KEYS)):
             if not isinstance(getattr(config, name), dict):
                 raise ValidationError(f"{name} must be an object, got {getattr(config, name)!r}")
+            _known_keys(getattr(config, name), known, f"{name} key")
+        _integer(config.n_max, "n_max")
+        _integer(config.seed, "seed", 0)
+        _boolean(config.strict_verdict, "strict_verdict")
         os.makedirs(config.out, exist_ok=True)
         canonical = config.canonical()
         config_text = _compact(canonical)  # encoded once: for the key and the echo
@@ -656,6 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
+    """The config file merged with the flags; ``run`` checks the values."""
     data = {}
     if args.config:
         with open(args.config) as fh:
@@ -663,6 +685,7 @@ def config_from_args(args) -> RunConfig:
         if not isinstance(data, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object, "
                                   f"got {type(data).__name__}")
+        _known_keys(data, [f.name for f in fields(RunConfig)], "config key")
     command = args.command or data.get("command")
     if not command:
         raise ValidationError("no command given (flag --command or config)")
@@ -675,19 +698,20 @@ def config_from_args(args) -> RunConfig:
             k_range = [float(v) for v in parts]
         except ValueError:
             raise ValidationError(f"--k-range has non-numeric parts: {args.k_range!r}") from None
+    strict_verdict = data.get("strict_verdict", False)
     return RunConfig(
         command=command,
         system=data.get("system"),
-        n_max=_integer(args.n_max if args.n_max is not None else data.get("n_max", 200), "n_max"),
+        n_max=args.n_max if args.n_max is not None else data.get("n_max", 200),
         grid=args.grid if args.grid is not None else data.get("grid"),
         k=args.k if args.k is not None else data.get("k"),
         k_range=tuple(k_range) if k_range else None,
-        seed=_integer(args.seed if args.seed is not None else data.get("seed", 0), "seed", 0),
+        seed=args.seed if args.seed is not None else data.get("seed", 0),
         tolerances=data.get("tolerances", {}),
         params=data.get("params", {}),
         out=args.out or data.get("out", "out"),
-        strict_verdict=_boolean(data.get("strict_verdict", False), "strict_verdict")
-        or args.strict_verdict,
+        strict_verdict=True if args.strict_verdict and strict_verdict is False
+        else strict_verdict,  # a file value other than false is left for run to check
         cache_dir=data.get("cache_dir"),
     )
 

@@ -220,47 +220,18 @@ class ModelSpace:
             raise ValidationError("grid_resolution must be an integer >= 2 for continuous "
                                   f"kinds, got {self.grid_resolution!r}")
 
-    def normalize(self, x):
-        """Validate membership and return the canonical representative."""
-        if self.kind == FINITE:
-            if isinstance(x, (bool, float)) and not float(x).is_integer():
-                raise DomainError(f"{x!r} is not a state index")
-            try:
-                i = int(x)
-            except (TypeError, ValueError):
-                raise DomainError(f"{x!r} is not a state index") from None
-            if not 0 <= i < self.size:
-                raise DomainError(f"state {i} outside range(0, {self.size})")
-            return i
-        if self.kind == CIRCLE:
-            try:
-                v = float(x)
-            except (TypeError, ValueError):
-                raise DomainError(f"{x!r} is not a circle coordinate") from None
-            if not math.isfinite(v):
-                raise DomainError("circle coordinate must be finite")
-            return float(wrap(v))
-        p = np.asarray(x, dtype=float)
-        if p.shape != (2,) or not np.all(np.isfinite(p)):
-            raise DomainError(f"{x!r} is not a point of the 2-torus")
-        return wrap(p)
-
     def sample_points(self, spec=None):
         """Sample points: default uniform grid, an int grid size, explicit
         points, or {"grid": n, "seeds": [...]} for a grid plus seed points.
 
         Returns an array of shape (P,) for circle/finite and (P, 2) for the
-        torus.  Explicit points are normalized.
+        torus.  Explicit points are a batch, normalized by ``point_batch``.
         """
         if spec is None:
             spec = self.size if self.kind == FINITE else self.grid_resolution
         if isinstance(spec, dict):
-            grid = self.sample_points(spec.get("grid"))
-            seeds = spec.get("seeds", ())
-            if len(seeds) == 0:
-                return grid
-            extra = self.sample_points(seeds)
-            return np.concatenate([grid, extra])
+            grid, seeds = self.sample_points(spec.get("grid")), spec.get("seeds", ())
+            return np.concatenate([grid, self.sample_points(seeds)]) if len(seeds) else grid
         if isinstance(spec, numbers.Integral):
             n = int(spec)
             if n < 1:
@@ -272,33 +243,40 @@ class ModelSpace:
             g = np.arange(n, dtype=float) / n
             xs, ys = np.meshgrid(g, g, indexing="ij")
             return np.column_stack([xs.ravel(), ys.ravel()])
-        if isinstance(spec, np.ndarray) and spec.dtype.kind == "f" and self.kind != FINITE:
-            # an already-sampled float batch: one vectorized wrap; a batch of
-            # the wrong shape or with a non-finite entry goes point by point,
-            # which raises normalize's DomainError
-            shape_ok = spec.ndim == 1 if self.kind == CIRCLE else (
-                spec.ndim == 2 and spec.shape[1] == 2)
-            if shape_ok and np.isfinite(spec).all():
-                return wrap(np.asarray(spec, dtype=float))
-        pts = [self.normalize(p) for p in spec]
-        if self.kind == FINITE:
-            return np.asarray(pts, dtype=np.int64)
-        return np.asarray(pts, dtype=float)
+        pts, single = point_batch(self, spec)
+        if single:
+            raise DomainError(f"explicit {self.kind} points must be a list, got {spec!r}")
+        return pts
 
 
 def point_batch(space: ModelSpace, x):
-    """(points, single): x as a normalized batch; a lone point is a batch of one."""
-    single = np.ndim(x) == (1 if space.kind == TORUS2 else 0)
-    raw = np.asarray([x] if single else x)
+    """(points, single): x as a normalized batch; a lone point is a batch of one.
+
+    Entries are real numbers, not strings or booleans, and a state is an
+    integer in range.  NumPy reads [0.1, True] as [0.1, 1.0], so an x that is
+    not a numeric array is read as objects, each entry type checked once.
+    """
+    numeric = isinstance(x, np.ndarray) and x.dtype.kind in "iuf"
+    raw = x if numeric else np.asarray(x, dtype=object)
+    single = raw.ndim == (1 if space.kind == TORUS2 else 0)
+    raw = raw[None] if single else raw
+    bad = set() if numeric else {t.__name__ for t in set(map(type, raw.ravel().tolist()))
+                                 if not issubclass(t, numbers.Real) or issubclass(t, bool)}
+    if bad:
+        raise DomainError(f"{space.kind} points must be real numbers, not {sorted(bad)}")
+    try:
+        pts = raw.astype(float)
+    except OverflowError as exc:  # an int too large for a float
+        raise DomainError(f"not a batch of {space.kind} points: {exc}") from None
     if space.kind == FINITE:
-        pts = raw.astype(np.int64)
-        if raw.ndim != 1 or np.any(pts != raw) or np.any((pts < 0) | (pts >= space.size)):
-            raise DomainError(f"not a batch of states in range(0, {space.size})")
-        return pts, single
-    shape_ok = raw.ndim == 2 and raw.shape[1] == 2 if space.kind == TORUS2 else raw.ndim == 1
-    if not shape_ok or not np.all(np.isfinite(raw)):
+        whole = pts == np.floor(pts)  # False at NaN
+        if pts.ndim != 1 or not np.all(whole & (pts >= 0) & (pts < space.size)):
+            raise DomainError(f"not a batch of integer states in range(0, {space.size})")
+        return pts.astype(np.int64), single
+    shape_ok = pts.ndim == 2 and pts.shape[1] == 2 if space.kind == TORUS2 else pts.ndim == 1
+    if not shape_ok or not np.all(np.isfinite(pts)):
         raise DomainError(f"not a batch of finite {space.kind} points")
-    return wrap(raw.astype(float)), single
+    return wrap(pts), single
 
 
 @dataclass(frozen=True)
@@ -404,7 +382,7 @@ def iterate(sys: ConformalSystem, x, n: int):
     ``DEFAULT_MAX_ITERATIONS``."""
     if abs(n) > DEFAULT_MAX_ITERATIONS:
         raise BudgetError(f"|n| = {abs(n)} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
-    pts = np.asarray(sys.space.normalize(x))[None]  # a batch of one point
+    pts = sys.space.sample_points([x])  # a batch of one point
     for _ in range(abs(n)):
         pts = step_points(sys, pts, inverse=n < 0)
     kind = sys.space.kind

@@ -206,7 +206,7 @@ def first_kind_test(profile: LiouvilleProfile) -> bool:
 
 
 def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
-                          n_scan: int = 64, points=None, s_count: int = 4097,
+                          n_scan: int = 64, points=None,
                           strict_mu: bool = False) -> LiouvilleProfile:
     """Liouville profile of the size-k mapping torus built from (psi, h).
 
@@ -214,8 +214,8 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
     u = -k / (dt g + k); the slope never meets -k, so u is finite and never
     zero, and the underlying form never vanishes (equality holds).  dt g is
     a cutoff slope times an orbit factor value (``dt_attainable``), so the
-    profile is kept as those two factors.  Only g is built, at the first
-    usable order (``torus.usable_order``): the profile needs no mu.
+    profile is kept as those two factors, read off the g of ``torus.build_mu``
+    (no sampled check of the construction runs, so no sample is drawn).
 
     With ``strict_mu`` (requires a stored generating f) the first-kind
     potential f o p1 - t is used instead, whose t-derivative is exactly -1.
@@ -230,9 +230,8 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
         count = len(sys.space.sample_points(points)) if points is not None else 256
         return LiouvilleProfile(np.full(count, -1.0), lambda_nonvanishing=True,
                                 label=f"{sys.label} strict profile")
-    order = torus.usable_order(sys, k, n_scan, points)
-    gcons = torus.build_g(sys, k, t_window, points=points, order=order)
-    slopes, values = gcons.dt_attainable(s_count=s_count)
+    gcons = torus.build_mu(sys, k, t_window, n_scan, points).gcons
+    slopes, values = gcons.dt_attainable()
     return LiouvilleProfile(lambda_nonvanishing=True, label=f"{sys.label} size {k} profile",
                             factors=(slopes, values, gcons.k))
 

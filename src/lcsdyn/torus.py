@@ -9,7 +9,8 @@ function g on N x R with
 
 which conjugates the size-1 action to the size-k action through
 sigma(x, t) = (x, g(x, t) + t k + f_n(x)) and yields mu = -k (t o sigma^{-1})
-with mu o rho = mu - k.
+with mu o rho = mu - k.  ``build_mu`` only builds this data, at the first
+usable n; its caller runs the sampled checks of both identities.
 
 g and dt g are read off two float tables per point batch, A_n(h)(psi^i p)
 for i < F and A_n(h)(psi^{-j} p) for j = 1..B.  Each row is a window of n
@@ -58,6 +59,10 @@ VERDICT_RECURRENT = "RecurrentEvidence"
 VERDICT_ESCAPE = "EscapeCertified"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
+MAX_TERMS = 100_000  # the truncation budget: the most terms one time of g may need
+CUTOFF_TABLE_SIZE = 32769  # points of the cutoff's quadrature tables
+SLOPE_COUNT = 4097  # cutoff slopes on [0, 1] for the attainable values of dt g
+
 
 class NotFoundError(RuntimeError):
     """No usable averaging order was found within the scan budget."""
@@ -101,7 +106,7 @@ def _orbit_sum(sys: ConformalSystem, x, n: int):
     """S_n(h)(x): the orbit rows of x, stepped as a batch of one, added in
     order; a Fraction on exact systems, else a float."""
     total = 0
-    for row in orbit_rows(sys, np.asarray(sys.space.normalize(x))[None], n):
+    for row in orbit_rows(sys, sys.space.sample_points([x]), n):
         total += int(row[0]) if sys.exact else float(row[0])
     return Fraction(total, sys.scale) if sys.exact else total
 
@@ -366,23 +371,21 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(parts) + 0.0))
 
 
-def build_cutoff(bound: float, table_size: int = 32769) -> CutoffFunction:
+def build_cutoff(bound: float) -> CutoffFunction:
     """Cutoff with derivative sup strictly below ``bound``; needs bound > 1.
 
     Any smooth 0 -> 1 transition supported on [0, 1] has sup slope >= 1, so
     bound <= 1 is infeasible.  The mollifier width is d = min(0.2,
     0.999 (1 - 1/bound) / 2), giving sup slope 1/(1-2d) < bound.  The
-    mollifier's cdf and first moment are tabulated on ``table_size`` (>= 3)
+    mollifier's cdf and first moment are tabulated on ``CUTOFF_TABLE_SIZE``
     equally spaced points of [-d, d] by the composite Simpson rule.
     """
     bound = float(bound)
     if bound <= 1.0:
         raise InfeasibleError(
             "a 0->1 transition on [0,1] forces sup slope >= 1; bound must exceed 1")
-    if table_size < 3:
-        raise ValidationError(f"the cutoff table needs at least 3 points, got {table_size}")
     d = min(0.2, 0.999 * (1.0 - 1.0 / bound) / 2.0)
-    u = np.linspace(-d, d, table_size)
+    u = np.linspace(-d, d, CUTOFF_TABLE_SIZE)
     with np.errstate(divide="ignore", over="ignore"):
         arg = 1.0 - (u / d) ** 2
         phi = np.where(arg > 0, np.exp(-1.0 / np.maximum(arg, 1e-300)), 0.0)
@@ -446,7 +449,7 @@ class GConstruction:
     mirrored branch is the direct construction for (psi^{-1}, -A o psi^{-1},
     -k) at -t: it takes the same two tables swapped and negated, evaluates
     them at -t and flips the sign of dt g.  The slope dt g + k carries the
-    sign of k.
+    sign of k.  A time needing more than ``MAX_TERMS`` terms is refused.
     """
 
     system: ConformalSystem
@@ -454,11 +457,7 @@ class GConstruction:
     cutoff: CutoffFunction
     t_window: tuple
     mirrored: bool
-    max_terms: int
     order: int
-
-    def slope_sign(self) -> int:
-        return 1 if self.k > 0 else -1
 
     def g(self, x, t):
         """g at a batch of points x, shape (P,) or (P, 2), and times t, shape
@@ -490,13 +489,13 @@ class GConstruction:
         in ts needs, plus ``spare`` rows each way.
 
         g(p, t) has ceil(-t) forward and ceil(t) backward terms (none when
-        negative), on either branch; a time needing more than max_terms
+        negative), on either branch; a time needing more than MAX_TERMS
         terms in all is refused.  Spare rows have cutoff coefficient 0.
         """
         lead = np.maximum(np.ceil(-ts), 0.0)
         trail = np.maximum(np.ceil(ts), 0.0)
-        if np.any(lead + trail > self.max_terms):
-            raise BudgetError(f"a time in the sample needs more than {self.max_terms} terms")
+        if np.any(lead + trail > MAX_TERMS):
+            raise BudgetError(f"a time in the sample needs more than {MAX_TERMS} terms")
         return _averaged_tables(self.system, self.order, pts,
                                 int(lead.max(initial=0.0)) + spare,
                                 int(trail.max(initial=0.0)) + spare)
@@ -516,10 +515,11 @@ class GConstruction:
         pts, ts = self._default_sample(pts, ts)
         return float(np.min(np.abs(self.dt(pts, ts) + self.k)))
 
-    def dt_attainable(self, pts=None, s_count: int = 4097):
+    def dt_attainable(self):
         """Attainable values of dt g as two factors (slopes, values): every
-        product of a signed cutoff slope with one of at most 512 orbit factor
-        values, evenly spread over the sorted distinct ones.
+        product of ``SLOPE_COUNT`` signed cutoff slopes with one of at most
+        512 orbit factor values (on the reference points), evenly spread over
+        the sorted distinct ones.
 
         At every t exactly one cutoff translate is active, so the value set
         of dt g over grid x window factors as (chi' values) x (factor orbit
@@ -530,14 +530,14 @@ class GConstruction:
         the negated product, so its slopes are chi'.  The products,
         ``np.multiply.outer(slopes, values)``, are left to the caller.
         """
-        pts = reference_points(self.system) if pts is None else pts
-        fwd, bwd = self._tables(pts, np.asarray(self.t_window, dtype=float), spare=1)
+        fwd, bwd = self._tables(reference_points(self.system),
+                                np.asarray(self.t_window, dtype=float), spare=1)
         hv = np.concatenate([fwd.ravel(), bwd.ravel()])
         hv = np.unique(-hv if self.mirrored else hv)
         if len(hv) > 512:
             idx = np.linspace(0, len(hv) - 1, 512).round().astype(int)
             hv = hv[idx]
-        chi_p = self.cutoff.prime(np.linspace(0.0, 1.0, s_count))
+        chi_p = self.cutoff.prime(np.linspace(0.0, 1.0, SLOPE_COUNT))
         return (chi_p if self.mirrored else -chi_p), hv
 
     def _default_sample(self, pts, ts):
@@ -624,7 +624,7 @@ def _ramp_side(k: float, values):
 
 
 def build_g(sys: ConformalSystem, k: float, t_window, points=None,
-            max_terms: int = 100_000, order: int = 1) -> GConstruction:
+            order: int = 1) -> GConstruction:
     """Assemble g for the averaged factor A = A_order(h), which must avoid k
     (A < k or A > k uniformly on the sampled points).
 
@@ -640,7 +640,7 @@ def build_g(sys: ConformalSystem, k: float, t_window, points=None,
     lo, hi = float(t_window[0]), float(t_window[1])
     if not lo < hi:
         raise ValidationError("t_window must be a nonempty interval")
-    if max(abs(lo), abs(hi)) + 2 > max_terms:
+    if max(abs(lo), abs(hi)) + 2 > MAX_TERMS:
         raise BudgetError("t_window exceeds the truncation budget")
     if order < 1:
         raise ValidationError(f"the averaging order must be >= 1, got {order}")
@@ -651,47 +651,36 @@ def build_g(sys: ConformalSystem, k: float, t_window, points=None,
         top = _ramp_side(-k, -_averaged_tables(sys, order, pts, 0, 1)[1][0])
     k_direct = -k if mirrored else k
     cutoff = build_cutoff(1.0 / (1.0 - 0.5 * (k_direct - top) / k_direct))
-    return GConstruction(sys, k, cutoff, (lo, hi), mirrored, max_terms, order)
-
-
-@dataclass
-class MuReport:
-    n_used: int
-    residual_max: float
-    n_samples: int
-    slope_margin: float
+    return GConstruction(sys, k, cutoff, (lo, hi), mirrored, order)
 
 
 @dataclass
 class MuConstruction:
     """sigma(x,t) = (x, g(x,t) + t k + f_n(x)) and mu = -k (t o sigma^{-1}).
 
-    g is built for the averaged factor A_n(h); t |-> g + t k is strictly
-    monotone (slope sign = sign k), so sigma inverts sample by sample.
-    f_n, sigma_t, invert_sigma_t and mu take paired arrays, points of shape
-    (S,) or (S, 2) with times or targets of shape (S,), and evaluate the
-    whole sample at once; a scalar call is a batch of one and returns a float.
+    g is ``gcons``, built for the averaged factor A_n(h) at n = gcons.order
+    and size k = gcons.k; t |-> g + t k is strictly monotone (slope sign =
+    sign k), so sigma inverts sample by sample.  f_n, sigma_t,
+    invert_sigma_t and mu take paired arrays, points of shape (S,) or (S, 2)
+    with times or targets of shape (S,), and evaluate the whole sample at
+    once; a scalar call is a batch of one and returns a float.
     """
 
-    sys: ConformalSystem
-    k: float
-    n_used: int
     gcons: GConstruction
-    report: MuReport = None
 
     def f_n(self, x):
         """The transfer potential f_n at a batch of points, from one orbit walk
         (exact rows stay exact until the result is rounded)."""
         from .birkhoff import transfer_potential_values
 
-        sys, n = self.sys, self.n_used
+        sys, n = self.gcons.system, self.gcons.order
         pts, single = point_batch(sys.space, x)
         H = orbit_array(sys, pts, n, terms=n * n)
         fn = transfer_potential_values(H, n, sys.scale)[0]
         return float(fn[0]) if single else fn
 
     def sigma_t(self, x, t):
-        return self.gcons.g(x, t) + np.asarray(t, dtype=float) * self.k + self.f_n(x)
+        return self.gcons.g(x, t) + np.asarray(t, dtype=float) * self.gcons.k + self.f_n(x)
 
     def invert_sigma_t(self, x, s):
         """Solve g(x, t) + t k + f_n(x) = s for t at every sample.
@@ -704,9 +693,10 @@ class MuConstruction:
         final brackets, so the tables of A are walked once, for the whole
         sample, at the rows those need.
         """
-        pts, single = point_batch(self.sys.space, x)
+        gcons, k = self.gcons, self.gcons.k
+        pts, single = point_batch(gcons.system.space, x)
         target = np.broadcast_to(np.asarray(s, dtype=float), (len(pts),)) - self.f_n(pts)
-        gcons, k, sign = self.gcons, self.k, self.gcons.slope_sign()
+        sign = 1 if k > 0 else -1  # the sign of the slope dt g + k
 
         def F(g, idx, t):
             return sign * (g(idx, t) + t * k - target[idx])
@@ -715,7 +705,7 @@ class MuConstruction:
             return gcons.g(pts[idx], t)
 
         t0 = target / k
-        t_cap = 0.5 * gcons.max_terms
+        t_cap = 0.5 * MAX_TERMS
         lo, hi = t0 - (1.0 + 0.5 * np.abs(t0)), t0 + (1.0 + 0.5 * np.abs(t0))
         for end, side in ((lo, -1.0), (hi, 1.0)):  # move each end out past the root
             step = 1.0 + 0.5 * np.abs(t0)
@@ -758,9 +748,9 @@ class MuConstruction:
         return float(t[0]) if single else t
 
     def mu(self, x, s):
-        return -self.k * self.invert_sigma_t(x, s)
+        return -self.gcons.k * self.invert_sigma_t(x, s)
 
-    def mu_cocycle_residual(self, samples: int = 1000, rng=None) -> float:
+    def mu_cocycle_residual(self, samples: int = 512, rng=None) -> float:
         """max |mu(rho(x,t)) - mu(x,t) + k| over random samples, with t drawn
         from the middle half of the t-window.
 
@@ -769,7 +759,7 @@ class MuConstruction:
         on (x, t) for the whole sample.
         """
         rng = np.random.default_rng(rng)
-        sys = self.sys
+        sys, k = self.gcons.system, self.gcons.k
         lo, hi = (0.5 * t for t in self.gcons.t_window)
         draws = [(_random_point(sys, rng), rng.uniform(lo, hi)) for _ in range(samples)]
         if not draws:
@@ -777,8 +767,8 @@ class MuConstruction:
         xs = np.array([x for x, _ in draws])
         ts = np.array([t for _, t in draws])
         # rho(x, t) = (psi x, t + k - h(x))
-        ys, t2 = step_points(sys, xs), ts + self.k - eval_factor(sys, xs)
-        return float(np.max(np.abs(self.mu(ys, t2) - self.mu(xs, ts) + self.k)))
+        ys, t2 = step_points(sys, xs), ts + k - eval_factor(sys, xs)
+        return float(np.max(np.abs(self.mu(ys, t2) - self.mu(xs, ts) + k)))
 
 
 def _random_point(sys: ConformalSystem, rng):
@@ -797,12 +787,16 @@ def nonzero_size(k) -> float:
     return float(k)
 
 
-def usable_order(sys: ConformalSystem, k: float, n_scan: int = 64, points=None) -> int:
-    """The first n <= n_scan with A_n(h) on the usable side of k.
+def build_mu(sys: ConformalSystem, k: float, t_window, n_scan: int = 64,
+             points=None) -> MuConstruction:
+    """g and mu at the first n <= n_scan with A_n(h) on the usable side of k.
 
     Scans n = 1..n_scan for max A_n < k (k > 0) or min A_n > k (k < 0); if no
     order qualifies the size is reported NotFound (k may be non-admissible,
-    or admissible on the side the ramp construction cannot reach).
+    or admissible on the side the ramp construction cannot reach).  Only
+    builds: the sampled checks (``GConstruction.functional_residual`` and
+    ``slope_margin``, ``MuConstruction.mu_cocycle_residual``) are the
+    caller's to run.
     """
     from .birkhoff import birkhoff_extrema
 
@@ -815,48 +809,5 @@ def usable_order(sys: ConformalSystem, k: float, n_scan: int = 64, points=None) 
     if not usable.any():
         raise NotFoundError(
             f"no n <= {n_scan} with the averaged factor on the usable side of k = {k}")
-    return int(np.argmax(usable)) + 1
-
-
-def build_mu(sys: ConformalSystem, k: float, t_window, n_scan: int = 64,
-             points=None, samples: int = 512, rng=None) -> MuConstruction:
-    """Build g and mu at the first usable order (``usable_order``), and
-    report the slope margin and a sampled cocycle residual."""
-    k = float(k)
-    n_used = usable_order(sys, k, n_scan, points)
-    gcons = build_g(sys, k, t_window, points=points, order=n_used)
-    mu = MuConstruction(sys, k, n_used, gcons)
-    margin = gcons.slope_margin()
-    residual = mu.mu_cocycle_residual(samples=samples, rng=rng)
-    mu.report = MuReport(n_used, residual, samples, margin)
-    return mu
-
-
-def conjugation_residual(mu: MuConstruction, c: float, pts=None, ts=None) -> float:
-    """Residual of the scaled conjugation identity.
-
-    With sigma_c(x,t) = (x, g(x,t) + t c k + f_n(x)), the size-1 action is
-    carried to the size-(ck) action of the original factor:
-    sigma_c o rho_1 = rho_{(psi, ck - h)} o sigma_c.  Returns the max
-    t-component mismatch over the sample (sigma_c is a diffeomorphism only
-    where dt g + ck is one-signed, but the identity itself is algebraic).
-    """
-    sys = mu.sys
-    g = mu.gcons
-    if pts is None:
-        pts = reference_points(sys, cap=256)
-    if ts is None:
-        lo, hi = g.t_window
-        ts = np.linspace(0.5 * lo, 0.5 * hi, 101)
-    pts = np.asarray(pts)
-    ts = np.asarray(ts, dtype=float)
-    ck = c * mu.k
-    from .birkhoff import transfer_potential_values
-
-    H = _float_orbit(sys, pts, mu.n_used)
-    fn_here, fn_next = transfer_potential_values(H, mu.n_used)
-    nxt = step_points(sys, pts)
-    h = H[0]
-    lhs = g.g(nxt, (ts + 1.0)[:, None]) + (ts[:, None] + 1.0) * ck + fn_next[None, :]
-    rhs = g.g(pts, ts[:, None]) + ts[:, None] * ck + fn_here[None, :] + ck - h[None, :]
-    return float(np.max(np.abs(lhs - rhs)))
+    order = int(np.argmax(usable)) + 1
+    return MuConstruction(build_g(sys, k, t_window, points=points, order=order))

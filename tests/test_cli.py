@@ -637,9 +637,10 @@ def _old_cache_key(canonical, profile_sha256=None):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-ODD_PARAMS = {"generators": ["1", "s"], "n": np.int64(3), "w": np.float64(0.1),
-              "arr": np.arange(3), "q": [Fraction(-2, 6)],
-              "text": "a, b: c", "nested": {"z": 1, "a": [None, True]}}
+# odd values under keys that some command reads (rank reads only generators)
+ODD_PARAMS = {"generators": ["1", "s"], "n": np.int64(3), "t_window": np.float64(0.1),
+              "starts": np.arange(3), "method": [Fraction(-2, 6)],
+              "profile_csv": "a, b: c", "n_scan": {"z": 1, "a": [None, True]}}
 
 
 @pytest.mark.parametrize("profile", [None, "0" * 64, hashlib.sha256(b"u\n-1\n").hexdigest()])
@@ -1055,3 +1056,51 @@ def test_elasticity_refuses_k_zero_on_both_branches(tmp_path, capsys, flag):
     assert code == 3
     assert report["error"] == "the cocycle -k t o sigma^{-1} degenerates at k = 0"
     assert _diag_of(capsys)["error"] == "NotFoundError"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_max", "5"),  # was a TypeError traceback
+    ("n_max", 2.0),  # was a TypeError traceback
+    ("n_max", True),  # ran with n_max 1
+    ("seed", "x"),  # ran with exit 0
+    ("strict_verdict", "yes"),  # ran with exit 0
+])
+def test_run_checks_the_fields_a_library_caller_sets(tmp_path, capsys, field, value):
+    data = {"command": "analyze", "system": CONST_SYSTEM, "n_max": 6, field: value}
+    config = cli.RunConfig(**data, out=str(tmp_path / "r"))
+    report, code = cli.run(config)
+    assert code == 2 and report["error"].startswith(f"{field} must be")
+    assert not os.path.exists(tmp_path / "r")  # refused before the cache lookup
+
+
+@pytest.mark.parametrize("data,key", [
+    ({"nmax": 5}, "config key 'nmax'"),  # ran with n_max 200
+    ({"params": {"t_windw": [-2, 2]}}, "params key 't_windw'"),  # ignored
+    ({"tolerances": {"gap_res": 0.1}}, "tolerances key 'gap_res'"),  # ignored
+])
+def test_a_key_that_no_command_reads_exits_2(tmp_path, capsys, data, key):
+    cfg = write_config(tmp_path, "c.json", **{**_CONSTRUCT, **data})
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError" and diag["message"].startswith(f"unknown {key}")
+
+
+def test_a_key_of_another_command_is_allowed(tmp_path):
+    # one file serves every --command: analyze ignores construct's t_window
+    cfg = write_config(tmp_path, "c.json", **{**_CONSTRUCT, "tolerances": {"tol_inverse": 1e-9}})
+    for command in ("construct", "analyze"):
+        assert run_cli(["--config", cfg, "--command", command,
+                        "--out", str(tmp_path / command), "--n-max", "6"]) == 0
+
+
+@pytest.mark.parametrize("system,data", [
+    (CONST_SYSTEM, {"command": "analyze", "grid": ["0.5"]}),  # ran on 0.5
+    (CONST_SYSTEM, {"command": "probe", "k": 1.0,
+                    "params": {"starts": ["0.25", "0.5"]}}),  # was taken
+    (CONST_SYSTEM, {"command": "analyze", "grid": [0.1, True]}),  # NumPy reads 1.0
+    (FINITE_SYSTEM, {"command": "analyze", "grid": [True, "2"]}),  # ran on states 1 and 2
+])
+def test_a_point_that_is_a_string_or_a_boolean_exits_2(tmp_path, capsys, system, data):
+    cfg = write_config(tmp_path, "c.json", system=system, n_max=6, **data)
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert _diag_of(capsys)["error"] == "DomainError"

@@ -24,6 +24,7 @@ from lcsdyn.core import (
     eval_factor,
     eval_factor_like,
     orbit_array,
+    point_batch,
     orbit_rows,
     step_points,
 )
@@ -352,8 +353,9 @@ def test_sample_points_float_batch_matches_normalize():
                (circle, np.array(edge, dtype=np.float32)),
                (torus, np.array([edge, edge[::-1]]).T)]
     for space, x in batches:
+        # a batch normalises each point as that point alone would be
         got = space.sample_points(x)
-        want = np.asarray([space.normalize(p) for p in x], dtype=float)
+        want = np.concatenate([space.sample_points([p]) for p in x])
         assert got.dtype == float and np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
     for space, bad in [(circle, np.array([0.1, np.nan])), (circle, np.array([np.inf])),
@@ -362,10 +364,25 @@ def test_sample_points_float_batch_matches_normalize():
                        (torus, np.zeros((2, 3)))]:
         with pytest.raises(DomainError):
             space.sample_points(bad)
-    # lists and finite spaces go point by point, as before
+    # lists and finite spaces take the same path
     assert circle.sample_points([-0.25, 1.5]).tolist() == [0.75, 0.5]
     finite = ModelSpace("finite", size=4)
     got = finite.sample_points(np.array([0.0, 3.0]))
     assert got.dtype == np.int64 and got.tolist() == [0, 3]
     with pytest.raises(DomainError):
         finite.sample_points(np.array([1.5]))
+
+
+@pytest.mark.parametrize("kind,points", [
+    ("circle", "0.5"), ("circle", ["0.5"]), ("circle", [0.1, True]),
+    ("circle", np.array([True, False])), ("circle", [1j]), ("circle", [10**400]),
+    ("torus2", [[0.1, True]]), ("torus2", [["0.1", 0.2]]), ("torus2", [[0.1], [0.2, 0.3]]),
+    ("finite", [True, "2"]), ("finite", [True]), ("finite", Fraction(5, 2)),
+    ("finite", [1, 2.5]), ("finite", [float("nan")]), ("finite", np.array([np.nan])),
+])
+def test_point_batch_refuses_strings_booleans_and_fractional_states(kind, points):
+    # NumPy reads [0.1, True] as [0.1, 1.0] and int(Fraction(5, 2)) is 2:
+    # neither may pass as a point
+    space = ModelSpace(kind, size=4)
+    with pytest.raises(DomainError):
+        point_batch(space, points)

@@ -398,7 +398,7 @@ def test_the_profile_draws_no_cocycle_samples(monkeypatch, const_rotation, golde
     from lcsdyn import torus
 
     cases = [(const_rotation, 1.0, (-10, 10)), (golden_cos, -1.5, (-2, 2))]
-    want = [torus.build_mu(sys, k, window).gcons.dt_attainable(s_count=65)
+    want = [torus.build_mu(sys, k, window).gcons.dt_attainable()
             for sys, k, window in cases]
 
     def refuse(*args, **kwargs):
@@ -406,7 +406,7 @@ def test_the_profile_draws_no_cocycle_samples(monkeypatch, const_rotation, golde
 
     monkeypatch.setattr(torus.MuConstruction, "mu_cocycle_residual", refuse)
     for (sys, k, window), (slopes, values) in zip(cases, want):
-        profile = mapping_torus_profile(sys, k, window, s_count=65)
+        profile = mapping_torus_profile(sys, k, window)
         assert np.array_equal(profile._slopes, slopes)
         assert np.array_equal(profile._values, values)
         assert profile._k == k
@@ -423,7 +423,7 @@ def test_construction_profile_memory_peaks():
                                grid_resolution=grid)
 
     # first use imports and caches outside the measured window
-    mapping_torus_profile(cos(64), -1.5, (-2, 2), s_count=65)
+    mapping_torus_profile(cos(64), -1.5, (-2, 2))
     sys = cos(1024)
     tracemalloc.start()
     try:
@@ -444,9 +444,9 @@ def test_construction_profile_memory_peaks():
     # the same numbers as the out-of-place arithmetic on the whole array
     from lcsdyn.torus import build_mu
 
-    mu = build_mu(sys, -1.5, (-2, 2), rng=1, samples=128)
-    dt = np.multiply.outer(*mu.gcons.dt_attainable()).ravel()
-    assert np.array_equal(profile.samples, -mu.k / (dt + mu.k))
+    gcons = build_mu(sys, -1.5, (-2, 2)).gcons
+    dt = np.multiply.outer(*gcons.dt_attainable()).ravel()
+    assert np.array_equal(profile.samples, -gcons.k / (dt + gcons.k))
     assert es.forbidden == _reference_forbidden(profile.samples, 1e-3)
     assert bounds == (float(profile.samples.min()), float(profile.samples.max()))
     assert not first_kind

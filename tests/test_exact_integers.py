@@ -488,7 +488,9 @@ def test_config_echo_and_cache_key_serialise_like_plain_json(tmp_path):
 
     def run(params, system, name):
         config = cli.RunConfig(command="rank", system=system, k_range=(0.0, 1.0, 0.5),
-                               params={"generators": ["1", "s"], **params},
+                               # under a params key that some command reads (rank
+                               # reads only generators)
+                               params={"generators": ["1", "s"], "method": params},
                                out=str(tmp_path / name), cache_dir=str(tmp_path / name / "c"))
         report, code = cli.run(config)
         assert code == 0

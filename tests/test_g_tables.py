@@ -63,15 +63,16 @@ def ref_mirrored_system(sys):
 
 @dataclass
 class RefG:
-    system: object
+    """g and dt g read off orbit tables of ``walked``; ``system`` and ``order``
+    are the base system and averaging order, which a MuConstruction reads."""
+
+    walked: object
     k: float
     cutoff: object
     mirrored: bool
     inner: object
-    max_terms: int = 100_000
-
-    def slope_sign(self):
-        return 1 if self.k > 0 else -1
+    system: object = None
+    order: int = 1
 
     def g(self, x, t):
         if self.mirrored:
@@ -86,7 +87,7 @@ class RefG:
     def batch(self, x, ts):
         """The batch evaluator's interface on this reference's own g and dt:
         g(idx, t) and dt(idx, t) at the columns idx of the batch x."""
-        pts = point_batch(self.system.space, x)[0]
+        pts = point_batch(self.walked.space, x)[0]
         return SimpleNamespace(g=lambda idx, t: self.g(pts[idx], t),
                                dt=lambda idx, t: self.dt(pts[idx], t))
 
@@ -94,12 +95,12 @@ class RefG:
         ts = np.asarray(ts, dtype=float)
         lead = int(np.maximum(np.ceil(-ts), 0.0).max(initial=0.0))
         trail = int(np.maximum(np.ceil(ts), 0.0).max(initial=0.0))
-        sys = self.system
+        sys = self.walked
         return (_float_orbit(sys, pts, lead),
                 _float_orbit(sys, step_points(sys, pts, inverse=True), trail, inverse=True))
 
     def _paired(self, x, t, derivative):
-        pts, single = point_batch(self.system.space, x)
+        pts, single = point_batch(self.walked.space, x)
         ts = np.broadcast_to(np.asarray(t, dtype=float), (len(pts),))
         fwd, bwd = self.tables(pts, ts)
         chi = self.cutoff.prime if derivative else self.cutoff
@@ -117,13 +118,14 @@ def ref_build_g(sys, k):
     _hmin, hmax = factor_range(sys)
     if hmax < k:
         eps = 0.5 * (k - hmax)
-        return RefG(sys, k, build_cutoff(1.0 / (1.0 - eps / k)), False, None)
+        return RefG(sys, k, build_cutoff(1.0 / (1.0 - eps / k)), False, None, sys)
     inner = ref_build_g(ref_mirrored_system(sys), -k)
-    return RefG(sys, k, inner.cutoff, True, inner)
+    return RefG(sys, k, inner.cutoff, True, inner, sys)
 
 
 def ref_build_averaged_g(sys, k, n):
-    return ref_build_g(replace(sys, factor=ref_averaged_factor(sys, n)), k)
+    ref = ref_build_g(replace(sys, factor=ref_averaged_factor(sys, n)), k)
+    return replace(ref, system=sys, order=n)
 
 
 # --------------------------------------------------------------------------
@@ -183,9 +185,9 @@ def test_tables_g_dt_and_inverse_match_the_system_construction(name, k, n):
     for got, want in ((gcons.g, ref.g), (gcons.dt, ref.dt)):
         assert np.max(np.abs(got(xs, ts) - want(xs, ts))) <= TOL
 
-    s = MuConstruction(sys, k, n, gcons).sigma_t(xs, ts)
-    inv = MuConstruction(sys, k, n, gcons).invert_sigma_t(xs, s)
-    ref_inv = MuConstruction(sys, k, n, ref).invert_sigma_t(xs, s)
+    s = MuConstruction(gcons).sigma_t(xs, ts)
+    inv = MuConstruction(gcons).invert_sigma_t(xs, s)
+    ref_inv = MuConstruction(ref).invert_sigma_t(xs, s)
     assert np.max(np.abs(inv - ref_inv)) <= TOL
 
 
@@ -228,8 +230,8 @@ def test_one_strip_per_side_of_rows(monkeypatch):
     # a table of R rows at order n walks R + n - 1 base rows per side; the
     # factor closure of the averaged system walked n rows for each of the R
     sys = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]}, grid_resolution=64)
-    mu = build_mu(sys, 0.3, (-8, 8), samples=4, rng=0)
-    n = mu.n_used
+    mu = build_mu(sys, 0.3, (-8, 8))
+    n = mu.gcons.order
     assert n >= 2
     rows = []
     real = core.eval_factor

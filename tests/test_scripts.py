@@ -48,6 +48,10 @@ def test_strict_rotation_study(tmp_path):
         summary = json.load(fh)
     assert set(summary) == {"limit_estimate", "construction_k1"}
     assert summary["limit_estimate"]["n_used"] == 20
+    construction = summary["construction_k1"]
+    assert construction["mu_residual"] <= 1e-7
+    assert construction["g_residual"] <= 1e-9
+    assert construction["slope_margin"] > 0
 
 
 def test_elasticity_vs_size(tmp_path):
