@@ -9,8 +9,10 @@ monotone in n they approach the limit extrema from the correct side as n_max
 grows.
 
 Minima commute, so the envelope extrema are suffix extrema of per-n extrema:
-``birkhoff_extrema`` streams them in O(P) memory, and only ``birkhoff_table``
-keeps the per-point (n_max, P) arrays, for the full CSV and its callers.
+``birkhoff_extrema`` streams them in O(P) memory, reading the orbit engine's
+blocks of rows (``core.orbit_blocks``) and handing each block of running
+sums to its ``visit``; only ``birkhoff_table`` keeps the per-point
+(n_max, P) arrays, for the full CSV and its callers.
 
 Exact finite systems run the same code on integers scaled by the common
 denominator D of the factor table: every A_n at one n shares the
@@ -38,7 +40,7 @@ from .core import (
     generating_span,
     integer_array,
     orbit_array,
-    orbit_rows,
+    orbit_blocks,
     ratio_strings,
     scaled_floats,
     step_points,  # unused here; perfbench/test_smoke.py checks its tracing rebinds it
@@ -175,11 +177,16 @@ def birkhoff_table(sys: ConformalSystem, points=None, n_max: int = 100) -> Birkh
     values); its extrema curves are that pass's.  The per-point arrays are
     derived from the sums on first use.
     """
-    rows = []
-    ext = birkhoff_extrema(sys, points, n_max, visit=lambda n, S: rows.append(S.copy()))
-    # wide enough for the cross products of the envelope comparisons
-    return BirkhoffTable(**vars(ext),
-                         running_sums=np.array(rows, dtype=sum_dtype(sys, n_max * n_max)))
+    sums = None
+
+    def keep(n0, S):  # wide enough for the cross products of the envelope comparisons
+        nonlocal sums
+        if sums is None:
+            sums = np.empty((n_max, S.shape[1]), dtype=sum_dtype(sys, n_max * n_max))
+        sums[n0 - 1:n0 - 1 + len(S)] = S
+
+    ext = birkhoff_extrema(sys, points, n_max, visit=keep)
+    return BirkhoffTable(**vars(ext), running_sums=sums)
 
 
 def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
@@ -188,10 +195,11 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
 
     Keeps a running S_n and the per-n min/max of A_n = S_n / n over the
     sample, then takes suffix extrema over the n_max orders, so memory is
-    O(P + n_max).  The running sum adds the orbit rows in order, as an
-    axis-0 cumulative sum does.  ``visit(n, S_n)``, if given, sees every
-    running sum (read only) as it is formed, in the orbit rows' arithmetic
-    (the integers S_n * scale on exact systems).
+    O(P + n_max).  The pass reads the orbit engine's blocks of rows and
+    adds each row to the one before it in place, in order, as an axis-0
+    cumulative sum does.  ``visit(n0, S)``, if given, sees every block of
+    running sums (read only) as it is formed: S[i] is S_{n0 + i}, in the
+    orbit rows' arithmetic (the integers S_n * scale on exact systems).
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
@@ -202,18 +210,16 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
         raise ValidationError("empty sample")
     dtype = sum_dtype(sys, n_max)
     lows, highs = [], []
-    S = None
-    for n, row in enumerate(orbit_rows(sys, pts, n_max), start=1):
-        if S is None:
-            S = np.array(row, dtype=dtype)
-        else:
-            S += row
-        lows.append(S.min())  # min_p S_n(p) / n = min_p A_n(p): rounding is monotone
-        highs.append(S.max())
+    n0, S = 1, None
+    for block in orbit_blocks(sys, pts, n_max):
+        S = _accumulate(block.astype(dtype, copy=False), None if S is None else S[-1])
+        lows.append(S.min(axis=1))  # min_p S_n(p) / n = min_p A_n(p): rounding is monotone
+        highs.append(S.max(axis=1))
         if visit is not None:
-            visit(n, S)
+            visit(n0, S)
+        n0 += len(S)
     ns = np.arange(1, n_max + 1)
-    lows, highs = (_divide(np.array(c, dtype=dtype), ns, sys.scale) for c in (lows, highs))
+    lows, highs = (_divide(np.concatenate(c), ns, sys.scale) for c in (lows, highs))
     extrema = {
         "min_avg": lows,
         "max_avg": highs,
@@ -221,6 +227,16 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
         "sup_env_plus": np.maximum.accumulate(highs[::-1])[::-1],
     }
     return BirkhoffExtrema(sys.label, sys, pts, n_max, extrema, sys.exact)
+
+
+def _accumulate(B, start):
+    """B summed along its rows in place, each row added to the one before
+    it, the first to ``start`` unless that is None; returns B."""
+    if start is not None:
+        B[0] += start
+    for i in range(1, len(B)):
+        B[i] += B[i - 1]
+    return B
 
 
 def transfer_potential(sys: ConformalSystem, n: int):
@@ -280,31 +296,43 @@ def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> 
 
     One streamed orbit walk of n_max rows serves both the grid and its image;
     running sums carry S_n and f_n = (S_1 + ... + S_{n-1}) / n at p and at
-    psi p, so memory is O(P) whatever n_max is.  Exact systems check the
-    identity times n * scale on the integer rows, so their curve is exact
-    (Fractions, all zero); float systems show float rounding.
+    psi p, a block of rows at a time, so memory is O(P) whatever n_max is.
+    Exact systems check the identity times n * scale on the integer rows, so
+    their curve is exact (Fractions, all zero); float systems show float
+    rounding.
     """
     pts = sys.space.sample_points(points)
     scale = sys.scale
-    # (n_max + 1)^2 table values bound every partial sum and difference below
-    s_here = np.zeros(np.shape(pts)[0], dtype=sum_dtype(sys, (n_max + 1) ** 2))  # S_n(p)
-    s_next = np.zeros_like(s_here)  # S_{n-1}(psi p), rows 1..n-1
-    cs_here = np.zeros_like(s_here)  # S_1(p) + ... + S_{n-1}(p)
-    cs_next = np.zeros_like(s_here)  # S_1(psi p) + ... + S_{n-1}(psi p)
+    # (n_max + 1)^2 table values bound every partial sum and difference below;
+    # after order n: S_n(p), S_{n-1}(psi p) (rows 1..n-1), and the sums of
+    # S_1 .. S_{n-1} at p and at psi p
+    dtype = sum_dtype(sys, (n_max + 1) ** 2)
+    s_here = s_next = cs_here = cs_next = np.zeros(np.shape(pts)[0], dtype=dtype)
     out = np.empty(n_max, dtype=float if scale is None else object)
-    for n, row in enumerate(orbit_rows(sys, pts, n_max), start=1):
-        if n == 1:
-            h = row.astype(s_here.dtype)
+    n0 = 1
+    for rows in orbit_blocks(sys, pts, n_max):
+        rows = rows.astype(dtype, copy=False)
+        nxt = rows.copy()
+        if n0 == 1:
+            h = rows[0].copy()
+            nxt[0] = 0  # the walk from psi p starts at row 1
+        nxt = _accumulate(nxt, s_next)
+        c_next = _accumulate(nxt.copy(), cs_next)
+        here = _accumulate(rows, s_here)
+        c_here = _accumulate(np.concatenate([s_here[None], here[:-1]]), cs_here)
+        ns = np.arange(n0, n0 + len(here))[:, None]
+        if scale is None:  # here / n - (h + c_next / n - c_here / n), in place
+            gap = c_next / ns
+            gap += h
+            gap -= c_here / ns
+            np.subtract(here / ns, gap, out=gap)
+            out[n0 - 1:n0 - 1 + len(here)] = np.abs(gap, out=gap).max(axis=1)
         else:
-            cs_here += s_here
-            s_next += row
-            cs_next += s_next
-        s_here += row
-        if scale is None:
-            out[n - 1] = np.max(np.abs(s_here / n - (h + cs_next / n - cs_here / n)))
-        else:
-            worst = np.max(np.abs(s_here - (n * h + cs_next - cs_here)))
-            out[n - 1] = Fraction(int(worst), n * scale)
+            worst = np.max(np.abs(here - (ns * h + c_next - c_here)), axis=1)
+            out[n0 - 1:n0 - 1 + len(here)] = [Fraction(int(w), int(n) * scale)
+                                               for w, n in zip(worst, ns[:, 0])]
+        s_here, s_next, cs_here, cs_next = here[-1], nxt[-1], c_here[-1], c_next[-1]
+        n0 += len(here)
     return out
 
 

@@ -39,9 +39,10 @@ from .core import (
     RationalTable,
     ValidationError,
     cat_map_system,
-    eval_factor,
     finite_permutation_system,
+    orbit_rows,
     rotation_system,
+    scaled_floats,
     step_points,
 )
 
@@ -365,14 +366,16 @@ def _strict_mu(config):
 
 def _write_probe_trace(sys_, report, config, out_dir):
     # the action (x, t) -> (psi x, t + k - h(x)) from the witness start: the
-    # orbit stepped as a batch of one, h evaluated once over its rows
+    # orbit stepped as a batch of one, and h(x) the first orbit row from each
+    # of its points, as action_step reads it
     start = report.witness.start if report.witness else sys_.space.sample_points(1)[0]
     steps = min(config.n_max, 2000)
     xs = [sys_.space.sample_points([start])]
     for _ in range(steps):
         xs.append(step_points(sys_, xs[-1]))
     xs = np.concatenate(xs)
-    hs = eval_factor(sys_, xs[:steps]).tolist()
+    hs = next(orbit_rows(sys_, xs[:steps], 1))
+    hs = (scaled_floats(hs, sys_.scale) if sys_.exact else hs).tolist()
     ts = itertools.accumulate(hs, lambda t, h: t + report.k - h, initial=0.0)
     # every coordinate a float (finite states too), as repr writes it
     coords = np.asarray(xs, dtype=float).reshape(steps + 1, -1).tolist()
@@ -427,6 +430,11 @@ def _cmd_construct(config, sys_, out_dir):
     g = mu.gcons
     # the margin and the mu residual first: a failing check raises as before
     slope_margin = g.slope_margin()
+    if not slope_margin > 0:
+        raise torus.InfeasibleError(
+            f"dt g + k does not carry the sign of k = {g.k} on the reference sample "
+            f"(slope margin {slope_margin:.3g}), so sigma is not invertible: g was "
+            "built from the averaged factor on the grid alone")
     mu_residual = mu.mu_cocycle_residual(rng=config.seed)
     return {
         "n_used": g.order,

@@ -5,8 +5,10 @@ circle, unit 2-torus, or a finite state set) together with a real factor h.
 Everything computed elsewhere in this package is a function of the pair
 (psi, h) alone.  psi is data, the ``map_kind`` record, which ``step_points``
 alone applies (a lone point as a batch of one): no per-point map closures.
-h is the factor record, which ``eval_factor`` alone evaluates; an opaque
-callable is evaluated point by point only if it rejects arrays.
+h is the factor record, which ``eval_factor`` alone evaluates at points; an
+opaque callable is evaluated point by point only if it rejects arrays.  On
+a rotation the orbit engine (``orbit_blocks``) forms the rows of a ``trig``
+record by angle addition from exact phases, without stepping points.
 
 Circle and torus coordinates live in [0, 1) and are reduced mod 1 after every
 map application, so long orbits cannot drift.  Finite systems whose factor
@@ -468,36 +470,133 @@ def generating_span(sys: ConformalSystem, pts) -> float | None:
     return float(v.max() - v.min())
 
 
-def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
-    """The orbit engine, one row at a time: yields h(psi^i p) for i < n.
+#: cells (rows times points) of one block of orbit rows: a block holds
+#: max(1, BLOCK_CELLS // P) rows of P points
+BLOCK_CELLS = 2**14
 
-    ``inverse`` walks psi^{-1} instead.  Float systems yield float64 arrays of
-    shape (P,); exact finite systems yield the integers h * sys.scale
-    (``sys.scaled_table``).  Both are stepped by ``step_points``.  Every orbit
-    quantity (S_n, A_n, f_n, the g orbit tables) is a reduction of these
-    rows, in O(P) memory if streamed.
 
-    A forward float walk of a system with a stored coboundary h = f - f o psi
-    (``sys.generating_f``) evaluates F_i = f(psi^i p) once per cell and yields
-    F_i - F_{i+1}, which is h(psi^i p) bit for bit: h steps its argument with
-    the same ``step_points`` that gives the next row's points.  An inverse
-    walk evaluates h, because psi(psi^{-j} p) need not be psi^{-j+1} p to the
-    last bit.
+def orbit_blocks(sys: ConformalSystem, pts, n: int, inverse: bool = False):
+    """The orbit engine: yields the rows h(psi^i p), i < n, in blocks of
+    consecutive rows, each a new (b, P) array that the caller may keep or
+    change.  A block holds ``BLOCK_CELLS`` // P rows (at least one); a factor
+    that holds an opaque callable, also inside a coboundary, gets one row per
+    block, so it is called on arrays of P points only.
+
+    ``inverse`` walks psi^{-1} instead.  Float systems yield float64 rows;
+    exact finite systems yield the integers h * sys.scale
+    (``sys.scaled_table``).  Every orbit quantity (S_n, A_n, f_n, the g
+    orbit tables) is a reduction of these rows, in O(P) memory if streamed.
+
+    A forward walk of a system with a stored coboundary h = f - f o psi
+    (``sys.generating_f``) walks f: it forms F_i = f(psi^i p) once per cell
+    and yields F_i - F_{i+1}.  Every other walk walks h.
+
+    On a rotation, a walked ``trig`` record is not stepped: its rows come
+    from the cos and sin of 2 pi j p, once per start point, and of the
+    exact phases 2 pi j i a mod 1 of the angle a, once per row, by angle
+    addition (``_phase_rows``).  Row 0 of such a walk is ``eval_factor`` bit
+    for bit.  Every other walk steps its points one row at a time with
+    ``step_points`` and evaluates a block of rows in one call.
     """
-    cur = np.asarray(pts, dtype=np.int64) if sys.exact else pts
-    f = sys.generating_f
-    if f is not None and not inverse and n > 0:
-        F = _evaluate(sys, f, cur)
-        for _ in range(n):
-            cur = step_points(sys, cur)
-            nxt = _evaluate(sys, f, cur)
-            yield F - nxt
-            F = nxt
+    P = np.shape(pts)[0]
+    telescoped = sys.generating_f is not None and not inverse
+    walked = sys.generating_f if telescoped else sys.factor
+    if sys.map_kind["kind"] == "rotation" and _record_type(walked) == "trig":
+        rows = _phase_rows(walked, sys.map_kind["angle"], pts, -1 if inverse else 1)
+    else:
+        rows = _stepped_rows(sys, walked, pts, inverse)
+    size = 1 if _holds_callable(walked) else max(1, BLOCK_CELLS // max(P, 1))
+    if not telescoped:
+        for lo in range(0, n, size):
+            yield rows(lo, min(size, n - lo))
         return
-    for i in range(n):
-        yield sys.scaled_table[cur] if sys.exact else eval_factor(sys, cur)
-        if i + 1 < n:
-            cur = step_points(sys, cur, inverse=inverse)
+    F = rows(0, 1)[0] if n > 0 else None
+    for lo in range(0, n, size):
+        nxt = rows(lo + 1, min(size, n - lo))
+        out = np.empty_like(nxt)
+        np.subtract(F, nxt[0], out=out[0])
+        np.subtract(nxt[:-1], nxt[1:], out=out[1:])
+        F = nxt[-1]
+        yield out
+
+
+def _holds_callable(h) -> bool:
+    """True when the factor record h is, or holds, an opaque callable."""
+    if _record_type(h) == "coboundary":
+        return _holds_callable(h["f"]) or (h.get("base") is not None
+                                           and _holds_callable(h["base"]))
+    return callable(h)
+
+
+def _stepped_rows(sys: ConformalSystem, h, pts, inverse: bool):
+    """rows(lo, b): the record h (``sys.factor`` or its f) at psi^i p for
+    lo <= i < lo + b, as a (b, P) array, read in order.  Points are stepped
+    one row at a time, only as far as the rows asked for, and each block is
+    evaluated in one call: ``eval_factor`` of the system's own factor (the
+    scaled integers on exact systems), else ``_evaluate`` of the record."""
+    cur, at, P = (np.asarray(pts, dtype=np.int64) if sys.exact else pts), 0, np.shape(pts)[0]
+
+    def rows(lo, b):
+        nonlocal cur, at
+        block = []
+        for i in range(lo, lo + b):
+            while at < i:
+                cur, at = step_points(sys, cur, inverse=inverse), at + 1
+            block.append(cur)
+        x = block[0] if b == 1 else np.concatenate(block)
+        if sys.exact:
+            v = sys.scaled_table[x]
+        else:
+            v = eval_factor(sys, x) if h is sys.factor else _evaluate(sys, h, x)
+        return v.reshape(b, P)
+
+    return rows
+
+
+def _phase_rows(h, angle: float, pts, sign: int):
+    """rows(lo, b): the trig record h at p + m a, a the rotation angle, for
+    the orders m = sign * i with lo <= i < lo + b, as a (b, P) array.
+
+    The phase j m a mod 1 of a term of frequency j is exact: Python ints
+    over the denominator of Fraction(a), rounded once to a float.  Each term
+    is then cos(u + v) = cos u cos v - sin u sin v (or sin(u + v) = sin u
+    cos v + cos u sin v) with u = 2 pi j p, whose cos and sin are taken once
+    per start point as ``_evaluate`` takes them, and v = 2 pi (j m a mod 1),
+    taken once per row.  The coefficient multiplies the cos and sin of v.
+    Order 0 is the term's own cos u or sin u, so row 0 is ``_evaluate``'s
+    value bit for bit.
+    """
+    frac = Fraction(angle)
+    x = np.asarray(pts, dtype=float)
+    terms = [(coef, j * frac.numerator, is_sin, np.cos(2.0 * np.pi * j * x),
+              np.sin(2.0 * np.pi * j * x))
+             for key, is_sin in (("cos", False), ("sin", True)) for j, coef in h[key]]
+    den = frac.denominator
+
+    def rows(lo, b):
+        ms = range(sign * lo, sign * (lo + b), sign)
+        v = np.full((b, len(x)), h["const"])
+        for coef, step, is_sin, cos_u, sin_u in terms:
+            phase = 2.0 * np.pi * np.array([step * m % den / den for m in ms])
+            cos_v, sin_v = coef * np.cos(phase), coef * np.sin(phase)
+            if is_sin:
+                term = np.multiply.outer(cos_v, sin_u)
+                term += np.multiply.outer(sin_v, cos_u)
+            else:
+                term = np.multiply.outer(cos_v, cos_u)
+                term -= np.multiply.outer(sin_v, sin_u)
+            if lo == 0:
+                np.multiply(coef, sin_u if is_sin else cos_u, out=term[0])
+            v += term
+        return v
+
+    return rows
+
+
+def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
+    """The rows of ``orbit_blocks`` one at a time, as (P,) arrays."""
+    for block in orbit_blocks(sys, pts, n, inverse):
+        yield from block
 
 
 def orbit_array(sys: ConformalSystem, pts, n: int, inverse: bool = False, terms: int = 1):
@@ -505,8 +604,10 @@ def orbit_array(sys: ConformalSystem, pts, n: int, inverse: bool = False, terms:
     sums of ``terms`` values (``sum_dtype``): float64, or on exact systems
     the integers h * sys.scale."""
     out = np.empty((n, np.shape(pts)[0]), dtype=sum_dtype(sys, terms))
-    for i, row in enumerate(orbit_rows(sys, pts, n, inverse)):
-        out[i] = row
+    lo = 0
+    for block in orbit_blocks(sys, pts, n, inverse):
+        out[lo:lo + len(block)] = block
+        lo += len(block)
     return out
 
 

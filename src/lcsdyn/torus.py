@@ -183,8 +183,8 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
 
     What does not depend on k is computed once.  The sizes left without an
     exact certificate share one streamed orbit pass: it yields the envelope
-    curves and scans each row of running sums for every such size, keeping
-    the first in-band (n, p) in row-major order.
+    curves and scans each block of running sums for every such size at
+    once, keeping the first in-band (n, p) in row-major order.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
@@ -237,23 +237,25 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
     # --- one pass: envelope curves and the recurrence scan of every size left
     from .birkhoff import birkhoff_extrema
 
-    kv = np.array([ks[i] for i in rest])[:, None]
-    lo, hi = np.array([bands[i] for i in rest]).T[:, :, None]
+    kv = np.array([ks[i] for i in rest])[:, None, None]
+    lo, hi = np.array([bands[i] for i in rest]).T[:, :, None, None]
     t0 = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, 0.5 * (lo + hi))
     tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     lo, hi = lo - tol, hi + tol
     last = np.zeros(len(rest), dtype=int)  # latest n with an orbit in the band
     first = {}  # j -> (n, p, t) of the first return in row-major order
 
-    def scan(n, S):
-        t_vals = t0 + kv * n - S
+    def scan(n0, S):  # t of every (size, n, p) of one block of running sums
+        t_vals = t0 + kv * np.arange(n0, n0 + len(S))[:, None] - S
         in_band = (t_vals >= lo) & (t_vals <= hi)
-        hit = in_band.any(axis=1)
-        last[hit] = n
-        for j in np.flatnonzero(hit):
+        hit = in_band.any(axis=2)
+        for j in np.flatnonzero(hit.any(axis=1)):
+            rows = np.flatnonzero(hit[j])
+            last[j] = n0 + rows[-1]
             if j not in first:
-                p = int(np.argmax(in_band[j]))
-                first[j] = (n, p, float(t_vals[j, p]))
+                r = rows[0]
+                p = int(np.argmax(in_band[j, r]))
+                first[j] = (n0 + int(r), p, float(t_vals[j, r, p]))
 
     ext = birkhoff_extrema(sys, pts, n_max, visit=scan).extrema_per_n
     sup_env = np.asarray(ext["sup_env_plus"], dtype=float)
@@ -511,9 +513,11 @@ class GConstruction:
         return float(np.max(np.abs(there - here + a)))
 
     def slope_margin(self, pts=None, ts=None) -> float:
-        """min |dt g + k| over the sample."""
+        """min sign(k) (dt g + k) over the sample: positive exactly when the
+        slope carries the sign of k at every sample, as sigma needs to be
+        invertible."""
         pts, ts = self._default_sample(pts, ts)
-        return float(np.min(np.abs(self.dt(pts, ts) + self.k)))
+        return float(np.min(math.copysign(1.0, self.k) * (self.dt(pts, ts) + self.k)))
 
     def dt_attainable(self):
         """Attainable values of dt g as two factors (slopes, values): every

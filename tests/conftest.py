@@ -94,3 +94,42 @@ def scalar_factor(sys):
     if sys.factor_table is not None:
         return lambda i: sys.factor_table[int(i)]
     return lambda x: float(eval_factor(sys, np.asarray([x]))[0])
+
+
+def exact_orbit_rows(sys, pts, n, inverse=False):
+    """Oracle: h(psi^i p) for i < n (psi^{-1} with ``inverse``) on a
+    rotation whose factor is a ``trig`` record or a coboundary of them,
+    evaluated by mpmath at 50 digits on the exact orbit p + m a, the float
+    angle a and the points read as exact Fractions, and rounded once to
+    float.  Skips the test when mpmath is missing."""
+    mp = pytest.importorskip("mpmath")
+    from fractions import Fraction
+
+    a, sign = Fraction(sys.map_kind["angle"]), -1 if inverse else 1
+
+    def trig(rec, x):  # cospi/sinpi of 2 j x: no rounding of pi times x
+        v = mp.mpf(rec["const"])
+        for j, c in rec["cos"]:
+            v += c * mp.cospi(2 * j * x)
+        for j, s in rec["sin"]:
+            v += s * mp.sinpi(2 * j * x)
+        return v
+
+    def h(rec, m, memo):
+        key = (id(rec), m)
+        if key not in memo:
+            if rec["type"] == "trig":
+                x = memo["p"] + m * a
+                memo[key] = trig(rec, mp.mpf(x.numerator) / x.denominator)
+            else:
+                v = h(rec["f"], m, memo) - h(rec["f"], m + 1, memo)
+                memo[key] = v if rec.get("base") is None else h(rec["base"], m, memo) + v
+        return memo[key]
+
+    out = np.empty((n, len(pts)))
+    with mp.workdps(50):
+        for col, p in enumerate(pts.tolist()):
+            memo = {"p": Fraction(p)}
+            for i in range(n):
+                out[i, col] = float(h(sys.factor, sign * i, memo))
+    return out

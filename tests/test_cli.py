@@ -350,6 +350,25 @@ def test_construct_command(tmp_path):
     assert pay["slope_margin"] > 0
 
 
+def test_construct_refuses_a_slope_of_the_wrong_sign(tmp_path, capsys):
+    # built on two grid points, the cos rotation's g has dt g + k in
+    # [-1.17, 2.17] on the reference sample: min |dt g + k| read 3.1e-5 and the
+    # run exited 0 with mu_residual 0.78
+    from lcsdyn.torus import build_mu
+
+    system = {"space": {"kind": "circle", "grid_resolution": 256},
+              "map": {"type": "rotation", "angle": "golden"},
+              "factor": {"type": "trig", "cos": [[1, 1.0]]}}
+    cfg = write_config(tmp_path, "g.json", command="construct", system=system,
+                       grid=[0.25, 0.5], k=0.5, params={"t_window": [-3, 3]})
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 3
+    diag = _diag_of(capsys)
+    assert diag["error"] == "InfeasibleError"
+    assert "slope margin -1.17" in diag["message"]
+    g = build_mu(cli.system_from_config(system), 0.5, (-3, 3), points=[0.25, 0.5]).gcons
+    assert g.slope_margin() == pytest.approx(-1.17, abs=0.01)
+
+
 def test_elasticity_command_from_system(tmp_path):
     cfg = write_config(tmp_path, "e.json", command="elasticity", system=CONST_SYSTEM,
                        k=1.0)

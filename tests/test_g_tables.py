@@ -227,21 +227,22 @@ def test_the_mirror_of_an_exact_table_is_exact():
 
 
 def test_one_strip_per_side_of_rows(monkeypatch):
-    # a table of R rows at order n walks R + n - 1 base rows per side; the
+    # a table of R rows at order n walks R + n - 1 engine rows per side; the
     # factor closure of the averaged system walked n rows for each of the R
     sys = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]}, grid_resolution=64)
     mu = build_mu(sys, 0.3, (-8, 8))
     n = mu.gcons.order
     assert n >= 2
     rows = []
-    real = core.eval_factor
+    real = core.orbit_blocks
 
-    def counted(s, pts):
-        if s is sys:
-            rows.append(len(pts))
-        return real(s, pts)
+    def counted(s, pts, n, inverse=False):
+        for block in real(s, pts, n, inverse):
+            if s is sys:
+                rows.extend([block.shape[1]] * len(block))
+            yield block
 
-    monkeypatch.setattr(core, "eval_factor", counted)
+    monkeypatch.setattr(core, "orbit_blocks", counted)
     pts = sys.space.sample_points(16)
     R = 6
     for t in (-R + 0.5, R - 0.5):  # R forward rows, then R backward rows

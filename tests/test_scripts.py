@@ -62,3 +62,22 @@ def test_elasticity_vs_size(tmp_path):
     rows = read_csv(out / "elasticity_vs_k.csv")
     assert rows[0] == ["k", "forbidden_lo", "forbidden_hi", "scaled_lo", "scaled_hi"]
     assert [row[0] for row in rows[1:]] == ["1.0"]
+
+
+def test_payload_digests():
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    proc = run_script("payload_digests.py", "--seed", "5", "--size", "tiny")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ") for line in proc.stdout.splitlines()]
+    assert all(len(f) == 4 and len(f[3]) == 64 and int(f[3], 16) >= 0 for f in lines)
+    steps = [(w, s.label) for w in workloads.WORKLOADS for s in workloads.build(w, 5, "tiny")]
+    assert [(w, s) for w, s, name, _ in lines if name == "payload"] == steps
+    files = {(w, s, name) for w, s, name, _ in lines if name != "payload"}
+    assert {("float-orbits", "probe-k-cos", "trace.csv"),
+            ("cycles", "analyze-perm", "birkhoff.csv")} <= files
+    # the same seed gives the same digests, one workload at a time too
+    again = run_script("payload_digests.py", "--seed", "5", "--size", "tiny",
+                       "--workload", "cycles")
+    assert again.stdout.splitlines() == [" ".join(f) for f in lines if f[0] == "cycles"]
