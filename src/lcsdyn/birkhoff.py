@@ -53,7 +53,6 @@ class BirkhoffExtrema:
     """The extrema curves min_avg, max_avg, inf_env_minus and sup_env_plus of
     the sampled points for n = 1..n_max (entry n-1 is order n)."""
 
-    sys_label: str
     system: ConformalSystem
     points: np.ndarray
     n_max: int
@@ -226,7 +225,7 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
         "inf_env_minus": np.minimum.accumulate(lows[::-1])[::-1],
         "sup_env_plus": np.maximum.accumulate(highs[::-1])[::-1],
     }
-    return BirkhoffExtrema(sys.label, sys, pts, n_max, extrema, sys.exact)
+    return BirkhoffExtrema(sys, pts, n_max, extrema, sys.exact)
 
 
 def _accumulate(B, start):
@@ -242,52 +241,43 @@ def _accumulate(B, start):
 def transfer_potential(sys: ConformalSystem, n: int):
     """The potential f_n = (1/n) sum_{i=1}^{n-1} S_i, as an evaluable function.
 
-    Satisfies A_n(h) = h + f_n o psi - f_n; f_1 is identically 0.  On exact
-    finite systems the returned values are Fractions.
+    Satisfies A_n(h) = h + f_n o psi - f_n; f_1 is identically 0.  A call
+    is ``transfer_potential_values`` of a batch of one; on exact finite
+    systems the returned values are Fractions.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     if n > DEFAULT_MAX_ITERATIONS:
         raise BudgetError(f"n = {n} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
 
-    def f_n(x):  # the walk from x as a batch of one
+    def f_n(x):
         pts = sys.space.sample_points([x])
-        if n == 1:
-            return Fraction(0) if sys.exact else 0.0
-        H = orbit_array(sys, pts, n, terms=n * n)
-        if sys.exact:
-            return Fraction(int(_potential_sums(H, n)[0][0]), n * sys.scale)
-        return float(transfer_potential_values(H, n)[0][0])
+        return transfer_potential_values(sys, pts, n, exact=True)[0].tolist()[0]
 
     return f_n
 
 
-def transfer_potential_values(H, n: int, scale: int | None = None):
-    """f_n at the start points of an orbit walk and at their images.
+def transfer_potential_values(sys: ConformalSystem, pts, n: int, exact: bool = False):
+    """(f_n(p), f_n(psi p)) at the points pts, from one orbit walk of n rows.
 
-    ``H = orbit_array(sys, pts, m)`` with m >= n rows.  Since
-    f_n(p) = (1/n) sum_{j=0}^{n-2} (n-1-j) h(psi^j p), f_n(p) reads rows
-    [0, n-1) and f_n(psi p) reads rows [1, n) of the same walk.  Float rows
-    give float64 values; the integer rows h * ``scale`` of an exact system
-    (``orbit_array`` with n * n terms) give float64 values too, each rounded
-    once from its exact sum.  Rows are added in order (a cumulative sum), so a
-    walk from one point rounds like a walk from many.
+    Since f_n(p) = (1/n) sum_{j=0}^{n-2} (n-1-j) h(psi^j p), f_n(p) reads
+    rows [0, n-1) and f_n(psi p) reads rows [1, n) of the same walk; f_1 is
+    0 and walks nothing.  Rows are added in order (a cumulative sum), so a
+    walk from one point rounds like a walk from many.  The values are
+    float64; on exact systems the sums of the integer rows h * scale are
+    exact and each is rounded once, or with ``exact`` kept as Fractions.
     """
-    H = np.asarray(H)
     if n == 1:
-        dtype = H.dtype if scale is None else float
-        return np.zeros(H.shape[1], dtype), np.zeros(H.shape[1], dtype)
-    sums = _potential_sums(H, n)
-    if scale is None:
+        sums = [np.zeros(np.shape(pts)[0], dtype=sum_dtype(sys, 1))] * 2
+    else:
+        H = orbit_array(sys, pts, n, terms=n * n)
+        w = np.arange(n - 1, 0, -1)[:, None]
+        sums = [np.cumsum(w * H[lo:lo + n - 1], axis=0)[-1] for lo in (0, 1)]
+    if sys.scale is None:
         return sums[0] / n, sums[1] / n
-    return scaled_floats(sums[0], n * scale), scaled_floats(sums[1], n * scale)
-
-
-def _potential_sums(H, n: int):
-    """n f_n at the walk's start points and at their images, in the rows'
-    arithmetic: the weighted sums of rows [0, n-1) and [1, n), n >= 2."""
-    w = np.arange(n - 1, 0, -1)[:, None]
-    return np.cumsum(w * H[:n - 1], axis=0)[-1], np.cumsum(w * H[1:n], axis=0)[-1]
+    if exact:
+        return _divide(sums[0], n, sys.scale), _divide(sums[1], n, sys.scale)
+    return scaled_floats(sums[0], n * sys.scale), scaled_floats(sums[1], n * sys.scale)
 
 
 def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> np.ndarray:
@@ -384,16 +374,16 @@ def limit_estimates(table: BirkhoffExtrema) -> LimitEstimate:
                          exact=False, stable=stable)
 
 
-def admissible_set(estimate: LimitEstimate, tolerance: float | None = None) -> AdmissibleSet:
+def admissible_set(estimate: LimitEstimate) -> AdmissibleSet:
     """Admissible-size presentation derived from a limit estimate.
 
-    Sizes strictly outside the (tolerance-widened) gap are admissible; 0 is
-    always excluded from the reported set because the admissible sizes form
-    an open subset of the punctured line.
+    Sizes strictly outside the gap, widened by a numeric error bound of a
+    float estimate, are admissible; 0 is always excluded from the reported
+    set because the admissible sizes form an open subset of the punctured
+    line.
     """
-    if tolerance is None:
-        bound = estimate.error_bound
-        tolerance = 0.0 if estimate.exact or not isinstance(bound, (int, float)) else bound
+    bound = estimate.error_bound
+    tolerance = 0.0 if estimate.exact or not isinstance(bound, (int, float)) else bound
     return AdmissibleSet(
         gap_low=estimate.L_minus,
         gap_high=estimate.L_plus,

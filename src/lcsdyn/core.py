@@ -622,10 +622,9 @@ def reference_points(sys: ConformalSystem, cap: int = 1024):
     return space.sample_points(side)
 
 
-def factor_range(sys: ConformalSystem, points=None):
-    """(min, max) of the factor over sampled points."""
-    pts = reference_points(sys) if points is None else sys.space.sample_points(points)
-    v = eval_factor(sys, pts)
+def factor_range(sys: ConformalSystem):
+    """(min, max) of the factor over the reference points."""
+    v = eval_factor(sys, reference_points(sys))
     if not np.all(np.isfinite(v)):
         raise ValidationError("factor is not finite at sampled points")
     return float(v.min()), float(v.max())

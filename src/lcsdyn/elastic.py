@@ -46,10 +46,8 @@ class LiouvilleProfile:
     known never to vanish; it has no default, so every caller states it.
     """
 
-    def __init__(self, samples=None, *, lambda_nonvanishing: bool, label: str = "",
-                 factors=None):
+    def __init__(self, samples=None, *, lambda_nonvanishing: bool, factors=None):
         self.lambda_nonvanishing = lambda_nonvanishing
-        self.label = label
         if factors is not None:
             slopes, values, self._k = factors
             self._slopes = np.asarray(slopes, dtype=float).ravel()
@@ -228,12 +226,10 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
         if sys.generating_f is None:
             raise ValidationError("strict_mu needs a system with a stored generating f")
         count = len(sys.space.sample_points(points)) if points is not None else 256
-        return LiouvilleProfile(np.full(count, -1.0), lambda_nonvanishing=True,
-                                label=f"{sys.label} strict profile")
+        return LiouvilleProfile(np.full(count, -1.0), lambda_nonvanishing=True)
     gcons = torus.build_mu(sys, k, t_window, n_scan, points).gcons
     slopes, values = gcons.dt_attainable()
-    return LiouvilleProfile(lambda_nonvanishing=True, label=f"{sys.label} size {k} profile",
-                            factors=(slopes, values, gcons.k))
+    return LiouvilleProfile(lambda_nonvanishing=True, factors=(slopes, values, gcons.k))
 
 
 def profile_from_csv(path) -> LiouvilleProfile:
@@ -267,8 +263,7 @@ def profile_from_csv(path) -> LiouvilleProfile:
                                               f"{col + 1}: {row!r}") from None
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read profile {path}: {exc}") from None
-    return LiouvilleProfile(np.frombuffer(values, dtype=float), lambda_nonvanishing=False,
-                            label=str(path))
+    return LiouvilleProfile(np.frombuffer(values, dtype=float), lambda_nonvanishing=False)
 
 
 def _is_number(tok):

@@ -2,13 +2,13 @@
 
 The two quantities solved here are inf_f max_x (h + f o psi - f) and
 sup_f min_x (h + f o psi - f).  The max-min is the min-max of -h negated, so
-every method solves the min-max only: a sign negates its value rows once and
+the cycle methods solve the min-max only: a sign negates its values once and
 flips its potential table once.  On a functional graph (every node has one
 successor) the min-max is the largest cycle mean, computed exactly by one
 routine: on a finite bijection this is the exact optimum; on grids it is the
 exact cycle mean of the snapped grid dynamics, whose snapping only
-approximates psi.  The transfer potential gives a rigorous (sampled) upper
-bound on grids.
+approximates psi.  The transfer potential gives rigorous (sampled) bounds on
+grids, both from one orbit walk.
 
 One walk over the states (``_functional_cycles``) records the cycles as
 index arrays, with the factor values they are summed on (a
@@ -159,19 +159,14 @@ def _cycle_potential(dec: CycleDecomposition, level, weight=1) -> np.ndarray:
     """Potential f with weight * h + f o succ - f = level along every
     non-closing edge c_j -> c_{j+1} of each cycle and every tree edge,
     normalized to min f = 0, in the arithmetic of dec.vals: a cumsum from
-    f(c_0) = 0 (-0.0 where h(c_0) < 0) along each cycle, then one round per
-    level of the trees."""
+    f(c_0) = 0 (-0.0 where h(c_0) < 0) along each cycle, then one pass over
+    the trees, each node after its successor."""
     hv, succ = weight * dec.vals, dec.succ
     F = np.empty_like(hv)
     for cyc in dec.slices():
         F[cyc] = np.cumsum(np.concatenate((hv[cyc[:1]] * 0, -(hv[cyc[:-1]] - level))))
-    done, pending = np.zeros(len(hv), dtype=bool), dec.tree
-    done[dec.order] = True
-    while pending.size:
-        ready = done[succ[pending]]
-        x = pending[ready]
+    for x in dec.tree.tolist():
         F[x] = hv[x] + F[succ[x]] - level
-        done[x], pending = True, pending[~ready]
     return F - F[np.argmin(F)]  # the first least value, as min() takes it
 
 
@@ -210,28 +205,24 @@ def _cycle_optimum(dec: CycleDecomposition, sign: int, method: str) -> Optimizat
         "grid_descent (exact cycle mean of the snapped dynamics; snapping is heuristic)")
 
 
-def _birkhoff_fn(sys: ConformalSystem, sign: int, n: int, points) -> OptimizationResult:
-    """The averaged potential f_n at n on sampled points: A_n(h) = h + f_n o psi
-    - f_n bounds the min-max from above (sign 1) and the max-min from below
-    (sign -1, on the negated rows).  -f_n(-h) = f_n(h), so ``potential`` is
-    f_n for both signs."""
+def _birkhoff_fn(sys: ConformalSystem, n: int, points) -> tuple:
+    """(max-min, min-max) bounded by the averaged potential f_n at n on sampled
+    points, from one walk: the edges h + f_n o psi - f_n are A_n(h), whose
+    min bounds the max-min from below and whose max bounds the min-max from
+    above.  Each value is an edge, so its certificate is 0.0 by construction.
+    f_n(-h) = -f_n(h) bit for bit, so ``potential`` is f_n for both optima
+    and the max-min's table is that of -h, normalized to min 0 and flipped.
+    """
     from . import birkhoff
 
-    f_n = birkhoff.transfer_potential(sys, n)
-    H = orbit_array(sys, sys.space.sample_points(points), n)
-    if sign < 0:
-        np.negative(H, out=H)
-    f_here, f_next = birkhoff.transfer_potential_values(H, n)
-    edge = H[0] + f_next - f_here
-    value = float(edge.max())
-    F = f_here - f_here.min()
-    return OptimizationResult(
-        value=sign * value,
-        potential=f_n,
-        potential_table=F if sign > 0 else F.max() - F,
-        certificate=float(edge.max() - value),
-        method=f"birkhoff_fn(n={n})",
-    )
+    f_n, method = birkhoff.transfer_potential(sys, n), f"birkhoff_fn(n={n})"  # checks n
+    pts = sys.space.sample_points(points)
+    h = orbit_array(sys, pts, 1)[0]
+    f_here, f_next = birkhoff.transfer_potential_values(sys, pts, n)
+    edge = h + f_next - f_here
+    F = f_here.max() - f_here
+    return (OptimizationResult(float(edge.min()), f_n, F.max() - F, 0.0, method),
+            OptimizationResult(float(edge.max()), f_n, f_here - f_here.min(), 0.0, method))
 
 
 def _snap_indices(sys: ConformalSystem, pts) -> np.ndarray:
@@ -248,9 +239,10 @@ def _snap_indices(sys: ConformalSystem, pts) -> np.ndarray:
 def coboundary_optima(sys: ConformalSystem, method: str = "exact_finite",
                       n: int | None = None, points=None) -> tuple:
     """(max-min, min-max) of sys by the chosen method: sup_f min_x and
-    inf_f max_x of h + f o psi - f.  "exact_finite" and "grid_descent" walk
-    the states once for both; "birkhoff_fn" bounds both at the order n (64
-    when None).
+    inf_f max_x of h + f o psi - f.  Every method takes both optima from one
+    walk: "exact_finite" and "grid_descent" walk the states once, and
+    "birkhoff_fn" walks the orbits once to bound both at the order n (64 when
+    None).
 
     "grid_descent" is the exact optimum of the snapped problem: psi with each
     grid node's image rounded to the nearest node.  Snapping approximates
@@ -266,7 +258,7 @@ def coboundary_optima(sys: ConformalSystem, method: str = "exact_finite",
         raise ValidationError(f"grid_descent snaps to the regular grid i / r: grid must be "
                               f"an int or omitted, got {points!r}")
     elif method == "birkhoff_fn":
-        return tuple(_birkhoff_fn(sys, sign, 64 if n is None else n, points) for sign in (-1, 1))
+        return _birkhoff_fn(sys, 64 if n is None else n, points)
     else:
         pts = sys.space.sample_points(points)
         dec = _functional_cycles(_snap_indices(sys, pts), eval_factor(sys, pts))

@@ -673,14 +673,13 @@ class MuConstruction:
     gcons: GConstruction
 
     def f_n(self, x):
-        """The transfer potential f_n at a batch of points, from one orbit walk
-        (exact rows stay exact until the result is rounded)."""
+        """The transfer potential f_n at a batch of points
+        (``birkhoff.transfer_potential_values``)."""
         from .birkhoff import transfer_potential_values
 
-        sys, n = self.gcons.system, self.gcons.order
+        sys = self.gcons.system
         pts, single = point_batch(sys.space, x)
-        H = orbit_array(sys, pts, n, terms=n * n)
-        fn = transfer_potential_values(H, n, sys.scale)[0]
+        fn = transfer_potential_values(sys, pts, self.gcons.order)[0]
         return float(fn[0]) if single else fn
 
     def sigma_t(self, x, t):

@@ -24,7 +24,7 @@ from lcsdyn.birkhoff import (
     table_to_csv,
     transfer_potential_values,
 )
-from lcsdyn.core import GOLDEN_ANGLE, DomainError, cat_map_system, eval_factor, orbit_array
+from lcsdyn.core import GOLDEN_ANGLE, DomainError, cat_map_system, eval_factor
 from lcsdyn.torus import TorusAction
 
 from conftest import encoded, random_permutation_system, scalar_factor, scalar_map
@@ -106,7 +106,7 @@ def test_transfer_potential_is_a_walk_of_one_point(golden_cos, n):
     # the scalar f_n is the batch f_n of a batch of one, bit for bit
     for sys in (golden_cos, _cat16()):
         pts = sys.space.sample_points(16)[::7]
-        want = transfer_potential_values(orbit_array(sys, pts, n), n)[0]
+        want = transfer_potential_values(sys, pts, n)[0]
         f_n = transfer_potential(sys, n)
         got = [f_n(p) for p in pts]
         assert all(isinstance(v, float) for v in got)

@@ -18,7 +18,9 @@ from lcsdyn import (
     rotation_system,
     strict_rotation_system,
 )
-from lcsdyn.core import GOLDEN_ANGLE, ValidationError
+from lcsdyn import core
+from lcsdyn.core import GOLDEN_ANGLE, ValidationError, orbit_array
+from lcsdyn.ergopt import _cycle_potential, _functional_cycles, mean_level
 
 from conftest import cycle_pairs, random_permutation_system
 
@@ -232,6 +234,111 @@ def test_birkhoff_fn_upper_bound(golden_strict):
     assert res.certificate <= 1e-12
     coarse = coboundary_optima(golden_strict, method="birkhoff_fn", n=5, points=256)[1]
     assert res.value <= coarse.value + 1e-12
+
+
+def _cat16():
+    return cat_map_system({"type": "trig2", "terms": [[1, 0, 0.4, 0.0], [0, 1, 0.0, 0.3]]},
+                          grid_resolution=16)
+
+
+def _per_sign_birkhoff_fn(sys, sign, n, points):
+    """(value, certificate, potential table, f_n at the points) of the
+    min-max (sign 1) or the max-min (sign -1) bound, taken one sign at a
+    time: a walk of n rows, negated for the max-min, with f_n summed from it."""
+    H = orbit_array(sys, sys.space.sample_points(points), n)
+    f_h = _potentials(H, n)[0]
+    if sign < 0:
+        np.negative(H, out=H)
+    f_here, f_next = _potentials(H, n)
+    edge = H[0] + f_next - f_here
+    value = float(edge.max())
+    F = f_here - f_here.min()
+    return sign * value, float(edge.max() - value), F if sign > 0 else F.max() - F, f_h
+
+
+def _potentials(H, n):
+    if n == 1:
+        return np.zeros(H.shape[1]), np.zeros(H.shape[1])
+    w = np.arange(n - 1, 0, -1)[:, None]
+    return tuple(np.cumsum(w * H[lo:lo + n - 1], axis=0)[-1] / n for lo in (0, 1))
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.asarray(values).tolist()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+@pytest.mark.parametrize("case", ["golden-cos", "golden-strict", "cat"])
+def test_birkhoff_fn_takes_both_optima_from_one_walk(case, n, golden_cos, golden_strict):
+    # bit for bit the bounds taken one sign at a time, each from its own walk
+    sys, points = {"golden-cos": (golden_cos, 128), "golden-strict": (golden_strict, 512),
+                   "cat": (_cat16(), 16)}[case]
+    pts = sys.space.sample_points(points)
+    for sign, res in zip((-1, 1), coboundary_optima(sys, "birkhoff_fn", n=n, points=points)):
+        value, certificate, table, f_h = _per_sign_birkhoff_fn(sys, sign, n, points)
+        assert _hex([res.value, res.certificate]) == _hex([value, certificate])
+        assert certificate == 0.0
+        assert _hex(res.potential_table) == _hex(table)
+        assert _hex([res.potential(x) for x in pts[::9]]) == _hex(f_h[::9])
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_birkhoff_fn_walks_n_plus_one_rows(monkeypatch, golden_cos, n):
+    rows = []
+
+    def counted(*args, **kwargs):
+        for block in walk(*args, **kwargs):
+            rows.append(len(block))
+            yield block
+
+    walk = core.orbit_blocks
+    monkeypatch.setattr(core, "orbit_blocks", counted)
+    for sys, points in ((golden_cos, 64), (_cat16(), 16)):
+        rows.clear()
+        coboundary_optima(sys, "birkhoff_fn", n=n, points=points)
+        assert 0 < sum(rows) <= n + 1
+
+
+def _per_level_potential(dec, level, weight=1):
+    """_cycle_potential with its trees filled one level per round."""
+    hv, succ = weight * dec.vals, dec.succ
+    F = np.empty_like(hv)
+    for cyc in dec.slices():
+        F[cyc] = np.cumsum(np.concatenate((hv[cyc[:1]] * 0, -(hv[cyc[:-1]] - level))))
+    done, pending = np.zeros(len(hv), dtype=bool), dec.tree
+    done[dec.order] = True
+    while pending.size:
+        ready = done[succ[pending]]
+        x = pending[ready]
+        F[x] = hv[x] + F[succ[x]] - level
+        done[x], pending = True, pending[~ready]
+    return F - F[np.argmin(F)]
+
+
+def _graphs(rng):
+    path = np.arange(1, 2001)
+    path[-1] = 1990  # a path of 1990 nodes into a cycle of 10
+    yield path
+    for size in (1, 7, 50, 400):
+        yield rng.integers(0, size, size=size)
+
+
+@pytest.mark.parametrize("kind", ["float", "int64", "python-int"])
+def test_tree_pass_matches_the_per_level_rounds(kind):
+    rng = np.random.default_rng(5)
+    for succ in _graphs(rng):
+        size = len(succ)
+        if kind == "float":
+            dec = _functional_cycles(succ, rng.normal(size=size))
+        else:
+            big = 2**61 if kind == "python-int" else 1
+            dec = _functional_cycles(succ, [int(v) * big for v in rng.integers(-9, 10, size)], 3)
+            assert (dec.vals.dtype == object) == (kind == "python-int")
+        i = dec.means.index(dec.max_mean)
+        w, level, _ = mean_level(dec.max_mean, int(dec.bounds[i + 1] - dec.bounds[i]), dec.scale)
+        got, want = _cycle_potential(dec, level, w), _per_level_potential(dec, level, w)
+        assert got.dtype == want.dtype
+        assert (_hex(got) == _hex(want)) if kind == "float" else got.tolist() == want.tolist()
 
 
 def test_grid_descent_heuristic(golden_strict):

@@ -375,13 +375,14 @@ def test_orbit_tables_round_the_exact_values(kind, seed):
     assert _float_orbit(sys, pts, N_MAX).tolist() == [[float(v) for v in r] for r in rows]
     assert coboundary_residual_curve(sys, N_MAX)[-1] == 0
     for n in (1, 2, N_MAX):
-        H = orbit_array(sys, pts, n, terms=n * n)
-        here, there = transfer_potential_values(H, n, sys.scale)
+        here, there = transfer_potential_values(sys, pts, n)
         f_n = [sum((n - 1 - j) * rows[j][p] for j in range(n - 1)) / n for p in pts]
         f_next = [sum((n - 1 - j) * rows[j + 1][p] for j in range(n - 1)) / n for p in pts]
         assert here.dtype == there.dtype == float
         assert here.tolist() == [float(v) for v in f_n]
         assert there.tolist() == [float(v) for v in f_next]
+        exact_here, exact_there = transfer_potential_values(sys, pts, n, exact=True)
+        assert exact_here.tolist() == f_n and exact_there.tolist() == f_next
 
 
 def test_scaled_floats_round_as_fractions_do():
