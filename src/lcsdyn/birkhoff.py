@@ -39,7 +39,6 @@ from .core import (
     ValidationError,
     generating_span,
     integer_array,
-    orbit_array,
     orbit_blocks,
     ratio_strings,
     scaled_floats,
@@ -258,21 +257,29 @@ def transfer_potential(sys: ConformalSystem, n: int):
 
 
 def transfer_potential_values(sys: ConformalSystem, pts, n: int, exact: bool = False):
-    """(f_n(p), f_n(psi p)) at the points pts, from one orbit walk of n rows.
+    """(f_n(p), f_n(psi p)) at the points pts, from one streamed orbit walk
+    of n rows, in O(P) memory.
 
-    Since f_n(p) = (1/n) sum_{j=0}^{n-2} (n-1-j) h(psi^j p), f_n(p) reads
-    rows [0, n-1) and f_n(psi p) reads rows [1, n) of the same walk; f_1 is
-    0 and walks nothing.  Rows are added in order (a cumulative sum), so a
-    walk from one point rounds like a walk from many.  The values are
-    float64; on exact systems the sums of the integer rows h * scale are
-    exact and each is rounded once, or with ``exact`` kept as Fractions.
+    Since f_n(p) = (1/n) sum_{j=0}^{n-2} (n-1-j) h(psi^j p), f_n(p) weighs
+    row j < n - 1 by n - 1 - j and f_n(psi p) row j > 0 by n - j.  Each sum
+    starts from its first product and adds the others in row order, as an
+    axis-0 cumulative sum does, so a walk from one point rounds like a walk
+    from many; f_1 is 0 and walks nothing.  The values are float64; on exact
+    systems the sums of the integer rows h * scale are exact and each is
+    rounded once, or with ``exact`` kept as Fractions.
     """
     if n == 1:
         sums = [np.zeros(np.shape(pts)[0], dtype=sum_dtype(sys, 1))] * 2
     else:
-        H = orbit_array(sys, pts, n, terms=n * n)
-        w = np.arange(n - 1, 0, -1)[:, None]
-        sums = [np.cumsum(w * H[lo:lo + n - 1], axis=0)[-1] for lo in (0, 1)]
+        dtype, sums, lo = sum_dtype(sys, n * n), [None, None], 0
+        for block in orbit_blocks(sys, pts, n):
+            i = np.arange(lo, lo + len(block))
+            rows = block.astype(dtype, copy=False)
+            for k, (w, keep) in enumerate(((n - 1 - i, i < n - 1), (n - i, i > 0))):
+                terms = w[keep][:, None] * rows[keep]
+                if len(terms):
+                    sums[k] = _accumulate(terms, sums[k])[-1]
+            lo += len(block)
     if sys.scale is None:
         return sums[0] / n, sums[1] / n
     if exact:
@@ -445,16 +452,17 @@ def table_to_csv(table: BirkhoffTable, path):
 
 
 def extrema_to_csv(table: BirkhoffExtrema, path):
-    """Dump the extrema curves (one row per n) for plotting."""
-    import csv
-
+    """Dump the extrema curves (one row per n) for plotting.  No cell needs
+    CSV quoting (ints, float reprs and "p/q"), so each row is one joined
+    string, with the "\r\n" line end of ``csv.writer``, streamed to the
+    file."""
     ex = table.extrema_per_n
     cols = [_csv_column(ex[key]) for key in
             ("min_avg", "max_avg", "inf_env_minus", "sup_env_plus")]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "min_avg", "max_avg", "inf_env_minus", "sup_env_plus"])
-        w.writerows(zip(range(1, table.n_max + 1), *cols))
+        fh.write("n,min_avg,max_avg,inf_env_minus,sup_env_plus\r\n")
+        fh.writelines(f"{n},{a},{b},{e},{E}\r\n"
+                      for n, a, b, e, E in zip(range(1, table.n_max + 1), *cols))
 
 
 def _csv_column(values):

@@ -474,6 +474,10 @@ def generating_span(sys: ConformalSystem, pts) -> float | None:
 #: max(1, BLOCK_CELLS // P) rows of P points
 BLOCK_CELLS = 2**14
 
+#: cells of the evaluated rows that a stepped walk keeps, at most, to replay
+#: them once its points come back to their start (``_stepped_rows``)
+REPLAY_CELLS = 2**18
+
 
 def orbit_blocks(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     """The orbit engine: yields the rows h(psi^i p), i < n, in blocks of
@@ -496,7 +500,10 @@ def orbit_blocks(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     exact phases 2 pi j i a mod 1 of the angle a, once per row, by angle
     addition (``_phase_rows``).  Row 0 of such a walk is ``eval_factor`` bit
     for bit.  Every other walk steps its points one row at a time with
-    ``step_points`` and evaluates a block of rows in one call.
+    ``step_points`` and evaluates a block of rows in one call, and replays
+    (``_stepped_rows``): once its points come back to their start, bit for
+    bit, at step T within ``REPLAY_CELLS`` cells of rows, row i is a fresh
+    copy of row i mod T, neither stepped nor evaluated again.
     """
     P = np.shape(pts)[0]
     telescoped = sys.generating_f is not None and not inverse
@@ -530,25 +537,49 @@ def _holds_callable(h) -> bool:
 
 def _stepped_rows(sys: ConformalSystem, h, pts, inverse: bool):
     """rows(lo, b): the record h (``sys.factor`` or its f) at psi^i p for
-    lo <= i < lo + b, as a (b, P) array, read in order.  Points are stepped
-    one row at a time, only as far as the rows asked for, and each block is
-    evaluated in one call: ``eval_factor`` of the system's own factor (the
-    scaled integers on exact systems), else ``_evaluate`` of the record."""
-    cur, at, P = (np.asarray(pts, dtype=np.int64) if sys.exact else pts), 0, np.shape(pts)[0]
+    lo <= i < lo + b, as a new (b, P) array, read in consecutive blocks from
+    row 0.  Points are stepped one row at a time, only as far as the rows
+    asked for, and each block is evaluated in one call: ``eval_factor`` of
+    the system's own factor (the scaled integers on exact systems), else
+    ``_evaluate`` of the record.
+
+    Replay: while the rows evaluated so far fit in ``REPLAY_CELLS`` cells,
+    they are kept in one buffer and every stepped batch of points is
+    compared with the start, byte for byte (so -0.0 is not +0.0).  Once the
+    points come back to their start at step T, row i is row i mod T, and
+    the walk serves the kept rows without stepping or evaluating again.
+    Past the budget the buffer goes and the comparisons stop."""
+    cur, at, P = np.asarray(pts, dtype=np.int64 if sys.exact else None), 0, np.shape(pts)[0]
+    start, cap = (cur.dtype, cur.tobytes()), REPLAY_CELLS // max(P, 1)  # cap: rows kept
+    kept, period = None, None
 
     def rows(lo, b):
-        nonlocal cur, at
+        nonlocal cur, at, kept, period
         block = []
         for i in range(lo, lo + b):
-            while at < i:
+            while period is None and at < i:
                 cur, at = step_points(sys, cur, inverse=inverse), at + 1
+                if at <= cap and (cur.dtype, cur.tobytes()) == start:
+                    period = at
+            if period is not None:
+                break
             block.append(cur)
-        x = block[0] if b == 1 else np.concatenate(block)
-        if sys.exact:
-            v = sys.scaled_table[x]
-        else:
-            v = eval_factor(sys, x) if h is sys.factor else _evaluate(sys, h, x)
-        return v.reshape(b, P)
+        if block:
+            x = block[0] if len(block) == 1 else np.concatenate(block)
+            if sys.exact:
+                v = sys.scaled_table[x]
+            else:
+                v = eval_factor(sys, x) if h is sys.factor else _evaluate(sys, h, x)
+            v = v.reshape(len(block), P)
+            if lo + len(block) <= cap:
+                if kept is None:
+                    kept = np.empty((cap, P), dtype=v.dtype)
+                kept[lo:lo + len(block)] = v
+            else:
+                kept = None
+            if period is None:
+                return v
+        return kept[np.arange(lo, lo + b) % period]
 
     return rows
 
@@ -599,11 +630,10 @@ def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
         yield from block
 
 
-def orbit_array(sys: ConformalSystem, pts, n: int, inverse: bool = False, terms: int = 1):
-    """The orbit rows stacked into an (n, P) array, in a dtype that holds
-    sums of ``terms`` values (``sum_dtype``): float64, or on exact systems
-    the integers h * sys.scale."""
-    out = np.empty((n, np.shape(pts)[0]), dtype=sum_dtype(sys, terms))
+def orbit_array(sys: ConformalSystem, pts, n: int, inverse: bool = False):
+    """The orbit rows stacked into an (n, P) array: float64, or on exact
+    systems the integers h * sys.scale (``sum_dtype`` of one value)."""
+    out = np.empty((n, np.shape(pts)[0]), dtype=sum_dtype(sys, 1))
     lo = 0
     for block in orbit_blocks(sys, pts, n, inverse):
         out[lo:lo + len(block)] = block

@@ -184,7 +184,13 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
     What does not depend on k is computed once.  The sizes left without an
     exact certificate share one streamed orbit pass: it yields the envelope
     curves and scans each block of running sums for every such size at
-    once, keeping the first in-band (n, p) in row-major order.
+    once, keeping the first in-band (n, p) in row-major order.  The scan
+    pre-screens each (size, n) pair: t = c - S_n(p) rounds monotonically in
+    S_n, so c - max_p S_n and c - min_p S_n bound every t of the pair
+    exactly, and t is formed only for the pairs whose bounds meet the band.
+    A pair is scanned only while it can still change the verdict: before
+    the size's first return, and from the last half on until its first
+    return there.  The witnesses and verdicts are those of a full scan.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
@@ -242,20 +248,33 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
     t0 = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, 0.5 * (lo + hi))
     tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     lo, hi = lo - tol, hi + tol
-    last = np.zeros(len(rest), dtype=int)  # latest n with an orbit in the band
+    half = max(1, math.ceil(0.5 * n_max))
+    late = np.zeros(len(rest), dtype=bool)  # a return at some n >= half
     first = {}  # j -> (n, p, t) of the first return in row-major order
 
-    def scan(n0, S):  # t of every (size, n, p) of one block of running sums
-        t_vals = t0 + kv * np.arange(n0, n0 + len(S))[:, None] - S
-        in_band = (t_vals >= lo) & (t_vals <= hi)
-        hit = in_band.any(axis=2)
-        for j in np.flatnonzero(hit.any(axis=1)):
-            rows = np.flatnonzero(hit[j])
-            last[j] = n0 + rows[-1]
+    def scan(n0, S):  # t of the (size, n, p) of one block of running sums
+        ns = np.arange(n0, n0 + len(S))
+        # a (size, n) pair can change a verdict only before the size's first
+        # return, or from n = half on until its first late return
+        found = np.array([j in first for j in range(len(rest))])
+        open_ = np.where(ns >= half, ~late[:, None], ~found[:, None])
+        if not open_.any():
+            return
+        c = (t0 + kv * ns[:, None])[:, :, 0]
+        # t = c - S rounds monotonically in S, so c - max S <= t <= c - min S
+        # bounds every t of a (size, n) pair: scan only the pairs it lets meet
+        # the band (a NaN bound lets every pair through)
+        out = (c - S.min(axis=1) < lo[:, :, 0]) | (c - S.max(axis=1) > hi[:, :, 0])
+        js, rs = np.nonzero(open_ & ~out)
+        t_vals = c[js, rs][:, None] - S[rs]
+        in_band = (t_vals >= lo[js, 0]) & (t_vals <= hi[js, 0])
+        hits = np.flatnonzero(in_band.any(axis=1))  # pairs in row-major order
+        late[js[hits[ns[rs[hits]] >= half]]] = True
+        for q in hits[np.unique(js[hits], return_index=True)[1]]:  # each size's first
+            j = int(js[q])
             if j not in first:
-                r = rows[0]
-                p = int(np.argmax(in_band[j, r]))
-                first[j] = (n0 + int(r), p, float(t_vals[j, r, p]))
+                p = int(np.argmax(in_band[q]))
+                first[j] = (int(ns[rs[q]]), p, float(t_vals[q, p]))
 
     ext = birkhoff_extrema(sys, pts, n_max, visit=scan).extrema_per_n
     sup_env = np.asarray(ext["sup_env_plus"], dtype=float)
@@ -275,7 +294,7 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
             best = int(cand.min()) if best is None else min(best, int(cand.min()))
         if best is not None:
             reports[i] = report(i, VERDICT_ESCAPE, None, best, "envelope", True)
-        elif j in first and last[j] >= max(1, math.ceil(0.5 * n_max)):
+        elif late[j]:
             n, p, t = first[j]
             start = pts[p]
             wit = Witness(start if np.ndim(start) else _scalar(start, sys), n, t)

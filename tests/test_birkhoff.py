@@ -113,6 +113,75 @@ def test_transfer_potential_is_a_walk_of_one_point(golden_cos, n):
         assert got == want.tolist()
 
 
+def _weighted_cumsum_potential(sys, pts, n):
+    """Oracle: f_n(p) and f_n(psi p) from the whole (n, P) walk, its two
+    weighted copies and their cumulative sums, kept as Fractions on exact
+    systems."""
+    from lcsdyn.birkhoff import _divide
+    from lcsdyn.core import orbit_array, sum_dtype
+
+    if n == 1:
+        sums = [np.zeros(len(pts), dtype=sum_dtype(sys, 1))] * 2
+    else:
+        H = orbit_array(sys, pts, n).astype(sum_dtype(sys, n * n))
+        w = np.arange(n - 1, 0, -1)[:, None]
+        sums = [np.cumsum(w * H[lo:lo + n - 1], axis=0)[-1] for lo in (0, 1)]
+    if sys.scale is None:
+        return sums[0] / n, sums[1] / n
+    return _divide(sums[0], n, sys.scale), _divide(sums[1], n, sys.scale)
+
+
+def _potential_systems():
+    rng = np.random.default_rng(13)
+    m = 24
+    small = [f"{int(p)}/{int(q)}" for p, q in zip(rng.integers(-9, 10, m), rng.integers(1, 7, m))]
+    huge = [f"{int(p)}/{2**80 + int(q)}" for p, q in zip(rng.integers(-9, 10, m),
+                                                        rng.integers(1, 99, m))]
+    return {
+        "rotation": rotation_system("golden", {"type": "trig", "const": -0.1, "cos": [[1, 1.0]],
+                                               "sin": [[3, -0.4]]}, grid_resolution=64),
+        # -0.0 on half the circle: a sum started from zeros would read +0.0
+        "signed-zero": rotation_system(0.25, lambda x: np.where(np.asarray(x) < 0.5, -0.0, 1.0),
+                                       grid_resolution=16),
+        "cat": _cat16(),
+        "int64": finite_permutation_system(rng.permutation(m).tolist(), small),
+        "object": finite_permutation_system(rng.permutation(m).tolist(), huge),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+@pytest.mark.parametrize("name", ["rotation", "signed-zero", "cat", "int64", "object"])
+def test_streamed_potential_equals_the_weighted_cumsum(name, n):
+    sys = _potential_systems()[name]
+    assert (sys.exact, sys.exact and sys.scaled_table.dtype == object) == (
+        name in ("int64", "object"), name == "object")
+    pts = sys.space.sample_points()
+    got = transfer_potential_values(sys, pts, n, exact=True)
+    for g, w in zip(got, _weighted_cumsum_potential(sys, pts, n)):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+        if g.dtype == float:
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_birkhoff_fn_memory_is_o_of_p():
+    # the whole (2000, 4096) walk is 65.5 MB; the streamed sums keep O(P) rows
+    import tracemalloc
+
+    from lcsdyn import coboundary_optima, strict_rotation_system
+
+    sys = strict_rotation_system("golden", {"type": "trig", "sin": [[1, 1.0]]},
+                                 grid_resolution=4096)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        lo, hi = coboundary_optima(sys, "birkhoff_fn", n=2000, points=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lo.potential_table.shape == (4096,) and lo.value <= hi.value
+    assert peak < 5 * 2**20
+
+
 def test_transfer_potential_cycle_exact(cycle3):
     f3 = transfer_potential(cycle3, 3)
     assert [f3(i) for i in range(3)] == [Fraction(4, 3), Fraction(7, 3), Fraction(7, 3)]
@@ -357,6 +426,22 @@ def test_csv_exports(tmp_path, swap_pair):
     with open(ext, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "n" and len(rows) == 5
+
+
+def test_extrema_csv_is_the_csv_writer_file(tmp_path, swap_pair, golden_cos):
+    # reference: the csv.writer dump of the same cells, byte for byte
+    for sys in (swap_pair, golden_cos):
+        ext = birkhoff_extrema(sys, n_max=30)
+        path, ref = tmp_path / "ext.csv", tmp_path / "ref.csv"
+        extrema_to_csv(ext, path)
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["n", "min_avg", "max_avg", "inf_env_minus", "sup_env_plus"])
+            keys = ("min_avg", "max_avg", "inf_env_minus", "sup_env_plus")
+            w.writerows(zip(range(1, 31), *([str(v) if sys.exact else repr(v)
+                                             for v in ext.extrema_per_n[key].tolist()]
+                                            for key in keys)))
+        assert path.read_bytes() == ref.read_bytes()
 
 
 def _table_oracle(sys, points, n_max):

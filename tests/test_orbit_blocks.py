@@ -90,13 +90,13 @@ def _systems():
     }
 
 
-def _rows(sys, pts, n):
-    """The orbit rows one at a time: h at stepped points, the scaled
-    integers on exact systems."""
+def _rows(sys, pts, n, inverse=False):
+    """The orbit rows one at a time, stepped and then evaluated for each of
+    the n rows: h at stepped points, the scaled integers on exact systems."""
     cur = np.asarray(pts, dtype=np.int64) if sys.exact else pts
     for _ in range(n):
         yield sys.scaled_table[cur] if sys.exact else eval_factor(sys, cur)
-        cur = step_points(sys, cur)
+        cur = step_points(sys, cur, inverse=inverse)
 
 
 def _extrema_by_rows(sys, pts, n_max):
@@ -187,8 +187,8 @@ def test_block_boundaries_match_per_row_loops(monkeypatch, name, rows):
     _blocks_of(monkeypatch, rows, len(pts))
     sizes = [len(b) for b in orbit_blocks(sys, pts, n_max)]
     assert sum(sizes) == n_max and sizes[0] == (1 if name == "callable" else rows)
-    assert _same(orbit_array(sys, pts, n_max, terms=n_max),
-                 np.array(list(_rows(sys, pts, n_max)), dtype=sum_dtype(sys, n_max)))
+    assert _same(orbit_array(sys, pts, n_max),
+                 np.array(list(_rows(sys, pts, n_max)), dtype=sum_dtype(sys, 1)))
     want, sums = _extrema_by_rows(sys, pts, n_max)
     ext = birkhoff_extrema(sys, None, n_max).extrema_per_n
     assert all(_same(ext[key], want[key]) for key in want)
@@ -241,3 +241,180 @@ def test_opaque_callable_in_a_coboundary_keeps_one_row_per_block():
     shapes.clear()
     assert [len(b) for b in orbit_blocks(sys, pts, 5)] == [1] * 5
     assert shapes == [pts.shape] * 6
+
+
+# --------------------------------------------------------------------------
+# replay: a stepped walk whose points come back to their start
+# --------------------------------------------------------------------------
+
+CAT_TERMS = {"type": "trig2", "terms": [[1, 0, 1.0, 0.0], [0, 1, 0.0, 0.5]]}
+
+
+def _plain_rows(sys, pts, n, inverse=False):
+    """Oracle: the rows of ``_rows`` as one array, with no replay."""
+    return np.array(list(_rows(sys, pts, n, inverse)))
+
+
+def _counted_steps(monkeypatch):
+    calls = []
+    real = core.step_points
+
+    def counted(sys, pts, inverse=False):
+        calls.append(np.shape(pts))
+        return real(sys, pts, inverse=inverse)
+
+    monkeypatch.setattr(core, "step_points", counted)
+    return calls
+
+
+def _copysign_h(x):
+    # -1 at -0.0 and +1 at +0.0: a walk that took -0.0 for +0.0 would show it
+    return np.copysign(1.0, np.asarray(x, dtype=float))
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_cat_walk_replays_its_period(monkeypatch, inverse):
+    # on the dyadic 64 x 64 grid the float cat-map orbit is the lattice orbit,
+    # which comes back to its start after 48 steps
+    sys = cat_map_system(CAT_TERMS, grid_resolution=64)
+    pts, n = sys.space.sample_points(), 200
+    want = _plain_rows(sys, pts, n, inverse)
+    steps = _counted_steps(monkeypatch)
+    got = orbit_array(sys, pts, n, inverse=inverse)
+    assert _same(got, want)
+    assert len(steps) == 48
+    blocks = []
+    for block in orbit_blocks(sys, pts, n, inverse=inverse):
+        blocks.append(block.copy())
+        block += 1.0  # callers change blocks in place; the replayed rows stay
+    assert _same(np.concatenate(blocks), want)
+
+
+def test_exact_permutation_replays_its_common_period(monkeypatch):
+    # cycles of lengths 2, 3 and 5: every point is back after lcm = 30 steps
+    table = [1, 0, 3, 4, 2, 6, 7, 8, 9, 5]
+    rng = np.random.default_rng(3)
+    values = [f"{int(p)}/{int(q)}" for p, q in zip(rng.integers(-9, 10, 10),
+                                                    rng.integers(1, 7, 10))]
+    sys = finite_permutation_system(table, values)
+    pts = sys.space.sample_points()
+    for inverse in (False, True):
+        want = _plain_rows(sys, pts, 100, inverse)
+        steps = _counted_steps(monkeypatch)
+        assert _same(orbit_array(sys, pts, 100, inverse=inverse), want)
+        assert len(steps) == 30
+        monkeypatch.undo()
+
+
+def test_a_start_at_minus_zero_is_not_its_return():
+    # x + 1/2 + 1/2 wraps to +0.0, which equals -0.0 but is not its bytes
+    sys = rotation_system(0.5, _copysign_h, grid_resolution=4)
+    pts = np.array([-0.0, 0.25])
+    want = _plain_rows(sys, pts, 7)
+    assert want[0, 0] == -1.0 and want[2, 0] == 1.0
+    assert _same(orbit_array(sys, pts, 7), want)
+    cat = cat_map_system(lambda p: _copysign_h(np.asarray(p)[:, 0]), grid_resolution=4)
+    pts = np.array([[-0.0, 0.0], [0.5, 0.25]])
+    assert _same(orbit_array(cat, pts, 13), _plain_rows(cat, pts, 13))
+
+
+@pytest.mark.parametrize("name", ["cat100", "callable"])
+def test_a_walk_that_never_returns_steps_every_row(monkeypatch, name):
+    if name == "cat100":  # off the dyadic grid the float orbit drifts off the lattice
+        sys, n = cat_map_system(CAT_TERMS, grid_resolution=100), 60
+    else:
+        sys, n = rotation_system("golden", _callable_h, grid_resolution=64), 60
+    pts = sys.space.sample_points()
+    want = _plain_rows(sys, pts, n)
+    steps = _counted_steps(monkeypatch)
+    assert _same(orbit_array(sys, pts, n), want)
+    assert len(steps) == n - 1
+
+
+def test_a_walk_that_never_returns_keeps_at_most_the_cell_budget():
+    import tracemalloc
+
+    sys = rotation_system("golden", _callable_h, grid_resolution=4096)
+    pts = sys.space.sample_points()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        for _block in orbit_blocks(sys, pts, 1000):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the kept rows, at most REPLAY_CELLS float64 cells, plus a few rows;
+    # 1000 kept rows would be 32 MiB
+    assert peak < 8 * core.REPLAY_CELLS + 40 * 8 * len(pts)
+
+
+# --------------------------------------------------------------------------
+# the probe's pre-screen: every (size, n, p) scanned, as a reference
+# --------------------------------------------------------------------------
+
+
+def _unfiltered_probe(sys, ks, n_max, starts):
+    """(verdict, escape bound, witness (n, p, t)) of every size, as
+    ``probe_sweep`` decides them on continuous systems without a stored f,
+    with every (size, n, p) of the orbit scanned for returns."""
+    pts = sys.space.sample_points(starts)
+    hmin, hmax = factor_range(sys)
+    kv = np.array(ks)[:, None]
+    bands = [torus._band(hmin, hmax, k) for k in ks]
+    lo, hi = np.array(bands).T[:, :, None]
+    t0 = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, 0.5 * (lo + hi))
+    tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    lo, hi = lo - tol, hi + tol
+    first, last, S = {}, np.zeros(len(ks), dtype=int), np.zeros(len(pts))
+    for n, row in enumerate(_rows(sys, pts, n_max), start=1):
+        S = S + row
+        t_vals = t0 + kv * n - S
+        in_band = (t_vals >= lo) & (t_vals <= hi)
+        for j in np.flatnonzero(in_band.any(axis=1)):
+            last[j] = n
+            if j not in first:
+                p = int(np.argmax(in_band[j]))
+                first[j] = (n, p, float(t_vals[j, p]))
+    ext = birkhoff_extrema(sys, pts, n_max).extrema_per_n
+    sup_env, inf_env = ext["sup_env_plus"], ext["inf_env_minus"]
+    ns, out = np.arange(1, n_max + 1), []
+    for j, (k, (a, b)) in enumerate(zip(ks, bands)):
+        width, margin = b - a, 1e-12 * max(1.0, abs(k))
+        bounds = [np.maximum(ns[m], np.floor(width / gap[m]) + 1).min()
+                  for m, gap in ((sup_env < k - margin, k - sup_env),
+                                 (inf_env > k + margin, inf_env - k)) if m.any()]
+        if bounds:
+            out.append((torus.VERDICT_ESCAPE, int(min(bounds)), None))
+        elif j in first and last[j] >= max(1, math.ceil(0.5 * n_max)):
+            out.append((torus.VERDICT_RECURRENT, None, first[j]))
+        else:
+            out.append((torus.VERDICT_INCONCLUSIVE, None, None))
+    return pts, out
+
+
+@pytest.mark.parametrize("name, n_max", [("cat64", 200), ("golden_cos", 2000),
+                                         ("cat8", 1), ("cat8", 2), ("cat8", 5), ("cat8", 11)])
+def test_probe_prescreen_equals_the_unfiltered_scan(name, n_max):
+    # cat64 is the benchmark's cat probe, 64 x 64 starts at n = 200; at short
+    # horizons on the 8 x 8 grid, late returns begin at n = ceil(n_max / 2)
+    if name.startswith("cat"):
+        starts = int(name[3:])
+        sys = cat_map_system(CAT_TERMS, grid_resolution=starts)
+    else:
+        sys = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]},
+                              grid_resolution=1024)
+        starts = 64
+    hmin, hmax = factor_range(sys)
+    ks = np.linspace(hmin - 0.3, hmax + 0.3, 41).tolist() + [0.0, hmin, hmax]
+    pts, want = _unfiltered_probe(sys, ks, n_max, starts)
+    got = torus.probe_sweep(sys, ks, n_max=n_max, starts=starts)
+    assert {w[0] for w in want} >= {torus.VERDICT_ESCAPE, torus.VERDICT_RECURRENT} or n_max < 5
+    for r, (verdict, bound, witness) in zip(got, want):
+        assert (r.verdict, r.escape_bound) == (verdict, bound)
+        if witness is None:
+            assert r.witness is None
+        else:
+            n, p, t = witness
+            assert (r.witness.n, repr(r.witness.t)) == (n, repr(t))
+            assert np.array_equal(r.witness.start, pts[p] if np.ndim(pts[p]) else float(pts[p]))

@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -81,3 +83,29 @@ def test_payload_digests():
     again = run_script("payload_digests.py", "--seed", "5", "--size", "tiny",
                        "--workload", "cycles")
     assert again.stdout.splitlines() == [" ".join(f) for f in lines if f[0] == "cycles"]
+
+
+def test_bench_record(tmp_path):
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    out = tmp_path / "BENCH_0.json"
+    proc = run_script("bench_record.py", "--pr", "0", "--seed", "5", "--runs", "1",
+                      "--seconds", "0.05", "--workload", "construction", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with open(out) as fh:
+        record = json.load(fh)
+    assert (record["pr"], record["seed"], record["runs"]) == (0, 5, 1)
+    assert list(record["checkouts"]) == ["change"]
+    (name, result), = record["checkouts"]["change"]["workloads"].items()
+    assert name == "construction"
+    assert result["checks_attempted"] > 0 and result["checks_failed"] == 0
+    assert result["digests_repeat"] is True
+    labels = [s.label for s in workloads.build("construction", 5)]
+    assert list(result["step_s_median"]) == sorted(labels)
+    assert sorted(result["digests"]) == sorted(labels)
+    metrics = result["end_to_end"]
+    assert set(metrics) == {"setup_s", "run_s", "slowest_cmd_s", "peak_rss_mib"}
+    for m in metrics.values():
+        assert len(m["values"]) == 1 and m["q1"] == m["median"] == m["q3"] == m["values"][0] > 0
+    assert metrics["run_s"]["median"] == pytest.approx(sum(result["step_s_median"].values()))
