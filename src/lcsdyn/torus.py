@@ -18,8 +18,10 @@ rows of one strip of base rows, h(psi^{-j} p) for j = 1..B and h(psi^i p)
 for i < F + n - 1.  When A_n(h) > k with k < 0 (the mirrored branch), g is
 the construction for (psi^{-1}, -A_n(h) o psi^{-1}, -k) at -t, which reads
 the same two tables swapped and negated.  ``GConstruction.batch`` walks them
-once per point batch; a sigma inversion builds them once, for all samples,
-at the rows its final brackets need, and bisects and runs Newton on them.
+once per point batch.  A sigma inversion builds them once for all samples,
+at the rows of a first bracket around each root (again only if an end of
+it must move), and runs safeguarded Newton on them, reading g and dt g in
+one pass per step.
 The cutoff reads its quadrature tables only off its plateaus s <= 0 and
 s >= 1, so at any t only the one translate per sample inside (0, 1) costs
 a lookup.
@@ -39,6 +41,7 @@ import numpy as np
 
 from .core import (
     FINITE,
+    TORUS2,
     BudgetError,
     ConformalSystem,
     DomainError,
@@ -331,37 +334,29 @@ class CutoffFunction:
     _moment: np.ndarray = None
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.array(s >= 1.0, dtype=float)
-        ramp = _off_plateau(s)
-        s = s[ramp]
-        d = self.mollifier_width
-        a, b, cdf_a, cdf_b = self._cdfs(s)
-        m_a = np.interp(a, self._grid, self._moment)
-        m_b = np.interp(b, self._grid, self._moment)
-        mid = cdf_a + ((s - d) * (cdf_b - cdf_a) - (m_b - m_a)) / (1.0 - 2.0 * d)
-        out[ramp] = np.clip(mid, 0.0, 1.0)  # quadrature noise at the plateau edges
-        return float(out) if out.ndim == 0 else out
+        return self._values(s)[0]
 
     def prime(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape)
-        ramp = _off_plateau(s)
-        _a, _b, cdf_a, cdf_b = self._cdfs(s[ramp])
-        out[ramp] = np.maximum(cdf_b - cdf_a, 0.0) / (1.0 - 2.0 * self.mollifier_width)
-        return float(out) if out.ndim == 0 else out
+        return self._values(s)[1]
 
-    def _cdfs(self, s):
-        """The clipped ramp ends a, b at s and the mollifier cdf at both."""
+    def _values(self, s):
+        """chi and chi' at s from one lookup of the mollifier cdf at the
+        clipped ramp ends a, b; floats for a scalar s."""
+        s = np.asarray(s, dtype=float)
+        chi = np.array(s >= 1.0, dtype=float)
+        slope = np.zeros(s.shape)
+        ramp = ~((s <= 0.0) | (s >= 1.0))  # off the plateaus; NaN stays in
+        s = s[ramp]
         d = self.mollifier_width
         a = np.clip(s - 1.0 + d, -d, d)
         b = np.clip(s - d, -d, d)
-        return a, b, np.interp(a, self._grid, self._cdf), np.interp(b, self._grid, self._cdf)
-
-
-def _off_plateau(s):
-    """Where the cutoff is neither 0 (s <= 0) nor 1 (s >= 1); NaN stays in."""
-    return ~((s <= 0.0) | (s >= 1.0))
+        cdf_a, cdf_b = np.interp(a, self._grid, self._cdf), np.interp(b, self._grid, self._cdf)
+        m_a = np.interp(a, self._grid, self._moment)
+        m_b = np.interp(b, self._grid, self._moment)
+        mid = cdf_a + ((s - d) * (cdf_b - cdf_a) - (m_b - m_a)) / (1.0 - 2.0 * d)
+        chi[ramp] = np.clip(mid, 0.0, 1.0)  # quadrature noise at the plateau edges
+        slope[ramp] = np.maximum(cdf_b - cdf_a, 0.0) / (1.0 - 2.0 * d)
+        return (float(chi), float(slope)) if chi.ndim == 0 else (chi, slope)
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -578,13 +573,14 @@ class GTables:
     """g and dt g at one point batch, read off its two tables of A.
 
     ``GConstruction.batch`` walks the tables once, for the times it is
-    given.  ``g(idx, t)`` and ``dt(idx, t)`` weigh the columns idx (an index
-    array or a slice) by the cutoff coefficients of times t inside the
-    span of those times, shaped as for ``GConstruction.g``.  A call reads
-    only the rows its own times need, adding them in order, so it computes
-    exactly what a fresh batch of those columns would.  On the mirrored
-    branch the tables are stored swapped and negated, and read at -t.
-    ``single`` is True when the batch was given as a lone point.
+    given.  ``g_dt(idx, t)`` weighs the columns idx (an index array or a
+    slice) by the cutoff coefficients and slopes of times t inside the span
+    of those times, giving g and dt g from one pass over the rows, shaped
+    as for ``GConstruction.g``; ``g`` and ``dt`` are its two halves.  A
+    call reads only the rows its own times need, adding them in order, so
+    it computes exactly what a fresh batch of those columns would.  On the
+    mirrored branch the tables are stored swapped and negated, and read at
+    -t.  ``single`` is True when the batch was given as a lone point.
     """
 
     gcons: GConstruction
@@ -593,15 +589,17 @@ class GTables:
     bwd: np.ndarray
 
     def g(self, idx, t):
-        return self._weigh(idx, t, derivative=False)
+        return self.g_dt(idx, t)[0]
 
     def dt(self, idx, t):
-        return self._weigh(idx, t, derivative=True)
+        return self.g_dt(idx, t)[1]
 
-    def _weigh(self, idx, t, derivative):
+    def g_dt(self, idx, t):
+        """g and dt g at the same columns and times, from one pass over the
+        rows and one cutoff lookup per row."""
         # g(p, t) has ceil(-t) forward and ceil(t) backward terms; rows past
-        # a value's last term have coefficient exactly 0, and total starts at
-        # +0.0, so a value does not depend on the rest of the call
+        # a value's last term have coefficient exactly 0, and both sums start
+        # at +0.0, so a value does not depend on the rest of the call
         gcons = self.gcons
         ts = np.asarray(t, dtype=float)
         if gcons.mirrored:
@@ -611,21 +609,20 @@ class GTables:
         if lead > len(self.fwd) or trail > len(self.bwd):
             raise ValueError("a time needs rows beyond the batch's tables")
         fwd, bwd = self.fwd[:lead, idx], self.bwd[:trail, idx]
-        total = np.zeros(np.broadcast_shapes(ts.shape, fwd.shape[1:]))
-        chi = gcons.cutoff.prime if derivative else gcons.cutoff
+        shape = np.broadcast_shapes(ts.shape, fwd.shape[1:])
+        g, dt = np.zeros(shape), np.zeros(shape)
         rows = (-1,) + (1,) * ts.ndim
-        c_lead = chi(ts + 1.0 + np.arange(lead).reshape(rows))
-        c_trail = chi(ts - np.arange(trail).reshape(rows))
-        for c, row in zip(c_lead, fwd):
-            if derivative:
-                total -= c * row
-            else:
-                total += (1.0 - c) * row
-        for c, row in zip(c_trail, bwd):
-            total -= c * row
-        if derivative and gcons.mirrored:
-            np.negative(total, out=total)
-        return total
+        c_lead, p_lead = gcons.cutoff._values(ts + 1.0 + np.arange(lead).reshape(rows))
+        c_trail, p_trail = gcons.cutoff._values(ts - np.arange(trail).reshape(rows))
+        for c, p, row in zip(c_lead, p_lead, fwd):
+            g += (1.0 - c) * row
+            dt -= p * row
+        for c, p, row in zip(c_trail, p_trail, bwd):
+            g -= c * row
+            dt -= p * row
+        if gcons.mirrored:
+            np.negative(dt, out=dt)
+        return g, dt
 
 
 def _ramp_side(k: float, values):
@@ -707,66 +704,72 @@ class MuConstruction:
     def invert_sigma_t(self, x, s):
         """Solve g(x, t) + t k + f_n(x) = s for t at every sample.
 
-        Per sample: expand a bracket around s / k (doubling steps, refused
-        past half the term budget), bisect it to width 1e-3, then run at most
-        60 safeguarded Newton steps, to a residual of 1e-12 max(1, |k|).  The
-        steps are masked array updates, so a sample takes exactly the steps it
-        would take alone.  Bisection and Newton only ask for times inside the
-        final brackets, so the tables of A are walked once, for the whole
-        sample, at the rows those need.
+        Per sample: a bracket around t0 = (s - f_n(x)) / k, whose ends move
+        out past the root by doubling steps (refused past half the term
+        budget), then at most 60 safeguarded Newton steps from t0 (Press et
+        al., Numerical Recipes, rtsafe).  Each step reads g and dt g in one
+        pass over the tables; the sign of the residual shrinks the bracket,
+        and a step that leaves the open bracket or does not halve the step
+        before it goes to the bracket's midpoint.  A sample is solved at a
+        residual of 1e-12 max(1, |k|), or where no float lies strictly
+        inside its bracket or its step leaves t unchanged; a sample still
+        open after 60 steps is a BudgetError.  The steps are masked array
+        updates, so a sample takes exactly the steps it would take alone.
+        The tables of A are walked once for the whole sample at the first
+        bracket's rows, which also checks its ends, and once more only when
+        some end had to move.
         """
         gcons, k = self.gcons, self.gcons.k
         pts, single = point_batch(gcons.system.space, x)
         target = np.broadcast_to(np.asarray(s, dtype=float), (len(pts),)) - self.f_n(pts)
         sign = 1 if k > 0 else -1  # the sign of the slope dt g + k
+        every = np.arange(len(pts))
 
         def F(g, idx, t):
-            return sign * (g(idx, t) + t * k - target[idx])
-
-        def fresh(idx, t):
-            return gcons.g(pts[idx], t)
+            return sign * (g + t * k - target[idx])
 
         t0 = target / k
-        t_cap = 0.5 * MAX_TERMS
-        lo, hi = t0 - (1.0 + 0.5 * np.abs(t0)), t0 + (1.0 + 0.5 * np.abs(t0))
-        for end, side in ((lo, -1.0), (hi, 1.0)):  # move each end out past the root
-            step = 1.0 + 0.5 * np.abs(t0)
-            act = np.arange(len(pts))
+        width = 1.0 + 0.5 * np.abs(t0)
+        lo, hi = t0 - width, t0 + width
+        both, ends = np.concatenate([every, every]), np.concatenate([lo, hi])
+        tab = gcons.batch(pts, ends)
+        checks = np.split(F(tab.g(both, ends), both, ends), 2)
+        moved = False
+        for end, side, check in ((lo, -1.0, checks[0]), (hi, 1.0, checks[1])):
+            step = width.copy()  # move each end out past the root
+            act = every[side * check < 0.0]
             while act.size:
-                act = act[side * F(fresh, act, end[act]) < 0.0]
-                if np.any(np.abs(end[act]) > t_cap):
+                if np.any(np.abs(end[act]) > 0.5 * MAX_TERMS):
                     raise BudgetError("sigma inversion bracket exceeds the term budget")
                 end[act] += side * step[act]
                 step[act] *= 2.0
-        tab = gcons.batch(pts, np.concatenate([lo, hi]))
-        act = np.flatnonzero(hi - lo > 1e-3)
-        while act.size:
-            mid = 0.5 * (lo[act] + hi[act])
-            below = F(tab.g, act, mid) <= 0.0
-            lo[act[below]] = mid[below]
-            hi[act[~below]] = mid[~below]
-            act = act[hi[act] - lo[act] > 1e-3]
-        t = 0.5 * (lo + hi)
+                moved = True
+                act = act[side * F(gcons.g(pts[act], end[act]), act, end[act]) < 0.0]
+        if moved:
+            tab = gcons.batch(pts, np.concatenate([lo, hi]))
         tol = 1e-12 * max(1.0, abs(k))
-        act = np.arange(len(pts))
+        t, last = t0.copy(), hi - lo
+        act = every
         for _ in range(60):
             if not act.size:
                 break
-            val = F(tab.g, act, t[act])
-            live = ~(np.abs(val) <= tol)
-            act, val = act[live], val[live]
-            if not act.size:
-                break
-            slope = sign * (tab.dt(act, t[act]) + k)
-            live = ~(slope <= 0)
-            act, val, slope = act[live], val[live], slope[live]
-            t_new = t[act] - val / slope
-            out = ~((lo[act] <= t_new) & (t_new <= hi[act]))
-            o, above = act[out], val[out] > 0.0  # outside: shrink, then bisect
-            hi[o[above]] = t[o[above]]
-            lo[o[~above]] = t[o[~above]]
-            t_new[out] = 0.5 * (lo[o] + hi[o])
+            here = t[act]
+            g, dt = tab.g_dt(act, here)
+            val, slope = F(g, act, here), sign * (dt + k)
+            below, above = val < 0.0, val > 0.0
+            lo[act[below]], hi[act[above]] = here[below], here[above]
+            a, b = lo[act], hi[act]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_new = here - val / slope
+            slow = np.abs(t_new - here) > 0.5 * np.abs(last[act])
+            bisect = ~((a < t_new) & (t_new < b)) | slow
+            t_new[bisect] = 0.5 * (a[bisect] + b[bisect])
+            open_ = ~((np.abs(val) <= tol) | (np.nextafter(a, b) >= b) | (t_new == here))
+            act, t_new = act[open_], t_new[open_]
+            last[act] = t_new - t[act]
             t[act] = t_new
+        if act.size:
+            raise BudgetError("sigma inversion left a sample unsolved after 60 Newton steps")
         return float(t[0]) if single else t
 
     def mu(self, x, s):
@@ -776,30 +779,25 @@ class MuConstruction:
         """max |mu(rho(x,t)) - mu(x,t) + k| over random samples, with t drawn
         from the middle half of the t-window.
 
-        The samples are drawn one (x, t) pair at a time, x first, so the draws
-        do not depend on the batching; mu then runs once on rho(x, t) and once
-        on (x, t) for the whole sample.
+        One array call of ``rng.uniform`` draws a row per sample: its x
+        coordinates in [0, 1), then its t.  The stream is read in the order
+        of one draw per coordinate, pair after pair; a finite state is
+        floor(u size) of its coordinate u.  mu then runs once on rho(x, t)
+        and once on (x, t) for the whole sample.
         """
         rng = np.random.default_rng(rng)
         sys, k = self.gcons.system, self.gcons.k
-        lo, hi = (0.5 * t for t in self.gcons.t_window)
-        draws = [(_random_point(sys, rng), rng.uniform(lo, hi)) for _ in range(samples)]
-        if not draws:
+        if samples <= 0:
             return 0.0
-        xs = np.array([x for x, _ in draws])
-        ts = np.array([t for _, t in draws])
+        lo, hi = (0.5 * t for t in self.gcons.t_window)
+        dim = 2 if sys.space.kind == TORUS2 else 1
+        u = rng.uniform([0.0] * dim + [lo], [1.0] * dim + [hi], size=(samples, dim + 1))
+        xs, ts = (u[:, 0] if dim == 1 else u[:, :dim]), u[:, dim]
+        if sys.space.kind == FINITE:  # u < 1 rounds u size below size
+            xs = np.floor(xs * sys.space.size).astype(np.int64)
         # rho(x, t) = (psi x, t + k - h(x))
         ys, t2 = step_points(sys, xs), ts + k - eval_factor(sys, xs)
         return float(np.max(np.abs(self.mu(ys, t2) - self.mu(xs, ts) + k)))
-
-
-def _random_point(sys: ConformalSystem, rng):
-    kind = sys.space.kind
-    if kind == FINITE:
-        return int(rng.integers(0, sys.space.size))
-    if kind == "circle":
-        return float(rng.uniform(0.0, 1.0))
-    return np.array([rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)])
 
 
 def nonzero_size(k) -> float:

@@ -86,10 +86,12 @@ class RefG:
 
     def batch(self, x, ts):
         """The batch evaluator's interface on this reference's own g and dt:
-        g(idx, t) and dt(idx, t) at the columns idx of the batch x."""
+        g(idx, t), dt(idx, t) and both as g_dt(idx, t) at the columns idx of
+        the batch x."""
         pts = point_batch(self.walked.space, x)[0]
         return SimpleNamespace(g=lambda idx, t: self.g(pts[idx], t),
-                               dt=lambda idx, t: self.dt(pts[idx], t))
+                               dt=lambda idx, t: self.dt(pts[idx], t),
+                               g_dt=lambda idx, t: (self.g(pts[idx], t), self.dt(pts[idx], t)))
 
     def tables(self, pts, ts):
         ts = np.asarray(ts, dtype=float)

@@ -19,8 +19,11 @@ from lcsdyn import (
     rotation_system,
 )
 from lcsdyn.core import BudgetError, DomainError, reference_points
+from lcsdyn import torus
 from lcsdyn.torus import (
     MAX_TERMS,
+    GTables,
+    MuConstruction,
     InfeasibleError,
     NotFoundError,
     VERDICT_ESCAPE,
@@ -597,18 +600,24 @@ def test_cutoff_reads_its_tables_only_off_the_plateaus(bound):
     special = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
                               [-0.0, np.inf, -np.inf, np.nan]])
     rng = np.random.default_rng(9)
+    # chi and chi' read together (as the g and dt g tables do) are the same
+    # bits as each read alone
     for s in special:  # a scalar gives a float
-        for got, want in ((c(s), _unmasked_cutoff(c, s, False)),
-                          (c.prime(s), _unmasked_cutoff(c, s, True))):
+        chi, slope = c._values(s)
+        for got, want in ((c(s), _unmasked_cutoff(c, s, False)), (chi, c(s)),
+                          (c.prime(s), _unmasked_cutoff(c, s, True)), (slope, c.prime(s))):
             assert type(got) is float
             assert np.array_equal(got, want, equal_nan=True)
     grid = rng.uniform(-1.5, 2.5, size=(7, 30))
     grid.flat[:special.size] = special
     rows = grid[None] + np.arange(-3.0, 3.0).reshape(-1, 1, 1)  # (rows, T, P)
     for s in (grid, rows):
+        chi, slope = c._values(s)
         assert np.array_equal(c(s), _unmasked_cutoff(c, s, False), equal_nan=True)
         assert np.array_equal(c.prime(s), _unmasked_cutoff(c, s, True), equal_nan=True)
-        assert c(s).shape == c.prime(s).shape == s.shape
+        assert np.array_equal(chi, c(s), equal_nan=True)
+        assert np.array_equal(slope, c.prime(s), equal_nan=True)
+        assert c(s).shape == c.prime(s).shape == chi.shape == slope.shape == s.shape
 
 
 def test_dt_attainable_covers_direct_samples(const_rotation, golden_cos):
@@ -830,6 +839,11 @@ def test_batch_tables_read_columns_as_a_fresh_batch(name, k):
         t = rng.uniform(-4.5, 3.5, size=size)
         assert np.array_equal(tab.g(idx, t), gcons.g(xs[idx], t))
         assert np.array_equal(tab.dt(idx, t), gcons.dt(xs[idx], t))
+        # the fused read gives both from one pass, paired or on a (T, P) grid
+        for times in (t, rng.uniform(-4.5, 3.5, size=(5, 1))):
+            g, dt = tab.g_dt(idx, times)
+            assert np.array_equal(g, gcons.g(xs[idx], times))
+            assert np.array_equal(dt, gcons.dt(xs[idx], times))
     for late in (4.25, -5.25):  # one row more than the span's 4 back and 5 ahead
         with pytest.raises(ValueError, match="beyond the batch"):
             tab.g(np.arange(2), np.array([0.0, late]))
@@ -837,8 +851,9 @@ def test_batch_tables_read_columns_as_a_fresh_batch(name, k):
 
 @pytest.mark.parametrize("name,k", BATCH_CASES)
 def test_mu_cocycle_residual_sample_stream(name, k):
-    # documented order: per sample x (an integer state, a circle coordinate,
-    # or two torus coordinates), then t uniform in half the t window
+    # documented order: per sample x (a circle coordinate, two torus
+    # coordinates, or an integer state floor(u size)), then t uniform in half
+    # the t window, one draw at a time
     sys = _batch_system(name)
     mu = build_mu(sys, k, (-4, 4))
     rng = np.random.default_rng(0)
@@ -846,7 +861,7 @@ def test_mu_cocycle_residual_sample_stream(name, k):
     worst = 0.0
     for _ in range(64):
         if sys.space.kind == "finite":
-            x = int(rng.integers(0, sys.space.size))
+            x = math.floor(rng.uniform(0.0, 1.0) * sys.space.size)
         elif sys.space.kind == "circle":
             x = float(rng.uniform(0.0, 1.0))
         else:
@@ -856,3 +871,133 @@ def test_mu_cocycle_residual_sample_stream(name, k):
         worst = max(worst, abs(mu.mu(y, t2) - mu.mu(x, t) + k))
     assert mu.mu_cocycle_residual(samples=64, rng=0) == worst
     assert worst <= 1e-7
+
+
+@pytest.mark.parametrize("name,k", [("rotation", 1.5), ("cat", -2.0), ("perm", 1.0)])
+def test_mu_cocycle_residual_draws_one_row_per_pair(name, k, monkeypatch):
+    # one array call reads the stream as the per-pair loop did: x coordinates,
+    # then t; a finite state is floor(u size) of its coordinate
+    sys = _batch_system(name)
+    mu = build_mu(sys, k, (-4, 4))
+    rng = np.random.default_rng(29)
+    xs, ts = [], []
+    for _ in range(512):
+        if sys.space.kind == "finite":
+            xs.append(math.floor(rng.uniform(0.0, 1.0) * sys.space.size))
+        elif sys.space.kind == "circle":
+            xs.append(float(rng.uniform(0.0, 1.0)))
+        else:
+            xs.append(np.array([rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)]))
+        ts.append(rng.uniform(-2.0, 2.0))
+    calls = []
+    real = MuConstruction.mu
+
+    def recorded(self, x, s):
+        calls.append((x, s))
+        return real(self, x, s)
+
+    monkeypatch.setattr(MuConstruction, "mu", recorded)
+    mu.mu_cocycle_residual(samples=512, rng=29)
+    got_x, got_t = calls[1]  # mu(rho(x, t)), then mu(x, t)
+    assert np.array_equal(got_x, np.array(xs)) and got_x.dtype == np.array(xs).dtype
+    assert np.array_equal(got_t, np.array(ts))
+    assert mu.mu_cocycle_residual(samples=0) == 0.0
+
+
+def _count_passes(monkeypatch):
+    """Counters of table walks and of fused g/dt g sample reads; a bracket
+    check reads g alone and is counted apart."""
+    count = {"walks": 0, "fused": 0, "checks": 0, "passes": 0}
+    walk, fused, alone = torus._averaged_tables, GTables.g_dt, GTables.g
+
+    def walked(*args):
+        count["walks"] += 1
+        return walk(*args)
+
+    def read(self, idx, t):
+        count["fused"] += np.size(t)
+        count["passes"] += 1
+        return fused(self, idx, t)
+
+    def checked(self, idx, t):
+        count["checks"] += np.size(t)
+        count["fused"] -= np.size(t)
+        count["passes"] -= 1
+        return alone(self, idx, t)
+
+    monkeypatch.setattr(torus, "_averaged_tables", walked)
+    monkeypatch.setattr(GTables, "g_dt", read)
+    monkeypatch.setattr(GTables, "g", checked)
+    return count
+
+
+def test_inversion_walks_the_tables_once_and_reads_them_few_times(golden_cos, monkeypatch):
+    # the first bracket holds every root: one walk, which also checks both
+    # ends; Newton then reads g and dt g together a few times per sample
+    mu = build_mu(golden_cos, 1.0, (-2, 2))
+    rng = np.random.default_rng(31)
+    xs, ts = rng.uniform(0.0, 1.0, size=512), rng.uniform(-1.0, 1.0, size=512)
+    s = mu.sigma_t(xs, ts)
+    count = _count_passes(monkeypatch)
+    t = mu.invert_sigma_t(xs, s)
+    assert count["walks"] == 1
+    assert count["checks"] == 2 * 512
+    assert count["fused"] <= 6 * 512
+    assert np.max(np.abs(t - ts)) <= 1e-9
+
+
+def test_inversion_stops_at_the_float_resolution(monkeypatch):
+    # at t ~ 2e4 the spacing of s (3.6e-12) exceeds the residual tolerance
+    # 1e-12: a sample stops when no float lies strictly inside its bracket or
+    # its step leaves t unchanged, within one ulp of s, after a few passes
+    from scipy.optimize import brentq
+
+    sys = rotation_system("golden", {"type": "trig", "cos": [[1, 0.3]]}, grid_resolution=64)
+    mu = build_mu(sys, 1.0, (-10, 10))
+    rng = np.random.default_rng(0)
+    xs, ts = rng.uniform(0.0, 1.0, size=64), 2e4 + rng.uniform(-1.0, 1.0, size=64)
+    s = mu.sigma_t(xs, ts) * (1.0 + 1e-15)
+    count = _count_passes(monkeypatch)
+    t = mu.invert_sigma_t(xs, s)
+    assert count["walks"] == 1 and count["passes"] <= 10
+    residual = np.abs(mu.sigma_t(xs, t) - s)
+    assert np.all(residual <= np.spacing(s))
+    coarse = np.flatnonzero(residual > 1e-12)
+    assert coarse.size  # the tolerance alone cannot stop these
+    for j in coarse[:4]:
+        root = brentq(lambda t_: mu.sigma_t(xs[j], t_) - s[j], t[j] - 1e-6, t[j] + 1e-6,
+                      xtol=1e-12)
+        assert abs(t[j] - root) <= 4 * np.spacing(t[j])
+
+
+def test_inversion_refuses_a_sample_left_open(golden_cos, monkeypatch):
+    # a residual that jumps from -0.5 to 0.5 at t = 1e-300 has no root: its
+    # bracket closes in on the jump by bisection, through floats too dense to
+    # run out in 60 steps, so the sample is refused, not returned
+    mu = build_mu(golden_cos, 1.0, (-2, 2))
+    xs = np.array([0.1, 0.2])
+
+    def jump(self, idx, t):
+        return np.where(t > 1e-300, 0.5, -0.5) - t, np.zeros(np.shape(t))
+
+    monkeypatch.setattr(GTables, "g_dt", jump)
+    with pytest.raises(BudgetError, match="unsolved"):
+        mu.invert_sigma_t(xs, mu.f_n(xs))
+
+
+def test_inversion_bisects_a_step_that_does_not_halve_the_last(golden_cos, monkeypatch):
+    # at a cusp root, sign(t - r) |t - r|^0.6, every Newton step lands on the
+    # other side at 2/3 of the distance: it stays inside the bracket, and
+    # Newton alone would need about 110 steps for a residual of 1e-12
+    mu = build_mu(golden_cos, 1.0, (-2, 2))
+    xs = np.array([0.1, 0.2])
+    root = np.array([0.3, -0.7])
+
+    def cusp(self, idx, t):
+        d = t - root[idx]
+        with np.errstate(divide="ignore"):
+            return np.sign(d) * np.abs(d) ** 0.6 - t, 0.6 * np.abs(d) ** -0.4 - 1.0
+
+    monkeypatch.setattr(GTables, "g_dt", cusp)
+    t = mu.invert_sigma_t(xs, mu.f_n(xs))  # the residual is g + t - 0
+    assert np.all(np.abs(t - root) ** 0.6 <= 1e-12)
