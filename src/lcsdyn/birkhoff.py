@@ -3,7 +3,8 @@
 For a system (psi, h) the n-th partial sum is S_n(x) = sum_{i<n} h(psi^i x)
 and the average is A_n = S_n / n.  The transfer potential
 f_n = (1/n) sum_{i=1}^{n-1} S_i realizes A_n = h + f_n o psi - f_n, so every
-averaged factor is a conjugate of h up to a coboundary.  Truncated envelopes
+averaged factor is a conjugate of h up to a coboundary; one reducer,
+``_potential_sums``, streams the running sums of f_n.  Truncated envelopes
 inf/sup_{n <= i <= n_max} A_i replace the (uncomputable) tail envelopes; being
 monotone in n they approach the limit extrema from the correct side as n_max
 grows.
@@ -199,13 +200,8 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
     running sums (read only) as it is formed: S[i] is S_{n0 + i}, in the
     orbit rows' arithmetic (the integers S_n * scale on exact systems).
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
-    if n_max > DEFAULT_MAX_ITERATIONS:
-        raise BudgetError(f"n_max = {n_max} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
-    pts = sys.space.sample_points(points)
-    if len(pts) == 0:
-        raise ValidationError("empty sample")
+    _check_order(n_max, "n_max")
+    pts = _sample(sys, points)
     dtype = sum_dtype(sys, n_max)
     lows, highs = [], []
     n0, S = 1, None
@@ -227,6 +223,23 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
     return BirkhoffExtrema(sys, pts, n_max, extrema, sys.exact)
 
 
+def _check_order(n: int, name: str = "n"):
+    """An orbit order n: below 1 is a ValidationError, above the iteration
+    budget a BudgetError."""
+    if n < 1:
+        raise ValidationError(f"{name} must be >= 1")
+    if n > DEFAULT_MAX_ITERATIONS:
+        raise BudgetError(f"{name} = {n} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
+
+
+def _sample(sys: ConformalSystem, points):
+    """The sampled points; an empty sample is a ValidationError."""
+    pts = sys.space.sample_points(points)
+    if len(pts) == 0:
+        raise ValidationError("empty sample")
+    return pts
+
+
 def _accumulate(B, start):
     """B summed along its rows in place, each row added to the one before
     it, the first to ``start`` unless that is None; returns B."""
@@ -237,6 +250,41 @@ def _accumulate(B, start):
     return B
 
 
+def _potential_sums(sys: ConformalSystem, pts, n: int):
+    """The running sums of the transfer potential at pts, from one streamed
+    orbit walk of n rows, in O(P) memory.
+
+    Yields (h, S, C, C1) a block of orders at a time: h is row 0 and, at
+    the block's i-th order m, S[i] = S_m(p), C[i] = S_1 + ... + S_{m-1} at
+    p and C1[i] the same sum at psi p, so m f_m = C[i] at p and C1[i] at
+    psi p.  Every array is read only.  Each sum adds its terms in row order
+    from the first one, as ``_accumulate`` with no start does, so a walk
+    from one point rounds like a walk from many and f_2 = h / 2 keeps the
+    signs of its zeros; C and C1 are 0 at order 1, an empty sum.  Exact
+    systems sum the integer rows h * scale.
+    """
+    _check_order(n)
+    # (n + 1)^2 table values bound every sum, and the residual curve's differences
+    dtype = sum_dtype(sys, (n + 1) ** 2)
+    n0, last = 1, None  # last: S, S(psi p), C and C1 at order n0 - 1
+    for rows in orbit_blocks(sys, pts, n):
+        k = 1 if last is None else 0  # order 1 adds no term to S(psi p), C or C1
+        rows = rows.astype(dtype, copy=False)
+        nxt = rows.copy()  # summed into S_{m-1}(psi p), of rows 1 .. m-1
+        S = _accumulate(rows, None if k else last[0])
+        h = S[0] if k else h
+        C = np.concatenate([S[:1] if k else last[0][None], S[:-1]])
+        starts = last[1:] if n0 > 2 else (None,) * 3
+        _accumulate(nxt[k:], starts[0])
+        C1 = nxt.copy()
+        _accumulate(C[k:], starts[1])
+        _accumulate(C1[k:], starts[2])
+        nxt[:k] = C[:k] = C1[:k] = 0
+        yield h, S, C, C1
+        last = S[-1], nxt[-1], C[-1], C1[-1]
+        n0 += len(S)
+
+
 def transfer_potential(sys: ConformalSystem, n: int):
     """The potential f_n = (1/n) sum_{i=1}^{n-1} S_i, as an evaluable function.
 
@@ -244,10 +292,7 @@ def transfer_potential(sys: ConformalSystem, n: int):
     is ``transfer_potential_values`` of a batch of one; on exact finite
     systems the returned values are Fractions.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if n > DEFAULT_MAX_ITERATIONS:
-        raise BudgetError(f"n = {n} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
+    _check_order(n)
 
     def f_n(x):
         pts = sys.space.sample_points([x])
@@ -257,80 +302,42 @@ def transfer_potential(sys: ConformalSystem, n: int):
 
 
 def transfer_potential_values(sys: ConformalSystem, pts, n: int, exact: bool = False):
-    """(f_n(p), f_n(psi p)) at the points pts, from one streamed orbit walk
-    of n rows, in O(P) memory.
-
-    Since f_n(p) = (1/n) sum_{j=0}^{n-2} (n-1-j) h(psi^j p), f_n(p) weighs
-    row j < n - 1 by n - 1 - j and f_n(psi p) row j > 0 by n - j.  Each sum
-    starts from its first product and adds the others in row order, as an
-    axis-0 cumulative sum does, so a walk from one point rounds like a walk
-    from many; f_1 is 0 and walks nothing.  The values are float64; on exact
+    """(f_n(p), f_n(psi p)) at the points pts: the last sums of one
+    ``_potential_sums`` walk of n rows, divided by n, as float64.  On exact
     systems the sums of the integer rows h * scale are exact and each is
     rounded once, or with ``exact`` kept as Fractions.
     """
-    if n == 1:
-        sums = [np.zeros(np.shape(pts)[0], dtype=sum_dtype(sys, 1))] * 2
-    else:
-        dtype, sums, lo = sum_dtype(sys, n * n), [None, None], 0
-        for block in orbit_blocks(sys, pts, n):
-            i = np.arange(lo, lo + len(block))
-            rows = block.astype(dtype, copy=False)
-            for k, (w, keep) in enumerate(((n - 1 - i, i < n - 1), (n - i, i > 0))):
-                terms = w[keep][:, None] * rows[keep]
-                if len(terms):
-                    sums[k] = _accumulate(terms, sums[k])[-1]
-            lo += len(block)
-    if sys.scale is None:
-        return sums[0] / n, sums[1] / n
-    if exact:
-        return _divide(sums[0], n, sys.scale), _divide(sums[1], n, sys.scale)
-    return scaled_floats(sums[0], n * sys.scale), scaled_floats(sums[1], n * sys.scale)
+    for _, _, C, C1 in _potential_sums(sys, pts, n):
+        pass
+    if exact or sys.scale is None:
+        return _divide(C[-1], n, sys.scale), _divide(C1[-1], n, sys.scale)
+    return scaled_floats(C[-1], n * sys.scale), scaled_floats(C1[-1], n * sys.scale)
 
 
 def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> np.ndarray:
     """Residuals max_x |A_n(h)(x) - (h(x) + f_n(psi x) - f_n(x))| of the
     transfer identity over sampled points, for every n = 1..n_max.
 
-    One streamed orbit walk of n_max rows serves both the grid and its image;
-    running sums carry S_n and f_n = (S_1 + ... + S_{n-1}) / n at p and at
-    psi p, a block of rows at a time, so memory is O(P) whatever n_max is.
-    Exact systems check the identity times n * scale on the integer rows, so
-    their curve is exact (Fractions, all zero); float systems show float
-    rounding.
+    Reads every block of ``_potential_sums``: one streamed orbit walk of
+    n_max rows serves both the grid and its image, so memory is O(P)
+    whatever n_max is.  Exact systems check the identity times n * scale on
+    the integer rows, so their curve is exact (Fractions, all zero); float
+    systems show float rounding.
     """
-    pts = sys.space.sample_points(points)
-    scale = sys.scale
-    # (n_max + 1)^2 table values bound every partial sum and difference below;
-    # after order n: S_n(p), S_{n-1}(psi p) (rows 1..n-1), and the sums of
-    # S_1 .. S_{n-1} at p and at psi p
-    dtype = sum_dtype(sys, (n_max + 1) ** 2)
-    s_here = s_next = cs_here = cs_next = np.zeros(np.shape(pts)[0], dtype=dtype)
-    out = np.empty(n_max, dtype=float if scale is None else object)
-    n0 = 1
-    for rows in orbit_blocks(sys, pts, n_max):
-        rows = rows.astype(dtype, copy=False)
-        nxt = rows.copy()
-        if n0 == 1:
-            h = rows[0].copy()
-            nxt[0] = 0  # the walk from psi p starts at row 1
-        nxt = _accumulate(nxt, s_next)
-        c_next = _accumulate(nxt.copy(), cs_next)
-        here = _accumulate(rows, s_here)
-        c_here = _accumulate(np.concatenate([s_here[None], here[:-1]]), cs_here)
-        ns = np.arange(n0, n0 + len(here))[:, None]
-        if scale is None:  # here / n - (h + c_next / n - c_here / n), in place
-            gap = c_next / ns
+    parts, n0 = [], 1
+    for h, S, C, C1 in _potential_sums(sys, _sample(sys, points), n_max):
+        ns = np.arange(n0, n0 + len(S))[:, None]
+        if sys.scale is None:  # S / n - (h + C1 / n - C / n), in place
+            gap = C1 / ns
             gap += h
-            gap -= c_here / ns
-            np.subtract(here / ns, gap, out=gap)
-            out[n0 - 1:n0 - 1 + len(here)] = np.abs(gap, out=gap).max(axis=1)
+            gap -= C / ns
+            np.subtract(S / ns, gap, out=gap)
+            parts.append(np.abs(gap, out=gap).max(axis=1))
         else:
-            worst = np.max(np.abs(here - (ns * h + c_next - c_here)), axis=1)
-            out[n0 - 1:n0 - 1 + len(here)] = [Fraction(int(w), int(n) * scale)
-                                               for w, n in zip(worst, ns[:, 0])]
-        s_here, s_next, cs_here, cs_next = here[-1], nxt[-1], c_here[-1], c_next[-1]
-        n0 += len(here)
-    return out
+            parts.append(_divide(np.max(np.abs(S - (ns * h + C1 - C)), axis=1), ns[:, 0],
+                                 sys.scale))
+        n0 += len(S)
+    return np.concatenate(parts)
 
 
 def _cycle_mean_rounding(dec) -> float:

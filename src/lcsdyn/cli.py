@@ -40,7 +40,7 @@ from .core import (
     ValidationError,
     cat_map_system,
     finite_permutation_system,
-    orbit_rows,
+    orbit_array,
     rotation_system,
     scaled_floats,
     step_points,
@@ -374,7 +374,7 @@ def _write_probe_trace(sys_, report, config, out_dir):
     for _ in range(steps):
         xs.append(step_points(sys_, xs[-1]))
     xs = np.concatenate(xs)
-    hs = next(orbit_rows(sys_, xs[:steps], 1))
+    hs = orbit_array(sys_, xs[:steps], 1)[0]
     hs = (scaled_floats(hs, sys_.scale) if sys_.exact else hs).tolist()
     ts = itertools.accumulate(hs, lambda t, h: t + report.k - h, initial=0.0)
     # every coordinate a float (finite states too), as repr writes it

@@ -624,12 +624,6 @@ def _phase_rows(h, angle: float, pts, sign: int):
     return rows
 
 
-def orbit_rows(sys: ConformalSystem, pts, n: int, inverse: bool = False):
-    """The rows of ``orbit_blocks`` one at a time, as (P,) arrays."""
-    for block in orbit_blocks(sys, pts, n, inverse):
-        yield from block
-
-
 def orbit_array(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     """The orbit rows stacked into an (n, P) array: float64, or on exact
     systems the integers h * sys.scale (``sum_dtype`` of one value)."""

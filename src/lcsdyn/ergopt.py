@@ -44,7 +44,6 @@ from .core import (
     eval_factor,
     int_dtype,
     integer_array,
-    orbit_array,
     step_points,
 )
 
@@ -207,19 +206,20 @@ def _cycle_optimum(dec: CycleDecomposition, sign: int, method: str) -> Optimizat
 
 def _birkhoff_fn(sys: ConformalSystem, n: int, points) -> tuple:
     """(max-min, min-max) bounded by the averaged potential f_n at n on sampled
-    points, from one walk: the edges h + f_n o psi - f_n are A_n(h), whose
-    min bounds the max-min from below and whose max bounds the min-max from
-    above.  Each value is an edge, so its certificate is 0.0 by construction.
-    f_n(-h) = -f_n(h) bit for bit, so ``potential`` is f_n for both optima
-    and the max-min's table is that of -h, normalized to min 0 and flipped.
+    points, from one walk of n rows (``birkhoff._potential_sums``): the edges
+    h + f_n o psi - f_n are A_n(h), whose min bounds the max-min from below
+    and whose max bounds the min-max from above.  Each value is an edge, so
+    its certificate is 0.0 by construction.  f_n(-h) = -f_n(h) bit for bit,
+    so ``potential`` is f_n for both optima and the max-min's table is that
+    of -h, normalized to min 0 and flipped.
     """
     from . import birkhoff
 
     f_n, method = birkhoff.transfer_potential(sys, n), f"birkhoff_fn(n={n})"  # checks n
-    pts = sys.space.sample_points(points)
-    h = orbit_array(sys, pts, 1)[0]
-    f_here, f_next = birkhoff.transfer_potential_values(sys, pts, n)
-    edge = h + f_next - f_here
+    for h, _, C, C1 in birkhoff._potential_sums(sys, sys.space.sample_points(points), n):
+        pass
+    f_here = C[-1] / n  # the float f_n of ``transfer_potential_values``
+    edge = h + C1[-1] / n - f_here
     F = f_here.max() - f_here
     return (OptimizationResult(float(edge.min()), f_n, F.max() - F, 0.0, method),
             OptimizationResult(float(edge.max()), f_n, f_here - f_here.min(), 0.0, method))

@@ -51,7 +51,6 @@ from .core import (
     generating_span,
     iterate,
     orbit_array,
-    orbit_rows,
     point_batch,
     reference_points,
     scaled_floats,
@@ -109,8 +108,8 @@ def _orbit_sum(sys: ConformalSystem, x, n: int):
     """S_n(h)(x): the orbit rows of x, stepped as a batch of one, added in
     order; a Fraction on exact systems, else a float."""
     total = 0
-    for row in orbit_rows(sys, sys.space.sample_points([x]), n):
-        total += int(row[0]) if sys.exact else float(row[0])
+    for v in orbit_array(sys, sys.space.sample_points([x]), n)[:, 0].tolist():
+        total += v
     return Fraction(total, sys.scale) if sys.exact else total
 
 

@@ -24,7 +24,15 @@ from lcsdyn.birkhoff import (
     table_to_csv,
     transfer_potential_values,
 )
-from lcsdyn.core import GOLDEN_ANGLE, DomainError, cat_map_system, eval_factor
+from lcsdyn.core import (
+    DEFAULT_MAX_ITERATIONS,
+    GOLDEN_ANGLE,
+    BudgetError,
+    DomainError,
+    ValidationError,
+    cat_map_system,
+    eval_factor,
+)
 from lcsdyn.torus import TorusAction
 
 from conftest import encoded, random_permutation_system, scalar_factor, scalar_map
@@ -149,18 +157,78 @@ def _potential_systems():
     }
 
 
+def _running_sum_potential(sys, pts, n):
+    """Oracle: f_n(p) and f_n(psi p) by running sums, one row at a time:
+    n f_n = S_1 + ... + S_{n-1}, at p from rows 0 .. n-2 and at psi p from
+    rows 1 .. n-1, each sum started from its first term; exact systems sum
+    the integer rows as Python ints and keep Fractions."""
+    from lcsdyn.birkhoff import _divide
+    from lcsdyn.core import orbit_array
+
+    H = orbit_array(sys, pts, n)
+    if sys.exact:
+        H = H.astype(object)
+    sums = []
+    for rows in (H[:n - 1], H[1:n]):
+        S = C = None
+        for row in rows:
+            S = row.copy() if S is None else S + row
+            C = S.copy() if C is None else C + S
+        sums.append(np.zeros_like(H[0]) if C is None else C)
+    return tuple(_divide(c, n, sys.scale) for c in sums)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want) and (
+        got.dtype != float or np.array_equal(np.signbit(got), np.signbit(want)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 17])
 @pytest.mark.parametrize("name", ["rotation", "signed-zero", "cat", "int64", "object"])
-def test_streamed_potential_equals_the_weighted_cumsum(name, n):
+def test_streamed_potential_equals_a_running_sum_loop(name, n):
     sys = _potential_systems()[name]
     assert (sys.exact, sys.exact and sys.scaled_table.dtype == object) == (
         name in ("int64", "object"), name == "object")
     pts = sys.space.sample_points()
     got = transfer_potential_values(sys, pts, n, exact=True)
-    for g, w in zip(got, _weighted_cumsum_potential(sys, pts, n)):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-        if g.dtype == float:
-            assert np.array_equal(np.signbit(g), np.signbit(w))
+    assert all(_same_bits(g, w) for g, w in zip(got, _running_sum_potential(sys, pts, n)))
+    if n <= 2:  # f_1 = 0 and f_2 = h / 2: the weighted sums' bits, signs of zeros included
+        assert all(_same_bits(g, w) for g, w in zip(got, _weighted_cumsum_potential(sys, pts, n)))
+    if sys.exact:  # f_n = (1/n) sum_{i=1}^{n-1} S_i of the table's Fractions
+        psi, h = scalar_map(sys), scalar_factor(sys)
+        for start, values in zip((pts, [psi(p) for p in pts]), got):
+            want = []
+            for p in start:
+                orbit = [p]
+                for _ in range(n - 2):
+                    orbit.append(psi(orbit[-1]))
+                want.append(Fraction(sum(sum(h(q) for q in orbit[:i]) for i in range(1, n)), n))
+            assert values.tolist() == want
+
+
+@pytest.mark.parametrize("n", [3, 17, 500, 2000])
+@pytest.mark.parametrize("name", ["rotation", "signed-zero", "cat"])
+def test_float_potential_within_the_running_sum_error_bound(name, n):
+    # n f_n = sum_j (n-1-j) h_j summed as running sums of running sums: each
+    # is within 2 n u sum_j (n-1-j) |h_j| of the exact sum of the same float
+    # rows (Higham, Accuracy and Stability of Numerical Algorithms, 4.2),
+    # u = 2^-53, and the division by n rounds once more
+    from lcsdyn.core import orbit_array
+
+    sys = _potential_systems()[name]
+    pts = sys.space.sample_points()
+    H = orbit_array(sys, pts, n)
+    w = np.arange(n - 1, 0, -1)
+    for lo, f in zip((0, 1), transfer_potential_values(sys, pts, n)):
+        rows = H[lo:lo + n - 1]
+        bound = 2 * n * 2.0**-53 * (w @ np.abs(rows)) / n
+        for col, value in enumerate(f.tolist()):
+            # the float rows as integers over their common power of two
+            ratios = [v.as_integer_ratio() for v in rows[:, col].tolist()]
+            D = max((d for _, d in ratios), default=1)
+            exact = Fraction(sum(int(wj) * p * (D // d) for wj, (p, d) in zip(w, ratios)),
+                             D * n)
+            assert abs(Fraction(value) - exact) <= bound[col] + math.ulp(float(exact))
 
 
 def test_birkhoff_fn_memory_is_o_of_p():
@@ -193,6 +261,27 @@ def test_coboundary_residual_finite_exact(cycle3, swap_pair):
         for n in (1, 2, 5, 17, 50):
             worst = coboundary_residual_curve(sys, n)[-1]
             assert isinstance(worst, Fraction) and worst == 0
+
+
+@pytest.mark.parametrize("n_max", [-1, 0])
+def test_residual_curve_refuses_orders_below_one(golden_cos, n_max):
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        coboundary_residual_curve(golden_cos, n_max, 16)
+
+
+def test_residual_curve_refuses_orders_past_the_budget(golden_cos):
+    with pytest.raises(BudgetError, match="exceeds iteration budget"):
+        coboundary_residual_curve(golden_cos, DEFAULT_MAX_ITERATIONS + 1, 16)
+
+
+def test_residual_curve_refuses_an_empty_sample(golden_cos):
+    with pytest.raises(ValidationError, match="empty sample"):
+        coboundary_residual_curve(golden_cos, 5, [])
+
+
+def test_potential_values_refuse_order_zero(golden_cos):
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        transfer_potential_values(golden_cos, golden_cos.space.sample_points(4), 0)
 
 
 def test_coboundary_residual_rotation_grid(golden_cos):

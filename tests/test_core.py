@@ -25,7 +25,6 @@ from lcsdyn.core import (
     eval_factor_like,
     orbit_array,
     point_batch,
-    orbit_rows,
     step_points,
 )
 from lcsdyn.cli import system_from_config
@@ -293,8 +292,8 @@ def test_eval_factor_array_error_propagates(golden_cos):
 
 
 def _stepwise_rows(sys, pts, n, inverse=False):
-    """Oracle: the walk that evaluates h on every row, as orbit_rows did
-    before stored coboundaries telescoped."""
+    """Oracle: the walk that evaluates h on every row, as the orbit engine
+    did before stored coboundaries telescoped."""
     rows, cur = np.empty((n, len(pts))), pts
     for i in range(n):
         rows[i] = eval_factor(sys, cur)
@@ -343,11 +342,11 @@ def test_coboundary_walk_evaluates_f_once_per_cell(n):
     sys = strict_rotation_system("golden", f, grid_resolution=32)
     pts = sys.space.sample_points()
     calls.clear()
-    rows = list(orbit_rows(sys, pts, n))
+    rows = orbit_array(sys, pts, n)
     assert len(rows) == n
     assert calls == [pts.shape] * (n + 1 if n else 0)  # was 2n: f(x) and f(psi x) per row
     calls.clear()
-    list(orbit_rows(sys, pts, n, inverse=True))
+    orbit_array(sys, pts, n, inverse=True)
     assert len(calls) == 2 * n
 
 

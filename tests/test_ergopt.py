@@ -18,7 +18,7 @@ from lcsdyn import (
     rotation_system,
     strict_rotation_system,
 )
-from lcsdyn import core
+from lcsdyn import birkhoff, core
 from lcsdyn.core import GOLDEN_ANGLE, ValidationError, orbit_array
 from lcsdyn.ergopt import _cycle_potential, _functional_cycles, mean_level
 
@@ -257,10 +257,17 @@ def _per_sign_birkhoff_fn(sys, sign, n, points):
 
 
 def _potentials(H, n):
-    if n == 1:
-        return np.zeros(H.shape[1]), np.zeros(H.shape[1])
-    w = np.arange(n - 1, 0, -1)[:, None]
-    return tuple(np.cumsum(w * H[lo:lo + n - 1], axis=0)[-1] / n for lo in (0, 1))
+    """(f_n(p), f_n(psi p)) from the walk H of n rows by running sums, each
+    started from its first term: n f_n = S_1 + ... + S_{n-1}, at p from
+    rows 0 .. n-2 and at psi p from rows 1 .. n-1."""
+    sums = []
+    for rows in (H[:n - 1], H[1:n]):
+        S = C = None
+        for row in rows:
+            S = row.copy() if S is None else S + row
+            C = S.copy() if C is None else C + S
+        sums.append(np.zeros(H.shape[1]) if C is None else C / n)
+    return tuple(sums)
 
 
 def _hex(values):
@@ -283,20 +290,24 @@ def test_birkhoff_fn_takes_both_optima_from_one_walk(case, n, golden_cos, golden
 
 
 @pytest.mark.parametrize("n", [1, 2, 17])
-def test_birkhoff_fn_walks_n_plus_one_rows(monkeypatch, golden_cos, n):
-    rows = []
+def test_birkhoff_fn_walks_n_rows(monkeypatch, golden_cos, n):
+    # one walk of n rows gives h and both potentials, through whichever
+    # module's binding of the orbit engine it is made
+    walks = []
 
     def counted(*args, **kwargs):
+        walks.append(0)
         for block in walk(*args, **kwargs):
-            rows.append(len(block))
+            walks[-1] += len(block)
             yield block
 
     walk = core.orbit_blocks
-    monkeypatch.setattr(core, "orbit_blocks", counted)
+    for module in (core, birkhoff):
+        monkeypatch.setattr(module, "orbit_blocks", counted)
     for sys, points in ((golden_cos, 64), (_cat16(), 16)):
-        rows.clear()
+        walks.clear()
         coboundary_optima(sys, "birkhoff_fn", n=n, points=points)
-        assert 0 < sum(rows) <= n + 1
+        assert walks == [n]
 
 
 def _per_level_potential(dec, level, weight=1):
