@@ -18,7 +18,6 @@ inconclusive verdict under --strict-verdict.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import itertools
@@ -338,9 +337,10 @@ def _t_window(config):
     window = config.params.get("t_window", (-10.0, 10.0))
     if not isinstance(window, (list, tuple)) or len(window) != 2:
         raise ValidationError(f"params.t_window must be a pair [lo, hi], got {window!r}")
-    for v in window:
-        _number(v, "params.t_window entry")
-    return tuple(window)
+    lo, hi = (_number(v, "params.t_window entry") for v in window)
+    if not -math.inf < lo < hi < math.inf:  # NaN fails every comparison
+        raise ValidationError(f"params.t_window must be finite with lo < hi, got {window!r}")
+    return lo, hi
 
 
 def _n_scan(config):
@@ -386,11 +386,9 @@ def _write_probe_trace(sys_, report, config, out_dir):
 
 def _write_phase_table(reports, path):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "verdict", "escape_bound"])
-        for r in reports:
-            w.writerow([repr(float(r.k)), r.verdict,
-                        "" if r.escape_bound is None else r.escape_bound])
+        fh.write("k,verdict,escape_bound\r\n" + "".join([
+            f"{float(r.k)!r},{r.verdict},{'' if r.escape_bound is None else r.escape_bound}\r\n"
+            for r in reports]))
 
 
 def _cmd_optimize(config, sys_, out_dir):

@@ -126,9 +126,10 @@ class ProbeReport:
 
     RecurrentEvidence: an orbit launched in the band K keeps re-entering it
     through the late part of the horizon (evidence against admissibility).
-    EscapeCertified: a drift bound shows every sampled orbit leaves K for
-    good after ``escape_bound`` steps (evidence for admissibility).
-    Verdicts on continuous systems are evidence, not proof.
+    EscapeCertified: S_n <= n U + span F along every sampled orbit, with (U,
+    span F) = (a cycle mean, its span), (0, span f) or (the envelope at n, 0),
+    sends each out of K for good by ``escape_bound`` (evidence for
+    admissibility).  Verdicts on continuous systems are evidence, not proof.
     """
 
     k: float
@@ -145,6 +146,18 @@ class ProbeReport:
 def _band(hmin, hmax, k):
     """t-extent of the compact band K for size k, from factor bounds."""
     return -max(hmax, k - hmin), -min(hmin, k - hmax)
+
+
+def _escape_bound(width, span, gap, n_from=1):
+    """max(n_from, floor((width + span) / gap) + 1) on Fractions, floats or
+    per-order arrays; a float quotient is floored, not floor-divided (1.0 //
+    0.1 is 9.0), and one too large for a float is floored exactly."""
+    q = (width + span) / gap
+    if isinstance(q, np.ndarray):
+        return np.maximum(n_from, np.floor(q) + 1)
+    if q == math.inf:
+        q = Fraction(width + span) / Fraction(gap)
+    return max(n_from, math.floor(q) + 1)
 
 
 def _cycle_residual_bound(dec):
@@ -173,15 +186,19 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
     """Probe, for every size k in ks, whether the size-k orbit of the band K
     escapes or keeps returning; one ``ProbeReport`` per size.
 
-    Certificates are tried first: exact cycle drift on finite systems, the
-    telescoping bound when the factor is a stored coboundary, then the
-    truncated-envelope drift bound.  Without a certificate, orbits launched
-    in K are scanned; returns that persist into the last half of the
-    horizon count as recurrence evidence (early incidental returns alone
-    are inconclusive, since even escaping orbits may brush the band first).
+    Certificates are tried first.  Each is one drift fact: if S_n <= n U +
+    span F along every orbit, a size k > U leaves K by ``_escape_bound``
+    (and k < U likewise when S_n >= n U - span F).  U is each cycle mean and
+    F its cycle potential on finite systems (``cycle-exact``); U = 0 and F
+    the stored generating f of a coboundary (``telescoping-bound``); then U
+    the truncated envelope at order n, with span 0 from n on (``envelope``).
     On an exact finite system k is a cycle mean only when it equals one, and
     the cycle gaps, the band width and so the escape bound are exact; a float
-    table takes k within 1e-12 of a mean as that mean.
+    table takes k within 1e-12 of a mean as that mean.  Without a
+    certificate, orbits launched in K are scanned; returns that persist into
+    the last half of the horizon count as recurrence evidence (early
+    incidental returns alone are inconclusive, since even escaping orbits
+    may brush the band first).
 
     What does not depend on k is computed once.  The sizes left without an
     exact certificate share one streamed orbit pass: it yields the envelope
@@ -214,29 +231,23 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
 
         dec = ergopt.cycle_mean_extrema(sys)
         R = _cycle_residual_bound(dec)
-        means = [float(mean) for mean in dec.means]
+        num, tol = (Fraction, 0) if sys.exact else (float, 1e-12)  # exact tables: exact n0
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
-            if sys.exact:  # every gap and the width exact, so the bound is exact too
-                exact_k = Fraction(k)
-                gaps = [abs(exact_k - m) for m in dec.means]
-                width = Fraction(hi) - Fraction(lo) + R
-            else:
-                gaps = [abs(k - m) for m in means]
-                width = hi - lo + R
-            if min(gaps) > (0 if sys.exact else 1e-12):
-                n0 = max(math.floor(width / g) + 1 for g in gaps)
+            gaps = [abs(num(k) - num(m)) for m in dec.means]
+            idx = gaps.index(min(gaps))  # the nearest mean gives the largest bound
+            if gaps[idx] > tol:  # U is each cycle mean, F its cycle potential
+                n0 = _escape_bound(num(hi) - num(lo), R, gaps[idx])
                 reports[i] = report(i, VERDICT_ESCAPE, None, n0, "cycle-exact", False)
             else:  # k is a cycle mean: that cycle's band orbit is periodic
-                idx = gaps.index(min(gaps))
                 a, b = dec.bounds[idx:idx + 2].tolist()
                 t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
-                wit = Witness(int(dec.order[a]), b - a, t0 + (b - a) * (k - means[idx]))
+                wit = Witness(int(dec.order[a]), b - a, t0 + (b - a) * (k - float(dec.means[idx])))
                 reports[i] = report(i, VERDICT_RECURRENT, wit, None, "cycle-exact", False)
     elif sys.generating_f is not None and any(ks):
-        V = generating_span(sys, reference_points(sys))
+        V = generating_span(sys, reference_points(sys))  # U = 0 and F = f
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
             if k != 0.0:
-                n0 = int(math.floor((hi - lo + V) / abs(k))) + 1
+                n0 = _escape_bound(hi - lo, V, abs(k))
                 reports[i] = report(i, VERDICT_ESCAPE, None, n0, "telescoping-bound")
     rest = [i for i, r in enumerate(reports) if r is None]
     if not rest:
@@ -284,30 +295,20 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
     ns = np.arange(1, n_max + 1)
     for j, i in enumerate(rest):
         k, width = ks[i], bands[i][1] - bands[i][0]
-        best = None
         margin = 1e-12 * max(1.0, abs(k))  # float noise must not fake a drift
-        up = sup_env < k - margin
-        if np.any(up):
-            cand = np.maximum(ns[up], np.floor(width / (k - sup_env[up])) + 1)
-            best = int(cand.min())
-        down = inf_env > k + margin
-        if np.any(down):
-            cand = np.maximum(ns[down], np.floor(width / (inf_env[down] - k)) + 1)
-            best = int(cand.min()) if best is None else min(best, int(cand.min()))
-        if best is not None:
-            reports[i] = report(i, VERDICT_ESCAPE, None, best, "envelope", True)
+        # U is the envelope at order n on either side, with span 0 from n on
+        up, down = sup_env < k - margin, inf_env > k + margin
+        n0 = _escape_bound(width, 0, np.concatenate([k - sup_env[up], inf_env[down] - k]),
+                           np.concatenate([ns[up], ns[down]]))
+        if n0.size:
+            reports[i] = report(i, VERDICT_ESCAPE, None, int(n0.min()), "envelope", True)
         elif late[j]:
             n, p, t = first[j]
-            start = pts[p]
-            wit = Witness(start if np.ndim(start) else _scalar(start, sys), n, t)
+            wit = Witness(pts[p].tolist(), n, t)
             reports[i] = report(i, VERDICT_RECURRENT, wit, None, "orbit-returns")
         else:
             reports[i] = report(i, VERDICT_INCONCLUSIVE, None, None, "none")
     return reports
-
-
-def _scalar(p, sys):
-    return int(p) if sys.space.kind == FINITE else float(p)
 
 
 # --------------------------------------------------------------------------
@@ -664,10 +665,11 @@ def build_g(sys: ConformalSystem, k: float, t_window, points=None,
     if order < 1:
         raise ValidationError(f"the averaging order must be >= 1, got {order}")
     pts = reference_points(sys) if points is None else sys.space.sample_points(points)
-    top = _ramp_side(k, _averaged_tables(sys, order, pts, 1, 0)[0][0])
+    ahead, behind = _averaged_tables(sys, order, pts, 1, 1)  # A at p and at psi^{-1} p
+    top = _ramp_side(k, ahead[0])
     mirrored = top is None
     if mirrored:
-        top = _ramp_side(-k, -_averaged_tables(sys, order, pts, 0, 1)[1][0])
+        top = _ramp_side(-k, -behind[0])
     k_direct = -k if mirrored else k
     cutoff = build_cutoff(1.0 / (1.0 - 0.5 * (k_direct - top) / k_direct))
     return GConstruction(sys, k, cutoff, (lo, hi), mirrored, order)

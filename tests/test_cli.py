@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +13,8 @@ import pytest
 
 from conftest import encoded
 from lcsdyn import cli
-from lcsdyn.torus import VERDICT_ESCAPE
+from lcsdyn.core import generating_span, reference_points
+from lcsdyn.torus import VERDICT_ESCAPE, ProbeReport
 
 FINITE_SYSTEM = {
     "space": {"kind": "finite", "size": 3},
@@ -134,6 +137,55 @@ def test_probe_files_and_phase(tmp_path):
     assert os.path.exists(os.path.join(out, "phase.csv"))
     assert os.path.exists(os.path.join(out, "trace.csv"))
     assert any("evidence" in w for w in rep["warnings"])
+
+
+@pytest.mark.parametrize("k", [1e-310, 5e-324])
+def test_probe_at_a_subnormal_size_gets_the_exact_telescoping_bound(tmp_path, k):
+    # (width + V) / k overflowed a float: an OverflowError traceback, exit 1
+    report, code = cli.run(cli.RunConfig(command="probe", system=STRICT_SYSTEM, k=k,
+                                         n_max=50, out=str(tmp_path / "run")))
+    assert code == 0
+    rep, = report["payload"]["reports"]
+    assert rep["verdict"] == VERDICT_ESCAPE and rep["certificate"] == "telescoping-bound"
+    sys_ = cli.system_from_config(STRICT_SYSTEM)
+    V = generating_span(sys_, reference_points(sys_))
+    width = rep["band"][1] - rep["band"][0]
+    assert rep["escape_bound"] == math.floor(Fraction(width + V) / Fraction(k)) + 1
+
+
+def test_phase_csv_is_the_csv_writer_file(tmp_path):
+    # reference: the csv.writer dump of the same cells, byte for byte
+    reports = [ProbeReport(k, (-1.0, 1.0), verdict, None, bound, "none", True, 10, 4)
+               for k, verdict, bound in [(-0.0, "Inconclusive", None),
+                                         (0.5, "EscapeCertified", 7),
+                                         (1e-310, "EscapeCertified", 3 * 10**310 + 1),
+                                         (-1.25, "RecurrentEvidence", None)]]
+    path, ref = tmp_path / "phase.csv", tmp_path / "ref.csv"
+    cli._write_phase_table(reports, str(path))
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "verdict", "escape_bound"])
+        w.writerows([repr(r.k), r.verdict, "" if r.escape_bound is None else r.escape_bound]
+                    for r in reports)
+    assert path.read_bytes() == ref.read_bytes()
+    assert b"\r\n-0.0,Inconclusive,\r\n" in path.read_bytes()
+
+
+@pytest.mark.parametrize("window", [[-math.inf, 2], [math.nan, 1], [5, 1]])
+@pytest.mark.parametrize("command,params", [
+    ("construct", {}),
+    ("elasticity", {"strict_mu": False}),
+    ("elasticity", {"strict_mu": True}),
+])
+def test_t_window_must_be_finite_with_lo_below_hi(tmp_path, capsys, window, command, params):
+    # -inf exited 3 as past the truncation budget, NaN and [5, 1] exited 2
+    # without naming the field, and the strict profile never read the window
+    cfg = write_config(tmp_path, "w.json", command=command, system=STRICT_SYSTEM, k=1.0,
+                       n_max=20, params={"t_window": window, **params})
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError"
+    assert diag["message"].startswith("params.t_window must be finite with lo < hi")
 
 
 def test_determinism_byte_identical(tmp_path):

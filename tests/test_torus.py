@@ -415,6 +415,100 @@ def test_escape_bound_of_a_tiny_exact_gap_is_exact(values, offset):
     assert (rep.escape_bound - 1) * gap <= width
 
 
+# the three escape formulas that probe_sweep wrote out before it had one
+
+
+def _cycle_exact_formula(width, gaps):  # width = hi - lo + R
+    return max(math.floor(width / g) + 1 for g in gaps)
+
+
+def _telescoping_formula(lo, hi, V, k):
+    return int(math.floor((hi - lo + V) / abs(k))) + 1
+
+
+def _envelope_formula(width, k, sup_env, inf_env, margin):
+    ns = np.arange(1, len(sup_env) + 1)
+    best = None
+    up = sup_env < k - margin
+    if np.any(up):
+        best = int(np.maximum(ns[up], np.floor(width / (k - sup_env[up])) + 1).min())
+    down = inf_env > k + margin
+    if np.any(down):
+        cand = int(np.maximum(ns[down], np.floor(width / (inf_env[down] - k)) + 1).min())
+        best = cand if best is None else min(best, cand)
+    return best
+
+
+def _magnitudes(rng, size, lo=-6.0, hi=3.0):
+    return 10.0 ** rng.uniform(lo, hi, size) * rng.uniform(0.5, 1.0, size)
+
+
+def test_escape_bound_is_the_float_formulas():
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2) * _magnitudes(rng, 2)).tolist()
+        V, R = _magnitudes(rng, 2).tolist()
+        k = float(rng.choice([-1.0, 1.0]) * _magnitudes(rng, 1)[0])
+        n0 = torus._escape_bound(hi - lo, V, abs(k))
+        assert type(n0) is int and n0 == _telescoping_formula(lo, hi, V, k)
+        gaps = _magnitudes(rng, 3, -12.0, 1.0).tolist()
+        # the probe takes the nearest cycle mean: the quotient falls as the gap grows
+        assert (max(torus._escape_bound(hi - lo, R, g) for g in gaps)
+                == torus._escape_bound(hi - lo, R, min(gaps))
+                == _cycle_exact_formula(hi - lo + R, gaps))
+
+
+def test_escape_bound_is_the_exact_formula_on_fractions():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        lo, hi = sorted(Fraction(int(v), 1 + int(d)) for v, d in
+                        zip(rng.integers(-10**6, 10**6, 2), rng.integers(0, 10**4, 2)))
+        R = Fraction(int(rng.integers(0, 10**6)), int(rng.integers(1, 10**3)))
+        gaps = [Fraction(1, int(d)) for d in rng.integers(1, 10**9, 3)]
+        n0 = torus._escape_bound(hi - lo, R, min(gaps))
+        assert type(n0) is int and n0 == _cycle_exact_formula(hi - lo + R, gaps)
+        assert n0 == max(torus._escape_bound(hi - lo, R, g) for g in gaps)
+        assert (n0 - 1) * min(gaps) <= hi - lo + R < n0 * min(gaps)
+
+
+def test_escape_bound_is_the_envelope_formula_on_arrays():
+    rng = np.random.default_rng(22)
+    for n_max in (1, 7, 300):
+        ns = np.arange(1, n_max + 1)
+        for _ in range(100):
+            sup_env = np.sort(rng.uniform(-1.0, 1.0, n_max))[::-1]
+            inf_env = np.minimum(sup_env, np.sort(rng.uniform(-1.0, 1.0, n_max)))
+            k, width = rng.uniform(-1.5, 1.5), float(_magnitudes(rng, 1)[0])
+            margin = 1e-12 * max(1.0, abs(k))
+            up, down = sup_env < k - margin, inf_env > k + margin
+            sides = [torus._escape_bound(width, 0, k - sup_env[up], ns[up]),
+                     torus._escape_bound(width, 0, inf_env[down] - k, ns[down])]
+            assert np.array_equal(sides[0], np.maximum(
+                ns[up], np.floor(width / (k - sup_env[up])) + 1))
+            both = np.concatenate(sides)
+            best = int(both.min()) if both.size else None
+            assert best == _envelope_formula(width, k, sup_env, inf_env, margin)
+
+
+def test_escape_bound_floors_the_quotient():
+    # 1.0 / 0.1 rounds to 10.0, but 1.0 // 0.1 is 9.0: floor division would
+    # move the bound by one
+    assert 1.0 // 0.1 == 9.0 and math.floor(1.0 / 0.1) == 10
+    assert torus._escape_bound(1.0, 0.0, 0.1) == 11 == _telescoping_formula(0.0, 1.0, 0.0, 0.1)
+    assert torus._escape_bound(1.0, 0, np.array([0.1]), np.array([1])).tolist() == [11.0]
+    assert torus._escape_bound(1.0, 0, np.array([0.1]), np.array([20])).tolist() == [20.0]
+
+
+@pytest.mark.parametrize("gap", [1e-310, 5e-324])
+def test_escape_bound_floors_an_overflowing_quotient_exactly(gap):
+    width, V = 3.728116512597886, 2.0
+    with pytest.raises(OverflowError):  # the float formula
+        _telescoping_formula(0.0, width, V, gap)
+    n0 = torus._escape_bound(width, V, gap)
+    assert n0 == math.floor(Fraction(width + V) / Fraction(gap)) + 1
+    assert (n0 - 1) * Fraction(gap) <= Fraction(width + V) < n0 * Fraction(gap)
+
+
 def test_probe_inconclusive():
     # identity map: averages never move, no drift certificate; the two starts
     # brush the band early and then leave for the whole late window
