@@ -19,8 +19,8 @@ Exact finite systems run the same code on integers scaled by the common
 denominator D of the factor table: every A_n at one n shares the
 denominator n * D, so the per-n extrema are integer comparisons.  Fractions
 are built only at the boundary (extrema curves, table values, residuals);
-``table_to_csv`` formats its exact cells from the integer sums
-(``core.ratio_strings``) and builds none.
+``table_to_csv`` writes its exact cells from the integer sums as bytes
+(``core.fraction_bytes``) and builds none.
 """
 
 from __future__ import annotations
@@ -38,10 +38,13 @@ from .core import (
     ConformalSystem,
     DEFAULT_MAX_ITERATIONS,
     ValidationError,
+    _lowest_terms,
+    decimal_bytes,
+    fraction_bytes,
     generating_span,
     integer_array,
+    join_rows,
     orbit_blocks,
-    ratio_strings,
     scaled_floats,
     step_points,  # unused here; perfbench/test_smoke.py checks its tracing rebinds it
     sum_dtype,
@@ -414,11 +417,11 @@ CSV_CHUNK_ROWS = 8192
 def table_to_csv(table: BirkhoffTable, path):
     """Dump the full table as CSV: point, n, S_n, A_n, env-, env+.
 
-    Exact cells are formatted from the integer sums S_n * scale, as the
-    str of their Fractions: only the S_n and A_n cells, since an envelope
-    cell is the A_n cell at its suffix's extreme order.  Float cells are
-    reprs.  Rows are point-major, n within each point, and are written a
-    block of points at a time.
+    Exact cells are written from the integer sums S_n * scale as the bytes
+    of the str of their Fractions (``core.fraction_bytes``): only the S_n
+    and A_n cells, since an envelope cell is the A_n cell at its suffix's
+    extreme order.  Float cells are reprs.  Rows are point-major, n within
+    each point, and are written a block of points at a time.
     """
     sys, n_max = table.system, table.n_max
 
@@ -430,32 +433,36 @@ def table_to_csv(table: BirkhoffTable, path):
         return ":".join(repr(float(c)) for c in p)
 
     if sys.exact:
-        orders = integer_array([n * sys.scale for n in range(1, n_max + 1)])[:, None]
+        S = table.running_sums
+        orders = integer_array([n * sys.scale for n in range(1, n_max + 1)])[None, :]
         # one envelope pass over the whole table; each block takes its columns
-        suffix = [_suffix_rows(table.running_sums, better) for better in (np.less, np.greater)]
+        suffix = [_suffix_rows(S, better) for better in (np.less, np.greater)]
+        ns = decimal_bytes(np.arange(1, n_max + 1))
 
-        def cells(block):  # the four columns of a block of points, point-major
-            S = table.running_sums[:, block]
-            averages = np.array(ratio_strings(S, orders), dtype=object).reshape(S.shape)
-            return [ratio_strings(S.T, sys.scale), averages.T.ravel().tolist(),
-                    *(np.take_along_axis(averages, rows[:, block], axis=0).T.ravel().tolist()
-                      for rows in suffix)]
+        def rows(block):  # point-major; an envelope cell is a row of the A_n block
+            sums = S[:, block].T  # a row per point
+            A = fraction_bytes(*_lowest_terms(sums, orders))
+            first = n_max * np.arange(len(sums))[:, None]  # each point's first row of A
+            return join_rows([np.repeat(decimal_bytes(table.points[block]), n_max, axis=0),
+                              np.tile(ns, (len(sums), 1)),
+                              fraction_bytes(*_lowest_terms(sums, sys.scale)), A,
+                              *(A[(r[:, block].T + first).ravel()] for r in suffix)])
     else:
         arrays = table.columns()
+        labels = list(map(fmt_point, table.points))
+        ns = [f",{n}," for n in range(1, n_max + 1)]
 
-        def cells(block):
-            return [list(map(repr, a[:, block].T.ravel().tolist())) for a in arrays]
-
-    labels = list(map(fmt_point, table.points))
-    ns = [f",{n}," for n in range(1, n_max + 1)]
-    step = max(1, CSV_CHUNK_ROWS // n_max)
-    with open(path, "w", newline="") as fh:
-        fh.write("point,n,S_n,A_n,env_minus,env_plus\r\n")
-        for lo in range(0, len(labels), step):
-            block = slice(lo, lo + step)
-            cols = cells(block)
+        def rows(block):
+            cols = [list(map(repr, a[:, block].T.ravel().tolist())) for a in arrays]
             heads = [label + n for label in labels[block] for n in ns]
-            fh.write("".join([f"{h}{s},{a},{e},{E}\r\n" for h, s, a, e, E in zip(heads, *cols)]))
+            return "".join([f"{h}{s},{a},{e},{E}\r\n"
+                            for h, s, a, e, E in zip(heads, *cols)]).encode()
+
+    step = max(1, CSV_CHUNK_ROWS // n_max)
+    with open(path, "wb") as fh:
+        fh.write(b"point,n,S_n,A_n,env_minus,env_plus\r\n")
+        for lo in range(0, len(table.points), step):
+            fh.write(rows(slice(lo, lo + step)))
 
 
 def extrema_to_csv(table: BirkhoffExtrema, path):

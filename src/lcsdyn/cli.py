@@ -38,7 +38,10 @@ from .core import (
     RationalTable,
     ValidationError,
     cat_map_system,
+    decimal_bytes,
     finite_permutation_system,
+    fraction_bytes,
+    join_rows,
     orbit_array,
     rotation_system,
     scaled_floats,
@@ -411,13 +414,14 @@ def _write_potential_csv(sys_, result, path):
     table = result.potential_table
     if table is None:
         return
-    # exact cells come from the integers, as the str of their Fractions; str
-    # of a Python float is its repr
-    cells = (table.strings() if isinstance(table, RationalTable)
-             else map(str, np.asarray(table).tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("index,f\r\n")
-        fh.write("".join([f"{i},{c}\r\n" for i, c in enumerate(cells)]))
+    if isinstance(table, RationalTable):  # its integers are in lowest terms
+        body = join_rows([decimal_bytes(np.arange(len(table))),
+                          fraction_bytes(table.numerators, table.denominators)])
+    else:  # str of a Python float is its repr
+        body = "".join([f"{i},{c}\r\n" for i, c in
+                        enumerate(map(str, np.asarray(table).tolist()))]).encode()
+    with open(path, "wb") as fh:
+        fh.write(b"index,f\r\n" + body)
 
 
 def _cmd_construct(config, sys_, out_dir):

@@ -17,8 +17,8 @@ the common denominator of the table, with Fractions only at the boundary.
 Every rational table is held as integer numerators and denominators (a
 ``RationalTable``; a table of "p/q" strings is parsed straight into them),
 whose Fractions are built only when a caller reads them, and exact CSV cells
-are formatted from integers (``ratio_strings``).  ``int_dtype`` alone decides
-whether such integers are int64 or Python ints.
+are written from the integers as NUL-padded byte blocks (``decimal_bytes``).
+``int_dtype`` alone decides whether such integers are int64 or Python ints.
 """
 
 from __future__ import annotations
@@ -132,13 +132,47 @@ def _lowest_terms(numerators, denominators):
     return a // g, q // g
 
 
-def ratio_strings(numerators, denominators) -> list:
-    """str(Fraction(a, q)) for integers a and q > 0 broadcast together, in C
-    order, without building the Fractions: "a/q" in lowest terms, "a" when
-    the reduced q is 1."""
-    a, q = _lowest_terms(numerators, denominators)
-    return [str(x) if d == 1 else f"{x}/{d}" for x, d in zip(a.ravel().tolist(),
-                                                            q.ravel().tolist())]
+def decimal_bytes(ints) -> np.ndarray:
+    """The decimal text of every integer, in C order, as an (N, w) uint8 block
+    whose row i is str(ints[i]) right-aligned with NUL padding (a column of
+    cells is one array; ``join_rows`` drops the NULs).  int64 integers are
+    written one divmod pass per digit; Python ints, and -2^63, whose abs
+    overflows int64, through str."""
+    a = np.asarray(ints).ravel()
+    if a.dtype != np.int64 or (a.size and a.min() == np.iinfo(np.int64).min):
+        text = [str(v) for v in a.tolist()]
+        w = max(map(len, text), default=1)
+        cells = np.array([t.rjust(w, "\0") for t in text], dtype=bytes)
+        return cells.view(np.uint8).reshape(-1, w)
+    neg = np.flatnonzero(a < 0)
+    w = len(str(_int64_bound(a))) + (neg.size > 0)  # digits and a sign column
+    digits, rest = np.empty((w, a.size), dtype=np.uint8), np.abs(a)  # digit-major
+    first = np.full(a.size, w - 1)  # column of the first significant digit
+    for j in range(w - 1, -1, -1):
+        rest, digits[j] = np.divmod(rest, 10)
+        first -= rest != 0
+    digits += ord("0")
+    digits[np.arange(w)[:, None] < first] = 0
+    digits[first[neg] - 1, neg] = ord("-")
+    return digits.T
+
+
+def fraction_bytes(numerators, denominators) -> np.ndarray:
+    """``decimal_bytes`` of a / q for integers in lowest terms, q > 0 (broadcast
+    together): "a" where q == 1, else "a/q", as str(Fraction(a, q)) writes."""
+    a, q = np.broadcast_arrays(numerators, denominators)
+    den = np.hstack([np.full((q.size, 1), ord("/"), dtype=np.uint8), decimal_bytes(q)])
+    den[(q == 1).ravel()] = 0
+    return np.hstack([decimal_bytes(a), den])
+
+
+def join_rows(fields) -> bytes:
+    """CSV rows of equal-length cell blocks: "," between fields, "\r\n" ending
+    each row as ``csv.writer`` ends it, every NUL dropped (no cell is quoted)."""
+    n = len(fields[0])
+    comma, eol = (np.full((n, len(c)), list(c), dtype=np.uint8) for c in (b",", b"\r\n"))
+    parts = [part for field in fields for part in (comma, field)][1:]
+    return np.hstack(parts + [eol]).tobytes().translate(None, b"\0")
 
 
 def scaled_floats(ints, denominators) -> np.ndarray:
@@ -159,8 +193,8 @@ class RationalTable(Sequence):
     """Exact values held as integer arrays, numerators over positive
     denominators in lowest terms (int64, or Python ints where int64 cannot
     hold them), read as a tuple of Fractions that is built on first access
-    and kept.  ``strings`` and ``floats`` read the integers only.  It is the
-    one form of an exact factor table: a finite system is exact when its
+    and kept.  ``floats`` and the CSV writers read the integers only.  It is
+    the one form of an exact factor table: a finite system is exact when its
     table is a RationalTable."""
 
     def __init__(self, numerators, denominators):
@@ -193,10 +227,6 @@ class RationalTable(Sequence):
 
     def __repr__(self):
         return f"RationalTable({list(self.fractions)!r})"
-
-    def strings(self) -> list:
-        """str of every value, as ``ratio_strings`` gives it."""
-        return ratio_strings(self.numerators, self.denominators)
 
     def floats(self) -> np.ndarray:
         """Every value as float64, rounded as float(Fraction) rounds."""
@@ -750,16 +780,15 @@ def finite_permutation_system(table, factor_values, label: str = "") -> Conforma
     # _is_integer once per entry type, not per entry: tables run to 10^5 states
     if not all(map(_is_integer_type, set(map(type, tbl)))):
         raise ValidationError(f"permutation table entries must be integers, got {list(tbl)!r}")
-    tbl = tuple(map(int, tbl))
     m = len(tbl)
     if m < 1:
         raise ValidationError("permutation table is empty")
+    fwd = integer_array(tbl)  # an object array only past int64, so out of range
     inv = np.full(m, -1, dtype=np.int64)
-    if 0 <= min(tbl) and max(tbl) < m:
-        fwd = np.array(tbl, dtype=np.int64)
+    if 0 <= fwd.min() and fwd.max() < m:
         inv[fwd] = np.arange(m)
     if inv.min() < 0:
-        raise ValidationError(f"table {list(tbl)} is not a bijection on {m} states")
+        raise ValidationError(f"table {list(map(int, tbl))} is not a bijection on {m} states")
     fwd.flags.writeable = inv.flags.writeable = False
     values = list(factor_values)
     if len(values) != m:

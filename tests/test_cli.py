@@ -525,6 +525,8 @@ def test_report_does_not_depend_on_out_path(tmp_path, monkeypatch):
     # refused by the system builder itself, not truncated to [1, 0, 2]
     dict(FINITE_SYSTEM, map={"type": "permutation", "table": [1.5, 0, 2]}),
     dict(FINITE_SYSTEM, map={"type": "permutation", "table": [True, False, 2]}),
+    # past int64: refused as out of range, not an OverflowError
+    dict(FINITE_SYSTEM, map={"type": "permutation", "table": [2**70, 0, 2]}),
 ])
 def test_malformed_system_is_a_validation_error(tmp_path, capsys, system):
     cfg = write_config(tmp_path, "bad.json", command="admissible", system=system)

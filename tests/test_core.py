@@ -27,6 +27,7 @@ from lcsdyn.core import (
     point_batch,
     step_points,
 )
+from lcsdyn import cli
 from lcsdyn.cli import system_from_config
 
 from conftest import exact_orbit_rows, scalar_factor, scalar_map
@@ -121,6 +122,32 @@ def test_permutation_table_entries_must_be_integers(table):
     # int() used to truncate [1.9, 0.2] to the bijection [1, 0]
     with pytest.raises(ValidationError, match="entries must be integers"):
         finite_permutation_system(table, [0, 1])
+
+
+@pytest.mark.parametrize("table,reason", [
+    ([2**70, 0, 1], "is not a bijection"),  # past int64
+    ([-(2**70), 0, 1], "is not a bijection"),
+    ([np.uint64(2**64 - 1), 0, 1], "is not a bijection"),  # a NumPy integer past int64
+    ([np.int64(3), 0, 1], "is not a bijection"),  # a NumPy integer out of range
+    ([True, 0, 1], "entries must be integers"),
+    ([np.True_, 0, 1], "entries must be integers"),
+])
+def test_permutation_entries_out_of_range_exit_2(tmp_path, table, reason):
+    with pytest.raises(ValidationError, match=reason):
+        finite_permutation_system(table, [0, 1, 2])
+    system = {"space": {"kind": "finite"}, "map": {"type": "permutation", "table": table},
+              "factor": {"type": "table", "values": [0, 1, 2]}}
+    report, code = cli.run(cli.RunConfig(command="analyze", system=system, n_max=4,
+                                         out=str(tmp_path / "run"),
+                                         cache_dir=str(tmp_path / "c")))
+    assert code == 2 and reason in report["error"]
+
+
+def test_permutation_entries_may_be_numpy_integers():
+    table = [np.int64(1), np.uint8(2), np.int32(0)]
+    sys = finite_permutation_system(table, [0, 1, 2])
+    assert sys.perm_table.dtype == np.int64 and sys.perm_table.tolist() == [1, 2, 0]
+    assert sys.map_kind["inverse"].tolist() == [2, 0, 1]
 
 
 @pytest.mark.parametrize("build", [

@@ -208,7 +208,7 @@ SYSTEMS = dict(_systems())
 
 def _strings(values):
     if isinstance(values, RationalTable):
-        return values.strings()
+        return [str(v) for v in values]  # str(Fraction)
     return [repr(v) for v in np.asarray(values, dtype=object).tolist()]
 
 

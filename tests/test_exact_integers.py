@@ -32,7 +32,6 @@ from lcsdyn.core import (
     int_dtype,
     integer_array,
     orbit_array,
-    ratio_strings,
     scaled_floats,
     sum_dtype,
 )
@@ -256,9 +255,16 @@ def test_birkhoff_extrema_and_table_match_the_fraction_oracle(kind, seed, tmp_pa
                      str(env_plus[n][p])] for p in range(len(A[0])) for n in range(N_MAX)]
 
 
+def _ratio_strings(a, q):
+    """str(Fraction(a, q)) of integers broadcast together, in C order."""
+    a, q = np.broadcast_arrays(np.asarray(a, dtype=object), np.asarray(q, dtype=object))
+    return [str(Fraction(x, d)) for x, d in zip(a.ravel().tolist(), q.ravel().tolist())]
+
+
 def _per_block_csv(table, path):
     """birkhoff.csv of an exact table as written before one envelope pass
-    covered the whole table: ``_suffix_rows`` ran on each block's own sums."""
+    covered the whole table: ``_suffix_rows`` ran on each block's own sums,
+    and every cell is the str of its Fraction."""
     sys, n_max = table.system, table.n_max
     orders = integer_array([n * sys.scale for n in range(1, n_max + 1)])[:, None]
     labels = [str(int(p)) for p in table.points]
@@ -269,8 +275,8 @@ def _per_block_csv(table, path):
         for lo in range(0, len(labels), step):
             block = slice(lo, lo + step)
             S = table.running_sums[:, block]
-            averages = np.array(ratio_strings(S, orders), dtype=object).reshape(S.shape)
-            cols = [ratio_strings(S.T, sys.scale), averages.T.ravel().tolist(),
+            averages = np.array(_ratio_strings(S, orders), dtype=object).reshape(S.shape)
+            cols = [_ratio_strings(S.T, sys.scale), averages.T.ravel().tolist(),
                     *(np.take_along_axis(averages, birkhoff._suffix_rows(S, better), axis=0)
                       .T.ravel().tolist() for better in (np.less, np.greater))]
             heads = [label + n for label in labels[block] for n in ns]

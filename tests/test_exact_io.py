@@ -1,5 +1,5 @@
 """Exact finite systems at the boundary: ingest of factor tables, the integer
-cell formatter, and the CSV artifacts written from integers.
+cell writer, and the CSV artifacts written from integers.
 
 The oracles are the Fraction-based code this integer path replaced: parsing
 every entry with ``as_rational``, formatting every cell as ``str(Fraction)``
@@ -10,6 +10,7 @@ import csv
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +23,13 @@ from lcsdyn.core import (
     BudgetError,
     RationalTable,
     ValidationError,
+    _lowest_terms,
     as_rational,
+    decimal_bytes,
     eval_factor,
     finite_permutation_system,
-    ratio_strings,
+    fraction_bytes,
+    join_rows,
     strict_rotation_system,
     sum_dtype,
 )
@@ -110,7 +114,7 @@ def _old_potential_csv(result, path):
 
 
 # --------------------------------------------------------------------------
-# the cell formatter
+# the cell writer
 # --------------------------------------------------------------------------
 
 
@@ -119,8 +123,24 @@ def _want(a, q):
     return [str(Fraction(int(x), int(d))) for x, d in zip(a.ravel(), q.ravel())]
 
 
+def _cells(block):
+    """The text of a byte block's cells, NULs dropped."""
+    assert block.dtype == np.uint8 and block.ndim == 2
+    return [bytes(row).replace(b"\0", b"").decode() for row in block]
+
+
+def _right_aligned(block):
+    """Every cell of a decimal_bytes block is its text after NUL padding."""
+    return all(b"\0" not in bytes(row).lstrip(b"\0") for row in block)
+
+
+def _ratio_cells(a, q):
+    """The cells of a / q in lowest terms, as table_to_csv writes them."""
+    return _cells(fraction_bytes(*_lowest_terms(a, q)))
+
+
 @pytest.mark.parametrize("bits", [8, 31, 62])
-def test_ratio_strings_match_str_fraction_on_int64(bits):
+def test_fraction_bytes_match_str_fraction_on_int64(bits):
     rng = np.random.default_rng(bits)
     # denominators: products of two large primes, so most cells stay unreduced
     q = (rng.choice([1_000_003, 999_983, 1_000_033], size=400)
@@ -129,16 +149,16 @@ def test_ratio_strings_match_str_fraction_on_int64(bits):
     a[:40] = 0
     a[40:80] = -3 * q[40:80]  # integer-valued, negative
     a[80:100] = q[80:100]  # exactly 1
-    assert ratio_strings(a, q) == _want(a, q)
+    assert _ratio_cells(a, q) == _want(a, q)
     # broadcasting, in C order: a (n, P) table over per-row denominators
     table = a.reshape(20, 20)
     rows = np.arange(1, 21)[:, None] * 840
-    assert ratio_strings(table, rows) == _want(table, rows)
-    assert ratio_strings(table.T, 840) == _want(table.T, 840)
-    assert ratio_strings(np.zeros((0, 3), np.int64), 7) == []
+    assert _ratio_cells(table, rows) == _want(table, rows)
+    assert _ratio_cells(table.T, 840) == _want(table.T, 840)
+    assert _ratio_cells(np.zeros((0, 3), np.int64), 7) == []
 
 
-def test_ratio_strings_match_str_fraction_past_int64():
+def test_fraction_bytes_match_str_fraction_past_int64():
     rng = np.random.default_rng(5)
     big_q = [2**63 + 25, 3**41, (2**61 - 1) * 7]
     for q in big_q:
@@ -146,14 +166,68 @@ def test_ratio_strings_match_str_fraction_past_int64():
                                                      rng.integers(0, 2**40, size=200))]
         a[:10] = [0, q, -q, 2 * q, -5 * q, 1, -1, q // 3, -(q // 7), 2**64]
         want = [str(Fraction(x, q)) for x in a]
-        assert ratio_strings(np.array(a, dtype=object), q) == want
-        assert ratio_strings(a, q) == want
+        assert _ratio_cells(np.array(a, dtype=object), q) == want
+        assert _ratio_cells(a, q) == want
     # numerators past int64 over int64 denominators, and -2^63 (|-2^63| overflows int64)
     a = [2**64 + 3, -(2**70), 2**63, -(2**63), 6]
     q = np.array([3, 6, 2, 3, 4], dtype=np.int64)
-    assert ratio_strings(a, q) == _want(a, q)
-    assert ratio_strings(np.array([-(2**63), 4], dtype=np.int64), 6) == ["-4611686018427387904/3",
-                                                                          "2/3"]
+    assert _ratio_cells(a, q) == _want(a, q)
+    assert _ratio_cells(np.array([-(2**63), 4], dtype=np.int64), 6) == ["-4611686018427387904/3",
+                                                                         "2/3"]
+
+
+# every edge of the digit count: 9, 10, 99, 100, ... up to 10^18 and int64's ends
+EDGES = [0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63)] + [
+    v for k in range(1, 19) for v in (10**k - 1, 10**k, -(10**k - 1), -(10**k))]
+
+
+def test_decimal_bytes_match_str_at_every_digit_edge():
+    # -2^63 sends an int64 array through str; without it the digit passes run
+    for ints in (np.array(EDGES, dtype=np.int64), np.array(EDGES[:5] + EDGES[6:], np.int64),
+                 np.array(EDGES, dtype=object)):
+        block = decimal_bytes(ints)
+        assert _cells(block) == list(map(str, ints.tolist())) and _right_aligned(block)
+    for v in EDGES:  # one value alone sets the width
+        assert _cells(decimal_bytes(np.array([v], dtype=np.int64))) == [str(v)]
+    # a (n, P) array is written in C order
+    grid = np.array(EDGES[6:30], dtype=np.int64).reshape(4, 6)
+    assert _cells(decimal_bytes(grid)) == list(map(str, grid.ravel().tolist()))
+
+
+def test_fraction_bytes_match_str_fraction_at_the_edges():
+    # (10^k - 1) / 10^k from 9/10 to (10^18 - 1) / 10^18, in lowest terms
+    a = np.array([10**k - 1 for k in range(1, 19)], dtype=np.int64)
+    q = np.array([10**k for k in range(1, 19)], dtype=np.int64)
+    for sign in (1, -1):
+        assert _cells(fraction_bytes(sign * a, q)) == _want(sign * a, q)
+    # q == 1 writes the numerator alone, at every width; the even values
+    # here are +-10^k, which 3 does not divide
+    ints = np.array(EDGES, dtype=np.int64)
+    assert _cells(fraction_bytes(ints, 1)) == list(map(str, EDGES))
+    assert _cells(fraction_bytes(ints[6:], np.where(ints[6:] % 2, 1, 3))) == _want(
+        ints[6:], np.where(ints[6:] % 2, 1, 3))
+    # object ints past int64, whole and not
+    big = np.array([2**70, -(2**64) - 1, 3**50, 0], dtype=object)
+    den = np.array([1, 2**65 + 1, 7, 1], dtype=object)
+    assert _cells(fraction_bytes(big, den)) == _want(big, den)
+
+
+def test_the_writer_takes_an_empty_input():
+    for dtype in (np.int64, object):
+        empty = np.zeros(0, dtype=dtype)
+        assert decimal_bytes(empty).shape[0] == 0 and fraction_bytes(empty, empty).shape[0] == 0
+        assert join_rows([decimal_bytes(empty), fraction_bytes(empty, 1)]) == b""
+
+
+def test_join_rows_is_csv_writer_output(tmp_path):
+    ints = np.array(EDGES, dtype=np.int64)
+    q = np.where(ints % 3 == 0, 1, 7)
+    a, q = _lowest_terms(ints, q)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(zip(range(len(ints)), _want(a, q), map(str, EDGES)))
+    got = join_rows([decimal_bytes(np.arange(len(ints))), fraction_bytes(a, q),
+                     decimal_bytes(ints)])
+    assert got == (tmp_path / "want.csv").read_bytes()
 
 
 # --------------------------------------------------------------------------
@@ -219,8 +293,10 @@ def test_p_q_tables_parse_in_one_pass_and_keep_their_fractions_lazy():
     eval_factor(sys, np.arange(500))  # array evaluation reads the integers only
     assert (sys.exact, sys.scale, tuple(sys.scaled_table.tolist())) == (exact, scale, scaled)
     assert table._fractions is None  # no Fraction built yet
+    cells = _cells(fraction_bytes(table.numerators, table.denominators))
+    assert table._fractions is None  # the cell writer reads the integers only
+    assert cells == [str(v) for v in _old_table(values)]
     assert list(table) == list(_old_table(values))
-    assert table.strings() == [str(v) for v in _old_table(values)]
 
 
 def test_over_budget_p_q_table_parses_and_raises_on_scale():
@@ -363,3 +439,55 @@ def test_birkhoff_csv_writes_in_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(birkhoff, "CSV_CHUNK_ROWS", 60)  # 2 points a block, 40 points
     table_to_csv(table, tmp_path / "blocks.csv")
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
+
+
+def _one_state():
+    return finite_permutation_system([0], ["-7/3"])
+
+
+@pytest.mark.parametrize("make,points,n_max,chunk_rows", [
+    (_int64_perm, None, 25, 75),  # 3 points a block: the last block holds 1 point
+    (_int64_perm, None, 25, 7),  # n_max > CSV_CHUNK_ROWS: one point a block
+    (_int64_perm, [7], 25, None),  # a single point
+    (_one_state, None, 30, None),  # a single state: one point, one potential
+    (_object_perm, None, 20, 45),  # object running sums, 2 points a block
+])
+def test_exact_files_are_the_csv_writer_files_at_the_chunk_edges(tmp_path, monkeypatch, make,
+                                                                 points, n_max, chunk_rows):
+    import lcsdyn.birkhoff as birkhoff
+
+    if chunk_rows is not None:
+        monkeypatch.setattr(birkhoff, "CSV_CHUNK_ROWS", chunk_rows)
+    sys = make()
+    table = birkhoff_table(sys, points, n_max)
+    assert sys.exact and (len(table.points) * n_max) % birkhoff.CSV_CHUNK_ROWS != 0
+    if make is _object_perm:
+        assert table.running_sums.dtype == object
+    table_to_csv(table, tmp_path / "new-birkhoff.csv")
+    _old_table_to_csv(table, tmp_path / "old-birkhoff.csv")
+    assert (tmp_path / "new-birkhoff.csv").read_bytes() == \
+        (tmp_path / "old-birkhoff.csv").read_bytes()
+    result = coboundary_optima(sys)[1]
+    assert isinstance(result.potential_table, RationalTable)
+    cli._write_potential_csv(sys, result, tmp_path / "new-potential.csv")
+    _old_potential_csv(result, tmp_path / "old-potential.csv")
+    assert (tmp_path / "new-potential.csv").read_bytes() == \
+        (tmp_path / "old-potential.csv").read_bytes()
+
+
+def test_exact_birkhoff_csv_memory_peak(tmp_path):
+    # a 200 x 200 exact table: the per-cell string writer this replaced
+    # peaked at 3.8 MiB here, the byte blocks at 2.0 MiB
+    rng = np.random.default_rng(9)
+    q = rng.integers(1, 9, size=2000)
+    values = [f"{int(a)}/{int(b)}" for a, b in zip(rng.integers(-2 * q, 2 * q + 1), q)]
+    sys = finite_permutation_system(rng.permutation(2000).tolist(), values)
+    table = birkhoff_table(sys, np.arange(0, 2000, 10), 200)
+    table_to_csv(table, tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        table_to_csv(table, tmp_path / "birkhoff.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
