@@ -17,7 +17,6 @@ from .core import (
     cat_map_system,
     coboundary_system,
     finite_permutation_system,
-    iterate,
     rotation_system,
     strict_rotation_system,
 )
@@ -43,9 +42,7 @@ from .torus import (
     CutoffFunction,
     NotFoundError,
     ProbeReport,
-    TorusAction,
-    action_power,
-    action_step,
+    action_orbit,
     build_cutoff,
     build_g,
     build_mu,

@@ -34,11 +34,10 @@ import numpy as np
 
 from .core import (
     FINITE,
-    BudgetError,
     ConformalSystem,
-    DEFAULT_MAX_ITERATIONS,
     ValidationError,
     _lowest_terms,
+    check_order,
     decimal_bytes,
     fraction_bytes,
     generating_span,
@@ -203,7 +202,7 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
     running sums (read only) as it is formed: S[i] is S_{n0 + i}, in the
     orbit rows' arithmetic (the integers S_n * scale on exact systems).
     """
-    _check_order(n_max, "n_max")
+    check_order(n_max, "n_max")
     pts = _sample(sys, points)
     dtype = sum_dtype(sys, n_max)
     lows, highs = [], []
@@ -224,15 +223,6 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
         "sup_env_plus": np.maximum.accumulate(highs[::-1])[::-1],
     }
     return BirkhoffExtrema(sys, pts, n_max, extrema, sys.exact)
-
-
-def _check_order(n: int, name: str = "n"):
-    """An orbit order n: below 1 is a ValidationError, above the iteration
-    budget a BudgetError."""
-    if n < 1:
-        raise ValidationError(f"{name} must be >= 1")
-    if n > DEFAULT_MAX_ITERATIONS:
-        raise BudgetError(f"{name} = {n} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
 
 
 def _sample(sys: ConformalSystem, points):
@@ -266,7 +256,7 @@ def _potential_sums(sys: ConformalSystem, pts, n: int):
     signs of its zeros; C and C1 are 0 at order 1, an empty sum.  Exact
     systems sum the integer rows h * scale.
     """
-    _check_order(n)
+    check_order(n)
     # (n + 1)^2 table values bound every sum, and the residual curve's differences
     dtype = sum_dtype(sys, (n + 1) ** 2)
     n0, last = 1, None  # last: S, S(psi p), C and C1 at order n0 - 1
@@ -295,7 +285,7 @@ def transfer_potential(sys: ConformalSystem, n: int):
     is ``transfer_potential_values`` of a batch of one; on exact finite
     systems the returned values are Fractions.
     """
-    _check_order(n)
+    check_order(n)
 
     def f_n(x):
         pts = sys.space.sample_points([x])

@@ -3,7 +3,7 @@
 One JSON config (plus flag overrides) drives one command; results land in an
 output directory as report.json and CSV files.  Identical config + seed give
 byte-identical report payloads, and finished payloads are cached under a hash
-of the canonicalized config.
+of the canonicalized config and of the package's source.
 
 A handler returns its payload with the library's records in it as they are;
 one JSON hook (``_json_default``) encodes them, and the run keeps the
@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
-import itertools
 import json
 import math
 import numbers
@@ -42,10 +42,7 @@ from .core import (
     finite_permutation_system,
     fraction_bytes,
     join_rows,
-    orbit_array,
     rotation_system,
-    scaled_floats,
-    step_points,
 )
 
 COMMANDS = ("analyze", "admissible", "probe", "optimize", "construct",
@@ -98,16 +95,28 @@ def _config_first(config_text: str, rest: dict) -> str:
     return '{"config":' + config_text + "," + _compact(rest)[1:]
 
 
+@functools.cache
+def _code_digest(package: str = os.path.dirname(os.path.abspath(__file__))) -> str:
+    """sha256 of the package's *.py files, sorted by name: each name, its
+    length and its bytes.  Read once per process, on the first cache key."""
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            data = fh.read()
+        h.update(b"%s\0%d\0" % (name.encode(), len(data)) + data)
+    return h.hexdigest()
+
+
 def cache_key(canonical: dict | str, profile_sha256: str | None = None) -> str:
     """Hash of the canonical config (a dict, or its ``_compact`` text) and
-    the package version, so results cached by another version of the code are
-    never served; with ``profile_sha256``, also of the profile file's bytes,
-    so a rewritten profile is a miss.
+    of the package's source (``_code_digest``), so results cached by other
+    code are never served; with ``profile_sha256``, also of the profile
+    file's bytes, so a rewritten profile is a miss.
 
     The blob is the ``_compact`` encoding of {"config", ["profile_sha256",]
-    "version"}, with the config's text spliced in."""
+    "source_sha256"}, with the config's text spliced in."""
     text = canonical if isinstance(canonical, str) else _compact(canonical)
-    rest = {"version": __version__}
+    rest = {"source_sha256": _code_digest()}
     if profile_sha256 is not None:
         rest["profile_sha256"] = profile_sha256
     blob = _config_first(text, rest)
@@ -368,23 +377,14 @@ def _strict_mu(config):
 
 
 def _write_probe_trace(sys_, report, config, out_dir):
-    # the action (x, t) -> (psi x, t + k - h(x)) from the witness start: the
-    # orbit stepped as a batch of one, and h(x) the first orbit row from each
-    # of its points, as action_step reads it
+    # the action's orbit from the witness start (else the first sample point)
     start = report.witness.start if report.witness else sys_.space.sample_points(1)[0]
-    steps = min(config.n_max, 2000)
-    xs = [sys_.space.sample_points([start])]
-    for _ in range(steps):
-        xs.append(step_points(sys_, xs[-1]))
-    xs = np.concatenate(xs)
-    hs = orbit_array(sys_, xs[:steps], 1)[0]
-    hs = (scaled_floats(hs, sys_.scale) if sys_.exact else hs).tolist()
-    ts = itertools.accumulate(hs, lambda t, h: t + report.k - h, initial=0.0)
+    xs, ts = torus.action_orbit(sys_, start, 0.0, report.k, min(config.n_max, 2000))
     # every coordinate a float (finite states too), as repr writes it
-    coords = np.asarray(xs, dtype=float).reshape(steps + 1, -1).tolist()
+    coords = np.asarray(xs, dtype=float).reshape(len(ts), -1).tolist()
     with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
         fh.write("n,x,t\r\n" + "".join([f"{n},{':'.join(map(repr, x))},{t!r}\r\n"
-                                        for n, (x, t) in enumerate(zip(coords, ts))]))
+                                        for n, (x, t) in enumerate(zip(coords, ts.tolist()))]))
 
 
 def _write_phase_table(reports, path):

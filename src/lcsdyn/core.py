@@ -408,17 +408,13 @@ class ConformalSystem:
         return _int64_bound(self.scaled_table)
 
 
-def iterate(sys: ConformalSystem, x, n: int):
-    """n-th image of x under the system map (inverse map for n < 0), stepped
-    as a batch of one point by ``step_points``; |n| is at most
-    ``DEFAULT_MAX_ITERATIONS``."""
-    if abs(n) > DEFAULT_MAX_ITERATIONS:
-        raise BudgetError(f"|n| = {abs(n)} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
-    pts = sys.space.sample_points([x])  # a batch of one point
-    for _ in range(abs(n)):
-        pts = step_points(sys, pts, inverse=n < 0)
-    kind = sys.space.kind
-    return int(pts[0]) if kind == FINITE else float(pts[0]) if kind == CIRCLE else pts[0]
+def check_order(n: int, name: str = "n", least: int = 1):
+    """An orbit order n: below ``least`` is a ValidationError, above the
+    iteration budget a BudgetError."""
+    if n < least:
+        raise ValidationError(f"{name} must be >= {least}")
+    if n > DEFAULT_MAX_ITERATIONS:
+        raise BudgetError(f"{name} = {n} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
 
 
 def step_points(sys: ConformalSystem, pts, inverse: bool = False):
@@ -638,7 +634,7 @@ def _phase_rows(h, angle: float, pts, sign: int):
         ms = range(sign * lo, sign * (lo + b), sign)
         v = np.full((b, len(x)), h["const"])
         for coef, step, is_sin, cos_u, sin_u in terms:
-            phase = 2.0 * np.pi * np.array([step * m % den / den for m in ms])
+            phase = 2.0 * np.pi * exact_phases(step, den, ms)
             cos_v, sin_v = coef * np.cos(phase), coef * np.sin(phase)
             if is_sin:
                 term = np.multiply.outer(cos_v, sin_u)
@@ -652,6 +648,11 @@ def _phase_rows(h, angle: float, pts, sign: int):
         return v
 
     return rows
+
+
+def exact_phases(step: int, den: int, ms) -> np.ndarray:
+    """step m / den mod 1 for each integer m of ms, exact and rounded once."""
+    return np.array([step * m % den / den for m in ms], dtype=float)
 
 
 def orbit_array(sys: ConformalSystem, pts, n: int, inverse: bool = False):
@@ -723,8 +724,8 @@ def rotation_system(angle, factor, grid_resolution: int = 256, label: str = "",
     """Rigid rotation x -> x + angle mod 1 with the given factor.
 
     ``factor`` may be a callable, a number (constant factor), a trig spec
-    dict ``{"const":, "cos": [[j, a]...], "sin": [[j, b]...]}`` or a
-    coboundary spec ``{"type": "coboundary", "f": spec}``.
+    dict ``{"type": "trig", "const":, "cos": [[j, a]...], "sin": [[j, b]...]}``
+    or a coboundary spec ``{"type": "coboundary", "f": spec}``.
     """
     a = _rotation_angle(angle)
     space = ModelSpace(CIRCLE, grid_resolution=grid_resolution)
@@ -888,16 +889,19 @@ def _factor_record(space: ModelSpace, spec):
     """The factor record of a system on ``space`` from its spec: a callable
     as it is; a real number or a ``constant`` spec {"value":} as a ``trig``
     (circle) or ``trig2`` (torus) record with no terms; a ``coboundary`` spec
-    {"f":} with the record of its f.  Frequencies are integers, and
-    coefficients, ``const`` and ``value`` real numbers, neither booleans nor
-    strings; anything else is a ValidationError that names the spec."""
+    {"f":} with the record of its f.  A spec dict names its "type".
+    Frequencies are integers, and coefficients, ``const`` and ``value`` real
+    numbers, neither booleans nor strings; anything else is a ValidationError
+    that names the spec."""
     if callable(spec):
         return spec
     if _is_real(spec):
-        spec = {"value": spec}
+        spec = {"type": "constant", "value": spec}
     if not isinstance(spec, dict) or space.kind == FINITE:
         raise ValidationError(f"cannot interpret factor spec {spec!r} on a {space.kind} space")
-    kind = spec.get("type", "constant")
+    if "type" not in spec:  # no inference: {"const":, "cos":} is not a constant
+        raise ValidationError(f"factor spec {spec!r} misses 'type'")
+    kind = spec["type"]
     if kind == "coboundary":
         if "f" not in spec:
             raise ValidationError(f"coboundary factor {spec!r} misses 'f'")

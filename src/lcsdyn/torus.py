@@ -1,9 +1,9 @@
 """Mapping-torus Z-action on N x R and its explicit trivializing data.
 
 The action of size k moves (x, t) to (psi(x), t + k - h(x)); its n-th power
-has the closed form (psi^n(x), t + n(k - A_n(h)(x))).  When k avoids the
-range of some averaged factor A_n(h), a smooth cutoff chi assembles a
-function g on N x R with
+has the closed form (psi^n(x), t + n(k - A_n(h)(x))), which ``action_orbit``
+gives along one orbit.  When k avoids the range of some averaged factor
+A_n(h), a smooth cutoff chi assembles a function g on N x R with
 
     g(psi(x), t + 1) = g(x, t) - A_n(h)(x)   and   dt g + k one-signed,
 
@@ -46,15 +46,18 @@ from .core import (
     ConformalSystem,
     DomainError,
     ValidationError,
+    check_order,
     eval_factor,
+    exact_phases,
     factor_range,
     generating_span,
-    iterate,
     orbit_array,
     point_batch,
     reference_points,
     scaled_floats,
     step_points,
+    sum_dtype,
+    wrap,
 )
 
 VERDICT_RECURRENT = "RecurrentEvidence"
@@ -74,43 +77,38 @@ class InfeasibleError(ValueError):
     """The requested construction cannot exist with the given data."""
 
 
-@dataclass(frozen=True)
-class TorusAction:
-    """The Z-action generator (x, t) -> (psi(x), t + k - h(x))."""
-
-    sys: ConformalSystem
-    k: object
-
-    def __post_init__(self):
-        if not math.isfinite(float(self.k)):
-            raise ValidationError("size k must be finite")
+def _finite_size(k) -> float:
+    """k as a float; a size that is not finite is a ValidationError."""
+    if not math.isfinite(float(k)):
+        raise ValidationError("size k must be finite")
+    return float(k)
 
 
-def action_step(act: TorusAction, x, t):
-    """One forward application of the action generator."""
-    return action_power(act, x, t, 1)
+def action_orbit(sys: ConformalSystem, x, t, k, n: int):
+    """The points psi^m x (a batch) and times t + m k - S_m(h)(x), m = 0..n,
+    of the size-k action (x, t) -> (psi x, t + k - h(x)) from one start.
 
-
-def action_step_inverse(act: TorusAction, x, t):
-    """One application of the inverse generator (via psi^{-1})."""
-    prev = iterate(act.sys, x, -1)
-    return prev, t - act.k + _orbit_sum(act.sys, prev, 1)
-
-
-def action_power(act: TorusAction, x, t, n: int):
-    """n-th power by the closed formula (psi^n x, t + n k - S_n(h)(x)), n >= 0."""
-    if n < 0:
-        raise ValidationError("action_power expects n >= 0")
-    return iterate(act.sys, x, n), t + n * act.k - _orbit_sum(act.sys, x, n)
-
-
-def _orbit_sum(sys: ConformalSystem, x, n: int):
-    """S_n(h)(x): the orbit rows of x, stepped as a batch of one, added in
-    order; a Fraction on exact systems, else a float."""
-    total = 0
-    for v in orbit_array(sys, sys.space.sample_points([x]), n)[:, 0].tolist():
-        total += v
-    return Fraction(total, sys.scale) if sys.exact else total
+    S_m is one running sum of the orbit rows of x (``orbit_array``), exact on
+    exact systems, so the times are Fractions when t and k are; they are
+    formed in Python arithmetic, where an m k past the float range is +-inf
+    without a warning.  On a rotation by a the points are x + (m a mod 1),
+    the phase exact and rounded once (``exact_phases``); elsewhere they are
+    stepped as a batch of one.  0 <= n <= the iteration budget.
+    """
+    _finite_size(k)
+    check_order(n, least=0)
+    pts = sys.space.sample_points([x])
+    if sys.map_kind["kind"] == "rotation":
+        frac = Fraction(sys.map_kind["angle"])
+        xs = wrap(pts + exact_phases(frac.numerator, frac.denominator, range(n + 1)))
+    else:
+        xs = [pts]
+        for _ in range(n):
+            xs.append(step_points(sys, xs[-1]))
+        xs = np.concatenate(xs)
+    S = [0] + np.cumsum(orbit_array(sys, pts, n)[:, 0], dtype=sum_dtype(sys, n)).tolist()
+    S = [Fraction(s, sys.scale) for s in S] if sys.exact else S
+    return xs, np.array([t + m * k - s for m, s in enumerate(S)])
 
 
 @dataclass
@@ -213,7 +211,7 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    ks = [float(TorusAction(sys, k).k) for k in ks]
+    ks = list(map(_finite_size, ks))
     if starts is None:
         starts = sys.space.size if sys.space.kind == FINITE else 64
     pts = sys.space.sample_points(starts)
@@ -260,7 +258,8 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
     lo, hi = np.array([bands[i] for i in rest]).T[:, :, None, None]
     t0 = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, 0.5 * (lo + hi))
     tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    lo, hi = lo - tol, hi + tol
+    with np.errstate(over="ignore"):  # an end near the float limit widens to +-inf
+        lo, hi = lo - tol, hi + tol
     half = max(1, math.ceil(0.5 * n_max))
     late = np.zeros(len(rest), dtype=bool)  # a return at some n >= half
     first = {}  # j -> (n, p, t) of the first return in row-major order
@@ -273,7 +272,8 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
         open_ = np.where(ns >= half, ~late[:, None], ~found[:, None])
         if not open_.any():
             return
-        c = (t0 + kv * ns[:, None])[:, :, 0]
+        with np.errstate(over="ignore"):  # an overflowing c is +-inf, whose
+            c = (t0 + kv * ns[:, None])[:, :, 0]  # bounds below miss every band
         # t = c - S rounds monotonically in S, so c - max S <= t <= c - min S
         # bounds every t of a (size, n) pair: scan only the pairs it lets meet
         # the band (a NaN bound lets every pair through)

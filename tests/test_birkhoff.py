@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsdyn import (
-    action_power,
+    action_orbit,
     admissible_set,
     birkhoff_extrema,
     birkhoff_table,
@@ -33,7 +33,6 @@ from lcsdyn.core import (
     cat_map_system,
     eval_factor,
 )
-from lcsdyn.torus import TorusAction
 
 from conftest import encoded, random_permutation_system, scalar_factor, scalar_map
 
@@ -482,11 +481,10 @@ def test_exact_gap_is_compared_exactly(mean):
 def test_action_power_matches_average_displacement(swap_pair):
     # n (k - A_n(h)(x)) is the t-displacement of the n-th action power
     t = birkhoff_table(swap_pair, n_max=12)
-    act = TorusAction(swap_pair, Fraction(2))
     for p in range(3):
+        _, tvals = action_orbit(swap_pair, p, Fraction(0), Fraction(2), 12)
         for n in (1, 4, 9, 12):
-            _, tval = action_power(act, p, Fraction(0), n)
-            assert tval == n * (Fraction(2) - t.averages[n - 1][p])
+            assert tvals[n] == n * (Fraction(2) - t.averages[n - 1][p])
 
 
 def test_torus2_table_and_residual():

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import encoded
+from conftest import encoded, scalar_factor, scalar_map
 from lcsdyn import cli
 from lcsdyn.core import generating_span, reference_points
 from lcsdyn.torus import VERDICT_ESCAPE, ProbeReport
@@ -218,18 +218,47 @@ def test_cache_hit_and_miss(tmp_path):
     assert load_report(out)["provenance"]["cache_hit"] is False
 
 
-def test_cache_key_includes_version(tmp_path, monkeypatch):
-    # a result cached by one version of the code is not served to another
-    cfg = write_config(tmp_path, "v.json", command="admissible",
-                       system=FINITE_SYSTEM, n_max=6)
-    out = str(tmp_path / "run")
-    assert run_cli(["--config", cfg, "--out", out]) == 0
-    assert load_report(out)["provenance"]["cache_hit"] is False
-    monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
-    assert run_cli(["--config", cfg, "--out", out]) == 0
-    assert load_report(out)["provenance"]["cache_hit"] is False
-    assert run_cli(["--config", cfg, "--out", out]) == 0
-    assert load_report(out)["provenance"]["cache_hit"] is True
+def test_cache_key_includes_version(tmp_path):
+    # the key hashes the package's source, whose __init__.py holds __version__;
+    # the digest is read once per directory, so each edit goes into a copy
+    import shutil
+
+    def copy(name):
+        dest = tmp_path / name
+        shutil.copytree(os.path.dirname(cli.__file__), dest,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return dest
+
+    assert cli._code_digest(str(copy("same"))) == cli._code_digest()
+    init = copy("bumped") / "__init__.py"
+    text = init.read_text()
+    assert f'__version__ = "{cli.__version__}"' in text
+    init.write_text(text.replace(f'"{cli.__version__}"', f'"{cli.__version__}.post1"'))
+    (copy("added") / "extra.py").write_text("")  # a new module is a change too
+    digests = [cli._code_digest(str(tmp_path / name)) for name in ("bumped", "added")]
+    assert len({cli._code_digest(), *digests}) == 3
+
+
+def test_an_entry_stored_by_other_code_is_recomputed(tmp_path, monkeypatch):
+    # an entry that another source tree stored, here with that code's own
+    # mu_residual, is a miss: the run recomputes it and stores its own
+    config = cli.RunConfig(command="construct", system=STRICT_SYSTEM, grid=64, k=1.0, seed=13,
+                           params={"t_window": [-2, 2]}, out=str(tmp_path / "r"),
+                           cache_dir=str(tmp_path / "c"))
+    monkeypatch.setattr(cli, "_code_digest", lambda: "0" * 64)
+    other, code = cli.run(config)
+    assert code == 0 and other["provenance"]["cache_hit"] is False
+    [entry] = (tmp_path / "c").iterdir()
+    stored = json.loads(entry.read_text())
+    stored["payload"]["mu_residual"] = 1.0
+    entry.write_text(json.dumps(stored))
+    monkeypatch.undo()
+    fresh, code = cli.run(config)
+    assert code == 0 and fresh["provenance"]["cache_hit"] is False
+    assert fresh["payload"] == other["payload"] and fresh["payload"]["mu_residual"] < 1e-9
+    again, code = cli.run(config)
+    assert code == 0 and again["provenance"]["cache_hit"] is True
+    assert again["payload"] == fresh["payload"] and len(os.listdir(tmp_path / "c")) == 2
 
 
 def test_cache_corrupt_entry(tmp_path):
@@ -690,10 +719,10 @@ def test_rewritten_profile_csv_is_a_cache_miss(tmp_path):
 
 
 def test_cache_key_of_a_config_without_a_profile_is_unchanged():
-    # the key hashes {"config", "version"} alone unless a profile file is read
+    # the key hashes {"config", "source_sha256"} alone unless a profile file is read
     canonical = cli.RunConfig(command="rank", params={"generators": ["1"]}).canonical()
-    blob = json.dumps({"config": canonical, "version": cli.__version__}, sort_keys=True,
-                      separators=(",", ":"), default=cli._json_default)
+    blob = json.dumps({"config": canonical, "source_sha256": cli._code_digest()},
+                      sort_keys=True, separators=(",", ":"), default=cli._json_default)
     assert cli.cache_key(canonical) == hashlib.sha256(blob.encode()).hexdigest()
     config = cli.RunConfig(command="rank", params={"generators": ["1"]}, cache_dir="c")
     assert cli.cache_path(config, canonical) == os.path.join("c", cli.cache_key(canonical)
@@ -703,7 +732,7 @@ def test_cache_key_of_a_config_without_a_profile_is_unchanged():
 def _old_cache_key(canonical, profile_sha256=None):
     """The key as it was computed before the config text was spliced in: one
     json.dumps of the whole keyed object."""
-    keyed = {"config": canonical, "version": cli.__version__}
+    keyed = {"config": canonical, "source_sha256": cli._code_digest()}
     if profile_sha256 is not None:
         keyed["profile_sha256"] = profile_sha256
     blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"), default=cli._json_default)
@@ -973,8 +1002,9 @@ def test_factored_elasticity_payload_is_that_of_its_array(tmp_path, monkeypatch,
 @pytest.mark.parametrize("system,k", [(STRICT_SYSTEM, 0.5), (TORUS_SYSTEM, 0.1),
                                       (FINITE_SYSTEM, 1.5)])
 def test_probe_trace_matches_scalar_action_walk(tmp_path, system, k):
-    # oracle: the scalar action (x, t) -> (psi x, t + k - h(x)) from the
-    # trace's own start, formatted as trace.csv formats it
+    # the rows are action_orbit's arrays from the trace's own start, as
+    # trace.csv formats them; oracle: the scalar action (x, t) -> (psi x,
+    # t + k - h(x)), stepped one point at a time
     from lcsdyn import torus
 
     out = str(tmp_path / "r")
@@ -984,13 +1014,45 @@ def test_probe_trace_matches_scalar_action_walk(tmp_path, system, k):
     with open(os.path.join(out, "trace.csv")) as fh:
         rows = fh.read().splitlines()
     assert len(rows) == 42 and rows[0] == "n,x,t"
-    act = torus.TorusAction(cli.system_from_config(system), k)
+    sys_ = cli.system_from_config(system)
     x = [float(c) for c in rows[1].split(",")[1].split(":")]
-    x, t = (x[0] if len(x) == 1 else np.array(x)), 0.0
-    for n, row in enumerate(rows[1:]):
-        xs = ":".join(repr(float(c)) for c in np.atleast_1d(np.asarray(x, dtype=float)))
-        assert row == f"{n},{xs},{t!r}"
-        x, t = torus.action_step(act, x, t)
+    x = int(x[0]) if sys_.space.kind == "finite" else x[0] if len(x) == 1 else np.array(x)
+    xs, ts = torus.action_orbit(sys_, x, 0.0, k, 40)
+    psi, h = scalar_map(sys_), scalar_factor(sys_)
+    t = 0.0
+    for n, (row, t_n) in enumerate(zip(rows[1:], ts.tolist())):
+        coords = np.atleast_1d(np.asarray(xs[n], dtype=float)).tolist()
+        assert row == f"{n},{':'.join(map(repr, coords))},{t_n!r}"
+        d = np.abs(np.atleast_1d(np.asarray(x, dtype=float)) - coords)
+        assert np.minimum(d, 1 - d).max() <= 1e-12 and abs(t_n - t) <= 1e-12
+        x, t = psi(x), t + k - float(h(x))
+
+
+@pytest.mark.parametrize("k", [1e308, -1e308, sys.float_info.max])
+def test_probe_at_a_huge_size_writes_its_trace(tmp_path, k):
+    # k t overflowed in the recurrence scan (and at the float maximum so did
+    # the band's tolerance), and the suite's filterwarnings = error turned the
+    # warning into an exception out of cli.run
+    out = tmp_path / "r"
+    report, code = cli.run(cli.RunConfig(command="probe", system=GOLDEN_COS, n_max=5,
+                                         k=k, out=str(out)))
+    assert code == 0
+    [r] = report["payload"]["reports"]
+    assert (r["verdict"], r["certificate"], r["escape_bound"]) == (VERDICT_ESCAPE,
+                                                                  "envelope", 2)
+    rows = (out / "trace.csv").read_text().splitlines()
+    assert len(rows) == 7 and float(rows[2].split(",")[2]) == k - 1.0
+    assert [row.split(",")[2] for row in rows[3:]] == [repr(math.copysign(math.inf, k))] * 4
+
+
+def test_a_factor_spec_without_a_type_exits_2(tmp_path, capsys):
+    # it was read as the constant 0 (its "const" is no constant's "value"),
+    # and analyze exited 0 with L- = L+ = 0
+    system = dict(GOLDEN_COS, factor={"const": 0.1, "cos": [[1, 1.0]]})
+    report, code = cli.run(cli.RunConfig(command="analyze", system=system, n_max=20,
+                                         out=str(tmp_path / "r")))
+    assert code == 2 and "misses 'type'" in report["error"]
+    assert _diag_of(capsys)["error"] == "ValidationError"
 
 
 @pytest.mark.parametrize("text", ["[1]", "null", '"analyze"', "3"])

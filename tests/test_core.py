@@ -13,8 +13,8 @@ from lcsdyn import (
     ValidationError,
     cat_map_system,
     coboundary_system,
+    action_orbit,
     finite_permutation_system,
-    iterate,
     rotation_system,
     strict_rotation_system,
 )
@@ -33,37 +33,51 @@ from lcsdyn.cli import system_from_config
 from conftest import exact_orbit_rows, scalar_factor, scalar_map
 
 
+def _iterate(sys, x, n):
+    """psi^n x: the last point of ``action_orbit`` for n >= 0; for n < 0 (a
+    backward walk, which no library call makes) -n inverse steps of a batch
+    of one."""
+    if n >= 0:
+        return action_orbit(sys, x, 0.0, 0.0, n)[0][-1]
+    pts = sys.space.sample_points([x])
+    for _ in range(-n):
+        pts = step_points(sys, pts, inverse=True)
+    return pts[0]
+
+
 def test_iterate_cycle(cycle3):
-    assert iterate(cycle3, 0, 2) == 2
-    assert iterate(cycle3, 0, 3) == 0
-    assert iterate(cycle3, 0, -1) == 2
+    assert action_orbit(cycle3, 0, 0, 0, 3)[0].tolist() == [0, 1, 2, 0]
+    assert _iterate(cycle3, 0, -1) == 2
 
 
 def test_iterate_rotation():
     sys = rotation_system(0.5, 0.0)
-    assert iterate(sys, 0.25, 1) == pytest.approx(0.75)
-    assert iterate(sys, 0.75, 1) == pytest.approx(0.25)
+    assert action_orbit(sys, 0.25, 0, 0, 1)[0][1] == pytest.approx(0.75)
+    assert action_orbit(sys, 0.75, 0, 0, 1)[0][1] == pytest.approx(0.25)
 
 
 def test_iterate_identity_case(cycle3, const_rotation):
-    assert iterate(cycle3, 1, 0) == 1
-    assert iterate(const_rotation, 0.3, 0) == pytest.approx(0.3)
+    assert action_orbit(cycle3, 1, 0, 0, 0)[0].tolist() == [1]
+    assert action_orbit(const_rotation, 0.3, 0, 0, 0)[0] == pytest.approx([0.3])
 
 
 def test_iterate_budget():
+    # refused before any step is taken
     sys = rotation_system(0.1, 0.0)
-    with pytest.raises(BudgetError):
-        iterate(sys, 0.0, DEFAULT_MAX_ITERATIONS + 1)
+    with pytest.raises(BudgetError, match="exceeds iteration budget"):
+        action_orbit(sys, 0.0, 0.0, 0.0, DEFAULT_MAX_ITERATIONS + 1)
+    with pytest.raises(ValidationError, match="n must be >= 0"):
+        action_orbit(sys, 0.0, 0.0, 0.0, -1)
 
 
 def test_domain_errors(cycle3):
     with pytest.raises(DomainError):
-        iterate(cycle3, 5, 1)
+        action_orbit(cycle3, 5, 0, 0, 1)
     with pytest.raises(DomainError):
-        iterate(cycle3, 0.5, 1)
+        action_orbit(cycle3, 0.5, 0, 0, 1)
     sys = cat_map_system(0.0)
     with pytest.raises(DomainError):
-        iterate(sys, (0.1, 0.2, 0.3), 1)
+        action_orbit(sys, (0.1, 0.2, 0.3), 0, 0, 1)
 
 
 def _permutation_decl(table, values):
@@ -167,10 +181,10 @@ def test_space_sizes_must_be_integers(build):
 def test_cat_map_exact_inverse():
     sys = cat_map_system(0.0)
     p = np.array([0.3, 0.7])
-    q = iterate(sys, p, 5)
-    back = iterate(sys, q, -5)
+    q = _iterate(sys, p, 5)
+    back = _iterate(sys, q, -5)
     assert np.allclose(back, p, atol=1e-9)
-    img = iterate(sys, (0.5, 0.25), 1)
+    img = _iterate(sys, (0.5, 0.25), 1)
     assert np.allclose(img, [0.25, 0.75])
 
 
@@ -184,7 +198,7 @@ def test_cat_map_bad_matrix():
 @settings(max_examples=60, deadline=None)
 def test_rotation_inverse_property(angle, x, n):
     sys = rotation_system(angle, 0.0)
-    y = iterate(sys, iterate(sys, x, n), -n)
+    y = _iterate(sys, _iterate(sys, x, n), -n)
     d = abs(y - x)
     assert min(d, 1 - d) < 1e-9
 
@@ -196,7 +210,7 @@ def test_finite_composition_property(m, a, b, seed):
     table = rng.permutation(m).tolist()
     sys = finite_permutation_system(table, list(range(m)))
     x = int(rng.integers(0, m))
-    assert iterate(sys, x, a + b) == iterate(sys, iterate(sys, x, a), b)
+    assert _iterate(sys, x, a + b) == _iterate(sys, _iterate(sys, x, a), b)
 
 
 def test_sample_spec_grid_plus_seeds(golden_cos):
@@ -254,8 +268,12 @@ def test_strict_rotation_stores_generating_f(golden_strict):
 
 def _scalar_orbit_rows(sys, pts, n, sign=1):
     """Independent oracle: h(psi^{sign i} p) by scalar iteration."""
-    h = scalar_factor(sys)
-    return [[h(iterate(sys, p, sign * i)) for p in pts] for i in range(n)]
+    psi, h = scalar_map(sys, inverse=sign < 0), scalar_factor(sys)
+    rows, xs = [], list(pts)
+    for _ in range(n):
+        rows.append([h(x) for x in xs])
+        xs = [psi(x) for x in xs]
+    return rows
 
 
 def test_orbit_array_rotation_matches_scalar_walk(golden_cos):

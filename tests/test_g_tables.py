@@ -258,12 +258,14 @@ def test_table_rows_are_exact_windows_on_a_permutation():
     # window equals the cumulative sum of the scalar orbit values
     sys = _system("perm")
     pts = sys.space.sample_points()
-    psi, h = scalar_map(sys), scalar_factor(sys)
+    psi, back, h = scalar_map(sys), scalar_map(sys, inverse=True), scalar_factor(sys)
     for n in (1, 3, 8):
         fwd, bwd = _averaged_tables(sys, n, pts, 4, 3)
         for m, row in [(i, fwd[i]) for i in range(4)] + [(-j, bwd[j - 1]) for j in (1, 2, 3)]:
             for p, v in zip(pts.tolist(), row):
-                y = core.iterate(sys, p, m)
+                y = p
+                for _ in range(abs(m)):
+                    y = psi(y) if m > 0 else back(y)
                 vals = []
                 for _ in range(n):
                     vals.append(float(h(y)))

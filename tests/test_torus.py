@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from lcsdyn import (
-    TorusAction,
-    action_power,
-    action_step,
+    action_orbit,
     build_cutoff,
     build_g,
     build_mu,
@@ -18,7 +16,14 @@ from lcsdyn import (
     probe_sweep,
     rotation_system,
 )
-from lcsdyn.core import BudgetError, DomainError, reference_points
+from lcsdyn.core import (
+    DEFAULT_MAX_ITERATIONS,
+    BudgetError,
+    DomainError,
+    ValidationError,
+    reference_points,
+    step_points,
+)
 from lcsdyn import torus
 from lcsdyn.torus import (
     MAX_TERMS,
@@ -30,7 +35,6 @@ from lcsdyn.torus import (
     VERDICT_INCONCLUSIVE,
     VERDICT_RECURRENT,
     _cumulative_simpson,
-    action_step_inverse,
     _cycle_residual_bound,
 )
 
@@ -38,38 +42,44 @@ from conftest import cycle_pairs, encoded, scalar_factor, scalar_map
 
 
 def test_action_step_rotation(const_rotation):
-    act = TorusAction(const_rotation, 1.0)
-    x, t = action_step(act, 0.25, 0.0)
-    assert x == pytest.approx(0.75)
-    assert t == pytest.approx(0.8)
+    xs, ts = action_orbit(const_rotation, 0.25, 0.0, 1.0, 1)
+    assert xs[1] == pytest.approx(0.75)
+    assert ts[1] == pytest.approx(0.8)
 
 
 def test_action_step_constant_case(const_rotation):
-    act = TorusAction(const_rotation, 0.2)
-    _, t = action_step(act, 0.1, 3.5)
-    assert t == pytest.approx(3.5)
+    _, ts = action_orbit(const_rotation, 0.1, 3.5, 0.2, 1)
+    assert ts[1] == pytest.approx(3.5)
 
 
 def test_action_step_finite(cycle3):
-    act = TorusAction(cycle3, 2)
-    assert action_step(act, 0, 0) == (1, 1)
+    xs, ts = action_orbit(cycle3, 0, 0, 2, 1)
+    assert (xs[1], ts[1]) == (1, 1)
 
 
 def test_action_step_torus_constant_factor():
     from lcsdyn import cat_map_system
 
     sys = cat_map_system(0.3, grid_resolution=8)
-    x, t = action_step(TorusAction(sys, 1.0), (0.1, 0.2), 0.0)
-    assert np.shape(t) == ()
-    assert t == pytest.approx(0.7)
-    assert np.allclose(x, [0.4, 0.3])
+    xs, ts = action_orbit(sys, (0.1, 0.2), 0.0, 1.0, 1)
+    assert xs.shape == (2, 2) and ts.shape == (2,)
+    assert ts[1] == pytest.approx(0.7)
+    assert np.allclose(xs[1], [0.4, 0.3])
+
+
+def _step_back(sys, k, x, t):
+    """One step of the inverse action (x, t) -> (psi^{-1} x, t - k +
+    h(psi^{-1} x)), stepped as a batch of one: the backward walk that no
+    library call makes."""
+    prev = step_points(sys, sys.space.sample_points([x]), inverse=True)
+    return prev[0], t - k + float(scalar_factor(sys)(prev[0]))
 
 
 def test_action_step_inverse_roundtrip(const_rotation, cycle3):
-    for act in (TorusAction(const_rotation, 0.7), TorusAction(cycle3, 2)):
-        x0 = 0.3 if act.sys.space.kind == "circle" else 1
-        x, t = action_step(act, x0, 0.25)
-        x2, t2 = action_step_inverse(act, x, t)
+    for sys, k in ((const_rotation, 0.7), (cycle3, 2)):
+        x0 = 0.3 if sys.space.kind == "circle" else 1
+        xs, ts = action_orbit(sys, x0, 0.25, k, 1)
+        x2, t2 = _step_back(sys, k, xs[1], ts[1])
         assert float(x2) == pytest.approx(float(x0))
         assert float(t2) == pytest.approx(0.25)
 
@@ -103,63 +113,92 @@ def _float_systems():
 
 def test_action_walks_match_a_scalar_walk():
     # the cat map and a float table, stepped as a batch of one, against the
-    # scalar map read off map_kind
+    # scalar map read off map_kind: points bit for bit, at every power
     for sys, starts in _float_systems():
-        act = TorusAction(sys, 0.35)
         for x0 in starts:
-            for inverse, step in ((False, action_step), (True, action_step_inverse)):
-                x, t = step(act, x0, 0.5)
-                want_x, want_t = _scalar_action(sys, 0.35, x0, 0.5, 1, inverse)
-                np.testing.assert_array_equal(x, want_x)
-                assert t == pytest.approx(want_t, abs=1e-15)
+            x, t = _step_back(sys, 0.35, x0, 0.5)
+            want_x, want_t = _scalar_action(sys, 0.35, x0, 0.5, 1, inverse=True)
+            np.testing.assert_array_equal(x, want_x)
+            assert t == pytest.approx(want_t, abs=1e-15)
             for n in (0, 1, 7, 20):
-                x, t = action_power(act, x0, 0.5, n)
-                want_x, want_t = _scalar_action(sys, 0.35, x0, 0.5, n)
-                np.testing.assert_array_equal(x, want_x)
-                assert t == pytest.approx(want_t, abs=1e-12)
-                assert type(t) is float and np.shape(x) == np.shape(x0)
+                xs, ts = action_orbit(sys, x0, 0.5, 0.35, n)
+                assert len(xs) == len(ts) == n + 1 and ts.dtype == float
+                for m in range(n + 1):
+                    want_x, want_t = _scalar_action(sys, 0.35, x0, 0.5, m)
+                    np.testing.assert_array_equal(xs[m], want_x)
+                    assert ts[m] == pytest.approx(want_t, abs=1e-12)
 
 
 def test_action_power_trivial(const_rotation):
-    act = TorusAction(const_rotation, 1.0)
-    x, t = action_power(act, 0.25, 0.0, 4)
-    assert x == pytest.approx(0.25)
-    assert t == pytest.approx(3.2)
-    assert action_power(act, 0.33, 1.5, 0) == (pytest.approx(0.33), 1.5)
+    xs, ts = action_orbit(const_rotation, 0.25, 0.0, 1.0, 4)
+    assert xs[4] == pytest.approx(0.25)
+    assert ts[4] == pytest.approx(3.2)
+    xs, ts = action_orbit(const_rotation, 0.33, 1.5, 1.0, 0)
+    assert (xs.tolist(), ts.tolist()) == ([pytest.approx(0.33)], [1.5])
 
 
 def test_action_power_cycle_mean(swap_pair):
-    act = TorusAction(swap_pair, Fraction(2))
-    x, t = action_power(act, 0, Fraction(0), 4)
-    assert (x, t) == (0, 0)
+    xs, ts = action_orbit(swap_pair, 0, Fraction(0), Fraction(2), 4)
+    assert (xs[4], ts[4]) == (0, 0) and type(ts[4]) is Fraction
 
 
 def test_power_matches_steps_exact(swap_pair):
+    # oracle: exact Fractions from a scalar walk of the table
     rng = np.random.default_rng(3)
     table = rng.permutation(16).tolist()
     h = [int(v) for v in rng.integers(-9, 10, size=16)]
     sys = finite_permutation_system(table, h)
-    act = TorusAction(sys, Fraction(1, 3))
+    k = Fraction(1, 3)
     for start in range(0, 16, 3):
+        xs, ts = action_orbit(sys, start, Fraction(0), k, 100)
         x, t = start, Fraction(0)
         for n in range(1, 101):
-            x, t = action_step(act, x, t)
-            if n % 10 == 0 or n < 5:
-                assert action_power(act, start, Fraction(0), n) == (x, t)
+            t, x = t + k - h[x], table[x]
+            assert (xs[n], ts[n]) == (x, t) and type(ts[n]) is Fraction
 
 
 def test_power_matches_steps_rotation(golden_cos):
-    act = TorusAction(golden_cos, 0.7)
     rng = np.random.default_rng(0)
     for start in rng.uniform(0, 1, 10):
-        x, t = float(start), 0.0
-        for n in range(1, 201):
-            x, t = action_step(act, x, t)
-            if n in (1, 2, 3, 50, 200):
-                xp, tp = action_power(act, float(start), 0.0, n)
-                d = abs(xp - x)
-                assert min(d, 1 - d) <= 1e-9
-                assert abs(tp - t) <= 1e-9
+        xs, ts = action_orbit(golden_cos, float(start), 0.0, 0.7, 200)
+        for n in (1, 2, 3, 50, 200):
+            x, t = _scalar_action(golden_cos, 0.7, float(start), 0.0, n)
+            d = abs(xs[n] - x)
+            assert min(d, 1 - d) <= 1e-9
+            assert abs(ts[n] - t) <= 1e-9
+
+
+@pytest.mark.parametrize("angle", ["golden", 0.375, -0.3, 1.7, 1e-300])
+def test_action_orbit_points_are_the_exact_rotation(angle):
+    # oracle: (x + m Fraction(a)) mod 1, rounded once; angle addition rounds
+    # the phase and the sum, each below 2, so a point is within 2**-52 of it
+    sys = rotation_system(angle, {"type": "trig", "cos": [[1, 1.0]]}, grid_resolution=16)
+    a = Fraction(sys.map_kind["angle"])
+    for x in (0.0, 0.1, 0.7071067811865476, 1 - 2**-53):
+        xs, _ = action_orbit(sys, x, 0.0, 0.5, 500)
+        want = [float((Fraction(x) + m * a) % 1) for m in range(501)]
+        d = np.abs(xs - want)
+        assert np.minimum(d, 1 - d).max() <= 2**-52
+        if 0 <= sys.map_kind["angle"] < 1:  # the phase at m = 1 is the angle itself
+            assert xs[1] == step_points(sys, np.array([x]))[0]
+
+
+def test_action_orbit_checks_its_inputs(cycle3, golden_cos):
+    for k in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="size k must be finite"):
+            action_orbit(golden_cos, 0.1, 0.0, k, 3)
+    with pytest.raises(ValidationError, match="n must be >= 0"):
+        action_orbit(cycle3, 0, 0, 1, -1)
+    with pytest.raises(BudgetError, match="exceeds iteration budget"):
+        action_orbit(cycle3, 0, 0, 1, DEFAULT_MAX_ITERATIONS + 1)
+
+
+def test_action_orbit_at_a_huge_size_is_infinite_without_a_warning(golden_cos):
+    # m k overflows from m = 2 on; the suite turns a warning into an error
+    xs, ts = action_orbit(golden_cos, 0.0, 0.0, 1e308, 4)
+    assert ts[1] == 1e308 - 1.0 and ts[2:].tolist() == [math.inf] * 3
+    _, ts = action_orbit(golden_cos, 0.0, 0.0, -1e308, 4)
+    assert ts[2:].tolist() == [-math.inf] * 3
 
 
 def test_band_interval(swap_pair):
@@ -951,7 +990,6 @@ def test_mu_cocycle_residual_sample_stream(name, k):
     sys = _batch_system(name)
     mu = build_mu(sys, k, (-4, 4))
     rng = np.random.default_rng(0)
-    act = TorusAction(sys, k)
     worst = 0.0
     for _ in range(64):
         if sys.space.kind == "finite":
@@ -961,7 +999,7 @@ def test_mu_cocycle_residual_sample_stream(name, k):
         else:
             x = np.array([rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)])
         t = rng.uniform(-2.0, 2.0)
-        y, t2 = action_step(act, x, t)
+        (_, y), (_, t2) = action_orbit(sys, x, t, k, 1)
         worst = max(worst, abs(mu.mu(y, t2) - mu.mu(x, t) + k))
     assert mu.mu_cocycle_residual(samples=64, rng=0) == worst
     assert worst <= 1e-7
