@@ -17,7 +17,10 @@ workload names from perfbench/workloads.py and changes nothing there.
 The JSON file holds, per checkout and workload: the median and quartiles of
 the four end-to-end metrics over the runs (and every run's value), the
 per-step medians of ``worker.json``'s ``step_s``, the payload digests, and
-how many oracle checks ran and failed.
+how many oracle checks ran and failed.  With two checkouts it then prints
+one line per workload and metric, and per workload and step, comparing the
+first checkout's median with the second's; a step's line also says whether
+its payload digest differs.
 """
 
 import argparse
@@ -85,6 +88,27 @@ def summarize(runs: list) -> dict:
     }
 
 
+def comparison(record: dict) -> list:
+    """Lines comparing the medians of the first two checkouts of a record:
+    ``<workload> <metric or step>: <a> <median>, <b> <median>, <change>%``,
+    and for a step ``, digest same`` or ``, digest differs``."""
+    (a, base), (b, other) = list(record["checkouts"].items())[:2]
+    lines = []
+    for w, mine in base["workloads"].items():
+        theirs = other["workloads"][w]
+        rows = [(name, mine["end_to_end"][name]["median"],
+                 theirs["end_to_end"][name]["median"], None) for name in END_TO_END]
+        rows += [(label, mine["step_s_median"][label], theirs["step_s_median"][label],
+                  mine["digests"].get(label) == theirs["digests"].get(label))
+                 for label in mine["step_s_median"]]
+        for name, x, y, same in rows:
+            line = f"{w} {name}: {a} {x:.4g}, {b} {y:.4g}, {100.0 * (y - x) / x:+.1f}%"
+            if same is not None:
+                line += ", digest " + ("same" if same else "differs")
+            lines.append(line)
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -125,6 +149,8 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {out}")
+    if len(checkouts) > 1:
+        print("\n".join(comparison(record)))
     return 0
 
 

@@ -313,22 +313,19 @@ def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> 
 
     Reads every block of ``_potential_sums``: one streamed orbit walk of
     n_max rows serves both the grid and its image, so memory is O(P)
-    whatever n_max is.  Exact systems check the identity times n * scale on
-    the integer rows, so their curve is exact (Fractions, all zero); float
-    systems show float rounding.
+    whatever n_max is.  The identity is checked times n, as max |S_n -
+    (n h + n f_n o psi - n f_n)|, and divided by n once per order, in the
+    sums' arithmetic: exact systems check it on the integer rows, so their
+    curve is exact (Fractions, all zero); float systems show float rounding.
     """
     parts, n0 = [], 1
     for h, S, C, C1 in _potential_sums(sys, _sample(sys, points), n_max):
         ns = np.arange(n0, n0 + len(S))[:, None]
-        if sys.scale is None:  # S / n - (h + C1 / n - C / n), in place
-            gap = C1 / ns
-            gap += h
-            gap -= C / ns
-            np.subtract(S / ns, gap, out=gap)
-            parts.append(np.abs(gap, out=gap).max(axis=1))
-        else:
-            parts.append(_divide(np.max(np.abs(S - (ns * h + C1 - C)), axis=1), ns[:, 0],
-                                 sys.scale))
+        gap = ns * h  # S - (n h + C1 - C), in place
+        gap += C1
+        gap -= C
+        np.subtract(S, gap, out=gap)
+        parts.append(_divide(np.abs(gap, out=gap).max(axis=1), ns[:, 0], sys.scale))
         n0 += len(S)
     return np.concatenate(parts)
 

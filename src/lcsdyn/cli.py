@@ -37,7 +37,9 @@ from .core import (
     DomainError,
     RationalTable,
     ValidationError,
+    _factor_record,
     cat_map_system,
+    check_keys,
     decimal_bytes,
     finite_permutation_system,
     fraction_bytes,
@@ -164,46 +166,63 @@ def _boolean(value, what: str) -> bool:
     return value
 
 
-def _known_keys(obj: dict, known, what: str):
-    """A ValidationError naming the first key of obj that is not in known."""
-    for key in obj:
-        if key not in known:
-            raise ValidationError(f"unknown {what} {key!r}; expected one of {', '.join(known)}")
+#: the keys of the space and map specs of each space kind
+SPACE_KEYS = {"circle": ("kind", "grid_resolution"), "torus2": ("kind", "grid_resolution"),
+              "finite": ("kind", "size")}
+MAP_KEYS = {"circle": ("type", "angle"), "torus2": ("type", "matrix"),
+            "finite": ("type", "table")}
 
 
 def system_from_config(decl: dict, tolerances: dict | None = None):
-    """Build a system from the JSON declaration {"space":, "map":, "factor":}."""
+    """Build a system from the JSON declaration {"space":, "map":, "factor":}.
+
+    Every key is checked by the kind of the space: an unknown key is a
+    ValidationError that names its path, such as ``system.space.gird`` or
+    ``system.factor.f.terms``."""
     if not isinstance(decl, dict):
         raise ValidationError("system declaration must be an object")
+    check_keys(decl, ("space", "map", "factor"), "system")
     space, mp, factor = (_field(decl, key, "system declaration")
                          for key in ("space", "map", "factor"))
     for key, part in (("space", space), ("map", mp)):
         if not isinstance(part, dict):
             raise ValidationError(f"system {key} must be an object, got {part!r}")
     kind = space.get("kind")
+    if kind not in SPACE_KEYS:
+        raise ValidationError(f"unknown space kind {kind!r}")
+    check_keys(space, SPACE_KEYS[kind], "system.space")
+    check_keys(mp, MAP_KEYS[kind], "system.map")
     opts = {"grid_resolution": _integer(space.get("grid_resolution", 256),
                                         "space.grid_resolution"),
             "tol_inverse": _positive((tolerances or {}).get("tol_inverse", 1e-9),
                                      "tolerances.tol_inverse")}
     mtype = mp.get("type")
-    if kind == "circle":
-        if mtype != "rotation":
-            raise ValidationError(f"circle supports map type 'rotation', got {mtype!r}")
-        return rotation_system(mp.get("angle", 0.0), factor, **opts)
-    if kind == "torus2":
-        if mtype not in ("torus_linear", "cat"):
-            raise ValidationError(f"torus2 supports map type 'torus_linear', got {mtype!r}")
-        return cat_map_system(factor, matrix=mp.get("matrix", ((2, 1), (1, 1))), **opts)
     if kind == "finite":
         if mtype != "permutation":
             raise ValidationError(f"finite supports map type 'permutation', got {mtype!r}")
         table = _field(mp, "table", "permutation map")
-        values = _field(factor, "values", "table factor") if isinstance(factor, dict) else factor
+        values = factor
+        if isinstance(factor, dict):
+            check_keys(factor, ("type", "values"), "system.factor")
+            if factor.get("type", "table") != "table":
+                raise ValidationError(f"a finite space takes a factor of type 'table', got "
+                                      f"{factor['type']!r} at system.factor.type")
+            values = _field(factor, "values", "table factor")
         for what, seq in (("permutation table", table), ("factor values", values)):
             if not isinstance(seq, list):
                 raise ValidationError(f"{what} must be a list, got {seq!r}")
+        if "size" in space and space["size"] != len(table):
+            raise ValidationError(f"system.space.size = {space['size']!r} is not the "
+                                  f"{len(table)} states of the permutation table")
         return finite_permutation_system(table, values)
-    raise ValidationError(f"unknown space kind {kind!r}")
+    factor = _factor_record(kind, factor, "system.factor")
+    if kind == "circle":
+        if mtype != "rotation":
+            raise ValidationError(f"circle supports map type 'rotation', got {mtype!r}")
+        return rotation_system(mp.get("angle", 0.0), factor, **opts)
+    if mtype not in ("torus_linear", "cat"):
+        raise ValidationError(f"torus2 supports map type 'torus_linear', got {mtype!r}")
+    return cat_map_system(factor, matrix=mp.get("matrix", ((2, 1), (1, 1))), **opts)
 
 
 def _json_default(v):
@@ -626,7 +645,7 @@ def run(config: RunConfig):
         for name, known in (("params", PARAMS_KEYS), ("tolerances", TOLERANCES_KEYS)):
             if not isinstance(getattr(config, name), dict):
                 raise ValidationError(f"{name} must be an object, got {getattr(config, name)!r}")
-            _known_keys(getattr(config, name), known, f"{name} key")
+            check_keys(getattr(config, name), known, name)
         _integer(config.n_max, "n_max")
         _integer(config.seed, "seed", 0)
         _boolean(config.strict_verdict, "strict_verdict")
@@ -695,7 +714,7 @@ def config_from_args(args) -> RunConfig:
         if not isinstance(data, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object, "
                                   f"got {type(data).__name__}")
-        _known_keys(data, [f.name for f in fields(RunConfig)], "config key")
+        check_keys(data, [f.name for f in fields(RunConfig)])
     command = args.command or data.get("command")
     if not command:
         raise ValidationError("no command given (flag --command or config)")

@@ -419,14 +419,18 @@ def check_order(n: int, name: str = "n", least: int = 1):
 
 def step_points(sys: ConformalSystem, pts, inverse: bool = False):
     """One map application on an array of points, as ``sys.map_kind`` gives
-    psi (psi^{-1} with ``inverse``)."""
+    psi (psi^{-1} with ``inverse``).  It acts point by point: a point's image
+    depends on its own bits only (a matrix is applied by elementwise products
+    and sums, which round the same wherever the point sits in the batch)."""
     mk = sys.map_kind
     if mk["kind"] == "rotation":
         a = mk["angle"]
         return wrap(np.asarray(pts, dtype=float) + (-a if inverse else a))
     if mk["kind"] == "linear2":
-        m = np.asarray(mk["inverse"] if inverse else mk["matrix"], dtype=float)
-        return wrap(pts @ m.T)
+        (a, b), (c, d) = np.asarray(mk["inverse"] if inverse else mk["matrix"], dtype=float)
+        p = np.asarray(pts, dtype=float)
+        x, y = p[..., 0], p[..., 1]
+        return wrap(np.stack([a * x + b * y, c * x + d * y], axis=-1))
     return (mk["inverse"] if inverse else mk["table"])[np.asarray(pts, dtype=np.int64)]
 
 
@@ -501,7 +505,8 @@ def generating_span(sys: ConformalSystem, pts) -> float | None:
 BLOCK_CELLS = 2**14
 
 #: cells of the evaluated rows that a stepped walk keeps, at most, to replay
-#: them once its points come back to their start (``_stepped_rows``)
+#: them once its batch of points comes back to its start as a set
+#: (``_stepped_rows``); the checks for that return stop past this budget
 REPLAY_CELLS = 2**18
 
 
@@ -527,9 +532,11 @@ def orbit_blocks(sys: ConformalSystem, pts, n: int, inverse: bool = False):
     addition (``_phase_rows``).  Row 0 of such a walk is ``eval_factor`` bit
     for bit.  Every other walk steps its points one row at a time with
     ``step_points`` and evaluates a block of rows in one call, and replays
-    (``_stepped_rows``): once its points come back to their start, bit for
-    bit, at step T within ``REPLAY_CELLS`` cells of rows, row i is a fresh
-    copy of row i mod T, neither stepped nor evaluated again.
+    (``_stepped_rows``): once the stepped batch at step T, within
+    ``REPLAY_CELLS`` cells of rows, is a permutation sigma of the start
+    batch, bit for bit (a plain return is sigma = identity), row i is row
+    i mod T gathered through sigma^(i div T), neither stepped nor evaluated
+    again.  On the dyadic 64 x 64 cat grid, T = 1.
     """
     P = np.shape(pts)[0]
     telescoped = sys.generating_f is not None and not inverse
@@ -570,24 +577,32 @@ def _stepped_rows(sys: ConformalSystem, h, pts, inverse: bool):
     ``_evaluate`` of the record.
 
     Replay: while the rows evaluated so far fit in ``REPLAY_CELLS`` cells,
-    they are kept in one buffer and every stepped batch of points is
-    compared with the start, byte for byte (so -0.0 is not +0.0).  Once the
-    points come back to their start at step T, row i is row i mod T, and
-    the walk serves the kept rows without stepping or evaluating again.
-    Past the budget the buffer goes and the comparisons stop."""
+    they are kept, and every stepped batch of points is checked for a
+    return to the start as a set.  Each step takes the batch's order-free
+    fingerprint (``_fingerprint``, O(P)); only when it equals the start's
+    does one exact sort-and-compare of the bit patterns run
+    (``_return_permutation``), so -0.0 is not +0.0, and a walk that never
+    returns never sorts.  Once the batch at step T is the start permuted,
+    psi^T p_j = p_sigma(j), row i >= T is row i - T gathered through sigma:
+    the walk keeps its last T rows and serves every later row by one
+    gather, without stepping or evaluating again.  This holds because
+    ``step_points`` and the evaluation act point by point: a point's image
+    and value depend on its own bits only, not on its place in the batch.
+    Past the budget the kept rows go and the checks stop."""
     cur, at, P = np.asarray(pts, dtype=np.int64 if sys.exact else None), 0, np.shape(pts)[0]
-    start, cap = (cur.dtype, cur.tobytes()), REPLAY_CELLS // max(P, 1)  # cap: rows kept
-    kept, period = None, None
+    start, cap = cur, REPLAY_CELLS // max(P, 1)  # cap: rows kept
+    mark = _fingerprint(start)
+    kept, sigma = None, None  # after the return, kept[r] is the latest row i with i % T == r
 
     def rows(lo, b):
-        nonlocal cur, at, kept, period
+        nonlocal cur, at, kept, sigma
         block = []
         for i in range(lo, lo + b):
-            while period is None and at < i:
+            while sigma is None and at < i:
                 cur, at = step_points(sys, cur, inverse=inverse), at + 1
-                if at <= cap and (cur.dtype, cur.tobytes()) == start:
-                    period = at
-            if period is not None:
+                if at <= cap and _fingerprint(cur) == mark:
+                    sigma = _return_permutation(start, cur)
+            if sigma is not None:
                 break
             block.append(cur)
         if block:
@@ -603,11 +618,52 @@ def _stepped_rows(sys: ConformalSystem, h, pts, inverse: bool):
                 kept[lo:lo + len(block)] = v
             else:
                 kept = None
-            if period is None:
+            if sigma is None:
                 return v
-        return kept[np.arange(lo, lo + b) % period]
+        T = at
+        if len(kept) > T:
+            kept = kept[:T].copy()
+        out = np.empty((b, P), dtype=kept.dtype)
+        if block:
+            out[:len(block)] = v
+        for j in range(len(block), b):
+            np.take(out[j - T] if j >= T else kept[(lo + j) % T], sigma, out=out[j])
+        tail = out[-T:]
+        kept[np.arange(lo + b - len(tail), lo + b) % T] = tail
+        return out
 
     return rows
+
+
+def _bit_words(x) -> np.ndarray:
+    """The bit patterns of a batch of points of 8-byte numbers as a (P, d)
+    uint64 array, d the point's coordinates."""
+    x = np.ascontiguousarray(x)
+    return x.view(np.uint64).reshape(x.shape[0], math.prod(x.shape[1:]))
+
+
+def _fingerprint(x):
+    """(dtype, digest) of a batch of points, the same for every order of the
+    same bit patterns, or None unless its entries are 8-byte numbers: the
+    wrapping uint64 sum of its 64-bit words.  Batches that differ rarely
+    share it, and one that does costs one ``_return_permutation`` sort."""
+    if x.dtype.kind not in "iuf" or x.dtype.itemsize != 8:
+        return None
+    return x.dtype, int(x.view(np.uint64).sum())
+
+
+def _return_permutation(start, cur):
+    """sigma with cur[j] = start[sigma[j]], bit for bit, when the batch cur
+    is the batch start reordered, else None, for two batches whose
+    fingerprints match: one lexicographic sort of each batch's bit patterns
+    and one comparison."""
+    a, b = _bit_words(start), _bit_words(cur)
+    ia, ib = np.lexsort(a.T[::-1]), np.lexsort(b.T[::-1])
+    if not np.array_equal(a[ia], b[ib]):
+        return None
+    sigma = np.empty(len(ib), dtype=np.intp)
+    sigma[ib] = ia
+    return sigma
 
 
 def _phase_rows(h, angle: float, pts, sign: int):
@@ -725,13 +781,14 @@ def rotation_system(angle, factor, grid_resolution: int = 256, label: str = "",
 
     ``factor`` may be a callable, a number (constant factor), a trig spec
     dict ``{"type": "trig", "const":, "cos": [[j, a]...], "sin": [[j, b]...]}``
-    or a coboundary spec ``{"type": "coboundary", "f": spec}``.
+    or a coboundary spec ``{"type": "coboundary", "f": spec}`` (base + f - f o
+    psi with an optional ``"base": spec``).
     """
     a = _rotation_angle(angle)
     space = ModelSpace(CIRCLE, grid_resolution=grid_resolution)
     sys = ConformalSystem(
         space=space,
-        factor=_factor_record(space, factor),
+        factor=_factor_record(space.kind, factor),
         label=label or f"rotation(angle={a:.6g})",
         map_kind={"kind": "rotation", "angle": a},
     )
@@ -761,7 +818,7 @@ def cat_map_system(factor, matrix=((2, 1), (1, 1)), grid_resolution: int = 64,
     space = ModelSpace(TORUS2, grid_resolution=grid_resolution)
     sys = ConformalSystem(
         space=space,
-        factor=_factor_record(space, factor),
+        factor=_factor_record(space.kind, factor),
         label=label or "toral automorphism",
         map_kind={"kind": "linear2", "matrix": tuple(map(tuple, m)),
                   "inverse": tuple(map(tuple, inv))},
@@ -815,7 +872,7 @@ def coboundary_system(sys: ConformalSystem, f) -> ConformalSystem:
         vals = [h[i] + fv[i] - fv[tbl[i]] for i in range(len(h))]
         return replace(sys, factor={"type": "table", "values": _factor_table(vals)}, label=label)
     return replace(sys, label=label, factor={"type": "coboundary", "base": sys.factor,
-                                             "f": _factor_record(sys.space, f)})
+                                             "f": _factor_record(sys.space.kind, f)})
 
 
 #: a comma whose entry is not "[-]digits/digits" with at most 18 digits a side
@@ -885,31 +942,51 @@ def _entry_error(values, i) -> ValidationError:
                            "nor a rational such as 3, '-3/4' or '1.5'")
 
 
-def _factor_record(space: ModelSpace, spec):
-    """The factor record of a system on ``space`` from its spec: a callable
-    as it is; a real number or a ``constant`` spec {"value":} as a ``trig``
-    (circle) or ``trig2`` (torus) record with no terms; a ``coboundary`` spec
-    {"f":} with the record of its f.  A spec dict names its "type".
-    Frequencies are integers, and coefficients, ``const`` and ``value`` real
-    numbers, neither booleans nor strings; anything else is a ValidationError
-    that names the spec."""
+def check_keys(spec: dict, known, path: str = ""):
+    """A ValidationError naming the path (``path.key``, or the key alone at
+    the top) of the first key of spec that is not in known."""
+    for key in spec:
+        if key not in known:
+            raise ValidationError(f"unknown key {f'{path}.{key}' if path else key}; "
+                                  f"expected one of {', '.join(known)}")
+
+
+#: the keys of each type of factor spec
+FACTOR_KEYS = {"constant": ("type", "value"), "trig": ("type", "const", "cos", "sin"),
+               "trig2": ("type", "const", "terms"), "coboundary": ("type", "f", "base")}
+
+
+def _factor_record(space_kind: str, spec, path: str = "factor"):
+    """The factor record of a system on a space of ``space_kind`` from its spec at
+    ``path``: a callable as it is; a real number or a ``constant`` spec
+    {"value":} as a ``trig`` (circle) or ``trig2`` (torus) record with no
+    terms; a ``coboundary`` spec {"f":, "base":} with the records of its f
+    and, if given, its base (base + f - f o psi).  A spec dict names its
+    "type" and holds only that type's ``FACTOR_KEYS``, checked down into a
+    coboundary's f and base.  Frequencies are integers, and coefficients,
+    ``const`` and ``value`` real numbers, neither booleans nor strings;
+    anything else is a ValidationError that names the spec."""
     if callable(spec):
         return spec
     if _is_real(spec):
         spec = {"type": "constant", "value": spec}
-    if not isinstance(spec, dict) or space.kind == FINITE:
-        raise ValidationError(f"cannot interpret factor spec {spec!r} on a {space.kind} space")
+    if not isinstance(spec, dict) or space_kind == FINITE:
+        raise ValidationError(f"cannot interpret factor spec {spec!r} at {path} on a "
+                              f"{space_kind} space")
     if "type" not in spec:  # no inference: {"const":, "cos":} is not a constant
-        raise ValidationError(f"factor spec {spec!r} misses 'type'")
-    kind = spec["type"]
+        raise ValidationError(f"factor spec {spec!r} at {path} misses 'type'")
+    kind, trig = spec["type"], "trig" if space_kind == CIRCLE else "trig2"
+    if kind not in ("constant", trig, "coboundary"):
+        raise ValidationError(f"factor type {kind!r} at {path} is none of 'constant', {trig!r} "
+                              f"and 'coboundary', the factor types of a {space_kind} space")
+    check_keys(spec, FACTOR_KEYS[kind], path)
     if kind == "coboundary":
         if "f" not in spec:
-            raise ValidationError(f"coboundary factor {spec!r} misses 'f'")
-        return {"type": "coboundary", "f": _factor_record(space, spec["f"])}
-    trig = "trig" if space.kind == CIRCLE else "trig2"
-    if kind not in ("constant", trig):
-        raise ValidationError(f"factor type {kind!r} is none of 'constant', {trig!r} and "
-                              f"'coboundary', the factor types of a {space.kind} space")
+            raise ValidationError(f"coboundary factor {spec!r} at {path} misses 'f'")
+        record = {"type": kind, "f": _factor_record(space_kind, spec["f"], f"{path}.f")}
+        if "base" in spec:
+            record["base"] = _factor_record(space_kind, spec["base"], f"{path}.base")
+        return record
     const = spec.get("value" if kind == "constant" else "const", 0.0)
     if not _is_real(const):
         raise ValidationError(f"malformed {kind} factor {spec!r}: the constant term "

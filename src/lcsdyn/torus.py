@@ -662,6 +662,14 @@ def build_g(sys: ConformalSystem, k: float, t_window, points=None,
         raise ValidationError("t_window must be a nonempty interval")
     if max(abs(lo), abs(hi)) + 2 > MAX_TERMS:
         raise BudgetError("t_window exceeds the truncation budget")
+    # sigma and its inversion form t k only at times the tables take, |t| <=
+    # MAX_TERMS, and add it to terms of at most its size: a k at which 4 such
+    # products overflow is refused here, before any of them is formed
+    if not math.isfinite(4.0 * MAX_TERMS * k):
+        raise BudgetError(
+            f"k = {k} is too large for t_window [{lo}, {hi}]: t k overflows at the times "
+            f"|t| <= {MAX_TERMS} that sigma inversion may read (|k| must stay below "
+            f"{np.finfo(float).max / (4.0 * MAX_TERMS):.3g})")
     if order < 1:
         raise ValidationError(f"the averaging order must be >= 1, got {order}")
     pts = reference_points(sys) if points is None else sys.space.sample_points(points)

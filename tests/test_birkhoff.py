@@ -611,7 +611,7 @@ def test_streamed_residual_curve_equals_the_table_loop(golden_strict):
             s_next += H[n - 1]
             cs_next += s_next
         s_here += H[n - 1]
-        want[n - 1] = np.max(np.abs(s_here / n - (h + cs_next / n - cs_here / n)))
+        want[n - 1] = np.max(np.abs(s_here - (n * h + cs_next - cs_here))) / n
     assert np.array_equal(coboundary_residual_curve(golden_strict, n_max, points), want)
 
 

@@ -13,7 +13,14 @@ import pytest
 
 from conftest import encoded, scalar_factor, scalar_map
 from lcsdyn import cli
-from lcsdyn.core import generating_span, reference_points
+from lcsdyn.birkhoff import birkhoff_table, limit_estimates
+from lcsdyn.core import (
+    coboundary_system,
+    generating_span,
+    orbit_array,
+    reference_points,
+    rotation_system,
+)
 from lcsdyn.torus import VERDICT_ESCAPE, ProbeReport
 
 FINITE_SYSTEM = {
@@ -38,6 +45,12 @@ STRICT_SYSTEM = {
     "space": {"kind": "circle", "grid_resolution": 256},
     "map": {"type": "rotation", "angle": "golden"},
     "factor": {"type": "coboundary", "f": {"type": "trig", "sin": [[1, 1.0]]}},
+}
+
+GOLDEN_COS = {
+    "space": {"kind": "circle", "grid_resolution": 64},
+    "map": {"type": "rotation", "angle": "golden"},
+    "factor": {"type": "trig", "cos": [[1, 1.0]]},
 }
 
 
@@ -1055,6 +1068,73 @@ def test_a_factor_spec_without_a_type_exits_2(tmp_path, capsys):
     assert _diag_of(capsys)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("system,path", [
+    # each of these ran to exit 0 with its key dropped
+    (dict(GOLDEN_COS, space={"kind": "circle", "gird": 64}), "system.space.gird"),
+    (dict(GOLDEN_COS, factor={"type": "trig", "terms": [[1, 0, 1.0, 0.0]]}),
+     "system.factor.terms"),
+    (dict(GOLDEN_COS, map={"type": "rotation", "angel": 0.5}), "system.map.angel"),
+    (dict(GOLDEN_COS, label="golden"), "system.label"),
+    (dict(TORUS_SYSTEM, factor={"type": "coboundary", "f": {"type": "trig2", "cos": []}}),
+     "system.factor.f.cos"),
+    (dict(STRICT_SYSTEM, factor={"type": "coboundary", "f": 0.5, "bsae": 0.1}),
+     "system.factor.bsae"),
+    (dict(FINITE_SYSTEM, factor={"type": "table", "values": [0, 4, 1], "scale": 2}),
+     "system.factor.scale"),
+])
+def test_an_unknown_system_key_exits_2_and_names_its_path(tmp_path, capsys, system, path):
+    report, code = cli.run(cli.RunConfig(command="analyze", system=system, n_max=20,
+                                         out=str(tmp_path / "r")))
+    assert code == 2 and report["error"].startswith(f"unknown key {path};")
+    assert _diag_of(capsys)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("system,field", [
+    # both ran to exit 0: the size was never read, nor the type of a table
+    (dict(FINITE_SYSTEM, space={"kind": "finite", "size": 4}), "system.space.size"),
+    (dict(FINITE_SYSTEM, factor={"type": "trig", "values": [0, 4, 1]}), "system.factor.type"),
+])
+def test_a_finite_space_checks_its_size_and_table_type(tmp_path, capsys, system, field):
+    report, code = cli.run(cli.RunConfig(command="analyze", system=system, n_max=6,
+                                         out=str(tmp_path / "r")))
+    assert code == 2 and field in report["error"]
+
+
+def test_a_coboundary_with_a_base_is_the_library_coboundary_system(tmp_path):
+    # the base was dropped: analyze gave L+- = +-0.09 with error_bound 0.2,
+    # a telescoping bound of f alone, although L+- = 0.3 +- 0.09
+    sin = {"type": "trig", "sin": [[1, 1.0]]}
+    system = dict(GOLDEN_COS, factor={"type": "coboundary", "base": 0.3, "f": sin})
+    sys_ = cli.system_from_config(system)
+    lib = coboundary_system(rotation_system("golden", 0.3, grid_resolution=64), sin)
+    assert sys_.factor == lib.factor and sys_.generating_f is None
+    pts = sys_.space.sample_points()
+    assert np.array_equal(orbit_array(sys_, pts, 20), orbit_array(lib, pts, 20))
+    report, code = cli.run(cli.RunConfig(command="analyze", system=system, n_max=20,
+                                         out=str(tmp_path / "r")))
+    est = report["payload"]["limit_estimate"]
+    want = limit_estimates(birkhoff_table(lib, None, 20))
+    assert code == 0 and est["error_bound"] == "heuristic"
+    assert (est["L_minus"], est["L_plus"]) == (want.L_minus, want.L_plus)
+    assert est["L_minus"] < 0.3 < est["L_plus"] and est["L_plus"] - est["L_minus"] < 0.2
+
+
+@pytest.mark.parametrize("k", [1e308, -1e308])
+def test_construct_refuses_a_size_whose_t_k_overflows(tmp_path, capsys, k):
+    # g + t k - target overflowed inside sigma inversion (a RuntimeWarning,
+    # an exception under filterwarnings = error), and the run reported
+    # mu_residual 0.0
+    report, code = cli.run(cli.RunConfig(command="construct", system=GOLDEN_COS, k=k, grid=64,
+                                         params={"t_window": [-2, 2]},
+                                         out=str(tmp_path / "r")))
+    assert code == 3 and _diag_of(capsys)["error"] == "BudgetError"
+    assert report["error"].startswith(f"k = {k} is too large for t_window [-2.0, 2.0]")
+    report, code = cli.run(cli.RunConfig(command="construct", system=GOLDEN_COS, k=k * 1e-108,
+                                         grid=64, params={"t_window": [-2, 2]},
+                                         out=str(tmp_path / "s")))
+    assert code == 0
+
+
 @pytest.mark.parametrize("text", ["[1]", "null", '"analyze"', "3"])
 def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     # a list used to end in AttributeError: 'list' object has no attribute 'get'
@@ -1158,13 +1238,6 @@ def test_readme_config_examples_build_their_systems():
         assert sys_.space.kind == config["system"]["space"]["kind"]
 
 
-GOLDEN_COS = {
-    "space": {"kind": "circle", "grid_resolution": 64},
-    "map": {"type": "rotation", "angle": "golden"},
-    "factor": {"type": "trig", "cos": [[1, 1.0]]},
-}
-
-
 @pytest.mark.parametrize("grid", [
     [0.0, 0.5, 0.25, 0.1],  # exited 0 with minmax = maxmin = cos(2 pi 0.1): node 3 a fixed point
     {"grid": 8, "seeds": [0.3, 0.77]},  # exited 0 with a wrong value
@@ -1209,15 +1282,15 @@ def test_run_checks_the_fields_a_library_caller_sets(tmp_path, capsys, field, va
 
 
 @pytest.mark.parametrize("data,key", [
-    ({"nmax": 5}, "config key 'nmax'"),  # ran with n_max 200
-    ({"params": {"t_windw": [-2, 2]}}, "params key 't_windw'"),  # ignored
-    ({"tolerances": {"gap_res": 0.1}}, "tolerances key 'gap_res'"),  # ignored
+    ({"nmax": 5}, "nmax"),  # ran with n_max 200
+    ({"params": {"t_windw": [-2, 2]}}, "params.t_windw"),  # ignored
+    ({"tolerances": {"gap_res": 0.1}}, "tolerances.gap_res"),  # ignored
 ])
 def test_a_key_that_no_command_reads_exits_2(tmp_path, capsys, data, key):
     cfg = write_config(tmp_path, "c.json", **{**_CONSTRUCT, **data})
     assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
     diag = _diag_of(capsys)
-    assert diag["error"] == "ValidationError" and diag["message"].startswith(f"unknown {key}")
+    assert diag["error"] == "ValidationError" and diag["message"].startswith(f"unknown key {key};")
 
 
 def test_a_key_of_another_command_is_allowed(tmp_path):

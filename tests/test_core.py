@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -191,6 +192,19 @@ def test_cat_map_exact_inverse():
 def test_cat_map_bad_matrix():
     with pytest.raises(ValidationError):
         cat_map_system(0.0, matrix=((2, 0), (0, 2)))
+
+
+@pytest.mark.parametrize("build,spec,path", [
+    (rotation_system, {"type": "trig", "terms": [[1, 0, 1.0, 0.0]]}, "factor.terms"),
+    (rotation_system, {"type": "constant", "const": 0.1}, "factor.const"),
+    (cat_map_system, {"type": "coboundary", "f": {"type": "trig2", "sin": []}}, "factor.f.sin"),
+    (cat_map_system, {"type": "coboundary", "f": 0.0, "base": {"type": "constant", "v": 1}},
+     "factor.base.v"),
+])
+def test_a_factor_spec_key_of_no_record_names_its_path(build, spec, path):
+    args = ("golden", spec) if build is rotation_system else (spec,)
+    with pytest.raises(ValidationError, match=rf"^unknown key {re.escape(path)};"):
+        build(*args)
 
 
 @given(angle=st.floats(-2, 2, allow_nan=False), x=st.floats(0, 1, exclude_max=True),

@@ -138,11 +138,8 @@ def _residuals_by_rows(sys, pts, n_max):
             s_next += row
             cs_next += s_next
         s_here += row
-        if scale is None:
-            out.append(np.max(np.abs(s_here / n - (h + cs_next / n - cs_here / n))))
-        else:
-            out.append(Fraction(int(np.max(np.abs(s_here - (n * h + cs_next - cs_here)))),
-                                n * scale))
+        gap = np.max(np.abs(s_here - (n * h + cs_next - cs_here)))
+        out.append(gap / n if scale is None else Fraction(int(gap), n * scale))
     return np.array(out, dtype=float if scale is None else object)
 
 
@@ -272,17 +269,35 @@ def _copysign_h(x):
     return np.copysign(1.0, np.asarray(x, dtype=float))
 
 
+def _counted_sorts(monkeypatch):
+    """The permutations that ``_return_permutation`` returns, one per call
+    (None where the batches differ)."""
+    found = []
+    real = core._return_permutation
+
+    def counted(start, cur):
+        found.append(real(start, cur))
+        return found[-1]
+
+    monkeypatch.setattr(core, "_return_permutation", counted)
+    return found
+
+
+def _is_identity(sigma):
+    return np.array_equal(sigma, np.arange(len(sigma)))
+
+
 @pytest.mark.parametrize("inverse", [False, True])
 def test_cat_walk_replays_its_period(monkeypatch, inverse):
-    # on the dyadic 64 x 64 grid the float cat-map orbit is the lattice orbit,
-    # which comes back to its start after 48 steps
+    # on the dyadic 64 x 64 grid the float cat-map orbit is the lattice orbit:
+    # one step permutes the grid (and the grid is back in place after 48)
     sys = cat_map_system(CAT_TERMS, grid_resolution=64)
     pts, n = sys.space.sample_points(), 200
     want = _plain_rows(sys, pts, n, inverse)
-    steps = _counted_steps(monkeypatch)
+    steps, sorts = _counted_steps(monkeypatch), _counted_sorts(monkeypatch)
     got = orbit_array(sys, pts, n, inverse=inverse)
     assert _same(got, want)
-    assert len(steps) == 48
+    assert len(steps) == 1 and len(sorts) == 1 and not _is_identity(sorts[0])
     blocks = []
     for block in orbit_blocks(sys, pts, n, inverse=inverse):
         blocks.append(block.copy())
@@ -290,29 +305,66 @@ def test_cat_walk_replays_its_period(monkeypatch, inverse):
     assert _same(np.concatenate(blocks), want)
 
 
-def test_exact_permutation_replays_its_common_period(monkeypatch):
-    # cycles of lengths 2, 3 and 5: every point is back after lcm = 30 steps
-    table = [1, 0, 3, 4, 2, 6, 7, 8, 9, 5]
+# cycles of lengths 2, 3 and 5: every state is back after lcm = 30 steps
+PERM_TABLE = [1, 0, 3, 4, 2, 6, 7, 8, 9, 5]
+
+
+def _perm_system():
     rng = np.random.default_rng(3)
     values = [f"{int(p)}/{int(q)}" for p, q in zip(rng.integers(-9, 10, 10),
                                                     rng.integers(1, 7, 10))]
-    sys = finite_permutation_system(table, values)
+    return finite_permutation_system(PERM_TABLE, values)
+
+
+def test_exact_permutation_replays_its_common_period(monkeypatch):
+    # the full state set is a permutation of itself after one step
+    sys = _perm_system()
     pts = sys.space.sample_points()
     for inverse in (False, True):
         want = _plain_rows(sys, pts, 100, inverse)
-        steps = _counted_steps(monkeypatch)
+        steps, sorts = _counted_steps(monkeypatch), _counted_sorts(monkeypatch)
         assert _same(orbit_array(sys, pts, 100, inverse=inverse), want)
-        assert len(steps) == 30
+        assert len(steps) == 1 and len(sorts) == 1 and not _is_identity(sorts[0])
         monkeypatch.undo()
 
 
-def test_a_start_at_minus_zero_is_not_its_return():
-    # x + 1/2 + 1/2 wraps to +0.0, which equals -0.0 but is not its bytes
+# (states, step of the return, whether the return is in place): one state
+# of each cycle is back as a set only when each state is back, at lcm = 30;
+# two states of the 5-cycle only when both are; the 2-cycle with one state
+# of the 3-cycle comes back at 3 with the 2-cycle's states swapped
+PARTIAL_SAMPLES = [([0, 2, 5], 30, True), ([5, 7], 5, True), ([0, 1, 2], 3, False)]
+
+
+@pytest.mark.parametrize("states, period, in_place", PARTIAL_SAMPLES)
+@pytest.mark.parametrize("rows", [1, 3, 7, None])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_a_partial_sample_replays_at_its_return(monkeypatch, states, period, in_place, rows,
+                                                inverse):
+    sys, n = _perm_system(), 100
+    pts = np.array(states, dtype=np.int64)
+    if rows is not None:  # blocks shorter and longer than the period
+        _blocks_of(monkeypatch, rows, len(pts))
+    want = _plain_rows(sys, pts, n, inverse)
+    steps, sorts = _counted_steps(monkeypatch), _counted_sorts(monkeypatch)
+    blocks = []
+    for block in orbit_blocks(sys, pts, n, inverse=inverse):
+        blocks.append(block.copy())
+        block[:] = 7  # callers change blocks in place; the kept rows stay
+    assert _same(np.concatenate(blocks), want)
+    assert len(steps) == period and len(sorts) == 1
+    assert _is_identity(sorts[0]) == in_place
+
+
+def test_a_start_at_minus_zero_is_not_its_return(monkeypatch):
+    # x + 1/2 + 1/2 wraps to +0.0, which equals -0.0 but is not its bits: as
+    # values the stepped batch below is the start reordered, as bits never
     sys = rotation_system(0.5, _copysign_h, grid_resolution=4)
-    pts = np.array([-0.0, 0.25])
+    pts = np.array([-0.0, 0.5, 0.25, 0.75])
     want = _plain_rows(sys, pts, 7)
     assert want[0, 0] == -1.0 and want[2, 0] == 1.0
+    steps, sorts = _counted_steps(monkeypatch), _counted_sorts(monkeypatch)
     assert _same(orbit_array(sys, pts, 7), want)
+    assert len(steps) == 6 and sorts == []
     cat = cat_map_system(lambda p: _copysign_h(np.asarray(p)[:, 0]), grid_resolution=4)
     pts = np.array([[-0.0, 0.0], [0.5, 0.25]])
     assert _same(orbit_array(cat, pts, 13), _plain_rows(cat, pts, 13))
@@ -326,9 +378,9 @@ def test_a_walk_that_never_returns_steps_every_row(monkeypatch, name):
         sys, n = rotation_system("golden", _callable_h, grid_resolution=64), 60
     pts = sys.space.sample_points()
     want = _plain_rows(sys, pts, n)
-    steps = _counted_steps(monkeypatch)
+    steps, sorts = _counted_steps(monkeypatch), _counted_sorts(monkeypatch)
     assert _same(orbit_array(sys, pts, n), want)
-    assert len(steps) == n - 1
+    assert len(steps) == n - 1 and sorts == []
 
 
 def test_a_walk_that_never_returns_keeps_at_most_the_cell_budget():

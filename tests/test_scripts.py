@@ -7,6 +7,7 @@ imports cannot be removed or renamed without a test failing.
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -109,3 +110,16 @@ def test_bench_record(tmp_path):
     for m in metrics.values():
         assert len(m["values"]) == 1 and m["q1"] == m["median"] == m["q3"] == m["values"][0] > 0
     assert metrics["run_s"]["median"] == pytest.approx(sum(result["step_s_median"].values()))
+    # two checkouts of one tree: one comparison line per metric and step,
+    # and no digest differs
+    proc = run_script("bench_record.py", "--pr", "0", "--seed", "5", "--runs", "1",
+                      "--seconds", "0.05", "--workload", "construction", "--out", str(out),
+                      "--checkout", f"parent={ROOT}", "--checkout", f"change={ROOT}")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    lines = lines[lines.index(f"wrote {out}") + 1:]
+    assert sorted(line.split(":")[0] for line in lines) == sorted(
+        f"construction {name}" for name in [*metrics, *labels])
+    assert all(re.fullmatch(r"construction \S+: parent \S+, change \S+, [+-]\d+\.\d%"
+                            r"(, digest same)?", line) for line in lines)
+    assert sum(line.endswith(", digest same") for line in lines) == len(labels)
