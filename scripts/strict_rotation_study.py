@@ -18,7 +18,7 @@ from lcsdyn import (
     build_mu,
     limit_estimates,
     probe_sweep,
-    strict_rotation_system,
+    rotation_system,
 )
 from lcsdyn.birkhoff import extrema_to_csv
 
@@ -34,8 +34,8 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    sys_ = strict_rotation_system("golden", {"type": "trig", "sin": [[1, 1.0]]},
-                                  grid_resolution=args.grid)
+    f = {"type": "trig", "sin": [[1, 1.0]]}
+    sys_ = rotation_system("golden", {"type": "coboundary", "f": f}, grid_resolution=args.grid)
     ext = birkhoff_extrema(sys_, args.grid, n_max=args.n_max)
     extrema_to_csv(ext, os.path.join(args.out, "envelopes.csv"))
     est = limit_estimates(ext)

@@ -18,13 +18,10 @@ from .core import (
     coboundary_system,
     finite_permutation_system,
     rotation_system,
-    strict_rotation_system,
 )
 from .birkhoff import (
-    AdmissibleSet,
     BirkhoffTable,
     LimitEstimate,
-    admissible_set,
     birkhoff_extrema,
     birkhoff_table,
     coboundary_residual_curve,

@@ -21,6 +21,9 @@ denominator n * D, so the per-n extrema are integer comparisons.  Fractions
 are built only at the boundary (extrema curves, table values, residuals);
 ``table_to_csv`` writes its exact cells from the integer sums as bytes
 (``core.fraction_bytes``) and builds none.
+
+The ``LimitEstimate`` of ``limit_estimates`` holds the gap [L-, L+] and
+classifies the sizes k against it itself.
 """
 
 from __future__ import annotations
@@ -35,15 +38,15 @@ import numpy as np
 from .core import (
     FINITE,
     ConformalSystem,
-    ValidationError,
     _lowest_terms,
     check_order,
     decimal_bytes,
+    finite_size,
     fraction_bytes,
-    generating_span,
     integer_array,
     join_rows,
     orbit_blocks,
+    sampled_bounds,
     scaled_floats,
     step_points,  # unused here; perfbench/test_smoke.py checks its tracing rebinds it
     sum_dtype,
@@ -104,6 +107,9 @@ class LimitEstimate:
     ``error_bound`` bounds the rounding of its float cycle means.  Elsewhere
     ``error_bound`` is a number only when the factor is a stored coboundary
     (telescoping bound); otherwise the string "heuristic".
+
+    The admissible sizes are ]-inf, L-[ u ]L+, +inf[ minus {0}, the gap
+    [L_minus, L_plus] widened by ``tolerance`` for float estimates.
     """
 
     L_minus: object
@@ -113,25 +119,19 @@ class LimitEstimate:
     exact: bool
     stable: bool = True
 
-
-@dataclass
-class AdmissibleSet:
-    """Two open rays around the closed gap [L_minus, L_plus], minus {0}.
-
-    The reported admissible sizes are ]-inf, L-[ u ]L+, +inf[ with 0 always
-    excluded; ``tolerance`` widens the gap for float estimates.
-    """
-
-    gap_low: object
-    gap_high: object
-    exact: bool
-    tolerance: float = 0.0
+    @property
+    def tolerance(self) -> float:
+        """0.0 for an exact or heuristic estimate, else the error bound."""
+        return 0.0 if self.exact or isinstance(self.error_bound, str) else float(self.error_bound)
 
     def contains(self, k) -> bool:
+        """Whether the size k is admissible; a k that is not finite is a
+        ValidationError."""
+        finite_size(k)
         if k == 0:
             return False
         tol = self.tolerance or 0  # a Fraction minus 0.0 would be a float
-        return k < self.gap_low - tol or k > self.gap_high + tol
+        return k < self.L_minus - tol or k > self.L_plus + tol
 
     def classify(self, k) -> str:
         if k == 0:
@@ -139,7 +139,7 @@ class AdmissibleSet:
         if self.contains(k):
             return "admissible"
         tol = self.tolerance or 0
-        if self.gap_low + tol <= k <= self.gap_high - tol:
+        if self.L_minus + tol <= k <= self.L_plus - tol:
             return "not_admissible"
         # within `tolerance` of a gap endpoint; decisive only for tolerance 0
         return "not_admissible" if self.tolerance == 0 else "boundary"
@@ -203,7 +203,7 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
     orbit rows' arithmetic (the integers S_n * scale on exact systems).
     """
     check_order(n_max, "n_max")
-    pts = _sample(sys, points)
+    pts = sys.space.sample_points(points)
     dtype = sum_dtype(sys, n_max)
     lows, highs = [], []
     n0, S = 1, None
@@ -223,14 +223,6 @@ def birkhoff_extrema(sys: ConformalSystem, points=None, n_max: int = 100,
         "sup_env_plus": np.maximum.accumulate(highs[::-1])[::-1],
     }
     return BirkhoffExtrema(sys, pts, n_max, extrema, sys.exact)
-
-
-def _sample(sys: ConformalSystem, points):
-    """The sampled points; an empty sample is a ValidationError."""
-    pts = sys.space.sample_points(points)
-    if len(pts) == 0:
-        raise ValidationError("empty sample")
-    return pts
 
 
 def _accumulate(B, start):
@@ -319,7 +311,7 @@ def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> 
     curve is exact (Fractions, all zero); float systems show float rounding.
     """
     parts, n0 = [], 1
-    for h, S, C, C1 in _potential_sums(sys, _sample(sys, points), n_max):
+    for h, S, C, C1 in _potential_sums(sys, sys.space.sample_points(points), n_max):
         ns = np.arange(n0, n0 + len(S))[:, None]
         gap = ns * h  # S - (n h + C1 - C), in place
         gap += C1
@@ -372,28 +364,12 @@ def limit_estimates(table: BirkhoffExtrema) -> LimitEstimate:
     start = max(0, n_used - max(1, math.ceil(0.1 * n_used)))
     stable = not any(float(w.max() - w.min()) / max(1.0, float(np.max(np.abs(w))))
                      > 1e-6 for w in (lo_curve[start:], hi_curve[start:]))
-    span = generating_span(sys, table.points)
-    bound = "heuristic" if span is None else 2.0 * span / n_used
+    bound = "heuristic"
+    if sys.generating_f is not None:
+        lo, hi = sampled_bounds(sys, sys.generating_f, table.points)
+        bound = 2.0 * (hi - lo) / n_used
     return LimitEstimate(float(lo_curve[-1]), float(hi_curve[-1]), n_used, bound,
                          exact=False, stable=stable)
-
-
-def admissible_set(estimate: LimitEstimate) -> AdmissibleSet:
-    """Admissible-size presentation derived from a limit estimate.
-
-    Sizes strictly outside the gap, widened by a numeric error bound of a
-    float estimate, are admissible; 0 is always excluded from the reported
-    set because the admissible sizes form an open subset of the punctured
-    line.
-    """
-    bound = estimate.error_bound
-    tolerance = 0.0 if estimate.exact or not isinstance(bound, (int, float)) else bound
-    return AdmissibleSet(
-        gap_low=estimate.L_minus,
-        gap_high=estimate.L_plus,
-        exact=estimate.exact,
-        tolerance=float(tolerance),
-    )
 
 
 #: rows of birkhoff.csv formatted and written at a time, which bounds the

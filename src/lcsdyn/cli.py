@@ -333,16 +333,15 @@ def _cmd_analyze(config, sys_, out_dir):
 def _cmd_admissible(config, sys_, out_dir):
     table = birkhoff.birkhoff_extrema(sys_, _points_spec(config.grid, "grid"), config.n_max)
     est = birkhoff.limit_estimates(table)
-    adm = birkhoff.admissible_set(est)
-    classifications = [{"k": k, "verdict": adm.classify(k)} for k in _k_values(config)]
+    classifications = [{"k": k, "verdict": est.classify(k)} for k in _k_values(config)]
     birkhoff.extrema_to_csv(table, os.path.join(out_dir, "envelopes.csv"))
     return {
         "admissible_set": {
-            "gap": [adm.gap_low, adm.gap_high],
-            "rays": [["-inf", adm.gap_low], [adm.gap_high, "+inf"]],
+            "gap": [est.L_minus, est.L_plus],
+            "rays": [["-inf", est.L_minus], [est.L_plus, "+inf"]],
             "excludes_zero": True,
-            "exact": adm.exact,
-            "tolerance": adm.tolerance,
+            "exact": est.exact,
+            "tolerance": est.tolerance,
         },
         "limit_estimate": est,
         "classifications": classifications,

@@ -257,7 +257,8 @@ class ModelSpace:
         points, or {"grid": n, "seeds": [...]} for a grid plus seed points.
 
         Returns an array of shape (P,) for circle/finite and (P, 2) for the
-        torus.  Explicit points are a batch, normalized by ``point_batch``.
+        torus.  Explicit points are a batch, normalized by ``point_batch``;
+        an empty batch, like an int size below 1, is a ValidationError.
         """
         if spec is None:
             spec = self.size if self.kind == FINITE else self.grid_resolution
@@ -278,6 +279,8 @@ class ModelSpace:
         pts, single = point_batch(self, spec)
         if single:
             raise DomainError(f"explicit {self.kind} points must be a list, got {spec!r}")
+        if len(pts) == 0:
+            raise ValidationError("empty sample")
         return pts
 
 
@@ -417,6 +420,13 @@ def check_order(n: int, name: str = "n", least: int = 1):
         raise BudgetError(f"{name} = {n} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
 
 
+def finite_size(k) -> float:
+    """k as a float; a size that is not finite is a ValidationError."""
+    if not math.isfinite(float(k)):
+        raise ValidationError("size k must be finite")
+    return float(k)
+
+
 def step_points(sys: ConformalSystem, pts, inverse: bool = False):
     """One map application on an array of points, as ``sys.map_kind`` gives
     psi (psi^{-1} with ``inverse``).  It acts point by point: a point's image
@@ -488,16 +498,6 @@ def _evaluate(sys: ConformalSystem, h, pts) -> np.ndarray:
         if b:
             v = v + b * np.sin(phase)
     return v
-
-
-def generating_span(sys: ConformalSystem, pts) -> float | None:
-    """max f - min f over the points for a stored coboundary h = f - f o psi
-    (``sys.generating_f``), which bounds every |S_n| there, else None."""
-    f = sys.generating_f
-    if f is None:
-        return None
-    v = _evaluate(sys, f, pts)
-    return float(v.max() - v.min())
 
 
 #: cells (rows times points) of one block of orbit rows: a block holds
@@ -733,9 +733,11 @@ def reference_points(sys: ConformalSystem, cap: int = 1024):
     return space.sample_points(side)
 
 
-def factor_range(sys: ConformalSystem):
-    """(min, max) of the factor over the reference points."""
-    v = eval_factor(sys, reference_points(sys))
+def sampled_bounds(sys: ConformalSystem, h, pts):
+    """(min, max) of the factor record h of ``sys`` over the points pts: a
+    sampled range, not a bound; a value that is not finite is a
+    ValidationError."""
+    v = _evaluate(sys, h, pts)
     if not np.all(np.isfinite(v)):
         raise ValidationError("factor is not finite at sampled points")
     return float(v.min()), float(v.max())
@@ -751,9 +753,7 @@ def _validate(sys: ConformalSystem, tol_inverse: float):
         raise ValidationError(
             f"inverse check failed: max error {err.max():.3e} > {tol_inverse:.1e}"
         )
-    vals = eval_factor(sys, pts)
-    if not np.all(np.isfinite(vals)):
-        raise ValidationError("factor is not finite on the sample grid")
+    sampled_bounds(sys, sys.factor, pts)
     return sys
 
 
@@ -793,14 +793,6 @@ def rotation_system(angle, factor, grid_resolution: int = 256, label: str = "",
         map_kind={"kind": "rotation", "angle": a},
     )
     return _validate(sys, tol_inverse)
-
-
-def strict_rotation_system(angle, f, grid_resolution: int = 256, label: str = "",
-                           tol_inverse: float = DEFAULT_TOL_INVERSE) -> ConformalSystem:
-    """Rotation whose factor is the stored coboundary h = f - f o psi of a
-    supplied f (``generating_f``), with telescoping bounds |S_n| <= max f - min f."""
-    return rotation_system(angle, {"type": "coboundary", "f": f}, grid_resolution, label,
-                           tol_inverse)
 
 
 def cat_map_system(factor, matrix=((2, 1), (1, 1)), grid_resolution: int = 64,

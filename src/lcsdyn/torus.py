@@ -49,11 +49,11 @@ from .core import (
     check_order,
     eval_factor,
     exact_phases,
-    factor_range,
-    generating_span,
+    finite_size,
     orbit_array,
     point_batch,
     reference_points,
+    sampled_bounds,
     scaled_floats,
     step_points,
     sum_dtype,
@@ -77,13 +77,6 @@ class InfeasibleError(ValueError):
     """The requested construction cannot exist with the given data."""
 
 
-def _finite_size(k) -> float:
-    """k as a float; a size that is not finite is a ValidationError."""
-    if not math.isfinite(float(k)):
-        raise ValidationError("size k must be finite")
-    return float(k)
-
-
 def action_orbit(sys: ConformalSystem, x, t, k, n: int):
     """The points psi^m x (a batch) and times t + m k - S_m(h)(x), m = 0..n,
     of the size-k action (x, t) -> (psi x, t + k - h(x)) from one start.
@@ -95,7 +88,7 @@ def action_orbit(sys: ConformalSystem, x, t, k, n: int):
     the phase exact and rounded once (``exact_phases``); elsewhere they are
     stepped as a batch of one.  0 <= n <= the iteration budget.
     """
-    _finite_size(k)
+    finite_size(k)
     check_order(n, least=0)
     pts = sys.space.sample_points([x])
     if sys.map_kind["kind"] == "rotation":
@@ -209,13 +202,12 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
     the size's first return, and from the last half on until its first
     return there.  The witnesses and verdicts are those of a full scan.
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
-    ks = list(map(_finite_size, ks))
+    check_order(n_max, "n_max")
+    ks = list(map(finite_size, ks))
     if starts is None:
         starts = sys.space.size if sys.space.kind == FINITE else 64
     pts = sys.space.sample_points(starts)
-    hmin, hmax = factor_range(sys)
+    hmin, hmax = sampled_bounds(sys, sys.factor, reference_points(sys))
     bands = [_band(hmin, hmax, k) for k in ks]
 
     def report(i, verdict, witness, escape_bound, certificate, heur=sys.space.kind != FINITE):
@@ -242,7 +234,8 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
                 wit = Witness(int(dec.order[a]), b - a, t0 + (b - a) * (k - float(dec.means[idx])))
                 reports[i] = report(i, VERDICT_RECURRENT, wit, None, "cycle-exact", False)
     elif sys.generating_f is not None and any(ks):
-        V = generating_span(sys, reference_points(sys))  # U = 0 and F = f
+        f_lo, f_hi = sampled_bounds(sys, sys.generating_f, reference_points(sys))
+        V = f_hi - f_lo  # U = 0 and F = f
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
             if k != 0.0:
                 n0 = _escape_bound(hi - lo, V, abs(k))
@@ -794,10 +787,10 @@ class MuConstruction:
         floor(u size) of its coordinate u.  mu then runs once on rho(x, t)
         and once on (x, t) for the whole sample.
         """
+        if samples < 1:
+            raise ValidationError(f"samples must be >= 1, got {samples}")
         rng = np.random.default_rng(rng)
         sys, k = self.gcons.system, self.gcons.k
-        if samples <= 0:
-            return 0.0
         lo, hi = (0.5 * t for t in self.gcons.t_window)
         dim = 2 if sys.space.kind == TORUS2 else 1
         u = rng.uniform([0.0] * dim + [lo], [1.0] * dim + [hi], size=(samples, dim + 1))
@@ -829,6 +822,7 @@ def build_mu(sys: ConformalSystem, k: float, t_window, n_scan: int = 64,
     """
     from .birkhoff import birkhoff_extrema
 
+    check_order(n_scan, "n_scan")
     k = nonzero_size(k)
     pts = reference_points(sys) if points is None else sys.space.sample_points(points)
     ext = birkhoff_extrema(sys, pts, n_scan).extrema_per_n

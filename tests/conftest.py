@@ -8,7 +8,6 @@ from lcsdyn import (
     cli,
     finite_permutation_system,
     rotation_system,
-    strict_rotation_system,
 )
 from lcsdyn.core import eval_factor
 
@@ -44,8 +43,8 @@ def golden_cos():
 
 @pytest.fixture
 def golden_strict():
-    return strict_rotation_system("golden", {"type": "trig", "sin": [[1, 1.0]]},
-                                  grid_resolution=512)
+    f = {"type": "trig", "sin": [[1, 1.0]]}
+    return rotation_system("golden", {"type": "coboundary", "f": f}, grid_resolution=512)
 
 
 def random_permutation_system(rng, max_states=64, h_low=-10, h_high=10):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lcsdyn import (
     action_orbit,
-    admissible_set,
     birkhoff_extrema,
     birkhoff_table,
     coboundary_residual_curve,
@@ -19,6 +18,7 @@ from lcsdyn import (
     rotation_system,
     transfer_potential,
 )
+from lcsdyn import cli
 from lcsdyn.birkhoff import (
     extrema_to_csv,
     table_to_csv,
@@ -234,10 +234,10 @@ def test_birkhoff_fn_memory_is_o_of_p():
     # the whole (2000, 4096) walk is 65.5 MB; the streamed sums keep O(P) rows
     import tracemalloc
 
-    from lcsdyn import coboundary_optima, strict_rotation_system
+    from lcsdyn import coboundary_optima
 
-    sys = strict_rotation_system("golden", {"type": "trig", "sin": [[1, 1.0]]},
-                                 grid_resolution=4096)
+    f = {"type": "trig", "sin": [[1, 1.0]]}
+    sys = rotation_system("golden", {"type": "coboundary", "f": f}, grid_resolution=4096)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -453,29 +453,51 @@ def test_limit_estimates_heuristic_flag(golden_cos):
 
 def test_admissible_set_classification(swap_pair):
     est = limit_estimates(birkhoff_table(swap_pair, n_max=4))
-    adm = admissible_set(est)
-    assert adm.classify(3) == "admissible"
-    assert adm.classify(1.5) == "not_admissible"
-    assert adm.classify(0) == "excluded_zero"
-    assert not adm.contains(0)
-    assert adm.contains(-5)
-    assert adm.classify(2) == "not_admissible"  # closed gap endpoint
+    assert est.classify(3) == "admissible"
+    assert est.classify(1.5) == "not_admissible"
+    assert est.classify(0) == "excluded_zero"
+    assert not est.contains(0)
+    assert est.contains(-5)
+    assert est.classify(2) == "not_admissible"  # closed gap endpoint
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_classify_refuses_a_size_that_is_not_finite(swap_pair, k):
+    # nan was "not_admissible" and +-inf "admissible"
+    est = limit_estimates(birkhoff_table(swap_pair, n_max=4))
+    with pytest.raises(ValidationError, match="size k must be finite"):
+        est.classify(k)
+    with pytest.raises(ValidationError, match="size k must be finite"):
+        est.contains(k)
+
+
+def test_tolerance_is_the_numeric_error_bound(golden_cos, golden_strict):
+    heuristic = limit_estimates(birkhoff_extrema(golden_cos, 64, n_max=50))
+    strict = limit_estimates(birkhoff_extrema(golden_strict, 64, n_max=50))
+    assert heuristic.error_bound == "heuristic" and heuristic.tolerance == 0.0
+    assert strict.tolerance == strict.error_bound > 0
+    assert "tolerance" not in encoded(strict)  # a property, not a payload field
 
 
 @pytest.mark.parametrize("mean", ["1/3", "1/4", "-2/7"])
-def test_exact_gap_is_compared_exactly(mean):
+def test_exact_gap_is_compared_exactly(mean, tmp_path):
     # the floats around an exact gap endpoint, against a Fraction oracle: a
     # Fraction minus a float tolerance 0.0 was a float, so float(1/3) < 1/3
     # was classified inside the gap
     sys = finite_permutation_system([0], [mean])
-    adm = admissible_set(limit_estimates(birkhoff_extrema(sys, n_max=2)))
-    assert adm.exact and adm.tolerance == 0.0 and encoded(adm)["tolerance"] == 0.0
+    est = limit_estimates(birkhoff_extrema(sys, n_max=2))
+    assert est.exact and est.tolerance == 0.0
+    system = {"space": {"kind": "finite", "size": 1},
+              "map": {"type": "permutation", "table": [0]}, "factor": [mean]}
+    report, code = cli.run(cli.RunConfig(command="admissible", system=system, n_max=2,
+                                         out=str(tmp_path / "run")))
+    assert code == 0 and report["payload"]["admissible_set"]["tolerance"] == 0.0
     m = Fraction(mean)
     near = float(m)
     for k in (math.nextafter(near, -math.inf), near, math.nextafter(near, math.inf)):
         inside = Fraction(k) == m
-        assert adm.contains(k) == (not inside)
-        assert adm.classify(k) == ("not_admissible" if inside else "admissible")
+        assert est.contains(k) == (not inside)
+        assert est.classify(k) == ("not_admissible" if inside else "admissible")
 
 
 def test_action_power_matches_average_displacement(swap_pair):
@@ -619,10 +641,8 @@ def test_streamed_extrema_memory_is_o_of_p():
     # one (2000, 4096) float64 array is 65.5 MB; the stream keeps O(P) rows
     import tracemalloc
 
-    from lcsdyn import strict_rotation_system
-
-    sys = strict_rotation_system("golden", {"type": "trig", "sin": [[1, 1.0]]},
-                                 grid_resolution=4096)
+    f = {"type": "trig", "sin": [[1, 1.0]]}
+    sys = rotation_system("golden", {"type": "coboundary", "f": f}, grid_resolution=4096)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

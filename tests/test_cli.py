@@ -16,10 +16,10 @@ from lcsdyn import cli
 from lcsdyn.birkhoff import birkhoff_table, limit_estimates
 from lcsdyn.core import (
     coboundary_system,
-    generating_span,
     orbit_array,
     reference_points,
     rotation_system,
+    sampled_bounds,
 )
 from lcsdyn.torus import VERDICT_ESCAPE, ProbeReport
 
@@ -161,7 +161,8 @@ def test_probe_at_a_subnormal_size_gets_the_exact_telescoping_bound(tmp_path, k)
     rep, = report["payload"]["reports"]
     assert rep["verdict"] == VERDICT_ESCAPE and rep["certificate"] == "telescoping-bound"
     sys_ = cli.system_from_config(STRICT_SYSTEM)
-    V = generating_span(sys_, reference_points(sys_))
+    f_lo, f_hi = sampled_bounds(sys_, sys_.generating_f, reference_points(sys_))
+    V = f_hi - f_lo
     width = rep["band"][1] - rep["band"][0]
     assert rep["escape_bound"] == math.floor(Fraction(width + V) / Fraction(k)) + 1
 
@@ -819,6 +820,17 @@ def test_oversized_k_range_is_a_budget_error(tmp_path, capsys, k_range):
     assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 3
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diag["error"] == "BudgetError"
+
+
+@pytest.mark.parametrize("command", ["probe", "analyze"])
+def test_an_n_max_past_the_budget_is_a_budget_error(tmp_path, capsys, command):
+    # a cycle-exact probe never walks: it exited 0 and reported n_max = 10**12
+    system = {"space": {"kind": "finite", "size": 3},
+              "map": {"type": "permutation", "table": [1, 2, 0]},
+              "factor": ["1/2", "-1/4", "1/4"]}
+    _, code = cli.run(cli.RunConfig(command=command, system=system, k=1.0, n_max=10**12,
+                                    out=str(tmp_path / "r")))
+    assert code == 3 and _diag_of(capsys)["error"] == "BudgetError"
 
 
 @pytest.mark.parametrize("command,system", [

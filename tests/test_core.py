@@ -17,7 +17,6 @@ from lcsdyn import (
     action_orbit,
     finite_permutation_system,
     rotation_system,
-    strict_rotation_system,
 )
 from lcsdyn.core import (
     DEFAULT_MAX_ITERATIONS,
@@ -377,7 +376,7 @@ def _scalar_sin(x):
 def test_coboundary_rows_equal_stepwise_walk(angle, f, n, inverse):
     cat = angle == "cat"
     sys = (cat_map_system({"type": "coboundary", "f": f}, grid_resolution=8) if cat
-           else strict_rotation_system(angle, f, grid_resolution=64))
+           else rotation_system(angle, {"type": "coboundary", "f": f}, grid_resolution=64))
     rng = np.random.default_rng(3)
     edge = [[0.0, 1 - 2.0**-53]] if cat else [0.0, 1 - 2.0**-53]
     pts = np.concatenate([sys.space.sample_points(), rng.random((9, 2) if cat else 9), edge])
@@ -398,7 +397,7 @@ def test_coboundary_walk_evaluates_f_once_per_cell(n):
         calls.append(np.shape(x))
         return np.sin(2 * np.pi * np.asarray(x, dtype=float))
 
-    sys = strict_rotation_system("golden", f, grid_resolution=32)
+    sys = rotation_system("golden", {"type": "coboundary", "f": f}, grid_resolution=32)
     pts = sys.space.sample_points()
     calls.clear()
     rows = orbit_array(sys, pts, n)

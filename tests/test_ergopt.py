@@ -16,7 +16,6 @@ from lcsdyn import (
     is_strict_finite,
     limit_estimates,
     rotation_system,
-    strict_rotation_system,
 )
 from lcsdyn import birkhoff, core
 from lcsdyn.core import GOLDEN_ANGLE, ValidationError, orbit_array

@@ -30,7 +30,7 @@ from lcsdyn.core import (
     finite_permutation_system,
     fraction_bytes,
     join_rows,
-    strict_rotation_system,
+    rotation_system,
     sum_dtype,
 )
 from lcsdyn.ergopt import coboundary_optima
@@ -397,8 +397,8 @@ def _float_perm():
 
 
 def _strict_golden():
-    return strict_rotation_system(GOLDEN_ANGLE, {"type": "trig", "sin": [[1, 1.0]]},
-                                  grid_resolution=64)
+    f = {"type": "trig", "sin": [[1, 1.0]]}
+    return rotation_system(GOLDEN_ANGLE, {"type": "coboundary", "f": f}, grid_resolution=64)
 
 
 @pytest.mark.parametrize("make,n_max", [(_int64_perm, 25), (_object_perm, 20),

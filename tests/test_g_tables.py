@@ -16,7 +16,14 @@ import pytest
 
 from lcsdyn import build_cutoff, build_g, build_mu, cat_map_system, core
 from lcsdyn import finite_permutation_system, rotation_system
-from lcsdyn.core import FINITE, eval_factor, factor_range, point_batch, step_points
+from lcsdyn.core import (
+    FINITE,
+    eval_factor,
+    point_batch,
+    reference_points,
+    sampled_bounds,
+    step_points,
+)
 from lcsdyn.torus import MuConstruction, _averaged_tables, _float_orbit
 
 from conftest import scalar_factor, scalar_map
@@ -117,7 +124,7 @@ class RefG:
 
 
 def ref_build_g(sys, k):
-    _hmin, hmax = factor_range(sys)
+    _hmin, hmax = sampled_bounds(sys, sys.factor, reference_points(sys))
     if hmax < k:
         eps = 0.5 * (k - hmax)
         return RefG(sys, k, build_cutoff(1.0 / (1.0 - eps / k)), False, None, sys)

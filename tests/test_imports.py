@@ -33,3 +33,22 @@ def test_no_module_level_import_goes_unread():
 def test_an_unread_import_is_found():
     tree = ast.parse("import os\nfrom math import pi, tau as t\n\ndef f():\n    return pi\n")
     assert _unread_imports(tree, "m") == ["m.py:1 os", "m.py:2 t"]
+
+
+def test_the_public_api_is_this_list():
+    # a change to the public surface is an edit of this list
+    import lcsdyn
+
+    assert sorted(lcsdyn.__all__) == [
+        "BirkhoffTable", "BudgetError", "ConformalSystem", "CutoffFunction",
+        "CycleDecomposition", "DomainError", "ElasticitySet", "GOLDEN_ANGLE",
+        "LimitEstimate", "LiouvilleProfile", "ModelSpace", "NotFoundError",
+        "OptimizationResult", "PeriodGroup", "ProbeReport", "ValidationError",
+        "action_orbit", "birkhoff", "birkhoff_extrema", "birkhoff_table", "build_cutoff",
+        "build_g", "build_mu", "cat_map_system", "coboundary_optima",
+        "coboundary_residual_curve", "coboundary_system", "core", "cycle_mean_extrema",
+        "elastic", "elasticity_from_profile", "ergopt", "finite_permutation_system",
+        "first_kind_test", "is_strict_finite", "lcs_rank", "limit_estimates",
+        "mapping_torus_profile", "probe_sweep", "rotation_system", "torus",
+        "transfer_potential",
+    ]

@@ -17,11 +17,12 @@ from lcsdyn.core import (
     cat_map_system,
     coboundary_system,
     eval_factor,
-    factor_range,
     finite_permutation_system,
     orbit_array,
     orbit_blocks,
+    reference_points,
     rotation_system,
+    sampled_bounds,
     step_points,
     sum_dtype,
 )
@@ -146,7 +147,7 @@ def _residuals_by_rows(sys, pts, n_max):
 def _first_returns_by_rows(sys, pts, ks, n_max):
     """j -> (n, p, t) of the first in-band return of size ks[j], in
     row-major order: ``probe_sweep``'s scan, one row at a time."""
-    hmin, hmax = factor_range(sys)
+    hmin, hmax = sampled_bounds(sys, sys.factor, reference_points(sys))
     kv = np.array(ks)[:, None]
     lo, hi = np.array([torus._band(hmin, hmax, k) for k in ks]).T[:, :, None]
     t0 = np.where((lo <= 0.0) & (0.0 <= hi), 0.0, 0.5 * (lo + hi))
@@ -199,7 +200,7 @@ def test_block_boundaries_match_per_row_loops(monkeypatch, name, rows):
 def test_probe_witnesses_match_the_per_row_scan(monkeypatch, name):
     sys, n_max = _systems()[name], 40
     pts = sys.space.sample_points(8)
-    hmin, hmax = factor_range(sys)
+    hmin, hmax = sampled_bounds(sys, sys.factor, reference_points(sys))
     ks = [k for k in np.linspace(hmin, hmax, 15)[1:-1] if k != 0.0]
     first = _first_returns_by_rows(sys, pts, ks, n_max)
     on_boundary = False
@@ -411,7 +412,7 @@ def _unfiltered_probe(sys, ks, n_max, starts):
     ``probe_sweep`` decides them on continuous systems without a stored f,
     with every (size, n, p) of the orbit scanned for returns."""
     pts = sys.space.sample_points(starts)
-    hmin, hmax = factor_range(sys)
+    hmin, hmax = sampled_bounds(sys, sys.factor, reference_points(sys))
     kv = np.array(ks)[:, None]
     bands = [torus._band(hmin, hmax, k) for k in ks]
     lo, hi = np.array(bands).T[:, :, None]
@@ -457,7 +458,7 @@ def test_probe_prescreen_equals_the_unfiltered_scan(name, n_max):
         sys = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]},
                               grid_resolution=1024)
         starts = 64
-    hmin, hmax = factor_range(sys)
+    hmin, hmax = sampled_bounds(sys, sys.factor, reference_points(sys))
     ks = np.linspace(hmin - 0.3, hmax + 0.3, 41).tolist() + [0.0, hmin, hmax]
     pts, want = _unfiltered_probe(sys, ks, n_max, starts)
     got = torus.probe_sweep(sys, ks, n_max=n_max, starts=starts)

@@ -193,6 +193,37 @@ def test_action_orbit_checks_its_inputs(cycle3, golden_cos):
         action_orbit(cycle3, 0, 0, 1, DEFAULT_MAX_ITERATIONS + 1)
 
 
+def test_probe_checks_n_max_against_the_budget():
+    # a cycle-exact sweep never walks, so it reported n_max = 10**12 with exit 0
+    sys = finite_permutation_system([1, 2, 0], ["1/2", "-1/4", "1/4"])
+    with pytest.raises(BudgetError, match="n_max = 1000000000000 exceeds iteration budget"):
+        probe_sweep(sys, [1.0], n_max=10**12)
+    with pytest.raises(ValidationError, match="n_max must be >= 1"):
+        probe_sweep(sys, [1.0], n_max=0)
+
+
+def test_build_mu_checks_n_scan_by_its_own_name(golden_cos):
+    # the message was birkhoff_extrema's "n_max must be >= 1"
+    with pytest.raises(ValidationError, match="n_scan must be >= 1"):
+        build_mu(golden_cos, 2.0, (-2, 2), n_scan=0)
+    with pytest.raises(BudgetError, match="n_scan = "):
+        build_mu(golden_cos, 2.0, (-2, 2), n_scan=DEFAULT_MAX_ITERATIONS + 1)
+
+
+def test_an_empty_sample_is_a_validation_error(golden_cos):
+    # build_g raised NumPy's "zero-size array to reduction operation minimum"
+    from lcsdyn import birkhoff_extrema
+
+    calls = [lambda: build_g(golden_cos, 2.0, (-2, 2), points=[]),
+             lambda: build_mu(golden_cos, 2.0, (-2, 2), points=[]),
+             lambda: birkhoff_extrema(golden_cos, points=[]),
+             lambda: probe_sweep(golden_cos, [2.0], starts=[]),
+             lambda: golden_cos.space.sample_points(np.zeros(0))]
+    for call in calls:
+        with pytest.raises(ValidationError, match="empty sample"):
+            call()
+
+
 def test_action_orbit_at_a_huge_size_is_infinite_without_a_warning(golden_cos):
     # m k overflows from m = 2 on; the suite turns a warning into an error
     xs, ts = action_orbit(golden_cos, 0.0, 0.0, 1e308, 4)
@@ -287,14 +318,14 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
     range, cycle decomposition and whole (n_max, P) table of partial sums.
     On an exact table k is a cycle mean only when Fraction(k) is one."""
     from lcsdyn import ergopt
-    from lcsdyn.core import eval_factor, factor_range, orbit_array, reference_points
+    from lcsdyn.core import eval_factor, orbit_array, reference_points, sampled_bounds
     from lcsdyn.torus import ProbeReport, Witness
 
     k = float(k)
     if starts is None:
         starts = sys.space.size if sys.space.kind == "finite" else 64
     pts = sys.space.sample_points(starts)
-    hmin, hmax = factor_range(sys)
+    hmin, hmax = sampled_bounds(sys, sys.factor, reference_points(sys))
     lo, hi = -max(hmax, k - hmin), -min(hmin, k - hmax)
     width = hi - lo
     heuristic = sys.space.kind != "finite"
@@ -355,7 +386,7 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
 
 def _sweep_case(name):
     """(system, sizes, n_max, starts, certificates the sweep must show)."""
-    from lcsdyn import cat_map_system, strict_rotation_system
+    from lcsdyn import cat_map_system
 
     if name == "golden-cos":
         sys = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]}, grid_resolution=128)
@@ -368,8 +399,8 @@ def _sweep_case(name):
         starts = pts[np.random.default_rng(0).permutation(len(pts))][:24].tolist()
         return sys, np.arange(-2.0, 2.25, 0.25), 200, starts, {"envelope", "orbit-returns", "none"}
     if name == "strict":
-        sys = strict_rotation_system("golden", {"type": "trig", "sin": [[1, 1.0]]},
-                                     grid_resolution=512)
+        f = {"type": "trig", "sin": [[1, 1.0]]}
+        sys = rotation_system("golden", {"type": "coboundary", "f": f}, grid_resolution=512)
         return sys, [-1.0, -0.5, 0.0, 0.5, 1.0], 1000, None, {"telescoping-bound", "orbit-returns"}
     if name == "identity":
         sys = rotation_system(0.0, {"type": "trig", "cos": [[1, 1.0]]})
@@ -396,7 +427,7 @@ def test_probe_sweep_equals_per_size_probes(name):
 def test_probe_sweep_shares_the_k_independent_work(monkeypatch):
     from lcsdyn import ergopt, torus
 
-    calls = {"factor_range": 0, "cycles": 0, "residual": 0}
+    calls = {"sampled_bounds": 0, "cycles": 0, "residual": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -404,14 +435,14 @@ def test_probe_sweep_shares_the_k_independent_work(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(torus, "factor_range", counted("factor_range", torus.factor_range))
+    monkeypatch.setattr(torus, "sampled_bounds", counted("sampled_bounds", torus.sampled_bounds))
     monkeypatch.setattr(ergopt, "cycle_mean_extrema",
                         counted("cycles", ergopt.cycle_mean_extrema))
     monkeypatch.setattr(torus, "_cycle_residual_bound",
                         counted("residual", torus._cycle_residual_bound))
     sys, ks, n_max, starts, _ = _sweep_case("perm")
     assert len(torus.probe_sweep(sys, ks, n_max=n_max, starts=starts)) == len(ks)
-    assert calls == {"factor_range": 1, "cycles": 1, "residual": 1}
+    assert calls == {"sampled_bounds": 1, "cycles": 1, "residual": 1}
 
 
 def test_probe_decides_an_exact_cycle_mean_exactly():
@@ -1033,7 +1064,9 @@ def test_mu_cocycle_residual_draws_one_row_per_pair(name, k, monkeypatch):
     got_x, got_t = calls[1]  # mu(rho(x, t)), then mu(x, t)
     assert np.array_equal(got_x, np.array(xs)) and got_x.dtype == np.array(xs).dtype
     assert np.array_equal(got_t, np.array(ts))
-    assert mu.mu_cocycle_residual(samples=0) == 0.0
+    for samples in (0, -5):  # no samples are no evidence of a cocycle: 0.0 was returned
+        with pytest.raises(ValidationError, match="samples must be >= 1"):
+            mu.mu_cocycle_residual(samples=samples)
 
 
 def _count_passes(monkeypatch):
