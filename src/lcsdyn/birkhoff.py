@@ -20,7 +20,8 @@ denominator D of the factor table: every A_n at one n shares the
 denominator n * D, so the per-n extrema are integer comparisons.  Fractions
 are built only at the boundary (extrema curves, table values, residuals);
 ``table_to_csv`` writes its exact cells from the integer sums as bytes
-(``core.fraction_bytes``) and builds none.
+(``core.fraction_bytes``) and builds none.  Both CSV writers hand their
+columns to ``core.write_csv``, the one writer of every CSV artifact.
 
 The ``LimitEstimate`` of ``limit_estimates`` holds the gap [L-, L+] and
 classifies the sizes k against it itself.
@@ -44,12 +45,12 @@ from .core import (
     finite_size,
     fraction_bytes,
     integer_array,
-    join_rows,
     orbit_blocks,
     sampled_bounds,
     scaled_floats,
     step_points,  # unused here; perfbench/test_smoke.py checks its tracing rebinds it
     sum_dtype,
+    write_csv,
 )
 
 
@@ -125,20 +126,17 @@ class LimitEstimate:
         return 0.0 if self.exact or isinstance(self.error_bound, str) else float(self.error_bound)
 
     def contains(self, k) -> bool:
-        """Whether the size k is admissible; a k that is not finite is a
-        ValidationError."""
-        finite_size(k)
-        if k == 0:
-            return False
-        tol = self.tolerance or 0  # a Fraction minus 0.0 would be a float
-        return k < self.L_minus - tol or k > self.L_plus + tol
+        """Whether the size k is admissible."""
+        return self.classify(k) == "admissible"
 
     def classify(self, k) -> str:
+        """The verdict on the size k, a finite number (``core.finite_size``)."""
+        finite_size(k)
         if k == 0:
             return "excluded_zero"
-        if self.contains(k):
+        tol = self.tolerance or 0  # a Fraction minus 0.0 would be a float
+        if k < self.L_minus - tol or k > self.L_plus + tol:
             return "admissible"
-        tol = self.tolerance or 0
         if self.L_minus + tol <= k <= self.L_plus - tol:
             return "not_admissible"
         # within `tolerance` of a gap endpoint; decisive only for tolerance 0
@@ -383,67 +381,47 @@ def table_to_csv(table: BirkhoffTable, path):
     Exact cells are written from the integer sums S_n * scale as the bytes
     of the str of their Fractions (``core.fraction_bytes``): only the S_n
     and A_n cells, since an envelope cell is the A_n cell at its suffix's
-    extreme order.  Float cells are reprs.  Rows are point-major, n within
-    each point, and are written a block of points at a time.
+    extreme order.  Float cells are reprs, and a torus point is its
+    coordinates' reprs joined by ":".  Rows are point-major, n within each
+    point, and ``core.write_csv`` writes them a block of points at a time.
     """
-    sys, n_max = table.system, table.n_max
-
-    def fmt_point(p):
-        if sys.space.kind == FINITE:
-            return str(int(p))
-        if np.ndim(p) == 0:
-            return repr(float(p))
-        return ":".join(repr(float(c)) for c in p)
-
+    sys, n_max, points = table.system, table.n_max, table.points
+    if sys.space.kind == FINITE:
+        labels = decimal_bytes(points)
+    else:
+        labels = np.array([":".join(map(repr, p))
+                           for p in points.reshape(len(points), -1).tolist()], dtype=bytes)
+    ns = decimal_bytes(np.arange(1, n_max + 1))
     if sys.exact:
         S = table.running_sums
         orders = integer_array([n * sys.scale for n in range(1, n_max + 1)])[None, :]
         # one envelope pass over the whole table; each block takes its columns
         suffix = [_suffix_rows(S, better) for better in (np.less, np.greater)]
-        ns = decimal_bytes(np.arange(1, n_max + 1))
 
-        def rows(block):  # point-major; an envelope cell is a row of the A_n block
+        def cells(block):  # point-major; an envelope cell is a row of the A_n block
             sums = S[:, block].T  # a row per point
             A = fraction_bytes(*_lowest_terms(sums, orders))
             first = n_max * np.arange(len(sums))[:, None]  # each point's first row of A
-            return join_rows([np.repeat(decimal_bytes(table.points[block]), n_max, axis=0),
-                              np.tile(ns, (len(sums), 1)),
-                              fraction_bytes(*_lowest_terms(sums, sys.scale)), A,
-                              *(A[(r[:, block].T + first).ravel()] for r in suffix)])
+            return [fraction_bytes(*_lowest_terms(sums, sys.scale)), A,
+                    *(A[(r[:, block].T + first).ravel()] for r in suffix)]
     else:
         arrays = table.columns()
-        labels = list(map(fmt_point, table.points))
-        ns = [f",{n}," for n in range(1, n_max + 1)]
 
-        def rows(block):
-            cols = [list(map(repr, a[:, block].T.ravel().tolist())) for a in arrays]
-            heads = [label + n for label in labels[block] for n in ns]
-            return "".join([f"{h}{s},{a},{e},{E}\r\n"
-                            for h, s, a, e, E in zip(heads, *cols)]).encode()
+        def cells(block):
+            return [list(map(repr, a[:, block].T.ravel().tolist())) for a in arrays]
 
     step = max(1, CSV_CHUNK_ROWS // n_max)
-    with open(path, "wb") as fh:
-        fh.write(b"point,n,S_n,A_n,env_minus,env_plus\r\n")
-        for lo in range(0, len(table.points), step):
-            fh.write(rows(slice(lo, lo + step)))
+    blocks = (slice(lo, lo + step) for lo in range(0, len(points), step))
+    write_csv(path, "point,n,S_n,A_n,env_minus,env_plus",
+              ([np.repeat(labels[b], n_max, axis=0), np.tile(ns, (len(labels[b]), 1)), *cells(b)]
+               for b in blocks))
 
 
 def extrema_to_csv(table: BirkhoffExtrema, path):
-    """Dump the extrema curves (one row per n) for plotting.  No cell needs
-    CSV quoting (ints, float reprs and "p/q"), so each row is one joined
-    string, with the "\r\n" line end of ``csv.writer``, streamed to the
-    file."""
-    ex = table.extrema_per_n
-    cols = [_csv_column(ex[key]) for key in
-            ("min_avg", "max_avg", "inf_env_minus", "sup_env_plus")]
-    with open(path, "w", newline="") as fh:
-        fh.write("n,min_avg,max_avg,inf_env_minus,sup_env_plus\r\n")
-        fh.writelines(f"{n},{a},{b},{e},{E}\r\n"
-                      for n, a, b, e, E in zip(range(1, table.n_max + 1), *cols))
-
-
-def _csv_column(values):
-    """CSV cells of a value array: exact values (Fractions or their strings)
-    as "p/q", floats by repr."""
-    values = np.asarray(values)
-    return list(map(str if values.dtype == object else repr, values.tolist()))
+    """Dump the extrema curves (one row per n) for plotting: exact values
+    (Fractions) as "p/q", floats by repr."""
+    ex, cell = table.extrema_per_n, str if table.exact else repr
+    write_csv(path, "n,min_avg,max_avg,inf_env_minus,sup_env_plus",
+              [[decimal_bytes(np.arange(1, table.n_max + 1)),
+                *(list(map(cell, ex[key].tolist())) for key in
+                  ("min_avg", "max_avg", "inf_env_minus", "sup_env_plus"))]])

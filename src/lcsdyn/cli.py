@@ -42,9 +42,10 @@ from .core import (
     check_keys,
     decimal_bytes,
     finite_permutation_system,
+    finite_size,
     fraction_bytes,
-    join_rows,
     rotation_system,
+    write_csv,
 )
 
 COMMANDS = ("analyze", "admissible", "probe", "optimize", "construct",
@@ -272,18 +273,10 @@ def _points_spec(value, what: str):
                           f'{{"grid": n, "seeds": [points]}}, got {value!r}')
 
 
-def _size(value) -> float:
-    """A mapping-torus size k: a finite number."""
-    k = _number(value, "k")
-    if not math.isfinite(k):
-        raise ValidationError(f"k must be finite, got {value!r}")
-    return k
-
-
 def _k_values(config: RunConfig):
     ks = []
     if config.k is not None:
-        ks.append(_size(config.k))
+        ks.append(finite_size(config.k, "k"))
     if config.k_range is not None:
         if not isinstance(config.k_range, (list, tuple)) or len(config.k_range) != 3:
             raise ValidationError("k_range expects [a, b, step]")
@@ -400,16 +393,15 @@ def _write_probe_trace(sys_, report, config, out_dir):
     xs, ts = torus.action_orbit(sys_, start, 0.0, report.k, min(config.n_max, 2000))
     # every coordinate a float (finite states too), as repr writes it
     coords = np.asarray(xs, dtype=float).reshape(len(ts), -1).tolist()
-    with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
-        fh.write("n,x,t\r\n" + "".join([f"{n},{':'.join(map(repr, x))},{t!r}\r\n"
-                                        for n, (x, t) in enumerate(zip(coords, ts.tolist()))]))
+    write_csv(os.path.join(out_dir, "trace.csv"), "n,x,t",
+              [[decimal_bytes(np.arange(len(ts))), [":".join(map(repr, x)) for x in coords],
+                list(map(repr, ts.tolist()))]])
 
 
 def _write_phase_table(reports, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("k,verdict,escape_bound\r\n" + "".join([
-            f"{float(r.k)!r},{r.verdict},{'' if r.escape_bound is None else r.escape_bound}\r\n"
-            for r in reports]))
+    write_csv(path, "k,verdict,escape_bound",
+              [[[repr(float(r.k)) for r in reports], [r.verdict for r in reports],
+                ["" if r.escape_bound is None else str(r.escape_bound) for r in reports]]])
 
 
 def _cmd_optimize(config, sys_, out_dir):
@@ -433,20 +425,17 @@ def _write_potential_csv(sys_, result, path):
     if table is None:
         return
     if isinstance(table, RationalTable):  # its integers are in lowest terms
-        body = join_rows([decimal_bytes(np.arange(len(table))),
-                          fraction_bytes(table.numerators, table.denominators)])
-    else:  # str of a Python float is its repr
-        body = "".join([f"{i},{c}\r\n" for i, c in
-                        enumerate(map(str, np.asarray(table).tolist()))]).encode()
-    with open(path, "wb") as fh:
-        fh.write(b"index,f\r\n" + body)
+        cells = fraction_bytes(table.numerators, table.denominators)
+    else:
+        cells = list(map(repr, np.asarray(table).tolist()))
+    write_csv(path, "index,f", [[decimal_bytes(np.arange(len(table))), cells]])
 
 
 def _cmd_construct(config, sys_, out_dir):
     if config.k is None:
         raise ValidationError("construct needs --k")
-    mu = torus.build_mu(sys_, _size(config.k), _t_window(config), n_scan=_n_scan(config),
-                        points=_points_spec(config.grid, "grid"))
+    mu = torus.build_mu(sys_, finite_size(config.k, "k"), _t_window(config),
+                        n_scan=_n_scan(config), points=_points_spec(config.grid, "grid"))
     g = mu.gcons
     # the margin and the mu residual first: a failing check raises as before
     slope_margin = g.slope_margin()
@@ -481,7 +470,7 @@ def _cmd_elasticity(config, sys_, out_dir):
         if config.k is None:
             raise ValidationError("elasticity from a system needs --k")
         profile = elastic.mapping_torus_profile(
-            sys_, _size(config.k), _t_window(config),
+            sys_, finite_size(config.k, "k"), _t_window(config),
             n_scan=_n_scan(config),
             points=_points_spec(config.grid, "grid"),
             strict_mu=_strict_mu(config),

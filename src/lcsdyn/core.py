@@ -16,8 +16,9 @@ table is rational are evaluated in exact arithmetic: on the integers h * D, D
 the common denominator of the table, with Fractions only at the boundary.
 Every rational table is held as integer numerators and denominators (a
 ``RationalTable``; a table of "p/q" strings is parsed straight into them),
-whose Fractions are built only when a caller reads them, and exact CSV cells
-are written from the integers as NUL-padded byte blocks (``decimal_bytes``).
+whose Fractions are built only when a caller reads them.  Exact CSV cells
+are written from the integers as NUL-padded byte blocks (``decimal_bytes``),
+and ``write_csv``, the one writer of every CSV artifact, ends every row.
 ``int_dtype`` alone decides whether such integers are int64 or Python ints.
 """
 
@@ -175,6 +176,20 @@ def join_rows(fields) -> bytes:
     return np.hstack(parts + [eol]).tobytes().translate(None, b"\0")
 
 
+def write_csv(path, header: str, blocks):
+    """Write a CSV artifact: the header, then each block of rows through
+    ``join_rows`` (rows end in "\r\n").  A block is a list of columns of one
+    length N, a column an (N, w) uint8 cell block (``decimal_bytes``) or N
+    ASCII strings; ``blocks`` may be a generator, read a block at a time."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\r\n")
+        for block in blocks:  # strings become NUL-padded blocks; "" is an empty cell
+            block = [c if isinstance(c, np.ndarray) and c.dtype == np.uint8
+                     else np.array(c, dtype=bytes).reshape(-1, 1).view(np.uint8) for c in block]
+            fh.write(join_rows(block))
+            del block  # so that the next block is formed without this one
+
+
 def scaled_floats(ints, denominators) -> np.ndarray:
     """Integers over positive denominators (broadcast together) as float64,
     each rounded as float(Fraction(i, d)) is: correctly.  Integers below 2^53
@@ -293,6 +308,8 @@ def point_batch(space: ModelSpace, x):
     """
     numeric = isinstance(x, np.ndarray) and x.dtype.kind in "iuf"
     raw = x if numeric else np.asarray(x, dtype=object)
+    if space.kind == TORUS2 and raw.shape == (0,):
+        raw = raw.reshape(0, 2)  # an empty list is an empty batch, not a point
     single = raw.ndim == (1 if space.kind == TORUS2 else 0)
     raw = raw[None] if single else raw
     bad = set() if numeric else {t.__name__ for t in set(map(type, raw.ravel().tolist()))
@@ -342,7 +359,6 @@ class ConformalSystem:
     space: ModelSpace
     factor: object
     map_kind: dict
-    label: str = ""
 
     @property
     def perm_table(self) -> np.ndarray | None:
@@ -412,19 +428,27 @@ class ConformalSystem:
 
 
 def check_order(n: int, name: str = "n", least: int = 1):
-    """An orbit order n: below ``least`` is a ValidationError, above the
-    iteration budget a BudgetError."""
+    """An orbit order n: a non-integer (a bool; NumPy ints are integers) or
+    one below ``least`` is a ValidationError, one above the budget a BudgetError."""
+    if not _is_integer(n):
+        raise ValidationError(f"{name} must be an integer, got {n!r}")
     if n < least:
         raise ValidationError(f"{name} must be >= {least}")
     if n > DEFAULT_MAX_ITERATIONS:
         raise BudgetError(f"{name} = {n} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
 
 
-def finite_size(k) -> float:
-    """k as a float; a size that is not finite is a ValidationError."""
-    if not math.isfinite(float(k)):
-        raise ValidationError("size k must be finite")
-    return float(k)
+def finite_size(k, name: str = "size k") -> float:
+    """k as a float; a bool, a non-number or a non-finite k is a ValidationError."""
+    if not _is_real(k):
+        raise ValidationError(f"{name} must be a number, got {k!r}")
+    try:
+        v = float(k)
+    except OverflowError:  # an int or a Fraction past the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValidationError(f"{name} must be finite, got {k!r}")
+    return v
 
 
 def step_points(sys: ConformalSystem, pts, inverse: bool = False):
@@ -775,7 +799,7 @@ def _integer_matrix(matrix) -> list:
     return [[int(v) for v in row] for row in a]
 
 
-def rotation_system(angle, factor, grid_resolution: int = 256, label: str = "",
+def rotation_system(angle, factor, grid_resolution: int = 256,
                     tol_inverse: float = DEFAULT_TOL_INVERSE) -> ConformalSystem:
     """Rigid rotation x -> x + angle mod 1 with the given factor.
 
@@ -786,17 +810,13 @@ def rotation_system(angle, factor, grid_resolution: int = 256, label: str = "",
     """
     a = _rotation_angle(angle)
     space = ModelSpace(CIRCLE, grid_resolution=grid_resolution)
-    sys = ConformalSystem(
-        space=space,
-        factor=_factor_record(space.kind, factor),
-        label=label or f"rotation(angle={a:.6g})",
-        map_kind={"kind": "rotation", "angle": a},
-    )
+    sys = ConformalSystem(space=space, factor=_factor_record(space.kind, factor),
+                          map_kind={"kind": "rotation", "angle": a})
     return _validate(sys, tol_inverse)
 
 
 def cat_map_system(factor, matrix=((2, 1), (1, 1)), grid_resolution: int = 64,
-                   label: str = "", tol_inverse: float = DEFAULT_TOL_INVERSE) -> ConformalSystem:
+                   tol_inverse: float = DEFAULT_TOL_INVERSE) -> ConformalSystem:
     """Linear toral automorphism given by an integer matrix of determinant +-1.
 
     The inverse map uses the exact integer inverse matrix, so inverses carry
@@ -808,17 +828,13 @@ def cat_map_system(factor, matrix=((2, 1), (1, 1)), grid_resolution: int = 64,
         raise ValidationError(f"matrix determinant must be +-1, got {det}")
     inv = [[det * m[1][1], -det * m[0][1]], [-det * m[1][0], det * m[0][0]]]
     space = ModelSpace(TORUS2, grid_resolution=grid_resolution)
-    sys = ConformalSystem(
-        space=space,
-        factor=_factor_record(space.kind, factor),
-        label=label or "toral automorphism",
-        map_kind={"kind": "linear2", "matrix": tuple(map(tuple, m)),
-                  "inverse": tuple(map(tuple, inv))},
-    )
+    sys = ConformalSystem(space=space, factor=_factor_record(space.kind, factor),
+                          map_kind={"kind": "linear2", "matrix": tuple(map(tuple, m)),
+                                    "inverse": tuple(map(tuple, inv))})
     return _validate(sys, tol_inverse)
 
 
-def finite_permutation_system(table, factor_values, label: str = "") -> ConformalSystem:
+def finite_permutation_system(table, factor_values) -> ConformalSystem:
     """Permutation of m states with a per-state factor table.
 
     Integer, Fraction and "p/q" factor entries give exact rational arithmetic
@@ -843,13 +859,9 @@ def finite_permutation_system(table, factor_values, label: str = "") -> Conforma
     values = list(factor_values)
     if len(values) != m:
         raise ValidationError("factor table length does not match state count")
-    vals = _factor_table(values)
-    return ConformalSystem(
-        space=ModelSpace(FINITE, size=m),
-        factor={"type": "table", "values": vals},
-        label=label or f"permutation on {m} states",
-        map_kind={"kind": "permutation", "table": fwd, "inverse": inv},
-    )
+    return ConformalSystem(space=ModelSpace(FINITE, size=m),
+                           factor={"type": "table", "values": _factor_table(values)},
+                           map_kind={"kind": "permutation", "table": fwd, "inverse": inv})
 
 
 def coboundary_system(sys: ConformalSystem, f) -> ConformalSystem:
@@ -857,14 +869,13 @@ def coboundary_system(sys: ConformalSystem, f) -> ConformalSystem:
     that give every conformal factor of one contactomorphism.  A finite table
     gives a table (exact where h and every f(i) are); elsewhere f is a factor
     spec, and the record a coboundary of f with base h."""
-    label = f"{sys.label} + coboundary"
     h = sys.factor_table
     if h is not None:
         fv, tbl = [f(i) for i in range(len(h))], sys.perm_table.tolist()
         vals = [h[i] + fv[i] - fv[tbl[i]] for i in range(len(h))]
-        return replace(sys, factor={"type": "table", "values": _factor_table(vals)}, label=label)
-    return replace(sys, label=label, factor={"type": "coboundary", "base": sys.factor,
-                                             "f": _factor_record(sys.space.kind, f)})
+        return replace(sys, factor={"type": "table", "values": _factor_table(vals)})
+    return replace(sys, factor={"type": "coboundary", "base": sys.factor,
+                                "f": _factor_record(sys.space.kind, f)})
 
 
 #: a comma whose entry is not "[-]digits/digits" with at most 18 digits a side

@@ -803,10 +803,12 @@ class MuConstruction:
 
 
 def nonzero_size(k) -> float:
-    """k as a float, refused at k = 0, where the cocycle degenerates."""
-    if float(k) == 0.0:
+    """k as a float (``core.finite_size``), refused at k = 0, where the
+    cocycle degenerates."""
+    k = finite_size(k)
+    if k == 0.0:
         raise NotFoundError("the cocycle -k t o sigma^{-1} degenerates at k = 0")
-    return float(k)
+    return k
 
 
 def build_mu(sys: ConformalSystem, k: float, t_window, n_scan: int = 64,

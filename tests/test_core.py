@@ -257,10 +257,10 @@ def test_coboundary_system_on_a_table_is_an_exact_table(cycle3):
     assert shifted.map_kind is cycle3.map_kind and shifted.generating_f is None
 
 
-def test_coboundary_system_has_four_fields_and_record_factors(golden_cos):
+def test_coboundary_system_has_three_fields_and_record_factors(golden_cos):
     from dataclasses import fields
 
-    assert [f.name for f in fields(golden_cos)] == ["space", "factor", "map_kind", "label"]
+    assert [f.name for f in fields(golden_cos)] == ["space", "factor", "map_kind"]
     shifted = coboundary_system(golden_cos, {"type": "trig", "sin": [[1, 0.25]]})
     assert shifted.factor == {"type": "coboundary", "base": golden_cos.factor,
                               "f": {"type": "trig", "const": 0.0, "cos": (),

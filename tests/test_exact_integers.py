@@ -414,7 +414,7 @@ def test_table_over_the_scaled_size_budget_is_a_budget_error(tmp_path):
     assert sys.exact
     assert 2000 * math.lcm(*primes).bit_length() > MAX_SCALED_BITS
     # building, copying and float evaluation never scale the table
-    for s in (sys, replace(sys, label="copy")):
+    for s in (sys, replace(sys)):
         assert eval_factor(s, np.arange(2000)).shape == (2000,)
     for consumer in (cycle_mean_extrema, lambda s: birkhoff_extrema(s, n_max=2),
                      lambda s: orbit_array(s, s.space.sample_points(), 2)):

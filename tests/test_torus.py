@@ -7,12 +7,16 @@ import pytest
 
 from lcsdyn import (
     action_orbit,
+    birkhoff_extrema,
     build_cutoff,
     build_g,
     build_mu,
+    cat_map_system,
     coboundary_residual_curve,
     cycle_mean_extrema,
     finite_permutation_system,
+    limit_estimates,
+    mapping_torus_profile,
     probe_sweep,
     rotation_system,
 )
@@ -210,15 +214,41 @@ def test_build_mu_checks_n_scan_by_its_own_name(golden_cos):
         build_mu(golden_cos, 2.0, (-2, 2), n_scan=DEFAULT_MAX_ITERATIONS + 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda sys: build_mu(sys, math.nan, (-2, 2)),  # was NotFoundError, an exit-3 kind
+    lambda sys: mapping_torus_profile(sys, math.nan, (-2, 2)),  # was NotFoundError
+    lambda sys: build_mu(sys, True, (-2, 2)),  # built at k = 1
+    lambda sys: probe_sweep(sys, ["0.5"]),  # ran
+    lambda sys: limit_estimates(birkhoff_extrema(sys, n_max=8)).classify("0.5"),  # TypeError
+    lambda sys: action_orbit(sys, 0.1, 0.0, "0.5", 3),  # TypeError
+], ids=["build_mu-nan", "profile-nan", "build_mu-bool", "probe-str", "classify-str",
+        "action_orbit-str"])
+def test_a_size_that_is_not_a_finite_number_is_a_validation_error(golden_cos, call):
+    with pytest.raises(ValidationError, match=r"^size k must be (a number|finite), got "):
+        call(golden_cos)
+
+
+def test_an_order_is_an_integer(golden_cos):
+    # True ran as n_max = 1; 2.5 was a TypeError deep in the walk
+    calls = [lambda: birkhoff_extrema(golden_cos, None, True),
+             lambda: birkhoff_extrema(golden_cos, None, 2.5),
+             lambda: probe_sweep(golden_cos, [1.0], n_max=2.5),
+             lambda: build_mu(golden_cos, 2.0, (-2, 2), n_scan=2.5)]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"^(n_max|n_scan) must be an integer, got "):
+            call()
+    assert birkhoff_extrema(golden_cos, None, np.int64(4)).n_max == 4  # NumPy ints are orders
+
+
 def test_an_empty_sample_is_a_validation_error(golden_cos):
     # build_g raised NumPy's "zero-size array to reduction operation minimum"
-    from lcsdyn import birkhoff_extrema
-
     calls = [lambda: build_g(golden_cos, 2.0, (-2, 2), points=[]),
              lambda: build_mu(golden_cos, 2.0, (-2, 2), points=[]),
              lambda: birkhoff_extrema(golden_cos, points=[]),
              lambda: probe_sweep(golden_cos, [2.0], starts=[]),
-             lambda: golden_cos.space.sample_points(np.zeros(0))]
+             lambda: golden_cos.space.sample_points(np.zeros(0)),
+             # an empty list of torus points was read as one point of no coordinates
+             lambda: cat_map_system(1.0, grid_resolution=8).space.sample_points([])]
     for call in calls:
         with pytest.raises(ValidationError, match="empty sample"):
             call()
