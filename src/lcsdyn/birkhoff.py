@@ -46,6 +46,7 @@ from .core import (
     fraction_bytes,
     integer_array,
     orbit_blocks,
+    point_cells,
     sampled_bounds,
     scaled_floats,
     step_points,  # unused here; perfbench/test_smoke.py checks its tracing rebinds it
@@ -381,16 +382,12 @@ def table_to_csv(table: BirkhoffTable, path):
     Exact cells are written from the integer sums S_n * scale as the bytes
     of the str of their Fractions (``core.fraction_bytes``): only the S_n
     and A_n cells, since an envelope cell is the A_n cell at its suffix's
-    extreme order.  Float cells are reprs, and a torus point is its
-    coordinates' reprs joined by ":".  Rows are point-major, n within each
-    point, and ``core.write_csv`` writes them a block of points at a time.
+    extreme order.  Float cells are reprs, and a point is its
+    ``core.point_cells`` cell.  Rows are point-major, n within each point,
+    and ``core.write_csv`` writes them a block of points at a time.
     """
     sys, n_max, points = table.system, table.n_max, table.points
-    if sys.space.kind == FINITE:
-        labels = decimal_bytes(points)
-    else:
-        labels = np.array([":".join(map(repr, p))
-                           for p in points.reshape(len(points), -1).tolist()], dtype=bytes)
+    labels = point_cells(sys.space, points)
     ns = decimal_bytes(np.arange(1, n_max + 1))
     if sys.exact:
         S = table.running_sums

@@ -44,6 +44,7 @@ from .core import (
     finite_permutation_system,
     finite_size,
     fraction_bytes,
+    point_cells,
     rotation_system,
     write_csv,
 )
@@ -391,10 +392,8 @@ def _write_probe_trace(sys_, report, config, out_dir):
     # the action's orbit from the witness start (else the first sample point)
     start = report.witness.start if report.witness else sys_.space.sample_points(1)[0]
     xs, ts = torus.action_orbit(sys_, start, 0.0, report.k, min(config.n_max, 2000))
-    # every coordinate a float (finite states too), as repr writes it
-    coords = np.asarray(xs, dtype=float).reshape(len(ts), -1).tolist()
     write_csv(os.path.join(out_dir, "trace.csv"), "n,x,t",
-              [[decimal_bytes(np.arange(len(ts))), [":".join(map(repr, x)) for x in coords],
+              [[decimal_bytes(np.arange(len(ts))), point_cells(sys_.space, xs),
                 list(map(repr, ts.tolist()))]])
 
 
@@ -412,7 +411,7 @@ def _cmd_optimize(config, sys_, out_dir):
     n = min(config.n_max, 64) if n is None else _count(n, "params.n")
     points = _points_spec(config.grid, "grid")
     lo, hi = ergopt.coboundary_optima(sys_, method=method, n=n, points=points)
-    _write_potential_csv(sys_, hi, os.path.join(out_dir, "potential.csv"))
+    _write_potential_csv(hi, os.path.join(out_dir, "potential.csv"))
 
     def optimum(r):  # the record without its potentials
         return {"value": r.value, "certificate": r.certificate, "method": r.method}
@@ -420,7 +419,7 @@ def _cmd_optimize(config, sys_, out_dir):
     return {"minmax": optimum(hi), "maxmin": optimum(lo), "gap": [lo.value, hi.value]}
 
 
-def _write_potential_csv(sys_, result, path):
+def _write_potential_csv(result, path):
     table = result.potential_table
     if table is None:
         return

@@ -167,6 +167,16 @@ def fraction_bytes(numerators, denominators) -> np.ndarray:
     return np.hstack([decimal_bytes(a), den])
 
 
+def point_cells(space, points) -> np.ndarray:
+    """The CSV cells of a batch of points, a column for ``write_csv``: a finite
+    state as its decimal (``decimal_bytes``), else one bytes string per point,
+    a circle point's repr or a torus point's coordinates' reprs joined by ":"."""
+    if space.kind == FINITE:
+        return decimal_bytes(points)
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1).tolist()
+    return np.array([":".join(map(repr, p)) for p in pts], dtype=bytes)
+
+
 def join_rows(fields) -> bytes:
     """CSV rows of equal-length cell blocks: "," between fields, "\r\n" ending
     each row as ``csv.writer`` ends it, every NUL dropped (no cell is quoted)."""

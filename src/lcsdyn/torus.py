@@ -12,19 +12,16 @@ sigma(x, t) = (x, g(x, t) + t k + f_n(x)) and yields mu = -k (t o sigma^{-1})
 with mu o rho = mu - k.  ``build_mu`` only builds this data, at the first
 usable n; its caller runs the sampled checks of both identities.
 
-g and dt g are read off two float tables per point batch, A_n(h)(psi^i p)
-for i < F and A_n(h)(psi^{-j} p) for j = 1..B.  Each row is a window of n
-rows of one strip of base rows, h(psi^{-j} p) for j = 1..B and h(psi^i p)
-for i < F + n - 1.  When A_n(h) > k with k < 0 (the mirrored branch), g is
-the construction for (psi^{-1}, -A_n(h) o psi^{-1}, -k) at -t, which reads
-the same two tables swapped and negated.  ``GConstruction.batch`` walks them
-once per point batch.  A sigma inversion builds them once for all samples,
-at the rows of a first bracket around each root (again only if an end of
-it must move), and runs safeguarded Newton on them, reading g and dt g in
-one pass per step.
-The cutoff reads its quadrature tables only off its plateaus s <= 0 and
-s >= 1, so at any t only the one translate per sample inside (0, 1) costs
-a lookup.
+One formula, g = sum_m ([m >= 0] - chi(t + 1 + m)) A_n(h) o psi^m, serves
+both signs of k, as the cutoff is symmetric.  g and dt g are read off one
+float strip of rows A_n(h)(psi^m p), -B <= m < F, each a window of n of the
+base rows h(psi^m p), -B <= m < F + n - 1, which ``GConstruction.batch``
+walks once per point batch.  A sigma inversion builds it once for all
+samples, at the rows of a first bracket around each root (again only if an
+end of it must move), and runs safeguarded Newton on it, reading g and dt g
+in one pass per step.  The cutoff reads its quadrature tables only off its
+plateaus s <= 0 and s >= 1, so at any t only the one translate per sample
+inside (0, 1) costs a lookup.
 
 The properness probe watches orbits of the compact band K whose t-extent
 is [-max(max h, k - min h), -min(min h, k - max h)]: the band is wide
@@ -424,49 +421,47 @@ def _float_orbit(sys: ConformalSystem, pts, n: int, inverse: bool = False):
 
 
 def _averaged_tables(sys: ConformalSystem, n: int, pts, lead: int, trail: int):
-    """The rows A_n(h)(psi^i p), i < lead, and A_n(h)(psi^{-j} p), j = 1..trail,
-    as float64 arrays of shapes (lead, P) and (trail, P).
+    """The rows A_n(h)(psi^m p), -trail <= m < lead, as one float64 array of
+    shape (trail + lead, P) whose row trail + m is the one at psi^m p.
 
-    One strip of base rows is walked per point batch: h(psi^{-j} p) for
-    j = 1..trail and h(psi^i p) for i < lead + n - 1, so the two tables cost
-    lead + trail + n - 1 factor rows.  The row at psi^m p is the window of
-    the n strip rows from m, added in order (as a cumulative sum adds them)
-    and divided by n.
+    The base rows h(psi^m p), -trail <= m < lead + n - 1, are walked once per
+    point batch, so the strip costs lead + trail + n - 1 factor rows.  The
+    row at psi^m p is the window of the n base rows from m, added in order
+    (as a cumulative sum adds them) and divided by n.
     """
     back = _float_orbit(sys, step_points(sys, pts, inverse=True), trail, inverse=True)
-    strip = np.concatenate([back[::-1], _float_orbit(sys, pts, lead + n - 1)])
-    win = strip[:lead + trail].copy()
+    base = np.concatenate([back[::-1], _float_orbit(sys, pts, lead + n - 1)])
+    win = base[:lead + trail].copy()
     for j in range(1, n):
-        win += strip[j:j + lead + trail]
+        win += base[j:j + lead + trail]
     win /= n
-    return win[trail:], win[:trail][::-1]
+    return win
 
 
 @dataclass
 class GConstruction:
     """g with g(psi x, t+1) = g(x, t) - A(x) and dt g + k one-signed, for the
-    averaged factor A = A_n(h) of ``system`` at n = ``order`` (A = h at n = 1).
+    averaged factor A = A_n(h) of ``system`` at n = ``order`` (A = h at n = 1),
 
-    Direct branch (A < k, k > 0):
+        g(x, t) = sum_m ([m >= 0] - chi(t + 1 + m)) A(psi^m x),
 
-        g(x,t) = sum_i (1 - chi(t+1+i)) A(psi^i x) - sum_i chi(t-i) A(psi^{-i-1} x)
-
-    truncated to the finitely many indices whose cutoff coefficient is
-    nonzero.  The two tables of A come from one strip of base rows per
-    point batch (``_averaged_tables``), walked by ``batch``; ``g`` and
-    ``dt`` are that evaluator on a fresh batch.  For A > k with k < 0 the
-    mirrored branch is the direct construction for (psi^{-1}, -A o psi^{-1},
-    -k) at -t: it takes the same two tables swapped and negated, evaluates
-    them at -t and flips the sign of dt g.  The slope dt g + k carries the
-    sign of k.  A time needing more than ``MAX_TERMS`` terms is refused.
+    truncated to the m with a nonzero coefficient, -ceil(t) <= m < ceil(-t).
+    A < k needs k > 0; A > k needs k < 0, where, as chi(1 - s) = 1 - chi(s),
+    the sum is the one for (psi^{-1}, -A o psi^{-1}, -k) at -t.  The slope
+    dt g + k carries the sign of k.  ``batch`` walks the strip of A once per
+    point batch (``_averaged_tables``); ``g`` and ``dt`` are that evaluator
+    on a fresh batch.  A time needing more than ``MAX_TERMS`` terms is refused.
     """
 
     system: ConformalSystem
     k: float
     cutoff: CutoffFunction
     t_window: tuple
-    mirrored: bool
     order: int
+
+    @property
+    def mirrored(self) -> bool:  # A lies above k, the side that k < 0 serves
+        return self.k < 0
 
     def g(self, x, t):
         """g at a batch of points x, shape (P,) or (P, 2), and times t, shape
@@ -485,29 +480,24 @@ class GConstruction:
         return float(out[0]) if tab.single and ts.ndim == 0 else out
 
     def batch(self, x, ts) -> "GTables":
-        """The tables of A at the batch x, normalised once, with the rows
-        that every time in ts needs (see ``GTables``)."""
+        """The strip of A at the batch x, normalised once, with the rows that
+        every time in ts needs (see ``GTables``)."""
         pts, single = point_batch(self.system.space, x)
-        fwd, bwd = self._tables(pts, np.asarray(ts, dtype=float))
-        if self.mirrored:
-            fwd, bwd = -bwd, -fwd
-        return GTables(self, single, fwd, bwd)
+        return GTables(self, single, *self._tables(pts, np.asarray(ts, dtype=float)))
 
     def _tables(self, pts, ts, spare: int = 0):
-        """The forward and backward tables of A at pts for every term a time
-        in ts needs, plus ``spare`` rows each way.
+        """(strip, trail): the strip of A at pts with every row a time in ts
+        needs, plus ``spare`` rows each way, and its number of rows behind p.
 
-        g(p, t) has ceil(-t) forward and ceil(t) backward terms (none when
-        negative), on either branch; a time needing more than MAX_TERMS
-        terms in all is refused.  Spare rows have cutoff coefficient 0.
+        g(p, t) has ceil(-t) terms ahead of p and ceil(t) behind it (none
+        when negative); a time needing more than MAX_TERMS terms in all is
+        refused.  Spare rows have cutoff coefficient 0.
         """
-        lead = np.maximum(np.ceil(-ts), 0.0)
-        trail = np.maximum(np.ceil(ts), 0.0)
-        if np.any(lead + trail > MAX_TERMS):
+        if np.any(np.ceil(np.abs(ts)) > MAX_TERMS):
             raise BudgetError(f"a time in the sample needs more than {MAX_TERMS} terms")
-        return _averaged_tables(self.system, self.order, pts,
-                                int(lead.max(initial=0.0)) + spare,
-                                int(trail.max(initial=0.0)) + spare)
+        lead = math.ceil(-ts.min(initial=0.0)) + spare
+        trail = math.ceil(ts.max(initial=0.0)) + spare
+        return _averaged_tables(self.system, self.order, pts, lead, trail), trail
 
     # -- checks ---------------------------------------------------------------
 
@@ -516,7 +506,7 @@ class GConstruction:
         pts, ts = self._default_sample(pts, ts)
         here = self.g(pts, ts)
         there = self.g(step_points(self.system, pts), ts + 1.0)
-        a = _averaged_tables(self.system, self.order, pts, 1, 0)[0][0]
+        a = _averaged_tables(self.system, self.order, pts, 1, 0)[0]
         return float(np.max(np.abs(there - here + a)))
 
     def slope_margin(self, pts=None, ts=None) -> float:
@@ -535,21 +525,19 @@ class GConstruction:
         At every t exactly one cutoff translate is active, so the value set
         of dt g over grid x window factors as (chi' values) x (factor orbit
         values); sampling the two factors densely is equivalent to a very
-        fine direct sweep.  The tables read one spare row each way: it adds
-        0 to g, but its values are attained.  The slopes are -chi'; the
-        mirrored branch's factor values are the negated ones, and its dt g
-        the negated product, so its slopes are chi'.  The products,
-        ``np.multiply.outer(slopes, values)``, are left to the caller.
+        fine direct sweep.  The strip reads one spare row each way: it adds
+        0 to g, but its values are attained.  The slopes are -chi', as dt g
+        = sum_m -chi'(t + 1 + m) A(psi^m x) for both signs of k.  The
+        products, ``np.multiply.outer(slopes, values)``, are left to the
+        caller.
         """
-        fwd, bwd = self._tables(reference_points(self.system),
+        strip, _ = self._tables(reference_points(self.system),
                                 np.asarray(self.t_window, dtype=float), spare=1)
-        hv = np.concatenate([fwd.ravel(), bwd.ravel()])
-        hv = np.unique(-hv if self.mirrored else hv)
+        hv = np.unique(strip)
         if len(hv) > 512:
             idx = np.linspace(0, len(hv) - 1, 512).round().astype(int)
             hv = hv[idx]
-        chi_p = self.cutoff.prime(np.linspace(0.0, 1.0, SLOPE_COUNT))
-        return (chi_p if self.mirrored else -chi_p), hv
+        return -self.cutoff.prime(np.linspace(0.0, 1.0, SLOPE_COUNT)), hv
 
     def _default_sample(self, pts, ts):
         """The points and a (T, 1) column of times: a (T, P) grid."""
@@ -563,23 +551,23 @@ class GConstruction:
 
 @dataclass
 class GTables:
-    """g and dt g at one point batch, read off its two tables of A.
+    """g and dt g at one point batch, read off its strip of A, whose row
+    trail + m is A(psi^m p).
 
-    ``GConstruction.batch`` walks the tables once, for the times it is
+    ``GConstruction.batch`` walks the strip once, for the times it is
     given.  ``g_dt(idx, t)`` weighs the columns idx (an index array or a
     slice) by the cutoff coefficients and slopes of times t inside the span
     of those times, giving g and dt g from one pass over the rows, shaped
     as for ``GConstruction.g``; ``g`` and ``dt`` are its two halves.  A
     call reads only the rows its own times need, adding them in order, so
-    it computes exactly what a fresh batch of those columns would.  On the
-    mirrored branch the tables are stored swapped and negated, and read at
-    -t.  ``single`` is True when the batch was given as a lone point.
+    it computes exactly what a fresh batch of those columns would.
+    ``single`` is True when the batch was given as a lone point.
     """
 
     gcons: GConstruction
     single: bool
-    fwd: np.ndarray
-    bwd: np.ndarray
+    strip: np.ndarray
+    trail: int
 
     def g(self, idx, t):
         return self.g_dt(idx, t)[0]
@@ -590,38 +578,32 @@ class GTables:
     def g_dt(self, idx, t):
         """g and dt g at the same columns and times, from one pass over the
         rows and one cutoff lookup per row."""
-        # g(p, t) has ceil(-t) forward and ceil(t) backward terms; rows past
-        # a value's last term have coefficient exactly 0, and both sums start
-        # at +0.0, so a value does not depend on the rest of the call
-        gcons = self.gcons
+        # g(p, t) has ceil(-t) terms ahead and ceil(t) behind; rows past a
+        # value's last term have coefficient exactly 0, and the sums start at
+        # +0.0, so a value does not depend on the rest of the call
         ts = np.asarray(t, dtype=float)
-        if gcons.mirrored:
-            ts = -ts
         lead = math.ceil(-ts.min(initial=0.0))
         trail = math.ceil(ts.max(initial=0.0))
-        if lead > len(self.fwd) or trail > len(self.bwd):
-            raise ValueError("a time needs rows beyond the batch's tables")
-        fwd, bwd = self.fwd[:lead, idx], self.bwd[:trail, idx]
-        shape = np.broadcast_shapes(ts.shape, fwd.shape[1:])
+        if lead > len(self.strip) - self.trail or trail > self.trail:
+            raise ValueError("a time needs rows beyond the batch's strip")
+        shape = np.broadcast_shapes(ts.shape, self.strip[:0, idx].shape[1:])
         g, dt = np.zeros(shape), np.zeros(shape)
-        rows = (-1,) + (1,) * ts.ndim
-        c_lead, p_lead = gcons.cutoff._values(ts + 1.0 + np.arange(lead).reshape(rows))
-        c_trail, p_trail = gcons.cutoff._values(ts - np.arange(trail).reshape(rows))
-        for c, p, row in zip(c_lead, p_lead, fwd):
-            g += (1.0 - c) * row
+        # rows m = 0..lead-1, then m = -1, -2, ..; chi(t + 1 + m) is read at
+        # t + 1.0 + m ahead and at t - j for m = -1 - j behind
+        j = np.arange(max(lead, trail)).reshape((-1,) + (1,) * ts.ndim)
+        chi, slope = self.gcons.cutoff._values(np.concatenate([ts + 1.0 + j[:lead],
+                                                               ts - j[:trail]]))
+        for m, c, p in zip([*range(lead), *range(-1, -trail - 1, -1)], chi, slope):
+            row = self.strip[self.trail + m, idx]
+            g += (float(m >= 0) - c) * row  # g is never -0.0: 0.0 - c subtracts c * row
             dt -= p * row
-        for c, p, row in zip(c_trail, p_trail, bwd):
-            g -= c * row
-            dt -= p * row
-        if gcons.mirrored:
-            np.negative(dt, out=dt)
         return g, dt
 
 
 def _ramp_side(k: float, values):
-    """max of the sampled factor values when they lie below k, None when
-    they lie above it.  k inside their range is a DomainError; a side that
-    the sign of k cannot serve with a one-signed slope is infeasible."""
+    """The sampled factor value nearest k (the max below k, the min above).
+    k inside their range is a DomainError; a side that the sign of k cannot
+    serve with a one-signed slope is infeasible."""
     if not np.all(np.isfinite(values)):
         raise ValidationError("factor is not finite at sampled points")
     hmin, hmax = float(values.min()), float(values.max())
@@ -633,7 +615,7 @@ def _ramp_side(k: float, values):
         side, need = ("<", ">") if below else (">", "<")
         raise InfeasibleError(f"factor {side} k needs k {need} 0 for a one-signed slope; "
                               f"got k = {k} with factor range [{hmin:.6g}, {hmax:.6g}]")
-    return hmax if below else None
+    return hmax if below else hmin
 
 
 def build_g(sys: ConformalSystem, k: float, t_window, points=None,
@@ -644,9 +626,9 @@ def build_g(sys: ConformalSystem, k: float, t_window, points=None,
     The ramp construction needs the sign of k to agree with the side of the
     gap: A < k requires k > 0 and A > k requires k < 0 (otherwise a
     one-signed slope would force a cutoff with sup slope below 1, which no
-    0 -> 1 transition can deliver).  A > k is the mirrored branch: the
-    direct construction for (psi^{-1}, -A o psi^{-1}, -k), whose factor is
-    sampled on psi^{-1} of the points.  The cutoff's sup slope stays below
+    0 -> 1 transition can deliver).  On the side A > k the gap is read on
+    psi^{-1} of the points, where the construction for (psi^{-1}, -A o
+    psi^{-1}, -k) samples its factor.  The cutoff's sup slope stays below
     1 / (1 - eps / k), eps half the gap between k and the sampled A.
     """
     k = float(k)
@@ -663,17 +645,14 @@ def build_g(sys: ConformalSystem, k: float, t_window, points=None,
             f"k = {k} is too large for t_window [{lo}, {hi}]: t k overflows at the times "
             f"|t| <= {MAX_TERMS} that sigma inversion may read (|k| must stay below "
             f"{np.finfo(float).max / (4.0 * MAX_TERMS):.3g})")
-    if order < 1:
-        raise ValidationError(f"the averaging order must be >= 1, got {order}")
+    check_order(order, "order")
     pts = reference_points(sys) if points is None else sys.space.sample_points(points)
-    ahead, behind = _averaged_tables(sys, order, pts, 1, 1)  # A at p and at psi^{-1} p
-    top = _ramp_side(k, ahead[0])
-    mirrored = top is None
-    if mirrored:
-        top = _ramp_side(-k, -behind[0])
-    k_direct = -k if mirrored else k
-    cutoff = build_cutoff(1.0 / (1.0 - 0.5 * (k_direct - top) / k_direct))
-    return GConstruction(sys, k, cutoff, (lo, hi), mirrored, order)
+    behind, ahead = _averaged_tables(sys, order, pts, 1, 1)  # A at psi^{-1} p and at p
+    edge = _ramp_side(k, ahead)
+    if k < 0:
+        edge = _ramp_side(k, behind)
+    cutoff = build_cutoff(1.0 / (1.0 - 0.5 * (k - edge) / k))
+    return GConstruction(sys, k, cutoff, (lo, hi), order)
 
 
 @dataclass
@@ -787,8 +766,7 @@ class MuConstruction:
         floor(u size) of its coordinate u.  mu then runs once on rho(x, t)
         and once on (x, t) for the whole sample.
         """
-        if samples < 1:
-            raise ValidationError(f"samples must be >= 1, got {samples}")
+        check_order(samples, "samples")
         rng = np.random.default_rng(rng)
         sys, k = self.gcons.system, self.gcons.k
         lo, hi = (0.5 * t for t in self.gcons.t_window)

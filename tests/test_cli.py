@@ -1047,10 +1047,33 @@ def test_probe_trace_matches_scalar_action_walk(tmp_path, system, k):
     t = 0.0
     for n, (row, t_n) in enumerate(zip(rows[1:], ts.tolist())):
         coords = np.atleast_1d(np.asarray(xs[n], dtype=float)).tolist()
-        assert row == f"{n},{':'.join(map(repr, coords))},{t_n!r}"
+        # a finite state is its decimal, a point its coordinates' reprs
+        cell = str(xs[n]) if sys_.space.kind == "finite" else ":".join(map(repr, coords))
+        assert row == f"{n},{cell},{t_n!r}"
         d = np.abs(np.atleast_1d(np.asarray(x, dtype=float)) - coords)
         assert np.minimum(d, 1 - d).max() <= 1e-12 and abs(t_n - t) <= 1e-12
         x, t = psi(x), t + k - float(h(x))
+
+
+def test_trace_and_birkhoff_csv_write_a_state_as_one_cell(tmp_path):
+    # trace.csv wrote a finite state as a float ("3.0"), birkhoff.csv as "3"
+    from lcsdyn import torus
+
+    system = {"space": {"kind": "finite", "size": 5},
+              "map": {"type": "permutation", "table": [1, 2, 0, 4, 3]},
+              "factor": [0, "1/2", "1/4", "-1/2", "1/3"]}
+    for command, k in (("probe", 0.5), ("analyze", None)):
+        report, code = cli.run(cli.RunConfig(command=command, system=system, k=k, n_max=12,
+                                             out=str(tmp_path / command)))
+        assert code == 0, report
+    sys_ = cli.system_from_config(system)
+    table = (tmp_path / "analyze" / "birkhoff.csv").read_text().splitlines()[1:]
+    points = np.repeat(sys_.space.sample_points(), 12).tolist()  # point-major rows
+    cells = {p: row.split(",")[0] for p, row in zip(points, table)}
+    assert cells == {s: str(s) for s in range(5)}
+    trace = (tmp_path / "probe" / "trace.csv").read_text().splitlines()[1:]
+    xs, _ = torus.action_orbit(sys_, sys_.space.sample_points(1)[0], 0.0, 0.5, 12)
+    assert [row.split(",")[1] for row in trace] == [cells[s] for s in xs.tolist()]
 
 
 @pytest.mark.parametrize("k", [1e308, -1e308, sys.float_info.max])

@@ -434,7 +434,7 @@ def test_artifacts_are_byte_identical_to_the_fraction_writers(tmp_path, make, n_
         assert isinstance(result.potential_table, RationalTable)
         if make is _object_perm:
             assert result.potential_table.denominators.dtype == object
-    cli._write_potential_csv(sys, result, tmp_path / "new-potential.csv")
+    cli._write_potential_csv(result, tmp_path / "new-potential.csv")
     _old_potential_csv(result, tmp_path / "old-potential.csv")
     assert (tmp_path / "new-potential.csv").read_bytes() == \
         (tmp_path / "old-potential.csv").read_bytes()
@@ -480,7 +480,7 @@ def test_exact_files_are_the_csv_writer_files_at_the_chunk_edges(tmp_path, monke
         (tmp_path / "old-birkhoff.csv").read_bytes()
     result = coboundary_optima(sys)[1]
     assert isinstance(result.potential_table, RationalTable)
-    cli._write_potential_csv(sys, result, tmp_path / "new-potential.csv")
+    cli._write_potential_csv(result, tmp_path / "new-potential.csv")
     _old_potential_csv(result, tmp_path / "old-potential.csv")
     assert (tmp_path / "new-potential.csv").read_bytes() == \
         (tmp_path / "old-potential.csv").read_bytes()

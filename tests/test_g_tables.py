@@ -181,7 +181,8 @@ def test_tables_g_dt_and_inverse_match_the_system_construction(name, k, n):
     ts = rng.uniform(-4.5, 4.5, size=48)
     ts[:3] = (-3.0, 0.0, 2.0)
     pts = point_batch(sys.space, xs)[0]
-    fwd, bwd = gcons._tables(pts, ts)
+    strip, trail = gcons._tables(pts, ts)
+    fwd, bwd = strip[trail:], strip[:trail][::-1]
     if ref.mirrored:  # the reference's own tables are those of the mirrored system
         lead, trail = ref.inner.tables(pts, -ts)
         want_fwd, want_bwd = -trail, -lead
@@ -209,7 +210,8 @@ def test_mirrored_tables_pull_back_through_the_inverse(name):
     assert gcons.mirrored
     pts = sys.space.sample_points(8)
     psi_inv, h = scalar_map(sys, inverse=True), scalar_factor(sys)
-    _fwd, bwd = gcons._tables(pts, np.array([3.0]))
+    strip, trail = gcons._tables(pts, np.array([3.0]))
+    bwd = strip[:trail][::-1]
     for p, col in zip(pts.tolist(), (-bwd).T):
         y, want = p, []
         for _ in range(3):
@@ -267,7 +269,8 @@ def test_table_rows_are_exact_windows_on_a_permutation():
     pts = sys.space.sample_points()
     psi, back, h = scalar_map(sys), scalar_map(sys, inverse=True), scalar_factor(sys)
     for n in (1, 3, 8):
-        fwd, bwd = _averaged_tables(sys, n, pts, 4, 3)
+        strip = _averaged_tables(sys, n, pts, 4, 3)
+        fwd, bwd = strip[3:], strip[:3][::-1]
         for m, row in [(i, fwd[i]) for i in range(4)] + [(-j, bwd[j - 1]) for j in (1, 2, 3)]:
             for p, v in zip(pts.tolist(), row):
                 y = p
@@ -278,4 +281,4 @@ def test_table_rows_are_exact_windows_on_a_permutation():
                     vals.append(float(h(y)))
                     y = psi(y)
                 assert v == np.cumsum(vals)[-1] / n
-    assert eval_factor(sys, pts).tolist() == _averaged_tables(sys, 1, pts, 1, 0)[0][0].tolist()
+    assert eval_factor(sys, pts).tolist() == _averaged_tables(sys, 1, pts, 1, 0)[0].tolist()

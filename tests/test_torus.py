@@ -240,6 +240,19 @@ def test_an_order_is_an_integer(golden_cos):
     assert birkhoff_extrema(golden_cos, None, np.int64(4)).n_max == 4  # NumPy ints are orders
 
 
+@pytest.mark.parametrize("name,value", [("order", 2.5), ("order", True),
+                                        ("samples", 2.5), ("samples", True)])
+def test_an_order_or_a_sample_count_is_an_integer(golden_cos, name, value):
+    # order=2.5 and samples=2.5 or True raised a TypeError, and build_g built
+    # at order=True
+    mu = build_mu(golden_cos, 1.5, (-2, 2))
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value!r}$"):
+        if name == "order":
+            build_g(golden_cos, 1.5, (-2, 2), order=value)
+        else:
+            mu.mu_cocycle_residual(samples=value)
+
+
 def test_an_empty_sample_is_a_validation_error(golden_cos):
     # build_g raised NumPy's "zero-size array to reduction operation minimum"
     calls = [lambda: build_g(golden_cos, 2.0, (-2, 2), points=[]),
@@ -737,6 +750,15 @@ def test_build_g_precondition_violations(const_rotation, golden_cos):
         build_g(const_rotation, 1.0, (-1e9, 1e9))
 
 
+def test_a_size_inside_the_range_behind_names_the_given_size():
+    # on the side A > k the range at psi^{-1} p was checked on negated data:
+    # the error named k = 0.6 and the range [-0.953676, 0.737369]
+    sys = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]}, grid_resolution=3)
+    with pytest.raises(DomainError, match=r"^k = -0\.6 lies in the sampled factor range "
+                                          r"\[-0\.737369, 0\.953676\]$"):
+        build_g(sys, -0.6, (-2, 2))
+
+
 def test_grid_matches_scalar(const_rotation):
     g = build_g(const_rotation, 1.0, (-10, 10))
     pts = const_rotation.space.sample_points(7)
@@ -752,6 +774,16 @@ def test_grid_matches_scalar(const_rotation):
     # a lone point is a batch of one against every time
     assert np.array_equal(g.g(float(pts[2]), ts[:, None]), grid[:, 2:3])
     assert np.array_equal(g.dt(float(pts[2]), ts), dgrid[:, 2])
+
+
+@pytest.mark.parametrize("bound", [1.001, 1.01, 1.2, 2.0, 1e6])
+def test_cutoff_is_symmetric_about_one_half(bound):
+    # g = sum_m ([m >= 0] - chi(t + 1 + m)) A(psi^m x) serves both signs of
+    # k because chi(1 - s) = 1 - chi(s), so chi'(1 - s) = chi'(s)
+    c = build_cutoff(bound)
+    s = np.linspace(-0.1, 1.1, 200001)
+    assert np.max(np.abs(c(s) + c(1.0 - s) - 1.0)) <= 1e-14
+    assert np.max(np.abs(c.prime(s) - c.prime(1.0 - s))) <= 1e-12
 
 
 def test_cutoff_prime_is_the_derivative():
