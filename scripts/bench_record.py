@@ -19,8 +19,11 @@ the four end-to-end metrics over the runs (and every run's value), the
 per-step medians of ``worker.json``'s ``step_s``, the payload digests, and
 how many oracle checks ran and failed.  With two checkouts it then prints
 one line per workload and metric, and per workload and step, comparing the
-first checkout's median with the second's; a step's line also says whether
-its payload digest differs.
+first checkout's median with the second's.  A metric's line also gives the
+pairs of runs the second checkout won (a lower value; ties count for
+neither) and the first checkout's quartiles, so that a claimed gain reads
+against them directly; a step's line says whether its payload digest
+differs.
 """
 
 import argparse
@@ -91,21 +94,24 @@ def summarize(runs: list) -> dict:
 def comparison(record: dict) -> list:
     """Lines comparing the medians of the first two checkouts of a record:
     ``<workload> <metric or step>: <a> <median>, <b> <median>, <change>%``,
-    and for a step ``, digest same`` or ``, digest differs``."""
+    then for a metric ``, wins <w>/<pairs>, <a> q1 <q1> q3 <q3>`` (run i of
+    each checkout is pair i; b wins it with a lower value) and for a step
+    ``, digest same`` or ``, digest differs``."""
     (a, base), (b, other) = list(record["checkouts"].items())[:2]
     lines = []
     for w, mine in base["workloads"].items():
         theirs = other["workloads"][w]
-        rows = [(name, mine["end_to_end"][name]["median"],
-                 theirs["end_to_end"][name]["median"], None) for name in END_TO_END]
-        rows += [(label, mine["step_s_median"][label], theirs["step_s_median"][label],
-                  mine["digests"].get(label) == theirs["digests"].get(label))
-                 for label in mine["step_s_median"]]
-        for name, x, y, same in rows:
-            line = f"{w} {name}: {a} {x:.4g}, {b} {y:.4g}, {100.0 * (y - x) / x:+.1f}%"
-            if same is not None:
-                line += ", digest " + ("same" if same else "differs")
-            lines.append(line)
+        for name in END_TO_END:
+            x, y = mine["end_to_end"][name], theirs["end_to_end"][name]
+            wins = sum(v < u for u, v in zip(x["values"], y["values"]))
+            lines.append(f"{w} {name}: {a} {x['median']:.4g}, {b} {y['median']:.4g}, "
+                         f"{100.0 * (y['median'] - x['median']) / x['median']:+.1f}%, "
+                         f"wins {wins}/{len(x['values'])}, {a} q1 {x['q1']:.4g} q3 {x['q3']:.4g}")
+        for label, x in mine["step_s_median"].items():
+            y = theirs["step_s_median"][label]
+            same = mine["digests"].get(label) == theirs["digests"].get(label)
+            lines.append(f"{w} {label}: {a} {x:.4g}, {b} {y:.4g}, {100.0 * (y - x) / x:+.1f}%, "
+                         f"digest {'same' if same else 'differs'}")
     return lines
 
 

@@ -13,6 +13,15 @@ it (the payload as ``json.dumps(..., sort_keys=True)``, a library result as
 its float64 bytes), then one ``<workload> <step> <file> <sha256>`` line per
 CSV file the step wrote, by name.  Two checkouts that print the same lines
 computed the same payloads and files byte for byte.
+
+    PYTHONPATH=src python3 scripts/payload_digests.py --seed 7 > before.txt
+    PYTHONPATH=src python3 scripts/payload_digests.py --seed 7 --against before.txt
+
+``--against FILE`` compares the run with a saved listing of the workloads it
+runs instead of printing it: it prints each line whose digest differs
+(``differs``, the run's line and the saved digest), each saved line the run
+did not make (``missing``) and each line of the run the listing lacks
+(``added``), and exits 1 if there is any.
 """
 
 import argparse
@@ -53,6 +62,23 @@ def step_digests(config: dict, out_dir: str) -> list:
     return out
 
 
+def differences(lines: list, saved: list) -> list:
+    """The lines by which a run's listing differs from a saved one, both as
+    ``<workload> <step> <file> <sha256>`` lines: ``differs <line> (saved
+    <sha256>)``, ``missing <saved line>`` and ``added <line>``, in the saved
+    listing's order and then the run's."""
+    run, old = ({tuple(f[:3]): f[3] for f in map(str.split, listing)}
+                for listing in (lines, saved))
+    out = []
+    for key, digest in old.items():
+        if key not in run:
+            out.append(f"missing {' '.join(key)} {digest}")
+        elif run[key] != digest:
+            out.append(f"differs {' '.join(key)} {run[key]} (saved {digest})")
+    return out + [f"added {' '.join(key)} {digest}" for key, digest in run.items()
+                  if key not in old]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -60,15 +86,27 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=workloads.WORKLOADS, action="append",
                     help="a workload to run (repeatable); all of them by default")
     ap.add_argument("--size", choices=sorted(workloads.SIZES), default="full")
+    ap.add_argument("--against", metavar="FILE",
+                    help="a saved listing to compare the run with (see above)")
     args = ap.parse_args(argv)
+    names = args.workload or workloads.WORKLOADS
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in args.workload or workloads.WORKLOADS:
+        for workload in names:
             for i, step in enumerate(workloads.build(workload, args.seed, args.size)):
                 out_dir = os.path.join(tmp, workload, f"{i}-{step.label}")
                 os.makedirs(out_dir)
                 for name, digest in step_digests(step.config, out_dir):
-                    print(workload, step.label, name, digest, flush=True)
-    return 0
+                    lines.append(f"{workload} {step.label} {name} {digest}")
+                    if args.against is None:
+                        print(lines[-1], flush=True)
+    if args.against is None:
+        return 0
+    with open(args.against) as fh:  # the saved lines of the workloads run
+        saved = [line for line in fh.read().splitlines() if line.partition(" ")[0] in names]
+    diff = differences(lines, saved)
+    print("\n".join(diff) if diff else f"all {len(lines)} lines match {args.against}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

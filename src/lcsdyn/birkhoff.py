@@ -20,8 +20,9 @@ denominator D of the factor table: every A_n at one n shares the
 denominator n * D, so the per-n extrema are integer comparisons.  Fractions
 are built only at the boundary (extrema curves, table values, residuals);
 ``table_to_csv`` writes its exact cells from the integer sums as bytes
-(``core.fraction_bytes``) and builds none.  Both CSV writers hand their
-columns to ``core.write_csv``, the one writer of every CSV artifact.
+(``core.fraction_bytes``) and builds none; float cells are reprs
+(``core.float_cells``).  Both CSV writers hand their columns to
+``core.write_csv``, the one writer of every CSV artifact.
 
 The ``LimitEstimate`` of ``limit_estimates`` holds the gap [L-, L+] and
 classifies the sizes k against it itself.
@@ -43,6 +44,7 @@ from .core import (
     check_order,
     decimal_bytes,
     finite_size,
+    float_cells,
     fraction_bytes,
     integer_array,
     orbit_blocks,
@@ -382,9 +384,9 @@ def table_to_csv(table: BirkhoffTable, path):
     Exact cells are written from the integer sums S_n * scale as the bytes
     of the str of their Fractions (``core.fraction_bytes``): only the S_n
     and A_n cells, since an envelope cell is the A_n cell at its suffix's
-    extreme order.  Float cells are reprs, and a point is its
-    ``core.point_cells`` cell.  Rows are point-major, n within each point,
-    and ``core.write_csv`` writes them a block of points at a time.
+    extreme order.  Float cells are reprs (``core.float_cells``), a point
+    its ``core.point_cells`` cell.  Rows are point-major, n within each
+    point, and ``core.write_csv`` writes them a block of points at a time.
     """
     sys, n_max, points = table.system, table.n_max, table.points
     labels = point_cells(sys.space, points)
@@ -405,7 +407,7 @@ def table_to_csv(table: BirkhoffTable, path):
         arrays = table.columns()
 
         def cells(block):
-            return [list(map(repr, a[:, block].T.ravel().tolist())) for a in arrays]
+            return [float_cells(a[:, block].T) for a in arrays]
 
     step = max(1, CSV_CHUNK_ROWS // n_max)
     blocks = (slice(lo, lo + step) for lo in range(0, len(points), step))
@@ -416,9 +418,10 @@ def table_to_csv(table: BirkhoffTable, path):
 
 def extrema_to_csv(table: BirkhoffExtrema, path):
     """Dump the extrema curves (one row per n) for plotting: exact values
-    (Fractions) as "p/q", floats by repr."""
-    ex, cell = table.extrema_per_n, str if table.exact else repr
+    (Fractions) as "p/q", floats by repr (``core.float_cells``, one repr per
+    distinct value: a suffix envelope repeats its values)."""
+    ex = table.extrema_per_n
     write_csv(path, "n,min_avg,max_avg,inf_env_minus,sup_env_plus",
               [[decimal_bytes(np.arange(1, table.n_max + 1)),
-                *(list(map(cell, ex[key].tolist())) for key in
-                  ("min_avg", "max_avg", "inf_env_minus", "sup_env_plus"))]])
+                *(list(map(str, ex[key].tolist())) if table.exact else float_cells(ex[key])
+                  for key in ("min_avg", "max_avg", "inf_env_minus", "sup_env_plus"))]])

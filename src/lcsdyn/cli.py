@@ -43,6 +43,7 @@ from .core import (
     decimal_bytes,
     finite_permutation_system,
     finite_size,
+    float_cells,
     fraction_bytes,
     point_cells,
     rotation_system,
@@ -394,12 +395,12 @@ def _write_probe_trace(sys_, report, config, out_dir):
     xs, ts = torus.action_orbit(sys_, start, 0.0, report.k, min(config.n_max, 2000))
     write_csv(os.path.join(out_dir, "trace.csv"), "n,x,t",
               [[decimal_bytes(np.arange(len(ts))), point_cells(sys_.space, xs),
-                list(map(repr, ts.tolist()))]])
+                float_cells(ts)]])
 
 
 def _write_phase_table(reports, path):
     write_csv(path, "k,verdict,escape_bound",
-              [[[repr(float(r.k)) for r in reports], [r.verdict for r in reports],
+              [[float_cells([r.k for r in reports]), [r.verdict for r in reports],
                 ["" if r.escape_bound is None else str(r.escape_bound) for r in reports]]])
 
 
@@ -426,7 +427,7 @@ def _write_potential_csv(result, path):
     if isinstance(table, RationalTable):  # its integers are in lowest terms
         cells = fraction_bytes(table.numerators, table.denominators)
     else:
-        cells = list(map(repr, np.asarray(table).tolist()))
+        cells = float_cells(table)
     write_csv(path, "index,f", [[decimal_bytes(np.arange(len(table))), cells]])
 
 

@@ -18,6 +18,7 @@ Every rational table is held as integer numerators and denominators (a
 ``RationalTable``; a table of "p/q" strings is parsed straight into them),
 whose Fractions are built only when a caller reads them.  Exact CSV cells
 are written from the integers as NUL-padded byte blocks (``decimal_bytes``),
+float cells as reprs formatted once per distinct value (``float_cells``),
 and ``write_csv``, the one writer of every CSV artifact, ends every row.
 ``int_dtype`` alone decides whether such integers are int64 or Python ints.
 """
@@ -29,7 +30,7 @@ import numbers
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 
 import numpy as np
@@ -167,14 +168,25 @@ def fraction_bytes(numerators, denominators) -> np.ndarray:
     return np.hstack([decimal_bytes(a), den])
 
 
+def float_cells(values) -> np.ndarray:
+    """The CSV cells of floats, in C order, a column for ``write_csv``: one
+    bytes string per value, its repr.  repr is called once per distinct bit
+    pattern (so -0.0 and 0.0 stay apart) and its cell gathered back to every
+    value that has it."""
+    bits = np.ascontiguousarray(values, dtype=float).ravel().view(np.uint64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    return np.array(list(map(repr, keys.view(float).tolist())), dtype=bytes)[inverse]
+
+
 def point_cells(space, points) -> np.ndarray:
     """The CSV cells of a batch of points, a column for ``write_csv``: a finite
     state as its decimal (``decimal_bytes``), else one bytes string per point,
-    a circle point's repr or a torus point's coordinates' reprs joined by ":"."""
+    a circle point's ``float_cells`` cell or a torus point's coordinates'
+    cells joined by ":"."""
     if space.kind == FINITE:
         return decimal_bytes(points)
-    pts = np.asarray(points, dtype=float).reshape(len(points), -1).tolist()
-    return np.array([":".join(map(repr, p)) for p in pts], dtype=bytes)
+    columns = map(float_cells, np.asarray(points, dtype=float).reshape(len(points), -1).T)
+    return reduce(lambda a, b: np.char.add(np.char.add(a, b":"), b), columns)
 
 
 def join_rows(fields) -> bytes:
@@ -711,7 +723,9 @@ def _phase_rows(h, angle: float, pts, sign: int):
     per start point as ``_evaluate`` takes them, and v = 2 pi (j m a mod 1),
     taken once per row.  The coefficient multiplies the cos and sin of v.
     Order 0 is the term's own cos u or sin u, so row 0 is ``_evaluate``'s
-    value bit for bit.
+    value bit for bit.  No fill pass: each term's array takes the sum so far
+    in place, the first the constant (addition commutes bit for bit, signs
+    of zero included); a record with no terms is its constant, filled.
     """
     frac = Fraction(angle)
     x = np.asarray(pts, dtype=float)
@@ -722,7 +736,7 @@ def _phase_rows(h, angle: float, pts, sign: int):
 
     def rows(lo, b):
         ms = range(sign * lo, sign * (lo + b), sign)
-        v = np.full((b, len(x)), h["const"])
+        v = h["const"]
         for coef, step, is_sin, cos_u, sin_u in terms:
             phase = 2.0 * np.pi * exact_phases(step, den, ms)
             cos_v, sin_v = coef * np.cos(phase), coef * np.sin(phase)
@@ -734,8 +748,8 @@ def _phase_rows(h, angle: float, pts, sign: int):
                 term -= np.multiply.outer(sin_v, sin_u)
             if lo == 0:
                 np.multiply(coef, sin_u if is_sin else cos_u, out=term[0])
-            v += term
-        return v
+            v = np.add(term, v, out=term)
+        return v if terms else np.full((b, len(x)), v)
 
     return rows
 

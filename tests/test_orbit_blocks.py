@@ -196,6 +196,59 @@ def test_block_boundaries_match_per_row_loops(monkeypatch, name, rows):
     assert _same(coboundary_residual_curve(sys, n_max), _residuals_by_rows(sys, pts, n_max))
 
 
+def _fill_then_add_rows(h, angle, pts, sign):
+    """``core._phase_rows`` as it was with a fill pass: the constant filled
+    into the block, then every term added to it in order."""
+    frac = Fraction(angle)
+    x = np.asarray(pts, dtype=float)
+    terms = [(coef, j * frac.numerator, is_sin, np.cos(2.0 * np.pi * j * x),
+              np.sin(2.0 * np.pi * j * x))
+             for key, is_sin in (("cos", False), ("sin", True)) for j, coef in h[key]]
+
+    def rows(lo, b):
+        ms = range(sign * lo, sign * (lo + b), sign)
+        v = np.full((b, len(x)), h["const"])
+        for coef, step, is_sin, cos_u, sin_u in terms:
+            phase = 2.0 * np.pi * core.exact_phases(step, frac.denominator, ms)
+            cos_v, sin_v = coef * np.cos(phase), coef * np.sin(phase)
+            if is_sin:
+                term = np.multiply.outer(cos_v, sin_u)
+                term += np.multiply.outer(sin_v, cos_u)
+            else:
+                term = np.multiply.outer(cos_v, cos_u)
+                term -= np.multiply.outer(sin_v, sin_u)
+            if lo == 0:
+                np.multiply(coef, sin_u if is_sin else cos_u, out=term[0])
+            v += term
+        return v
+
+    return rows
+
+
+PHASE_TERMS = {"cos": [[1, 1.0], [-3, 0.25], [2, 0.0]], "sin": [[-1, 0.5], [4, -0.125]]}
+
+
+@pytest.mark.parametrize("h", [
+    {"type": "trig", "const": 0.5, **PHASE_TERMS},
+    {"type": "trig", "const": 0.0, **PHASE_TERMS},
+    {"type": "trig", "const": -0.0, **PHASE_TERMS},
+    # signed zeros: a coefficient-0.0 term alone, and -0.0 + sin(-0.0) at x = 0
+    {"type": "trig", "const": -0.0, "cos": [[2, 0.0]], "sin": []},
+    {"type": "trig", "const": -0.0, "cos": [], "sin": [[-1, 1.0]]},
+    {"type": "trig", "const": 0.5, "cos": [], "sin": []},
+])
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_phase_rows_match_the_fill_then_add_rows(monkeypatch, h, rows, inverse):
+    sys, n = rotation_system("golden", h, grid_resolution=16), 23
+    pts = np.concatenate([sys.space.sample_points(), [0.0, 0.5, 1 - 2.0**-53]])
+    _blocks_of(monkeypatch, rows, len(pts))
+    ref = _fill_then_add_rows(sys.factor, sys.map_kind["angle"], pts, -1 if inverse else 1)
+    want = np.concatenate([ref(lo, min(rows, n - lo)) for lo in range(0, n, rows)])
+    got = orbit_array(sys, pts, n, inverse=inverse)
+    assert _same(got, want)
+
+
 @pytest.mark.parametrize("name", ["cat", "callable"])
 def test_probe_witnesses_match_the_per_row_scan(monkeypatch, name):
     sys, n_max = _systems()[name], 40

@@ -86,6 +86,31 @@ def test_payload_digests():
     assert again.stdout.splitlines() == [" ".join(f) for f in lines if f[0] == "cycles"]
 
 
+def test_payload_digests_against_a_saved_listing(tmp_path):
+    args = ("--seed", "5", "--size", "tiny", "--workload", "cycles")
+    listing = run_script("payload_digests.py", *args).stdout.splitlines()
+    saved = tmp_path / "saved.txt"
+    # the listing of every workload: the ones not run are not compared
+    saved.write_text("float-orbits analyze-cat payload " + "0" * 64 + "\n"
+                     + "\n".join(listing) + "\n")
+    same = run_script("payload_digests.py", *args, "--against", str(saved))
+    assert same.returncode == 0, same.stderr
+    assert same.stdout == f"all {len(listing)} lines match {saved}\n"
+    # one edited digest: the run exits 1 and prints that line, and only it
+    w, step, name, digest = listing[1].split()
+    edited = [*listing[:1], f"{w} {step} {name} {'f' * 64}", *listing[2:]]
+    saved.write_text("\n".join(edited) + "\n")
+    moved = run_script("payload_digests.py", *args, "--against", str(saved))
+    assert moved.returncode == 1, moved.stderr
+    assert moved.stdout.splitlines() == [f"differs {w} {step} {name} {digest} (saved {'f' * 64})"]
+    # a line missing from the listing, and one the run does not make
+    saved.write_text("\n".join([*listing[1:], f"{w} {step} extra.csv {digest}"]) + "\n")
+    moved = run_script("payload_digests.py", *args, "--against", str(saved))
+    assert moved.returncode == 1, moved.stderr
+    assert moved.stdout.splitlines() == [f"missing {w} {step} extra.csv {digest}",
+                                         f"added {listing[0]}"]
+
+
 def test_bench_record(tmp_path):
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
@@ -111,8 +136,9 @@ def test_bench_record(tmp_path):
         assert len(m["values"]) == 1 and m["q1"] == m["median"] == m["q3"] == m["values"][0] > 0
     assert metrics["run_s"]["median"] == pytest.approx(sum(result["step_s_median"].values()))
     # two checkouts of one tree: one comparison line per metric and step,
-    # and no digest differs
-    proc = run_script("bench_record.py", "--pr", "0", "--seed", "5", "--runs", "1",
+    # a metric's with the change's pair wins and the parent's quartiles, a
+    # step's with its digest, and no digest differs
+    proc = run_script("bench_record.py", "--pr", "0", "--seed", "5", "--runs", "2",
                       "--seconds", "0.05", "--workload", "construction", "--out", str(out),
                       "--checkout", f"parent={ROOT}", "--checkout", f"change={ROOT}")
     assert proc.returncode == 0, proc.stderr
@@ -120,6 +146,21 @@ def test_bench_record(tmp_path):
     lines = lines[lines.index(f"wrote {out}") + 1:]
     assert sorted(line.split(":")[0] for line in lines) == sorted(
         f"construction {name}" for name in [*metrics, *labels])
-    assert all(re.fullmatch(r"construction \S+: parent \S+, change \S+, [+-]\d+\.\d%"
-                            r"(, digest same)?", line) for line in lines)
-    assert sum(line.endswith(", digest same") for line in lines) == len(labels)
+    with open(out) as fh:
+        sides = {name: side["workloads"]["construction"]
+                 for name, side in json.load(fh)["checkouts"].items()}
+    number = r"(\d+(\.\d*)?(e[+-]\d+)?)"
+    for line in lines:
+        name = line.split(":")[0].split(" ")[1]
+        if name in metrics:
+            m = re.fullmatch(rf"construction {name}: parent {number}, change {number}, "
+                             rf"[+-]\d+\.\d%, wins (\d)/2, parent q1 {number} q3 {number}", line)
+            assert m, line
+            parent, change = (sides[s]["end_to_end"][name] for s in ("parent", "change"))
+            wins = sum(c < p for p, c in zip(parent["values"], change["values"]))
+            assert int(m[7]) == wins
+            assert (float(m[8]), float(m[11])) == pytest.approx(
+                (parent["q1"], parent["q3"]), rel=1e-3)
+        else:
+            assert re.fullmatch(rf"construction {name}: parent {number}, change {number}, "
+                                r"[+-]\d+\.\d%, digest same", line), line
