@@ -5,6 +5,12 @@ output directory as report.json and CSV files.  Identical config + seed give
 byte-identical report payloads, and finished payloads are cached under a hash
 of the canonicalized config and of the package's source.
 
+``COMMAND_KEYS`` lists the keys that each command reads besides n_max, seed
+and strict_verdict, each with its reader and its default.  ``run`` reads each
+given key through its reader once, before the cache lookup, and hands the
+handler the values; a key that the command does not read is a validation
+error ("params.t_window is not read by analyze"), so a file serves one command.
+
 A handler returns its payload with the library's records in it as they are;
 one JSON hook (``_json_default``) encodes them, and the run keeps the
 normalised payload.  The warnings and the exit code are read off that
@@ -23,7 +29,6 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys as _sys
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -38,8 +43,10 @@ from .core import (
     RationalTable,
     ValidationError,
     _factor_record,
+    _is_integer,
     cat_map_system,
     check_keys,
+    check_order,
     decimal_bytes,
     finite_permutation_system,
     finite_size,
@@ -50,16 +57,9 @@ from .core import (
     write_csv,
 )
 
-COMMANDS = ("analyze", "admissible", "probe", "optimize", "construct",
-            "elasticity", "rank")
 
 MAX_TABLE_CSV_ROWS = 200_000
 MAX_K_VALUES = 10_000
-
-#: the params and tolerances keys that some command reads (one file serves all)
-PARAMS_KEYS = ("starts", "method", "n", "t_window", "n_scan", "profile_csv", "strict_mu",
-               "generators")
-TOLERANCES_KEYS = ("tol_inverse", "gap_resolution")
 
 
 @dataclass
@@ -134,38 +134,18 @@ def _field(obj: dict, key: str, what: str):
     return obj[key]
 
 
-def _number(value, what: str):
-    """A real number, not a bool or a string, as a float; else a ValidationError."""
-    try:
-        if isinstance(value, numbers.Real) and not isinstance(value, bool):
-            return float(value)
-    except OverflowError:
-        pass
-    raise ValidationError(f"{what} must be a number, got {value!r}")
-
-
-def _positive(value, what: str) -> float:
-    """A positive finite number; anything else is a ValidationError."""
-    v = _number(value, what)
-    if not (math.isfinite(v) and v > 0):
-        raise ValidationError(f"{what} must be a positive finite number, got {value!r}")
+def _positive_number(value, path: str) -> float:
+    """A positive finite number as a float; anything else is a ValidationError."""
+    v = finite_size(value, path)
+    if not v > 0:
+        raise ValidationError(f"{path} must be a positive finite number, got {value!r}")
     return v
 
 
-def _integer(value, what: str, minimum=None) -> int:
-    """An int config value (not a bool, not a float) of at least ``minimum``;
-    anything else is a ValidationError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or minimum is not None and value < minimum):
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise ValidationError(f"{what} must be an integer{at_least}, got {value!r}")
-    return int(value)
-
-
-def _boolean(value, what: str) -> bool:
+def _flag(value, path: str) -> bool:
     """A JSON boolean; anything else is a ValidationError."""
     if not isinstance(value, bool):
-        raise ValidationError(f"{what} must be true or false, got {value!r}")
+        raise ValidationError(f"{path} must be true or false, got {value!r}")
     return value
 
 
@@ -195,10 +175,10 @@ def system_from_config(decl: dict, tolerances: dict | None = None):
         raise ValidationError(f"unknown space kind {kind!r}")
     check_keys(space, SPACE_KEYS[kind], "system.space")
     check_keys(mp, MAP_KEYS[kind], "system.map")
-    opts = {"grid_resolution": _integer(space.get("grid_resolution", 256),
-                                        "space.grid_resolution"),
-            "tol_inverse": _positive((tolerances or {}).get("tol_inverse", 1e-9),
-                                     "tolerances.tol_inverse")}
+    opts = {"grid_resolution": check_order(space.get("grid_resolution", 256),
+                                           "space.grid_resolution", 2, budget=math.inf),
+            "tol_inverse": _positive_number((tolerances or {}).get("tol_inverse", 1e-9),
+                                            "tolerances.tol_inverse")}
     mtype = mp.get("type")
     if kind == "finite":
         if mtype != "permutation":
@@ -250,61 +230,136 @@ def _diag(kind: str, message: str):
 # --------------------------------------------------------------------------
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v > 0
-
-
-def _count(value, what: str) -> int:
-    """A positive int config value; anything else is a ValidationError."""
-    if not _is_count(value):
-        raise ValidationError(f"{what} must be a positive int, got {value!r}")
-    return int(value)
-
-
-def _points_spec(value, what: str):
-    """A sample grid given as config field ``what``: None (the space's
-    default), a positive int, a non-empty list of points, or
-    {"grid": int or None, "seeds": [points]}."""
-    if value is None or _is_count(value) or isinstance(value, (list, tuple)) and value:
+def _points_spec(value, path: str):
+    """A sample grid given as config key ``path``: a positive int, a
+    non-empty list of points, or {"grid": int or None, "seeds": [points]}.
+    A count is not an orbit order, so no iteration budget bounds it."""
+    if _is_integer(value) and value > 0 or isinstance(value, (list, tuple)) and value:
         return value
     if (isinstance(value, dict) and set(value) <= {"grid", "seeds"}
-            and (value.get("grid") is None or _is_count(value["grid"]))
+            and (value.get("grid") is None or _is_integer(value["grid"]) and value["grid"] > 0)
             and isinstance(value.get("seeds", []), (list, tuple))):
         return value
-    raise ValidationError(f"{what} must be a positive int, a non-empty list of points or "
+    raise ValidationError(f"{path} must be a positive int, a non-empty list of points or "
                           f'{{"grid": n, "seeds": [points]}}, got {value!r}')
 
 
-def _k_values(config: RunConfig):
-    ks = []
-    if config.k is not None:
-        ks.append(finite_size(config.k, "k"))
-    if config.k_range is not None:
-        if not isinstance(config.k_range, (list, tuple)) or len(config.k_range) != 3:
-            raise ValidationError("k_range expects [a, b, step]")
-        a, b, step = (_number(v, "k_range entry") for v in config.k_range)
-        stop = b + 0.5 * step
-        if not all(map(math.isfinite, (a, b, step, stop))):
-            raise ValidationError("k_range [a, b, step] must be finite, b + step/2 "
-                                  f"included, got {list(config.k_range)!r}")
-        if step <= 0:
-            raise ValidationError("k-range step must be positive")
-        # floor((b - a)/step) + 1 sizes a + i * step (-0.5:0.5:0.1 meets 0.0
-        # and 0.5), counted before any is built; 1e-9 absorbs the rounding of
-        # the quotient (0.3/0.1 < 3), and the count keeps the last size from
-        # passing b (0:0.7:1 gives [0.0])
-        span = (b - a) / step
-        if span + 1 > MAX_K_VALUES:
-            raise BudgetError(f"k_range [{a}, {b}, {step}] spans more than "
-                              f"{MAX_K_VALUES} sizes")
-        count = max(math.floor(span + 1e-9) + 1, 0)
-        ks.extend(a + i * step for i in range(count))
-    return ks
+def _k_range(value, path: str) -> list:
+    """The sizes a + i * step of [a, b, step], b included."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValidationError(f"{path} expects [a, b, step]")
+    a, b, step = (finite_size(v, f"{path} entry") for v in value)
+    if not math.isfinite(b + 0.5 * step):
+        raise ValidationError(f"{path} [a, b, step] must be finite, b + step/2 "
+                              f"included, got {list(value)!r}")
+    if step <= 0:
+        raise ValidationError("k-range step must be positive")
+    # floor((b - a)/step) + 1 sizes a + i * step (-0.5:0.5:0.1 meets 0.0
+    # and 0.5), counted before any is built; 1e-9 absorbs the rounding of
+    # the quotient (0.3/0.1 < 3), and the count keeps the last size from
+    # passing b (0:0.7:1 gives [0.0])
+    span = (b - a) / step
+    if span + 1 > MAX_K_VALUES:
+        raise BudgetError(f"k_range [{a}, {b}, {step}] spans more than "
+                          f"{MAX_K_VALUES} sizes")
+    count = max(math.floor(span + 1e-9) + 1, 0)
+    return [a + i * step for i in range(count)]
 
 
-def _cmd_analyze(config, sys_, out_dir):
+def _t_window(value, path: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValidationError(f"{path} must be a pair [lo, hi], got {value!r}")
+    lo, hi = (finite_size(v, f"{path} entry") for v in value)
+    if not lo < hi:
+        raise ValidationError(f"{path} must have lo < hi, got {value!r}")
+    return lo, hi
+
+
+def _profile_csv(value, path: str) -> str:
+    """Only a non-empty string is a path: open() takes an int or a bool as a
+    file descriptor, and would read (and close) the process's own stdout."""
+    if not (isinstance(value, str) and value):
+        raise ValidationError(f"{path} must be a non-empty path string, got {value!r}")
+    return value
+
+
+def _method(value, path: str) -> str:
+    if not (isinstance(value, str) and value in ergopt.METHODS):
+        raise ValidationError(f"{path} must be one of {', '.join(ergopt.METHODS)}, "
+                              f"got {value!r}")
+    return value
+
+
+def _generators(value, path: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{path} must be a list, got {value!r}")
+    return elastic.PeriodGroup.parse(value)
+
+
+#: the default of a key that its command cannot run without
+_REQUIRED = object()
+
+_SYSTEM = {"system": (None, _REQUIRED), "tolerances.tol_inverse": (_positive_number, 1e-9)}
+_GRID = {"grid": (_points_spec, None)}
+_SIZES = {"k": (lambda value, path: [finite_size(value, path)], []), "k_range": (_k_range, [])}
+_TORUS = {**_SYSTEM, **_GRID, "k": (finite_size, _REQUIRED),
+          "params.t_window": (_t_window, (-10.0, 10.0)), "params.n_scan": (check_order, 64)}
+_GAP = {"tolerances.gap_resolution": (_positive_number, 1e-3)}
+PROFILE_ELASTICITY = "elasticity from params.profile_csv"
+
+#: the keys that each command reads besides n_max, seed and strict_verdict,
+#: by their paths in the config: each with its reader, which takes the value
+#: and the path and returns what the handler gets (None: the value as given),
+#: and its default.  An elasticity run given params.profile_csv reads the
+#: profile alone (PROFILE_ELASTICITY); every other one builds its system.
+COMMAND_KEYS = {
+    "analyze": {**_SYSTEM, **_GRID},
+    "admissible": {**_SYSTEM, **_GRID, **_SIZES},
+    "probe": {**_SYSTEM, **_SIZES, "params.starts": (_points_spec, None)},
+    "optimize": {**_SYSTEM, **_GRID, "params.method": (_method, None),
+                 "params.n": (check_order, None)},
+    "construct": _TORUS,
+    "elasticity": {**_TORUS, "params.strict_mu": (_flag, False), **_GAP},
+    PROFILE_ELASTICITY: {"params.profile_csv": (_profile_csv, _REQUIRED), **_GAP},
+    "rank": {"params.generators": (_generators, _REQUIRED)},
+}
+
+
+def _read_keys(config: RunConfig) -> dict:
+    """The values the command reads, by the last part of their paths: each
+    key given in the config through its reader, each other key's default.
+    A key the command does not read, or a required one that is missing, is
+    a ValidationError."""
+    given = {name: getattr(config, name) for name in ("system", "grid", "k", "k_range")}
+    for name in ("params", "tolerances"):
+        group = getattr(config, name)
+        if not isinstance(group, dict):
+            raise ValidationError(f"{name} must be an object, got {group!r}")
+        given.update((f"{name}.{key}", value) for key, value in group.items())
+    given = {path: value for path, value in given.items() if value is not None}
+    command = config.command
+    if command == "elasticity" and "params.profile_csv" in given:
+        command = PROFILE_ELASTICITY
+    keys = COMMAND_KEYS[command]
+    for path in given:
+        if path not in keys:
+            raise ValidationError(f"{path} is not read by {command}, which reads "
+                                  f"{', '.join(keys)}")
+    values = {}
+    for path, (reader, default) in keys.items():
+        if path in given:
+            value = given[path] if reader is None else reader(given[path], path)
+        elif default is _REQUIRED:
+            raise ValidationError(f"{command} needs {path}")
+        else:
+            value = default
+        values[path.rpartition(".")[2]] = value
+    return values
+
+
+def _cmd_analyze(config, keys, out_dir):
     # the full per-point table is built only when birkhoff.csv is written
-    points = _points_spec(config.grid, "grid")
+    sys_, points = keys["system"], keys["grid"]
     n_rows = len(sys_.space.sample_points(points)) * config.n_max
     reduce = birkhoff.birkhoff_table if n_rows <= MAX_TABLE_CSV_ROWS else birkhoff.birkhoff_extrema
     table = reduce(sys_, points, config.n_max)
@@ -325,10 +380,10 @@ def _cmd_analyze(config, sys_, out_dir):
     }
 
 
-def _cmd_admissible(config, sys_, out_dir):
-    table = birkhoff.birkhoff_extrema(sys_, _points_spec(config.grid, "grid"), config.n_max)
+def _cmd_admissible(config, keys, out_dir):
+    table = birkhoff.birkhoff_extrema(keys["system"], keys["grid"], config.n_max)
     est = birkhoff.limit_estimates(table)
-    classifications = [{"k": k, "verdict": est.classify(k)} for k in _k_values(config)]
+    classifications = [{"k": k, "verdict": est.classify(k)} for k in keys["k"] + keys["k_range"]]
     birkhoff.extrema_to_csv(table, os.path.join(out_dir, "envelopes.csv"))
     return {
         "admissible_set": {
@@ -343,50 +398,18 @@ def _cmd_admissible(config, sys_, out_dir):
     }
 
 
-def _cmd_probe(config, sys_, out_dir):
-    ks = _k_values(config)
+def _cmd_probe(config, keys, out_dir):
+    ks, sys_ = keys["k"] + keys["k_range"], keys["system"]
     if not ks:
         raise ValidationError("probe needs --k or --k-range")
-    starts = _points_spec(config.params.get("starts"), "params.starts")
-    reports = torus.probe_sweep(sys_, ks, n_max=config.n_max, starts=starts)
-    if len(ks) == 1 and config.k is not None:
+    reports = torus.probe_sweep(sys_, ks, n_max=config.n_max, starts=keys["starts"])
+    if len(ks) == 1 and keys["k"]:
         _write_probe_trace(sys_, reports[0], config, out_dir)
     _write_phase_table(reports, os.path.join(out_dir, "phase.csv"))
     return {
         "reports": reports,
         "phase_table": [[r.k, r.verdict] for r in reports],
     }
-
-
-def _t_window(config):
-    window = config.params.get("t_window", (-10.0, 10.0))
-    if not isinstance(window, (list, tuple)) or len(window) != 2:
-        raise ValidationError(f"params.t_window must be a pair [lo, hi], got {window!r}")
-    lo, hi = (_number(v, "params.t_window entry") for v in window)
-    if not -math.inf < lo < hi < math.inf:  # NaN fails every comparison
-        raise ValidationError(f"params.t_window must be finite with lo < hi, got {window!r}")
-    return lo, hi
-
-
-def _n_scan(config):
-    return _count(config.params.get("n_scan", 64), "params.n_scan")
-
-
-def _profile_csv(config):
-    """params.profile_csv of an elasticity run, or None when it is absent.
-
-    Only a non-empty string is a path: open() takes an int or a bool as a
-    file descriptor, and would read (and close) the process's own stdout.
-    """
-    path = config.params.get("profile_csv")
-    if path is not None and not (isinstance(path, str) and path):
-        raise ValidationError(f"params.profile_csv must be a non-empty path string, "
-                              f"got {path!r}")
-    return path
-
-
-def _strict_mu(config):
-    return _boolean(config.params.get("strict_mu", False), "params.strict_mu")
 
 
 def _write_probe_trace(sys_, report, config, out_dir):
@@ -404,14 +427,11 @@ def _write_phase_table(reports, path):
                 ["" if r.escape_bound is None else str(r.escape_bound) for r in reports]]])
 
 
-def _cmd_optimize(config, sys_, out_dir):
-    method = config.params.get("method")
-    if method is None:
-        method = "exact_finite" if sys_.space.kind == "finite" else "birkhoff_fn"
-    n = config.params.get("n")
-    n = min(config.n_max, 64) if n is None else _count(n, "params.n")
-    points = _points_spec(config.grid, "grid")
-    lo, hi = ergopt.coboundary_optima(sys_, method=method, n=n, points=points)
+def _cmd_optimize(config, keys, out_dir):
+    sys_ = keys["system"]
+    method = keys["method"] or ("exact_finite" if sys_.space.kind == "finite" else "birkhoff_fn")
+    lo, hi = ergopt.coboundary_optima(sys_, method=method, n=keys["n"] or min(config.n_max, 64),
+                                      points=keys["grid"])
     _write_potential_csv(hi, os.path.join(out_dir, "potential.csv"))
 
     def optimum(r):  # the record without its potentials
@@ -431,11 +451,9 @@ def _write_potential_csv(result, path):
     write_csv(path, "index,f", [[decimal_bytes(np.arange(len(table))), cells]])
 
 
-def _cmd_construct(config, sys_, out_dir):
-    if config.k is None:
-        raise ValidationError("construct needs --k")
-    mu = torus.build_mu(sys_, finite_size(config.k, "k"), _t_window(config),
-                        n_scan=_n_scan(config), points=_points_spec(config.grid, "grid"))
+def _cmd_construct(config, keys, out_dir):
+    mu = torus.build_mu(keys["system"], keys["k"], keys["t_window"], n_scan=keys["n_scan"],
+                        points=keys["grid"])
     g = mu.gcons
     # the margin and the mu residual first: a failing check raises as before
     slope_margin = g.slope_margin()
@@ -458,24 +476,14 @@ def _cmd_construct(config, sys_, out_dir):
     }
 
 
-def _cmd_elasticity(config, sys_, out_dir):
-    gap_resolution = _positive(config.tolerances.get("gap_resolution", 1e-3),
-                               "tolerances.gap_resolution")
-    profile_csv = _profile_csv(config)
-    if profile_csv is not None:
-        profile = elastic.profile_from_csv(profile_csv)
+def _cmd_elasticity(config, keys, out_dir):
+    if "profile_csv" in keys:
+        profile = elastic.profile_from_csv(keys["profile_csv"])
     else:
-        if sys_ is None:
-            raise ValidationError("elasticity needs a system or params.profile_csv")
-        if config.k is None:
-            raise ValidationError("elasticity from a system needs --k")
         profile = elastic.mapping_torus_profile(
-            sys_, finite_size(config.k, "k"), _t_window(config),
-            n_scan=_n_scan(config),
-            points=_points_spec(config.grid, "grid"),
-            strict_mu=_strict_mu(config),
-        )
-    es = elastic.elasticity_from_profile(profile, gap_resolution=gap_resolution)
+            keys["system"], keys["k"], keys["t_window"], n_scan=keys["n_scan"],
+            points=keys["grid"], strict_mu=keys["strict_mu"])
+    es = elastic.elasticity_from_profile(profile, gap_resolution=keys["gap_resolution"])
     min_u, max_u = profile.bounds
     return {
         "elasticity": es,
@@ -488,14 +496,10 @@ def _cmd_elasticity(config, sys_, out_dir):
     }
 
 
-def _cmd_rank(config, sys_, out_dir):
-    gens = config.params.get("generators")
-    if not isinstance(gens, (list, tuple)):
-        raise ValidationError("rank needs params.generators as a list")
-    group = elastic.PeriodGroup.parse(gens)
+def _cmd_rank(config, keys, out_dir):
     return {
-        "rank": elastic.lcs_rank(group),
-        "generators": [[str(a), str(b)] for a, b in group.generators],
+        "rank": elastic.lcs_rank(keys["generators"]),
+        "generators": [[str(a), str(b)] for a, b in keys["generators"].generators],
     }
 
 
@@ -508,8 +512,7 @@ _HANDLERS = {
     "elasticity": _cmd_elasticity,
     "rank": _cmd_rank,
 }
-
-_NEEDS_SYSTEM = {"analyze", "admissible", "probe", "optimize", "construct"}
+COMMANDS = tuple(_HANDLERS)
 
 
 _ROUNDED = "float factor table: the cycle means carry a rounding error of at most error_bound"
@@ -565,10 +568,10 @@ def _exit_code(config: RunConfig, payload: dict) -> int:
 # --------------------------------------------------------------------------
 
 
-def cache_path(config: RunConfig, canonical: dict | str) -> str:
+def cache_path(config: RunConfig, canonical: dict | str, profile: str | None = None) -> str:
+    """The config's cache entry; the bytes of the ``profile`` file it reads are hashed too."""
     base = config.cache_dir or os.environ.get("CACHE_DIR") or os.path.join(
         config.out, ".cache")
-    profile = _profile_csv(config) if config.command == "elasticity" else None
     digest = None if profile is None else _file_sha256(profile)
     return os.path.join(base, cache_key(canonical, digest) + ".json")
 
@@ -621,33 +624,30 @@ def cache_store(path: str, payload):
 def run(config: RunConfig):
     """Execute one command; returns (report dict, exit code).
 
-    The fields the handlers trust (the params and tolerances keys, n_max,
-    seed, strict_verdict) are checked before the cache lookup.  The
-    warnings and the exit code are read off the normalised payload, the one
-    a miss computes or a hit reads from the cache.
+    n_max, seed and strict_verdict, and then every key of COMMAND_KEYS that
+    the config gives, are read before the cache lookup; the handlers get
+    the values read.  The warnings and the exit code are read off the
+    normalised payload, the one a miss computes or a hit reads from the
+    cache.
     """
     warnings: list = []
     try:
         if config.command not in COMMANDS:
             raise ValidationError(f"unknown command {config.command!r}")
-        for name, known in (("params", PARAMS_KEYS), ("tolerances", TOLERANCES_KEYS)):
-            if not isinstance(getattr(config, name), dict):
-                raise ValidationError(f"{name} must be an object, got {getattr(config, name)!r}")
-            check_keys(getattr(config, name), known, name)
-        _integer(config.n_max, "n_max")
-        _integer(config.seed, "seed", 0)
-        _boolean(config.strict_verdict, "strict_verdict")
+        check_order(config.n_max, "n_max")
+        check_order(config.seed, "seed", 0, budget=math.inf)
+        _flag(config.strict_verdict, "strict_verdict")
+        keys = _read_keys(config)
         os.makedirs(config.out, exist_ok=True)
         canonical = config.canonical()
         config_text = _compact(canonical)  # encoded once: for the key and the echo
-        path = cache_path(config, config_text)
+        path = cache_path(config, config_text, keys.get("profile_csv"))
         payload = cache_lookup(path, warnings)
         cache_hit = payload is not None
         if not cache_hit:
-            sys_ = system_from_config(config.system, config.tolerances) \
-                if config.command in _NEEDS_SYSTEM \
-                or (config.command == "elasticity" and config.system) else None
-            payload = _HANDLERS[config.command](config, sys_, config.out)
+            if "system" in keys:
+                keys["system"] = system_from_config(keys["system"], config.tolerances)
+            payload = _HANDLERS[config.command](config, keys, config.out)
             payload = json.loads(json.dumps(payload, default=_json_default))
             cache_store(path, payload)
     except (ValidationError, DomainError) as exc:
@@ -694,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    """The config file merged with the flags; ``run`` checks the values."""
+    """The config file with the flags over its values; ``run`` checks the values."""
     data = {}
     if args.config:
         with open(args.config) as fh:
@@ -703,34 +703,24 @@ def config_from_args(args) -> RunConfig:
             raise ValidationError(f"config file {args.config} must hold a JSON object, "
                                   f"got {type(data).__name__}")
         check_keys(data, [f.name for f in fields(RunConfig)])
-    command = args.command or data.get("command")
-    if not command:
+    data.update((name, getattr(args, name)) for name in ("command", "out", "seed", "n_max",
+                                                         "grid", "k")
+                if getattr(args, name) not in (None, ""))
+    if not data.get("command"):
         raise ValidationError("no command given (flag --command or config)")
-    k_range = data.get("k_range")
     if args.k_range:
         parts = args.k_range.split(":")
         if len(parts) != 3:
             raise ValidationError("--k-range expects a:b:step")
         try:
-            k_range = [float(v) for v in parts]
+            data["k_range"] = [float(v) for v in parts]
         except ValueError:
             raise ValidationError(f"--k-range has non-numeric parts: {args.k_range!r}") from None
-    strict_verdict = data.get("strict_verdict", False)
-    return RunConfig(
-        command=command,
-        system=data.get("system"),
-        n_max=args.n_max if args.n_max is not None else data.get("n_max", 200),
-        grid=args.grid if args.grid is not None else data.get("grid"),
-        k=args.k if args.k is not None else data.get("k"),
-        k_range=tuple(k_range) if k_range else None,
-        seed=args.seed if args.seed is not None else data.get("seed", 0),
-        tolerances=data.get("tolerances", {}),
-        params=data.get("params", {}),
-        out=args.out or data.get("out", "out"),
-        strict_verdict=True if args.strict_verdict and strict_verdict is False
-        else strict_verdict,  # a file value other than false is left for run to check
-        cache_dir=data.get("cache_dir"),
-    )
+    k_range = data.get("k_range")
+    data["k_range"] = (tuple(k_range) if isinstance(k_range, list) else k_range) or None
+    if args.strict_verdict and data.get("strict_verdict", False) is False:
+        data["strict_verdict"] = True  # a file value other than false is left for run to check
+    return RunConfig(**data)
 
 
 def _normalize_argv(argv) -> list:

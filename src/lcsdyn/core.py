@@ -449,15 +449,18 @@ class ConformalSystem:
         return _int64_bound(self.scaled_table)
 
 
-def check_order(n: int, name: str = "n", least: int = 1):
-    """An orbit order n: a non-integer (a bool; NumPy ints are integers) or
-    one below ``least`` is a ValidationError, one above the budget a BudgetError."""
+def check_order(n: int, name: str = "n", least: int = 1,
+                budget: float = DEFAULT_MAX_ITERATIONS) -> int:
+    """An orbit order n as an int: a non-integer (a bool; NumPy ints are
+    integers) or one below ``least`` is a ValidationError, one above
+    ``budget`` (``math.inf`` for an integer that sizes no walk) a BudgetError."""
     if not _is_integer(n):
         raise ValidationError(f"{name} must be an integer, got {n!r}")
     if n < least:
-        raise ValidationError(f"{name} must be >= {least}")
-    if n > DEFAULT_MAX_ITERATIONS:
-        raise BudgetError(f"{name} = {n} exceeds iteration budget {DEFAULT_MAX_ITERATIONS}")
+        raise ValidationError(f"{name} must be >= {least}, got {n!r}")
+    if n > budget:
+        raise BudgetError(f"{name} = {n} exceeds iteration budget {budget}")
+    return int(n)
 
 
 def finite_size(k, name: str = "size k") -> float:

@@ -236,6 +236,9 @@ def _snap_indices(sys: ConformalSystem, pts) -> np.ndarray:
     return ij[:, 0] * side + ij[:, 1]
 
 
+METHODS = ("exact_finite", "birkhoff_fn", "grid_descent")
+
+
 def coboundary_optima(sys: ConformalSystem, method: str = "exact_finite",
                       n: int | None = None, points=None) -> tuple:
     """(max-min, min-max) of sys by the chosen method: sup_f min_x and
@@ -250,7 +253,7 @@ def coboundary_optima(sys: ConformalSystem, method: str = "exact_finite",
     """
     if method == "exact_finite":
         dec = cycle_mean_extrema(sys)
-    elif method not in ("birkhoff_fn", "grid_descent"):
+    elif method not in METHODS:
         raise ValidationError(f"unknown method {method!r}")
     elif sys.space.kind == FINITE:
         raise ValidationError(f"{method} expects a grid; use exact_finite")

@@ -349,32 +349,36 @@ class CutoffFunction:
         return (float(chi), float(slope)) if chi.ndim == 0 else (chi, slope)
 
 
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral of y over the strictly increasing grid x (at least
-    3 points), starting at 0, by the composite Simpson rule for unequal
-    intervals (Cartwright, J. Math. Sci. Math. Educ. 12(2), eqn (8)).
+def _cumulative_simpson(y, x: np.ndarray):
+    """Cumulative integral of y (an array, or a tuple of arrays, which share
+    the weights) over the strictly increasing grid x (at least 3 points),
+    starting at 0, by the composite Simpson rule for unequal intervals
+    (Cartwright, J. Math. Sci. Math. Educ. 12(2), eqn (8)).
 
-    Each interval is integrated by the parabola through it and a neighbour:
-    even intervals from the forward panels, odd intervals and the last one
-    from the panels of the reversed arrays.  The operations and their order
-    are those of scipy.integrate.cumulative_simpson(y, x=x, initial=0.0), so
-    the result is bit-identical to it.
+    Each interval is integrated by the parabola through it and a neighbour,
+    by the operations of scipy.integrate.cumulative_simpson(y, x=x,
+    initial=0.0) in their order, so the result is bit-identical to it.
     """
-    def panels(f, dx):
-        x21, x32 = dx[:-1], dx[1:]
-        a = x21 / (x21 + x32)
-        ab = a * (x21 / x32)
-        return x21 / 6 * ((3 - a) * f[:-2] + (3 + ab + a) * f[1:-1] + (-ab) * f[2:])
-
     dx = np.diff(x)
-    forward = panels(y, dx)
-    backward = panels(y[::-1], dx[::-1])[::-1]
-    parts = np.empty(dx.size)
-    parts[:-1:2] = forward[::2]
-    parts[1::2] = backward[::2]
-    parts[-1] = backward[-1]
-    # + 0.0 turns -0.0 into 0.0, as SciPy's initial=0.0 does
-    return np.concatenate(([0.0], np.cumsum(parts) + 0.0))
+    # the neighbour's width: interval 2t + 1 for 2t (SciPy's forward panel), 2t
+    # for 2t + 1 and the last but one for the last (its panels of the reversed arrays)
+    x32 = np.empty_like(dx)
+    x32[:-1:2], x32[1::2], x32[-1] = dx[1::2], dx[:-1:2], dx[-2]
+    a = dx / (dx + x32)
+    ab = a * (dx / x32)
+    scale, w0, w1, w2 = dx / 6, 3 - a, 3 + ab + a, -ab
+
+    def integral(f):
+        left, mid, right = f[:-2:2], f[1:-1:2], f[2::2]
+        parts = np.empty_like(dx)
+        for at, f0, f1, f2 in ((slice(0, -1, 2), left, mid, right),
+                               (slice(1, None, 2), right, mid, left),
+                               (-1, f[-1], f[-2], f[-3])):
+            parts[at] = scale[at] * (w0[at] * f0 + w1[at] * f1 + w2[at] * f2)
+        # + 0.0 turns -0.0 into 0.0, as SciPy's initial=0.0 does
+        return np.concatenate(([0.0], np.cumsum(parts) + 0.0))
+
+    return [integral(f) for f in y] if isinstance(y, tuple) else integral(y)
 
 
 def build_cutoff(bound: float) -> CutoffFunction:
@@ -395,10 +399,9 @@ def build_cutoff(bound: float) -> CutoffFunction:
     with np.errstate(divide="ignore", over="ignore"):
         arg = 1.0 - (u / d) ** 2
         phi = np.where(arg > 0, np.exp(-1.0 / np.maximum(arg, 1e-300)), 0.0)
-    cdf = _cumulative_simpson(phi, u)
+    cdf, moment = _cumulative_simpson((phi, u * phi), u)
     mass = cdf[-1]
-    cdf = cdf / mass
-    moment = _cumulative_simpson(u * phi, u) / mass
+    cdf, moment = cdf / mass, moment / mass
     return CutoffFunction(
         mollifier_width=d,
         derivative_sup=1.0 / (1.0 - 2.0 * d),

@@ -185,13 +185,18 @@ def test_phase_csv_is_the_csv_writer_file(tmp_path):
     assert b"\r\n-0.0,Inconclusive,\r\n" in path.read_bytes()
 
 
-@pytest.mark.parametrize("window", [[-math.inf, 2], [math.nan, 1], [5, 1]])
+@pytest.mark.parametrize("window,message", [
+    ([-math.inf, 2], "params.t_window entry must be finite, got -inf"),
+    ([math.nan, 1], "params.t_window entry must be finite, got nan"),
+    ([5, 1], "params.t_window must have lo < hi, got [5, 1]"),
+], ids=["window0", "window1", "window2"])
 @pytest.mark.parametrize("command,params", [
     ("construct", {}),
     ("elasticity", {"strict_mu": False}),
     ("elasticity", {"strict_mu": True}),
 ])
-def test_t_window_must_be_finite_with_lo_below_hi(tmp_path, capsys, window, command, params):
+def test_t_window_must_be_finite_with_lo_below_hi(tmp_path, capsys, window, message, command,
+                                                  params):
     # -inf exited 3 as past the truncation budget, NaN and [5, 1] exited 2
     # without naming the field, and the strict profile never read the window
     cfg = write_config(tmp_path, "w.json", command=command, system=STRICT_SYSTEM, k=1.0,
@@ -199,7 +204,7 @@ def test_t_window_must_be_finite_with_lo_below_hi(tmp_path, capsys, window, comm
     assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
     diag = _diag_of(capsys)
     assert diag["error"] == "ValidationError"
-    assert diag["message"].startswith("params.t_window must be finite with lo < hi")
+    assert diag["message"] == message
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -589,6 +594,7 @@ def test_malformed_system_is_a_validation_error(tmp_path, capsys, system):
     {"command": "admissible", "system": FINITE_SYSTEM, "k_range": [0, 1, float("nan")]},
     {"command": "admissible", "system": FINITE_SYSTEM, "k_range": [0, float("inf"), 1]},
     {"command": "admissible", "system": FINITE_SYSTEM, "k_range": [1e308, 1.7e308, 1e308]},
+    {"command": "admissible", "system": FINITE_SYSTEM, "k_range": 5},  # was a TypeError
 ])
 def test_malformed_params_are_validation_errors(tmp_path, capsys, data):
     cfg = write_config(tmp_path, "bad.json", **data)
@@ -601,20 +607,22 @@ def _diag_of(capsys):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("command,params,field", [
-    ("optimize", {"n": "abc"}, "params.n"),  # was a TypeError
-    ("optimize", {"n": 2.5}, "params.n"),  # was a TypeError
-    ("optimize", {"n": 0}, "params.n"),  # silently ran at n = 64
-    ("probe", {"starts": 2.5}, "params.starts"),  # was a TypeError
-    ("construct", {"n_scan": 0}, "params.n_scan"),  # was reported as n_max
-])
-def test_malformed_command_params_name_their_field(tmp_path, capsys, command, params, field):
+@pytest.mark.parametrize("command,params,message", [
+    ("optimize", {"n": "abc"}, "params.n must be an integer, got 'abc'"),  # was a TypeError
+    ("optimize", {"n": 2.5}, "params.n must be an integer, got 2.5"),  # was a TypeError
+    ("optimize", {"n": 0}, "params.n must be >= 1, got 0"),  # silently ran at n = 64
+    ("probe", {"starts": 2.5}, "params.starts must be a positive int"),  # was a TypeError
+    ("construct", {"n_scan": 0}, "params.n_scan must be >= 1, got 0"),  # was reported as n_max
+], ids=["optimize-params0-params.n", "optimize-params1-params.n", "optimize-params2-params.n",
+        "probe-params3-params.starts", "construct-params4-params.n_scan"])
+def test_malformed_command_params_name_their_field(tmp_path, capsys, command, params, message):
+    sizes = {} if command == "optimize" else {"k": 0.5}
     cfg = write_config(tmp_path, "p.json", command=command, system=CONST_SYSTEM, n_max=6,
-                       k=0.5, params=params)
+                       params=params, **sizes)
     assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
     diag = _diag_of(capsys)
     assert diag["error"] == "ValidationError"
-    assert diag["message"].startswith(f"{field} must be a positive int")
+    assert diag["message"].startswith(message)
 
 
 @pytest.mark.parametrize("value", [
@@ -654,24 +662,26 @@ _CONSTRUCT = {"command": "construct", "system": CONST_SYSTEM, "k": 1.0,
               "params": {"t_window": [-2, 2]}}
 
 
-@pytest.mark.parametrize("data,flags,field", [
-    ({"n_max": 20.7}, [], "n_max"),  # ran with n_max 20
-    ({"n_max": True}, [], "n_max"),  # ran with n_max 1
-    ({"n_max": "20"}, [], "n_max"),
-    ({"seed": 1.5}, [], "seed"),  # seeded 1
-    ({"seed": -1}, [], "seed"),  # a ValueError from np.random.default_rng
-    ({}, ["--seed=-1"], "seed"),
+@pytest.mark.parametrize("data,flags,message", [
+    ({"n_max": 20.7}, [], "n_max must be an integer"),  # ran with n_max 20
+    ({"n_max": True}, [], "n_max must be an integer"),  # ran with n_max 1
+    ({"n_max": "20"}, [], "n_max must be an integer"),
+    ({"seed": 1.5}, [], "seed must be an integer"),  # seeded 1
+    ({"seed": -1}, [], "seed must be >= 0"),  # a ValueError from np.random.default_rng
+    ({}, ["--seed=-1"], "seed must be >= 0"),
     ({"system": dict(CONST_SYSTEM, space={"kind": "circle", "grid_resolution": 64.5})}, [],
-     "space.grid_resolution"),  # ran on a 64-point grid
+     "space.grid_resolution must be an integer"),  # ran on a 64-point grid
     ({"system": dict(CONST_SYSTEM, space={"kind": "circle", "grid_resolution": True})}, [],
-     "space.grid_resolution"),
-])
-def test_integer_config_fields_take_integers_only(tmp_path, capsys, data, flags, field):
+     "space.grid_resolution must be an integer"),
+], ids=["data0-flags0-n_max", "data1-flags1-n_max", "data2-flags2-n_max", "data3-flags3-seed",
+        "data4-flags4-seed", "data5-flags5-seed", "data6-flags6-space.grid_resolution",
+        "data7-flags7-space.grid_resolution"])
+def test_integer_config_fields_take_integers_only(tmp_path, capsys, data, flags, message):
     cfg = write_config(tmp_path, "c.json", **{**_CONSTRUCT, **data})
     assert run_cli(["--config", cfg, "--out", str(tmp_path / "r"), *flags]) == 2
     diag = _diag_of(capsys)
     assert diag["error"] == "ValidationError"
-    assert diag["message"].startswith(f"{field} must be an integer")
+    assert diag["message"].startswith(message)
 
 
 @pytest.mark.parametrize("text", [
@@ -753,7 +763,7 @@ def _old_cache_key(canonical, profile_sha256=None):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-# odd values under keys that some command reads (rank reads only generators)
+# odd values under params keys: the key hashes whatever the config holds
 ODD_PARAMS = {"generators": ["1", "s"], "n": np.int64(3), "t_window": np.float64(0.1),
               "starts": np.arange(3), "method": [Fraction(-2, 6)],
               "profile_csv": "a, b: c", "n_scan": {"z": 1, "a": [None, True]}}
@@ -788,7 +798,9 @@ def test_cache_path_of_a_profile_config_is_the_old_key(tmp_path):
     dict(command="admissible", system=dict(FINITE_SYSTEM, factor=["1/3", "-2/7", 0]),
          n_max=5, k_range=(-1.0, 1.0, 0.5)),
     dict(command="probe", system=CONST_SYSTEM, n_max=20, k=0.5),
-    dict(command="rank", params=ODD_PARAMS),
+    dict(command="rank", params={"generators": [("1", Fraction(-2, 6)), "s"]}),
+    dict(command="optimize", system=FINITE_SYSTEM, n_max=np.int64(7),
+         params={"n": np.int64(3), "method": "exact_finite"}),
 ])
 def test_report_json_is_the_old_object(tmp_path, config):
     # the old writer dumped the report dict whole (with ", " and ": "); the
@@ -860,7 +872,7 @@ def test_non_finite_k_is_a_validation_error(tmp_path, capsys, command, system):
     ([-1.0, 1.0, 0.5], [-1.0, -0.5, 0.0, 0.5, 1.0]),
 ])
 def test_k_range_stops_at_b(k_range, want):
-    ks = cli._k_values(cli.RunConfig(command="admissible", k_range=tuple(k_range)))
+    ks = cli._k_range(k_range, "k_range")
     assert ks == want
     a, b, step = k_range
     assert ks == np.arange(a, b + 0.5 * step, step).tolist()[:len(want)]
@@ -1316,24 +1328,139 @@ def test_run_checks_the_fields_a_library_caller_sets(tmp_path, capsys, field, va
     assert not os.path.exists(tmp_path / "r")  # refused before the cache lookup
 
 
-@pytest.mark.parametrize("data,key", [
-    ({"nmax": 5}, "nmax"),  # ran with n_max 200
-    ({"params": {"t_windw": [-2, 2]}}, "params.t_windw"),  # ignored
-    ({"tolerances": {"gap_res": 0.1}}, "tolerances.gap_res"),  # ignored
-])
-def test_a_key_that_no_command_reads_exits_2(tmp_path, capsys, data, key):
+@pytest.mark.parametrize("data,message", [
+    ({"nmax": 5}, "unknown key nmax;"),  # ran with n_max 200
+    ({"params": {"t_windw": [-2, 2]}}, "params.t_windw is not read by construct"),  # ignored
+    ({"tolerances": {"gap_res": 0.1}}, "tolerances.gap_res is not read by construct"),
+], ids=["data0-nmax", "data1-params.t_windw", "data2-tolerances.gap_res"])
+def test_a_key_that_no_command_reads_exits_2(tmp_path, capsys, data, message):
     cfg = write_config(tmp_path, "c.json", **{**_CONSTRUCT, **data})
     assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
     diag = _diag_of(capsys)
-    assert diag["error"] == "ValidationError" and diag["message"].startswith(f"unknown key {key};")
+    assert diag["error"] == "ValidationError" and diag["message"].startswith(message)
 
 
-def test_a_key_of_another_command_is_allowed(tmp_path):
-    # one file serves every --command: analyze ignores construct's t_window
+def test_a_key_of_another_command_exits_2(tmp_path, capsys):
+    # one file used to serve every --command: analyze ignored construct's t_window
     cfg = write_config(tmp_path, "c.json", **{**_CONSTRUCT, "tolerances": {"tol_inverse": 1e-9}})
-    for command in ("construct", "analyze"):
-        assert run_cli(["--config", cfg, "--command", command,
-                        "--out", str(tmp_path / command), "--n-max", "6"]) == 0
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "construct"), "--n-max", "6"]) == 0
+    assert run_cli(["--config", cfg, "--command", "analyze",
+                    "--out", str(tmp_path / "analyze"), "--n-max", "6"]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError"
+    assert diag["message"].startswith("k is not read by analyze, which reads system, ")
+
+
+@pytest.mark.parametrize("data,message", [
+    # each exited 0, the unread values hashed into the cache key
+    ({"command": "analyze", "system": CONST_SYSTEM,
+      "params": {"t_window": "abc", "n_scan": -3}}, "params.t_window is not read by analyze"),
+    ({"command": "construct", "system": CONST_SYSTEM, "k": 1.0, "k_range": [0, 1, 0.5],
+      "params": {"method": "nonsense"}}, "k_range is not read by construct"),
+    ({"command": "construct", "system": CONST_SYSTEM, "k": 1.0,
+      "params": {"method": "nonsense"}}, "params.method is not read by construct"),
+    ({"command": "analyze", "system": CONST_SYSTEM, "tolerances": {"gap_resolution": -1}},
+     "tolerances.gap_resolution is not read by analyze"),
+    ({"command": "analyze", "system": CONST_SYSTEM, "k": 0.5}, "k is not read by analyze"),
+    ({"command": "probe", "system": CONST_SYSTEM, "k": 0.5, "grid": 7},
+     "grid is not read by probe"),
+    ({"command": "rank", "params": {"generators": ["1"], "t_window": "x"}},
+     "params.t_window is not read by rank"),
+    ({"command": "elasticity", "system": CONST_SYSTEM, "k": 1.0,
+      "params": {"profile_csv": "PROFILE", "strict_mu": True}},
+     "system is not read by elasticity from params.profile_csv"),
+])
+def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, data, message):
+    prof = tmp_path / "prof.csv"
+    prof.write_text("u\n-1.0\n-0.5\n")
+    if "profile_csv" in data.get("params", {}):
+        data = dict(data, params={**data["params"], "profile_csv": str(prof)})
+    cfg = write_config(tmp_path, "c.json", n_max=6, **data)
+    assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError" and diag["message"].startswith(message)
+    assert not os.path.exists(tmp_path / "r")  # refused before the cache lookup
+
+
+@pytest.mark.parametrize("path", ["system", "k", "grid", "params.t_window", "params.n_scan",
+                                  "params.strict_mu", "tolerances.tol_inverse"])
+def test_a_profile_elasticity_reads_only_the_profile_and_gap_resolution(tmp_path, capsys,
+                                                                        path):
+    # the system was built and never read, and strict_mu: true was ignored
+    prof = tmp_path / "prof.csv"
+    prof.write_text("u\n-1.0\n-0.5\n")
+    config = _config_with("elasticity", {"params.profile_csv": str(prof)}, path,
+                          GOOD_VALUES[path], tmp_path)
+    report, code = cli.run(config)
+    assert code == 2
+    assert report["error"].startswith(f"{path} is not read by elasticity from "
+                                      "params.profile_csv, which reads params.profile_csv, "
+                                      "tolerances.gap_resolution")
+    assert _diag_of(capsys)["error"] == "ValidationError"
+
+
+#: a value that each key's command runs with, and one that its reader refuses
+GOOD_VALUES = {
+    "system": CONST_SYSTEM, "grid": 8, "k": 1.0, "k_range": [0.5, 1.0, 0.5],
+    "params.starts": [0.25], "params.method": "birkhoff_fn", "params.n": 4,
+    "params.t_window": [-2, 2], "params.n_scan": 8, "params.strict_mu": True,
+    "params.profile_csv": "prof.csv", "params.generators": ["1"],
+    "tolerances.tol_inverse": 1e-9, "tolerances.gap_resolution": 1e-3,
+}
+BAD_VALUES = {
+    "system": "circle", "grid": 0, "k": "1", "k_range": [0, 1], "params.starts": 2.5,
+    "params.method": "nonsense", "params.n": 0, "params.t_window": 5, "params.n_scan": -3,
+    "params.strict_mu": "yes", "params.profile_csv": 7, "params.generators": "1",
+    "tolerances.tol_inverse": -1, "tolerances.gap_resolution": 0,
+}
+#: the keys without which each entry of cli.COMMAND_KEYS does not run
+NEEDED = {"analyze": ("system",), "admissible": ("system",), "probe": ("system", "k"),
+          "optimize": ("system",), "construct": ("system", "k"),
+          "elasticity": ("system", "k"), cli.PROFILE_ELASTICITY: ("params.profile_csv",),
+          "rank": ("params.generators",)}
+
+
+def _config_with(command, keys, path, value, tmp_path):
+    """A RunConfig of ``command`` with ``keys`` and ``path`` set to ``value``."""
+    data = {"command": "elasticity" if command == cli.PROFILE_ELASTICITY else command,
+            "n_max": 6, "params": {}, "tolerances": {}}
+    for key, v in {**keys, path: value}.items():
+        group, _, name = key.rpartition(".")
+        if group:
+            data[group][name] = v
+        else:
+            data[name] = v
+    return cli.RunConfig(**data, out=str(tmp_path / "r"), cache_dir=str(tmp_path / "c"))
+
+
+@pytest.mark.parametrize("command", list(cli.COMMAND_KEYS))
+def test_each_key_a_command_reads_refuses_a_bad_value_by_its_path(tmp_path, capsys, command):
+    assert set(BAD_VALUES) == {p for keys in cli.COMMAND_KEYS.values() for p in keys}
+    needed = {p: GOOD_VALUES[p] for p in NEEDED[command]}
+    for path in cli.COMMAND_KEYS[command]:
+        report, code = cli.run(_config_with(command, needed, path, BAD_VALUES[path], tmp_path))
+        assert code == 2 and report["error"].startswith(f"{path} "), (path, report)
+        assert _diag_of(capsys)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("command", list(cli.COMMAND_KEYS))
+def test_each_key_only_other_commands_read_exits_2_naming_it(tmp_path, capsys, command):
+    needed = {p: GOOD_VALUES[p] for p in NEEDED[command]}
+    others = [p for p in GOOD_VALUES if p not in cli.COMMAND_KEYS[command]
+              and not (command == "elasticity" and p == "params.profile_csv")]
+    assert others
+    for path in others:
+        report, code = cli.run(_config_with(command, needed, path, GOOD_VALUES[path], tmp_path))
+        assert code == 2, (path, report)
+        assert report["error"].startswith(f"{path} is not read by {command}, which reads ")
+        assert _diag_of(capsys)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("seed", [2**40, 2**63 - 1])
+def test_a_large_seed_is_not_an_orbit_order(tmp_path, seed):
+    # the seed draws the mu residual's sample; no iteration budget bounds it
+    report, code = cli.run(cli.RunConfig(**_CONSTRUCT, seed=seed, out=str(tmp_path / "r")))
+    assert code == 0 and report["payload"]["mu_residual"] < 1e-9
 
 
 @pytest.mark.parametrize("system,data", [
