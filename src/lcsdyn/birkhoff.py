@@ -323,29 +323,13 @@ def coboundary_residual_curve(sys: ConformalSystem, n_max: int, points=None) -> 
     return np.concatenate(parts)
 
 
-def _cycle_mean_rounding(dec) -> float:
-    """A bound on the rounding error of a float table's cycle means.
-
-    A mean of L values summed in order and divided by L is within
-    gamma_L * mean|h| of the exact mean, gamma_L = L u / (1 - L u) with
-    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
-    (L + 1) * 2^-52 is about twice gamma_L (for L below 2^26), which leaves
-    room for the rounding of the bound itself.  dec is the cycle record of a
-    float table, whose values it reads.
-    """
-    habs = np.abs(dec.vals)
-    eps = np.finfo(float).eps
-    return max(eps * (len(cyc) + 1) * math.fsum(habs[cyc].tolist()) / len(cyc)
-               for cyc in dec.slices())
-
-
 def limit_estimates(table: BirkhoffExtrema) -> LimitEstimate:
     """Estimate the limiting envelope extrema from a table or its extrema.
 
-    Finite bijections are resolved through the cycle-mean oracle, exactly on
-    an exact table and up to a rounding bound on a float one.  On
-    continuous kinds the monotone truncated envelopes at n_max are reported;
-    the estimate is flagged unstable when the extrema still move (relatively)
+    Finite bijections read the cycle record: exact on an exact table, up to
+    the largest of its ``rounding_bounds`` on a float one.  On continuous
+    kinds the monotone truncated envelopes at n_max are reported; the
+    estimate is flagged unstable when the extrema still move (relatively)
     more than 1e-6 across the last tenth of the orders.  Systems carrying a
     stored generating function get the telescoping error bound
     2 (max f - min f) / n; everything else is marked "heuristic".
@@ -356,7 +340,7 @@ def limit_estimates(table: BirkhoffExtrema) -> LimitEstimate:
 
         dec = ergopt.cycle_mean_extrema(sys)
         return LimitEstimate(dec.min_mean, dec.max_mean, table.n_max,
-                             Fraction(0) if sys.exact else _cycle_mean_rounding(dec),
+                             Fraction(0) if sys.exact else float(dec.rounding_bounds.max()),
                              exact=sys.exact, stable=True)
 
     lo_curve = np.asarray(table.extrema_per_n["inf_env_minus"], dtype=float)

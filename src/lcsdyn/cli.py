@@ -275,7 +275,7 @@ def _t_window(value, path: str) -> tuple:
     return lo, hi
 
 
-def _profile_csv(value, path: str) -> str:
+def _path(value, path: str) -> str:
     """Only a non-empty string is a path: open() takes an int or a bool as a
     file descriptor, and would read (and close) the process's own stdout."""
     if not (isinstance(value, str) and value):
@@ -320,7 +320,7 @@ COMMAND_KEYS = {
                  "params.n": (check_order, None)},
     "construct": _TORUS,
     "elasticity": {**_TORUS, "params.strict_mu": (_flag, False), **_GAP},
-    PROFILE_ELASTICITY: {"params.profile_csv": (_profile_csv, _REQUIRED), **_GAP},
+    PROFILE_ELASTICITY: {"params.profile_csv": (_path, _REQUIRED), **_GAP},
     "rank": {"params.generators": (_generators, _REQUIRED)},
 }
 
@@ -624,11 +624,11 @@ def cache_store(path: str, payload):
 def run(config: RunConfig):
     """Execute one command; returns (report dict, exit code).
 
-    n_max, seed and strict_verdict, and then every key of COMMAND_KEYS that
-    the config gives, are read before the cache lookup; the handlers get
-    the values read.  The warnings and the exit code are read off the
-    normalised payload, the one a miss computes or a hit reads from the
-    cache.
+    n_max, seed, strict_verdict, out and cache_dir (a path; cache_dir may be
+    null), and then every key of COMMAND_KEYS that the config gives, are
+    read before the cache lookup; the handlers get the values read.  The
+    warnings and the exit code are read off the normalised payload, the one
+    a miss computes or a hit reads from the cache.
     """
     warnings: list = []
     try:
@@ -637,6 +637,9 @@ def run(config: RunConfig):
         check_order(config.n_max, "n_max")
         check_order(config.seed, "seed", 0, budget=math.inf)
         _flag(config.strict_verdict, "strict_verdict")
+        _path(config.out, "out")
+        if config.cache_dir is not None:
+            _path(config.cache_dir, "cache_dir")
         keys = _read_keys(config)
         os.makedirs(config.out, exist_ok=True)
         canonical = config.canonical()

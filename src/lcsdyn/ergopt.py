@@ -1,36 +1,34 @@
 """Min-max and max-min coboundary optimization.
 
-The two quantities solved here are inf_f max_x (h + f o psi - f) and
-sup_f min_x (h + f o psi - f).  The max-min is the min-max of -h negated, so
-the cycle methods solve the min-max only: a sign negates its values once and
-flips its potential table once.  On a functional graph (every node has one
-successor) the min-max is the largest cycle mean, computed exactly by one
-routine: on a finite bijection this is the exact optimum; on grids it is the
-exact cycle mean of the snapped grid dynamics, whose snapping only
+inf_f max_x (h + f o psi - f) and sup_f min_x (h + f o psi - f); the max-min
+is the min-max of -h negated, so the cycle methods solve the min-max only.
+On a functional graph (every node has one successor) the min-max is the
+largest cycle mean: the exact optimum on a finite bijection, and on grids
+the exact optimum of the snapped grid dynamics, whose snapping only
 approximates psi.  The transfer potential gives rigorous (sampled) bounds on
 grids, both from one orbit walk.
 
 One walk over the states (``_functional_cycles``) records the cycles as
-index arrays, with the factor values they are summed on (a
-``CycleDecomposition``); every cycle quantity reads that record alone, as a
-cumsum along each cycle, which adds in the walk's order.  The cycles do not
-depend on the sign of h, so the two optima share one walk
-(``coboundary_optima``): the max-min reads the same record with the means
-and rows of -h.
+index arrays with their factor values (a ``CycleDecomposition``).  Every
+per-cycle quantity (the means, the potentials, the probe's drift span and
+the float means' rounding bounds) reads one reducer of that record,
+``_cycle_sums``: the running sums along every cycle in the walk's order, one
+cumsum per distinct cycle length.  The cycles do not depend on the sign of
+h, so the two optima share one walk; the max-min reads it with -h.
 
-Exact finite systems run on integers scaled by the common denominator D of
-the factor table (the array ``ConformalSystem.scaled_table``): cycle sums,
-potentials and certificates are integers, and Fractions are built only at the
-boundary (cycle means, returned values and certificates).  An exact
-potential table stays integers over L * D (a ``core.RationalTable``) whose
-Fractions are built on first access, so ``potential.csv`` is formatted from
-the integers.
+Exact finite systems run on the integers h * D, D the common denominator of
+the factor table (``ConformalSystem.scaled_table``): sums, potentials and
+certificates are integers, and Fractions are built only for the means, the
+returned values and the certificates.  An exact potential table stays
+integers over L * D (a ``core.RationalTable``), so ``potential.csv`` is
+formatted from the integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +58,8 @@ class CycleDecomposition:
     ``vals`` holds the factor values: float64, or with ``scale`` the integers
     h * scale, int64 while 8 max|h * scale| L^2 < 2^63 (L the longest cycle)
     bounds every weighted sum, potential and edge of a walk, else Python ints.
+    ``means``, ``drift_span`` and, on float records, ``rounding_bounds`` are
+    computed on first read.
     """
 
     order: np.ndarray
@@ -68,21 +68,65 @@ class CycleDecomposition:
     succ: np.ndarray
     vals: np.ndarray
     scale: int | None = None
-    means: list = None
+    lengths = property(lambda self: np.diff(self.bounds))
+    means = cached_property(lambda self: _cycle_means(self))
     max_mean = property(lambda self: max(self.means))
     min_mean = property(lambda self: min(self.means))
+    drift_span = cached_property(lambda self: _drift_span(self))
+    rounding_bounds = cached_property(lambda self: _rounding_bounds(self))
 
-    def slices(self) -> list:
-        return np.split(self.order, self.bounds[1:-1])
+
+def _cycle_sums(dec: CycleDecomposition, row: np.ndarray) -> np.ndarray:
+    """The running sums of row (a value per position of dec.order) along each
+    cycle from its first position, one np.cumsum(axis=1) per cycle length
+    over that length's cycles as rows: accumulate adds in order, so a float
+    row rounds as a cumsum per cycle does, and Python ints stay exact."""
+    out, lengths = np.empty_like(row), dec.lengths
+    for L in np.unique(lengths).tolist():
+        at = dec.bounds[:-1][lengths == L][:, None] + np.arange(L)
+        out[at] = np.cumsum(row[at], axis=1)
+    return out
 
 
-def mean_level(mean, length: int, scale=None):
-    """(weight, level, denominator) of a walk at a cycle mean: (1, mean, None)
-    on floats; an exact walk weighs h * scale by the length, so that its level
-    and results are integers over length * scale."""
-    if scale is None:
-        return 1, mean, None
-    return length, int(mean * length * scale), length * scale
+def _cycle_means(dec: CycleDecomposition) -> list:
+    """The mean of dec.vals on each cycle of dec: floats, or exact Fractions
+    of the integers h * scale."""
+    totals, lengths = _cycle_sums(dec, dec.vals[dec.order])[dec.bounds[1:] - 1], dec.lengths
+    if dec.scale is None:  # a float sum from +0.0, as sum() adds
+        return ((totals + 0.0) / lengths).tolist()
+    return [Fraction(t, L * dec.scale) for t, L in zip(totals.tolist(), lengths.tolist())]
+
+
+def _drift_span(dec: CycleDecomposition):
+    """sup |S_n(x) - n mean| over the states x of each cycle and 0 < n < L.
+    With D_j = sum_{i<j} (h(c_i) - mean) along c_0 .. c_{L-1}, S_n(c_a) - n
+    mean = D_{a+n} - D_a (indices mod L, D_0 = D_L = 0): the widest range of
+    D_1 .. D_{L-1} and 0.  An exact record sums L h * scale - L mean * scale,
+    in integers, so the span is a Fraction over L * scale."""
+    vals, lengths = dec.vals[dec.order], dec.lengths
+    if dec.scale is None:
+        row = vals - np.repeat(dec.means, lengths)
+    else:  # the level L mean * scale is the cycle's sum
+        totals = _cycle_sums(dec, vals)[dec.bounds[1:] - 1]
+        row = np.repeat(lengths, lengths).astype(vals.dtype) * vals - np.repeat(totals, lengths)
+    D, starts = _cycle_sums(dec, row), dec.bounds[:-1]
+    D[dec.bounds[1:] - 1] = 0
+    spans = (np.maximum.reduceat(D, starts) - np.minimum.reduceat(D, starts)).tolist()
+    return max(spans) + 0.0 if dec.scale is None else max(
+        (Fraction(s, L * dec.scale) for s, L in zip(spans, lengths.tolist()) if s), default=0)
+
+
+def _rounding_bounds(dec: CycleDecomposition) -> np.ndarray:
+    """eps (L + 1) S / L, S the in-order float sum of |h| along each cycle: a
+    bound on the rounding of each float cycle mean.  A mean of L values summed
+    in order and divided by L is within gamma_L mean|h| of the exact mean,
+    gamma_L = L u / (1 - L u), u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 4.2).  S is at least (1 - gamma_{L-1}) times the
+    exact sum of the L non-negative terms, and (L + 1) 2^-52 is about twice
+    gamma_L (for L below 2^26), so the bound still exceeds gamma_L mean|h|,
+    with room for its own rounding."""
+    S = _cycle_sums(dec, np.abs(dec.vals[dec.order]))[dec.bounds[1:] - 1]
+    return np.finfo(float).eps * (dec.lengths + 1) * S / dec.lengths
 
 
 @dataclass
@@ -94,19 +138,13 @@ class OptimizationResult:
     method: str
 
 
-def _require_finite(sys: ConformalSystem):
-    if sys.space.kind != FINITE:
-        raise ValidationError("this operation needs a finite bijection")
-
-
 def _functional_cycles(succ, hv, scale=None) -> CycleDecomposition:
-    """Cycles of x -> succ[x] with the mean of hv on each.
+    """The cycle record of x -> succ[x] and the values hv (with ``scale``,
+    the integers h * scale).
 
     Each node is walked once, in the one loop over states: a walk stops at
     the first node already reached, and when that node lies on the current
-    walk the rest of the walk from it is a new cycle.  With ``scale``, hv
-    holds the integers h * scale and each mean is the exact Fraction
-    sum / (L * scale); otherwise means are floats."""
+    walk the rest of the walk from it is a new cycle."""
     succ = np.asarray(succ, dtype=np.int64)
     nxt = succ.tolist()
     walk = [-1] * len(nxt)  # the walk (its start node) that reached each node
@@ -132,64 +170,56 @@ def _functional_cycles(succ, hv, scale=None) -> CycleDecomposition:
         vals = integer_array(hv)
         longest = int(np.diff(bounds).max())
         vals = vals.astype(int_dtype(_int64_bound(vals), 8 * longest**2), copy=False)
-    dec = CycleDecomposition(order, bounds, tree, succ, vals, scale)
-    dec.means = _cycle_means(dec)
-    return dec
-
-
-def _cycle_means(dec: CycleDecomposition) -> list:
-    """The mean of dec.vals on each cycle of dec: floats, or exact Fractions
-    of the integers h * scale."""
-    means = []
-    for cyc in dec.slices():
-        total = np.cumsum(dec.vals[cyc])[-1]  # a float sum from +0.0, as sum() adds
-        means.append((float(total) + 0.0) / len(cyc) if dec.scale is None
-                     else Fraction(int(total), len(cyc) * dec.scale))
-    return means
+    return CycleDecomposition(order, bounds, tree, succ, vals, scale)
 
 
 def cycle_mean_extrema(sys: ConformalSystem) -> CycleDecomposition:
     """Cycle decomposition of the permutation with exact means when possible."""
-    _require_finite(sys)
+    if sys.space.kind != FINITE:
+        raise ValidationError("this operation needs a finite bijection")
     return _functional_cycles(sys.perm_table, sys.scaled_table, sys.scale)
 
 
 def _cycle_potential(dec: CycleDecomposition, level, weight=1) -> np.ndarray:
     """Potential f with weight * h + f o succ - f = level along every
     non-closing edge c_j -> c_{j+1} of each cycle and every tree edge,
-    normalized to min f = 0, in the arithmetic of dec.vals: a cumsum from
-    f(c_0) = 0 (-0.0 where h(c_0) < 0) along each cycle, then one pass over
-    the trees, each node after its successor."""
-    hv, succ = weight * dec.vals, dec.succ
+    normalized to min f = 0, in the arithmetic of dec.vals: the running
+    sums (``_cycle_sums``) from f(c_0) = h(c_0) * 0 (-0.0 where h(c_0) < 0)
+    of the terms -(weight h(c_j) - level), then one pass over the trees,
+    each node after its successor."""
+    hv, succ, starts = weight * dec.vals, dec.succ, dec.bounds[:-1]
+    row = hv[dec.order]
+    row[1:] = -(row[:-1] - level)
+    row[starts] = hv[dec.order[starts]] * 0
     F = np.empty_like(hv)
-    for cyc in dec.slices():
-        F[cyc] = np.cumsum(np.concatenate((hv[cyc[:1]] * 0, -(hv[cyc[:-1]] - level))))
+    F[dec.order] = _cycle_sums(dec, row)
     for x in dec.tree.tolist():
         F[x] = hv[x] + F[succ[x]] - level
     return F - F[np.argmin(F)]  # the first least value, as min() takes it
 
 
 def _cycle_optimum(dec: CycleDecomposition, sign: int, method: str) -> OptimizationResult:
-    """The min-max (sign 1) or the max-min (sign -1) from the walk dec.
-    The max-min is the min-max of -h negated: the record's values are negated
-    once, the means of -h are summed on that cycle by cycle, and the
-    potential F of -h is flipped once to max F - F.  The cycles do not depend
-    on the sign, so one walk serves both.
+    """The min-max (sign 1) or the max-min (sign -1) from the walk dec: the
+    max-min is the min-max of -h negated, with the record's values negated
+    once, the means of -h summed anew and its potential F flipped once to
+    max F - F.
 
     inf_f max_x (h + f o succ - f) is the largest cycle mean M: the edges of
-    a cycle sum to its length times its mean, and the cycle potential at
-    level M (``mean_level`` of the first cycle of mean M) attains M; the
-    certificate is max edge - M.  "exact_finite" keeps the potential per
-    state, as a list (a ``RationalTable`` when exact) with its evaluable;
-    "grid_descent" keeps it per grid node, as an array only.
+    a cycle sum to L times its mean, and the cycle potential at level M of
+    the first cycle of mean M attains M (exact: the weights L h * scale at
+    level L M * scale, integers over L * scale); the certificate is max edge
+    - M.  "exact_finite" keeps the potential per state, as a list (a
+    ``RationalTable`` when exact) with its evaluable; "grid_descent" per grid
+    node, as an array only.
     """
     if sign < 0:
         # float zeros do not negate (-a + a is +0.0), so -h's means are summed
         dec = replace(dec, vals=-dec.vals)
-        dec.means = _cycle_means(dec)
     M = dec.max_mean
     i = dec.means.index(M)
-    w, level, den = mean_level(M, int(dec.bounds[i + 1] - dec.bounds[i]), dec.scale)
+    w = 1 if dec.scale is None else int(dec.bounds[i + 1] - dec.bounds[i])
+    den = None if dec.scale is None else w * dec.scale
+    level = M if den is None else int(M * den)
     F = _cycle_potential(dec, level, w)
     edge = w * dec.vals + F[dec.succ] - F
     excess = edge[np.argmax(edge)] - level  # the first largest edge, as max() takes it
@@ -271,13 +301,14 @@ def coboundary_optima(sys: ConformalSystem, method: str = "exact_finite",
 def is_strict_finite(sys: ConformalSystem):
     """Whether h is a coboundary f - f o psi; returns (flag, f table or None).
 
-    Holds exactly when every cycle mean of h vanishes.  f is rebuilt by
-    accumulating h backwards along each cycle (f o psi = f - h), fixed up to
-    one additive constant per cycle and then normalized to min f = 0.
+    Holds exactly when every cycle mean of h vanishes (a float one within its
+    rounding bound).  f is rebuilt by accumulating h backwards along each
+    cycle (f o psi = f - h), fixed up to one additive constant per cycle and
+    then normalized to min f = 0.
     """
     dec = cycle_mean_extrema(sys)
-    tol = 0 if sys.exact else 1e-12
-    if any(abs(mean) > tol for mean in dec.means):
+    # a float mean within its rounding bound of 0 is taken for 0
+    if (any(dec.means) if sys.exact else np.any(np.abs(dec.means) > dec.rounding_bounds)):
         return False, None
     F = _cycle_potential(dec, 0)
     return True, [Fraction(v, sys.scale) for v in F.tolist()] if sys.exact else F.tolist()

@@ -148,28 +148,6 @@ def _escape_bound(width, span, gap, n_from=1):
     return max(n_from, math.floor(q) + 1)
 
 
-def _cycle_residual_bound(dec):
-    """sup of |S_n(x) - n mean| over the states x of each cycle of the record
-    dec and 0 < n < L.
-
-    Along a cycle c_0 .. c_{L-1} with prefix sums D_j = sum_{i<j} (h(c_i) -
-    mean), S_n(c_a) - n mean = D_{a+n} - D_a (indices mod L, D_L = D_0 = 0),
-    so the sup is the largest range of the cumsum D and 0.  On an exact
-    record (the integers h * scale) D is kept at ``ergopt.mean_level``, as
-    integers, so the bound is an exact Fraction.
-    """
-    from .ergopt import mean_level
-
-    R = 0
-    for cyc, mean in zip(dec.slices(), dec.means):
-        w, level, den = mean_level(mean, len(cyc), dec.scale)
-        d = np.cumsum(w * dec.vals[cyc[:-1]] - level).tolist()
-        if d:
-            span = max(0, max(d)) - min(0, min(d))
-            R = max(R, span if den is None else Fraction(span, den))
-    return R
-
-
 def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> list:
     """Probe, for every size k in ks, whether the size-k orbit of the band K
     escapes or keeps returning; one ``ProbeReport`` per size.
@@ -182,7 +160,8 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
     the truncated envelope at order n, with span 0 from n on (``envelope``).
     On an exact finite system k is a cycle mean only when it equals one, and
     the cycle gaps, the band width and so the escape bound are exact; a float
-    table takes k within 1e-12 of a mean as that mean.  Without a
+    table takes k within a mean's rounding bound b of it for that mean (a
+    heuristic recurrence) and escapes by the gap |k - mean| - b.  Without a
     certificate, orbits launched in K are scanned; returns that persist into
     the last half of the horizon count as recurrence evidence (early
     incidental returns alone are inconclusive, since even escaping orbits
@@ -217,19 +196,21 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
         from . import ergopt
 
         dec = ergopt.cycle_mean_extrema(sys)
-        R = _cycle_residual_bound(dec)
-        num, tol = (Fraction, 0) if sys.exact else (float, 1e-12)  # exact tables: exact n0
+        num = Fraction if sys.exact else float  # exact tables: exact gaps and n0
+        means = dec.means if sys.exact else np.array(dec.means)
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
-            gaps = [abs(num(k) - num(m)) for m in dec.means]
-            idx = gaps.index(min(gaps))  # the nearest mean gives the largest bound
-            if gaps[idx] > tol:  # U is each cycle mean, F its cycle potential
-                n0 = _escape_bound(num(hi) - num(lo), R, gaps[idx])
+            q = num(k)  # float gaps: |k - mean| less the mean's rounding bound
+            gaps = ([abs(q - m) for m in means] if sys.exact else
+                    (np.abs(q - means) - dec.rounding_bounds).tolist())
+            idx = gaps.index(min(gaps))  # the least gap gives the largest bound
+            if gaps[idx] > 0:  # U is each cycle mean, F its cycle potential
+                n0 = _escape_bound(num(hi) - num(lo), dec.drift_span, gaps[idx])
                 reports[i] = report(i, VERDICT_ESCAPE, None, n0, "cycle-exact", False)
-            else:  # k is a cycle mean: that cycle's band orbit is periodic
+            else:  # k is a cycle mean (a float one up to rounding): its band orbit is periodic
                 a, b = dec.bounds[idx:idx + 2].tolist()
                 t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
                 wit = Witness(int(dec.order[a]), b - a, t0 + (b - a) * (k - float(dec.means[idx])))
-                reports[i] = report(i, VERDICT_RECURRENT, wit, None, "cycle-exact", False)
+                reports[i] = report(i, VERDICT_RECURRENT, wit, None, "cycle-exact", not sys.exact)
     elif sys.generating_f is not None and any(ks):
         f_lo, f_hi = sampled_bounds(sys, sys.generating_f, reference_points(sys))
         V = f_hi - f_lo  # U = 0 and F = f

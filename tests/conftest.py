@@ -57,7 +57,8 @@ def random_permutation_system(rng, max_states=64, h_low=-10, h_high=10):
 def cycle_pairs(dec):
     """A ``CycleDecomposition``'s cycles as (state tuple, mean) pairs, in
     walk order."""
-    return [(tuple(cyc.tolist()), mean) for cyc, mean in zip(dec.slices(), dec.means)]
+    cycles = np.split(dec.order, dec.bounds[1:-1])
+    return [(tuple(cyc.tolist()), mean) for cyc, mean in zip(cycles, dec.means)]
 
 
 def scalar_map(sys, inverse=False):

@@ -390,6 +390,16 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     assert os.path.isdir(tmp_path / "shared_cache")
 
 
+@pytest.mark.parametrize("key,value", [("out", None), ("out", 7), ("out", ""), ("cache_dir", 5)])
+def test_out_and_cache_dir_that_are_not_paths_exit_2(tmp_path, capsys, key, value):
+    # os.path raised a TypeError on them: a traceback and exit 1
+    where = {"out": str(tmp_path / "r"), key: value}
+    cfg = write_config(tmp_path, "c.json", command="rank", params={"generators": ["1"]}, **where)
+    assert run_cli(["--config", cfg]) == 2
+    diag = _diag_of(capsys)
+    assert diag["error"] == "ValidationError" and diag["message"].startswith(f"{key} must be")
+
+
 def test_validation_exit_code(tmp_path):
     cfg = write_config(tmp_path, "bad.json", command="competition")
     assert run_cli(["--config", cfg, "--out", str(tmp_path / "r")]) == 2

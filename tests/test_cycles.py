@@ -2,17 +2,17 @@
 
 The reference below is the cycle code before it read one record of index
 arrays: a walk that returns (state tuple, mean) pairs, and a potential,
-optimum, drift bound and rounding bound that each loop over the states of
+optimum, drift span and rounding bounds that each loop over the states of
 every cycle.  Like the library's, the reference record carries the values
 it was walked with, and every consumer reads the record alone.  The
 reference optimum walks once per sign; the library's two optima share one
-walk.  The library must agree with it exactly: the same cycles in the same
-order, the same Fractions, and floats equal bit for bit (signed zeros
-included, compared through repr).
+walk, and every per-cycle sum of the library is one grouped running sum
+(``ergopt._cycle_sums``).  The library must agree with it exactly: the same
+cycles in the same order, the same Fractions, and floats equal bit for bit
+(signed zeros included, compared through repr).
 """
 
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcsdyn import birkhoff, cli, ergopt, finite_permutation_system, torus
+from lcsdyn import cli, ergopt, finite_permutation_system
 from lcsdyn.core import RationalTable, sum_dtype
 from lcsdyn.ergopt import (
     _cycle_optimum,
@@ -32,7 +32,14 @@ from lcsdyn.ergopt import (
 )
 
 from conftest import cycle_pairs, encoded
-from test_exact_integers import CASES, _case
+from test_exact_integers import (
+    CASES,
+    _case,
+    _cycles,
+    _oracle_maxmin,
+    _oracle_minmax,
+    _oracle_residual_bound,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -63,6 +70,9 @@ class RefDecomposition:
     @property
     def bounds(self):
         return np.cumsum([0] + [len(c) for c, _m in self.cycles])
+
+    drift_span = property(lambda self: ref_drift_span(self))
+    rounding_bounds = property(lambda self: ref_rounding_bounds(self))
 
 
 def _plain(a):
@@ -148,8 +158,9 @@ def _one_sign(succ, hv, scale, sign, method):
     return _optima(succ, hv, scale, method, (sign,))[0]
 
 
-def ref_cycle_residual_bound(dec):
-    R, scale = 0, dec.scale
+def ref_drift_span(dec):
+    scale = dec.scale
+    R = 0.0 if scale is None else 0
     for cyc, mean in dec.cycles:
         L = len(cyc)
         w, level = (1, mean) if scale is None else (L, int(mean * L * scale))
@@ -161,11 +172,11 @@ def ref_cycle_residual_bound(dec):
     return R
 
 
-def ref_cycle_mean_rounding(dec):
+def ref_rounding_bounds(dec):
     h = dec.vals
     eps = np.finfo(float).eps
-    return max(eps * (len(cyc) + 1) * math.fsum(abs(h[i]) for i in cyc) / len(cyc)
-               for cyc, _mean in dec.cycles)
+    return np.array([eps * (len(cyc) + 1) * sum(abs(h[i]) for i in cyc) / len(cyc)
+                     for cyc, _mean in dec.cycles])
 
 
 # --------------------------------------------------------------------------
@@ -252,15 +263,15 @@ def test_cycles_potentials_and_bounds_equal_the_per_state_loops(name):
     for mine, ref_opt in zip(_optima(succ, hv, scale, "exact_finite", (-1, 1)),
                              ref_cycle_optima(succ, hv, scale, "exact_finite", (-1, 1))):
         _same_result(mine, ref_opt)
-    R = torus._cycle_residual_bound(dec)
-    assert repr(R) == repr(ref_cycle_residual_bound(ref))
-    # the same bound from the table's own values (Fractions when exact)
-    assert R == ref_cycle_residual_bound(replace(ref, vals=list(sys_.factor_table), scale=None))
+    R = dec.drift_span
+    assert repr(R) == repr(ref.drift_span)
+    # the same span from the table's own values (Fractions when exact)
+    assert R == ref_drift_span(replace(ref, vals=list(sys_.factor_table), scale=None))
     level = dec.means[len(dec.means) // 2]
     if scale is None:
         F = _cycle_potential(dec, level)
         assert _strings(F) == _strings(ref_cycle_potential(ref, level))
-        assert repr(birkhoff._cycle_mean_rounding(dec)) == repr(ref_cycle_mean_rounding(ref))
+        assert _strings(dec.rounding_bounds) == _strings(ref.rounding_bounds)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -271,7 +282,8 @@ def test_is_strict_finite_rebuilds_the_reference_potential(name):
     f = [v * 3 - 1 for v in h]
     cob = finite_permutation_system(table, [f[x] - f[table[x]] for x in range(len(table))])
     ref = ref_functional_cycles(table, cob.scaled_table, cob.scale)
-    if any(abs(m) > (0 if cob.exact else 1e-12) for m in ref.means):
+    bounds = [0] * len(ref.means) if cob.exact else ref.rounding_bounds
+    if any(abs(m) > b for m, b in zip(ref.means, bounds)):
         assert is_strict_finite(cob) == (False, None)  # float cancellation left a mean
         return
     want = ref_cycle_potential(ref, 0)
@@ -295,8 +307,8 @@ def test_functional_graphs_with_trees_equal_the_reference(graph, sign):
     ints = [int(v * 4) for v in hv]
     _same_result(_one_sign(succ, ints, 4, sign, "exact_finite"),
                  ref_cycle_optimum(ref_functional_cycles(succ, ints, 4), sign, "exact_finite"))
-    R = torus._cycle_residual_bound(_functional_cycles(succ, ints, 4))
-    assert R == ref_cycle_residual_bound(ref_functional_cycles(succ, ints, 4))
+    R = _functional_cycles(succ, ints, 4).drift_span
+    assert R == ref_drift_span(ref_functional_cycles(succ, ints, 4))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -357,6 +369,84 @@ def test_optimize_walks_the_states_once(tmp_path, monkeypatch, system, method, g
 
 
 # --------------------------------------------------------------------------
+# the grouped reducer on a record of many cycles of a few lengths
+# --------------------------------------------------------------------------
+
+MIXED_LENGTHS = [1] * 3000 + [2] * 5 + [3] * 4 + [257]
+
+
+def _mixed_table(rng):
+    """A permutation with the cycles of MIXED_LENGTHS, its states relabelled
+    at random, so that cycles of every length interleave in the walk."""
+    lengths = rng.permutation(MIXED_LENGTHS).tolist()
+    table, start = [], 0
+    for L in lengths:
+        table += [start + (j + 1) % L for j in range(L)]
+        start += L
+    label = rng.permutation(start).tolist()
+    out = [0] * start
+    for x, y in enumerate(table):
+        out[label[x]] = label[y]
+    return out
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_the_grouped_reducer_equals_the_per_cycle_loops_and_the_oracles(exact):
+    rng = np.random.default_rng(38)
+    table = _mixed_table(rng)
+    m = len(table)
+    h = ([Fraction(int(p), int(q)) for p, q in zip(rng.integers(-20, 21, m),
+                                                   rng.integers(1, 10, m))]
+         if exact else rng.uniform(-2.0, 2.0, size=m).tolist())
+    sys_ = finite_permutation_system(table, h)
+    assert sys_.exact == exact
+    hv, scale = sys_.scaled_table.tolist(), sys_.scale
+    dec, ref = cycle_mean_extrema(sys_), ref_functional_cycles(table, hv, scale)
+    assert sorted(np.diff(dec.bounds).tolist()) == MIXED_LENGTHS
+    assert cycle_pairs(dec) == ref.cycles
+    assert [repr(mean) for mean in dec.means] == [repr(mean) for mean in ref.means]
+    optima = _optima(table, hv, scale, "exact_finite", (-1, 1))
+    for mine, want in zip(optima, ref_cycle_optima(table, hv, scale, "exact_finite", (-1, 1))):
+        _same_result(mine, want)
+    assert repr(dec.drift_span) == repr(ref.drift_span)
+    if not exact:
+        assert _strings(dec.rounding_bounds) == _strings(ref.rounding_bounds)
+        return
+    # the Fraction oracles
+    assert dict(cycle_pairs(dec)) == {tuple(c): sum(h[x] for x in c) / len(c)
+                                      for c in _cycles(table)}
+    for res, (value, f, cert) in zip(optima, (_oracle_maxmin(table, h),
+                                              _oracle_minmax(table, h))):
+        assert (res.value, res.potential_table, res.certificate) == (value, f, cert)
+    assert dec.drift_span == _oracle_residual_bound(table, h)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_float_drift_span_and_rounding_bounds_hold_against_fractions(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(20, 80))
+    table = rng.permutation(m).tolist()
+    h = rng.uniform(-2.0, 2.0, size=m)
+    # magnitudes 2^-30 .. 2^60 make the float sums round
+    wide = h * 2.0 ** rng.integers(-30, 61, size=m)
+    # wide sums round too far for a relative 1e-12 on the span
+    for values, span_checked in ((h.tolist(), True), (wide.tolist(), False)):
+        dec = cycle_mean_extrema(finite_permutation_system(table, values))
+        R = 0
+        for (cyc, mean), bound in zip(cycle_pairs(dec), dec.rounding_bounds.tolist()):
+            L, vals = len(cyc), [Fraction(values[x]) for x in cyc]
+            exact_mean = sum(vals) / L
+            assert abs(Fraction(mean) - exact_mean) <= Fraction(bound)
+            for a in range(L):  # every state of the cycle and order 0 < n < L
+                s = 0
+                for n in range(1, L):
+                    s += vals[(a + n - 1) % L]
+                    R = max(R, abs(s - n * exact_mean))
+        if span_checked:
+            assert dec.drift_span == pytest.approx(float(R), rel=1e-12, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
 # the cycles workload, end to end, with the reference patched in
 # --------------------------------------------------------------------------
 
@@ -393,12 +483,17 @@ def _run_all(steps, out):
 def test_cycles_workload_is_byte_identical_to_the_reference(tmp_path, monkeypatch):
     steps = _cycles_steps()
     mine = _run_all(steps, tmp_path / "mine")
-    for module, name, fn in ((ergopt, "_functional_cycles", ref_functional_cycles),
-                             (ergopt, "_cycle_potential", ref_cycle_potential),
-                             (ergopt, "_cycle_optimum", ref_cycle_optimum),
-                             (torus, "_cycle_residual_bound", ref_cycle_residual_bound),
-                             (birkhoff, "_cycle_mean_rounding", ref_cycle_mean_rounding)):
-        monkeypatch.setattr(module, name, fn)
+    # the reference record carries its own means, drift span and rounding
+    # bounds, so no step may reach one of the library's cycle reducers
+    def no_reducer(*args):
+        raise AssertionError("a library cycle reducer ran in the reference pass")
+
+    for name, fn in (("_functional_cycles", ref_functional_cycles),
+                     ("_cycle_potential", ref_cycle_potential),
+                     ("_cycle_optimum", ref_cycle_optimum),
+                     *((name, no_reducer) for name in ("_cycle_sums", "_cycle_means",
+                                                       "_drift_span", "_rounding_bounds"))):
+        monkeypatch.setattr(ergopt, name, fn)
     ref = _run_all(steps, tmp_path / "ref")
     assert set(mine) == set(ref)
     assert {"optimize-exact-perm", "grid-descent-cos", "grid-descent-cat"} <= set(mine)

@@ -19,7 +19,7 @@ from lcsdyn import (
 )
 from lcsdyn import birkhoff, core
 from lcsdyn.core import GOLDEN_ANGLE, ValidationError, orbit_array
-from lcsdyn.ergopt import _cycle_potential, _functional_cycles, mean_level
+from lcsdyn.ergopt import _cycle_potential, _functional_cycles
 
 from conftest import cycle_pairs, random_permutation_system
 
@@ -209,6 +209,24 @@ def test_is_strict_examples():
     assert ok and f == [0, 0, 0]
 
 
+@pytest.mark.parametrize("table,h", [([0], [1e-13]), ([1, 0], [1e-13, 1e-13])])
+def test_a_float_mean_past_its_rounding_bound_is_not_strict(table, h):
+    # a mean of 1e-13 is no rounding of 0: no f has f - f o psi = h, where an
+    # absolute 1e-12 took it for 0 and returned an f
+    assert is_strict_finite(finite_permutation_system(table, h)) == (False, None)
+
+
+def test_a_float_mean_within_its_rounding_bound_is_strict():
+    # 0.1 + 0.2 - 0.3 sums to 2^-54 in floats: a mean of 1.85e-17, inside
+    # its rounding bound 1.78e-16
+    sys = finite_permutation_system([1, 2, 0], [0.1, 0.2, -0.3])
+    dec = cycle_mean_extrema(sys)
+    assert 0 < dec.means[0] <= dec.rounding_bounds[0]
+    ok, f = is_strict_finite(sys)
+    assert ok and all(abs(f[i] - f[(i + 1) % 3] - h) <= 1e-16
+                      for i, h in enumerate([0.1, 0.2, -0.3]))
+
+
 @given(st.integers(0, 2**20))
 @settings(max_examples=20, deadline=None)
 def test_strictness_consistency(seed):
@@ -313,7 +331,7 @@ def _per_level_potential(dec, level, weight=1):
     """_cycle_potential with its trees filled one level per round."""
     hv, succ = weight * dec.vals, dec.succ
     F = np.empty_like(hv)
-    for cyc in dec.slices():
+    for cyc in np.split(dec.order, dec.bounds[1:-1]):
         F[cyc] = np.cumsum(np.concatenate((hv[cyc[:1]] * 0, -(hv[cyc[:-1]] - level))))
     done, pending = np.zeros(len(hv), dtype=bool), dec.tree
     done[dec.order] = True
@@ -345,7 +363,9 @@ def test_tree_pass_matches_the_per_level_rounds(kind):
             dec = _functional_cycles(succ, [int(v) * big for v in rng.integers(-9, 10, size)], 3)
             assert (dec.vals.dtype == object) == (kind == "python-int")
         i = dec.means.index(dec.max_mean)
-        w, level, _ = mean_level(dec.max_mean, int(dec.bounds[i + 1] - dec.bounds[i]), dec.scale)
+        # the level of the optimum: an exact walk weighs h * scale by the length
+        w = 1 if dec.scale is None else int(dec.bounds[i + 1] - dec.bounds[i])
+        level = dec.max_mean if dec.scale is None else int(dec.max_mean * w * dec.scale)
         got, want = _cycle_potential(dec, level, w), _per_level_potential(dec, level, w)
         assert got.dtype == want.dtype
         assert (_hex(got) == _hex(want)) if kind == "float" else got.tolist() == want.tolist()

@@ -39,7 +39,6 @@ from lcsdyn.torus import (
     VERDICT_INCONCLUSIVE,
     VERDICT_RECURRENT,
     _cumulative_simpson,
-    _cycle_residual_bound,
 )
 
 from conftest import cycle_pairs, encoded, scalar_factor, scalar_map
@@ -339,10 +338,10 @@ def test_cycle_residual_bound_matches_double_loop(seed):
     fractions = [Fraction(int(p), int(d)) for p, d in zip(rng.integers(-20, 21, size=m), q)]
     exact = finite_permutation_system(table, fractions)
     assert exact.exact
-    R = _cycle_residual_bound(cycle_mean_extrema(exact))
+    R = cycle_mean_extrema(exact).drift_span
     assert R == _brute_cycle_residual(exact)
     floats = finite_permutation_system(table, rng.uniform(-2.0, 2.0, size=m).tolist())
-    R = _cycle_residual_bound(cycle_mean_extrema(floats))
+    R = cycle_mean_extrema(floats).drift_span
     assert R == pytest.approx(_brute_cycle_residual(floats), rel=1e-12, abs=1e-12)
 
 
@@ -380,14 +379,17 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
     t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
     if sys.space.kind == "finite" and sys.perm_table is not None:
         dec = ergopt.cycle_mean_extrema(sys)
-        R = _cycle_residual_bound(dec)
+        R = dec.drift_span
         means = [float(mean) for _cyc, mean in cycle_pairs(dec)]
-        gaps = [abs(k - m) for m in means]
         if sys.exact:
+            gaps = [abs(k - m) for m in means]
             exact_gaps = [abs(Fraction(k) - mean) for _cyc, mean in cycle_pairs(dec)]
             on_mean = 0 in exact_gaps
-        else:
-            on_mean = min(gaps) <= 1e-12
+        else:  # a mean within its rounding bound of k may be k
+            eps, h = np.finfo(float).eps, sys.factor_table
+            gaps = [abs(k - m) - eps * (len(c) + 1) * sum(abs(h[x]) for x in c) / len(c)
+                    for (c, _mean), m in zip(cycle_pairs(dec), means)]
+            on_mean = min(gaps) <= 0
         if not on_mean:  # an exact table's gaps and width are exact
             n0 = (max(math.floor((Fraction(hi) - Fraction(lo) + R) / e) + 1 for e in exact_gaps)
                   if sys.exact else max(math.floor((width + R) / g) + 1 for g in gaps))
@@ -395,7 +397,7 @@ def _probe_oracle(sys, k, n_max, starts=None, late_fraction=0.5):
         idx = gaps.index(min(gaps))
         cyc, _ = cycle_pairs(dec)[idx]
         wit = Witness(int(cyc[0]), len(cyc), t0 + len(cyc) * (k - means[idx]))
-        return report(VERDICT_RECURRENT, wit, None, "cycle-exact", False)
+        return report(VERDICT_RECURRENT, wit, None, "cycle-exact", not sys.exact)
     if sys.generating_f is not None and k != 0.0:
         fv = eval_factor(replace(sys, factor=sys.generating_f), reference_points(sys))
         n0 = int(math.floor((width + float(fv.max() - fv.min())) / abs(k))) + 1
@@ -481,11 +483,44 @@ def test_probe_sweep_shares_the_k_independent_work(monkeypatch):
     monkeypatch.setattr(torus, "sampled_bounds", counted("sampled_bounds", torus.sampled_bounds))
     monkeypatch.setattr(ergopt, "cycle_mean_extrema",
                         counted("cycles", ergopt.cycle_mean_extrema))
-    monkeypatch.setattr(torus, "_cycle_residual_bound",
-                        counted("residual", torus._cycle_residual_bound))
+    monkeypatch.setattr(ergopt, "_drift_span", counted("residual", ergopt._drift_span))
     sys, ks, n_max, starts, _ = _sweep_case("perm")
     assert len(torus.probe_sweep(sys, ks, n_max=n_max, starts=starts)) == len(ks)
     assert calls == {"sampled_bounds": 1, "cycles": 1, "residual": 1}
+
+
+def test_a_float_k_within_a_means_rounding_bound_is_heuristic_recurrence():
+    # 2^55 + 2 + 2 sums to 2^55 in floats, so the float mean 12009599006321322
+    # is 2 below k = (2^55 + 4) / 3, the exact mean of the table's values:
+    # S_3 - 3k = 0 and the cycle's band orbits are periodic.  The mean's
+    # rounding bound 32/3 covers the gap; admissible calls k boundary
+    sys = finite_permutation_system([1, 2, 0], [2.0**55, 2.0, 2.0])
+    k = 12009599006321324.0
+    assert 3 * Fraction(k) == 2**55 + 4
+    rep, = probe_sweep(sys, [k], n_max=10)
+    assert (rep.verdict, rep.certificate, rep.heuristic) == (
+        VERDICT_RECURRENT, "cycle-exact", True)
+    assert (rep.witness.start, rep.witness.n, rep.escape_bound) == (0, 3, None)
+    est = limit_estimates(birkhoff_extrema(sys, n_max=2))
+    assert est.classify(k) == "boundary" and est.error_bound == pytest.approx(32 / 3)
+
+
+@pytest.mark.parametrize("values,k", [([2.0**55, 2.0, 2.0], 12009599006321344.0),
+                                      ([0.1], 0.1 + 1e-13)])
+def test_a_float_k_past_its_means_rounding_bound_escapes_by_the_reduced_gap(values, k):
+    table = list(range(1, len(values))) + [0]
+    sys = finite_permutation_system(table, values)
+    dec = cycle_mean_extrema(sys)
+    (m,), (b,) = dec.means, dec.rounding_bounds
+    assert abs(k - m) > b
+    rep, = probe_sweep(sys, [k], n_max=10)
+    assert (rep.verdict, rep.certificate, rep.heuristic) == (VERDICT_ESCAPE, "cycle-exact", False)
+    width = rep.band[1] - rep.band[0]
+    assert rep.escape_bound == math.floor((width + dec.drift_span) / (abs(k - m) - b)) + 1
+    # the Fraction oracle: the exact drift passes the band and the exact span
+    exact = finite_permutation_system(table, [Fraction(v) for v in values])
+    gap = abs(Fraction(k) - sum(exact.factor_table) / len(values))
+    assert rep.escape_bound * gap > Fraction(width) + _brute_cycle_residual(exact)
 
 
 def test_probe_decides_an_exact_cycle_mean_exactly():
