@@ -38,6 +38,7 @@ import numpy as np
 
 from . import __version__, birkhoff, elastic, ergopt, torus
 from .core import (
+    DEFAULT_TOL_INVERSE,
     BudgetError,
     DomainError,
     RationalTable,
@@ -53,6 +54,7 @@ from .core import (
     float_cells,
     fraction_bytes,
     point_cells,
+    positive_number,
     rotation_system,
     write_csv,
 )
@@ -134,14 +136,6 @@ def _field(obj: dict, key: str, what: str):
     return obj[key]
 
 
-def _positive_number(value, path: str) -> float:
-    """A positive finite number as a float; anything else is a ValidationError."""
-    v = finite_size(value, path)
-    if not v > 0:
-        raise ValidationError(f"{path} must be a positive finite number, got {value!r}")
-    return v
-
-
 def _flag(value, path: str) -> bool:
     """A JSON boolean; anything else is a ValidationError."""
     if not isinstance(value, bool):
@@ -156,7 +150,7 @@ MAP_KEYS = {"circle": ("type", "angle"), "torus2": ("type", "matrix"),
             "finite": ("type", "table")}
 
 
-def system_from_config(decl: dict, tolerances: dict | None = None):
+def system_from_config(decl: dict, tol_inverse: float = DEFAULT_TOL_INVERSE):
     """Build a system from the JSON declaration {"space":, "map":, "factor":}.
 
     Every key is checked by the kind of the space: an unknown key is a
@@ -177,8 +171,7 @@ def system_from_config(decl: dict, tolerances: dict | None = None):
     check_keys(mp, MAP_KEYS[kind], "system.map")
     opts = {"grid_resolution": check_order(space.get("grid_resolution", 256),
                                            "space.grid_resolution", 2, budget=math.inf),
-            "tol_inverse": _positive_number((tolerances or {}).get("tol_inverse", 1e-9),
-                                            "tolerances.tol_inverse")}
+            "tol_inverse": tol_inverse}
     mtype = mp.get("type")
     if kind == "finite":
         if mtype != "permutation":
@@ -299,12 +292,13 @@ def _generators(value, path: str):
 #: the default of a key that its command cannot run without
 _REQUIRED = object()
 
-_SYSTEM = {"system": (None, _REQUIRED), "tolerances.tol_inverse": (_positive_number, 1e-9)}
+_SYSTEM = {"system": (None, _REQUIRED),
+           "tolerances.tol_inverse": (positive_number, DEFAULT_TOL_INVERSE)}
 _GRID = {"grid": (_points_spec, None)}
 _SIZES = {"k": (lambda value, path: [finite_size(value, path)], []), "k_range": (_k_range, [])}
 _TORUS = {**_SYSTEM, **_GRID, "k": (finite_size, _REQUIRED),
           "params.t_window": (_t_window, (-10.0, 10.0)), "params.n_scan": (check_order, 64)}
-_GAP = {"tolerances.gap_resolution": (_positive_number, 1e-3)}
+_GAP = {"tolerances.gap_resolution": (positive_number, 1e-3)}
 PROFILE_ELASTICITY = "elasticity from params.profile_csv"
 
 #: the keys that each command reads besides n_max, seed and strict_verdict,
@@ -649,7 +643,7 @@ def run(config: RunConfig):
         cache_hit = payload is not None
         if not cache_hit:
             if "system" in keys:
-                keys["system"] = system_from_config(keys["system"], config.tolerances)
+                keys["system"] = system_from_config(keys["system"], keys["tol_inverse"])
             payload = _HANDLERS[config.command](config, keys, config.out)
             payload = json.loads(json.dumps(payload, default=_json_default))
             cache_store(path, payload)

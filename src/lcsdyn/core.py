@@ -476,6 +476,14 @@ def finite_size(k, name: str = "size k") -> float:
     return v
 
 
+def positive_number(value, name: str) -> float:
+    """A positive finite number as a float; anything else is a ValidationError."""
+    v = finite_size(value, name)
+    if not v > 0:
+        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+    return v
+
+
 def step_points(sys: ConformalSystem, pts, inverse: bool = False):
     """One map application on an array of points, as ``sys.map_kind`` gives
     psi (psi^{-1} with ``inverse``).  It acts point by point: a point's image
@@ -796,6 +804,7 @@ def sampled_bounds(sys: ConformalSystem, h, pts):
 
 def _validate(sys: ConformalSystem, tol_inverse: float):
     """Check a continuous system's inverse map and factor on the reference grid."""
+    tol_inverse = positive_number(tol_inverse, "tol_inverse")
     pts = reference_points(sys, cap=256)
     back = step_points(sys, step_points(sys, pts), inverse=True)
     err = np.abs(back - pts)

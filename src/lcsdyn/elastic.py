@@ -209,11 +209,11 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
     """Liouville profile of the size-k mapping torus built from (psi, h).
 
     The constructed pairing satisfies (1 + u)/u = dt g / (-k), equivalently
-    u = -k / (dt g + k); the slope never meets -k, so u is finite and never
-    zero, and the underlying form never vanishes (equality holds).  dt g is
-    a cutoff slope times an orbit factor value (``dt_attainable``), so the
-    profile is kept as those two factors, read off the g of ``torus.build_mu``
-    (no sampled check of the construction runs, so no sample is drawn).
+    u = -k / (dt g + k).  dt g is a cutoff slope times an orbit factor value
+    (``dt_attainable``), kept as those two factors, read off the g of
+    ``torus.build_mu``.  s v + k rounds monotonically in s and v, so its
+    four corners give its sign: one not that of k is ``torus.InfeasibleError``
+    (the form vanishes); else u is finite and nonzero, and equality holds.
 
     With ``strict_mu`` (requires a stored generating f) the first-kind
     potential f o p1 - t is used instead, whose t-derivative is exactly -1.
@@ -229,6 +229,10 @@ def mapping_torus_profile(sys: ConformalSystem, k: float, t_window,
         return LiouvilleProfile(np.full(count, -1.0), lambda_nonvanishing=True)
     gcons = torus.build_mu(sys, k, t_window, n_scan, points).gcons
     slopes, values = gcons.dt_attainable()
+    corners = np.multiply.outer([slopes.min(), slopes.max()], [values.min(), values.max()]) + k
+    if not np.all(np.sign(k) * corners > 0):
+        raise torus.InfeasibleError(f"dt g + k does not carry the sign of k = {k}: its attainable"
+                                    f" values span [{corners.min():.3g}, {corners.max():.3g}]")
     return LiouvilleProfile(lambda_nonvanishing=True, factors=(slopes, values, gcons.k))
 
 
@@ -290,10 +294,7 @@ class PeriodGroup:
 
     @classmethod
     def parse(cls, items) -> "PeriodGroup":
-        gens = []
-        for item in items:
-            gens.append(_parse_generator(item))
-        return cls(tuple(gens))
+        return cls(tuple(map(_parse_generator, items)))
 
 
 def _parse_generator(item):
@@ -331,9 +332,6 @@ def lcs_rank(group: PeriodGroup) -> int:
         if pivot is None:
             continue
         rank += 1
-        rows = [
-            [r[j] - (r[col] / pivot[col]) * pivot[j] for j in range(2)]
-            for r in rows
-            if r is not pivot
-        ]
+        rows = [[r[j] - (r[col] / pivot[col]) * pivot[j] for j in range(2)]
+                for r in rows if r is not pivot]
     return rank

@@ -198,15 +198,21 @@ def probe_sweep(sys: ConformalSystem, ks, n_max: int = 1000, starts=None) -> lis
         dec = ergopt.cycle_mean_extrema(sys)
         num = Fraction if sys.exact else float  # exact tables: exact gaps and n0
         means = dec.means if sys.exact else np.array(dec.means)
+        cycles = range(len(means))
+        if sys.exact:  # each distinct mean once, at its first cycle, keyed by
+            # its lowest terms: hashing a Fraction is slow
+            first = {(m.numerator, m.denominator): c for c, m in reversed(list(enumerate(means)))}
+            cycles, means = list(first.values()), [means[c] for c in first.values()]
         for i, (k, (lo, hi)) in enumerate(zip(ks, bands)):
             q = num(k)  # float gaps: |k - mean| less the mean's rounding bound
             gaps = ([abs(q - m) for m in means] if sys.exact else
                     (np.abs(q - means) - dec.rounding_bounds).tolist())
-            idx = gaps.index(min(gaps))  # the least gap gives the largest bound
-            if gaps[idx] > 0:  # U is each cycle mean, F its cycle potential
-                n0 = _escape_bound(num(hi) - num(lo), dec.drift_span, gaps[idx])
+            j = gaps.index(min(gaps))  # the least gap gives the largest bound
+            if gaps[j] > 0:  # U is each cycle mean, F its cycle potential
+                n0 = _escape_bound(num(hi) - num(lo), dec.drift_span, gaps[j])
                 reports[i] = report(i, VERDICT_ESCAPE, None, n0, "cycle-exact", False)
             else:  # k is a cycle mean (a float one up to rounding): its band orbit is periodic
+                idx = cycles[j]
                 a, b = dec.bounds[idx:idx + 2].tolist()
                 t0 = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
                 wit = Witness(int(dec.order[a]), b - a, t0 + (b - a) * (k - float(dec.means[idx])))
@@ -397,24 +403,20 @@ def build_cutoff(bound: float) -> CutoffFunction:
 # --------------------------------------------------------------------------
 
 
-def _float_orbit(sys: ConformalSystem, pts, n: int, inverse: bool = False):
-    """The orbit rows as float64; exact rows h * scale are divided by scale,
-    which rounds as float(Fraction) and so eval_factor do."""
-    H = orbit_array(sys, pts, n, inverse)
-    return scaled_floats(H, sys.scale) if sys.exact else H
-
-
 def _averaged_tables(sys: ConformalSystem, n: int, pts, lead: int, trail: int):
     """The rows A_n(h)(psi^m p), -trail <= m < lead, as one float64 array of
     shape (trail + lead, P) whose row trail + m is the one at psi^m p.
 
     The base rows h(psi^m p), -trail <= m < lead + n - 1, are walked once per
-    point batch, so the strip costs lead + trail + n - 1 factor rows.  The
-    row at psi^m p is the window of the n base rows from m, added in order
-    (as a cumulative sum adds them) and divided by n.
+    point batch, so the strip costs lead + trail + n - 1 factor rows; exact
+    rows h * scale are divided by scale, rounding as float(Fraction) does.
+    The row at psi^m p is the window of the n base rows from m, added in
+    order (as the scan's cumulative sum adds them) and divided by n.
     """
-    back = _float_orbit(sys, step_points(sys, pts, inverse=True), trail, inverse=True)
-    base = np.concatenate([back[::-1], _float_orbit(sys, pts, lead + n - 1)])
+    back = orbit_array(sys, step_points(sys, pts, inverse=True), trail, inverse=True)
+    base = np.concatenate([back[::-1], orbit_array(sys, pts, lead + n - 1)])
+    if sys.exact:
+        base = scaled_floats(base, sys.scale)
     win = base[:lead + trail].copy()
     for j in range(1, n):
         win += base[j:j + lead + trail]
@@ -430,11 +432,10 @@ class GConstruction:
         g(x, t) = sum_m ([m >= 0] - chi(t + 1 + m)) A(psi^m x),
 
     truncated to the m with a nonzero coefficient, -ceil(t) <= m < ceil(-t).
-    A < k needs k > 0; A > k needs k < 0, where, as chi(1 - s) = 1 - chi(s),
-    the sum is the one for (psi^{-1}, -A o psi^{-1}, -k) at -t.  The slope
-    dt g + k carries the sign of k.  ``batch`` walks the strip of A once per
-    point batch (``_averaged_tables``); ``g`` and ``dt`` are that evaluator
-    on a fresh batch.  A time needing more than ``MAX_TERMS`` terms is refused.
+    A < k needs k > 0 and A > k needs k < 0; the slope dt g + k carries the
+    sign of k.  ``batch`` walks the strip of A once per point batch
+    (``_averaged_tables``); ``g`` and ``dt`` are that evaluator on a fresh
+    batch.  A time needing more than ``MAX_TERMS`` terms is refused.
     """
 
     system: ConformalSystem
@@ -460,38 +461,36 @@ class GConstruction:
     def _fresh(self, x, t, derivative):
         ts = np.asarray(t, dtype=float)
         tab = self.batch(x, ts)
-        out = (tab.dt if derivative else tab.g)(slice(None), ts)
+        out = tab.g_dt(slice(None), ts)[derivative]
         return float(out[0]) if tab.single and ts.ndim == 0 else out
 
-    def batch(self, x, ts) -> "GTables":
-        """The strip of A at the batch x, normalised once, with the rows that
-        every time in ts needs (see ``GTables``)."""
-        pts, single = point_batch(self.system.space, x)
-        return GTables(self, single, *self._tables(pts, np.asarray(ts, dtype=float)))
-
-    def _tables(self, pts, ts, spare: int = 0):
-        """(strip, trail): the strip of A at pts with every row a time in ts
-        needs, plus ``spare`` rows each way, and its number of rows behind p.
+    def batch(self, x, ts, spare: int = 0) -> "GTables":
+        """The strip of A at the batch x, normalised once, with every row a
+        time in ts needs plus ``spare`` rows each way (see ``GTables``).
 
         g(p, t) has ceil(-t) terms ahead of p and ceil(t) behind it (none
         when negative); a time needing more than MAX_TERMS terms in all is
         refused.  Spare rows have cutoff coefficient 0.
         """
+        pts, single = point_batch(self.system.space, x)
+        ts = np.asarray(ts, dtype=float)
         if np.any(np.ceil(np.abs(ts)) > MAX_TERMS):
             raise BudgetError(f"a time in the sample needs more than {MAX_TERMS} terms")
         lead = math.ceil(-ts.min(initial=0.0)) + spare
         trail = math.ceil(ts.max(initial=0.0)) + spare
-        return _averaged_tables(self.system, self.order, pts, lead, trail), trail
+        strip = _averaged_tables(self.system, self.order, pts, lead, trail)
+        return GTables(self, single, strip, trail)
 
     # -- checks ---------------------------------------------------------------
 
     def functional_residual(self, pts=None, ts=None) -> float:
-        """max |g(psi x, t+1) - g(x, t) + A(x)| over the sample."""
+        """max |g(psi x, t+1) - g(x, t) + A(x)| over the sample, A(x) read
+        off the strip of g(x, t) with one spare row each way."""
         pts, ts = self._default_sample(pts, ts)
-        here = self.g(pts, ts)
+        here = self.batch(pts, ts, spare=1)
         there = self.g(step_points(self.system, pts), ts + 1.0)
-        a = _averaged_tables(self.system, self.order, pts, 1, 0)[0]
-        return float(np.max(np.abs(there - here + a)))
+        a = here.strip[here.trail]
+        return float(np.max(np.abs(there - here.g_dt(slice(None), ts)[0] + a)))
 
     def slope_margin(self, pts=None, ts=None) -> float:
         """min sign(k) (dt g + k) over the sample: positive exactly when the
@@ -515,12 +514,9 @@ class GConstruction:
         products, ``np.multiply.outer(slopes, values)``, are left to the
         caller.
         """
-        strip, _ = self._tables(reference_points(self.system),
-                                np.asarray(self.t_window, dtype=float), spare=1)
-        hv = np.unique(strip)
+        hv = np.unique(self.batch(reference_points(self.system), self.t_window, spare=1).strip)
         if len(hv) > 512:
-            idx = np.linspace(0, len(hv) - 1, 512).round().astype(int)
-            hv = hv[idx]
+            hv = hv[np.linspace(0, len(hv) - 1, 512).round().astype(int)]
         return -self.cutoff.prime(np.linspace(0.0, 1.0, SLOPE_COUNT)), hv
 
     def _default_sample(self, pts, ts):
@@ -542,9 +538,9 @@ class GTables:
     given.  ``g_dt(idx, t)`` weighs the columns idx (an index array or a
     slice) by the cutoff coefficients and slopes of times t inside the span
     of those times, giving g and dt g from one pass over the rows, shaped
-    as for ``GConstruction.g``; ``g`` and ``dt`` are its two halves.  A
-    call reads only the rows its own times need, adding them in order, so
-    it computes exactly what a fresh batch of those columns would.
+    as for ``GConstruction.g``.  A call reads only the rows its own times
+    need, adding them in order, so it computes exactly what a fresh batch
+    of those columns would.
     ``single`` is True when the batch was given as a lone point.
     """
 
@@ -552,12 +548,6 @@ class GTables:
     single: bool
     strip: np.ndarray
     trail: int
-
-    def g(self, idx, t):
-        return self.g_dt(idx, t)[0]
-
-    def dt(self, idx, t):
-        return self.g_dt(idx, t)[1]
 
     def g_dt(self, idx, t):
         """g and dt g at the same columns and times, from one pass over the
@@ -610,12 +600,14 @@ def build_g(sys: ConformalSystem, k: float, t_window, points=None,
     The ramp construction needs the sign of k to agree with the side of the
     gap: A < k requires k > 0 and A > k requires k < 0 (otherwise a
     one-signed slope would force a cutoff with sup slope below 1, which no
-    0 -> 1 transition can deliver).  On the side A > k the gap is read on
-    psi^{-1} of the points, where the construction for (psi^{-1}, -A o
-    psi^{-1}, -k) samples its factor.  The cutoff's sup slope stays below
-    1 / (1 - eps / k), eps half the gap between k and the sampled A.
+    0 -> 1 transition can deliver).  Both signs read A at the points, as
+    ``build_mu``'s scan does, so the edge (the A nearest k) is its extreme.
+    dt g + k = k - s A(psi^m x), s in [0, S], S < 1 / (1 - eps / k), eps
+    half the gap between k and the edge.  An edge of the sign of k has S <
+    k / edge, so k - s A keeps the sign of k wherever A lies beyond the
+    edge; an edge of the other sign keeps it there for any s >= 0.
     """
-    k = float(k)
+    k = finite_size(k)
     lo, hi = float(t_window[0]), float(t_window[1])
     if not lo < hi:
         raise ValidationError("t_window must be a nonempty interval")
@@ -631,10 +623,7 @@ def build_g(sys: ConformalSystem, k: float, t_window, points=None,
             f"{np.finfo(float).max / (4.0 * MAX_TERMS):.3g})")
     check_order(order, "order")
     pts = reference_points(sys) if points is None else sys.space.sample_points(points)
-    behind, ahead = _averaged_tables(sys, order, pts, 1, 1)  # A at psi^{-1} p and at p
-    edge = _ramp_side(k, ahead)
-    if k < 0:
-        edge = _ramp_side(k, behind)
+    edge = _ramp_side(k, _averaged_tables(sys, order, pts, 1, 0)[0])
     cutoff = build_cutoff(1.0 / (1.0 - 0.5 * (k - edge) / k))
     return GConstruction(sys, k, cutoff, (lo, hi), order)
 
@@ -698,7 +687,7 @@ class MuConstruction:
         lo, hi = t0 - width, t0 + width
         both, ends = np.concatenate([every, every]), np.concatenate([lo, hi])
         tab = gcons.batch(pts, ends)
-        checks = np.split(F(tab.g(both, ends), both, ends), 2)
+        checks = np.split(F(tab.g_dt(both, ends)[0], both, ends), 2)
         moved = False
         for end, side, check in ((lo, -1.0, checks[0]), (hi, 1.0, checks[1])):
             step = width.copy()  # move each end out past the root

@@ -15,6 +15,7 @@ from conftest import encoded, scalar_factor, scalar_map
 from lcsdyn import cli
 from lcsdyn.birkhoff import birkhoff_table, limit_estimates
 from lcsdyn.core import (
+    DEFAULT_TOL_INVERSE,
     coboundary_system,
     orbit_array,
     reference_points,
@@ -477,6 +478,23 @@ def test_construct_refuses_a_slope_of_the_wrong_sign(tmp_path, capsys):
     assert "slope margin -1.17" in diag["message"]
     g = build_mu(cli.system_from_config(system), 0.5, (-3, 3), points=[0.25, 0.5]).gcons
     assert g.slope_margin() == pytest.approx(-1.17, abs=0.01)
+
+
+def test_a_negative_size_the_scan_accepts_is_not_a_domain_error(tmp_path, capsys):
+    # the scan picks n = 4 (min A_4 = -0.538393 at the grid points), and the
+    # ramp edge read at psi^{-1} p was -0.540781: both commands exited 2 with
+    # "DomainError: k = -0.54 lies in the sampled factor range".  Both now
+    # refuse the g for its slope: dt g + k takes both signs there
+    system = {"space": {"kind": "circle", "grid_resolution": 64},
+              "map": {"type": "rotation", "angle": "golden"},
+              "factor": {"type": "trig", "cos": [[1, 1.0], [3, 0.5]], "sin": [[2, -0.5]]}}
+    config = {"system": system, "k": -0.54, "params": {"t_window": [-2, 2]}}
+    report, code = cli.run(cli.RunConfig(command="construct", out=str(tmp_path / "c"), **config))
+    assert code == 3 and _diag_of(capsys)["error"] == "InfeasibleError"
+    assert "slope margin -0.00159" in report["error"]
+    report, code = cli.run(cli.RunConfig(command="elasticity", out=str(tmp_path / "e"), **config))
+    assert code == 3 and _diag_of(capsys)["error"] == "InfeasibleError"
+    assert "does not carry the sign of k = -0.54" in report["error"]
 
 
 def test_elasticity_command_from_system(tmp_path):
@@ -1291,7 +1309,8 @@ def test_readme_config_examples_build_their_systems():
     configs = [c for c in map(json.loads, blocks) if "system" in c]
     assert len(configs) >= 2
     for config in configs:
-        sys_ = cli.system_from_config(config["system"], config.get("tolerances"))
+        tol = config.get("tolerances", {}).get("tol_inverse", DEFAULT_TOL_INVERSE)
+        sys_ = cli.system_from_config(config["system"], tol)
         assert sys_.space.kind == config["system"]["space"]["kind"]
 
 

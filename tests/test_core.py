@@ -193,6 +193,17 @@ def test_cat_map_bad_matrix():
         cat_map_system(0.0, matrix=((2, 0), (0, 2)))
 
 
+@pytest.mark.parametrize("build", [lambda **kw: rotation_system("golden", 0.0, **kw),
+                                   lambda **kw: cat_map_system(0.0, **kw)],
+                         ids=["rotation", "cat"])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, True, "1e-9"])
+def test_tol_inverse_must_be_a_positive_finite_number(build, tol):
+    # a nan tolerance skipped the inverse check (err.max() > nan is False)
+    with pytest.raises(ValidationError, match=r"^tol_inverse must be (a number|finite|a "
+                                              r"positive finite number), got "):
+        build(grid_resolution=8, tol_inverse=tol)
+
+
 @pytest.mark.parametrize("build,spec,path", [
     (rotation_system, {"type": "trig", "terms": [[1, 0, 1.0, 0.0]]}, "factor.terms"),
     (rotation_system, {"type": "constant", "const": 0.1}, "factor.const"),

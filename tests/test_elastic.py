@@ -162,6 +162,20 @@ def test_mapping_torus_profile_constant(const_rotation):
     assert es.equality and not es.contains_zero_u
 
 
+def test_a_profile_whose_slope_takes_both_signs_is_refused():
+    # the first usable order's edge leaves k - s A one-signed at the grid
+    # points only: the attainable values of dt g + k span both signs, so
+    # u = -k / (dt g + k) does too and the form is not nonvanishing
+    from lcsdyn.torus import InfeasibleError
+
+    sys = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0], [3, 0.5]],
+                                     "sin": [[2, -0.5]]}, grid_resolution=64)
+    with pytest.raises(InfeasibleError, match=r"^dt g \+ k does not carry the sign of "
+                                              r"k = -0\.54: its attainable values span "
+                                              r"\[-1\.08, 0\.00159\]$"):
+        mapping_torus_profile(sys, -0.54, (-2, 2))
+
+
 def test_mapping_torus_profile_strict_mu(golden_strict):
     prof = mapping_torus_profile(golden_strict, 1.0, (-10, 10), strict_mu=True)
     assert first_kind_test(prof)

@@ -37,7 +37,7 @@ from lcsdyn.core import (
 )
 from lcsdyn.ergopt import coboundary_optima, cycle_mean_extrema, is_strict_finite
 from lcsdyn.birkhoff import transfer_potential_values
-from lcsdyn.torus import _float_orbit
+from lcsdyn.torus import _averaged_tables
 
 from conftest import cycle_pairs
 
@@ -378,7 +378,9 @@ def test_orbit_tables_round_the_exact_values(kind, seed):
     # exact rows are the integers h * scale
     scaled = [[v * sys.scale for v in r] for r in rows]
     assert orbit_array(sys, pts, N_MAX).tolist() == scaled
-    assert _float_orbit(sys, pts, N_MAX).tolist() == [[float(v) for v in r] for r in rows]
+    floats = [[float(v) for v in r] for r in rows]
+    assert scaled_floats(orbit_array(sys, pts, N_MAX), sys.scale).tolist() == floats
+    assert _averaged_tables(sys, 1, pts, N_MAX, 0).tolist() == floats
     assert coboundary_residual_curve(sys, N_MAX)[-1] == 0
     for n in (1, 2, N_MAX):
         here, there = transfer_potential_values(sys, pts, n)

@@ -3,7 +3,8 @@
 The reference below is the construction before it was table-driven: A_n(h)
 as a factor closure that walks n steps per point, the mirrored branch as the
 direct construction on the system (psi^{-1}, -h o psi^{-1}) at -k and -t,
-and g evaluated from orbit tables of that system.  The library reads both
+and g evaluated from orbit tables of that system.  Both signs of k take the
+ramp edge from the factor at the reference points.  The library reads both
 tables off one strip of base rows; the two must agree to float rounding.
 """
 
@@ -19,12 +20,14 @@ from lcsdyn import finite_permutation_system, rotation_system
 from lcsdyn.core import (
     FINITE,
     eval_factor,
+    orbit_array,
     point_batch,
     reference_points,
     sampled_bounds,
+    scaled_floats,
     step_points,
 )
-from lcsdyn.torus import MuConstruction, _averaged_tables, _float_orbit
+from lcsdyn.torus import MuConstruction, _averaged_tables
 
 from conftest import scalar_factor, scalar_map
 
@@ -33,11 +36,17 @@ from conftest import scalar_factor, scalar_map
 # --------------------------------------------------------------------------
 
 
+def float_rows(sys, pts, n, inverse=False):
+    """The orbit rows as float64: exact rows h * scale divided by scale."""
+    rows = orbit_array(sys, pts, n, inverse)
+    return scaled_floats(rows, sys.scale) if sys.exact else rows
+
+
 def ref_averaged_factor(sys, n):
     """A_n(h) as a factor: every point walks its own n forward steps."""
     def a_n(x):
         pts, single = point_batch(sys.space, x)
-        v = np.cumsum(_float_orbit(sys, pts, n), axis=0)[-1] / n
+        v = np.cumsum(float_rows(sys, pts, n), axis=0)[-1] / n
         return float(v[0]) if single else v
 
     return a_n
@@ -105,8 +114,8 @@ class RefG:
         lead = int(np.maximum(np.ceil(-ts), 0.0).max(initial=0.0))
         trail = int(np.maximum(np.ceil(ts), 0.0).max(initial=0.0))
         sys = self.walked
-        return (_float_orbit(sys, pts, lead),
-                _float_orbit(sys, step_points(sys, pts, inverse=True), trail, inverse=True))
+        return (float_rows(sys, pts, lead),
+                float_rows(sys, step_points(sys, pts, inverse=True), trail, inverse=True))
 
     def _paired(self, x, t, derivative):
         pts, single = point_batch(self.walked.space, x)
@@ -124,12 +133,15 @@ class RefG:
 
 
 def ref_build_g(sys, k):
-    _hmin, hmax = sampled_bounds(sys, sys.factor, reference_points(sys))
-    if hmax < k:
-        eps = 0.5 * (k - hmax)
-        return RefG(sys, k, build_cutoff(1.0 / (1.0 - eps / k)), False, None, sys)
-    inner = ref_build_g(ref_mirrored_system(sys), -k)
-    return RefG(sys, k, inner.cutoff, True, inner, sys)
+    """The direct construction for k > 0, the mirrored one for k < 0; either
+    takes its ramp edge from the factor of sys at the reference points."""
+    hmin, hmax = sampled_bounds(sys, sys.factor, reference_points(sys))
+    edge = hmax if k > 0 else hmin
+    cutoff = build_cutoff(1.0 / (1.0 - 0.5 * (k - edge) / k))
+    if k > 0:
+        return RefG(sys, k, cutoff, False, None, sys)
+    mirror = ref_mirrored_system(sys)
+    return RefG(sys, k, cutoff, True, RefG(mirror, -k, cutoff, False, None, mirror), sys)
 
 
 def ref_build_averaged_g(sys, k, n):
@@ -181,7 +193,8 @@ def test_tables_g_dt_and_inverse_match_the_system_construction(name, k, n):
     ts = rng.uniform(-4.5, 4.5, size=48)
     ts[:3] = (-3.0, 0.0, 2.0)
     pts = point_batch(sys.space, xs)[0]
-    strip, trail = gcons._tables(pts, ts)
+    tab = gcons.batch(pts, ts)
+    strip, trail = tab.strip, tab.trail
     fwd, bwd = strip[trail:], strip[:trail][::-1]
     if ref.mirrored:  # the reference's own tables are those of the mirrored system
         lead, trail = ref.inner.tables(pts, -ts)
@@ -210,7 +223,8 @@ def test_mirrored_tables_pull_back_through_the_inverse(name):
     assert gcons.mirrored
     pts = sys.space.sample_points(8)
     psi_inv, h = scalar_map(sys, inverse=True), scalar_factor(sys)
-    strip, trail = gcons._tables(pts, np.array([3.0]))
+    tab = gcons.batch(pts, np.array([3.0]))
+    strip, trail = tab.strip, tab.trail
     bwd = strip[:trail][::-1]
     for p, col in zip(pts.tolist(), (-bwd).T):
         y, want = p, []

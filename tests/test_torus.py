@@ -220,8 +220,12 @@ def test_build_mu_checks_n_scan_by_its_own_name(golden_cos):
     lambda sys: probe_sweep(sys, ["0.5"]),  # ran
     lambda sys: limit_estimates(birkhoff_extrema(sys, n_max=8)).classify("0.5"),  # TypeError
     lambda sys: action_orbit(sys, 0.1, 0.0, "0.5", 3),  # TypeError
+    lambda sys: build_g(sys, math.nan, (-2, 2)),  # BudgetError: "k = nan is too large"
+    lambda sys: build_g(sys, math.inf, (-2, 2)),  # BudgetError
+    lambda sys: build_g(sys, "2", (-2, 2)),  # built at k = 2.0
+    lambda sys: build_g(sys, True, (-2, 2)),  # read as k = 1.0
 ], ids=["build_mu-nan", "profile-nan", "build_mu-bool", "probe-str", "classify-str",
-        "action_orbit-str"])
+        "action_orbit-str", "build_g-nan", "build_g-inf", "build_g-str", "build_g-bool"])
 def test_a_size_that_is_not_a_finite_number_is_a_validation_error(golden_cos, call):
     with pytest.raises(ValidationError, match=r"^size k must be (a number|finite), got "):
         call(golden_cos)
@@ -453,6 +457,29 @@ def _sweep_case(name):
     # cycles (0 1 2), (3 4), (5) with means 1, 0 and 2
     sys = finite_permutation_system([1, 2, 0, 4, 3, 5], ["1/2", "3/2", "1", "-1/3", "1/3", "2"])
     return sys, [-1.0, 0.0, 0.5, 1.0, 2.0, 2.5], 50, None, {"cycle-exact"}
+
+
+def test_exact_probe_reports_match_a_per_cycle_probe_on_repeated_means():
+    # the sweep compares each size with the distinct cycle means only; every
+    # mean here is v / 4 on many cycles of lengths 1 to 4, listed in shuffled
+    # states, so a mean's first cycle is not its only one
+    rng = np.random.default_rng(41)
+    lengths = rng.integers(1, 5, size=48).tolist()
+    labels = rng.permutation(sum(lengths)).tolist()
+    table, values, at = [0] * len(labels), [0] * len(labels), 0
+    for L in lengths:
+        mean = Fraction(int(rng.integers(-4, 5)), 4)
+        d = [Fraction(int(rng.integers(-3, 4)), 8) for _ in range(L - 1)]
+        for i, v in enumerate(d + [-sum(d, Fraction(0))]):
+            table[labels[at + i]] = labels[at + (i + 1) % L]
+            values[labels[at + i]] = mean + v
+        at += L
+    sys = finite_permutation_system(table, values)
+    assert len(set(cycle_mean_extrema(sys).means)) < len(lengths) // 4
+    ks = [v / 8 for v in range(-10, 11)] + [0.3, 1 / 7, -2.75]
+    sweep = encoded(probe_sweep(sys, ks, n_max=20))
+    assert sweep == encoded([_probe_oracle(sys, k, 20, None) for k in ks])
+    assert {r["verdict"] for r in sweep} == {VERDICT_ESCAPE, VERDICT_RECURRENT}
 
 
 @pytest.mark.parametrize("name", ["golden-cos", "cat16", "strict", "identity", "perm"])
@@ -785,13 +812,51 @@ def test_build_g_precondition_violations(const_rotation, golden_cos):
         build_g(const_rotation, 1.0, (-1e9, 1e9))
 
 
-def test_a_size_inside_the_range_behind_names_the_given_size():
-    # on the side A > k the range at psi^{-1} p was checked on negated data:
-    # the error named k = 0.6 and the range [-0.953676, 0.737369]
+def test_a_negative_size_inside_the_range_names_the_given_size():
+    # a negative k inside the sampled range at the points is named as given
     sys = rotation_system("golden", {"type": "trig", "cos": [[1, 1.0]]}, grid_resolution=3)
-    with pytest.raises(DomainError, match=r"^k = -0\.6 lies in the sampled factor range "
-                                          r"\[-0\.737369, 0\.953676\]$"):
-        build_g(sys, -0.6, (-2, 2))
+    with pytest.raises(DomainError, match=r"^k = -0\.4 lies in the sampled factor range "
+                                          r"\[-0\.5, 1\]$"):
+        build_g(sys, -0.4, (-2, 2))
+
+
+def _three_mode_system(a, b, grid):
+    """The golden rotation with h = cos 2 pi x + a cos 6 pi x + b sin 4 pi x."""
+    return rotation_system("golden", {"type": "trig", "cos": [[1, 1.0], [3, a]],
+                                      "sin": [[2, b]]}, grid_resolution=grid)
+
+
+@pytest.mark.parametrize("a,b,grid,k,order", [
+    (0.5, -0.5, 64, -0.54, 4),
+    (0.5, 0.5, 64, -0.63, 3),
+    (-0.5, -0.5, 64, -1.57, 1),
+    (-0.25, 0.25, 64, -0.06, 8),
+])
+def test_a_scanned_negative_order_builds(a, b, grid, k, order):
+    # the ramp edge was read at psi^{-1} p, past the scan's min A_n at p:
+    # each raised DomainError, "k lies in the sampled factor range"
+    mu = build_mu(_three_mode_system(a, b, grid), k, (-2, 2))
+    assert mu.gcons.order == order and mu.gcons.mirrored
+    assert mu.gcons.functional_residual() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_ramp_edge_is_the_scan_extreme_at_its_order(seed, monkeypatch):
+    # both read A_n at the sample points, summed in order from row 0 and
+    # divided by n: the edge is the scan's extreme bit for bit
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-0.5, 0.5, size=2).tolist()
+    sys = _three_mode_system(a, b, int(rng.choice([64, 256])))
+    ext = birkhoff_extrema(sys, reference_points(sys), 64).extrema_per_n
+    n = int(rng.integers(1, 20))
+    sign = 1 if seed % 2 else -1
+    side = "max_avg" if sign > 0 else "min_avg"
+    k = float(ext[side][n - 1]) + sign * rng.uniform(1e-6, 1e-3)
+    edges, ramp_side = [], torus._ramp_side
+    monkeypatch.setattr(torus, "_ramp_side", lambda k, v: edges.append(ramp_side(k, v)) or
+                        edges[-1])
+    order = build_mu(sys, k, (-2, 2)).gcons.order
+    assert order <= n and edges == [float(ext[side][order - 1])]
 
 
 def test_grid_matches_scalar(const_rotation):
@@ -1098,8 +1163,6 @@ def test_batch_tables_read_columns_as_a_fresh_batch(name, k):
     for size in (1, 7, 30):
         idx = rng.choice(30, size=size, replace=False)
         t = rng.uniform(-4.5, 3.5, size=size)
-        assert np.array_equal(tab.g(idx, t), gcons.g(xs[idx], t))
-        assert np.array_equal(tab.dt(idx, t), gcons.dt(xs[idx], t))
         # the fused read gives both from one pass, paired or on a (T, P) grid
         for times in (t, rng.uniform(-4.5, 3.5, size=(5, 1))):
             g, dt = tab.g_dt(idx, times)
@@ -1107,7 +1170,7 @@ def test_batch_tables_read_columns_as_a_fresh_batch(name, k):
             assert np.array_equal(dt, gcons.dt(xs[idx], times))
     for late in (4.25, -5.25):  # one row more than the span's 4 back and 5 ahead
         with pytest.raises(ValueError, match="beyond the batch"):
-            tab.g(np.arange(2), np.array([0.0, late]))
+            tab.g_dt(np.arange(2), np.array([0.0, late]))
 
 
 @pytest.mark.parametrize("name,k", BATCH_CASES)
@@ -1167,29 +1230,22 @@ def test_mu_cocycle_residual_draws_one_row_per_pair(name, k, monkeypatch):
 
 
 def _count_passes(monkeypatch):
-    """Counters of table walks and of fused g/dt g sample reads; a bracket
-    check reads g alone and is counted apart."""
-    count = {"walks": 0, "fused": 0, "checks": 0, "passes": 0}
-    walk, fused, alone = torus._averaged_tables, GTables.g_dt, GTables.g
+    """Counters of table walks and of the samples of every fused g/dt g read:
+    with one walk, an inversion's first read checks both bracket ends and
+    the others are Newton's."""
+    count = {"walks": 0, "reads": []}
+    walk, fused = torus._averaged_tables, GTables.g_dt
 
     def walked(*args):
         count["walks"] += 1
         return walk(*args)
 
     def read(self, idx, t):
-        count["fused"] += np.size(t)
-        count["passes"] += 1
+        count["reads"].append(np.size(t))
         return fused(self, idx, t)
-
-    def checked(self, idx, t):
-        count["checks"] += np.size(t)
-        count["fused"] -= np.size(t)
-        count["passes"] -= 1
-        return alone(self, idx, t)
 
     monkeypatch.setattr(torus, "_averaged_tables", walked)
     monkeypatch.setattr(GTables, "g_dt", read)
-    monkeypatch.setattr(GTables, "g", checked)
     return count
 
 
@@ -1203,8 +1259,8 @@ def test_inversion_walks_the_tables_once_and_reads_them_few_times(golden_cos, mo
     count = _count_passes(monkeypatch)
     t = mu.invert_sigma_t(xs, s)
     assert count["walks"] == 1
-    assert count["checks"] == 2 * 512
-    assert count["fused"] <= 6 * 512
+    assert count["reads"][0] == 2 * 512
+    assert sum(count["reads"][1:]) <= 6 * 512
     assert np.max(np.abs(t - ts)) <= 1e-9
 
 
@@ -1221,7 +1277,7 @@ def test_inversion_stops_at_the_float_resolution(monkeypatch):
     s = mu.sigma_t(xs, ts) * (1.0 + 1e-15)
     count = _count_passes(monkeypatch)
     t = mu.invert_sigma_t(xs, s)
-    assert count["walks"] == 1 and count["passes"] <= 10
+    assert count["walks"] == 1 and len(count["reads"]) - 1 <= 10
     residual = np.abs(mu.sigma_t(xs, t) - s)
     assert np.all(residual <= np.spacing(s))
     coarse = np.flatnonzero(residual > 1e-12)
